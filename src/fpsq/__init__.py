@@ -48,7 +48,6 @@ from fpsq.criteria import (
     gfp_value,
     ld_samplewise,
     rho_fp_value,
-    sq_hard,
     sq_value,
     usq_hard,
     usq_moment,
@@ -102,7 +101,6 @@ __all__ = [
     "rho_fp_value",
     "gfp_value",
     "sq_value",
-    "sq_hard",
     "usq_moment",
     "usq_hard",
     "chi_squared",

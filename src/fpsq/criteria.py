@@ -30,7 +30,17 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from fpsq.kernels import ModelSpec, group_avg_check
-from fpsq.laws import OverlapLaw, ThresholdResult, expect, threshold_sup
+from fpsq.laws import (
+    OverlapLaw,
+    ThresholdResult,
+    abs_event,
+    check_even_nondecreasing,
+    crossing,
+    expect,
+    find_root,
+    nondecreasing,
+    threshold_sup,
+)
 from fpsq.numerics import log_sum_exp
 
 _REL = 1e-12
@@ -106,25 +116,19 @@ def _event_value(model: ModelSpec, m: int, keep) -> tuple[float, float]:
         return math.inf, lv
 
 
-def _continuous_event_value(model: ModelSpec, m: int, lo: float, hi: float) -> tuple[float, float]:
-    """E[K^m 1(lo <= T <= hi)] by adaptive quadrature."""
-    if hi <= lo:
-        return 0.0, -math.inf
-    law = model.law
-    slo, shi = law.support
-    lo, hi = max(lo, slo), min(hi, shi)
+def _continuous_event(model: ModelSpec, m: int, mass: float, transform,
+                      strict: bool = False) -> tuple[ThresholdResult, float, float]:
+    """(threshold, value, log_value) of E[K^m 1(|T| <= h)] on the
+    continuous law, with the threshold and half-width h from abs_event;
+    the one quadrature behind continuous FP, rho_G-FP and GFP."""
+    thr, half = abs_event(model.law, mass, transform, strict)
 
     def integrand(t: float) -> float:
         lv = model.kernel.log_eval(t)
         return 0.0 if lv is None else math.exp(m * lv)
 
-    from scipy import integrate
-
-    value, _ = integrate.quad(
-        lambda t: integrand(t) * law.pdf(t), lo, hi, epsrel=1e-10, epsabs=1e-14, limit=400
-    )
-    value = float(value)
-    return value, (math.log(value) if value > 0.0 else -math.inf)
+    value = expect(model.law, integrand, interval=(-half, half))
+    return thr, value, (math.log(value) if value > 0.0 else -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +150,13 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
         )
     overlap = model.euclid_overlap
     g = lambda t: abs(overlap(t))
-    thr = threshold_sup(model.law, mass, transform=g)
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if model.is_discrete:
+        thr = threshold_sup(model.law, mass, transform=g)
         value, lv = _event_value(model, m, keep=lambda t: _le(g(t), thr.threshold))
         method = "exact-sum"
     else:
-        value, lv = _continuous_event_value(model, m, -thr.threshold, thr.threshold)
+        thr, value, lv = _continuous_event(model, m, mass, g)
         method = "quadrature"
     return CriterionReport("FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -163,18 +167,13 @@ def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Cr
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     rho = lambda t: model.rho_g(t)
-    thr = threshold_sup(model.law, mass, transform=rho)
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if model.is_discrete:
+        thr = threshold_sup(model.law, mass, transform=rho)
         value, lv = _event_value(model, m, keep=lambda t: _lt_strict(rho(t), thr.threshold))
         method = "exact-sum"
     else:
-        from fpsq.laws import abs_level_for
-
-        tau = abs_level_for(model.law, rho, thr.threshold)
-        if tau is None:
-            tau = max(abs(model.law.support[0]), abs(model.law.support[1]))
-        value, lv = _continuous_event_value(model, m, -tau, tau)
+        thr, value, lv = _continuous_event(model, m, mass, rho, strict=True)
         method = "quadrature"
     return CriterionReport("RHO_FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -318,9 +317,11 @@ def gfp_value(
     conservative (upper) value is returned.
 
     Continuous laws: the optimal symmetric event is the complement of a
-    top superlevel set of the orbit-averaged m-sample kernel; for the
-    built-in kernels that average is nondecreasing in |t|, so the event
-    is {|T| < tau} with P(|T| >= tau) = q^{-2} exactly.
+    top superlevel set of the orbit-averaged m-sample kernel.  When that
+    average is even and nondecreasing in |t| (the grid check shared with
+    the thresholds) the event is {|T| < tau} with P(|T| >= tau) = q^{-2}
+    exactly; any other shape is refused, because a one-sided event can
+    then do better.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
@@ -329,11 +330,14 @@ def gfp_value(
     mass = float(q) ** -2
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if not model.is_discrete:
-        rho_m = _orbit_averaged_power(model, m)
-        _check_nondecreasing_abs(model.law, rho_m)
-        thr = threshold_sup(model.law, mass, transform=lambda t: abs(float(t)))
-        tau = thr.threshold
-        value, lv = _continuous_event_value(model, m, -tau, tau)
+        try:
+            check_even_nondecreasing(model.law, _orbit_averaged_power(model, m))
+        except ValueError as exc:
+            raise UnsupportedCriterionError(
+                f"continuous GFP requires the orbit-averaged kernel power to be even and "
+                f"nondecreasing in |t| ({exc}); use a discrete law for this kernel"
+            ) from None
+        thr, value, lv = _continuous_event(model, m, mass, lambda t: abs(float(t)))
         return CriterionReport(
             "GFP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), "quadrature",
             {"optimizer": "superlevel-set"},
@@ -386,20 +390,6 @@ def _orbit_averaged_power(model: ModelSpec, m: int):
     return avg
 
 
-def _check_nondecreasing_abs(law: OverlapLaw, f, grid: int = 129) -> None:
-    import numpy as np
-
-    hi = max(abs(law.support[0]), abs(law.support[1]))
-    xs = np.linspace(0.0, hi, grid)
-    vals = [f(x) for x in xs]
-    for a, b in zip(vals, vals[1:]):
-        if b < a - 1e-9 * max(1.0, abs(a)):
-            raise UnsupportedCriterionError(
-                "continuous GFP requires the orbit-averaged kernel power to be "
-                "nondecreasing in |t|; use a discrete law for this kernel"
-            )
-
-
 # ---------------------------------------------------------------------------
 # SQ / USQ
 # ---------------------------------------------------------------------------
@@ -437,7 +427,12 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
         g = lambda t: abs(model.kernel.minus_one(t))
         level, t_left, t_right = _quasiconvex_superlevel(model.law, g, mass)
         thr = ThresholdResult(level, mass, True)
-        tail = _two_tail_integral(model.law, g, t_left, t_right)
+        lo, hi = model.law.support
+        tail = 0.0
+        if t_left is not None:
+            tail += expect(model.law, g, interval=(lo, t_left))
+        if t_right is not None:
+            tail += expect(model.law, g, interval=(t_right, hi))
         value = tail / mass
         method = "quadrature"
     verdict = None if m is None else _hard(value, 1.0 / m)
@@ -454,87 +449,32 @@ def _quasiconvex_superlevel(law: OverlapLaw, g, mass: float, grid: int = 257):
     event {g(T) >= c} = {T <= t_left} u {T >= t_right} has probability
     `mass`, for g continuous and quasiconvex on the support (decreasing
     to a minimum, then increasing): the shape of |K - 1| for every
-    built-in continuous-law kernel."""
-    import numpy as np
-
+    built-in continuous-law kernel.  A crossing is None when g stays
+    below c on that side.  The grid that checks the shape seeds every
+    bracket."""
     lo, hi = law.support
-    xs = np.linspace(lo, hi, grid)
-    vals = [g(float(x)) for x in xs]
-    i0 = int(np.argmin(vals))
-    tol = 1e-9 * max(1.0, max(vals))
-    if any(b > a + tol for a, b in zip(vals[: i0 + 1], vals[1 : i0 + 1])) or any(
-        b < a - tol for a, b in zip(vals[i0:], vals[i0 + 1 :])
-    ):
+    xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
+    vals = [g(x) for x in xs]
+    i0 = vals.index(min(vals))
+    # g read outward from its grid minimum must be nondecreasing on both sides
+    sides = [(xs[i0::-1], vals[i0::-1]), (xs[i0:], vals[i0:])]
+    if not all(nondecreasing(vs) for _, vs in sides):
         raise UnsupportedCriterionError(
             "continuous SQ needs |K - 1| quasiconvex on the support"
         )
-    t0 = float(xs[i0])
 
-    def crossings(c: float) -> tuple[float, float]:
-        # largest t <= t0 with g >= c (or lo - 1 when even g(lo) < c)
-        if g(lo) >= c:
-            a, b = lo, t0
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if g(mid) >= c:
-                    a = mid
-                else:
-                    b = mid
-            t_left = a
-        else:
-            t_left = lo - 1.0
-        if g(hi) >= c:
-            a, b = t0, hi
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if g(mid) >= c:
-                    b = mid
-                else:
-                    a = mid
-            t_right = b
-        else:
-            t_right = hi + 1.0
-        return t_left, t_right
+    def crossings(c: float) -> list[float | None]:
+        return [crossing(g, c, ts, vs) for ts, vs in sides]
 
-    def prob(c: float) -> float:
+    def excess(c: float) -> float:
+        """mass - P(g(T) >= c), nondecreasing in c (symmetric law)."""
         t_left, t_right = crossings(c)
-        p = 0.0
-        if t_left >= lo:
-            p += law.cdf(t_left)
-        if t_right <= hi:
-            p += 1.0 - law.cdf(t_right)
-        return p
+        return mass - ((0.0 if t_left is None else law.cdf(t_left))
+                       + (0.0 if t_right is None else law.cdf(-t_right)))
 
-    c_lo, c_hi = min(vals), max(g(lo), g(hi))
-    for _ in range(100):
-        c_mid = 0.5 * (c_lo + c_hi)
-        if prob(c_mid) >= mass:
-            c_lo = c_mid
-        else:
-            c_hi = c_mid
-    t_left, t_right = crossings(c_lo)
-    return c_lo, t_left, t_right
-
-
-def _two_tail_integral(law: OverlapLaw, g, t_left: float, t_right: float) -> float:
-    """int g(t) dpi^2 over {T <= t_left} u {T >= t_right}."""
-    from scipy import integrate
-
-    lo, hi = law.support
-    total = 0.0
-    if t_left >= lo:
-        val, _ = integrate.quad(lambda t: g(t) * law.pdf(t), lo, t_left,
-                                epsrel=1e-10, epsabs=1e-14, limit=400)
-        total += val
-    if t_right <= hi:
-        val, _ = integrate.quad(lambda t: g(t) * law.pdf(t), t_right, hi,
-                                epsrel=1e-10, epsabs=1e-14, limit=400)
-        total += val
-    return float(total)
-
-
-def sq_hard(model: ModelSpec, q: float, m: int) -> str:
-    return sq_value(model, q, m).verdict
+    c_lo, c_hi = vals[i0], max(vals[0], vals[-1])
+    level = find_root(excess, c_lo, c_hi, excess(c_lo), excess(c_hi))[0]
+    return (level, *crossings(level))
 
 
 def usq_moment(model: ModelSpec, t: int) -> float:

@@ -9,7 +9,8 @@ pi^{x2} through that statistic:
 - discrete laws carry exact rational-derived atom probabilities
   (math.comb / Fraction arithmetic, evaluated once into floats);
 - the single continuous law (sphere overlap) is represented by its exact
-  Beta-derived density, never by a discretization.
+  Beta density and distribution function (scipy.special), never by a
+  discretization.
 
 On top of the laws sit the quantile objects used by the hardness
 criteria: survival functions P(g(T) >= r) and the generalized-inverse
@@ -19,18 +20,26 @@ thresholds
 
 whose boundary-atom behaviour (achieved mass, exactness flag) the
 criteria need to expose.
+
+On the continuous law a transform g must be even and nondecreasing in
+|t|; one grid check enforces this and anything else is refused.  Then
+{g(T) >= r} = {|T| >= tau}, and the threshold is g(tau) with tau the
+closed-form two-sided Beta quantile 1 - 2 I^{-1}_{a,a}(mass / 2),
+a = (n - 1)/2.  The remaining boundary searches (the strict event
+{g(T) < r}, survival levels, the SQ superlevel set) share one bracketing
+root-finder with a step budget, find_root.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc, betaincinv
 
 Statistic = float | tuple
 Transform = Callable[[Statistic], float] | None
@@ -38,6 +47,10 @@ Transform = Callable[[Statistic], float] | None
 # Relative slack for survival >= mass comparisons; absorbs 1-ulp float
 # discrepancies when a caller passes a mass meant to hit an atom exactly.
 _REL_TOL = 1e-12
+
+# Relative slack of the grid shape checks on continuous-law transforms
+# (evenness, monotonicity, quasiconvexity).
+_SHAPE_TOL = 1e-9
 
 
 def _ge(a: float, b: float) -> bool:
@@ -63,7 +76,8 @@ class ThresholdResult:
 class OverlapLaw:
     """Distribution of the overlap statistic under pi x pi.
 
-    kind: "discrete" (atoms + probs) or "continuous" (density accessors).
+    kind: "discrete" (atoms + probs) or "continuous" (density accessors;
+    the law must be symmetric about 0, which the |t| closed forms use).
     statistic: "scalar" or "pair_counts" (integer triples).
     """
 
@@ -87,6 +101,8 @@ class OverlapLaw:
                 raise ValueError("atom probabilities must be nonnegative")
         elif self.kind != "continuous":
             raise ValueError(f"unknown law kind {self.kind!r}")
+        elif self.support[0] != -self.support[1]:
+            raise ValueError("continuous laws must be symmetric about 0")
 
     @property
     def atoms(self) -> list[tuple[Statistic, float]]:
@@ -278,18 +294,27 @@ def sphere_law(n: int) -> OverlapLaw:
     if n < 2:
         raise ValueError(f"sphere law needs n >= 2, got {n}")
     a = 0.5 * (n - 1)
-    dist = beta_dist(a, a, loc=-1.0, scale=2.0)
+    # log of 1 / (2^{n-2} B(a, a)), the density's normalizing constant
+    log_norm = -(n - 2) * math.log(2.0) - (2.0 * math.lgamma(a) - math.lgamma(2.0 * a))
+
+    def pdf(t: float) -> float:
+        s = (1.0 - t) * (1.0 + t)
+        if s > 0.0:
+            return math.exp((a - 1.0) * math.log(s) + log_norm)
+        if s < 0.0 or a > 1.0:
+            return 0.0
+        return math.exp(log_norm) if a == 1.0 else math.inf
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        return dist.rvs(size=count, random_state=rng)
+        return 2.0 * rng.beta(a, a, size=count) - 1.0
 
     return OverlapLaw(
         kind="continuous",
         statistic="scalar",
         descriptor={"kind": "sphere", "n": n},
-        _pdf=lambda t: float(dist.pdf(t)),
-        _cdf=lambda t: float(dist.cdf(t)),
-        _ppf=lambda p: float(dist.ppf(p)),
+        _pdf=pdf,
+        _cdf=lambda t: float(betainc(a, a, min(max(0.5 * (1.0 + t), 0.0), 1.0))),
+        _ppf=lambda p: 2.0 * float(betaincinv(a, a, p)) - 1.0,
         support=(-1.0, 1.0),
         _sampler=sampler,
     )
@@ -335,57 +360,97 @@ def survival(law: OverlapLaw, r: float, transform: Transform = None) -> float:
     """P(g(T) >= r) with g the optional transform (identity by default)."""
     if law.kind == "discrete":
         return math.fsum(p for v, p in law.atoms if _apply(transform, v) >= r)
-    lo, hi = law.support
     if transform is None:
-        if r <= lo:
-            return 1.0
-        if r > hi:
-            return 0.0
-        return 1.0 - law.cdf(r)
-    tau = _abs_level(law, transform, r)
+        return law.cdf(-r)  # symmetric law: no cancellation in the upper tail
+    tau = crossing(transform, r, *check_even_nondecreasing(law, transform))
     if tau is None:
         return 0.0
-    return _abs_survival(law, tau)
+    return 1.0 if tau <= 0.0 else 2.0 * law.cdf(-tau)
 
 
-def _abs_survival(law: OverlapLaw, tau: float) -> float:
-    """P(|T| >= tau) for a continuous law."""
-    if tau <= 0.0:
-        return 1.0
-    hi = max(abs(law.support[0]), abs(law.support[1]))
-    if tau > hi:
-        return 0.0
-    return (1.0 - law.cdf(tau)) + law.cdf(-tau)
-
-def abs_level_for(law: OverlapLaw, transform: Transform, r: float) -> float | None:
-    """Public alias of _abs_level: the |t|-boundary of {g(T) >= r}."""
-    return _abs_level(law, transform, r)
+def nondecreasing(vals: list[float]) -> bool:
+    """vals is nondecreasing up to the grid-check slack _SHAPE_TOL."""
+    return all(b >= a - _SHAPE_TOL * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
 
 
-def _abs_level(law: OverlapLaw, transform: Transform, r: float) -> float | None:
-    """Smallest tau >= 0 with g(tau) >= r, for g even and nondecreasing
-    in |t| (validated on a grid); None when sup g < r."""
-    hi = max(abs(law.support[0]), abs(law.support[1]))
-    g = lambda s: _apply(transform, s)
-    grid = np.linspace(0.0, hi, 129)
-    vals = [g(s) for s in grid]
-    if any(v2 < v1 - 1e-12 * max(1.0, abs(v1)) for v1, v2 in zip(vals, vals[1:])):
+def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float], grid: int = 129):
+    """The one shape check on continuous-law transforms: g must be even
+    and nondecreasing in |t|, probed on `grid` points of [0, hi] and
+    their mirror images.  Raises ValueError otherwise; returns the grid
+    (xs, vals = g(xs)), which seeds crossing's brackets."""
+    hi = law.support[1]
+    xs = [hi * i / (grid - 1) for i in range(grid)]
+    vals = [float(g(x)) for x in xs]
+    if any(abs(float(g(-x)) - v) > _SHAPE_TOL * max(1.0, abs(v)) for x, v in zip(xs, vals)):
+        raise ValueError("continuous-law transforms must be even in t")
+    if not nondecreasing(vals):
         raise ValueError("continuous-law transforms must be nondecreasing in |t|")
-    for s in (grid[1], hi / 2):
-        if abs(g(-s) - g(s)) > 1e-9 * max(1.0, abs(g(s))):
-            raise ValueError("continuous-law transforms must be even in t")
+    return xs, vals
+
+
+def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+              budget: int = 100) -> tuple[float, float]:
+    """Bracket (a', b') of the sign change of a monotone f, with
+    f(a') < 0 <= f(b'), shrunk to float resolution (|b' - a'| <= 2^-51
+    max(|a|, |b|)) or until `budget` evaluations are spent.  a may lie on
+    either side of b.  ITP steps (Oliveira and Takahashi, ACM TOMS 47,
+    2021): regula falsi, truncated toward the midpoint and projected into
+    a shrinking bisection radius, so no run takes more steps than
+    bisection (at most about 54 on doubles, below the default budget)
+    and smooth f converge superlinearly (about 10 steps)."""
+    if fa >= 0.0:
+        return a, a
+    tol = 2.0**-52 * max(abs(a), abs(b))
+    width = abs(b - a)
+    n_max = math.ceil(math.log2(max(width / tol, 1.0))) if tol > 0.0 else 0
+    k1 = 0.2 / width if width > 0.0 else 0.0
+    for j in range(budget):
+        width = abs(b - a)
+        if width <= 2.0 * tol:
+            break
+        mid = 0.5 * (a + b)
+        x_f = (a * fb - b * fa) / (fb - fa)
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = k1 * width * width
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        radius = tol * 2.0 ** (n_max - j) - 0.5 * width
+        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        x = min(max(x, min(a, b) + tol), max(a, b) - tol)  # move by at least tol
+        y = f(x)
+        if y >= 0.0:
+            b, fb = x, y
+        else:
+            a, fa = x, y
+    return a, b
+
+
+def crossing(g, r: float, xs: list[float], vals: list[float]) -> float | None:
+    """First point along the grid xs (either direction) where g >= r, for
+    g nondecreasing along xs with vals = g(xs): xs[0] when g(xs[0]) >= r,
+    None when g stays below r, else one find_root between grid points."""
     if vals[0] >= r:
-        return 0.0
+        return xs[0]
     if vals[-1] < r:
         return None
-    lo_s, hi_s = 0.0, hi
-    for _ in range(200):
-        mid = 0.5 * (lo_s + hi_s)
-        if g(mid) >= r:
-            hi_s = mid
-        else:
-            lo_s = mid
-    return hi_s
+    k = bisect_left(vals, r)  # vals[k - 1] < r <= vals[k]
+    return find_root(lambda s: g(s) - r, xs[k - 1], xs[k], vals[k - 1] - r, vals[k] - r)[1]
+
+
+def abs_event(law: OverlapLaw, mass: float, transform: Callable[[float], float],
+              strict: bool = False) -> tuple[ThresholdResult, float]:
+    """Threshold r = sup { r : P(g(T) >= r) >= mass } on a continuous law,
+    plus the half-width h of the complementary event {|T| <= h}: the
+    closed event {g(T) <= r} up to its boundary (h = tau, mass exactly
+    1 - mass) or, with strict, {g(T) < r} (h = the smallest |t| with
+    g(t) >= r, at most tau; one root-find)."""
+    xs, vals = check_even_nondecreasing(law, transform)
+    tau = max(-law.ppf(0.5 * min(mass, 1.0)), 0.0)
+    thr = ThresholdResult(float(transform(tau)), min(mass, 1.0), exact=mass <= 1.0)
+    if not strict:
+        return thr, tau
+    # g(tau) = r puts the first |t| with g >= r at or below tau, up to the check's slack
+    h = crossing(transform, thr.threshold, xs, vals)
+    return thr, tau if h is None else min(h, tau)
 
 
 def threshold_sup(law: OverlapLaw, mass: float, transform: Transform = None) -> ThresholdResult:
@@ -393,58 +458,44 @@ def threshold_sup(law: OverlapLaw, mass: float, transform: Transform = None) -> 
     survival function of the transformed statistic.
 
     For discrete laws the sup is attained at an atom of g(T); `exact`
-    records whether its tail mass equals `mass` to relative 1e-12.
+    records whether its tail mass equals `mass` to relative 1e-12.  On
+    the continuous law the survival function is continuous and strictly
+    decreasing, and the threshold comes in closed form from the Beta
+    quantile (see abs_event).
     """
     if not mass > 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
     if mass > 1.0 + _REL_TOL:
         raise ValueError(f"mass must be at most 1, got {mass}")
-    if law.kind == "discrete":
-        # group atoms by transformed level, then walk tail masses downward
-        levels: dict[float, float] = {}
-        for v, p in law.atoms:
-            g = _apply(transform, v)
-            levels[g] = levels.get(g, 0.0) + p
-        ordered = sorted(levels)
-        tails: list[float] = []
-        acc, comp = 0.0, 0.0  # Kahan-compensated tail accumulation
-        for r in reversed(ordered):
-            y = levels[r] - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-            tails.append(acc)
-        tails.reverse()  # tails[i] = P(g(T) >= ordered[i])
-        best = None
-        for r, s in zip(ordered, tails):
-            if _ge(s, mass):
-                best = (r, s)
-        if best is None:
-            # survival at the lowest level is 1 >= mass for mass <= 1
-            raise AssertionError("unreachable: survival at min level is 1")
-        threshold, achieved = best
-        exact = abs(achieved - mass) <= _REL_TOL * max(abs(achieved), abs(mass))
-        return ThresholdResult(threshold=threshold, achieved_mass=achieved, exact=exact)
-
-    # Continuous: survival is continuous and strictly decreasing across
-    # the support, so the threshold solves survival(r) = mass exactly.
-    lo, hi = law.support
-    if transform is None:
-        lo_r, hi_r = lo, hi
-    else:
-        lo_r = _apply(transform, 0.0)
-        hi_r = max(_apply(transform, lo), _apply(transform, hi))
-    f = lambda r: survival(law, r, transform) - mass
-    if f(lo_r) < 0.0:
-        return ThresholdResult(threshold=lo_r, achieved_mass=survival(law, lo_r, transform), exact=False)
-    a, b = lo_r, hi_r
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if f(mid) >= 0.0:
-            a = mid
-        else:
-            b = mid
-    return ThresholdResult(threshold=a, achieved_mass=mass, exact=True)
+    if law.kind == "continuous":
+        if transform is None:
+            return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)
+        return abs_event(law, mass, transform)[0]
+    # group atoms by transformed level, then walk tail masses downward
+    levels: dict[float, float] = {}
+    for v, p in law.atoms:
+        g = _apply(transform, v)
+        levels[g] = levels.get(g, 0.0) + p
+    ordered = sorted(levels)
+    tails: list[float] = []
+    acc, comp = 0.0, 0.0  # Kahan-compensated tail accumulation
+    for r in reversed(ordered):
+        y = levels[r] - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+        tails.append(acc)
+    tails.reverse()  # tails[i] = P(g(T) >= ordered[i])
+    best = None
+    for r, s in zip(ordered, tails):
+        if _ge(s, mass):
+            best = (r, s)
+    if best is None:
+        # survival at the lowest level is 1 >= mass for mass <= 1
+        raise AssertionError("unreachable: survival at min level is 1")
+    threshold, achieved = best
+    exact = abs(achieved - mass) <= _REL_TOL * max(abs(achieved), abs(mass))
+    return ThresholdResult(threshold=threshold, achieved_mass=achieved, exact=exact)
 
 
 class AtomEvaluationError(ValueError):
@@ -460,11 +511,14 @@ def expect(
     law: OverlapLaw,
     f: Callable[[Statistic], float],
     rel_tol: float = 1e-10,
-    points: Sequence[float] | None = None,
+    interval: tuple[float, float] | None = None,
 ) -> float:
     """E[f(T)]: exact weighted sum for discrete laws, adaptive quadrature
-    (with optional interior break points) for continuous ones."""
+    for continuous ones; there `interval` = (lo, hi) restricts the
+    integral to E[f(T) 1(lo <= T <= hi)]."""
     if law.kind == "discrete":
+        if interval is not None:
+            raise ValueError("expect: interval applies to continuous laws only")
         terms = []
         for v, p in law.atoms:
             y = float(f(v))
@@ -472,11 +526,15 @@ def expect(
                 raise AtomEvaluationError(v, y)
             terms.append(y * p)
         return math.fsum(terms)
+    from scipy import integrate
+
     lo, hi = law.support
-    integrand = lambda t: f(t) * law.pdf(t)
+    if interval is not None:
+        lo, hi = max(interval[0], lo), min(interval[1], hi)
+        if hi <= lo:
+            return 0.0
     value, _ = integrate.quad(
-        integrand, lo, hi, epsrel=rel_tol, epsabs=1e-14, limit=400,
-        points=[p for p in (points or []) if lo < p < hi] or None,
+        lambda t: f(t) * law.pdf(t), lo, hi, epsrel=rel_tol, epsabs=1e-14, limit=400
     )
     return float(value)
 

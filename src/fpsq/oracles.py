@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from fpsq.kernels import ModelSpec, ngca_density_ratio
 from fpsq.laws import sample as law_sample
@@ -201,6 +200,8 @@ def bvn_rectangle(kappa: float, rho: float) -> OracleEstimate:
     def integrand(z: float) -> float:
         phi = inv_sqrt2pi * math.exp(-0.5 * z * z)
         return phi * (normal_cdf((kappa - rho * z) / s) - normal_cdf((-kappa - rho * z) / s))
+
+    from scipy import integrate
 
     value, abserr = integrate.quad(integrand, -kappa, kappa, epsabs=1e-13, epsrel=1e-12, limit=300)
     return OracleEstimate(float(value), max(10.0 * abserr, 1e-12), "quadrature")

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -194,3 +197,15 @@ class TestCheckCommand:
         assert run(["check", "--model", "gam-sphere", "--k-max", "4"]) == EXIT_PASS
         payload = json.loads(capsys.readouterr().out)
         assert payload["assumption"]["passed"] is True
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # startup cost guard: quadrature, root-finding and the distribution
+    # objects load only when a continuous-law cell needs them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    code = ("import sys, fpsq.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -18,7 +18,6 @@ from fpsq.criteria import (
     ld_samplewise,
     rho_fp_value,
     solve_min_inclusion,
-    sq_hard,
     sq_value,
     usq_hard,
     usq_moment,
@@ -254,7 +253,7 @@ class TestSqValue:
         rep = sq_value(model, 10, m=1000)
         assert rep.value == 0.0
         assert rep.verdict == "hard"
-        assert sq_hard(model, 10, 1000) == "hard"
+        assert sq_value(model, 10, 1000).verdict == "hard"
 
     def test_whole_level_tie_rule(self):
         # atoms |K-1| = 3 (mass 0.1) and 0.5 (mass 0.9), event mass 0.2:
