@@ -35,6 +35,7 @@ from fpsq.laws import (
     ThresholdResult,
     abs_event,
     check_even_nondecreasing,
+    check_mass,
     crossing,
     expect,
     find_root,
@@ -325,9 +326,7 @@ def gfp_value(
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if not q >= 1.0:
-        raise ValueError(f"GFP mass constraint infeasible: q^-2 > 1 for q = {q}")
-    mass = float(q) ** -2
+    mass = _require_q(q, 1.0, "GFP")
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if not model.is_discrete:
         try:
@@ -452,6 +451,7 @@ def _quasiconvex_superlevel(law: OverlapLaw, g, mass: float, grid: int = 257):
     built-in continuous-law kernel.  A crossing is None when g stays
     below c on that side.  The grid that checks the shape seeds every
     bracket."""
+    check_mass(mass)
     lo, hi = law.support
     xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
     vals = [g(x) for x in xs]

@@ -48,9 +48,10 @@ Transform = Callable[[Statistic], float] | None
 # discrepancies when a caller passes a mass meant to hit an atom exactly.
 _REL_TOL = 1e-12
 
-# Relative slack of the grid shape checks on continuous-law transforms
-# (evenness, monotonicity, quasiconvexity).
+# Relative slack of the grid checks of evenness and quasiconvexity; the
+# monotonicity in |t| that r = g(tau) rests on gets the tighter _REL_TOL.
 _SHAPE_TOL = 1e-9
+_ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
 
 
 def _ge(a: float, b: float) -> bool:
@@ -368,9 +369,9 @@ def survival(law: OverlapLaw, r: float, transform: Transform = None) -> float:
     return 1.0 if tau <= 0.0 else 2.0 * law.cdf(-tau)
 
 
-def nondecreasing(vals: list[float]) -> bool:
-    """vals is nondecreasing up to the grid-check slack _SHAPE_TOL."""
-    return all(b >= a - _SHAPE_TOL * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
+def nondecreasing(vals: list[float], slack: float = _SHAPE_TOL) -> bool:
+    """vals is nondecreasing up to the relative grid-check slack."""
+    return all(b >= a - slack * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
 
 
 def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float], grid: int = 129):
@@ -383,28 +384,26 @@ def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float], grid:
     vals = [float(g(x)) for x in xs]
     if any(abs(float(g(-x)) - v) > _SHAPE_TOL * max(1.0, abs(v)) for x, v in zip(xs, vals)):
         raise ValueError("continuous-law transforms must be even in t")
-    if not nondecreasing(vals):
+    if not nondecreasing(vals, _REL_TOL):
         raise ValueError("continuous-law transforms must be nondecreasing in |t|")
     return xs, vals
 
 
-def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
-              budget: int = 100) -> tuple[float, float]:
+def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float):
     """Bracket (a', b') of the sign change of a monotone f, with
     f(a') < 0 <= f(b'), shrunk to float resolution (|b' - a'| <= 2^-51
-    max(|a|, |b|)) or until `budget` evaluations are spent.  a may lie on
-    either side of b.  ITP steps (Oliveira and Takahashi, ACM TOMS 47,
+    max(|a|, |b|)) or until _ROOT_STEPS evaluations are spent.  a may lie
+    on either side of b.  ITP steps (Oliveira and Takahashi, ACM TOMS 47,
     2021): regula falsi, truncated toward the midpoint and projected into
     a shrinking bisection radius, so no run takes more steps than
-    bisection (at most about 54 on doubles, below the default budget)
-    and smooth f converge superlinearly (about 10 steps)."""
+    bisection and smooth f converge superlinearly (about 10 steps)."""
     if fa >= 0.0:
         return a, a
     tol = 2.0**-52 * max(abs(a), abs(b))
     width = abs(b - a)
     n_max = math.ceil(math.log2(max(width / tol, 1.0))) if tol > 0.0 else 0
     k1 = 0.2 / width if width > 0.0 else 0.0
-    for j in range(budget):
+    for j in range(_ROOT_STEPS):
         width = abs(b - a)
         if width <= 2.0 * tol:
             break
@@ -436,6 +435,12 @@ def crossing(g, r: float, xs: list[float], vals: list[float]) -> float | None:
     return find_root(lambda s: g(s) - r, xs[k - 1], xs[k], vals[k - 1] - r, vals[k] - r)[1]
 
 
+def check_mass(mass: float) -> None:
+    """Refuse a tail mass outside (0, 1], up to 1-ulp slack above 1."""
+    if not 0.0 < mass <= 1.0 + _REL_TOL:
+        raise ValueError(f"mass must lie in (0, 1], got {mass}")
+
+
 def abs_event(law: OverlapLaw, mass: float, transform: Callable[[float], float],
               strict: bool = False) -> tuple[ThresholdResult, float]:
     """Threshold r = sup { r : P(g(T) >= r) >= mass } on a continuous law,
@@ -443,6 +448,7 @@ def abs_event(law: OverlapLaw, mass: float, transform: Callable[[float], float],
     closed event {g(T) <= r} up to its boundary (h = tau, mass exactly
     1 - mass) or, with strict, {g(T) < r} (h = the smallest |t| with
     g(t) >= r, at most tau; one root-find)."""
+    check_mass(mass)
     xs, vals = check_even_nondecreasing(law, transform)
     tau = max(-law.ppf(0.5 * min(mass, 1.0)), 0.0)
     thr = ThresholdResult(float(transform(tau)), min(mass, 1.0), exact=mass <= 1.0)
@@ -463,10 +469,7 @@ def threshold_sup(law: OverlapLaw, mass: float, transform: Transform = None) -> 
     decreasing, and the threshold comes in closed form from the Beta
     quantile (see abs_event).
     """
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    if mass > 1.0 + _REL_TOL:
-        raise ValueError(f"mass must be at most 1, got {mass}")
+    check_mass(mass)
     if law.kind == "continuous":
         if transform is None:
             return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)

@@ -110,10 +110,6 @@ class TestFindRoot:
         assert lo < 0.2 <= hi and hi - lo <= 2.0**-50
         assert len(calls) <= 60
 
-    def test_budget_returns_bracket(self):
-        lo, hi = find_root(lambda x: 1.0 if x >= 0.2 else -1.0, 0.0, 1.0, -1.0, 1.0, budget=5)
-        assert lo < 0.2 <= hi
-
     def test_satisfied_left_end(self):
         assert find_root(lambda x: x, 0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
 
@@ -162,6 +158,14 @@ class TestRefusals:
         assert symmetric == pytest.approx(1.0895, abs=1e-4)
         assert one_sided == pytest.approx(1.0367, abs=1e-4)
         assert one_sided < symmetric
+
+    @pytest.mark.parametrize("criterion", [fp_value, rho_fp_value, gfp_value, sq_value])
+    @pytest.mark.parametrize("q", [math.inf, 1e200])
+    def test_zero_mass_refused(self, criterion, q):
+        # q^-2 is (or underflows to) 0: an empty tail mass is refused
+        model = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
+        with pytest.raises(ValueError, match="mass"):
+            criterion(model, q, 1)
 
     def test_sq_refuses_non_quasiconvex_deviation(self):
         # |K - 1| = 0.5 sin^2(6t) has several local minima
