@@ -13,14 +13,11 @@ from fpsq.numerics import (
     QuadratureRule,
     HermiteSeries,
     gauss_hermite_rule,
-    hermite_eval,
-    hermite_coeffs,
     interval_indicator_coeffs,
     log_sum_exp,
     normal_cdf,
     normal_pdf,
     normal_quantile,
-    stable_pow_expect,
 )
 from fpsq.laws import OverlapLaw, ThresholdResult, make_law, survival, threshold_sup, expect, sample
 from fpsq.kernels import (
@@ -67,14 +64,11 @@ __all__ = [
     "QuadratureRule",
     "HermiteSeries",
     "gauss_hermite_rule",
-    "hermite_eval",
-    "hermite_coeffs",
     "interval_indicator_coeffs",
     "log_sum_exp",
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
-    "stable_pow_expect",
     "OverlapLaw",
     "ThresholdResult",
     "make_law",

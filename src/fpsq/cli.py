@@ -47,6 +47,7 @@ from fpsq.criteria import (
     fp_value,
     gfp_value,
     ld_samplewise,
+    log_moment,
     rho_fp_value,
     sq_value,
     usq_hard,
@@ -123,17 +124,24 @@ def config_hash(semantic: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def resolve_model(name_or_desc, cfg: dict) -> tuple[str, ModelSpec]:
+def resolve_descriptor(name_or_desc, cfg: dict) -> tuple[str, dict]:
+    """(name, descriptor) of a model: an inline descriptor, else a name
+    from the config's "models" table, else a built-in preset."""
     if isinstance(name_or_desc, dict):
-        return name_or_desc.get("model", "inline"), build_model(name_or_desc)
+        return name_or_desc.get("model", "inline"), name_or_desc
     name = str(name_or_desc)
     table = cfg.get("models", {})
     if name in table:
-        return name, build_model(table[name])
+        return name, table[name]
     if name in BUILTIN_MODEL_DESCRIPTORS:
-        return name, build_model(BUILTIN_MODEL_DESCRIPTORS[name])
+        return name, BUILTIN_MODEL_DESCRIPTORS[name]
     known = sorted(set(table) | set(BUILTIN_MODEL_DESCRIPTORS))
     raise ConfigError(f"unknown model name {name!r}; known models: {', '.join(known)}")
+
+
+def resolve_model(name_or_desc, cfg: dict) -> tuple[str, ModelSpec]:
+    name, desc = resolve_descriptor(name_or_desc, cfg)
+    return name, build_model(desc)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +232,9 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
     elif crit == "chi2":
         value = chi_squared(model, int(m))
         verdict = None if epsilon <= 0.0 else ("hard" if value <= epsilon else "not-hard")
-        lv = math.log1p(value) if value > -1.0 else None
+        # log E[K^m] stays finite where the linear value overflows
+        lv = log_moment(model, int(m)) if math.isinf(value) else (
+            math.log1p(value) if value > -1.0 else None)
         rep = CriterionReport("CHI2", {"q": q, "m": m, "epsilon": epsilon}, None,
                               value, lv, verdict,
                               "exact-sum" if model.is_discrete else "quadrature")
@@ -300,18 +310,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     model_ref = args.model or cfg.get("model")
     if model_ref is None:
         raise ConfigError("no model given (use --model or a 'model' config field)")
-    if isinstance(model_ref, dict):
-        desc = model_ref
-        model_name = desc.get("model", "inline")
-    else:
-        model_name = str(model_ref)
-        table = cfg.get("models", {})
-        if model_name in table:
-            desc = table[model_name]
-        elif model_name in BUILTIN_MODEL_DESCRIPTORS:
-            desc = BUILTIN_MODEL_DESCRIPTORS[model_name]
-        else:
-            raise ConfigError(f"unknown model name {model_name!r}")
+    model_name, desc = resolve_descriptor(model_ref, cfg)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     rows = kernel_table(desc, seed=seed, num_samples=args.samples)
     out = sys.stdout if not args.out else open(args.out, "w")

@@ -18,9 +18,12 @@ proxy-runtime parameter q (tail mass q^{-2}):
            truncated kernel (d = inf uses K itself).
 
 All m-th powers run through exp(m log K); exact kernel zeros
-short-circuit to exact 0.  Every report records the threshold object,
-the computation method, and a hard/not-hard verdict against the
-caller-supplied epsilon (or 1/m for SQ).
+short-circuit to exact 0.  On a discrete law every criterion reads the
+model's atom table (ModelSpec.atom_table): a threshold is a bisection
+in that table's levels, an event is a mask, and the event value is a
+log-sum-exp of m log K + log p over the mask.  Every report records
+the threshold object, the computation method, and a hard/not-hard
+verdict against the caller-supplied epsilon (or 1/m for SQ).
 """
 
 from __future__ import annotations
@@ -29,9 +32,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from fpsq.kernels import ModelSpec, group_avg_check
 from fpsq.laws import (
-    OverlapLaw,
+    AtomEvaluationError,
+    ShapeGrid,
     ThresholdResult,
     abs_event,
     check_even_nondecreasing,
@@ -39,12 +45,13 @@ from fpsq.laws import (
     crossing,
     expect,
     find_root,
-    nondecreasing,
-    threshold_sup,
+    threshold_sup,  # noqa: F401  (stays importable from this module)
 )
 from fpsq.numerics import log_sum_exp
 
 _REL = 1e-12
+_MAX_EXACT_ORBITS = 64  # GFP orbit items beyond this take the greedy brackets
+_BNB_NODES = 20_000  # branch-and-bound node budget; then the greedy brackets
 
 
 class UnsupportedCriterionError(ValueError):
@@ -84,45 +91,34 @@ def _require_q(q: float, minimum: float, criterion: str) -> float:
     return float(q) ** -2
 
 
-def _le(a: float, b: float) -> bool:
-    return a <= b + _REL * max(abs(a), abs(b))
+def _le(a, b):
+    """a <= b up to relative 1e-12 (elementwise on arrays)."""
+    return a <= b + _REL * np.maximum(np.abs(a), np.abs(b))
 
 
-def _lt_strict(a: float, b: float) -> bool:
-    return a < b and not _le(b, a)
+def _exp(lv: float) -> float:
+    try:
+        return math.exp(lv)
+    except OverflowError:
+        return math.inf
 
 
-def _atom_log_terms(model: ModelSpec, m: int, keep) -> list[float]:
-    """log(p_j K(t_j)^m) over atoms passing `keep`; zero kernels skipped."""
-    out = []
-    for v, p in model.law.atoms:
-        if p <= 0.0 or not keep(v):
-            continue
-        lv = model.kernel.log_eval(v)
-        if lv is None:
-            continue
-        out.append(m * lv + math.log(p))
-    return out
-
-
-def _event_value(model: ModelSpec, m: int, keep) -> tuple[float, float]:
-    """(value, log_value) of E[K^m 1(keep)] on a discrete law."""
-    terms = _atom_log_terms(model, m, keep)
-    if not terms:
+def _event_value(log_terms: np.ndarray) -> tuple[float, float]:
+    """(value, log_value) of a sum given by its log-terms; -inf terms
+    (exact kernel zeros, zero masses) drop out."""
+    terms = log_terms[log_terms > -math.inf]
+    if not terms.size:
         return 0.0, -math.inf
     lv = log_sum_exp(terms)
-    try:
-        return math.exp(lv), lv
-    except OverflowError:
-        return math.inf, lv
+    return _exp(lv), lv
 
 
-def _continuous_event(model: ModelSpec, m: int, mass: float, transform,
+def _continuous_event(model: ModelSpec, m: int, mass: float, shape: ShapeGrid,
                       strict: bool = False) -> tuple[ThresholdResult, float, float]:
     """(threshold, value, log_value) of E[K^m 1(|T| <= h)] on the
     continuous law, with the threshold and half-width h from abs_event;
     the one quadrature behind continuous FP, rho_G-FP and GFP."""
-    thr, half = abs_event(model.law, mass, transform, strict)
+    thr, half = abs_event(model.law, mass, shape, strict)
 
     def integrand(t: float) -> float:
         lv = model.kernel.log_eval(t)
@@ -149,15 +145,16 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
         raise UnsupportedCriterionError(
             f"model {model.name!r} does not expose a Euclidean overlap; FP undefined"
         )
-    overlap = model.euclid_overlap
-    g = lambda t: abs(overlap(t))
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if model.is_discrete:
-        thr = threshold_sup(model.law, mass, transform=g)
-        value, lv = _event_value(model, m, keep=lambda t: _le(g(t), thr.threshold))
+        check_mass(mass)
+        tab = model.atom_table
+        thr = tab.overlap.threshold(mass)
+        keep = _le(tab.overlap.at, thr.threshold)
+        value, lv = _event_value(m * tab.log_k[keep] + tab.log_p[keep])
         method = "exact-sum"
     else:
-        thr, value, lv = _continuous_event(model, m, mass, g)
+        thr, value, lv = _continuous_event(model, m, mass, model.overlap_grid)
         method = "quadrature"
     return CriterionReport("FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -167,14 +164,17 @@ def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Cr
     mass = _require_q(q, 2.0, "rho_G-FP")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    rho = lambda t: model.rho_g(t)
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if model.is_discrete:
-        thr = threshold_sup(model.law, mass, transform=rho)
-        value, lv = _event_value(model, m, keep=lambda t: _lt_strict(rho(t), thr.threshold))
+        check_mass(mass)
+        tab = model.atom_table
+        thr = tab.rho.threshold(mass)
+        rho = tab.rho.at
+        keep = (rho < thr.threshold) & ~_le(thr.threshold, rho)
+        value, lv = _event_value(m * tab.log_k[keep] + tab.log_p[keep])
         method = "exact-sum"
     else:
-        thr, value, lv = _continuous_event(model, m, mass, rho, strict=True)
+        thr, value, lv = _continuous_event(model, m, mass, model.rho_grid, strict=True)
         method = "quadrature"
     return CriterionReport("RHO_FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -184,10 +184,24 @@ def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Cr
 # ---------------------------------------------------------------------------
 
 
+def _log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b))."""
+    if a < b:
+        a, b = b, a
+    return a if b == -math.inf else a + math.log1p(math.exp(b - a))
+
+
+def _by_density(values: Sequence[float], weights: Sequence[float]) -> list[int]:
+    """Items of nonzero value in increasing log value per unit mass."""
+    return sorted((j for j in range(len(values)) if values[j] > -math.inf),
+                  key=lambda j: values[j] - math.log(weights[j]) if weights[j] > 0.0 else math.inf)
+
+
 def _fractional_fill(values: Sequence[float], weights: Sequence[float], order: Sequence[int],
                      start: int, value: float, weight: float, needed: float) -> float:
-    """Lower bound on the cheapest completion: fill the missing mass
-    with the lowest-density remaining items, the last one fractionally."""
+    """Lower bound (log) on the cheapest completion: fill the missing
+    mass with the lowest-density remaining items, the last one
+    fractionally."""
     missing = needed - weight
     bound = value
     for j in order[start:]:
@@ -195,48 +209,47 @@ def _fractional_fill(values: Sequence[float], weights: Sequence[float], order: S
             break
         if weights[j] <= missing:
             missing -= weights[j]
-            bound += values[j]
+            bound = _log_add(bound, values[j])
         else:
-            bound += values[j] * (missing / weights[j])
+            bound = _log_add(bound, values[j] + math.log(missing / weights[j]))
             missing = 0.0
     return bound if missing <= 0.0 else math.inf
 
 
 def solve_min_inclusion(
     values: Sequence[float], weights: Sequence[float], needed: float
-) -> tuple[list[int], float]:
-    """Exact covering knapsack: choose items minimizing sum(values)
-    subject to sum(weights) >= needed, by depth-first branch and bound
-    with a fractional lower bound.
+) -> tuple[list[int], float] | None:
+    """Exact covering knapsack on log-values: choose items minimizing
+    log sum(exp(values)) subject to sum(weights) >= needed, by
+    depth-first branch and bound with a fractional lower bound.  Returns
+    (included items, log value), or None once _BNB_NODES nodes are spent.
 
     This is the complement of the exclusion problem (drop atoms of total
-    mass <= capacity maximizing the dropped value).  Working on the
-    included side keeps all partial sums at the scale of the answer, so
-    an astronomically valuable excluded atom (kernel powers of order
-    exp(700)) cannot absorb the small included values in float
-    arithmetic.  Exact for any item count; intended for <= 64 items.
+    mass <= capacity maximizing the dropped value).  Items of log-value
+    -inf are free and always included.  Working in log space keeps every
+    item exact, whatever the spread of kernel powers.
     """
     n = len(values)
     if needed <= 0.0:
-        return [], 0.0
-    # Zero-value items cover mass for free: always include them.
-    free = [j for j in range(n) if values[j] <= 0.0]
+        return [], -math.inf
+    free = [j for j in range(n) if values[j] == -math.inf]
     base_weight = math.fsum(weights[j] for j in free)
-    order = sorted(
-        (j for j in range(n) if values[j] > 0.0),
-        key=lambda j: values[j] / weights[j],
-    )
+    order = _by_density(values, weights)
     if base_weight >= needed:
-        return sorted(free), 0.0
+        return sorted(free), -math.inf
     best_value = math.inf
     best_set: list[int] = []
     path: list[int] = []
+    nodes = 0
     suffix_weight = [0.0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix_weight[i] = suffix_weight[i + 1] + weights[order[i]]
 
     def dfs(start: int, value: float, weight: float) -> None:
-        nonlocal best_value, best_set
+        nonlocal best_value, best_set, nodes
+        nodes += 1
+        if nodes > _BNB_NODES:
+            return
         if weight >= needed:
             if value < best_value:
                 best_value = value
@@ -250,72 +263,63 @@ def solve_min_inclusion(
             return
         j = order[start]
         path.append(j)
-        dfs(start + 1, value + values[j], weight + weights[j])
+        dfs(start + 1, _log_add(value, values[j]), weight + weights[j])
         path.pop()
         dfs(start + 1, value, weight)
 
-    dfs(0, 0.0, base_weight)
-    if math.isinf(best_value):
+    dfs(0, -math.inf, base_weight)
+    if best_value == math.inf:
         raise ValueError("covering constraint infeasible: total mass below requirement")
+    if nodes > _BNB_NODES:
+        return None
     return sorted(free + best_set), best_value
 
 
 def greedy_min_inclusion(
     values: Sequence[float], weights: Sequence[float], needed: float
 ) -> tuple[list[int], float, float]:
-    """Greedy low-density cover plus certified brackets: returns
-    (included set, achieved value = upper bracket on the exact infimum,
-    fractional lower bracket)."""
-    n = len(values)
-    free = [j for j in range(n) if values[j] <= 0.0]
+    """Greedy low-density cover on log-values plus certified brackets:
+    returns (included set, achieved log value = upper bracket on the
+    exact infimum, fractional lower bracket)."""
+    free = [j for j in range(len(values)) if values[j] == -math.inf]
     weight = math.fsum(weights[j] for j in free)
-    order = sorted(
-        (j for j in range(n) if values[j] > 0.0),
-        key=lambda j: values[j] / weights[j],
-    )
+    order = _by_density(values, weights)
     chosen = list(free)
-    value = 0.0
+    value = -math.inf
     for j in order:
         if weight >= needed:
             break
         chosen.append(j)
-        value += values[j]
+        value = _log_add(value, values[j])
         weight += weights[j]
     if weight < needed:
         raise ValueError("covering constraint infeasible: total mass below requirement")
-    lower = _fractional_fill(values, weights, order, 0, 0.0,
+    lower = _fractional_fill(values, weights, order, 0, -math.inf,
                              math.fsum(weights[j] for j in free), needed)
     return sorted(chosen), value, lower
 
 
-def _orbit_items(model: ModelSpec, m: int):
-    """Atoms merged into group orbits: (member list, mass, sum p K^m)."""
-    seen: dict[tuple, dict] = {}
-    for v, p in model.law.atoms:
-        orbit = model.group.orbit(v)
-        key = tuple(sorted(orbit)) if not isinstance(v, tuple) else (v,)
-        item = seen.setdefault(key, {"members": [], "mass": 0.0, "value": 0.0})
-        item["members"].append(v)
-        item["mass"] += p
-        lv = model.kernel.log_eval(v)
-        if lv is not None:
-            x = m * lv
-            item["value"] += p * (math.exp(x) if x < 709.0 else 1e308)
-    return list(seen.values())
+def _orbit_log_values(log_terms: np.ndarray, orbit: np.ndarray, count: int) -> list[float]:
+    """Per-orbit log-sum-exp of the atoms' log-terms."""
+    top = np.full(count, -math.inf)
+    np.maximum.at(top, orbit, log_terms)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        sums = np.bincount(orbit, weights=np.exp(log_terms - shift[orbit]), minlength=count)
+        return (np.log(sums) + shift).tolist()
 
 
-def gfp_value(
-    model: ModelSpec, q: float, m: int, epsilon: float = 0.0, max_exact_atoms: int = 64
-) -> CriterionReport:
+def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> CriterionReport:
     """inf over G^2-invariant events A with pi^2(A) >= 1 - q^{-2} of
     E[K^m 1(A)], within the statistic-measurable class.
 
-    Discrete laws: atoms are merged into group orbits and the
-    complementary exclusion problem (drop orbit atoms maximizing
-    sum p K^m subject to dropped mass <= q^{-2}) is solved exactly by
-    branch and bound up to max_exact_atoms orbits; beyond that a greedy
-    exclusion with certified lower/upper brackets is reported and the
-    conservative (upper) value is returned.
+    Discrete laws: atoms are merged into group orbits, each carrying
+    its log value log sum p K^m, and the complementary exclusion problem
+    (drop orbits maximizing sum p K^m subject to dropped mass <= q^{-2})
+    is solved exactly by branch and bound up to _MAX_EXACT_ORBITS orbits
+    and _BNB_NODES nodes.  Beyond either limit a greedy exclusion with
+    certified lower/upper brackets is reported and the conservative
+    (upper) value is returned.
 
     Continuous laws: the optimal symmetric event is the complement of a
     top superlevel set of the orbit-averaged m-sample kernel.  When that
@@ -336,46 +340,39 @@ def gfp_value(
                 f"continuous GFP requires the orbit-averaged kernel power to be even and "
                 f"nondecreasing in |t| ({exc}); use a discrete law for this kernel"
             ) from None
-        thr, value, lv = _continuous_event(model, m, mass, lambda t: abs(float(t)))
+        shape = check_even_nondecreasing(model.law, abs)
+        thr, value, lv = _continuous_event(model, m, mass, shape)
         return CriterionReport(
             "GFP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), "quadrature",
             {"optimizer": "superlevel-set"},
         )
 
-    items = _orbit_items(model, m)
-    values = [it["value"] for it in items]
-    weights = [it["mass"] for it in items]
+    tab = model.atom_table
+    log_terms = m * tab.log_k + tab.log_p
+    weights = tab.orbit_mass
+    values = _orbit_log_values(log_terms, tab.orbit, len(weights))
     # capacity mass may be dropped; the included event needs the rest,
     # with a 1e-12 relative slack so an atom whose mass equals q^{-2}
     # in exact arithmetic is still droppable
     needed = 1.0 - mass * (1.0 + _REL)
-    detail: dict = {"orbit_atoms": len(items)}
-    if len(items) <= max_exact_atoms:
-        included, _ = solve_min_inclusion(values, weights, needed)
+    detail: dict = {"orbit_atoms": len(values)}
+    solved = solve_min_inclusion(values, weights, needed) if len(values) <= _MAX_EXACT_ORBITS else None
+    if solved is not None:
+        included = solved[0]
         detail["optimizer"] = "branch-and-bound-exact"
         method = "exact-sum"
     else:
         included, upper, lower = greedy_min_inclusion(values, weights, needed)
-        detail["optimizer"] = "greedy-bracket"
-        detail["value_brackets"] = (lower, upper)
+        detail["optimizer"] = ("greedy-bracket" if len(values) > _MAX_EXACT_ORBITS
+                               else "branch-and-bound-budget")
+        detail["value_brackets"] = (_exp(lower), _exp(upper))
         method = "exact-sum(greedy-bracket)"
-    kept = set()
-    for j in included:
-        kept.update(_freeze(v) for v in items[j]["members"])
-    value, lv = _event_value(model, m, keep=lambda t: _freeze(t) in kept)
-    excluded = sorted(
-        (_freeze(v) for it in items for v in it["members"] if _freeze(v) not in kept),
-        key=str,
-    )
-    detail["excluded_atoms"] = excluded
-    detail["excluded_mass"] = math.fsum(
-        weights[j] for j in range(len(items)) if j not in set(included)
-    )
+    keep = np.isin(tab.orbit, included)
+    value, lv = _event_value(log_terms[keep])
+    detail["excluded_atoms"] = sorted((v for v, k in zip(model.law.values, keep) if not k), key=str)
+    dropped = set(range(len(values))).difference(included)
+    detail["excluded_mass"] = math.fsum(weights[j] for j in dropped)
     return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method, detail)
-
-
-def _freeze(v):
-    return v if not isinstance(v, list) else tuple(v)
 
 
 def _orbit_averaged_power(model: ModelSpec, m: int):
@@ -405,28 +402,23 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
     mass = _require_q(q, 1.0, "SQ")
     inputs = {"q": q, "m": m}
     if model.is_discrete:
-        levels: dict[float, float] = {}
-        for v, p in model.law.atoms:
-            x = abs(model.kernel.minus_one(v))
-            levels[x] = levels.get(x, 0.0) + p
-        cum_mass = 0.0
-        cum_val = 0.0
-        level_used = None
-        for x in sorted(levels, reverse=True):
-            cum_mass += levels[x]
-            cum_val += x * levels[x]
-            level_used = x
-            if _ge_mass(cum_mass, mass):
-                break
-        value = cum_val / cum_mass if cum_mass > 0.0 else 0.0
-        thr = ThresholdResult(level_used if level_used is not None else 0.0, cum_mass,
-                              abs(cum_mass - mass) <= _REL * max(cum_mass, mass))
+        dev = model.atom_table.abs_dev
+        thr = dev.threshold(mass)
+        above = dev.levels >= thr.threshold
+        top_sum = math.fsum((dev.levels * dev.mass)[above].tolist())  # E[|K - 1| 1(above)]
+        value = top_sum / thr.achieved_mass if thr.achieved_mass > 0.0 else 0.0
         method = "exact-sum"
     else:
-        g = lambda t: abs(model.kernel.minus_one(t))
-        level, t_left, t_right = _quasiconvex_superlevel(model.law, g, mass)
+        try:
+            sides = model.deviation_sides
+        except ValueError:
+            raise UnsupportedCriterionError(
+                "continuous SQ needs |K - 1| quasiconvex on the support"
+            ) from None
+        level, t_left, t_right = _superlevel(model.law, sides, mass)
         thr = ThresholdResult(level, mass, True)
         lo, hi = model.law.support
+        g = sides[0].g
         tail = 0.0
         if t_left is not None:
             tail += expect(model.law, g, interval=(lo, t_left))
@@ -439,32 +431,17 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
     return CriterionReport("SQ", inputs, thr, value, lv, verdict, method)
 
 
-def _ge_mass(a: float, b: float) -> bool:
-    return a >= b - _REL * max(abs(a), abs(b))
-
-
-def _quasiconvex_superlevel(law: OverlapLaw, g, mass: float, grid: int = 257):
+def _superlevel(law, sides: tuple[ShapeGrid, ShapeGrid], mass: float):
     """Level c and crossings (t_left, t_right) such that the superlevel
     event {g(T) >= c} = {T <= t_left} u {T >= t_right} has probability
-    `mass`, for g continuous and quasiconvex on the support (decreasing
-    to a minimum, then increasing): the shape of |K - 1| for every
-    built-in continuous-law kernel.  A crossing is None when g stays
-    below c on that side.  The grid that checks the shape seeds every
-    bracket."""
+    `mass`, for g quasiconvex on the support with the checked grid
+    sides of check_quasiconvex: the shape of |K - 1| for every built-in
+    continuous-law kernel.  A crossing is None when g stays below c on
+    that side."""
     check_mass(mass)
-    lo, hi = law.support
-    xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
-    vals = [g(x) for x in xs]
-    i0 = vals.index(min(vals))
-    # g read outward from its grid minimum must be nondecreasing on both sides
-    sides = [(xs[i0::-1], vals[i0::-1]), (xs[i0:], vals[i0:])]
-    if not all(nondecreasing(vs) for _, vs in sides):
-        raise UnsupportedCriterionError(
-            "continuous SQ needs |K - 1| quasiconvex on the support"
-        )
 
     def crossings(c: float) -> list[float | None]:
-        return [crossing(g, c, ts, vs) for ts, vs in sides]
+        return [crossing(side, c) for side in sides]
 
     def excess(c: float) -> float:
         """mass - P(g(T) >= c), nondecreasing in c (symmetric law)."""
@@ -472,16 +449,29 @@ def _quasiconvex_superlevel(law: OverlapLaw, g, mass: float, grid: int = 257):
         return mass - ((0.0 if t_left is None else law.cdf(t_left))
                        + (0.0 if t_right is None else law.cdf(-t_right)))
 
-    c_lo, c_hi = vals[i0], max(vals[0], vals[-1])
+    c_lo, c_hi = sides[1].vals[0], max(sides[0].vals[-1], sides[1].vals[-1])
     level = find_root(excess, c_lo, c_hi, excess(c_lo), excess(c_hi))[0]
     return (level, *crossings(level))
+
+
+def _deviation_moment(model: ModelSpec, t: int) -> float:
+    """E[(K - 1)^t]: an exact sum over the atom table (AtomEvaluationError
+    at a non-finite term) or quadrature on the continuous law."""
+    if not model.is_discrete:
+        return expect(model.law, lambda v: model.kernel.minus_one(v) ** t)
+    tab = model.atom_table
+    y = tab.dev ** t
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise AtomEvaluationError(model.law.values[bad[0]], float(y[bad[0]]))
+    return math.fsum((y * tab.p).tolist())
 
 
 def usq_moment(model: ModelSpec, t: int) -> float:
     """E[(K - 1)^t] for even t (the unconditional SQ moment)."""
     if t < 2 or t % 2:
         raise ValueError(f"USQ moment requires a positive even t, got {t}")
-    return expect(model.law, lambda v: model.kernel.minus_one(v) ** t)
+    return _deviation_moment(model, t)
 
 
 def usq_hard(model: ModelSpec, m: int, t: int) -> CriterionReport:
@@ -502,23 +492,38 @@ def usq_hard(model: ModelSpec, m: int, t: int) -> CriterionReport:
 def chi_squared(model: ModelSpec, m: int) -> float:
     """chi^2(P^xm || Q^xm) = E[K(T)^m] - 1.
 
-    Discrete laws sum p * expm1(m log K) directly (expm1 keeps precision
-    when the divergence is tiny); atoms whose m-th power overflows the
-    linear scale propagate an honest +inf instead of raising.
+    Discrete laws sum p expm1(m log K) over the atom table (expm1 keeps
+    precision when the divergence is tiny), as exp(log p + m log K)
+    (-expm1(-m log K)) where p underflows or K^m overflows; a sum beyond
+    the float range is +inf, and log_moment gives its log.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    if not model.is_discrete:
+        def integrand(v):
+            lv = model.kernel.log_eval(v)
+            if lv is None:
+                return -1.0
+            x = m * lv
+            return math.expm1(x) if x < 709.0 else math.inf
 
-    def integrand(v):
-        lv = model.kernel.log_eval(v)
-        if lv is None:
-            return -1.0
-        x = m * lv
-        return math.expm1(x) if x < 709.0 else math.inf
+        return expect(model.law, integrand)
+    tab = model.atom_table
+    x = m * tab.log_k
+    scaled = (x > 0.0) & ((tab.p < 1e-300) | (x > 700.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.where(scaled, np.exp(tab.log_p + x) * -np.expm1(-x), tab.p * np.expm1(x))
+    return math.fsum(terms.tolist())
 
-    if model.is_discrete:
-        return math.fsum(integrand(v) * p for v, p in model.law.atoms)
-    return expect(model.law, integrand)
+
+def log_moment(model: ModelSpec, m: int) -> float:
+    """log E[K(T)^m] = log(1 + chi^2): a log-sum-exp over the atom table,
+    finite where chi_squared overflows; log1p(chi_squared) on the
+    continuous law."""
+    if not model.is_discrete or m < 1:
+        return math.log1p(chi_squared(model, m))  # chi_squared refuses m < 1
+    tab = model.atom_table
+    return _event_value(m * tab.log_k + tab.log_p)[1]
 
 
 def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
@@ -536,16 +541,14 @@ def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
             f"kernel {model.kernel.name!r} has no series; samplewise degree d < inf unsupported"
         )
 
-    def dev(v):
+    def moment(t: int) -> float:
         if finite_d:
-            return model.kernel.truncated_minus_one(float(v), int(d))
-        return model.kernel.minus_one(v)
+            return expect(model.law, lambda v: model.kernel.truncated_minus_one(float(v), int(d)) ** t)
+        return _deviation_moment(model, t)
 
     total = 0.0
     for t in range(0, min(k_deg, m) + 1):
-        coef = math.comb(m, t)
-        moment = expect(model.law, lambda v: dev(v) ** t)
-        total += coef * moment
+        total += math.comb(m, t) * moment(t)
     return total
 
 

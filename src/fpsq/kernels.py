@@ -28,11 +28,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from fpsq.laws import OverlapLaw, Statistic, make_law
+from fpsq.laws import (
+    Levels,
+    OverlapLaw,
+    ShapeGrid,
+    Statistic,
+    check_even_nondecreasing,
+    check_quasiconvex,
+    make_law,
+)
 from fpsq.numerics import (
     gauss_hermite_rule,
     hermite_matrix,
@@ -48,6 +57,13 @@ _S_STAR_SCAN = 20  # how many leading coefficients must vanish to flag K = 1
 
 class SingularityError(ValueError):
     """Kernel evaluated at a statistic value outside its finite domain."""
+
+
+def _minus_one(lv: float | None) -> float:
+    """K - 1 from log K: -1 at an exact zero, inf beyond log K = 700."""
+    if lv is None:
+        return -1.0
+    return math.inf if lv > 700.0 else math.expm1(lv)
 
 
 @dataclass(frozen=True)
@@ -82,12 +98,7 @@ class Kernel:
 
     def minus_one(self, t: Statistic) -> float:
         """K(t) - 1, computed as expm1 for precision near 1."""
-        lv = self.log_eval(t)
-        if lv is None:
-            return -1.0
-        if lv > 700.0:
-            return math.inf
-        return math.expm1(lv)
+        return _minus_one(self.log_eval(t))
 
     def truncated_minus_one(self, t: float, d: int) -> float:
         """K_d(t) - 1 = sum_{degree <= d} c_i t^i (series kernels only)."""
@@ -198,18 +209,12 @@ def gam_kernel(lam: float, max_degree: int = 64) -> Kernel:
     )
 
 
-def mslr_kernel(k: int, sigma2: float, m: int = 1) -> Kernel:
-    """Mixed sparse linear regression: K(ell)^m = (1 - (ell/(k+s^2))^2)^{-m}.
-
-    The one-sample kernel is the m = 1 case; criteria exponentiate the
-    one-sample log themselves, so models should bind m = 1.
-    """
+def mslr_kernel(k: int, sigma2: float) -> Kernel:
+    """Mixed sparse linear regression: K(ell) = (1 - (ell/(k+s^2))^2)^{-1}."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
     scale = k + sigma2
 
     def log_fn(t: Statistic) -> float:
@@ -218,13 +223,13 @@ def mslr_kernel(k: int, sigma2: float, m: int = 1) -> Kernel:
             raise SingularityError(
                 f"mSLR kernel singular at |ell| >= k + sigma2 = {scale}, got ell = {t}"
             )
-        return -m * math.log1p(-x * x)
+        return -math.log1p(-x * x)
 
     return Kernel(
         name="mslr",
         domain="scalar",
         log_fn=log_fn,
-        extras={"k": k, "sigma2": sigma2, "m": m, "snr": k / sigma2},
+        extras={"k": k, "sigma2": sigma2, "snr": k / sigma2},
     )
 
 
@@ -519,10 +524,10 @@ def slab_kernel(alpha: float, max_degree: int, tail_extend: int = 200_000) -> Ke
     )
 
 
-def counterexample_kernel(n: int, r: float, alpha_c: float, m: int = 1) -> Kernel:
+def counterexample_kernel(n: int, r: float, alpha_c: float) -> Kernel:
     """Per-coordinate product kernel over agreement counts (a, b, c):
 
-        log K = m [ a log(1+r^2) + b log(1+r^2 alpha_c) + c log(1+r^2 alpha_c^2) ]
+        log K = a log(1+r^2) + b log(1+r^2 alpha_c) + c log(1+r^2 alpha_c^2)
 
     with a + b + c = n + 1.  alpha_c is the per-coordinate attenuation
     (distinct from any truncation alpha elsewhere in the package).
@@ -531,8 +536,6 @@ def counterexample_kernel(n: int, r: float, alpha_c: float, m: int = 1) -> Kerne
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= r < 1.0 or not 0.0 < alpha_c < 1.0:
         raise ValueError(f"need r in [0,1) and alpha_c in (0,1), got r={r}, alpha_c={alpha_c}")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
     r2 = r * r
     la = math.log1p(r2)
     lb = math.log1p(r2 * alpha_c)
@@ -545,13 +548,13 @@ def counterexample_kernel(n: int, r: float, alpha_c: float, m: int = 1) -> Kerne
             raise ValueError(f"pair-count statistic must be an (a, b, c) triple, got {t!r}") from None
         if a < 0 or b < 0 or c < 0 or a + b + c != n + 1:
             raise ValueError(f"need nonnegative a + b + c = n + 1 = {n + 1}, got {t!r}")
-        return m * (a * la + b * lb + c * lc)
+        return a * la + b * lb + c * lc
 
     return Kernel(
         name="counterexample",
         domain="pair_counts",
         log_fn=log_fn,
-        extras={"n": n, "r": r, "alpha_c": alpha_c, "m": m},
+        extras={"n": n, "r": r, "alpha_c": alpha_c},
     )
 
 
@@ -615,6 +618,44 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
 
 
 @dataclass(frozen=True)
+class AtomTable:
+    """What the discrete criteria read, one entry per atom: p, log p,
+    log K (-inf at exact zeros), K - 1 (as Kernel.minus_one), the orbit
+    index, and the Levels of |<u,v>| (None without a Euclidean overlap),
+    rho_G and |K - 1|."""
+
+    p: np.ndarray
+    log_p: np.ndarray
+    log_k: np.ndarray
+    dev: np.ndarray
+    orbit: np.ndarray
+    orbit_mass: list[float]
+    overlap: Levels | None
+    rho: Levels
+    abs_dev: Levels
+
+
+def _atom_table(model: ModelSpec) -> AtomTable:
+    law, kernel, group = model.law, model.kernel, model.group
+    values = law.values
+    p = np.asarray(law.probs, dtype=float)
+    logs = [kernel.log_eval(v) for v in values]
+    log_k = np.array([-math.inf if lv is None else lv for lv in logs], dtype=float)
+    dev = np.array([_minus_one(lv) for lv in logs], dtype=float)
+    keys: dict = {}  # orbit -> item index, in order of first appearance
+    orbit = np.array([keys.setdefault(v if isinstance(v, tuple) else tuple(sorted(group.orbit(v))),
+                                      len(keys)) for v in values], dtype=np.intp)
+    overlap = None
+    if model.euclid_overlap is not None:
+        overlap = Levels.of([abs(model.euclid_overlap(v)) for v in values], p)
+    return AtomTable(
+        p, np.asarray(law.log_probs, dtype=float), log_k, dev, orbit,
+        np.bincount(orbit, weights=p, minlength=len(keys)).tolist(), overlap,
+        Levels.of([rho_g(kernel, group, v) for v in values], p), Levels.of(np.abs(dev), p),
+    )
+
+
+@dataclass(frozen=True)
 class ModelSpec:
     """A named detection task: kernel + overlap law + group action.
 
@@ -622,6 +663,10 @@ class ModelSpec:
     <u, v> when that quantity is recoverable (identity for scalar
     overlap laws, the agreement count c for pair-count models, None
     when the statistic does not determine <u, v>).
+
+    The per-model work that no (q, m) changes is cached on first use:
+    the atom table of a discrete law and, on the continuous law, the
+    checked grids of |<u,v>|, rho_G and |K - 1|.
     """
 
     name: str
@@ -646,6 +691,23 @@ class ModelSpec:
 
     def rho_g(self, t: Statistic) -> float:
         return rho_g(self.kernel, self.group, t)
+
+    @cached_property
+    def atom_table(self) -> AtomTable:
+        return _atom_table(self)
+
+    @cached_property
+    def overlap_grid(self) -> ShapeGrid:
+        overlap = self.euclid_overlap
+        return check_even_nondecreasing(self.law, lambda t: abs(overlap(t)))
+
+    @cached_property
+    def rho_grid(self) -> ShapeGrid:
+        return check_even_nondecreasing(self.law, self.rho_g)
+
+    @cached_property
+    def deviation_sides(self) -> tuple[ShapeGrid, ShapeGrid]:
+        return check_quasiconvex(self.law, lambda t: abs(self.kernel.minus_one(t)))
 
 
 def _default_group(name: str, law: OverlapLaw, requested: str | None) -> GroupSpec:

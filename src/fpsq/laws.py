@@ -6,8 +6,9 @@ overlap <u, v>, a support-intersection count |u n v|, or the coordinate
 agreement triple (a, b, c).  This module represents the pushforward of
 pi^{x2} through that statistic:
 
-- discrete laws carry exact rational-derived atom probabilities
-  (math.comb / Fraction arithmetic, evaluated once into floats);
+- discrete laws carry each atom mass as p = f 2^e (f in [0.5, 1), e an
+  integer), so no mass underflows; the combinatorial laws round an exact
+  integer ratio once (_exact_law), and log_probs and probs are views;
 - the single continuous law (sphere overlap) is represented by its exact
   Beta density and distribution function (scipy.special), never by a
   discretization.
@@ -19,7 +20,9 @@ thresholds
     threshold_sup(mass) = sup { r : P(g(T) >= r) >= mass },
 
 whose boundary-atom behaviour (achieved mass, exactness flag) the
-criteria need to expose.
+criteria need to expose.  On a discrete law every such threshold reads
+one Levels object: the distinct levels of g(T) with compensated tail
+masses, searched by bisection.
 
 On the continuous law a transform g must be even and nondecreasing in
 |t|; one grid check enforces this and anything else is refused.  Then
@@ -35,8 +38,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -52,6 +55,7 @@ _REL_TOL = 1e-12
 # monotonicity in |t| that r = g(tau) rests on gets the tighter _REL_TOL.
 _SHAPE_TOL = 1e-9
 _ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
+_LN2 = math.log(2.0)
 
 
 def _ge(a: float, b: float) -> bool:
@@ -77,16 +81,17 @@ class ThresholdResult:
 class OverlapLaw:
     """Distribution of the overlap statistic under pi x pi.
 
-    kind: "discrete" (atoms + probs) or "continuous" (density accessors;
-    the law must be symmetric about 0, which the |t| closed forms use).
-    statistic: "scalar" or "pair_counts" (integer triples).
+    kind: "discrete" (values + masses) or "continuous" (density
+    accessors; the law must be symmetric about 0, which the |t| closed
+    forms use).  statistic: "scalar" or "pair_counts" (integer triples).
+    A discrete mass is stored as the pair (f, e) with p = f 2^e.
     """
 
     kind: str
     statistic: str
     descriptor: dict
     values: tuple = ()
-    probs: tuple = ()
+    masses: tuple = ()
     _pdf: Callable[[float], float] | None = None
     _cdf: Callable[[float], float] | None = None
     _ppf: Callable[[float], float] | None = None
@@ -95,15 +100,25 @@ class OverlapLaw:
 
     def __post_init__(self) -> None:
         if self.kind == "discrete":
+            if any(f < 0.0 for f, _ in self.masses):
+                raise ValueError("atom probabilities must be nonnegative")
             total = math.fsum(self.probs)
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"atom probabilities sum to {total}, not 1")
-            if any(p < 0.0 for p in self.probs):
-                raise ValueError("atom probabilities must be nonnegative")
         elif self.kind != "continuous":
             raise ValueError(f"unknown law kind {self.kind!r}")
         elif self.support[0] != -self.support[1]:
             raise ValueError("continuous laws must be symmetric about 0")
+
+    @cached_property
+    def log_probs(self) -> tuple[float, ...]:
+        """Natural log of each atom mass (-inf for a zero mass)."""
+        return tuple(math.log(f) + e * _LN2 if f > 0.0 else -math.inf for f, e in self.masses)
+
+    @cached_property
+    def probs(self) -> tuple[float, ...]:
+        """Atom masses as floats (0.0 below the float range)."""
+        return tuple(math.ldexp(f, e) for f, e in self.masses)
 
     @property
     def atoms(self) -> list[tuple[Statistic, float]]:
@@ -132,35 +147,51 @@ class OverlapLaw:
 # ---------------------------------------------------------------------------
 
 
-def _exact_atoms(pairs: list[tuple[Statistic, Fraction]]) -> tuple[tuple, tuple]:
-    total = sum(p for _, p in pairs)
-    if total != 1:
-        raise AssertionError(f"exact atom masses sum to {total}, not 1")
-    pairs = [(v, p) for v, p in pairs if p > 0]
-    pairs.sort(key=lambda vp: vp[0] if isinstance(vp[0], tuple) else (vp[0],))
-    return tuple(v for v, _ in pairs), tuple(float(p) for _, p in pairs)
+def _binomial_row(n: int, upto: int) -> list[int]:
+    """[C(n, 0), ..., C(n, upto)] by the exact recurrence."""
+    row = [1]
+    for j in range(upto):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
+
+
+def _exact_law(descriptor: dict, numerators: dict, denominator: int) -> OverlapLaw:
+    """Discrete law with masses numerators[v] / denominator (integers).
+
+    Each ratio is scaled by a power of two into [2^63, 2^65) and divided
+    once (int / int is correctly rounded), so every mass keeps 53
+    significant bits whatever its size."""
+    if sum(numerators.values()) != denominator:
+        raise AssertionError(f"exact atom masses do not sum to {denominator}")
+    values, masses = [], []
+    for v in sorted(v for v, num in numerators.items() if num > 0):
+        num = numerators[v]
+        s = denominator.bit_length() - num.bit_length() + 64
+        f, e = math.frexp((num << s) / denominator)
+        values.append(v)
+        masses.append((f, e - s))
+    return OverlapLaw(kind="discrete", statistic="scalar", descriptor=descriptor,
+                      values=tuple(values), masses=tuple(masses))
+
+
+def _float_law(descriptor: dict, statistic: str, items: list) -> OverlapLaw:
+    """Discrete law from (value, float mass) pairs, sorted by value."""
+    items = sorted(items)
+    return OverlapLaw(kind="discrete", statistic=statistic, descriptor=descriptor,
+                      values=tuple(v for v, _ in items),
+                      masses=tuple(math.frexp(p) for _, p in items))
 
 
 def hypergeometric_law(n: int, k: int) -> OverlapLaw:
     """|u n v| for two independent uniform k-subsets (or binary k-sparse
-    vectors) of [n]; exact combinatorial pmf."""
+    vectors) of [n]; exact combinatorial pmf C(k, l) C(n-k, k-l) / C(n, k)."""
     if n <= 0 or k <= 0:
         raise ValueError(f"need n, k positive, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"need k <= n, got k={k} > n={n}")
-    denom = math.comb(n, k)
-    pairs = [
-        (float(ell), Fraction(math.comb(k, ell) * math.comb(n - k, k - ell), denom))
-        for ell in range(0, k + 1)
-    ]
-    values, probs = _exact_atoms(pairs)
-    return OverlapLaw(
-        kind="discrete",
-        statistic="scalar",
-        descriptor={"kind": "hypergeometric", "n": n, "k": k},
-        values=values,
-        probs=probs,
-    )
+    inner, outer = _binomial_row(k, k), _binomial_row(n - k, k)
+    nums = {float(ell): inner[ell] * outer[k - ell] for ell in range(k + 1)}
+    return _exact_law({"kind": "hypergeometric", "n": n, "k": k}, nums, math.comb(n, k))
 
 
 def signed_sparse_law(n: int, k: int) -> OverlapLaw:
@@ -168,45 +199,27 @@ def signed_sparse_law(n: int, k: int) -> OverlapLaw:
 
     Conditional on an intersection of size ell (hypergeometric), the dot
     product is (2B - ell)/k with B ~ Bin(ell, 1/2); atoms live on the
-    grid j/k, j in [-k, k].
+    grid j/k, j in [-k, k].  Common denominator C(n, k) 2^k.
     """
     if n <= 0 or k <= 0 or k > n:
         raise ValueError(f"invalid signed_sparse parameters n={n}, k={k}")
-    denom = math.comb(n, k)
-    acc: dict[int, Fraction] = {}
-    for ell in range(0, k + 1):
-        p_ell = Fraction(math.comb(k, ell) * math.comb(n - k, k - ell), denom)
-        if ell == 0:
-            acc[0] = acc.get(0, Fraction(0)) + p_ell
-            continue
-        for b in range(0, ell + 1):
-            j = 2 * b - ell
-            acc[j] = acc.get(j, Fraction(0)) + p_ell * Fraction(math.comb(ell, b), 2**ell)
-    pairs = [(j / k, p) for j, p in acc.items()]
-    values, probs = _exact_atoms(pairs)
-    return OverlapLaw(
-        kind="discrete",
-        statistic="scalar",
-        descriptor={"kind": "signed_sparse", "n": n, "k": k},
-        values=values,
-        probs=probs,
-    )
+    inner, outer = _binomial_row(k, k), _binomial_row(n - k, k)
+    acc: dict[int, int] = {}
+    for ell in range(k + 1):
+        weight = (inner[ell] * outer[k - ell]) << (k - ell)
+        for b, c in enumerate(_binomial_row(ell, ell)):
+            acc[2 * b - ell] = acc.get(2 * b - ell, 0) + weight * c
+    nums = {j / k: num for j, num in acc.items()}
+    return _exact_law({"kind": "signed_sparse", "n": n, "k": k}, nums, math.comb(n, k) << k)
 
 
 def rademacher_mean_law(n: int) -> OverlapLaw:
     """<u, v> = n^{-1} sum_i eps_i for u, v uniform on {-1/sqrt(n), 1/sqrt(n)}^n:
-    a shifted binomial on the grid (2b - n)/n."""
+    a shifted binomial on the grid (2b - n)/n, masses C(n, b) / 2^n."""
     if n <= 0:
         raise ValueError(f"need n positive, got {n}")
-    pairs = [((2 * b - n) / n, Fraction(math.comb(n, b), 2**n)) for b in range(0, n + 1)]
-    values, probs = _exact_atoms(pairs)
-    return OverlapLaw(
-        kind="discrete",
-        statistic="scalar",
-        descriptor={"kind": "rademacher_mean", "n": n},
-        values=values,
-        probs=probs,
-    )
+    nums = {(2 * b - n) / n: c for b, c in enumerate(_binomial_row(n, n))}
+    return _exact_law({"kind": "rademacher_mean", "n": n}, nums, 1 << n)
 
 
 def two_point_law(rho_p: float, stat_values: tuple[float, float, float]) -> OverlapLaw:
@@ -221,14 +234,8 @@ def two_point_law(rho_p: float, stat_values: tuple[float, float, float]) -> Over
     acc: dict[float, float] = {}
     for v, p in ((v11, rho_p * rho_p), (v22, (1 - rho_p) ** 2), (vmix, 2 * rho_p * (1 - rho_p))):
         acc[v] = acc.get(v, 0.0) + p
-    items = sorted((v, p) for v, p in acc.items() if p > 0.0)
-    return OverlapLaw(
-        kind="discrete",
-        statistic="scalar",
-        descriptor={"kind": "two_point", "rho_p": rho_p, "values": [v11, v22, vmix]},
-        values=tuple(v for v, _ in items),
-        probs=tuple(p for _, p in items),
-    )
+    return _float_law({"kind": "two_point", "rho_p": rho_p, "values": [v11, v22, vmix]},
+                      "scalar", [(v, p) for v, p in acc.items() if p > 0.0])
 
 
 def pair_counts_law(n: int, rho_p: float) -> OverlapLaw:
@@ -244,14 +251,8 @@ def pair_counts_law(n: int, rho_p: float) -> OverlapLaw:
         ((1, 0, n), (1 - rho_p) ** 2),
         ((0, n + 1, 0), 2 * rho_p * (1 - rho_p)),
     ]
-    items = sorted((v, p) for v, p in atoms if p > 0.0)
-    return OverlapLaw(
-        kind="discrete",
-        statistic="pair_counts",
-        descriptor={"kind": "pair_counts", "n": n, "rho_p": rho_p},
-        values=tuple(v for v, _ in items),
-        probs=tuple(p for _, p in items),
-    )
+    return _float_law({"kind": "pair_counts", "n": n, "rho_p": rho_p}, "pair_counts",
+                      [(v, p) for v, p in atoms if p > 0.0])
 
 
 def equality_law(n: int) -> OverlapLaw:
@@ -260,29 +261,15 @@ def equality_law(n: int) -> OverlapLaw:
     if n <= 0 or n % 10 != 0:
         raise ValueError(f"need n positive and divisible by 10, got {n}")
     size = math.comb(n, 9 * n // 10)
-    pairs = [(1.0, Fraction(1, size)), (0.0, Fraction(size - 1, size))]
-    values, probs = _exact_atoms(pairs)
-    return OverlapLaw(
-        kind="discrete",
-        statistic="scalar",
-        descriptor={"kind": "equality", "n": n},
-        values=values,
-        probs=probs,
-    )
+    return _exact_law({"kind": "equality", "n": n}, {1.0: 1, 0.0: size - 1}, size)
 
 
 def atoms_law(values: Sequence[float], probs: Sequence[float]) -> OverlapLaw:
     """Synthetic discrete law from explicit atoms (testing / CLI)."""
     if len(values) != len(probs) or not values:
         raise ValueError("values and probs must be nonempty and of equal length")
-    items = sorted(zip((float(v) for v in values), (float(p) for p in probs)))
-    return OverlapLaw(
-        kind="discrete",
-        statistic="scalar",
-        descriptor={"kind": "atoms", "values": list(values), "probs": list(probs)},
-        values=tuple(v for v, _ in items),
-        probs=tuple(p for _, p in items),
-    )
+    return _float_law({"kind": "atoms", "values": list(values), "probs": list(probs)}, "scalar",
+                      list(zip((float(v) for v in values), (float(p) for p in probs))))
 
 
 def sphere_law(n: int) -> OverlapLaw:
@@ -363,10 +350,58 @@ def survival(law: OverlapLaw, r: float, transform: Transform = None) -> float:
         return math.fsum(p for v, p in law.atoms if _apply(transform, v) >= r)
     if transform is None:
         return law.cdf(-r)  # symmetric law: no cancellation in the upper tail
-    tau = crossing(transform, r, *check_even_nondecreasing(law, transform))
+    tau = crossing(check_even_nondecreasing(law, transform), r)
     if tau is None:
         return 0.0
     return 1.0 if tau <= 0.0 else 2.0 * law.cdf(-tau)
+
+
+@dataclass(frozen=True)
+class Levels:
+    """A transform g(T) on a discrete law: its value at each atom, its
+    distinct levels r_0 < r_1 < ..., the mass of each level, and the
+    tail masses tails[i] = P(g(T) >= r_i), accumulated from the top with
+    Kahan compensation.  Every discrete sup-threshold reads these."""
+
+    at: np.ndarray
+    levels: np.ndarray
+    mass: np.ndarray
+    tails: list[float]
+
+    @classmethod
+    def of(cls, at: Sequence[float], probs: Sequence[float]) -> Levels:
+        at = np.asarray(at, dtype=float)
+        levels, inverse = np.unique(at, return_inverse=True)
+        mass = np.bincount(inverse, weights=probs, minlength=len(levels))
+        tails: list[float] = []
+        acc, comp = 0.0, 0.0
+        for x in reversed(mass.tolist()):
+            y = x - comp
+            t = acc + y
+            comp = (t - acc) - y
+            acc = t
+            tails.append(acc)
+        tails.reverse()
+        return cls(at, levels, mass, tails)
+
+    def threshold(self, mass: float) -> ThresholdResult:
+        """sup { r : P(g(T) >= r) >= mass }: the highest level whose tail
+        mass is >= mass up to the relative slack 1e-12 (the lowest level
+        when none is)."""
+        tails = self.tails
+        i = max(bisect_left(range(len(tails)), True, key=lambda j: not _ge(tails[j], mass)) - 1, 0)
+        achieved = tails[i]
+        exact = abs(achieved - mass) <= _REL_TOL * max(abs(achieved), abs(mass))
+        return ThresholdResult(float(self.levels[i]), achieved, exact)
+
+
+class ShapeGrid(NamedTuple):
+    """A transform g with vals = g(xs) on a grid along which g has been
+    checked nondecreasing; seeds crossing's brackets."""
+
+    g: Callable[[float], float]
+    xs: list[float]
+    vals: list[float]
 
 
 def nondecreasing(vals: list[float], slack: float = _SHAPE_TOL) -> bool:
@@ -374,11 +409,11 @@ def nondecreasing(vals: list[float], slack: float = _SHAPE_TOL) -> bool:
     return all(b >= a - slack * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
 
 
-def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float], grid: int = 129):
+def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float],
+                             grid: int = 129) -> ShapeGrid:
     """The one shape check on continuous-law transforms: g must be even
     and nondecreasing in |t|, probed on `grid` points of [0, hi] and
-    their mirror images.  Raises ValueError otherwise; returns the grid
-    (xs, vals = g(xs)), which seeds crossing's brackets."""
+    their mirror images.  Raises ValueError otherwise."""
     hi = law.support[1]
     xs = [hi * i / (grid - 1) for i in range(grid)]
     vals = [float(g(x)) for x in xs]
@@ -386,7 +421,22 @@ def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float], grid:
         raise ValueError("continuous-law transforms must be even in t")
     if not nondecreasing(vals, _REL_TOL):
         raise ValueError("continuous-law transforms must be nondecreasing in |t|")
-    return xs, vals
+    return ShapeGrid(g, xs, vals)
+
+
+def check_quasiconvex(law: OverlapLaw, g: Callable[[float], float],
+                      grid: int = 257) -> tuple[ShapeGrid, ShapeGrid]:
+    """g on `grid` points of the support, read outward from its grid
+    minimum: both sides must be nondecreasing (g quasiconvex).  Raises
+    ValueError otherwise; returns the (left, right) sides."""
+    lo, hi = law.support
+    xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
+    vals = [g(x) for x in xs]
+    i0 = vals.index(min(vals))
+    sides = (ShapeGrid(g, xs[i0::-1], vals[i0::-1]), ShapeGrid(g, xs[i0:], vals[i0:]))
+    if not all(nondecreasing(side.vals) for side in sides):
+        raise ValueError("transform is not quasiconvex on the support")
+    return sides
 
 
 def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float):
@@ -423,10 +473,11 @@ def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: fl
     return a, b
 
 
-def crossing(g, r: float, xs: list[float], vals: list[float]) -> float | None:
-    """First point along the grid xs (either direction) where g >= r, for
-    g nondecreasing along xs with vals = g(xs): xs[0] when g(xs[0]) >= r,
-    None when g stays below r, else one find_root between grid points."""
+def crossing(shape: ShapeGrid, r: float) -> float | None:
+    """First point along the grid (either direction) where g >= r:
+    xs[0] when g(xs[0]) >= r, None when g stays below r, else one
+    find_root between grid points."""
+    g, xs, vals = shape
     if vals[0] >= r:
         return xs[0]
     if vals[-1] < r:
@@ -441,21 +492,21 @@ def check_mass(mass: float) -> None:
         raise ValueError(f"mass must lie in (0, 1], got {mass}")
 
 
-def abs_event(law: OverlapLaw, mass: float, transform: Callable[[float], float],
+def abs_event(law: OverlapLaw, mass: float, shape: ShapeGrid,
               strict: bool = False) -> tuple[ThresholdResult, float]:
     """Threshold r = sup { r : P(g(T) >= r) >= mass } on a continuous law,
-    plus the half-width h of the complementary event {|T| <= h}: the
-    closed event {g(T) <= r} up to its boundary (h = tau, mass exactly
-    1 - mass) or, with strict, {g(T) < r} (h = the smallest |t| with
-    g(t) >= r, at most tau; one root-find)."""
+    for g = shape.g checked by check_even_nondecreasing, plus the
+    half-width h of the complementary event {|T| <= h}: the closed event
+    {g(T) <= r} up to its boundary (h = tau, mass exactly 1 - mass) or,
+    with strict, {g(T) < r} (h = the smallest |t| with g(t) >= r, at
+    most tau; one root-find)."""
     check_mass(mass)
-    xs, vals = check_even_nondecreasing(law, transform)
     tau = max(-law.ppf(0.5 * min(mass, 1.0)), 0.0)
-    thr = ThresholdResult(float(transform(tau)), min(mass, 1.0), exact=mass <= 1.0)
+    thr = ThresholdResult(float(shape.g(tau)), min(mass, 1.0), exact=mass <= 1.0)
     if not strict:
         return thr, tau
     # g(tau) = r puts the first |t| with g >= r at or below tau, up to the check's slack
-    h = crossing(transform, thr.threshold, xs, vals)
+    h = crossing(shape, thr.threshold)
     return thr, tau if h is None else min(h, tau)
 
 
@@ -463,42 +514,18 @@ def threshold_sup(law: OverlapLaw, mass: float, transform: Transform = None) -> 
     """sup { r : P(g(T) >= r) >= mass }, the generalized inverse of the
     survival function of the transformed statistic.
 
-    For discrete laws the sup is attained at an atom of g(T); `exact`
-    records whether its tail mass equals `mass` to relative 1e-12.  On
-    the continuous law the survival function is continuous and strictly
-    decreasing, and the threshold comes in closed form from the Beta
-    quantile (see abs_event).
+    For discrete laws the sup is attained at an atom of g(T) (see
+    Levels); `exact` records whether its tail mass equals `mass` to
+    relative 1e-12.  On the continuous law the survival function is
+    continuous and strictly decreasing, and the threshold comes in
+    closed form from the Beta quantile (see abs_event).
     """
     check_mass(mass)
-    if law.kind == "continuous":
-        if transform is None:
-            return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)
-        return abs_event(law, mass, transform)[0]
-    # group atoms by transformed level, then walk tail masses downward
-    levels: dict[float, float] = {}
-    for v, p in law.atoms:
-        g = _apply(transform, v)
-        levels[g] = levels.get(g, 0.0) + p
-    ordered = sorted(levels)
-    tails: list[float] = []
-    acc, comp = 0.0, 0.0  # Kahan-compensated tail accumulation
-    for r in reversed(ordered):
-        y = levels[r] - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        tails.append(acc)
-    tails.reverse()  # tails[i] = P(g(T) >= ordered[i])
-    best = None
-    for r, s in zip(ordered, tails):
-        if _ge(s, mass):
-            best = (r, s)
-    if best is None:
-        # survival at the lowest level is 1 >= mass for mass <= 1
-        raise AssertionError("unreachable: survival at min level is 1")
-    threshold, achieved = best
-    exact = abs(achieved - mass) <= _REL_TOL * max(abs(achieved), abs(mass))
-    return ThresholdResult(threshold=threshold, achieved_mass=achieved, exact=exact)
+    if law.kind == "discrete":
+        return Levels.of([_apply(transform, v) for v in law.values], law.probs).threshold(mass)
+    if transform is None:
+        return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)
+    return abs_event(law, mass, check_even_nondecreasing(law, transform))[0]
 
 
 class AtomEvaluationError(ValueError):

@@ -60,25 +60,10 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
-def hermite_eval(degree: int, x: float, max_degree: int = DEFAULT_MAX_DEGREE) -> float:
-    """Normalized probabilists' Hermite polynomial h_degree(x)."""
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    if degree > max_degree:
-        raise ValueError(f"degree {degree} exceeds configured maximum {max_degree}")
-    if degree == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)
-    for i in range(1, degree):
-        prev, cur = cur, (x * cur - math.sqrt(i) * prev) / math.sqrt(i + 1)
-    return cur
-
-
 def hermite_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
     """Matrix H with H[i, j] = h_i(x_j) for i = 0..max_degree.
 
-    Vectorized form of the three-term recurrence; used by coefficient
-    extraction and by the quadrature-based orthonormality tests.
+    Vectorized form of the three-term recurrence.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((max_degree + 1, x.size), dtype=float)
@@ -153,50 +138,6 @@ class HermiteSeries:
 
     coefficients: tuple[float, ...]
     tail: float | None = None
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x: float) -> float:
-        if not self.coefficients:
-            return 0.0
-        prev, cur = 1.0, float(x)
-        acc = self.coefficients[0]
-        for i, c in enumerate(self.coefficients[1:], start=1):
-            if i > 1:
-                prev, cur = cur, (x * cur - math.sqrt(i - 1) * prev) / math.sqrt(i)
-            acc += c * cur
-        return acc
-
-    def squared_mass(self) -> float:
-        return float(sum(c * c for c in self.coefficients))
-
-
-def hermite_coeffs(
-    f: Callable[[np.ndarray], np.ndarray],
-    max_degree: int,
-    rule: QuadratureRule,
-) -> HermiteSeries:
-    """Hermite coefficients c_i = E[f(Z) h_i(Z)] of a smooth function.
-
-    The rule must resolve the requested degree: c_i integrates a product
-    of degree ~ deg(f) + i, so we require num_nodes >= max_degree + 1.
-    For discontinuous indicators use interval_indicator_coeffs instead.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    if rule.num_nodes < max_degree + 1:
-        raise ValueError(
-            f"rule with {rule.num_nodes} nodes cannot resolve degree {max_degree}; "
-            f"need at least {max_degree + 1} nodes"
-        )
-    values = np.asarray(f(rule.nodes), dtype=float)
-    basis = hermite_matrix(max_degree, rule.nodes)
-    coeffs = basis @ (rule.weights * values)
-    total = float(np.dot(rule.weights, values * values))
-    tail = max(total - float(np.dot(coeffs, coeffs)), 0.0)
-    return HermiteSeries(tuple(float(c) for c in coeffs), tail=tail)
 
 
 def interval_indicator_coeffs(a: float, b: float, max_degree: int) -> HermiteSeries:
@@ -274,42 +215,13 @@ def log_sum_exp(log_terms: Sequence[float]) -> float:
     """log(sum_i exp(log_terms[i])), stable against overflow.
 
     Terms of -inf are allowed (exact zeros); an empty input is an error
-    rather than -inf since every caller expects a nonempty sum.
+    rather than -inf since every caller expects a nonempty sum.  The
+    shifted exponentials are summed exactly (math.fsum).
     """
-    if len(log_terms) == 0:
+    x = np.asarray(log_terms, dtype=float)
+    if x.size == 0:
         raise ValueError("log_sum_exp requires at least one term")
-    m = max(log_terms)
-    if m == -math.inf:
-        return -math.inf
+    m = float(x.max())
     if math.isinf(m):
-        return math.inf
-    return m + math.log(math.fsum(math.exp(t - m) for t in log_terms))
-
-
-def log_stable_pow_expect(log_values: Sequence[float], weights: Sequence[float], m: int) -> float:
-    """log of sum_i w_i exp(m * log_values[i]) without overflow."""
-    if len(log_values) == 0 or len(log_values) != len(weights):
-        raise ValueError("log_values and weights must be nonempty and of equal length")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    terms = []
-    for lv, w in zip(log_values, weights):
-        if w < 0.0:
-            raise ValueError(f"weights must be nonnegative, got {w}")
-        if w == 0.0:
-            continue
-        terms.append(m * lv + math.log(w))
-    if not terms:
-        return -math.inf
-    return log_sum_exp(terms)
-
-
-def stable_pow_expect(log_values: Sequence[float], weights: Sequence[float], m: int) -> float:
-    """sum_i w_i exp(m * log_values[i]); inf when the log exceeds ~709."""
-    lv = log_stable_pow_expect(log_values, weights, m)
-    if lv == -math.inf:
-        return 0.0
-    try:
-        return math.exp(lv)
-    except OverflowError:
-        return math.inf
+        return m
+    return m + math.log(math.fsum(np.exp(x - m).tolist()))

@@ -324,15 +324,7 @@ def _exact_tail_q(model: ModelSpec, target_mass: float) -> float:
     largest level tail mass <= target_mass.  At such q the strict
     rho_G-FP event has mass exactly 1 - q^{-2}, which keeps it feasible
     for the GFP infimum (the premise behind GFP <= rho_G-FP)."""
-    from fpsq.laws import survival as law_survival
-
-    levels = sorted({model.rho_g(v) for v, _ in model.law.atoms})
-    best = None
-    for lev in levels:
-        s = law_survival(model.law, lev, transform=model.rho_g)
-        if 0.0 < s <= target_mass:
-            best = s
-            break
+    best = next((s for s in model.atom_table.rho.tails if 0.0 < s <= target_mass), None)
     if best is None:
         raise ValueError("no rho_G tail level at or below the target mass")
     return best**-0.5

@@ -193,7 +193,7 @@ class TestGfpValue:
 
     def test_greedy_brackets_on_many_atoms(self):
         model = build_model({"model": "slab", "alpha": 0.1, "d": 128, "max_degree": 60})
-        rep = gfp_value(model, 4.0, 10, max_exact_atoms=16)
+        rep = gfp_value(model, 4.0, 10)
         lower, upper = rep.detail["value_brackets"]
         assert lower <= rep.value <= upper * (1 + 1e-12)
         assert rep.detail["optimizer"] == "greedy-bracket"
@@ -214,6 +214,8 @@ class TestGfpValue:
 
 
 class TestKnapsackSolvers:
+    # the solvers take log-values; -inf marks a free (zero-value) item
+
     @pytest.mark.parametrize("seed", range(20))
     def test_min_inclusion_exact_vs_enumeration(self, seed):
         rng = np.random.default_rng(seed)
@@ -226,25 +228,29 @@ class TestKnapsackSolvers:
         for mask in itertools.product([0, 1], repeat=n):
             if sum(w for b, w in zip(mask, weights) if b) >= needed:
                 best = min(best, sum(v for b, v in zip(mask, values) if b))
-        _, got = solve_min_inclusion(values.tolist(), weights.tolist(), needed)
-        assert got == pytest.approx(best, rel=1e-12, abs=1e-12)
+        _, got = solve_min_inclusion(log_values(values), weights.tolist(), needed)
+        assert math.exp(got) == pytest.approx(best, rel=1e-12, abs=1e-12)
 
     def test_handles_astronomic_value_separation(self):
         # a huge-value item must not absorb small ones in the optimum
         values = [1e200, 2.0, 1.0]
         weights = [0.0004, 0.2, 0.7996]
-        included, got = solve_min_inclusion(values, weights, 0.9)
+        included, got = solve_min_inclusion(log_values(values), weights, 0.9)
         assert included == [1, 2]
-        assert got == pytest.approx(3.0)
+        assert math.exp(got) == pytest.approx(3.0)
 
     def test_greedy_brackets_contain_optimum(self):
         rng = np.random.default_rng(5)
-        values = rng.uniform(0, 3, 12).tolist()
+        values = log_values(rng.uniform(0, 3, 12))
         weights = rng.dirichlet(np.ones(12)).tolist()
         needed = 0.8
         _, exact = solve_min_inclusion(values, weights, needed)
         _, upper, lower = greedy_min_inclusion(values, weights, needed)
-        assert lower - 1e-12 <= exact <= upper + 1e-12
+        assert math.exp(lower) - 1e-12 <= math.exp(exact) <= math.exp(upper) + 1e-12
+
+
+def log_values(values):
+    return [math.log(v) if v > 0.0 else -math.inf for v in values]
 
 
 class TestSqValue:

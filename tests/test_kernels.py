@@ -59,9 +59,9 @@ class TestMslrKernel:
         assert mslr_kernel(3, 1.0).eval(3.0) == pytest.approx(16.0 / 7.0, rel=1e-15)
 
     def test_m_sample_power(self):
-        k1 = mslr_kernel(4, 2.0, m=1)
-        k5 = mslr_kernel(4, 2.0, m=5)
-        assert k5.log_eval(3.0) == pytest.approx(5 * k1.log_eval(3.0), rel=1e-15)
+        # the criteria raise K to the m-th power as exp(m log K)
+        k = mslr_kernel(4, 2.0)
+        assert math.exp(5 * k.log_eval(3.0)) == pytest.approx((1 - 0.5**2) ** -5, rel=1e-14)
 
     def test_singularity_guard(self):
         with pytest.raises(SingularityError):
@@ -139,7 +139,8 @@ class TestSiKernel:
         # quadrature on the half line (independent of the closed form)
         from scipy import integrate
 
-        from fpsq.numerics import hermite_eval, normal_pdf
+        from fpsq.numerics import normal_pdf
+        from hermite_ref import hermite_eval
 
         lams, _ = si_lambda_coeffs({"kind": "sign"}, 7)
         for i in (1, 3, 5, 7):
@@ -210,9 +211,10 @@ class TestCounterexampleKernel:
         assert k.eval((0, n + 1, 0)) == pytest.approx((1 + r2 * a) ** (n + 1), rel=1e-12)
 
     def test_m_sample_power(self):
-        k1 = counterexample_kernel(6, 0.2, 0.4, m=1)
-        k3 = counterexample_kernel(6, 0.2, 0.4, m=3)
-        assert k3.log_eval((2, 3, 2)) == pytest.approx(3 * k1.log_eval((2, 3, 2)), rel=1e-14)
+        # the criteria raise K to the m-th power as exp(m log K)
+        k = counterexample_kernel(6, 0.2, 0.4)
+        want = ((1 + 0.04) ** 2 * (1 + 0.04 * 0.4) ** 3 * (1 + 0.04 * 0.16) ** 2) ** 3
+        assert math.exp(3 * k.log_eval((2, 3, 2))) == pytest.approx(want, rel=1e-13)
 
     def test_count_validation(self):
         k = counterexample_kernel(8, 0.3, 0.2)

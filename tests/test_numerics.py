@@ -5,22 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from fpsq.criteria import chi_squared, log_moment
+from fpsq.kernels import build_model
 from fpsq.numerics import (
     QuadratureRule,
     gauss_hermite_rule,
-    hermite_coeffs,
-    hermite_eval,
     hermite_matrix,
     interval_indicator_coeffs,
-    log_stable_pow_expect,
     log_sum_exp,
     normal_cdf,
     normal_pdf,
     normal_quantile,
-    stable_pow_expect,
     symmetric_indicator_coeffs,
     symmetric_indicator_tail,
 )
+from hermite_ref import hermite_coeffs, hermite_eval, series_eval, squared_mass
 
 
 def double_factorial(n: int) -> int:
@@ -180,7 +179,7 @@ class TestHermiteCoeffs:
         f = lambda z: np.exp(0.4 * z)
         series = hermite_coeffs(f, 30, rule)
         # L2(phi) error of the truncation vs the declared Parseval deficit
-        err2 = rule.expect(lambda z: (f(z) - np.array([series(float(x)) for x in z])) ** 2)
+        err2 = rule.expect(lambda z: (f(z) - np.array([series_eval(series, float(x)) for x in z])) ** 2)
         assert err2 <= series.tail + 1e-10
 
     def test_rule_must_resolve_degree(self):
@@ -192,7 +191,7 @@ class TestHermiteCoeffs:
         kappa = 1.6448536269514722
         series = symmetric_indicator_coeffs(kappa, 100)
         mass = 2 * normal_cdf(kappa) - 1
-        true_deficit = mass - series.squared_mass()
+        true_deficit = mass - squared_mass(series)
         declared = symmetric_indicator_tail(kappa, 100)
         assert 0.0 < true_deficit <= declared
 
@@ -209,28 +208,40 @@ class TestLogAccumulation:
         with pytest.raises(ValueError):
             log_sum_exp([])
 
-    def test_stable_pow_expect_unit_kernel(self):
-        assert stable_pow_expect([0.0], [1.0], 100) == pytest.approx(1.0, abs=1e-12)
+    # E[K^m] on a discrete law is a log-sum-exp over the atom table;
+    # these cases pin it through chi_squared = E[K^m] - 1 and log_moment
 
-    def test_stable_pow_expect_hand_value(self):
-        assert stable_pow_expect([math.log(2.0)], [0.5], 3) == pytest.approx(4.0, rel=1e-12)
+    def test_moment_unit_kernel(self):
+        assert chi_squared(synthetic([0.0], [1.0], [1.0]), 100) == pytest.approx(0.0, abs=1e-12)
+
+    def test_moment_hand_value(self):
+        model = synthetic([0.0, 1.0], [0.5, 0.5], [2.0, 0.0])
+        assert chi_squared(model, 3) + 1.0 == pytest.approx(4.0, rel=1e-12)
 
     def test_matches_naive_when_no_overflow(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             logs = rng.uniform(-2, 2, 6).tolist()
-            w = rng.uniform(0, 1, 6).tolist()
+            w = rng.dirichlet(np.ones(6)).tolist()
             m = int(rng.integers(1, 10))
+            model = synthetic(range(6), w, [math.exp(lv) for lv in logs])
             naive = sum(wi * math.exp(m * lv) for wi, lv in zip(w, logs))
-            assert stable_pow_expect(logs, w, m) == pytest.approx(naive, rel=1e-12)
+            assert chi_squared(model, m) + 1.0 == pytest.approx(naive, rel=1e-12)
+            assert log_moment(model, m) == pytest.approx(math.log(naive), rel=1e-12, abs=1e-14)
 
     def test_survives_overflow_scale(self):
         # naive evaluation overflows; the log route stays finite
-        lv = log_stable_pow_expect([10.0], [1.0], 100)
-        assert lv == pytest.approx(1000.0, abs=1e-9)
+        model = synthetic([0.0], [1.0], [math.exp(10.0)])
+        assert log_moment(model, 100) == pytest.approx(1000.0, abs=1e-9)
+        assert chi_squared(model, 100) == math.inf
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            stable_pow_expect([0.0], [-1.0], 2)
+            synthetic([0.0, 1.0], [2.0, -1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            stable_pow_expect([], [], 2)
+            synthetic([], [], [])
+
+
+def synthetic(values, probs, kernel_values):
+    return build_model({"model": "synthetic", "values": [float(v) for v in values],
+                        "probs": list(probs), "kernel_values": list(kernel_values)})
