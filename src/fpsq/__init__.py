@@ -28,7 +28,6 @@ from fpsq.kernels import (
     dense_clique_kernel,
     dirac_kernel,
     gam_kernel,
-    group_avg_check,
     mslr_kernel,
     ngca_kernel,
     rho_g,
@@ -89,7 +88,6 @@ __all__ = [
     "dense_clique_kernel",
     "dirac_kernel",
     "rho_g",
-    "group_avg_check",
     "CriterionReport",
     "fp_value",
     "rho_fp_value",

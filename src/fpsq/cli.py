@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -53,6 +52,7 @@ from fpsq.criteria import (
     usq_hard,
 )
 from fpsq.kernels import ModelSpec, build_model
+from fpsq.laws import QUAD_REL_TOL
 from fpsq.oracles import ResourceLimitError
 from fpsq.scenarios import (
     BUILTIN_MODEL_DESCRIPTORS,
@@ -157,7 +157,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def report_row(model_name: str, report: CriterionReport, error_bound: float) -> dict:
+def report_row(model_name: str, report: CriterionReport, rel_error: float) -> dict:
+    """The CSV row of a report; error_bound is rel_error times max(1, |the
+    emitted value|), which is the log value on overflow-log rows."""
     value = report.value
     method = report.method
     if report.overflowed or (math.isinf(value) and report.log_value is not None):
@@ -175,7 +177,7 @@ def report_row(model_name: str, report: CriterionReport, error_bound: float) -> 
         "value": value,
         "verdict": report.verdict or "",
         "method": method,
-        "error_bound": error_bound,
+        "error_bound": rel_error * max(1.0, abs(value)) if rel_error else 0.0,
     }
 
 
@@ -195,14 +197,6 @@ def write_rows(rows: list[dict], metadata: dict, fmt: str, out) -> None:
         writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
 
 
-def read_rows(path: str) -> list[dict]:
-    """Parse a CSV emitted by write_rows back into row dicts."""
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(io.StringIO("".join(lines)))
-    return list(reader)
-
-
 # ---------------------------------------------------------------------------
 # criterion / sweep
 # ---------------------------------------------------------------------------
@@ -210,7 +204,6 @@ def read_rows(path: str) -> list[dict]:
 
 def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: float,
                t: int, d, k_deg: int) -> dict:
-    quad_tol = 1e-10
     if crit in ("fp", "rho_fp", "gfp", "sq") and q is None:
         raise ConfigError(f"criterion {crit!r} requires a q grid")
     if crit != "sq" and m is None:
@@ -248,8 +241,7 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
                               "exact-sum" if model.is_discrete else "quadrature")
     else:
         raise ConfigError(f"unknown criterion {crit!r}; known: fp, rho_fp, gfp, sq, usq, chi2, ld")
-    bound = 0.0 if rep.method.startswith("exact-sum") else quad_tol * max(1.0, abs(rep.value))
-    return report_row(model_name, rep, bound)
+    return report_row(model_name, rep, 0.0 if rep.method.startswith("exact-sum") else QUAD_REL_TOL)
 
 
 def cmd_criterion(args: argparse.Namespace) -> int:

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fpsq.kernels import ModelSpec, group_avg_check
+from fpsq.kernels import ModelSpec
 from fpsq.laws import (
     AtomEvaluationError,
     ShapeGrid,
@@ -52,6 +52,10 @@ from fpsq.numerics import log_sum_exp
 _REL = 1e-12
 _MAX_EXACT_ORBITS = 64  # GFP orbit items beyond this take the greedy brackets
 _BNB_NODES = 20_000  # branch-and-bound node budget; then the greedy brackets
+_CORRELATION_TOL = 1e-12  # assumption_holds passes at a minimum >= -this
+_CORRELATION_GRID = 401  # points of the continuous support assumption_holds probes
+_LOG_SHIFT_GRID = 257  # evenly spaced points of the support log_moment scans for its shift
+_LOG_DROP = 60.0  # log_moment integrates where the scan is within e^-this of its peak
 
 
 class UnsupportedCriterionError(ValueError):
@@ -396,17 +400,19 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
 
     The sup over whole-level superlevel sets of |K - 1| is attained by
     the smallest such set of mass >= q^{-2}; ties at the boundary level
-    are included wholly.  With m supplied the verdict compares against
-    1/m.
+    are included wholly, on a discrete law with every level within
+    relative 1e-12 below it (mirror atoms whose |K - 1| round one ulp
+    apart).  With m supplied the verdict compares against 1/m.
     """
     mass = _require_q(q, 1.0, "SQ")
     inputs = {"q": q, "m": m}
     if model.is_discrete:
         dev = model.atom_table.abs_dev
-        thr = dev.threshold(mass)
-        above = dev.levels >= thr.threshold
-        top_sum = math.fsum((dev.levels * dev.mass)[above].tolist())  # E[|K - 1| 1(above)]
-        value = top_sum / thr.achieved_mass if thr.achieved_mass > 0.0 else 0.0
+        j = int(np.argmax(dev.levels >= dev.threshold(mass).threshold * (1.0 - _REL)))
+        achieved = dev.tails[j]
+        thr = ThresholdResult(float(dev.levels[j]), achieved, math.isclose(achieved, mass, rel_tol=_REL))
+        top_sum = math.fsum((dev.levels * dev.mass)[j:].tolist())  # E[|K - 1| 1(levels j..)]
+        value = top_sum / achieved if achieved > 0.0 else 0.0
         method = "exact-sum"
     else:
         try:
@@ -517,13 +523,40 @@ def chi_squared(model: ModelSpec, m: int) -> float:
 
 
 def log_moment(model: ModelSpec, m: int) -> float:
-    """log E[K(T)^m] = log(1 + chi^2): a log-sum-exp over the atom table,
-    finite where chi_squared overflows; log1p(chi_squared) on the
-    continuous law."""
-    if not model.is_discrete or m < 1:
-        return math.log1p(chi_squared(model, m))  # chi_squared refuses m < 1
-    tab = model.atom_table
-    return _event_value(m * tab.log_k + tab.log_p)[1]
+    """log E[K(T)^m] = log(1 + chi^2), finite where chi_squared overflows:
+    a log-sum-exp over the atom table, or on the continuous law M + log
+    E[exp(m log K(T) - M)], M the largest m log K(t) + log pdf(t) on a
+    grid that also approaches each end geometrically, integrated over the
+    stretches of the grid within e^-_LOG_DROP of M (so a narrow peak is
+    found).  Below the float range log1p(chi_squared) is more precise."""
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
+    if model.is_discrete:
+        tab = model.atom_table
+        return _event_value(m * tab.log_k + tab.log_p)[1]
+    law, kernel = model.law, model.kernel
+    lo, hi = law.support
+    edge = hi * (1.0 - 2.0 ** -np.arange(1.0, 53.0))
+    xs = np.unique(np.concatenate([np.linspace(lo, hi, _LOG_SHIFT_GRID), edge, -edge])).tolist()
+    vals = []
+    for t in xs:  # m log K + log pdf, -inf at the ends and at zeros
+        lv = kernel.log_eval(t) if lo < t < hi else None
+        density = 0.0 if lv is None else law.pdf(t)
+        vals.append(m * lv + math.log(density) if density > 0.0 else -math.inf)
+    shift = max(vals)
+    near = np.flatnonzero(np.asarray(vals) >= shift - _LOG_DROP)
+    gap = np.flatnonzero(np.diff(near) > 2)  # runs of near points, widened by a point each side
+    runs = zip(near[np.r_[0, gap + 1]] - 1, near[np.r_[gap, -1]] + 1)
+
+    def integrand(t: float) -> float:
+        lv = kernel.log_eval(t)
+        return 0.0 if lv is None else math.exp(m * lv - shift)
+
+    try:
+        value = math.fsum(expect(law, integrand, interval=(xs[a], xs[b])) for a, b in runs)
+    except OverflowError:
+        raise UnsupportedCriterionError(f"log E[K^m] at m = {m} leaves the float range") from None
+    return math.log(value) + shift if value > 0.0 else -math.inf
 
 
 def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
@@ -565,27 +598,30 @@ class AssumptionReport:
     passed: bool
 
 
-def assumption_holds(model: ModelSpec, k_max: int = 10, tol: float = 1e-12,
-                     grid: int = 401) -> AssumptionReport:
+def assumption_holds(model: ModelSpec, k_max: int = 10) -> AssumptionReport:
     """Evaluate the orbit-averaged correlation moments
     E_{g,g'}[(K - 1)^k] on every atom (or a dense grid) for k <= k_max;
-    nonnegativity of all of them is the certified assumption."""
+    nonnegativity of all of them is the certified assumption.  Under the
+    sign flip the pairs (g, g') reach t and -t twice each, so the average
+    is ((K(t) - 1)^k + (K(-t) - 1)^k) / 2, from K - 1 at t and its mirror."""
+    flip = model.group.order == 2
     if model.is_discrete:
-        points = [v for v, _ in model.law.atoms]
+        tab = model.atom_table
+        points = zip(model.law.values, tab.dev.tolist(), tab.mirror_dev.tolist())
     else:
-        import numpy as np
-
-        lo, hi = model.law.support
-        points = list(np.linspace(lo, hi, grid))
+        kernel = model.kernel
+        grid = list(np.linspace(*model.law.support, _CORRELATION_GRID))
+        dev = [kernel.minus_one(t) for t in grid]
+        points = zip(grid, dev, [kernel.minus_one(-t) for t in grid] if flip else dev)
     min_value = math.inf
     witness = None
-    for t in points:
+    for t, a, b in points:
         for k in range(1, k_max + 1):
-            val = group_avg_check(model.kernel, model.group, t, k)
+            val = math.fsum([a**k, b**k]) / 2 if flip else a**k
             if val < min_value:
                 min_value = val
                 witness = (t, k)
-    passed = min_value >= -tol
+    passed = min_value >= -_CORRELATION_TOL
     return AssumptionReport(min_value, None if passed else witness, k_max, passed)
 
 

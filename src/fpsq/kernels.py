@@ -48,11 +48,12 @@ from fpsq.numerics import (
     normal_pdf,
     normal_quantile,
     symmetric_indicator_coeffs,
-    symmetric_indicator_tail,
+    symmetric_indicator_tail,  # noqa: F401  (the benchmark traces this attribute)
 )
 
 COEFF_TOL = 1e-10  # |nu_i| below this is treated as a vanishing coefficient
 _S_STAR_SCAN = 20  # how many leading coefficients must vanish to flag K = 1
+_PRESERVE_TOL = 1e-12  # mass mismatch GroupSpec.preserves allows between t and -t
 
 
 class SingularityError(ValueError):
@@ -140,19 +141,20 @@ class GroupSpec:
 
     def orbit(self, t: Statistic) -> list[Statistic]:
         """Distinct statistic values in the orbit of t."""
-        if self.kind == "trivial":
-            return [t]
-        return [t] if t == -t else [t, -t]
+        return [t] if self.kind == "trivial" or t == -t else [t, -t]
 
-    def orbit_pairs(self, t: Statistic) -> list[Statistic]:
-        """Statistic values T(g(u), g'(v)) over all (g, g'), with
-        multiplicity: flipping exactly one signal negates a scalar
-        overlap, flipping both restores it."""
+    def mirror(self, values: Sequence[Statistic]) -> tuple[np.ndarray, np.ndarray]:
+        """Per atom of a sorted law, the index of the atom at -t (itself
+        under the trivial group or where no atom sits at -t) and that mask."""
+        own = np.arange(len(values))
         if self.kind == "trivial":
-            return [t]
-        return [t, -t, -t, t]
+            return own, np.zeros(len(values), dtype=bool)
+        v = np.asarray(values, dtype=float)
+        at = np.minimum(np.searchsorted(v, -v), len(v) - 1)
+        lone = v[at] != -v
+        return np.where(lone, own, at), lone
 
-    def preserves(self, law: OverlapLaw, tol: float = 1e-12) -> bool:
+    def preserves(self, law: OverlapLaw) -> bool:
         """Pushforward-equality check of the law under the action."""
         if self.kind == "trivial":
             return True
@@ -160,23 +162,14 @@ class GroupSpec:
             return False
         if law.kind == "discrete":
             table = dict(law.atoms)
-            return all(abs(table.get(-v, 0.0) - p) <= tol for v, p in law.atoms)
+            return all(abs(table.get(-v, 0.0) - p) <= _PRESERVE_TOL for v, p in law.atoms)
         mid = 0.5 * (law.support[0] + law.support[1])
-        return abs(mid) <= tol and abs(law.cdf(-0.3) - (1.0 - law.cdf(0.3))) <= 1e-9
+        return abs(mid) <= _PRESERVE_TOL and abs(law.cdf(-0.3) - (1.0 - law.cdf(0.3))) <= 1e-9
 
 
 def rho_g(kernel: Kernel, group: GroupSpec, t: Statistic) -> float:
-    """Group-maximized kernel deviation max_{g,g'} |K(T(g(u),g'(v))) - 1|."""
-    return max(abs(kernel.minus_one(s)) for s in group.orbit_pairs(t))
-
-
-def group_avg_check(kernel: Kernel, group: GroupSpec, t: Statistic, k: int) -> float:
-    """Orbit-pair average of (K - 1)^k; nonnegativity for all k is the
-    correlation condition certified by assumption_holds."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    vals = [kernel.minus_one(s) ** k for s in group.orbit_pairs(t)]
-    return math.fsum(vals) / len(vals)
+    """Group-maximized kernel deviation max_{g,g'} |K(T(g(u),g'(v))) - 1| over the orbit."""
+    return max(abs(kernel.minus_one(s)) for s in group.orbit(t))
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +374,24 @@ def _chi2_of_mu(mu_spec: dict, num_nodes: int = 400) -> float | None:
         return None
 
 
-def _find_s_star(coeffs: Sequence[float], tol: float) -> int | None:
+def _find_s_star(coeffs: Sequence[float]) -> int | None:
     for i, c in enumerate(coeffs):
-        if i >= 1 and abs(c) > tol:
+        if i >= 1 and abs(c) > COEFF_TOL:
             return i
     return None
 
 
-def ngca_kernel(mu_spec: dict, max_degree: int, tol: float = COEFF_TOL) -> Kernel:
+def ngca_kernel(mu_spec: dict, max_degree: int) -> Kernel:
     """Non-Gaussian component analysis kernel 1 + sum_{i>=s*} nu_i^2 t^i.
 
     extras carry the nu coefficients, the generative exponent s* (first
-    i >= 1 with |nu_i| > tol; None when the leading coefficients all
+    i >= 1 with |nu_i| > COEFF_TOL; None when the leading coefficients all
     vanish, i.e. the planted marginal is Gaussian to this depth).
     """
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
     nu = ngca_nu_coeffs(mu_spec, max_degree)
-    s_star = _find_s_star(nu, tol)
+    s_star = _find_s_star(nu)
     flag = s_star is None and max_degree >= _S_STAR_SCAN
     total = _chi2_of_mu(mu_spec)
     return _series_kernel(
@@ -415,7 +408,7 @@ def ngca_kernel(mu_spec: dict, max_degree: int, tol: float = COEFF_TOL) -> Kerne
     )
 
 
-def si_lambda_coeffs(joint_spec: dict, max_degree: int, tol: float = COEFF_TOL) -> tuple[list[float], int | None]:
+def si_lambda_coeffs(joint_spec: dict, max_degree: int) -> tuple[list[float], int | None]:
     """lambda_i = ||E[h_i(z) | y]||_{mu_y} for the supported links, plus
     the generative exponent s*.
 
@@ -451,13 +444,13 @@ def si_lambda_coeffs(joint_spec: dict, max_degree: int, tol: float = COEFF_TOL) 
         lambdas += [0.0] * max_degree
     else:
         raise ValueError(f"unsupported single-index link {kind!r}")
-    s_star = _find_s_star(lambdas, tol)
+    s_star = _find_s_star(lambdas)
     return lambdas, s_star
 
 
-def si_kernel(joint_spec: dict, max_degree: int, tol: float = COEFF_TOL) -> Kernel:
+def si_kernel(joint_spec: dict, max_degree: int) -> Kernel:
     """Single-index kernel 1 + sum_{i>=s*} lambda_i^2 t^i."""
-    lambdas, s_star = si_lambda_coeffs(joint_spec, max_degree, tol)
+    lambdas, s_star = si_lambda_coeffs(joint_spec, max_degree)
     kind = joint_spec.get("kind")
     totals = {
         "sign": 1.0,  # E_Q[(2 1(y = sign z))^2] - 1
@@ -478,7 +471,7 @@ def si_kernel(joint_spec: dict, max_degree: int, tol: float = COEFF_TOL) -> Kern
     )
 
 
-def slab_kernel(alpha: float, max_degree: int, tail_extend: int = 200_000) -> Kernel:
+def slab_kernel(alpha: float, max_degree: int) -> Kernel:
     """Convex slab truncation: K(rho) = Q(K_u n K_v) / (1-alpha)^2.
 
     Expanding the slab indicator 1(|z| <= kappa) with Phi(kappa) =
@@ -497,7 +490,6 @@ def slab_kernel(alpha: float, max_degree: int, tail_extend: int = 200_000) -> Ke
     series = tuple(
         (i, scale * c * c) for i, c in enumerate(f.coefficients) if i >= 2 and i % 2 == 0
     )
-    coeff_tail = symmetric_indicator_tail(kappa, max_degree, extend_to=tail_extend)
     edge = -math.log1p(-alpha)
 
     def log_fn(t: Statistic) -> float:
@@ -519,7 +511,6 @@ def slab_kernel(alpha: float, max_degree: int, tail_extend: int = 200_000) -> Ke
             "alpha": alpha,
             "kappa": kappa,
             "f_coeffs": f.coefficients,
-            "coeff_tail": coeff_tail,  # declared bound on sum_{i>D} f_i^2
         },
     )
 
@@ -620,14 +611,16 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
 @dataclass(frozen=True)
 class AtomTable:
     """What the discrete criteria read, one entry per atom: p, log p,
-    log K (-inf at exact zeros), K - 1 (as Kernel.minus_one), the orbit
-    index, and the Levels of |<u,v>| (None without a Euclidean overlap),
-    rho_G and |K - 1|."""
+    log K (-inf at exact zeros), K - 1 (as Kernel.minus_one), the mirror
+    (GroupSpec.mirror), K - 1 at -t, the orbit index, and the Levels of
+    |<u,v>| (None without a Euclidean overlap), rho_G and |K - 1|."""
 
     p: np.ndarray
     log_p: np.ndarray
     log_k: np.ndarray
     dev: np.ndarray
+    mirror: np.ndarray
+    mirror_dev: np.ndarray
     orbit: np.ndarray
     orbit_mass: list[float]
     overlap: Levels | None
@@ -636,22 +629,24 @@ class AtomTable:
 
 
 def _atom_table(model: ModelSpec) -> AtomTable:
-    law, kernel, group = model.law, model.kernel, model.group
+    law, kernel = model.law, model.kernel
     values = law.values
     p = np.asarray(law.probs, dtype=float)
     logs = [kernel.log_eval(v) for v in values]
     log_k = np.array([-math.inf if lv is None else lv for lv in logs], dtype=float)
     dev = np.array([_minus_one(lv) for lv in logs], dtype=float)
-    keys: dict = {}  # orbit -> item index, in order of first appearance
-    orbit = np.array([keys.setdefault(v if isinstance(v, tuple) else tuple(sorted(group.orbit(v))),
-                                      len(keys)) for v in values], dtype=np.intp)
-    overlap = None
-    if model.euclid_overlap is not None:
-        overlap = Levels.of([abs(model.euclid_overlap(v)) for v in values], p)
+    mirror, lone = model.group.mirror(values)
+    mirror_dev = dev[mirror]
+    for i in np.flatnonzero(lone):  # no atom at -t (a mass within GroupSpec.preserves' slack)
+        mirror_dev[i] = kernel.minus_one(-values[i])
+    # orbits in order of first appearance, which GFP's tie order follows
+    orbit = np.unique(np.minimum(np.arange(len(values)), mirror), return_inverse=True)[1]
+    overlap = (None if model.euclid_overlap is None
+               else Levels.of([abs(model.euclid_overlap(v)) for v in values], p))
     return AtomTable(
-        p, np.asarray(law.log_probs, dtype=float), log_k, dev, orbit,
-        np.bincount(orbit, weights=p, minlength=len(keys)).tolist(), overlap,
-        Levels.of([rho_g(kernel, group, v) for v in values], p), Levels.of(np.abs(dev), p),
+        p, np.asarray(law.log_probs, dtype=float), log_k, dev, mirror, mirror_dev, orbit,
+        np.bincount(orbit, weights=p).tolist(), overlap,
+        Levels.of(np.maximum(np.abs(dev), np.abs(mirror_dev)), p), Levels.of(np.abs(dev), p),
     )
 
 
@@ -713,8 +708,7 @@ class ModelSpec:
 def _default_group(name: str, law: OverlapLaw, requested: str | None) -> GroupSpec:
     if requested is not None:
         return GroupSpec(requested)
-    sign_models = {"gam", "ngca", "si"}
-    if name in sign_models and GroupSpec("sign_flip").preserves(law):
+    if name in ("gam", "ngca", "si") and GroupSpec("sign_flip").preserves(law):
         return GroupSpec("sign_flip")
     return GroupSpec("trivial")
 
@@ -728,58 +722,34 @@ def build_model(desc: dict) -> ModelSpec:
     if "model" not in desc:
         raise ValueError("model descriptor requires a 'model' field")
     name = desc["model"]
-    group_req = desc.get("group")
     max_degree = int(desc.get("max_degree", 64))
-
+    overlap: Callable[[Statistic], float] | None = float  # the statistic is <u, v> itself
     if name == "gam":
-        law = make_law(desc["prior"])
-        kernel = gam_kernel(float(desc["lambda"]), max_degree=max_degree)
-        group = _default_group("gam", law, group_req)
-        return ModelSpec(name, dict(desc), kernel, law, group, euclid_overlap=lambda t: float(t))
-    if name == "mslr":
-        n, k, sigma2 = int(desc["n"]), int(desc["k"]), float(desc["sigma2"])
-        law = make_law({"kind": "hypergeometric", "n": n, "k": k})
-        kernel = mslr_kernel(k, sigma2)
-        return ModelSpec(name, dict(desc), kernel, law, _default_group("mslr", law, group_req),
-                         euclid_overlap=lambda t: float(t))
-    if name == "ngca":
-        law = make_law(desc["prior"])
-        kernel = ngca_kernel(desc["mu"], max_degree=max_degree)
-        group = _default_group("ngca", law, group_req)
-        return ModelSpec(name, dict(desc), kernel, law, group, euclid_overlap=lambda t: float(t))
-    if name == "si":
-        law = make_law(desc["prior"])
-        kernel = si_kernel(desc["link"], max_degree=max_degree)
-        group = _default_group("si", law, group_req)
-        return ModelSpec(name, dict(desc), kernel, law, group, euclid_overlap=lambda t: float(t))
-    if name == "slab":
-        d = int(desc["d"])
-        law = make_law({"kind": "rademacher_mean", "n": d})
+        law, kernel = make_law(desc["prior"]), gam_kernel(float(desc["lambda"]), max_degree=max_degree)
+    elif name == "mslr":
+        law = make_law({"kind": "hypergeometric", "n": int(desc["n"]), "k": int(desc["k"])})
+        kernel = mslr_kernel(int(desc["k"]), float(desc["sigma2"]))
+    elif name == "ngca":
+        law, kernel = make_law(desc["prior"]), ngca_kernel(desc["mu"], max_degree=max_degree)
+    elif name == "si":
+        law, kernel = make_law(desc["prior"]), si_kernel(desc["link"], max_degree=max_degree)
+    elif name == "slab":
+        law = make_law({"kind": "rademacher_mean", "n": int(desc["d"])})
         kernel = slab_kernel(float(desc["alpha"]), max_degree=int(desc.get("max_degree", 100)))
-        return ModelSpec(name, dict(desc), kernel, law, _default_group("slab", law, group_req),
-                         euclid_overlap=lambda t: float(t))
-    if name == "counterexample":
-        n = int(desc["n"])
-        law = make_law({"kind": "pair_counts", "n": n, "rho_p": float(desc["rho_p"])})
-        kernel = counterexample_kernel(n, float(desc["r"]), float(desc["alpha_c"]))
-        return ModelSpec(name, dict(desc), kernel, law, _default_group(name, law, group_req),
-                         euclid_overlap=lambda t: float(t[2]))
-    if name == "dense_clique":
-        n, k = int(desc["n"]), int(desc["k"])
-        law = make_law({"kind": "hypergeometric", "n": n, "k": k})
-        kernel = dense_clique_kernel(n, float(desc["p"]))
-        return ModelSpec(name, dict(desc), kernel, law, _default_group(name, law, group_req),
-                         euclid_overlap=lambda t: float(t))
-    if name == "dirac":
-        n = int(desc["n"])
-        law = make_law({"kind": "equality", "n": n})
-        kernel = dirac_kernel(n)
-        # the equality indicator does not determine <u, v>: FP undefined
-        return ModelSpec(name, dict(desc), kernel, law, _default_group(name, law, group_req),
-                         euclid_overlap=None)
-    if name == "synthetic":
+    elif name == "counterexample":
+        law = make_law({"kind": "pair_counts", "n": int(desc["n"]), "rho_p": float(desc["rho_p"])})
+        kernel = counterexample_kernel(int(desc["n"]), float(desc["r"]), float(desc["alpha_c"]))
+        overlap = lambda t: float(t[2])  # the agreement count c
+    elif name == "dense_clique":
+        law = make_law({"kind": "hypergeometric", "n": int(desc["n"]), "k": int(desc["k"])})
+        kernel = dense_clique_kernel(int(desc["n"]), float(desc["p"]))
+    elif name == "dirac":
+        law, kernel = make_law({"kind": "equality", "n": int(desc["n"])}), dirac_kernel(int(desc["n"]))
+        overlap = None  # the equality indicator does not determine <u, v>: FP undefined
+    elif name == "synthetic":
         law = make_law({"kind": "atoms", "values": desc["values"], "probs": desc["probs"]})
         kernel = synthetic_kernel(desc["values"], desc["kernel_values"])
-        return ModelSpec(name, dict(desc), kernel, law, _default_group(name, law, group_req),
-                         euclid_overlap=lambda t: float(t))
-    raise ValueError(f"unknown model {name!r}")
+    else:
+        raise ValueError(f"unknown model {name!r}")
+    return ModelSpec(name, dict(desc), kernel, law, _default_group(name, law, desc.get("group")),
+                     euclid_overlap=overlap)

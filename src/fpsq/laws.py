@@ -55,6 +55,9 @@ _REL_TOL = 1e-12
 # monotonicity in |t| that r = g(tau) rests on gets the tighter _REL_TOL.
 _SHAPE_TOL = 1e-9
 _ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
+_EVEN_GRID = 129  # points of [0, hi] in check_even_nondecreasing
+_QUASICONVEX_GRID = 257  # points of the support in check_quasiconvex
+QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature expect runs
 _LN2 = math.log(2.0)
 
 
@@ -175,8 +178,11 @@ def _exact_law(descriptor: dict, numerators: dict, denominator: int) -> OverlapL
 
 
 def _float_law(descriptor: dict, statistic: str, items: list) -> OverlapLaw:
-    """Discrete law from (value, float mass) pairs, sorted by value."""
-    items = sorted(items)
+    """Discrete law from (value, float mass) pairs; equal values merge into one atom."""
+    acc: dict = {}
+    for v, p in items:
+        acc[v] = acc.get(v, 0.0) + p
+    items = sorted(acc.items())
     return OverlapLaw(kind="discrete", statistic=statistic, descriptor=descriptor,
                       values=tuple(v for v, _ in items),
                       masses=tuple(math.frexp(p) for _, p in items))
@@ -231,11 +237,9 @@ def two_point_law(rho_p: float, stat_values: tuple[float, float, float]) -> Over
     if not 0.0 <= rho_p <= 1.0:
         raise ValueError(f"rho_p must lie in [0, 1], got {rho_p}")
     v11, v22, vmix = (float(v) for v in stat_values)
-    acc: dict[float, float] = {}
-    for v, p in ((v11, rho_p * rho_p), (v22, (1 - rho_p) ** 2), (vmix, 2 * rho_p * (1 - rho_p))):
-        acc[v] = acc.get(v, 0.0) + p
+    pairs = ((v11, rho_p * rho_p), (v22, (1 - rho_p) ** 2), (vmix, 2 * rho_p * (1 - rho_p)))
     return _float_law({"kind": "two_point", "rho_p": rho_p, "values": [v11, v22, vmix]},
-                      "scalar", [(v, p) for v, p in acc.items() if p > 0.0])
+                      "scalar", [(v, p) for v, p in pairs if p > 0.0])
 
 
 def pair_counts_law(n: int, rho_p: float) -> OverlapLaw:
@@ -409,13 +413,12 @@ def nondecreasing(vals: list[float], slack: float = _SHAPE_TOL) -> bool:
     return all(b >= a - slack * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
 
 
-def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float],
-                             grid: int = 129) -> ShapeGrid:
+def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float]) -> ShapeGrid:
     """The one shape check on continuous-law transforms: g must be even
-    and nondecreasing in |t|, probed on `grid` points of [0, hi] and
+    and nondecreasing in |t|, probed on _EVEN_GRID points of [0, hi] and
     their mirror images.  Raises ValueError otherwise."""
     hi = law.support[1]
-    xs = [hi * i / (grid - 1) for i in range(grid)]
+    xs = [hi * i / (_EVEN_GRID - 1) for i in range(_EVEN_GRID)]
     vals = [float(g(x)) for x in xs]
     if any(abs(float(g(-x)) - v) > _SHAPE_TOL * max(1.0, abs(v)) for x, v in zip(xs, vals)):
         raise ValueError("continuous-law transforms must be even in t")
@@ -424,13 +427,12 @@ def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float],
     return ShapeGrid(g, xs, vals)
 
 
-def check_quasiconvex(law: OverlapLaw, g: Callable[[float], float],
-                      grid: int = 257) -> tuple[ShapeGrid, ShapeGrid]:
-    """g on `grid` points of the support, read outward from its grid
-    minimum: both sides must be nondecreasing (g quasiconvex).  Raises
-    ValueError otherwise; returns the (left, right) sides."""
+def check_quasiconvex(law: OverlapLaw, g: Callable[[float], float]) -> tuple[ShapeGrid, ShapeGrid]:
+    """g on _QUASICONVEX_GRID points of the support, read outward from
+    its grid minimum: both sides must be nondecreasing (g quasiconvex).
+    Raises ValueError otherwise; returns the (left, right) sides."""
     lo, hi = law.support
-    xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
+    xs = [lo + (hi - lo) * i / (_QUASICONVEX_GRID - 1) for i in range(_QUASICONVEX_GRID)]
     vals = [g(x) for x in xs]
     i0 = vals.index(min(vals))
     sides = (ShapeGrid(g, xs[i0::-1], vals[i0::-1]), ShapeGrid(g, xs[i0:], vals[i0:]))
@@ -540,12 +542,12 @@ class AtomEvaluationError(ValueError):
 def expect(
     law: OverlapLaw,
     f: Callable[[Statistic], float],
-    rel_tol: float = 1e-10,
     interval: tuple[float, float] | None = None,
 ) -> float:
     """E[f(T)]: exact weighted sum for discrete laws, adaptive quadrature
-    for continuous ones; there `interval` = (lo, hi) restricts the
-    integral to E[f(T) 1(lo <= T <= hi)]."""
+    (relative tolerance QUAD_REL_TOL) for continuous ones; there
+    `interval` = (lo, hi) restricts the integral to
+    E[f(T) 1(lo <= T <= hi)]."""
     if law.kind == "discrete":
         if interval is not None:
             raise ValueError("expect: interval applies to continuous laws only")
@@ -564,7 +566,7 @@ def expect(
         if hi <= lo:
             return 0.0
     value, _ = integrate.quad(
-        lambda t: f(t) * law.pdf(t), lo, hi, epsrel=rel_tol, epsabs=1e-14, limit=400
+        lambda t: f(t) * law.pdf(t), lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400
     )
     return float(value)
 

@@ -30,6 +30,8 @@ from fpsq.laws import sample as law_sample
 from fpsq.laws import threshold_sup
 from fpsq.numerics import gauss_hermite_rule, normal_cdf
 
+_MC_CHUNK = 250_000  # Monte Carlo draws per vectorized batch
+
 
 class ResourceLimitError(ValueError):
     """The requested exact computation exceeds the oracle's size limit."""
@@ -60,7 +62,6 @@ def mc_kernel_mslr(
     v: np.ndarray,
     num_samples: int = 1_000_000,
     seed: int = 0,
-    chunk: int = 250_000,
 ) -> OracleEstimate:
     """Monte Carlo estimate of <L_u, L_v>_Q for mixed sparse linear
     regression: draw (x, y) ~ Q and average L_u(x, y) L_v(x, y) with
@@ -94,7 +95,7 @@ def mc_kernel_mslr(
     total_sq = 0.0
     done = 0
     while done < num_samples:
-        size = min(chunk, num_samples - done)
+        size = min(_MC_CHUNK, num_samples - done)
         x = rng.standard_normal((size, support.size))
         y = rng.standard_normal(size)
         vals = l_ratio(x @ u_s, y) * l_ratio(x @ v_s, y)

@@ -22,7 +22,7 @@ from fpsq.criteria import (
     sq_value,
 )
 from fpsq.kernels import build_model, slab_kernel
-from fpsq.numerics import normal_quantile
+from fpsq.numerics import normal_quantile, symmetric_indicator_tail
 from fpsq.oracles import bvn_rectangle, enum_kernel_counterexample, quad_kernel_ngca
 from fpsq.scenarios import builtin_models, equivalence_suite, kernel_table
 
@@ -133,7 +133,7 @@ class TestCriterion03SlabParseval:
         for alpha in (0.05, 0.1, 0.3):
             kernel = slab_kernel(alpha, 100)
             partial = math.fsum(c * c for c in kernel.extras["f_coeffs"][1:])
-            declared_tail = kernel.extras["coeff_tail"]
+            declared_tail = symmetric_indicator_tail(kernel.extras["kappa"], 100)
             gap = abs(partial - alpha * (1.0 - alpha))
             ok = ok and gap <= 1e-6 + declared_tail
             details.append(f"alpha={alpha}: gap {gap:.2e} vs tail {declared_tail:.2e}")

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsq.cli import EXIT_PASS, main, read_rows
-from fpsq.criteria import chi_squared, gfp_value, log_moment
-from fpsq.kernels import build_model
+from cli_rows import read_rows
+from fpsq.cli import EXIT_PASS, main
+from fpsq.criteria import assumption_holds, chi_squared, gfp_value, log_moment
+from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model, gam_kernel, rho_g
 from fpsq.laws import make_law
 
 mpmath.mp.dps = 50
@@ -111,6 +112,35 @@ class TestUnderflowedMasses:
         want = n * math.log(math.cosh(s / n))
         assert log_moment(gam_rademacher(n, lam), m) == pytest.approx(want, rel=1e-12)
         assert chi_squared(gam_rademacher(n, lam), m) == pytest.approx(math.expm1(want), rel=1e-12)
+
+
+class TestMirror:
+    """The sign flip as a mirror index: one kernel evaluation per atom,
+    plus one at -t for an atom with no atom at -t."""
+
+    def test_lone_atom_evaluates_its_negation_once(self):
+        calls = []
+        gam = gam_kernel(1.0)
+        kernel = Kernel("gam", "scalar", lambda t: calls.append(float(t)) or gam.log_eval(t))
+        # 0.7 has no mirror atom; its mass sits within GroupSpec.preserves' slack
+        law = make_law({"kind": "atoms", "values": [-0.5, 0.5, 0.7], "probs": [0.5, 0.5 - 1e-13, 1e-13]})
+        group = GroupSpec("sign_flip")
+        model = ModelSpec("lone", {}, kernel, law, group, euclid_overlap=float)
+        tab = model.atom_table
+        assert calls == [-0.5, 0.5, 0.7, -0.7]
+        assert tab.mirror.tolist() == [1, 0, 2]
+        assert tab.orbit.tolist() == [0, 0, 1]  # the lone atom keeps its own orbit
+        assert tab.mirror_dev.tolist() == [math.expm1(0.5), math.expm1(-0.5), math.expm1(-0.7)]
+        assert tab.rho.at.tolist() == [rho_g(gam, group, t) for t in law.values]
+        assert tab.rho.at[2] == math.expm1(0.7)
+        rep = assumption_holds(model, k_max=3)
+        want = min(math.fsum([math.expm1(t) ** k, math.expm1(-t) ** k]) / 2
+                   for t in law.values for k in (1, 2, 3))
+        assert rep.min_value == want and rep.passed
+
+    def test_equal_atoms_merge_into_one(self):
+        law = make_law({"kind": "atoms", "values": [0.5, -1.0, 0.5], "probs": [0.25, 0.5, 0.25]})
+        assert law.values == (-1.0, 0.5) and law.probs == (0.5, 0.5)
 
 
 class TestGfpLogValues:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from cli_rows import read_rows
 from fpsq.cli import (
     CSV_COLUMNS,
     EXIT_ASSERTION,
@@ -17,7 +18,6 @@ from fpsq.cli import (
     config_hash,
     main,
     parse_grid,
-    read_rows,
 )
 
 

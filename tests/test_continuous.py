@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from fpsq.cli import main
 from fpsq.criteria import (
     UnsupportedCriterionError,
     chi_squared,
     fp_value,
     gfp_value,
     ld_samplewise,
+    log_moment,
     rho_fp_value,
     sq_value,
     usq_hard,
@@ -297,3 +299,22 @@ def test_sq_large_q_vs_mpmath():
     rep = sq_value(model, q, 5)
     assert rep.threshold.threshold == pytest.approx(want_level, rel=1e-13)
     assert rep.value == pytest.approx(want_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1000, 10_000, 1_000_000])
+def test_chi2_log_beyond_float_range_vs_bessel(m):
+    # E[exp(s T)] on sphere_law(n) is Gamma(n/2) (2/s)^nu I_nu(s), nu = n/2 - 1;
+    # at m = 10^6 the integrand is a peak of width ~2e-5 at the edge
+    n, s = 50, mp.mpf(m)  # gam-sphere: lambda = 1, so s = m
+    with mp.workdps(50):
+        nu = mp.mpf(n) / 2 - 1
+        want = float(mp.loggamma(mp.mpf(n) / 2) + nu * mp.log(2 / s) + mp.log(mp.besseli(nu, s)))
+    model = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
+    assert chi_squared(model, m) == math.inf
+    assert log_moment(model, m) == pytest.approx(want, rel=1e-12)
+
+
+def test_chi2_overflow_row_is_finite(capsys):
+    assert main(["criterion", "--model", "gam-sphere", "--criterion", "chi2", "--m", "1000"]) == 0
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert row[7:] == ["900.9733136327841", "", "quadrature+overflow-log", repr(1e-10 * 900.9733136327841)]

@@ -27,9 +27,33 @@ def dense_clique_log_moment(n, k, p, m):
     return top + mpmath.log(mpmath.fsum(mpmath.exp(t - top) for t in terms))
 
 
+def si_sign_sparse_sq(n, k, max_degree, q):
+    """(threshold, achieved mass, value) of SQ for the sign-link
+    single-index kernel on the signed k-sparse law: the truncated series
+    in mpmath (lambda_i^2 = (2/pi) ((i-2)!!)^2 / i! for odd i), where
+    the mirror levels |K(+-t) - 1| are exactly equal, and masses from
+    exact binomials."""
+    coeffs = {i: 2 / mpmath.pi * mpmath.fac2(i - 2) ** 2 / mpmath.factorial(i)
+              for i in range(1, max_degree + 1, 2)}
+    mass = {}  # |j| -> P(|<u,v>| = |j| / k), a mixture over the intersection size
+    for ell in range(k + 1):
+        w = mpmath.binomial(k, ell) * mpmath.binomial(n - k, k - ell) / mpmath.binomial(n, k)
+        for b in range(ell + 1):
+            j = abs(2 * b - ell)
+            mass[j] = mass.get(j, 0) + w * mpmath.binomial(ell, b) / mpmath.mpf(2) ** ell
+    level = {j: abs(mpmath.fsum(c * (mpmath.mpf(j) / k) ** i for i, c in coeffs.items()))
+             for j in mass}
+    top, acc = mpmath.mpf(0), mpmath.mpf(0)
+    for j in sorted(mass, key=lambda j: -level[j]):  # whole levels, highest first
+        top += level[j] * mass[j]
+        acc += mass[j]
+        if acc >= mpmath.mpf(q) ** -2:
+            return level[j], acc, top / acc
+
+
 # Rows recorded as +inf: chi^2 beyond the float range now reports the
 # log of E[K^m] under the overflow-log tag (the old rows had an infinite log).
-FIXED = {
+OVERFLOW_FIXED = {
     "dense-clique-desk|chi2|q=None|m=200": [
         None, None, float(dense_clique_log_moment(400, 8, mpmath.mpf("0.8"), 200)),
         "", "exact-sum+overflow-log"],
@@ -38,6 +62,23 @@ FIXED = {
         None, None, float(20 * 200 * mpmath.log(2) - mpmath.log(math.comb(20, 18))),
         "", "exact-sum+overflow-log"],
 }
+
+def sq_tie_rows() -> dict:
+    """SQ rows whose boundary level has a mirror level one ulp away: the
+    two count as one level now, so SQ conditions on their joint tail
+    mass (the old rows conditioned on the higher level alone)."""
+    rows = {}
+    for q in (2.0, 3.0, 20.0):
+        thr, mass, value = (float(x) for x in si_sign_sparse_sq(40, 6, 40, q))
+        for m in (1, 2, 5, 20, 200):
+            rows[f"si-sign-sparse|sq|q={q!r}|m={m}"] = [
+                thr, mass, value, "hard" if value <= 1.0 / m else "not-hard", "exact-sum"]
+    return rows
+
+
+SQ_TIE_FIXED = sq_tie_rows()
+
+FIXED = {**OVERFLOW_FIXED, **SQ_TIE_FIXED}
 
 
 def same(a, b) -> bool:
@@ -78,5 +119,10 @@ def test_rows_match_golden(rows, golden):
 
 
 def test_fixed_rows_were_infinite(golden):
-    for key in FIXED:
+    for key in OVERFLOW_FIXED:
         assert golden[key][2] == math.inf
+
+
+def test_fixed_sq_rows_conditioned_on_one_mirror_level(golden):
+    for key, want in SQ_TIE_FIXED.items():
+        assert golden[key][1] < want[1]

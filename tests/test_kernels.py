@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fpsq.criteria import assumption_holds
 from fpsq.kernels import (
     GroupSpec,
     ModelSpec,
@@ -14,7 +15,6 @@ from fpsq.kernels import (
     dense_clique_kernel,
     dirac_kernel,
     gam_kernel,
-    group_avg_check,
     mslr_kernel,
     ngca_kernel,
     rho_g,
@@ -24,6 +24,21 @@ from fpsq.kernels import (
     synthetic_kernel,
 )
 from fpsq.laws import make_law
+
+
+def orbit_model(kernel, group, points):
+    """The kernel on a uniform law over the points (and, under the sign
+    flip, their negations)."""
+    values = sorted(set(points) | ({-t for t in points} if group.order == 2 else set()))
+    law = make_law({"kind": "atoms", "values": values, "probs": [1.0 / len(values)] * len(values)})
+    return ModelSpec("orbit", {}, kernel, law, group)
+
+
+def orbit_pair_average(kernel, group, t, k):
+    """Mean of (K - 1)^k over the statistic values T(gu, g'v), (g, g')
+    ranging over the group pairs: flipping one signal negates t."""
+    pairs = [t] if group.order == 1 else [t, -t, -t, t]
+    return math.fsum((kernel.eval(s) - 1.0) ** k for s in pairs) / len(pairs)
 
 
 class TestGamKernel:
@@ -258,14 +273,17 @@ class TestGroups:
     def test_trivial_orbit(self):
         g = GroupSpec("trivial")
         assert g.orbit(0.3) == [0.3]
-        assert g.orbit_pairs(0.3) == [0.3]
         assert g.order == 1
+        mirror, lone = g.mirror([-0.5, 0.0, 0.5])
+        assert mirror.tolist() == [0, 1, 2] and not lone.any()
 
     def test_sign_flip_orbit(self):
         g = GroupSpec("sign_flip")
         assert set(g.orbit(0.3)) == {0.3, -0.3}
         assert g.orbit(0.0) == [0.0]
-        assert sorted(g.orbit_pairs(0.5)) == [-0.5, -0.5, 0.5, 0.5]
+        mirror, lone = g.mirror([-0.5, 0.0, 0.5, 0.7])
+        assert mirror.tolist() == [2, 1, 0, 3]  # no atom at -0.7: the atom indexes itself
+        assert lone.tolist() == [False, False, False, True]
 
     def test_sign_flip_preserves_symmetric_law(self):
         g = GroupSpec("sign_flip")
@@ -291,11 +309,9 @@ class TestGroups:
             assert rho_g(k, g, t) == pytest.approx(rho_g(k, g, -t), rel=1e-14)
 
     def test_group_average_cosh_bound(self):
-        k = gam_kernel(1.0)
-        g = GroupSpec("sign_flip")
-        got = group_avg_check(k, g, -0.5, 1)
-        assert got == pytest.approx(math.cosh(0.5) - 1.0, rel=1e-13)
-        assert got > 0.0
+        rep = assumption_holds(orbit_model(gam_kernel(1.0), GroupSpec("sign_flip"), [-0.5]), k_max=1)
+        assert rep.min_value == pytest.approx(math.cosh(0.5) - 1.0, rel=1e-13)
+        assert rep.min_value > 0.0 and rep.passed
 
     def test_group_average_nonneg_propagates_to_higher_orders(self):
         # with the trivial or sign-flip action, nonnegativity at k = 1
@@ -306,12 +322,16 @@ class TestGroups:
             (mslr_kernel(5, 1.0), GroupSpec("trivial")),
         ]
         for kernel, group in kernels:
-            for t in np.linspace(-0.9, 0.9, 13):
-                if kernel.domain == "scalar" and kernel.name == "mslr":
-                    t = abs(t) * 5
-                assert group_avg_check(kernel, group, float(t), 1) >= -1e-13
-                for k_ord in range(2, 11):
-                    assert group_avg_check(kernel, group, float(t), k_ord) >= -1e-13
+            ts = np.linspace(-0.9, 0.9, 13)
+            if kernel.name == "mslr":
+                ts = np.abs(ts) * 5
+            model = orbit_model(kernel, group, ts.tolist())
+            for k_max in (1, 10):
+                rep = assumption_holds(model, k_max=k_max)
+                want = min(orbit_pair_average(kernel, group, t, k)
+                           for t in model.law.values for k in range(1, k_max + 1))
+                assert rep.min_value == pytest.approx(want, rel=1e-9, abs=1e-14)
+                assert rep.min_value >= -1e-13 and rep.passed
 
     def test_ngca_sign_flip_average_keeps_even_terms(self):
         kernel = ngca_kernel({"kind": "gaussian", "mean": 0.4, "var": 1.3}, 40)
@@ -320,8 +340,9 @@ class TestGroups:
         for t in (0.35, -0.6):
             want = math.fsum(nu[i] ** 2 * t**i for i in range(2, 41, 2) )
             # odd terms cancel in the orbit average at k = 1
-            assert group_avg_check(kernel, g, t, 1) == pytest.approx(want, rel=1e-10, abs=1e-12)
-            assert group_avg_check(kernel, g, t, 1) >= 0.0
+            got = assumption_holds(orbit_model(kernel, g, [t]), k_max=1).min_value
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+            assert got >= 0.0
 
 
 class TestModelAssembly:
