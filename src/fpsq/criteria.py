@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fpsq.kernels import ModelSpec
+from fpsq.kernels import ModelSpec, SingularityError
 from fpsq.laws import (
     AtomEvaluationError,
     ShapeGrid,
@@ -45,6 +45,7 @@ from fpsq.laws import (
     crossing,
     expect,
     find_root,
+    quad,
     threshold_sup,  # noqa: F401  (stays importable from this module)
 )
 from fpsq.numerics import log_sum_exp
@@ -54,8 +55,7 @@ _MAX_EXACT_ORBITS = 64  # GFP orbit items beyond this take the greedy brackets
 _BNB_NODES = 20_000  # branch-and-bound node budget; then the greedy brackets
 _CORRELATION_TOL = 1e-12  # assumption_holds passes at a minimum >= -this
 _CORRELATION_GRID = 401  # points of the continuous support assumption_holds probes
-_LOG_SHIFT_GRID = 257  # evenly spaced points of the support log_moment scans for its shift
-_LOG_DROP = 60.0  # log_moment integrates where the scan is within e^-this of its peak
+_LOG_DROP = 60.0  # _event_integral integrates where the table is within e^-this of its peak
 
 
 class UnsupportedCriterionError(ValueError):
@@ -117,19 +117,34 @@ def _event_value(log_terms: np.ndarray) -> tuple[float, float]:
     return _exp(lv), lv
 
 
-def _continuous_event(model: ModelSpec, m: int, mass: float, shape: ShapeGrid,
-                      strict: bool = False) -> tuple[ThresholdResult, float, float]:
-    """(threshold, value, log_value) of E[K^m 1(|T| <= h)] on the
-    continuous law, with the threshold and half-width h from abs_event;
-    the one quadrature behind continuous FP, rho_G-FP and GFP."""
-    thr, half = abs_event(model.law, mass, shape, strict)
+def _event_integral(model: ModelSpec, m: int, h: float) -> tuple[float, float]:
+    """(value, log_value) of E[K^m 1(|T| <= h)] on the continuous law: M + log
+    of the integral of exp(m log K + log pdf - M), M the largest exponent at
+    +-h and at the grid points between, over the stretches within
+    e^-_LOG_DROP of M (so a narrow peak is found).  UnsupportedCriterionError
+    if the shifted integrand still overflows."""
+    law, kernel, (log_k, _, log_pdf) = model.law, model.kernel, model.kernel_table
 
-    def integrand(t: float) -> float:
-        lv = model.kernel.log_eval(t)
-        return 0.0 if lv is None else math.exp(m * lv)
+    def exponent(t: float) -> float:  # -inf at exact zeros and at the support's ends
+        lv = kernel.log_eval(t) if abs(t) < law.support[1] else None
+        return -math.inf if lv is None else m * lv + law.log_pdf(t)
 
-    value = expect(model.law, integrand, interval=(-half, half))
-    return thr, value, (math.log(value) if value > 0.0 else -math.inf)
+    i = int(np.searchsorted(law.grid, -h, side="right"))  # grid[i:-i] lies in (-h, h)
+    xs = [-h, *law.grid[i:-i], h]
+    vals = np.r_[exponent(-h), m * log_k[i:-i] + log_pdf[i:-i], exponent(h)]
+    shift = float(vals.max())
+    if shift == -math.inf:
+        return 0.0, -math.inf
+    near = np.flatnonzero(vals >= shift - _LOG_DROP)
+    gap = np.flatnonzero(np.diff(near) > 2)  # runs of near points, widened by a point each side
+    runs = np.clip(np.c_[near[np.r_[0, gap + 1]] - 1, near[np.r_[gap, -1]] + 1], 0, len(xs) - 1)
+    try:
+        value = math.fsum(quad(lambda t: math.exp(exponent(t) - shift), xs[a], xs[b])
+                          for a, b in runs)
+    except OverflowError:
+        raise UnsupportedCriterionError(f"log E[K^m] at m = {m} leaves the float range") from None
+    lv = math.log(value) + shift if value > 0.0 else -math.inf
+    return _exp(lv), lv
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +173,8 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
         value, lv = _event_value(m * tab.log_k[keep] + tab.log_p[keep])
         method = "exact-sum"
     else:
-        thr, value, lv = _continuous_event(model, m, mass, model.overlap_grid)
+        thr, half = abs_event(model.law, mass, model.overlap_grid)
+        value, lv = _event_integral(model, m, half)
         method = "quadrature"
     return CriterionReport("FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -173,12 +189,12 @@ def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Cr
         check_mass(mass)
         tab = model.atom_table
         thr = tab.rho.threshold(mass)
-        rho = tab.rho.at
-        keep = (rho < thr.threshold) & ~_le(thr.threshold, rho)
+        keep = tab.rho.at < thr.threshold * (1.0 - _REL)
         value, lv = _event_value(m * tab.log_k[keep] + tab.log_p[keep])
         method = "exact-sum"
     else:
-        thr, value, lv = _continuous_event(model, m, mass, model.rho_grid, strict=True)
+        thr, half = abs_event(model.law, mass, model.rho_grid, strict=True)
+        value, lv = _event_integral(model, m, half)
         method = "quadrature"
     return CriterionReport("RHO_FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -328,24 +344,26 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     Continuous laws: the optimal symmetric event is the complement of a
     top superlevel set of the orbit-averaged m-sample kernel.  When that
     average is even and nondecreasing in |t| (the grid check shared with
-    the thresholds) the event is {|T| < tau} with P(|T| >= tau) = q^{-2}
-    exactly; any other shape is refused, because a one-sided event can
-    then do better.
+    the thresholds, run on its log over the kernel table) the event is
+    {|T| < tau} with P(|T| >= tau) = q^{-2} exactly; any other shape is
+    refused, because a one-sided event can then do better.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     mass = _require_q(q, 1.0, "GFP")
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if not model.is_discrete:
+        lk = m * model.kernel_table[0]  # log K^m; power: log of its average over the orbit
+        power = np.logaddexp(lk, lk[::-1]) - math.log(2.0) if model.group.order == 2 else lk
         try:
-            check_even_nondecreasing(model.law, _orbit_averaged_power(model, m))
+            check_even_nondecreasing(model.law, None, power.tolist())
         except ValueError as exc:
             raise UnsupportedCriterionError(
                 f"continuous GFP requires the orbit-averaged kernel power to be even and "
                 f"nondecreasing in |t| ({exc}); use a discrete law for this kernel"
             ) from None
-        shape = check_even_nondecreasing(model.law, abs)
-        thr, value, lv = _continuous_event(model, m, mass, shape)
+        thr, half = abs_event(model.law, mass)
+        value, lv = _event_integral(model, m, half)
         return CriterionReport(
             "GFP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), "quadrature",
             {"optimizer": "superlevel-set"},
@@ -379,17 +397,6 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method, detail)
 
 
-def _orbit_averaged_power(model: ModelSpec, m: int):
-    def avg(t: float) -> float:
-        vals = []
-        for s in model.group.orbit(float(t)):
-            lv = model.kernel.log_eval(s)
-            vals.append(0.0 if lv is None else math.exp(min(m * lv, 709.0)))
-        return math.fsum(vals) / len(vals)
-
-    return avg
-
-
 # ---------------------------------------------------------------------------
 # SQ / USQ
 # ---------------------------------------------------------------------------
@@ -417,6 +424,8 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
     else:
         try:
             sides = model.deviation_sides
+        except SingularityError:
+            raise
         except ValueError:
             raise UnsupportedCriterionError(
                 "continuous SQ needs |K - 1| quasiconvex on the support"
@@ -440,8 +449,8 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
 def _superlevel(law, sides: tuple[ShapeGrid, ShapeGrid], mass: float):
     """Level c and crossings (t_left, t_right) such that the superlevel
     event {g(T) >= c} = {T <= t_left} u {T >= t_right} has probability
-    `mass`, for g quasiconvex on the support with the checked grid
-    sides of check_quasiconvex: the shape of |K - 1| for every built-in
+    `mass`, for g quasiconvex on the support with the checked grid sides
+    of ModelSpec.deviation_sides: the shape of |K - 1| for every built-in
     continuous-law kernel.  A crossing is None when g stays below c on
     that side."""
     check_mass(mass)
@@ -524,39 +533,15 @@ def chi_squared(model: ModelSpec, m: int) -> float:
 
 def log_moment(model: ModelSpec, m: int) -> float:
     """log E[K(T)^m] = log(1 + chi^2), finite where chi_squared overflows:
-    a log-sum-exp over the atom table, or on the continuous law M + log
-    E[exp(m log K(T) - M)], M the largest m log K(t) + log pdf(t) on a
-    grid that also approaches each end geometrically, integrated over the
-    stretches of the grid within e^-_LOG_DROP of M (so a narrow peak is
-    found).  Below the float range log1p(chi_squared) is more precise."""
+    a log-sum-exp over the atom table, or _event_integral over the
+    continuous support.  Below the float range log1p(chi_squared) is more
+    precise."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if model.is_discrete:
         tab = model.atom_table
         return _event_value(m * tab.log_k + tab.log_p)[1]
-    law, kernel = model.law, model.kernel
-    lo, hi = law.support
-    edge = hi * (1.0 - 2.0 ** -np.arange(1.0, 53.0))
-    xs = np.unique(np.concatenate([np.linspace(lo, hi, _LOG_SHIFT_GRID), edge, -edge])).tolist()
-    vals = []
-    for t in xs:  # m log K + log pdf, -inf at the ends and at zeros
-        lv = kernel.log_eval(t) if lo < t < hi else None
-        density = 0.0 if lv is None else law.pdf(t)
-        vals.append(m * lv + math.log(density) if density > 0.0 else -math.inf)
-    shift = max(vals)
-    near = np.flatnonzero(np.asarray(vals) >= shift - _LOG_DROP)
-    gap = np.flatnonzero(np.diff(near) > 2)  # runs of near points, widened by a point each side
-    runs = zip(near[np.r_[0, gap + 1]] - 1, near[np.r_[gap, -1]] + 1)
-
-    def integrand(t: float) -> float:
-        lv = kernel.log_eval(t)
-        return 0.0 if lv is None else math.exp(m * lv - shift)
-
-    try:
-        value = math.fsum(expect(law, integrand, interval=(xs[a], xs[b])) for a, b in runs)
-    except OverflowError:
-        raise UnsupportedCriterionError(f"log E[K^m] at m = {m} leaves the float range") from None
-    return math.log(value) + shift if value > 0.0 else -math.inf
+    return _event_integral(model, m, model.law.support[1])[1]
 
 
 def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:

@@ -17,11 +17,11 @@ through the overlap statistic of the signal pair:
 - dense planted clique:         K(ell) = p^{-C(ell,2)}
 - Dirac:                        K = 2^n on the diagonal, exactly 0 off it.
 
-Kernels are exposed in log space.  Exact zeros (the Dirac off-diagonal)
-are represented by log_eval returning None rather than -inf so that
-criteria can short-circuit to exact 0.  Group actions on the statistic
-(trivial or Z_2 sign flip) provide the orbits behind rho_G and the
-correlation-inequality averages.
+Kernels are exposed in log space.  Exact zeros (the Dirac off-diagonal,
+a truncated series summing to 0) are represented by log_eval returning
+None rather than -inf so that criteria can short-circuit to exact 0.
+Group actions on the statistic (trivial or Z_2 sign flip) provide the
+orbits behind rho_G and the correlation-inequality averages.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from fpsq.laws import (
     ShapeGrid,
     Statistic,
     check_even_nondecreasing,
-    check_quasiconvex,
     make_law,
+    nondecreasing,
 )
 from fpsq.numerics import (
     gauss_hermite_rule,
@@ -238,12 +238,12 @@ def _series_kernel(
         (i, c) for i, c in enumerate(coeffs_sq) if i >= 1 and c > 0.0 and (s_star is None or i >= s_star)
     )
 
-    def log_fn(t: Statistic) -> float:
+    def log_fn(t: Statistic) -> float | None:
         x = float(t)
         acc = math.fsum(c * x**i for i, c in series)
-        if acc <= -1.0:
-            raise ArithmeticError(f"{name} series evaluated below -1 at t={t}")
-        return math.log1p(acc)
+        if acc < -1.0:
+            raise SingularityError(f"{name} kernel series is negative at t = {t}")
+        return None if acc == -1.0 else math.log1p(acc)
 
     return Kernel(
         name=name,
@@ -632,9 +632,7 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     law, kernel = model.law, model.kernel
     values = law.values
     p = np.asarray(law.probs, dtype=float)
-    logs = [kernel.log_eval(v) for v in values]
-    log_k = np.array([-math.inf if lv is None else lv for lv in logs], dtype=float)
-    dev = np.array([_minus_one(lv) for lv in logs], dtype=float)
+    log_k, dev, log_p = model.kernel_table
     mirror, lone = model.group.mirror(values)
     mirror_dev = dev[mirror]
     for i in np.flatnonzero(lone):  # no atom at -t (a mass within GroupSpec.preserves' slack)
@@ -644,7 +642,7 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     overlap = (None if model.euclid_overlap is None
                else Levels.of([abs(model.euclid_overlap(v)) for v in values], p))
     return AtomTable(
-        p, np.asarray(law.log_probs, dtype=float), log_k, dev, mirror, mirror_dev, orbit,
+        p, log_p, log_k, dev, mirror, mirror_dev, orbit,
         np.bincount(orbit, weights=p).tolist(), overlap,
         Levels.of(np.maximum(np.abs(dev), np.abs(mirror_dev)), p), Levels.of(np.abs(dev), p),
     )
@@ -660,8 +658,8 @@ class ModelSpec:
     when the statistic does not determine <u, v>).
 
     The per-model work that no (q, m) changes is cached on first use:
-    the atom table of a discrete law and, on the continuous law, the
-    checked grids of |<u,v>|, rho_G and |K - 1|.
+    the kernel table, the atom table of a discrete law and, on the
+    continuous law, the checked grids of |<u,v>|, rho_G and |K - 1|.
     """
 
     name: str
@@ -692,17 +690,38 @@ class ModelSpec:
         return _atom_table(self)
 
     @cached_property
+    def kernel_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The model's one pass of Kernel.log_eval: log K (-inf at exact
+        zeros), K - 1 and log p at each atom of a discrete law, or at each
+        point of law.grid with the log density in place of log p."""
+        law = self.law
+        points = law.values if self.is_discrete else law.grid
+        logs = [self.kernel.log_eval(t) for t in points]
+        return (np.array([-math.inf if lv is None else lv for lv in logs], dtype=float),
+                np.array([_minus_one(lv) for lv in logs], dtype=float),
+                np.array(law.log_probs if self.is_discrete else [*map(law.log_pdf, points)]))
+
+    @cached_property
     def overlap_grid(self) -> ShapeGrid:
         overlap = self.euclid_overlap
         return check_even_nondecreasing(self.law, lambda t: abs(overlap(t)))
 
     @cached_property
     def rho_grid(self) -> ShapeGrid:
-        return check_even_nondecreasing(self.law, self.rho_g)
+        dev = np.abs(self.kernel_table[1])  # rho_G is the larger of |K - 1| at t and at -t
+        return check_even_nondecreasing(self.law, self.rho_g, np.maximum(
+            dev, dev[::-1] if self.group.order == 2 else dev).tolist())
 
     @cached_property
     def deviation_sides(self) -> tuple[ShapeGrid, ShapeGrid]:
-        return check_quasiconvex(self.law, lambda t: abs(self.kernel.minus_one(t)))
+        """|K - 1| on law.grid, read outward from its minimum; ValueError unless quasiconvex."""
+        xs, vals = self.law.grid, np.abs(self.kernel_table[1]).tolist()
+        g = lambda t: abs(self.kernel.minus_one(t))  # for root-finding between grid points
+        i0 = vals.index(min(vals))
+        sides = (ShapeGrid(g, xs[i0::-1], vals[i0::-1]), ShapeGrid(g, xs[i0:], vals[i0:]))
+        if not all(nondecreasing(side.vals) for side in sides):
+            raise ValueError("|K - 1| is not quasiconvex on the support")
+        return sides
 
 
 def _default_group(name: str, law: OverlapLaw, requested: str | None) -> GroupSpec:

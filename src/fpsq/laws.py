@@ -55,9 +55,8 @@ _REL_TOL = 1e-12
 # monotonicity in |t| that r = g(tau) rests on gets the tighter _REL_TOL.
 _SHAPE_TOL = 1e-9
 _ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
-_EVEN_GRID = 129  # points of [0, hi] in check_even_nondecreasing
-_QUASICONVEX_GRID = 257  # points of the support in check_quasiconvex
-QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature expect runs
+_GRID = 257  # evenly spaced points of OverlapLaw.grid, which is symmetric about 0
+QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature (quad)
 _LN2 = math.log(2.0)
 
 
@@ -95,7 +94,7 @@ class OverlapLaw:
     descriptor: dict
     values: tuple = ()
     masses: tuple = ()
-    _pdf: Callable[[float], float] | None = None
+    _log_pdf: Callable[[float], float] | None = None
     _cdf: Callable[[float], float] | None = None
     _ppf: Callable[[float], float] | None = None
     support: tuple[float, float] = (0.0, 0.0)
@@ -123,16 +122,26 @@ class OverlapLaw:
         """Atom masses as floats (0.0 below the float range)."""
         return tuple(math.ldexp(f, e) for f, e in self.masses)
 
+    @cached_property
+    def grid(self) -> list[float]:
+        """The continuous support's one grid: _GRID even points and 1 - 2^-k to each end."""
+        lo, hi = self.support
+        edge = hi * (1.0 - 2.0 ** -np.arange(1.0, 53.0))
+        return np.unique(np.concatenate([np.linspace(lo, hi, _GRID), edge, -edge])).tolist()
+
     @property
     def atoms(self) -> list[tuple[Statistic, float]]:
         if self.kind != "discrete":
             raise ValueError("atoms are only defined for discrete laws")
         return list(zip(self.values, self.probs))
 
-    def pdf(self, t: float) -> float:
-        if self._pdf is None:
+    def log_pdf(self, t: float) -> float:
+        if self._log_pdf is None:
             raise ValueError("law has no density")
-        return self._pdf(t)
+        return self._log_pdf(t)
+
+    def pdf(self, t: float) -> float:
+        return math.exp(self.log_pdf(t))
 
     def cdf(self, t: float) -> float:
         if self._cdf is None:
@@ -289,13 +298,13 @@ def sphere_law(n: int) -> OverlapLaw:
     # log of 1 / (2^{n-2} B(a, a)), the density's normalizing constant
     log_norm = -(n - 2) * math.log(2.0) - (2.0 * math.lgamma(a) - math.lgamma(2.0 * a))
 
-    def pdf(t: float) -> float:
+    def log_pdf(t: float) -> float:
         s = (1.0 - t) * (1.0 + t)
         if s > 0.0:
-            return math.exp((a - 1.0) * math.log(s) + log_norm)
+            return (a - 1.0) * math.log(s) + log_norm
         if s < 0.0 or a > 1.0:
-            return 0.0
-        return math.exp(log_norm) if a == 1.0 else math.inf
+            return -math.inf
+        return log_norm if a == 1.0 else math.inf
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         return 2.0 * rng.beta(a, a, size=count) - 1.0
@@ -304,7 +313,7 @@ def sphere_law(n: int) -> OverlapLaw:
         kind="continuous",
         statistic="scalar",
         descriptor={"kind": "sphere", "n": n},
-        _pdf=pdf,
+        _log_pdf=log_pdf,
         _cdf=lambda t: float(betainc(a, a, min(max(0.5 * (1.0 + t), 0.0), 1.0))),
         _ppf=lambda p: 2.0 * float(betaincinv(a, a, p)) - 1.0,
         support=(-1.0, 1.0),
@@ -413,32 +422,17 @@ def nondecreasing(vals: list[float], slack: float = _SHAPE_TOL) -> bool:
     return all(b >= a - slack * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
 
 
-def check_even_nondecreasing(law: OverlapLaw, g: Callable[[float], float]) -> ShapeGrid:
+def check_even_nondecreasing(law: OverlapLaw, g: Transform, vals: list | None = None) -> ShapeGrid:
     """The one shape check on continuous-law transforms: g must be even
-    and nondecreasing in |t|, probed on _EVEN_GRID points of [0, hi] and
-    their mirror images.  Raises ValueError otherwise."""
-    hi = law.support[1]
-    xs = [hi * i / (_EVEN_GRID - 1) for i in range(_EVEN_GRID)]
-    vals = [float(g(x)) for x in xs]
-    if any(abs(float(g(-x)) - v) > _SHAPE_TOL * max(1.0, abs(v)) for x, v in zip(xs, vals)):
+    and nondecreasing in |t| on law.grid (vals, when given, are g there).
+    Raises ValueError otherwise; returns the checked half t >= 0."""
+    mid = len(law.grid) // 2
+    vals = [float(g(x)) for x in law.grid] if vals is None else vals
+    if any(abs(b - v) > _SHAPE_TOL * max(1.0, abs(v)) for v, b in zip(vals[mid:], vals[mid::-1])):
         raise ValueError("continuous-law transforms must be even in t")
-    if not nondecreasing(vals, _REL_TOL):
+    if not nondecreasing(vals[mid:], _REL_TOL):
         raise ValueError("continuous-law transforms must be nondecreasing in |t|")
-    return ShapeGrid(g, xs, vals)
-
-
-def check_quasiconvex(law: OverlapLaw, g: Callable[[float], float]) -> tuple[ShapeGrid, ShapeGrid]:
-    """g on _QUASICONVEX_GRID points of the support, read outward from
-    its grid minimum: both sides must be nondecreasing (g quasiconvex).
-    Raises ValueError otherwise; returns the (left, right) sides."""
-    lo, hi = law.support
-    xs = [lo + (hi - lo) * i / (_QUASICONVEX_GRID - 1) for i in range(_QUASICONVEX_GRID)]
-    vals = [g(x) for x in xs]
-    i0 = vals.index(min(vals))
-    sides = (ShapeGrid(g, xs[i0::-1], vals[i0::-1]), ShapeGrid(g, xs[i0:], vals[i0:]))
-    if not all(nondecreasing(side.vals) for side in sides):
-        raise ValueError("transform is not quasiconvex on the support")
-    return sides
+    return ShapeGrid(g, law.grid[mid:], vals[mid:])
 
 
 def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float):
@@ -494,17 +488,17 @@ def check_mass(mass: float) -> None:
         raise ValueError(f"mass must lie in (0, 1], got {mass}")
 
 
-def abs_event(law: OverlapLaw, mass: float, shape: ShapeGrid,
+def abs_event(law: OverlapLaw, mass: float, shape: ShapeGrid | None = None,
               strict: bool = False) -> tuple[ThresholdResult, float]:
     """Threshold r = sup { r : P(g(T) >= r) >= mass } on a continuous law,
-    for g = shape.g checked by check_even_nondecreasing, plus the
-    half-width h of the complementary event {|T| <= h}: the closed event
+    for g = shape.g checked by check_even_nondecreasing (|t| if None), plus
+    the half-width h of the complementary event {|T| <= h}: the closed event
     {g(T) <= r} up to its boundary (h = tau, mass exactly 1 - mass) or,
     with strict, {g(T) < r} (h = the smallest |t| with g(t) >= r, at
     most tau; one root-find)."""
     check_mass(mass)
     tau = max(-law.ppf(0.5 * min(mass, 1.0)), 0.0)
-    thr = ThresholdResult(float(shape.g(tau)), min(mass, 1.0), exact=mass <= 1.0)
+    thr = ThresholdResult(tau if shape is None else float(shape.g(tau)), min(mass, 1.0), mass <= 1.0)
     if not strict:
         return thr, tau
     # g(tau) = r puts the first |t| with g >= r at or below tau, up to the check's slack
@@ -558,17 +552,20 @@ def expect(
                 raise AtomEvaluationError(v, y)
             terms.append(y * p)
         return math.fsum(terms)
-    from scipy import integrate
-
     lo, hi = law.support
     if interval is not None:
         lo, hi = max(interval[0], lo), min(interval[1], hi)
         if hi <= lo:
             return 0.0
-    value, _ = integrate.quad(
-        lambda t: f(t) * law.pdf(t), lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400
-    )
-    return float(value)
+    # f is skipped where the density is 0: an f past the float range times 0 is nan
+    return quad(lambda t: f(t) * p if (p := law.pdf(t)) > 0.0 else 0.0, lo, hi)
+
+
+def quad(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Adaptive quadrature of f over [lo, hi], relative tolerance QUAD_REL_TOL."""
+    from scipy import integrate
+
+    return float(integrate.quad(f, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0])
 
 
 def sample(law: OverlapLaw, seed: int, count: int) -> np.ndarray:

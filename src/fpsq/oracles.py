@@ -51,9 +51,6 @@ class OracleEstimate:
         if self.error_bound < 0.0:
             raise ValueError("error_bound must be nonnegative")
 
-    def covers(self, reference: float) -> bool:
-        return abs(self.value - reference) <= self.error_bound
-
 
 def mc_kernel_mslr(
     k: int,

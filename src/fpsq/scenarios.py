@@ -136,10 +136,6 @@ BUILTIN_MODEL_DESCRIPTORS: dict[str, dict] = {
 }
 
 
-def builtin_models() -> dict[str, ModelSpec]:
-    return {name: build_model(desc) for name, desc in BUILTIN_MODEL_DESCRIPTORS.items()}
-
-
 # ---------------------------------------------------------------------------
 # Kernel-vs-oracle validation tables (cmd_kernel engine)
 # ---------------------------------------------------------------------------

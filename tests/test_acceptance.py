@@ -24,7 +24,8 @@ from fpsq.criteria import (
 from fpsq.kernels import build_model, slab_kernel
 from fpsq.numerics import normal_quantile, symmetric_indicator_tail
 from fpsq.oracles import bvn_rectangle, enum_kernel_counterexample, quad_kernel_ngca
-from fpsq.scenarios import builtin_models, equivalence_suite, kernel_table
+from fpsq.scenarios import equivalence_suite, kernel_table
+from helpers import builtin_models
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

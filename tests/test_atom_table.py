@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cli_rows import read_rows
 from fpsq.cli import EXIT_PASS, main
-from fpsq.criteria import assumption_holds, chi_squared, gfp_value, log_moment
+from fpsq.criteria import assumption_holds, chi_squared, gfp_value, log_moment, rho_fp_value
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model, gam_kernel, rho_g
 from fpsq.laws import make_law
 
@@ -168,6 +168,16 @@ class TestGfpLogValues:
         assert rep.detail["optimizer"] == "branch-and-bound-budget"
         lower, upper = rep.detail["value_brackets"]
         assert lower <= rep.value <= upper * (1 + 1e-12)
+
+
+def test_rho_fp_keeps_the_finite_atoms_below_an_infinite_threshold():
+    # log K(1) = 702.3 > 700 makes |K - 1| and the rho_G threshold at
+    # mass 0.2 infinite; the strict event {rho_G < inf} keeps the rest
+    model = build_model({"model": "synthetic", "values": [0, 0.5, 1], "probs": [0.5, 0.3, 0.2],
+                         "kernel_values": [1, 2, 1e305]})
+    rep = rho_fp_value(model, 0.2**-0.5, 1)
+    assert rep.threshold.threshold == math.inf
+    assert rep.value == pytest.approx(math.fsum([0.5 * 1, 0.3 * 2]), rel=1e-15)
 
 
 @st.composite

@@ -9,6 +9,7 @@ bisections.
 """
 
 import hashlib
+import json
 import math
 
 import mpmath as mp
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from fpsq.cli import main
+from fpsq import criteria
+from fpsq.cli import EXIT_CONFIG, main
 from fpsq.criteria import (
     UnsupportedCriterionError,
     chi_squared,
@@ -301,15 +303,21 @@ def test_sq_large_q_vs_mpmath():
     assert rep.value == pytest.approx(want_value, rel=1e-12)
 
 
-@pytest.mark.parametrize("m", [1000, 10_000, 1_000_000])
-def test_chi2_log_beyond_float_range_vs_bessel(m):
+@pytest.mark.parametrize("n, m", [
+    pytest.param(50, 1000, id="1000"),
+    pytest.param(50, 10_000, id="10000"),
+    pytest.param(50, 1_000_000, id="1000000"),
+    # the density is below 1e-308 where K^m is above 1e308
+    pytest.param(400, 10_000, id="n400-10000"),
+])
+def test_chi2_log_beyond_float_range_vs_bessel(n, m):
     # E[exp(s T)] on sphere_law(n) is Gamma(n/2) (2/s)^nu I_nu(s), nu = n/2 - 1;
     # at m = 10^6 the integrand is a peak of width ~2e-5 at the edge
-    n, s = 50, mp.mpf(m)  # gam-sphere: lambda = 1, so s = m
+    s = mp.mpf(m)  # lambda = 1, so s = m
     with mp.workdps(50):
         nu = mp.mpf(n) / 2 - 1
         want = float(mp.loggamma(mp.mpf(n) / 2) + nu * mp.log(2 / s) + mp.log(mp.besseli(nu, s)))
-    model = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
+    model = build_model({"model": "gam", "lambda": 1.0, "prior": {"kind": "sphere", "n": n}})
     assert chi_squared(model, m) == math.inf
     assert log_moment(model, m) == pytest.approx(want, rel=1e-12)
 
@@ -318,3 +326,66 @@ def test_chi2_overflow_row_is_finite(capsys):
     assert main(["criterion", "--model", "gam-sphere", "--criterion", "chi2", "--m", "1000"]) == 0
     row = capsys.readouterr().out.splitlines()[2].split(",")
     assert row[7:] == ["900.9733136327841", "", "quadrature+overflow-log", repr(1e-10 * 900.9733136327841)]
+
+
+def test_event_rows_beyond_float_range_vs_mpmath(capsys):
+    # K^m = e^{2000 t} passes the float range inside each event {|T| <= h}
+    argv = ["criterion", "--model", "gam-sphere", "--criterion", "fp,rho_fp,gfp",
+            "--q", "1000", "--m", "2000"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[1] for row in rows] == ["FP", "RHO_FP", "GFP"]
+    n, m = 50, 2000
+    for row in rows:
+        thr, value = float(row[5]), float(row[7])
+        assert math.isfinite(value)
+        assert row[9].endswith("+overflow-log") == (value > 700.0)
+        with mp.workdps(30):
+            # rho_G = e^|t| - 1 under the sign flip, so {rho_G < r} is {|T| < log1p(r)}
+            h = mp.log1p(mp.mpf(thr)) if row[1] == "RHO_FP" else mp.mpf(thr)
+            a = mp.mpf(n - 1) / 2
+            norm = 1 / (2 ** (n - 2) * mp.beta(a, a))
+            f = lambda t: mp.exp(m * (t - h)) * norm * (1 - t * t) ** (a - 1)
+            want = float(m * h + mp.log(mp.quad(f, [-h, h - mp.mpf("0.05"), h - mp.mpf("0.005"), h])))
+        assert value == pytest.approx(want, rel=1e-12), row
+
+
+def test_gfp_cell_calls_the_kernel_only_in_its_integral(monkeypatch):
+    # the orbit-averaged power is checked on the cached kernel table
+    base = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
+    calls, evals = [], []
+    kernel = Kernel("counted", "scalar", lambda t: calls.append(t) or base.kernel.log_eval(t))
+    model = ModelSpec("counted", {}, kernel, base.law, base.group, euclid_overlap=float)
+    assert not calls
+    assert len(model.kernel_table[0]) == len(calls) == len(base.law.grid)  # once per model
+    quad = criteria.quad
+    monkeypatch.setattr(criteria, "quad",
+                        lambda f, lo, hi: quad(lambda t: evals.append(t) or f(t), lo, hi))
+    for q, m in [(20.0, 2), (1000.0, 2000)]:
+        calls.clear()
+        evals.clear()
+        gfp_value(model, q, m)
+        assert len(calls) == len(evals) + 2  # the quadrature and the interval's two ends
+
+
+def test_truncated_series_kernel_at_the_support_ends(tmp_path):
+    # K_5(-1) = 0 for the identity link (an exact zero); K = 1 + 4t of
+    # the second model is negative below t = -1/4
+    config = tmp_path / "models.json"
+    config.write_text(json.dumps({"models": {
+        "si-id5": {"model": "si", "link": {"kind": "identity"},
+                   "prior": {"kind": "sphere", "n": 50}, "max_degree": 5},
+        "ngca-negative": {"model": "ngca", "mu": {"kind": "hermite_moments", "values": [1, 2]},
+                          "prior": {"kind": "sphere", "n": 50}, "max_degree": 1},
+    }}))
+    out = tmp_path / "rows.csv"
+    argv = ["criterion", "--config", str(config), "--q", "10", "--m", "2", "--out", str(out)]
+    assert main(argv + ["--model", "si-id5", "--criterion", "sq,gfp"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [row[1] for row in rows] == ["SQ", "GFP"]
+    assert all(math.isfinite(float(row[7])) for row in rows)
+    model = build_model({"model": "si", "link": {"kind": "identity"},
+                         "prior": {"kind": "sphere", "n": 50}, "max_degree": 5})
+    assert model.kernel.log_eval(-1.0) is None
+    for crit in ("sq", "gfp", "fp"):
+        assert main(argv + ["--model", "ngca-negative", "--criterion", crit]) == EXIT_CONFIG

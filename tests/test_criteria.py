@@ -24,7 +24,8 @@ from fpsq.criteria import (
 )
 from fpsq.kernels import build_model
 from fpsq.laws import survival
-from fpsq.scenarios import builtin_models, random_assumption_model
+from fpsq.scenarios import random_assumption_model
+from helpers import builtin_models
 
 
 def synthetic(values, probs, kernel_values, group=None):

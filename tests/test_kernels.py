@@ -142,6 +142,15 @@ class TestSiKernel:
         assert s_star == 1
         assert all(l == 1.0 for l in lams)
 
+    def test_truncated_series_zero_and_negative_values(self):
+        # K_5(-1) = 1 - 1 + 1 - 1 + 1 - 1 = 0 for the identity link: an exact zero
+        assert si_kernel({"kind": "identity"}, max_degree=5).log_eval(-1.0) is None
+        # K(t) = 1 + 4t is negative below t = -1/4: refused as a ValueError
+        kernel = ngca_kernel({"kind": "hermite_moments", "values": [1, 2]}, max_degree=1)
+        assert kernel.log_eval(-0.25) is None
+        with pytest.raises(SingularityError, match="negative"):
+            kernel.log_eval(-1.0)
+
     def test_sign_link_first_coefficient(self):
         # half-normal mean oracle: E[z | z > 0] = sqrt(2/pi)
         lams, s_star = si_lambda_coeffs({"kind": "sign"}, 9)
@@ -388,7 +397,7 @@ class TestBinomialExpansionIdentity:
     def test_power_kernel_equals_binomial_sum(self):
         # exp(m log K) = sum_j C(m, j) (K - 1)^j on every discrete
         # built-in model, m <= 20, relative 1e-9
-        from fpsq.scenarios import builtin_models
+        from helpers import builtin_models
 
         for name, model in builtin_models().items():
             if not model.is_discrete:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from fpsq.scenarios import SCENARIOS, builtin_models, random_assumption_model, run_scenario
+from fpsq.scenarios import SCENARIOS, random_assumption_model, run_scenario
+from helpers import builtin_models
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
