@@ -52,8 +52,7 @@ from fpsq.criteria import (
     usq_hard,
 )
 from fpsq.kernels import ModelSpec, build_model
-from fpsq.laws import QUAD_REL_TOL
-from fpsq.oracles import ResourceLimitError
+from fpsq.laws import QUAD_REL_TOL, ResourceLimitError
 from fpsq.scenarios import (
     BUILTIN_MODEL_DESCRIPTORS,
     SCENARIOS,

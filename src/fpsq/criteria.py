@@ -21,7 +21,9 @@ All m-th powers run through exp(m log K); exact kernel zeros
 short-circuit to exact 0.  On a discrete law every criterion reads the
 model's atom table (ModelSpec.atom_table): a threshold is a bisection
 in that table's levels, an event is a mask, and the event value is a
-log-sum-exp of m log K + log p over the mask.  Every report records
+log-sum-exp of m log K + log p over the mask; on the continuous law
+each is one laws.integral of its integrand in log form, read from the
+model's kernel table on the grid.  Every report records
 the threshold object, the computation method, and a hard/not-hard
 verdict against the caller-supplied epsilon (or 1/m for SQ).
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,8 +46,9 @@ from fpsq.laws import (
     check_mass,
     crossing,
     expect,
+    exp_or_inf,
     find_root,
-    quad,
+    integral,
     threshold_sup,  # noqa: F401  (stays importable from this module)
 )
 from fpsq.numerics import log_sum_exp
@@ -55,7 +58,6 @@ _MAX_EXACT_ORBITS = 64  # GFP orbit items beyond this take the greedy brackets
 _BNB_NODES = 20_000  # branch-and-bound node budget; then the greedy brackets
 _CORRELATION_TOL = 1e-12  # assumption_holds passes at a minimum >= -this
 _CORRELATION_GRID = 401  # points of the continuous support assumption_holds probes
-_LOG_DROP = 60.0  # _event_integral integrates where the table is within e^-this of its peak
 
 
 class UnsupportedCriterionError(ValueError):
@@ -100,13 +102,6 @@ def _le(a, b):
     return a <= b + _REL * np.maximum(np.abs(a), np.abs(b))
 
 
-def _exp(lv: float) -> float:
-    try:
-        return math.exp(lv)
-    except OverflowError:
-        return math.inf
-
-
 def _event_value(log_terms: np.ndarray) -> tuple[float, float]:
     """(value, log_value) of a sum given by its log-terms; -inf terms
     (exact kernel zeros, zero masses) drop out."""
@@ -114,37 +109,34 @@ def _event_value(log_terms: np.ndarray) -> tuple[float, float]:
     if not terms.size:
         return 0.0, -math.inf
     lv = log_sum_exp(terms)
-    return _exp(lv), lv
+    return exp_or_inf(lv), lv
+
+
+def _kernel_integral(model: ModelSpec, form: Callable[[np.ndarray], tuple],
+                     bounds: tuple[float, float] | None = None) -> tuple[float, float]:
+    """(value, log |value|) of E[f(T) 1(lo <= T <= hi)] on the continuous law
+    (bounds = (lo, hi), the support by default) for f = form(log K) in log
+    form (log |f|, sign f): laws.integral, fed the kernel table on the grid."""
+    return integral(model.law, lambda ts: form(model.log_k(ts)), form(model.kernel_table[0])[0],
+                    *(bounds or model.law.support))
 
 
 def _event_integral(model: ModelSpec, m: int, h: float) -> tuple[float, float]:
-    """(value, log_value) of E[K^m 1(|T| <= h)] on the continuous law: M + log
-    of the integral of exp(m log K + log pdf - M), M the largest exponent at
-    +-h and at the grid points between, over the stretches within
-    e^-_LOG_DROP of M (so a narrow peak is found).  UnsupportedCriterionError
-    if the shifted integrand still overflows."""
-    law, kernel, (log_k, _, log_pdf) = model.law, model.kernel, model.kernel_table
+    """(value, log_value) of E[K^m 1(|T| <= h)] on the continuous law."""
+    return _kernel_integral(model, lambda lk: (m * lk, 1.0), (-h, h))
 
-    def exponent(t: float) -> float:  # -inf at exact zeros and at the support's ends
-        lv = kernel.log_eval(t) if abs(t) < law.support[1] else None
-        return -math.inf if lv is None else m * lv + law.log_pdf(t)
 
-    i = int(np.searchsorted(law.grid, -h, side="right"))  # grid[i:-i] lies in (-h, h)
-    xs = [-h, *law.grid[i:-i], h]
-    vals = np.r_[exponent(-h), m * log_k[i:-i] + log_pdf[i:-i], exponent(h)]
-    shift = float(vals.max())
-    if shift == -math.inf:
-        return 0.0, -math.inf
-    near = np.flatnonzero(vals >= shift - _LOG_DROP)
-    gap = np.flatnonzero(np.diff(near) > 2)  # runs of near points, widened by a point each side
-    runs = np.clip(np.c_[near[np.r_[0, gap + 1]] - 1, near[np.r_[gap, -1]] + 1], 0, len(xs) - 1)
-    try:
-        value = math.fsum(quad(lambda t: math.exp(exponent(t) - shift), xs[a], xs[b])
-                          for a, b in runs)
-    except OverflowError:
-        raise UnsupportedCriterionError(f"log E[K^m] at m = {m} leaves the float range") from None
-    lv = math.log(value) + shift if value > 0.0 else -math.inf
-    return _exp(lv), lv
+def _expm1_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log |e^x - 1|, sign x): exact beyond the float range of e^x, and
+    (0, -1) at x = -inf."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(x, 0.0) + np.log(-np.expm1(-np.abs(x))), np.sign(x)
+
+
+def _power_log(form: tuple[np.ndarray, np.ndarray], t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log form (log |b^t|, sign b^t) of b^t from that of b."""
+    log_abs, sign = form
+    return (t * log_abs, sign**t) if t else (np.zeros_like(log_abs), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +379,7 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
         included, upper, lower = greedy_min_inclusion(values, weights, needed)
         detail["optimizer"] = ("greedy-bracket" if len(values) > _MAX_EXACT_ORBITS
                                else "branch-and-bound-budget")
-        detail["value_brackets"] = (_exp(lower), _exp(upper))
+        detail["value_brackets"] = (exp_or_inf(lower), exp_or_inf(upper))
         method = "exact-sum(greedy-bracket)"
     keep = np.isin(tab.orbit, included)
     value, lv = _event_value(log_terms[keep])
@@ -433,13 +425,9 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
         level, t_left, t_right = _superlevel(model.law, sides, mass)
         thr = ThresholdResult(level, mass, True)
         lo, hi = model.law.support
-        g = sides[0].g
-        tail = 0.0
-        if t_left is not None:
-            tail += expect(model.law, g, interval=(lo, t_left))
-        if t_right is not None:
-            tail += expect(model.law, g, interval=(t_right, hi))
-        value = tail / mass
+        tails = [_kernel_integral(model, lambda lk: (_expm1_log(lk)[0], 1.0), (a, b))[0]  # |K - 1|
+                 for a, b in ((lo, t_left), (t_right, hi)) if a is not None and b is not None]
+        value = math.fsum(tails) / mass
         method = "quadrature"
     verdict = None if m is None else _hard(value, 1.0 / m)
     lv = math.log(value) if value > 0.0 else -math.inf
@@ -471,9 +459,9 @@ def _superlevel(law, sides: tuple[ShapeGrid, ShapeGrid], mass: float):
 
 def _deviation_moment(model: ModelSpec, t: int) -> float:
     """E[(K - 1)^t]: an exact sum over the atom table (AtomEvaluationError
-    at a non-finite term) or quadrature on the continuous law."""
+    at a non-finite term) or the integral on the continuous law."""
     if not model.is_discrete:
-        return expect(model.law, lambda v: model.kernel.minus_one(v) ** t)
+        return _kernel_integral(model, lambda lk: _power_log(_expm1_log(lk), t))[0]
     tab = model.atom_table
     y = tab.dev ** t
     bad = np.flatnonzero(~np.isfinite(y))
@@ -509,20 +497,15 @@ def chi_squared(model: ModelSpec, m: int) -> float:
 
     Discrete laws sum p expm1(m log K) over the atom table (expm1 keeps
     precision when the divergence is tiny), as exp(log p + m log K)
-    (-expm1(-m log K)) where p underflows or K^m overflows; a sum beyond
-    the float range is +inf, and log_moment gives its log.
+    (-expm1(-m log K)) where p underflows or K^m overflows; the continuous
+    law integrates expm1(m log K) in log form, log |expm1(x)| = x +
+    log(-expm1(-x)) for x > 0, so no integrand value is capped.  A value
+    beyond the float range is +inf, and log_moment gives its log.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if not model.is_discrete:
-        def integrand(v):
-            lv = model.kernel.log_eval(v)
-            if lv is None:
-                return -1.0
-            x = m * lv
-            return math.expm1(x) if x < 709.0 else math.inf
-
-        return expect(model.law, integrand)
+        return _kernel_integral(model, lambda lk: _expm1_log(m * lk))[0]
     tab = model.atom_table
     x = m * tab.log_k
     scaled = (x > 0.0) & ((tab.p < 1e-300) | (x > 700.0))
@@ -559,10 +542,21 @@ def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
             f"kernel {model.kernel.name!r} has no series; samplewise degree d < inf unsupported"
         )
 
+    def truncated(ts) -> tuple[np.ndarray, np.ndarray]:
+        """K_d - 1 at each point, in log form."""
+        b = np.array([model.kernel.truncated_minus_one(x, int(d)) for x in np.asarray(ts).tolist()])
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(b)), np.sign(b)
+
+    on_grid = truncated(model.law.grid) if finite_d and not model.is_discrete else None
+
     def moment(t: int) -> float:
-        if finite_d:
+        if not finite_d:
+            return _deviation_moment(model, t)
+        if model.is_discrete:
             return expect(model.law, lambda v: model.kernel.truncated_minus_one(float(v), int(d)) ** t)
-        return _deviation_moment(model, t)
+        return integral(model.law, lambda ts: _power_log(truncated(ts), t),
+                        _power_log(on_grid, t)[0], *model.law.support)[0]
 
     total = 0.0
     for t in range(0, min(k_deg, m) + 1):

@@ -689,17 +689,20 @@ class ModelSpec:
     def atom_table(self) -> AtomTable:
         return _atom_table(self)
 
+    def log_k(self, points) -> np.ndarray:
+        """log K at each point (-inf at exact zeros), one Kernel.log_eval call each."""
+        logs = [self.kernel.log_eval(t) for t in points]
+        return np.array([-math.inf if lv is None else lv for lv in logs], dtype=float)
+
     @cached_property
     def kernel_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The model's one pass of Kernel.log_eval: log K (-inf at exact
         zeros), K - 1 and log p at each atom of a discrete law, or at each
         point of law.grid with the log density in place of log p."""
         law = self.law
-        points = law.values if self.is_discrete else law.grid
-        logs = [self.kernel.log_eval(t) for t in points]
-        return (np.array([-math.inf if lv is None else lv for lv in logs], dtype=float),
-                np.array([_minus_one(lv) for lv in logs], dtype=float),
-                np.array(law.log_probs if self.is_discrete else [*map(law.log_pdf, points)]))
+        log_k = self.log_k(law.values if self.is_discrete else law.grid)
+        return (log_k, np.array([_minus_one(lv) for lv in log_k.tolist()], dtype=float),
+                np.array(law.log_probs) if self.is_discrete else law.grid_log_pdf)
 
     @cached_property
     def overlap_grid(self) -> ShapeGrid:

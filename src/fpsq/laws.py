@@ -31,10 +31,19 @@ closed-form two-sided Beta quantile 1 - 2 I^{-1}_{a,a}(mass / 2),
 a = (n - 1)/2.  The remaining boundary searches (the strict event
 {g(T) < r}, survival levels, the SQ superlevel set) share one bracketing
 root-finder with a step budget, find_root.
+
+Every expectation on the continuous law is one log-domain integral,
+integral: f comes in log form (log |f| and its sign), the integrand
+sign f exp(log |f| + log pdf - M) is scaled by its peak M over law.grid
+and the interval's ends, and it is integrated over the stretches within
+e^-60 of that peak by composite Gauss-Legendre panels
+(gauss_legendre_panels), which refuse past a panel budget
+(ResourceLimitError) rather than return a partial sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -42,7 +51,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc, betaincinv, poch
 
 Statistic = float | tuple
 Transform = Callable[[Statistic], float] | None
@@ -56,8 +65,20 @@ _REL_TOL = 1e-12
 _SHAPE_TOL = 1e-9
 _ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
 _GRID = 257  # evenly spaced points of OverlapLaw.grid, which is symmetric about 0
-QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature (quad)
+# Relative tolerance of every continuous-law integral: the two Gauss-Legendre
+# orders of all panels together disagree by at most this times the integral
+# of |f|.  Where rounding the exponent log|f| + log pdf alone perturbs the
+# integrand by more (|exponent| above about 1e5, so only on overflow-log
+# rows), that rounding level replaces it.
+QUAD_REL_TOL = 1e-10
+_LOG_DROP = 60.0  # integral integrates where the grid is within e^-this of its peak
+_ORDERS = (20, 40)  # the two Gauss-Legendre rule orders each panel is checked by
+_PANEL_BUDGET = 500  # panels one integral may split into; then ResourceLimitError
 _LN2 = math.log(2.0)
+
+
+class ResourceLimitError(ValueError):
+    """A computation exceeds its size or step budget (CLI exit code 3)."""
 
 
 def _ge(a: float, b: float) -> bool:
@@ -94,10 +115,11 @@ class OverlapLaw:
     descriptor: dict
     values: tuple = ()
     masses: tuple = ()
-    _log_pdf: Callable[[float], float] | None = None
+    _log_pdf: Callable[[np.ndarray], np.ndarray] | None = None
     _cdf: Callable[[float], float] | None = None
     _ppf: Callable[[float], float] | None = None
     support: tuple[float, float] = (0.0, 0.0)
+    scale: float = 1.0  # a continuous law's spread about 0 (the standard deviation of T)
     _sampler: Callable | None = None
 
     def __post_init__(self) -> None:
@@ -124,10 +146,19 @@ class OverlapLaw:
 
     @cached_property
     def grid(self) -> list[float]:
-        """The continuous support's one grid: _GRID even points and 1 - 2^-k to each end."""
+        """The continuous support's one grid: _GRID even points, 1 - 2^-k to
+        each end, and +-scale 2^(j/2) for j = -12..20, so a law concentrated
+        far inside the even spacing still has points across its bulk."""
         lo, hi = self.support
         edge = hi * (1.0 - 2.0 ** -np.arange(1.0, 53.0))
-        return np.unique(np.concatenate([np.linspace(lo, hi, _GRID), edge, -edge])).tolist()
+        bulk = self.scale * 2.0 ** (np.arange(-12.0, 21.0) / 2.0)
+        bulk = bulk[bulk < hi]
+        return np.unique(np.concatenate([np.linspace(lo, hi, _GRID), edge, -edge, bulk, -bulk])).tolist()
+
+    @cached_property
+    def grid_log_pdf(self) -> np.ndarray:
+        """The log density at each point of grid."""
+        return self.log_pdf(np.asarray(self.grid))
 
     @property
     def atoms(self) -> list[tuple[Statistic, float]]:
@@ -135,13 +166,14 @@ class OverlapLaw:
             raise ValueError("atoms are only defined for discrete laws")
         return list(zip(self.values, self.probs))
 
-    def log_pdf(self, t: float) -> float:
+    def log_pdf(self, t):
+        """The log density at t, a float or an array of points."""
         if self._log_pdf is None:
             raise ValueError("law has no density")
         return self._log_pdf(t)
 
-    def pdf(self, t: float) -> float:
-        return math.exp(self.log_pdf(t))
+    def pdf(self, t):
+        return np.exp(self.log_pdf(t))
 
     def cdf(self, t: float) -> float:
         if self._cdf is None:
@@ -285,6 +317,24 @@ def atoms_law(values: Sequence[float], probs: Sequence[float]) -> OverlapLaw:
                       list(zip((float(v) for v in values), (float(p) for p in probs))))
 
 
+# Coefficients of the asymptotic series log Gamma(a + 1/2) - log Gamma(a) =
+# log(a)/2 + sum_k c_k a^{1-k} over even k, c_k = (2^{1-k} - 2) B_k / (k (k - 1))
+# with B_k the Bernoulli numbers; from a = 12 the first omitted term is below 2e-16.
+_GAMMA_RATIO_SERIES = tuple(
+    (2.0 ** (1 - k) - 2.0) * b / (k * (k - 1))
+    for k, b in ((2, 1 / 6), (4, -1 / 30), (6, 1 / 42), (8, -1 / 30), (10, 5 / 66), (12, -691 / 2730)))
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Gamma(a + 1/2) - log Gamma(a) within a few ulp: scipy's poch for
+    a < 12, where it is accurate (it is off by up to 4e-12 for a between 50
+    and 10^4), the asymptotic series above, which does not cancel, beyond."""
+    if a < 12.0:
+        return math.log(poch(a, 0.5))
+    inv2 = a**-2
+    return 0.5 * math.log(a) + math.fsum(c * inv2 ** (i + 0.5) for i, c in enumerate(_GAMMA_RATIO_SERIES))
+
+
 def sphere_law(n: int) -> OverlapLaw:
     """<u, v> for u, v uniform on the unit sphere in R^n.
 
@@ -295,16 +345,16 @@ def sphere_law(n: int) -> OverlapLaw:
     if n < 2:
         raise ValueError(f"sphere law needs n >= 2, got {n}")
     a = 0.5 * (n - 1)
-    # log of 1 / (2^{n-2} B(a, a)), the density's normalizing constant
-    log_norm = -(n - 2) * math.log(2.0) - (2.0 * math.lgamma(a) - math.lgamma(2.0 * a))
+    # 1 / (2^{n-2} B(a, a)) = Gamma(a + 1/2) / (Gamma(a) sqrt(pi)), the density's normalizer
+    log_norm = _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
 
-    def log_pdf(t: float) -> float:
-        s = (1.0 - t) * (1.0 + t)
-        if s > 0.0:
-            return (a - 1.0) * math.log(s) + log_norm
-        if s < 0.0 or a > 1.0:
-            return -math.inf
-        return log_norm if a == 1.0 else math.inf
+    def log_pdf(t):
+        s = np.abs(np.asarray(t, dtype=float))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # log(1 - t^2) to a few ulp: log1p(-t^2) near 0, the factored form near |t| = 1
+            log_s = np.where(s < 0.5, np.log1p(-s * s), np.log((1.0 - s) * (1.0 + s)))
+            out = (a - 1.0) * log_s + log_norm if a != 1.0 else np.full_like(s, log_norm)
+        return np.where(s > 1.0, -np.inf, out)[()]
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         return 2.0 * rng.beta(a, a, size=count) - 1.0
@@ -317,6 +367,7 @@ def sphere_law(n: int) -> OverlapLaw:
         _cdf=lambda t: float(betainc(a, a, min(max(0.5 * (1.0 + t), 0.0), 1.0))),
         _ppf=lambda p: 2.0 * float(betaincinv(a, a, p)) - 1.0,
         support=(-1.0, 1.0),
+        scale=n**-0.5,
         _sampler=sampler,
     )
 
@@ -538,10 +589,9 @@ def expect(
     f: Callable[[Statistic], float],
     interval: tuple[float, float] | None = None,
 ) -> float:
-    """E[f(T)]: exact weighted sum for discrete laws, adaptive quadrature
-    (relative tolerance QUAD_REL_TOL) for continuous ones; there
-    `interval` = (lo, hi) restricts the integral to
-    E[f(T) 1(lo <= T <= hi)]."""
+    """E[f(T)]: exact weighted sum for discrete laws, integral (relative
+    tolerance QUAD_REL_TOL) for continuous ones; there `interval` = (lo, hi)
+    restricts the integral to E[f(T) 1(lo <= T <= hi)]."""
     if law.kind == "discrete":
         if interval is not None:
             raise ValueError("expect: interval applies to continuous laws only")
@@ -552,20 +602,113 @@ def expect(
                 raise AtomEvaluationError(v, y)
             terms.append(y * p)
         return math.fsum(terms)
-    lo, hi = law.support
-    if interval is not None:
-        lo, hi = max(interval[0], lo), min(interval[1], hi)
-        if hi <= lo:
-            return 0.0
-    # f is skipped where the density is 0: an f past the float range times 0 is nan
-    return quad(lambda t: f(t) * p if (p := law.pdf(t)) > 0.0 else 0.0, lo, hi)
+
+    def log_f(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = np.array([f(t) for t in ts.tolist()], dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(y)), np.sign(y)
+
+    inner = log_f(np.asarray(law.grid[1:-1]))[0]  # integral never reads the support's ends
+    return integral(law, log_f, np.r_[-np.inf, inner, -np.inf], *(interval or law.support))[0]
 
 
-def quad(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Adaptive quadrature of f over [lo, hi], relative tolerance QUAD_REL_TOL."""
-    from scipy import integrate
+def exp_or_inf(x: float) -> float:
+    """e^x, +inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
-    return float(integrate.quad(f, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0])
+
+def integral(law: OverlapLaw, log_f: Callable[[np.ndarray], tuple], grid_log_f: np.ndarray,
+             lo: float, hi: float) -> tuple[float, float]:
+    """(value, log |value|) of E[f(T) 1(lo <= T <= hi)] on the continuous law,
+    with f in log form: log_f(ts) gives (log |f|, sign f) at an array of
+    points, and grid_log_f is log |f| at law.grid (read from a cached table).
+
+    M is the peak of x = log |f| + log pdf over lo, hi and the grid points
+    between; sign f exp(x - M) is integrated by gauss_legendre_panels over
+    the stretches of those points within e^-_LOG_DROP of M, each widened by
+    one point (so a narrow peak is found), and the log value is M + log of
+    that.  f is never evaluated at the support's ends.  ValueError if the
+    integrand is not finite or the density is infinite at lo or hi,
+    ResourceLimitError past the panel budget."""
+    lo, hi = max(lo, law.support[0]), min(hi, law.support[1])
+    if not lo < hi:
+        return 0.0, -math.inf
+    grid = np.asarray(law.grid)
+    i, j = np.searchsorted(grid, lo, side="right"), np.searchsorted(grid, hi, side="left")
+    ends = np.array([lo, hi])
+    end_pdf = law.log_pdf(ends)
+    if np.isposinf(end_pdf).any():  # the sphere law at n = 2
+        raise ValueError("the density is infinite at an end of the integral, which the "
+                         "Gauss-Legendre panels cannot integrate")
+    end_x = np.full(2, -math.inf)
+    inside = np.abs(ends) < law.support[1]
+    if inside.any():
+        end_x[inside] = log_f(ends[inside])[0] + end_pdf[inside]
+    xs = np.r_[lo, grid[i:j], hi]  # grid[i:j] lies in (lo, hi)
+    vals = np.r_[end_x[0], grid_log_f[i:j] + law.grid_log_pdf[i:j], end_x[1]]
+    shift = float(vals.max())
+    if shift == -math.inf:
+        return 0.0, -math.inf
+    if not math.isfinite(shift):
+        raise ValueError(f"the integrand is not finite (log |f| + log pdf = {shift})")
+    near = np.flatnonzero(vals >= shift - _LOG_DROP)
+    gap = np.flatnonzero(np.diff(near) > 2)  # runs of near points, widened by a point each side
+    runs = np.clip(np.c_[near[np.r_[0, gap + 1]] - 1, near[np.r_[gap, -1]] + 1], 0, len(xs) - 1)
+
+    def shifted(ts: np.ndarray) -> np.ndarray:
+        log_abs, sign = log_f(ts)
+        with np.errstate(over="ignore"):
+            return sign * np.exp(log_abs + law.log_pdf(ts) - shift)
+
+    # rounding an exponent near M alone perturbs the integrand by about 2^-52 |M|
+    total = gauss_legendre_panels(shifted, xs[runs], max(QUAD_REL_TOL, 2.0**-50 * abs(shift)))
+    if total == 0.0:
+        return 0.0, -math.inf
+    lv = math.log(abs(total)) + shift
+    return math.copysign(exp_or_inf(lv), total), lv
+
+
+@functools.cache
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(order)
+
+
+def gauss_legendre_panels(g: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
+                          rel_tol: float) -> float:
+    """Integral of a vectorized g over disjoint panels [a, b] (rows of panels).
+
+    Each panel is integrated by the two Gauss-Legendre orders _ORDERS; their
+    difference bounds the error of the higher one, whose value is kept.
+    While the differences of all panels sum to more than rel_tol times the
+    integral of |g|, every panel above its equal share of that allowance is
+    halved.  ResourceLimitError once more than _PANEL_BUDGET panels would be
+    needed, ValueError where g is not finite; never a partial sum."""
+    (x_lo, w_lo), (x_hi, w_hi) = _legendre(_ORDERS[0]), _legendre(_ORDERS[1])
+    nodes, k = np.r_[x_lo, x_hi], len(x_lo)
+    todo = np.asarray(panels, dtype=float)
+    done = np.empty((0, 5))  # per panel: a, b, value, error, integral of |g|
+    while True:
+        if len(done) + len(todo) > _PANEL_BUDGET:
+            raise ResourceLimitError(
+                f"the integral did not converge to relative {rel_tol:.1e} within {_PANEL_BUDGET} panels")
+        half = 0.5 * (todo[:, 1] - todo[:, 0])
+        mid = 0.5 * (todo[:, 0] + todo[:, 1])
+        y = g((mid[:, None] + half[:, None] * nodes).ravel()).reshape(len(todo), -1)
+        if not np.isfinite(y).all():
+            raise ValueError("the integrand is not finite at a quadrature node")
+        low, high = half * (y[:, :k] @ w_lo), half * (y[:, k:] @ w_hi)
+        done = np.r_[done, np.c_[todo, high, np.abs(high - low), half * (np.abs(y[:, k:]) @ w_hi)]]
+        allowed = rel_tol * done[:, 4].sum()
+        if done[:, 3].sum() <= allowed:
+            return math.fsum(done[:, 2].tolist())
+        split = done[:, 3] > allowed / len(done)
+        a, b = done[split, 0], done[split, 1]
+        todo = np.r_[np.c_[a, 0.5 * (a + b)], np.c_[0.5 * (a + b), b]]
+        done = done[~split]
 
 
 def sample(law: OverlapLaw, seed: int, count: int) -> np.ndarray:

@@ -27,14 +27,10 @@ import numpy as np
 
 from fpsq.kernels import ModelSpec, ngca_density_ratio
 from fpsq.laws import sample as law_sample
-from fpsq.laws import threshold_sup
+from fpsq.laws import ResourceLimitError, threshold_sup
 from fpsq.numerics import gauss_hermite_rule, normal_cdf
 
 _MC_CHUNK = 250_000  # Monte Carlo draws per vectorized batch
-
-
-class ResourceLimitError(ValueError):
-    """The requested exact computation exceeds the oracle's size limit."""
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ bisections.
 import hashlib
 import json
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from fpsq import criteria
-from fpsq.cli import EXIT_CONFIG, main
+from fpsq import cli, laws
+from fpsq.cli import EXIT_CONFIG, EXIT_RESOURCE, main
 from fpsq.criteria import (
     UnsupportedCriterionError,
     chi_squared,
@@ -31,7 +32,7 @@ from fpsq.criteria import (
     usq_hard,
 )
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model
-from fpsq.laws import find_root, sample, sphere_law, survival, threshold_sup
+from fpsq.laws import ResourceLimitError, find_root, sample, sphere_law, survival, threshold_sup
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
 
 
@@ -358,9 +359,9 @@ def test_gfp_cell_calls_the_kernel_only_in_its_integral(monkeypatch):
     model = ModelSpec("counted", {}, kernel, base.law, base.group, euclid_overlap=float)
     assert not calls
     assert len(model.kernel_table[0]) == len(calls) == len(base.law.grid)  # once per model
-    quad = criteria.quad
-    monkeypatch.setattr(criteria, "quad",
-                        lambda f, lo, hi: quad(lambda t: evals.append(t) or f(t), lo, hi))
+    panels = laws.gauss_legendre_panels
+    monkeypatch.setattr(laws, "gauss_legendre_panels", lambda g, edges, tol: panels(
+        lambda ts: evals.extend(ts) or g(ts), edges, tol))
     for q, m in [(20.0, 2), (1000.0, 2000)]:
         calls.clear()
         evals.clear()
@@ -389,3 +390,103 @@ def test_truncated_series_kernel_at_the_support_ends(tmp_path):
     assert model.kernel.log_eval(-1.0) is None
     for crit in ("sq", "gfp", "fp"):
         assert main(argv + ["--model", "ngca-negative", "--criterion", crit]) == EXIT_CONFIG
+
+
+def mp_sphere_moment(n: int, s) -> mp.mpf:
+    """E[exp(s T)] on sphere_law(n): Gamma(n/2) (2/s)^nu I_nu(s), nu = n/2 - 1."""
+    nu = mp.mpf(n) / 2 - 1
+    return mp.gamma(mp.mpf(n) / 2) * (2 / mp.mpf(s)) ** nu * mp.besseli(nu, s)
+
+
+def gam_sphere(n: int) -> ModelSpec:
+    return build_model({"model": "gam", "lambda": 1.0, "prior": {"kind": "sphere", "n": n}})
+
+
+@pytest.mark.parametrize("m", [700, 709, 715, 720, 740])
+def test_chi2_past_the_exp_cap_vs_bessel(m):
+    # each integrand value expm1(m t) passes 1e308 from t = 709/m, while
+    # E[K^m] - 1 stays inside the float range
+    with mp.workdps(50):
+        want = float(mp_sphere_moment(50, m) - 1)
+    assert chi_squared(gam_sphere(50), m) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [50, 10**5, 10**8])
+@pytest.mark.parametrize("t", [1e-5, 0.3, 1.0 - 2.0**-30])
+def test_sphere_log_density_vs_mpmath(n, t):
+    with mp.workdps(50):
+        a = mp.mpf(n - 1) / 2
+        want = (mp.loggamma(a + mp.mpf(1) / 2) - mp.loggamma(a) - mp.log(mp.pi) / 2
+                + (a - 1) * mp.log(1 - mp.mpf(t) ** 2))
+    got = sphere_law(n).log_pdf(t)
+    assert got == pytest.approx(float(want), rel=2e-15)
+    assert sphere_law(n).log_pdf(np.array([t, -t])).tolist() == [got, got]
+
+
+# The sphere law at phase-diagram n, where the density is a spike of width
+# n^-1/2 between the even grid points; gam with lambda = 1, so K = e^t.
+@pytest.mark.parametrize("n", [10**5, 10**6, 10**8])
+def test_chi2_at_large_n_vs_bessel(n):
+    with mp.workdps(50):
+        want = float(mp_sphere_moment(n, 100) - 1)
+    assert chi_squared(gam_sphere(n), 100) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_usq_at_large_n_vs_bessel(n):
+    with mp.workdps(50):  # E[(e^T - 1)^2] = E[e^2T] - 2 E[e^T] + 1
+        want = float(mp_sphere_moment(n, 2) - 2 * mp_sphere_moment(n, 1) + 1)
+    assert usq_hard(gam_sphere(n), 5, 2).value == pytest.approx(want, rel=1e-9)
+
+
+def test_ld_at_large_n_vs_bessel():
+    n, m = 10**5, 100
+    with mp.workdps(50):  # E[1] + m E[K - 1]
+        want = float(1 + m * (mp_sphere_moment(n, 1) - 1))
+    assert ld_samplewise(gam_sphere(n), m, math.inf, 1) == pytest.approx(want, rel=1e-9)
+
+
+def test_sq_at_large_n_vs_mpmath():
+    # the SQ event {|e^T - 1| >= c} is {T >= log1p(c)} u {T <= log1p(-c)};
+    # at the level c the code reports, mpmath integrates its mass and value
+    n, q = 10**8, 100.0
+    rep = sq_value(gam_sphere(n), q)
+    c = rep.threshold.threshold
+    with mp.workdps(50):
+        a = mp.mpf(n - 1) / 2
+        norm = mp.exp(mp.loggamma(a + mp.mpf(1) / 2) - mp.loggamma(a)) / mp.sqrt(mp.pi)
+        pdf = lambda t: norm * (1 - t * t) ** (a - 1)
+        hi, lo = mp.log1p(mp.mpf(c)), mp.log1p(-mp.mpf(c))
+        width = 1 / mp.sqrt(n)
+        steps = [0, 1, 3, 10, 40]
+        mass = (mp.quad(pdf, [hi + k * width for k in steps] + [1])
+                + mp.quad(pdf, [-1] + [lo - k * width for k in reversed(steps)]))
+        tail = (mp.quad(lambda t: mp.expm1(t) * pdf(t), [hi + k * width for k in steps] + [1])
+                - mp.quad(lambda t: mp.expm1(t) * pdf(t), [-1] + [lo - k * width for k in reversed(steps)]))
+    assert float(mass) == pytest.approx(q**-2, rel=1e-9)
+    assert rep.value == pytest.approx(float(tail / mass), rel=1e-9)
+    assert rep.value >= c
+
+
+def test_integral_refuses_past_its_panel_budget(monkeypatch):
+    # log K = sin(10^5 t) / 2 needs panels of width ~1e-4, far past the budget
+    model = hand_model(lambda t: 0.5 * math.sin(1e5 * t))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="panels"):
+        chi_squared(model, 1)
+    assert time.perf_counter() - start < 10.0
+    monkeypatch.setattr(cli, "build_model", lambda desc: model)
+    assert main(["criterion", "--model", "gam-sphere", "--criterion", "chi2", "--m", "1"]) == EXIT_RESOURCE
+
+
+def test_circle_law_refuses_integrals_that_reach_its_infinite_density():
+    # n = 2: the density 1 / (pi sqrt(1 - t^2)) is infinite at +-1; an event
+    # inside (-1, 1) still integrates, a moment over the support refuses
+    model = gam_sphere(2)
+    rep = fp_value(model, 10.0, 2)
+    h = rep.threshold.threshold
+    with mp.workdps(30):
+        want = mp.quad(lambda t: mp.exp(2 * t) / (mp.pi * mp.sqrt(1 - t * t)), [-h, 0, h])
+    assert rep.value == pytest.approx(float(want), rel=1e-10)
+    with pytest.raises(ValueError, match="infinite"):
+        chi_squared(model, 2)
