@@ -490,3 +490,17 @@ def test_circle_law_refuses_integrals_that_reach_its_infinite_density():
     assert rep.value == pytest.approx(float(want), rel=1e-10)
     with pytest.raises(ValueError, match="infinite"):
         chi_squared(model, 2)
+
+
+def test_peak_between_grid_points():
+    # log K is a bump of height 50 and width 0.002 midway between the even
+    # grid points 37/128 and 38/128, where the table sees log K = 1.1 only;
+    # the run around the table's peak must still find it
+    t0, m = 37.5 / 128, 10
+    model = hand_model(lambda t: 50.0 * math.exp(-(((t - t0) / 0.002) ** 2)))
+    with mp.workdps(30):
+        a = mp.mpf(49) / 2
+        norm = mp.exp(mp.loggamma(a + mp.mpf(1) / 2) - mp.loggamma(a)) / mp.sqrt(mp.pi)
+        f = lambda t: mp.exp(m * 50 * mp.exp(-(((t - t0) / mp.mpf("0.002")) ** 2))) * norm * (1 - t * t) ** (a - 1)
+        want = float(mp.log(mp.quad(f, [-1, t0 - 0.02, t0 - 0.004, t0, t0 + 0.004, t0 + 0.02, 1])))
+    assert log_moment(model, m) == pytest.approx(want, rel=1e-10)
