@@ -442,17 +442,27 @@ def _superlevel(law, sides: tuple[ShapeGrid, ShapeGrid], mass: float):
     continuous-law kernel.  A crossing is None when g stays below c on
     that side."""
     check_mass(mass)
+    log_mass = math.log(mass)
 
     def crossings(c: float) -> list[float | None]:
         return [crossing(side, c) for side in sides]
 
     def excess(c: float) -> float:
-        """mass - P(g(T) >= c), nondecreasing in c (symmetric law)."""
+        """log mass - log P(g(T) >= c), nondecreasing in c (symmetric law),
+        +inf where no mass is left; in log mass the root-finder meets a
+        smooth function instead of one flat at mass across most levels."""
         t_left, t_right = crossings(c)
-        return mass - ((0.0 if t_left is None else law.cdf(t_left))
-                       + (0.0 if t_right is None else law.cdf(-t_right)))
+        tails = [law.log_cdf(t) for t in (t_left, None if t_right is None else -t_right) if t is not None]
+        return log_mass - (log_sum_exp(tails) if tails else -math.inf)
 
-    c_lo, c_hi = sides[1].vals[0], max(sides[0].vals[-1], sides[1].vals[-1])
+    # with g's minimum inside (-tau, tau), P(|T| >= tau) = mass, the level lies
+    # between g(-tau) and g(tau): at the lower the event holds both tails of
+    # |T| >= tau, at the higher it lies within them (g is quasiconvex)
+    tau = abs_event(law, mass)[1]
+    if abs(sides[1].xs[0]) < tau:
+        c_lo, c_hi = sorted(sides[1].g(s) for s in (-tau, tau))
+    else:
+        c_lo, c_hi = sides[1].vals[0], max(sides[0].vals[-1], sides[1].vals[-1])
     level = find_root(excess, c_lo, c_hi, excess(c_lo), excess(c_hi))[0]
     return (level, *crossings(level))
 

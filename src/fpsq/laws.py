@@ -10,8 +10,8 @@ pi^{x2} through that statistic:
   integer), so no mass underflows; the combinatorial laws round an exact
   integer ratio once (_exact_law), and log_probs and probs are views;
 - the single continuous law (sphere overlap) is represented by its exact
-  Beta density and distribution function (scipy.special), never by a
-  discretization.
+  Beta density and distribution function (an in-house incomplete Beta
+  continued fraction, _beta_cf), never by a discretization.
 
 On top of the laws sit the quantile objects used by the hardness
 criteria: survival functions P(g(T) >= r) and the generalized-inverse
@@ -27,8 +27,8 @@ masses, searched by bisection.
 On the continuous law a transform g must be even and nondecreasing in
 |t|; one grid check enforces this and anything else is refused.  Then
 {g(T) >= r} = {|T| >= tau}, and the threshold is g(tau) with tau the
-closed-form two-sided Beta quantile 1 - 2 I^{-1}_{a,a}(mass / 2),
-a = (n - 1)/2.  The remaining boundary searches (the strict event
+two-sided Beta quantile 1 - 2 I^{-1}_{a,a}(mass / 2), a = (n - 1)/2.  That
+quantile and the remaining boundary searches (the strict event
 {g(T) < r}, survival levels, the SQ superlevel set) share one bracketing
 root-finder with a step budget, find_root.
 
@@ -51,7 +51,8 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaincinv, poch
+
+from fpsq.numerics import normal_quantile
 
 Statistic = float | tuple
 Transform = Callable[[Statistic], float] | None
@@ -75,6 +76,10 @@ _LOG_DROP = 60.0  # integral integrates where the grid is within e^-this of its 
 _ORDERS = (20, 40)  # the two Gauss-Legendre rule orders each panel is checked by
 _PANEL_BUDGET = 500  # panels one integral may split into; then ResourceLimitError
 _LN2 = math.log(2.0)
+_CF_TERMS = 500  # continued-fraction steps one incomplete Beta may take; then ResourceLimitError
+_CF_CENTER = 1.5  # the sphere CDF takes its central form where (a + 5/2) t^2 is below this
+_ABOVE_MINUS_ONE = -1.0 + 2.0**-53  # the float next to -1
+_LAGUERRE_FROM = 100.0  # the sphere law's tail takes Gauss-Laguerre from a = (n - 1)/2 on
 
 
 class ResourceLimitError(ValueError):
@@ -116,7 +121,7 @@ class OverlapLaw:
     values: tuple = ()
     masses: tuple = ()
     _log_pdf: Callable[[np.ndarray], np.ndarray] | None = None
-    _cdf: Callable[[float], float] | None = None
+    _log_cdf: Callable[[float], float] | None = None
     _ppf: Callable[[float], float] | None = None
     support: tuple[float, float] = (0.0, 0.0)
     scale: float = 1.0  # a continuous law's spread about 0 (the standard deviation of T)
@@ -153,7 +158,8 @@ class OverlapLaw:
         edge = hi * (1.0 - 2.0 ** -np.arange(1.0, 53.0))
         bulk = self.scale * 2.0 ** (np.arange(-12.0, 21.0) / 2.0)
         bulk = bulk[bulk < hi]
-        return np.unique(np.concatenate([np.linspace(lo, hi, _GRID), edge, -edge, bulk, -bulk])).tolist()
+        # a set, not np.unique, whose first call imports numpy.ma (about 15 ms)
+        return sorted(set(np.concatenate([np.linspace(lo, hi, _GRID), edge, -edge, bulk, -bulk]).tolist()))
 
     @cached_property
     def grid_log_pdf(self) -> np.ndarray:
@@ -175,10 +181,15 @@ class OverlapLaw:
     def pdf(self, t):
         return np.exp(self.log_pdf(t))
 
-    def cdf(self, t: float) -> float:
-        if self._cdf is None:
+    def log_cdf(self, t: float) -> float:
+        """log P(T <= t)."""
+        if self._log_cdf is None:
             raise ValueError("law has no cdf")
-        return self._cdf(t)
+        return self._log_cdf(t)
+
+    def cdf(self, t: float) -> float:
+        """P(T <= t); above 0 as 1 - P(T <= -t) (the law is symmetric)."""
+        return math.exp(self.log_cdf(t)) if t <= 0.0 else -math.expm1(self.log_cdf(-t))
 
     def ppf(self, p: float) -> float:
         if self._ppf is None:
@@ -325,14 +336,58 @@ _GAMMA_RATIO_SERIES = tuple(
     for k, b in ((2, 1 / 6), (4, -1 / 30), (6, 1 / 42), (8, -1 / 30), (10, 5 / 66), (12, -691 / 2730)))
 
 
+# round(sqrt(pi) 2^106), for the exact products of _log_gamma_ratio
+_SQRT_PI_2_106 = 143798540030541697080757192242551
+
+
 def _log_gamma_ratio(a: float) -> float:
-    """log Gamma(a + 1/2) - log Gamma(a) within a few ulp: scipy's poch for
-    a < 12, where it is accurate (it is off by up to 4e-12 for a between 50
-    and 10^4), the asymptotic series above, which does not cancel, beyond."""
-    if a < 12.0:
-        return math.log(poch(a, 0.5))
-    inv2 = a**-2
-    return 0.5 * math.log(a) + math.fsum(c * inv2 ** (i + 0.5) for i, c in enumerate(_GAMMA_RATIO_SERIES))
+    """log Gamma(a + 1/2) - log Gamma(a) for a = (n - 1)/2 within a few ulp.
+    Below 12 the ratio is an exact product from Gamma(1)/Gamma(1/2) =
+    1/sqrt(pi) or Gamma(3/2)/Gamma(1) = sqrt(pi)/2 by Gamma(b + 3/2)/Gamma(b + 1)
+    = (b + 1/2)/b Gamma(b + 1/2)/Gamma(b); its difference from 1 is rounded
+    once from integers (sqrt(pi) to 2^-106), so log1p loses nothing where the
+    ratio is near 1.  From 12 on, the asymptotic series above, which does not
+    cancel."""
+    if a >= 12.0:
+        inv2 = a**-2
+        return 0.5 * math.log(a) + math.fsum(c * inv2 ** (i + 0.5) for i, c in enumerate(_GAMMA_RATIO_SERIES))
+    twice = int(2.0 * a)  # n - 1
+    if twice != 2.0 * a or twice < 1:
+        raise ValueError(f"_log_gamma_ratio needs a = (n - 1)/2 for an integer n >= 2, got {a}")
+    num = den = 1
+    for j in range(2 - twice % 2, twice, 2):  # factors (j + 1)/j over b = j/2 from 1/2 or 1 up to a - 1
+        num, den = num * (j + 1), den * j
+    one = 1 << 106
+    if twice % 2:  # the ratio is num / (den sqrt(pi))
+        top, bottom = num * one, den * _SQRT_PI_2_106
+    else:  # (num sqrt(pi)) / (2 den)
+        top, bottom = num * _SQRT_PI_2_106, 2 * den * one
+    return math.log1p((top - bottom) / bottom)
+
+
+def _beta_cf(p: float, q: float, x: float) -> float:
+    """The continued fraction of I_x(p, q) = x^p (1 - x)^q / (p B(p, q)) cf
+    (DLMF 8.17.22) by the modified Lentz method, for x below
+    (p + 1)/(p + q + 2), where it converges fast.  ResourceLimitError past
+    _CF_TERMS steps."""
+    qab, qap, qam = p + q, p + 1.0, p - 1.0
+    d = 1.0 / (1.0 - qab * x / qap or 1e-300)
+    c, h = 1.0, d
+    for m in range(1, _CF_TERMS):
+        m2 = 2 * m
+        aa = m * (q - m) * x / ((qam + m2) * (p + m2))
+        d = 1.0 / (1.0 + aa * d or 1e-300)
+        c = 1.0 + aa / c or 1e-300
+        h *= d * c
+        aa = -(p + m) * (qab + m) * x / ((p + m2) * (qap + m2))
+        d = 1.0 / (1.0 + aa * d or 1e-300)
+        c = 1.0 + aa / c or 1e-300
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= 2.0**-53:
+            return h
+    raise ResourceLimitError(f"the incomplete Beta continued fraction at p={p}, q={q}, x={x} "
+                             f"did not converge in {_CF_TERMS} steps")
 
 
 def sphere_law(n: int) -> OverlapLaw:
@@ -347,6 +402,7 @@ def sphere_law(n: int) -> OverlapLaw:
     a = 0.5 * (n - 1)
     # 1 / (2^{n-2} B(a, a)) = Gamma(a + 1/2) / (Gamma(a) sqrt(pi)), the density's normalizer
     log_norm = _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
+    log_tail_norm = log_norm - math.log(2.0 * a)
 
     def log_pdf(t):
         s = np.abs(np.asarray(t, dtype=float))
@@ -356,6 +412,64 @@ def sphere_law(n: int) -> OverlapLaw:
             out = (a - 1.0) * log_s + log_norm if a != 1.0 else np.full_like(s, log_norm)
         return np.where(s > 1.0, -np.inf, out)[()]
 
+    def log_cdf(t: float) -> float:
+        """log P(T <= t), for t > 0 from 1 - P(T <= -t).  For t <= 0,
+        P = I_x(a, a) at x = (1 + t)/2 is a prefactor, whose log is
+        a log(1 - t^2) + log_norm - log(2a), times J, in one of three forms:
+        - central, (a + 5/2) t^2 < _CF_CENTER: P = 1/2 - I_{t^2}(1/2, a)/2
+          instead (T^2 ~ Beta(1/2, a)), by _beta_cf;
+        - a < _LAGUERRE_FROM: J = _beta_cf(a, a, x);
+        - beyond: J = int_0^inf e^-v (t^2 + (1 - t^2)(1 - e^{-v/a}))^{-1/2} dv,
+          the tail integral with 1 - y^2 = (1 - t^2) e^{-v/a}, by
+          Gauss-Laguerre.  It reads t itself, where the continued fraction
+          reads the rounded x and loses about 2^-53/|t| relative."""
+        if t > 0.0:
+            return math.log1p(-math.exp(log_cdf(-t)))
+        if t <= -1.0:
+            return -math.inf
+        w = t * t
+        if (a + 2.5) * w < _CF_CENTER:
+            return math.log(0.5 + t * math.exp(a * math.log1p(-w) + log_norm) * _beta_cf(0.5, a, w))
+        if a < _LAGUERRE_FROM:
+            tail = _beta_cf(a, a, 0.5 + 0.5 * t)
+        else:
+            v, weights = _laguerre()
+            tail = float(weights @ (w + (1.0 - w) * -np.expm1(v / -a)) ** -0.5)
+        log_s = math.log1p(-w) if t > -0.5 else math.log((1.0 - t) * (1.0 + t))
+        return a * log_s + log_tail_norm + math.log(tail)
+
+    def ppf(p: float) -> float:
+        """inf { t : P(T <= t) >= p }: find_root on log P - log p, bracketed
+        from a Student-t guess (sqrt(n - 1) T / sqrt(1 - T^2) is Student t
+        with n - 1 degrees of freedom) by doubling or halving log(1 - t^2)."""
+        if p > 0.5:
+            return -ppf(1.0 - p)  # exact for p > 1/2
+        if p == 0.5:
+            return 0.0
+        if not p > 0.0:
+            return -1.0
+        log_p = math.log(p)
+        f = lambda t: log_cdf(t) - log_p
+
+        def at(u: float) -> tuple[float, float]:
+            t = max(-math.sqrt(-math.expm1(u)), _ABOVE_MINUS_ONE)
+            return t, f(t)
+
+        z2 = normal_quantile(p) ** 2
+        u = math.log1p(-z2 / (z2 + 2.0 * a))  # log(1 - t^2) of the guess
+        t, ft = at(u)
+        scale = 0.5 if ft < 0.0 else 2.0  # toward 0 while f < 0, toward -1 while f >= 0
+        while True:
+            u *= scale
+            s, fs = at(u)
+            if (fs < 0.0) != (ft < 0.0):
+                break
+            if s == _ABOVE_MINUS_ONE:  # f >= 0 even next to -1
+                return -1.0
+            t, ft = s, fs
+        (lo, f_lo), (hi, f_hi) = sorted(((t, ft), (s, fs)), key=lambda pair: pair[1])
+        return find_root(f, lo, hi, f_lo, f_hi)[1]
+
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         return 2.0 * rng.beta(a, a, size=count) - 1.0
 
@@ -364,8 +478,8 @@ def sphere_law(n: int) -> OverlapLaw:
         statistic="scalar",
         descriptor={"kind": "sphere", "n": n},
         _log_pdf=log_pdf,
-        _cdf=lambda t: float(betainc(a, a, min(max(0.5 * (1.0 + t), 0.0), 1.0))),
-        _ppf=lambda p: 2.0 * float(betaincinv(a, a, p)) - 1.0,
+        _log_cdf=log_cdf,
+        _ppf=ppf,
         support=(-1.0, 1.0),
         scale=n**-0.5,
         _sampler=sampler,
@@ -493,7 +607,8 @@ def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: fl
     on either side of b.  ITP steps (Oliveira and Takahashi, ACM TOMS 47,
     2021): regula falsi, truncated toward the midpoint and projected into
     a shrinking bisection radius, so no run takes more steps than
-    bisection and smooth f converge superlinearly (about 10 steps)."""
+    bisection and smooth f converge superlinearly (about 10 steps).  An
+    infinite f at an end (no mass left, say) makes that step a bisection."""
     if fa >= 0.0:
         return a, a
     tol = 2.0**-52 * max(abs(a), abs(b))
@@ -505,7 +620,7 @@ def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: fl
         if width <= 2.0 * tol:
             break
         mid = 0.5 * (a + b)
-        x_f = (a * fb - b * fa) / (fb - fa)
+        x_f = (a * fb - b * fa) / (fb - fa) if math.isfinite(fb - fa) else mid
         sigma = math.copysign(1.0, mid - x_f)
         delta = k1 * width * width
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
@@ -669,6 +784,13 @@ def integral(law: OverlapLaw, log_f: Callable[[np.ndarray], tuple], grid_log_f: 
         return 0.0, -math.inf
     lv = math.log(abs(total)) + shift
     return math.copysign(exp_or_inf(lv), total), lv
+
+
+@functools.cache
+def _laguerre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-point Gauss-Laguerre rule, built on first use: within about
+    6e-15 on the sphere law's tail integral from a = 24.5 on."""
+    return np.polynomial.laguerre.laggauss(64)
 
 
 @functools.cache

@@ -26,17 +26,43 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_hermitenorm
 
 DEFAULT_MAX_DEGREE = 512
 DEFAULT_NUM_NODES = 200
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_SQRT_HALF = 0.7071067811865476  # 1/sqrt(2) rounded; _SQRT_HALF_LO is the rest
+_SQRT_HALF_LO = -4.833646656726457e-17
+
+# Wichura's AS241 (PPND16) rational approximations of the normal quantile,
+# lowest-degree coefficient first: the central stretch |p - 1/2| <= 0.425
+# (_AS241_A / _AS241_B in r = 0.180625 - (p - 1/2)^2) and the tail for
+# r = sqrt(-log min(p, 1 - p)) <= 5 (C / D, in r - 1.6) and beyond (E / F, in r - 5).
+_AS241_A = (3.387132872796366608, 133.14166789178437745, 1971.5909503065514427,
+            13731.693765509461125, 45921.953931549871457, 67265.770927008700853,
+            33430.575583588128105, 2509.0809287301226727)
+_AS241_B = (1.0, 42.313330701600911252, 687.1870074920579083, 5394.1960214247511077,
+            21213.794301586595867, 39307.89580009271061, 28729.085735721942674,
+            5226.495278852854561)
+_AS241_C = (1.42343711074968357734, 4.6303378461565452959, 5.7694972214606914055,
+            3.64784832476320460504, 1.27045825245236838258, 0.24178072517745061177,
+            0.0227238449892691845833, 7.7454501427834140764e-4)
+_AS241_D = (1.0, 2.05319162663775882187, 1.6763848301838038494, 0.68976733498510000455,
+            0.14810397642748007459, 0.0151986665636164571966, 5.475938084995344946e-4,
+            1.05075007164441684324e-9)
+_AS241_E = (6.6579046435011037772, 5.4637849111641143699, 1.7848265399172913358,
+            0.29656057182850489123, 0.026532189526576123093, 0.0012426609473880784386,
+            2.71155556874348757815e-5, 2.01033439929228813265e-7)
+_AS241_F = (1.0, 0.59983220655588793769, 0.13692988092273580531, 0.0148753612908506148525,
+            7.868691311456132591e-4, 1.8463183175100546818e-5, 1.4215117583164458887e-7,
+            2.04426310338993978564e-15)
 
 
 def normal_pdf(x: float) -> float:
@@ -44,20 +70,67 @@ def normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
+def _rounding_of_half_erf(ax: float, w: float) -> float:
+    """erf(ax/sqrt 2)/2 - erf(w)/2 to first order, w = fl(ax _SQRT_HALF):
+    the rounding of w, which erfc magnifies 2 w^2 times in the tail, from
+    Dekker's exact product and the rest of 1/sqrt(2).  ax must be below 1e300."""
+    c = 134217729.0 * ax  # Veltkamp splits into 26-bit halves
+    a_hi = c - (c - ax)
+    c = 134217729.0 * _SQRT_HALF
+    b_hi = c - (c - _SQRT_HALF)
+    a_lo, b_lo = ax - a_hi, _SQRT_HALF - b_hi
+    lost = ((a_hi * b_hi - w) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + ax * _SQRT_HALF_LO
+    return _INV_SQRT_PI * math.exp(-w * w) * lost
+
+
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x), accurate in both tails."""
-    return float(ndtr(x))
+    """Standard normal CDF Phi(x), within 2 ulp in both tails: the lower
+    tail erfc(|x|/sqrt 2)/2 as cephes ndtr takes it, corrected for the
+    rounding of |x|/sqrt 2."""
+    ax = abs(x)
+    w = ax * _SQRT_HALF
+    tail = 0.5 * math.erfc(w)
+    if tail > 0.0:  # so |x| < 40
+        tail -= _rounding_of_half_erf(ax, w)
+    return tail if x < 0.0 else 1.0 - tail
+
+
+def _poly(coeffs: Sequence[float], x: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse of normal_cdf on (0, 1).
+    """Inverse of normal_cdf on (0, 1), within 2 ulp: Wichura's AS241
+    (Appl. Statist. 37, 1988), then one Newton step, through erfc on the
+    lower tail and through erf on the central stretch, where p - 1/2 is
+    exact.
 
     Raises ValueError outside the open unit interval; the endpoints map
     to non-finite values and are rejected rather than returned.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires p in (0, 1), got {p}")
-    return float(ndtri(p))
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        x = q * _poly(_AS241_A, r) / _poly(_AS241_B, r)
+        ax = abs(x)
+        w = ax * _SQRT_HALF
+        excess = math.copysign(0.5 * math.erf(w) + _rounding_of_half_erf(ax, w), x) - q
+        return x - excess / normal_pdf(x)
+    low = min(p, 1.0 - p)  # 1 - p is exact for p >= 1/2
+    r = math.sqrt(-math.log(low))
+    if r <= 5.0:
+        x = -_poly(_AS241_C, r - 1.6) / _poly(_AS241_D, r - 1.6)
+    else:
+        x = -_poly(_AS241_E, r - 5.0) / _poly(_AS241_F, r - 5.0)
+    density = normal_pdf(x)
+    if density > 0.0:
+        x -= (normal_cdf(x) - low) / density
+    return x if q < 0.0 else -x
 
 
 def hermite_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
@@ -107,23 +180,50 @@ class QuadratureRule:
         return float(np.dot(self.weights, np.asarray(f(self.nodes), dtype=float)))
 
 
-def gauss_hermite_rule(num_nodes: int = DEFAULT_NUM_NODES) -> QuadratureRule:
-    """Gauss-Hermite rule of the given size for the N(0,1) weight.
+def _hermite_sweep(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(h_{n-1}(x) s, h_n(x) s, sum_{i<n} h_i(x)^2 s^2, s) at each node,
+    by the normalized recurrence started from s = exp(-x^2/4), which keeps
+    every term within a small factor of 1 (|h_i(x)| <= 1.09 e^{x^2/4},
+    Cramer's inequality) for |x| up to about 53."""
+    s = np.exp(-0.25 * x * x)
+    roots = np.sqrt(np.arange(n + 1.0))
+    prev, cur, total = np.zeros_like(x), s, np.zeros_like(x)
+    for i in range(n):
+        total += cur * cur
+        prev, cur = cur, (x * cur - roots[i] * prev) / roots[i + 1]
+    return prev, cur, total, s
 
-    Nodes/weights come from the Golub-Welsch eigenproblem behind
-    scipy's probabilists' roots_hermitenorm (stable through 512 nodes);
-    the weights are renormalized from integral sqrt(2 pi) to mass 1.
+
+@functools.cache
+def gauss_hermite_rule(num_nodes: int = DEFAULT_NUM_NODES) -> QuadratureRule:
+    """Gauss-Hermite rule of the given size for the N(0,1) weight, built
+    once per size.
+
+    Golub-Welsch: since He_2k(x) and He_2k+1(x)/x are Laguerre polynomials
+    in x^2/2 (parameter -1/2 and +1/2), the nodes are +-sqrt(2 y) for y the
+    eigenvalues of that Laguerre Jacobi matrix, half the size of Hermite's;
+    one Newton step with the normalized recurrence refines them, and the
+    weights are the Christoffel numbers 1 / sum_{i<n} h_i(x_j)^2.  Nodes
+    whose weight underflows to 0 (from about 350 nodes on) are dropped,
+    which changes nothing at double precision.
     """
     if not 1 <= num_nodes <= DEFAULT_MAX_DEGREE:
         raise ValueError(f"num_nodes must be in [1, {DEFAULT_MAX_DEGREE}], got {num_nodes}")
-    if num_nodes == 1:
-        return QuadratureRule(np.array([0.0]), np.array([1.0]))
-    nodes, weights = roots_hermitenorm(num_nodes)
-    # beyond ~350 nodes the extreme tail weights underflow to exactly 0;
-    # dropping those nodes changes nothing at double precision
+    half, odd = divmod(num_nodes, 2)
+    alpha = odd - 0.5
+    k = np.arange(half)
+    jacobi = np.diag(2.0 * k + alpha + 1.0)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    jacobi += np.diag(off, 1) + np.diag(off, -1)
+    pos = np.sqrt(2.0 * np.linalg.eigvalsh(jacobi)) if half else np.empty(0)
+    x = np.r_[-pos[::-1], np.zeros(odd), pos]
+    prev, cur, _, _ = _hermite_sweep(num_nodes, x)
+    x = x - cur / (math.sqrt(num_nodes) * prev)
+    _, _, total, s = _hermite_sweep(num_nodes, x)
+    weights = s / total * s
     keep = weights > 0.0
-    nodes, weights = nodes[keep], weights[keep]
-    weights = weights / weights.sum()
+    nodes, weights = x[keep], weights[keep] / weights[keep].sum()
+    nodes.flags.writeable = weights.flags.writeable = False  # one cached rule serves every caller
     return QuadratureRule(nodes, weights)
 
 

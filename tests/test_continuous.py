@@ -504,3 +504,87 @@ def test_peak_between_grid_points():
         f = lambda t: mp.exp(m * 50 * mp.exp(-(((t - t0) / mp.mpf("0.002")) ** 2))) * norm * (1 - t * t) ** (a - 1)
         want = float(mp.log(mp.quad(f, [-1, t0 - 0.02, t0 - 0.004, t0, t0 + 0.004, t0 + 0.02, 1])))
     assert log_moment(model, m) == pytest.approx(want, rel=1e-10)
+
+
+def mp_sphere_lower_tail(n: int, t: float) -> tuple[mp.mpf, mp.mpf]:
+    """(P(T <= t), density at t) on sphere_law(n) for t <= 0, at 50 digits:
+    mpmath's betainc up to n = 400; beyond, where its hypergeometric series
+    does not converge (a >= 5e4), mpmath.quad of the density over |T| >=
+    |t| on panels that double from the density's decay length at |t|,
+    up to where it has fallen by e^-150."""
+    with mp.workdps(50):
+        a, t = mp.mpf(n - 1) / 2, mp.mpf(t)
+        log_norm = mp.loggamma(a + mp.mpf(1) / 2) - mp.loggamma(a) - mp.log(mp.pi) / 2
+        pdf = mp.exp((a - 1) * mp.log1p(-t * t) + log_norm)
+        if n <= 400:
+            return mp.betainc(a, a, 0, (1 + t) / 2, regularized=True), pdf
+        y0 = -t
+        exponent = lambda y: (a - 1) * (mp.log1p(-y * y) - mp.log1p(-y0 * y0))
+        ends, step = [y0], min(1 / (2 * a * y0) if y0 > 0 else 1, 1 / mp.sqrt(2 * a))
+        while ends[-1] + step < 1 and exponent(ends[-1]) > -150:
+            ends.append(ends[-1] + step)
+            step *= 2
+        ends.append(min(ends[-1] + step, mp.mpf(1)))
+        return mp.quad(lambda y: mp.exp(exponent(y)), ends) * pdf, pdf
+
+
+SPHERE_PS = [1e-300, 1e-100, 1e-30, 1e-10, 1e-4, 0.01, 0.1, 0.3, 0.45, 0.49]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 50, 400, 10**5, 10**8])
+def test_sphere_cdf_and_ppf_vs_mpmath(n):
+    # The quantile is within 1e-14 relative of the 50-digit one (one mp
+    # Newton step from it).  The CDF at that float t is within 1e-14 of
+    # the 50-digit value in log P, relative where |log P| > 1: a value
+    # carried as its log, like P = 1e-300 (log P = -690.8), is only as
+    # precise as that log (2^-53 690.8 = 8e-14 relative to P).
+    law = sphere_law(n)
+    for p in SPHERE_PS:
+        t = law.ppf(p)
+        ref, pdf = mp_sphere_lower_tail(n, t)
+        with mp.workdps(50):
+            if t == -1.0:  # the quantile lies below the float next to -1
+                assert mp_sphere_lower_tail(n, -1.0 + 2.0**-53)[0] >= p
+                continue
+            want_t = t - (ref - p) / pdf
+            assert abs(t - want_t) <= 1e-14 * abs(want_t), (p, t, float(want_t))
+            log_ref = mp.log(ref)
+            got = law.log_cdf(t)
+            assert abs(got - log_ref) <= 1e-14 * max(1, abs(log_ref)), (p, got, float(log_ref))
+            assert abs(law.cdf(t) - ref) <= 1e-14 * ref * max(1, abs(log_ref)), p
+    assert law.ppf(0.5) == 0.0 and law.ppf(1.0) == 1.0 and law.ppf(0.0) == -1.0
+    assert law.ppf(0.75) == -law.ppf(0.25)
+
+
+@pytest.mark.parametrize("n", range(2, 26))
+def test_log_gamma_ratio_vs_mpmath(n):
+    with mp.workdps(50):
+        a = mp.mpf(n - 1) / 2
+        want = float(mp.loggamma(a + mp.mpf(1) / 2) - mp.loggamma(a))
+    assert abs(laws._log_gamma_ratio((n - 1) / 2) - want) <= 2 * math.ulp(want)
+
+
+@pytest.mark.parametrize("name", ["gam-sphere", "si-sign-sphere"])
+@pytest.mark.parametrize("q", [1.5, 8.0, 20.0, 917.0, 2048.0])
+def test_sq_level_search_steps(monkeypatch, name, q):
+    # the level search runs in log mass, where find_root meets a smooth
+    # function, from the bracket [g(-tau), g(tau)]: 2 evaluations at its
+    # ends (all on si-sign-sphere, whose |K - 1| is even) and on
+    # gam-sphere about 10 inside
+    counts = []
+    inner = find_root
+
+    def counting(f, a, b, fa, fb):
+        calls = [2]
+
+        def g(x):
+            calls[0] += 1
+            return f(x)
+
+        out = inner(g, a, b, fa, fb)
+        counts.append(calls[0])
+        return out
+
+    monkeypatch.setattr("fpsq.criteria.find_root", counting)
+    sq_value(build_model(BUILTIN_MODEL_DESCRIPTORS[name]), q)
+    assert len(counts) == 1 and counts[0] <= 15, counts

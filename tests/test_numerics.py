@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -105,6 +106,52 @@ class TestQuadrature:
         gram = (mat * rule.weights) @ mat.T
         np.testing.assert_allclose(gram, np.eye(21), atol=1e-10)
 
+    def test_every_size_vs_scipy_and_its_moments(self):
+        # every size against scipy's roots_hermitenorm (normalized to mass
+        # 1), whose rule drops more underflowed tail nodes from 384 nodes
+        # on, so the rules are aligned on their middles.  Weights are within
+        # 1e-11, not 1e-12: scipy's own tail weights are off by up to 3.9e-12
+        # (n = 143, its first node, against mpmath; see the next test).
+        from scipy.special import roots_hermitenorm
+
+        sizes = range(1, 513)
+        rules = [gauss_hermite_rule(n) for n in sizes]
+        for n, rule in zip(sizes, rules):
+            nodes, weights = roots_hermitenorm(n)
+            weights = weights / weights.sum()
+            cut = (n - rule.num_nodes) // 2
+            nodes, weights = nodes[cut:n - cut], weights[cut:n - cut]
+            assert np.abs(rule.nodes - nodes).max() <= 1e-13, n
+            big = weights > 1e-300
+            assert (np.abs(rule.weights[big] / weights[big] - 1.0) <= 1e-11).all(), n
+        # E[h_k(Z)] = delta_k0 up to degree 2n - 1, all sizes at once: the
+        # recurrence runs over every rule's nodes, and each moment is summed per rule
+        x = np.concatenate([r.nodes for r in rules])
+        w = np.concatenate([r.weights for r in rules])
+        starts = np.cumsum([0] + [r.num_nodes for r in rules[:-1]])
+        top = 2 * np.array(sizes) - 1
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for k in range(2 * sizes[-1]):
+            moment = np.add.reduceat(w * cur, starts) - (k == 0)
+            assert np.abs(moment[top >= k]).max() <= 1e-14, k
+            prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
+
+    @pytest.mark.parametrize("n", [143, 200, 512])
+    def test_tail_weights_vs_mpmath(self, n):
+        # Newton on the 40-digit recurrence from each node; weight
+        # 1 / (n h_{n-1}(x)^2) by Christoffel-Darboux, not the code's sum
+        rule = gauss_hermite_rule(n)
+        with mp.workdps(40):
+            for j in (0, 1, 5, rule.num_nodes // 2):
+                x = mp.mpf(float(rule.nodes[j]))
+                for _ in range(3):
+                    prev, cur = mp.mpf(0), mp.mpf(1)
+                    for i in range(n):
+                        prev, cur = cur, (x * cur - mp.sqrt(i) * prev) / mp.sqrt(i + 1)
+                    x -= cur / (mp.sqrt(n) * prev)
+                assert abs(rule.nodes[j] - x) <= 1e-14 * max(1, abs(x)), (n, j)
+                assert rule.weights[j] == pytest.approx(float(1 / (n * prev**2)), rel=1e-13), (n, j)
+
     def test_node_count_bounds(self):
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
@@ -140,6 +187,19 @@ class TestNormal:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 normal_quantile(bad)
+
+    def test_quantile_and_cdf_within_two_ulp_of_mpmath(self):
+        # p from 1e-300 to 1 - 1e-16 over both tails and the centre; the
+        # CDF is checked at each 50-digit quantile rounded to a float
+        ps = np.r_[np.logspace(-300, -1, 60), np.linspace(0.1, 0.9, 33),
+                   1.0 - np.logspace(-1, -16, 30)]
+        with mp.workdps(50):
+            for p in ps.tolist():
+                want = float(mp.findroot(lambda x: mp.ncdf(x) - p, mp.mpf(normal_quantile(p))))
+                got = normal_quantile(p)
+                assert abs(got - want) <= 2 * math.ulp(want), (p, got, want)
+                want_p = float(mp.ncdf(want))
+                assert abs(normal_cdf(want) - want_p) <= 2 * math.ulp(want_p), (want, want_p)
 
 
 class TestHermiteCoeffs:
