@@ -51,7 +51,7 @@ from fpsq.laws import (
     integral,
     threshold_sup,  # noqa: F401  (stays importable from this module)
 )
-from fpsq.numerics import log_sum_exp
+from fpsq.numerics import exact_sum, log_sum_exp
 
 _REL = 1e-12
 _MAX_EXACT_ORBITS = 64  # GFP orbit items beyond this take the greedy brackets
@@ -204,9 +204,13 @@ def _log_add(a: float, b: float) -> float:
 
 
 def _by_density(values: Sequence[float], weights: Sequence[float]) -> list[int]:
-    """Items of nonzero value in increasing log value per unit mass."""
-    return sorted((j for j in range(len(values)) if values[j] > -math.inf),
-                  key=lambda j: values[j] - math.log(weights[j]) if weights[j] > 0.0 else math.inf)
+    """Items of nonzero value in increasing log value per unit mass, ties
+    in item order (math.log, not np.log, whose last bit differs on some
+    inputs and could reorder near-ties)."""
+    values = np.asarray(values)
+    items = np.flatnonzero(values > -math.inf)
+    log_w = np.array([math.log(w) if w > 0.0 else -math.inf for w in weights])
+    return items[np.argsort(values[items] - log_w[items], kind="stable")].tolist()
 
 
 def _fractional_fill(values: Sequence[float], weights: Sequence[float], order: Sequence[int],
@@ -381,11 +385,13 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
                                else "branch-and-bound-budget")
         detail["value_brackets"] = (exp_or_inf(lower), exp_or_inf(upper))
         method = "exact-sum(greedy-bracket)"
-    keep = np.isin(tab.orbit, included)
+    chosen = np.zeros(len(values), dtype=bool)
+    chosen[included] = True
+    keep = chosen[tab.orbit]
     value, lv = _event_value(log_terms[keep])
-    detail["excluded_atoms"] = sorted((v for v, k in zip(model.law.values, keep) if not k), key=str)
-    dropped = set(range(len(values))).difference(included)
-    detail["excluded_mass"] = math.fsum(weights[j] for j in dropped)
+    atoms = model.law.values
+    detail["excluded_atoms"] = [atoms[i] for i in np.flatnonzero(~keep).tolist()]
+    detail["excluded_mass"] = exact_sum(np.asarray(weights)[~chosen])
     return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method, detail)
 
 
@@ -410,7 +416,7 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
         j = int(np.argmax(dev.levels >= dev.threshold(mass).threshold * (1.0 - _REL)))
         achieved = dev.tails[j]
         thr = ThresholdResult(float(dev.levels[j]), achieved, math.isclose(achieved, mass, rel_tol=_REL))
-        top_sum = math.fsum((dev.levels * dev.mass)[j:].tolist())  # E[|K - 1| 1(levels j..)]
+        top_sum = exact_sum((dev.levels * dev.mass)[j:])  # E[|K - 1| 1(levels j..)]
         value = top_sum / achieved if achieved > 0.0 else 0.0
         method = "exact-sum"
     else:
@@ -477,7 +483,7 @@ def _deviation_moment(model: ModelSpec, t: int) -> float:
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise AtomEvaluationError(model.law.values[bad[0]], float(y[bad[0]]))
-    return math.fsum((y * tab.p).tolist())
+    return exact_sum(y * tab.p)
 
 
 def usq_moment(model: ModelSpec, t: int) -> float:
@@ -521,7 +527,7 @@ def chi_squared(model: ModelSpec, m: int) -> float:
     scaled = (x > 0.0) & ((tab.p < 1e-300) | (x > 700.0))
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.where(scaled, np.exp(tab.log_p + x) * -np.expm1(-x), tab.p * np.expm1(x))
-    return math.fsum(terms.tolist())
+    return exact_sum(terms)
 
 
 def log_moment(model: ModelSpec, m: int) -> float:

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from fpsq.numerics import normal_quantile
+from fpsq.numerics import exact_sum, normal_quantile
 
 Statistic = float | tuple
 Transform = Callable[[Statistic], float] | None
@@ -131,7 +131,7 @@ class OverlapLaw:
         if self.kind == "discrete":
             if any(f < 0.0 for f, _ in self.masses):
                 raise ValueError("atom probabilities must be nonnegative")
-            total = math.fsum(self.probs)
+            total = exact_sum(self.probs)
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"atom probabilities sum to {total}, not 1")
         elif self.kind != "continuous":
@@ -710,13 +710,13 @@ def expect(
     if law.kind == "discrete":
         if interval is not None:
             raise ValueError("expect: interval applies to continuous laws only")
-        terms = []
-        for v, p in law.atoms:
+        ys = []
+        for v in law.values:
             y = float(f(v))
             if not math.isfinite(y):
                 raise AtomEvaluationError(v, y)
-            terms.append(y * p)
-        return math.fsum(terms)
+            ys.append(y)
+        return exact_sum(np.multiply(ys, law.probs))
 
     def log_f(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = np.array([f(t) for t in ts.tolist()], dtype=float)
@@ -826,7 +826,7 @@ def gauss_legendre_panels(g: Callable[[np.ndarray], np.ndarray], panels: np.ndar
         done = np.r_[done, np.c_[todo, high, np.abs(high - low), half * (np.abs(y[:, k:]) @ w_hi)]]
         allowed = rel_tol * done[:, 4].sum()
         if done[:, 3].sum() <= allowed:
-            return math.fsum(done[:, 2].tolist())
+            return exact_sum(done[:, 2])
         split = done[:, 3] > allowed / len(done)
         a, b = done[split, 0], done[split, 1]
         todo = np.r_[np.c_[a, 0.5 * (a + b)], np.c_[0.5 * (a + b), b]]

@@ -22,6 +22,10 @@ Conventions used throughout the package:
 
   for i >= 1, which is preferred over raw quadrature because quadrature
   converges slowly on discontinuous integrands.
+
+- Linear sums over an array (atom tables above all) are correctly
+  rounded by exact_sum, bit for bit the float math.fsum returns;
+  log_sum_exp sums its shifted exponentials with it.
 """
 
 from __future__ import annotations
@@ -311,12 +315,70 @@ def symmetric_indicator_tail(kappa: float, degree: int, extend_to: int = 200_000
     return partial + remainder
 
 
+# exact_sum hands shorter arrays to math.fsum, which is faster there: on the
+# 127 masses of the 126-sign law fsum takes 8 to 20 us against about 20 us,
+# on the 251 of the 250-sign law 43 to 58 us against 15 to 26 us
+_EXACT_SUM_MIN_SIZE = 192
+_SPLIT = 2.0**26
+
+
+@functools.cache
+def _window_scales(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """2^(1023 - k width) and its inverse for every window k of a double's
+    biased exponent (0..2047) cut into windows of the given width."""
+    k = np.arange(2048 // width + 1)
+    with np.errstate(over="ignore"):
+        return np.ldexp(1.0, 1023 - width * k), np.ldexp(1.0, width * k - 1023)
+
+
+def exact_sum(x) -> float:
+    """The correctly rounded sum of a float array: the float math.fsum
+    returns, bit for bit, raising where it raises, from O(n) numpy work.
+
+    fsum's cost grows with the spread of its terms' exponents (0.7 ms on
+    1,001 masses spanning 2^-1000 to 2^-5).  Here the biased exponents are
+    cut into windows of width w = 27 - ceil(log2 n); each term is scaled
+    exactly by a power of two into its window, below 2^w, and split into
+    a multiple of 2^-26 and a rest below 2^-26.  Every partial sum of one
+    window's high (or low) parts is then a multiple of its quantum below
+    2^53 quanta, so np.bincount adds them exactly in any order.  fsum then
+    rounds the total of the nonzero window sums (at most 2 + 4096 / w)
+    once, fed largest window first, the order in which it is fastest.
+
+    Short arrays, arrays beyond 2^26 terms and arrays holding inf, nan or
+    terms near the overflow threshold go to math.fsum itself, as does a
+    zero total (so the sign of a zero follows fsum on every Python)."""
+    x = np.asarray(x, dtype=float).ravel()
+    n = x.size
+    if n < _EXACT_SUM_MIN_SIZE or n > 2**26:
+        return math.fsum(x.tolist())
+    log_n = (n - 1).bit_length()
+    width = 27 - log_n
+    down, up = _window_scales(width)
+    window = (np.abs(x).view(np.int64) >> 52) // width
+    scaled = x * down[window]
+    high = scaled * _SPLIT
+    np.trunc(high, out=high)
+    high *= 1.0 / _SPLIT
+    high_sums = np.bincount(window, weights=high)
+    count = len(high_sums)
+    if count * width + log_n > 2040:  # inf or nan (exponent 2047), or a sum that could pass 2^1017
+        return math.fsum(x.tolist())
+    sums = np.empty((count, 2))
+    sums[:, 0] = np.bincount(window, weights=scaled - high, minlength=count)
+    sums[:, 1] = high_sums
+    sums *= up[:count, None]
+    sums = sums.ravel()[::-1]
+    total = math.fsum(sums[sums != 0.0].tolist())
+    return total if total else math.fsum(x.tolist())
+
+
 def log_sum_exp(log_terms: Sequence[float]) -> float:
     """log(sum_i exp(log_terms[i])), stable against overflow.
 
     Terms of -inf are allowed (exact zeros); an empty input is an error
     rather than -inf since every caller expects a nonempty sum.  The
-    shifted exponentials are summed exactly (math.fsum).
+    shifted exponentials are summed exactly (exact_sum).
     """
     x = np.asarray(log_terms, dtype=float)
     if x.size == 0:
@@ -324,4 +386,4 @@ def log_sum_exp(log_terms: Sequence[float]) -> float:
     m = float(x.max())
     if math.isinf(m):
         return m
-    return m + math.log(math.fsum(np.exp(x - m).tolist()))
+    return m + math.log(exact_sum(np.exp(x - m)))

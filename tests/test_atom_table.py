@@ -155,6 +155,16 @@ class TestGfpLogValues:
         assert rep.log_value == pytest.approx(want, rel=1e-14)
         assert rep.detail["excluded_atoms"] == [0.5]
 
+    def test_excluded_atoms_follow_law_order(self):
+        # both high-kernel atoms fit in the q^-2 = 0.25 budget; their reprs
+        # sort "10.0" before "2.0", the law puts 2.0 first
+        model = build_model({"model": "synthetic", "values": [0.0, 2.0, 10.0],
+                             "probs": [0.8, 0.1, 0.1], "kernel_values": [0.5, 3.0, 4.0]})
+        rep = gfp_value(model, 2.0, 3)
+        assert model.law.values == (0.0, 2.0, 10.0)
+        assert rep.detail["excluded_atoms"] == [2.0, 10.0]
+        assert rep.detail["excluded_mass"] == pytest.approx(0.2, rel=1e-15)
+
     def test_node_budget_returns_brackets(self):
         # 40 items with near-equal value per unit mass defeat the fractional bound
         rng = np.random.default_rng(0)

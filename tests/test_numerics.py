@@ -5,11 +5,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fpsq import numerics
 from fpsq.criteria import chi_squared, log_moment
 from fpsq.kernels import build_model
 from fpsq.numerics import (
     QuadratureRule,
+    exact_sum,
     gauss_hermite_rule,
     hermite_matrix,
     interval_indicator_coeffs,
@@ -300,6 +304,85 @@ class TestLogAccumulation:
             synthetic([0.0, 1.0], [2.0, -1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             synthetic([], [], [])
+
+
+# sizes around exact_sum's hand-over to math.fsum, and at 2^k, 2^k + 1 for
+# k = 7..16, where ceil(log2 n), and so the window width, steps
+_CUTOFF = numerics._EXACT_SUM_MIN_SIZE
+_SUM_SIZES = sorted({_CUTOFF - 1, _CUTOFF, _CUTOFF + 1}
+                    | {2**k + d for k in range(7, 17) for d in (0, 1)})
+
+
+def _fsum_outcome(fn, x):
+    """('value', the float's bits or 'nan') or ('raises', exception type)."""
+    try:
+        y = fn(x)
+    except (ValueError, OverflowError) as exc:
+        return "raises", type(exc)
+    return "value", "nan" if math.isnan(y) else y.hex()
+
+
+@st.composite
+def float_arrays(draw):
+    """Arrays of a drawn size whose binary exponents span up to 2,000
+    orders anywhere from the subnormals to the overflow threshold, with
+    signed cancellation, +-0 and inf / nan mixed in on request."""
+    n = draw(st.sampled_from(_SUM_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.integers(-1074, 1024))
+    span = draw(st.integers(0, 2000))
+    x = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(top - span, top + 1, n))
+    signs = draw(st.sampled_from(["positive", "mixed", "cancel"]))
+    if signs == "mixed":
+        x *= rng.choice([-1.0, 1.0], n)
+    elif signs == "cancel":  # every term but the last has its negation in the array
+        half = (n - 1) // 2
+        x[half:2 * half] = -x[:half]
+        rng.shuffle(x)
+    zeros = draw(st.integers(0, n))
+    x[rng.integers(0, n, zeros)] = rng.choice([0.0, -0.0], zeros)
+    specials = draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3))
+    x[rng.integers(0, n, len(specials))] = specials
+    return x
+
+
+class TestExactSum:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(float_arrays())
+    def test_matches_fsum_bit_for_bit(self, x):
+        assert _fsum_outcome(exact_sum, x) == _fsum_outcome(lambda a: math.fsum(a.tolist()), x)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.floats(), min_size=_CUTOFF, max_size=_CUTOFF + 16))
+    def test_matches_fsum_on_any_floats(self, xs):
+        assert _fsum_outcome(exact_sum, np.array(xs)) == _fsum_outcome(math.fsum, xs)
+
+    def test_full_windows(self):
+        # n copies of an all-ones mantissa, at every alignment of the
+        # exponent to the window: each window sum is as large as the
+        # width allows and needs every one of its bits
+        for n in _SUM_SIZES:
+            for e in range(-20, 1):  # every alignment for widths up to 21
+                x = np.full(n, math.ldexp(1.0 - 2.0**-53, e))
+                x[::2] *= 1.0 - 2.0**-52  # a second mantissa, so the sum is no single product
+                assert exact_sum(x) == math.fsum(x.tolist()), (n, e)
+
+    def test_cases_fsum_rejects(self):
+        n = 2 * _CUTOFF
+        for x, error in [([math.inf, -math.inf], ValueError), ([1e308, 1e308], OverflowError)]:
+            terms = np.zeros(n)
+            terms[:2] = x
+            with pytest.raises(error):
+                math.fsum(terms.tolist())
+            with pytest.raises(error):
+                exact_sum(terms)
+
+    def test_wide_atom_masses(self):
+        # the 1000-sign law's masses run from 2^-1000 to 2^-5
+        probs = build_model({"model": "gam", "lambda": 1.0,
+                             "prior": {"kind": "rademacher_mean", "n": 1000}}).atom_table.p
+        assert exact_sum(probs) == exact_sum(probs[::-1]) == math.fsum(probs.tolist())
+        assert abs(exact_sum(probs) - 1.0) <= 2e-16
 
 
 def synthetic(values, probs, kernel_values):

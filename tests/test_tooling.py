@@ -1,5 +1,7 @@
-"""The README's library example and the benchmark's hooks stay runnable."""
+"""The README's library example and the benchmark's hooks stay runnable,
+and every array sum in the engine takes one code path."""
 
+import ast
 import contextlib
 import io
 import os
@@ -29,3 +31,24 @@ def test_benchmark_tracer_finds_every_attribute_it_wraps():
             "import spans; spans.Tracer().install()")
     subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "src"),
                     os.path.join(ROOT, "perfbench")], check=True, cwd=ROOT, timeout=120)
+
+
+def test_array_sums_go_through_exact_sum():
+    # numerics.exact_sum is the one code path that sums an array; short
+    # Python-level lists may keep math.fsum
+    offenders = []
+    src = os.path.join(ROOT, "src", "fpsq")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        exempt = [node for node in ast.walk(tree)  # exact_sum's own hand-over to math.fsum
+                  if isinstance(node, ast.FunctionDef) and node.name == "exact_sum"]
+        calls = {node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "math.fsum"
+                 and any(isinstance(inner, ast.Attribute) and inner.attr == "tolist"
+                         for inner in ast.walk(node))}
+        calls -= {node for func in exempt for node in ast.walk(func)}
+        offenders += [f"{name}:{node.lineno}" for node in calls]
+    assert sorted(offenders) == []
