@@ -232,7 +232,7 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
                               "exact-sum" if model.is_discrete else "quadrature")
     elif crit == "ld":
         value = ld_samplewise(model, int(m), d, k_deg)
-        d_tag = "inf" if d is None or d == math.inf else int(d)
+        d_tag = "inf" if d == math.inf else int(d)
         rep = CriterionReport(f"LD[d={d_tag},k={k_deg}]",
                               {"q": q, "m": m, "epsilon": epsilon}, None, value,
                               math.log(value) if value > 0 else None,
@@ -419,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", help="grid, same syntax as --q")
         sp.add_argument("--epsilon", type=float, default=None)
         sp.add_argument("--t", type=int, default=2, help="USQ moment order (even)")
-        sp.add_argument("--d", default=None, help="samplewise per-sample degree (int or 'inf')")
+        sp.add_argument("--d", default=None,
+                        help="samplewise per-sample degree (nonnegative int or 'inf')")
         sp.add_argument("--k-deg", dest="k_deg", type=int, default=1,
                         help="samplewise sample-degree bound")
         sp.set_defaults(func=factory)

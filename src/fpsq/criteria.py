@@ -19,13 +19,15 @@ proxy-runtime parameter q (tail mass q^{-2}):
 
 All m-th powers run through exp(m log K); exact kernel zeros
 short-circuit to exact 0.  On a discrete law every criterion reads the
-model's atom table (ModelSpec.atom_table): a threshold is a bisection
-in that table's levels, an event is a mask, and the event value is a
-log-sum-exp of m log K + log p over the mask; on the continuous law
-each is one laws.integral of its integrand in log form, read from the
-model's kernel table on the grid.  Every report records
-the threshold object, the computation method, and a hard/not-hard
-verdict against the caller-supplied epsilon (or 1/m for SQ).
+model's atom table (ModelSpec.atom_table): a threshold is a bisection in
+its levels, an event a mask, the event value a log-sum-exp of
+m log K + log p over the mask.  On the continuous law each is one
+laws.integral of its integrand in log form, read from the model's
+kernel table on the grid.  USQ and LD (every d) share one moment
+function; the correlation check reads K - 1 at t and -t from the same
+tables.  Every report records the threshold object, the computation
+method, and a hard/not-hard verdict against the caller-supplied epsilon
+(or 1/m for SQ).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fpsq.laws import (
     check_even_nondecreasing,
     check_mass,
     crossing,
-    expect,
+    expect,  # noqa: F401  (the benchmark traces this attribute)
     exp_or_inf,
     find_root,
     integral,
@@ -57,7 +59,6 @@ _REL = 1e-12
 _MAX_EXACT_ORBITS = 64  # GFP orbit items beyond this take the greedy brackets
 _BNB_NODES = 20_000  # branch-and-bound node budget; then the greedy brackets
 _CORRELATION_TOL = 1e-12  # assumption_holds passes at a minimum >= -this
-_CORRELATION_GRID = 401  # points of the continuous support assumption_holds probes
 
 
 class UnsupportedCriterionError(ValueError):
@@ -152,8 +153,8 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
     mass = _require_q(q, 2.0, "FP")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if model.euclid_overlap is None:
-        raise UnsupportedCriterionError(
+    if model.euclid_overlap is None or not (model.is_discrete or model.euclid_overlap is float):
+        raise UnsupportedCriterionError(  # a continuous law's statistic is the overlap itself
             f"model {model.name!r} does not expose a Euclidean overlap; FP undefined"
         )
     inputs = {"q": q, "m": m, "epsilon": epsilon}
@@ -165,7 +166,7 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
         value, lv = _event_value(m * tab.log_k[keep] + tab.log_p[keep])
         method = "exact-sum"
     else:
-        thr, half = abs_event(model.law, mass, model.overlap_grid)
+        thr, half = abs_event(model.law, mass)  # |<u,v>| = |t|: the threshold is tau itself
         value, lv = _event_integral(model, m, half)
         method = "quadrature"
     return CriterionReport("FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
@@ -473,24 +474,43 @@ def _superlevel(law, sides: tuple[ShapeGrid, ShapeGrid], mass: float):
     return (level, *crossings(level))
 
 
-def _deviation_moment(model: ModelSpec, t: int) -> float:
-    """E[(K - 1)^t]: an exact sum over the atom table (AtomEvaluationError
-    at a non-finite term) or the integral on the continuous law."""
-    if not model.is_discrete:
-        return _kernel_integral(model, lambda lk: _power_log(_expm1_log(lk), t))[0]
-    tab = model.atom_table
-    y = tab.dev ** t
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise AtomEvaluationError(model.law.values[bad[0]], float(y[bad[0]]))
-    return exact_sum(y * tab.p)
+def _deviation_moments(model: ModelSpec, ts: Sequence[int], d: float = math.inf) -> list[float]:
+    """E[(K_d - 1)^t] for each t in ts: exact sums (AtomEvaluationError at a
+    non-finite term) or laws.integral, from K_d - 1 read once per call at each
+    atom or grid point: the table's K - 1 at d = inf (in log form from log K
+    on the continuous law), else one pass of Kernel.truncated_minus_one."""
+    law, kernel = model.law, model.kernel
+    if d != math.inf and kernel.series is None:
+        raise UnsupportedCriterionError(
+            f"kernel {kernel.name!r} has no series; samplewise degree d < inf unsupported")
+    truncated = lambda points: np.array([kernel.truncated_minus_one(float(x), int(d)) for x in points])
+    if model.is_discrete:
+        dev = model.atom_table.dev if d == math.inf else truncated(law.values)
+        with np.errstate(over="ignore"):
+            ys = np.array([dev**t for t in ts])
+        bad = np.argwhere(~np.isfinite(ys))  # the first t, then the first atom
+        if bad.size:
+            raise AtomEvaluationError(law.values[bad[0, 1]], float(ys[tuple(bad[0])]))
+        return [exact_sum(y * model.atom_table.p) for y in ys]
+
+    def form(points) -> tuple[np.ndarray, np.ndarray]:
+        """K_d - 1 at each point, in log form."""
+        if d == math.inf:
+            return _expm1_log(model.log_k(points))
+        with np.errstate(divide="ignore"):
+            b = truncated(points)
+            return np.log(np.abs(b)), np.sign(b)
+
+    on_grid = _expm1_log(model.kernel_table[0]) if d == math.inf else form(law.grid)
+    return [integral(law, lambda xs: _power_log(form(xs), t), _power_log(on_grid, t)[0],
+                     *law.support)[0] for t in ts]
 
 
 def usq_moment(model: ModelSpec, t: int) -> float:
     """E[(K - 1)^t] for even t (the unconditional SQ moment)."""
     if t < 2 or t % 2:
         raise ValueError(f"USQ moment requires a positive even t, got {t}")
-    return _deviation_moment(model, t)
+    return _deviation_moments(model, [t])[0]
 
 
 def usq_hard(model: ModelSpec, m: int, t: int) -> CriterionReport:
@@ -548,35 +568,16 @@ def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
 
         sum_{t=0}^{k_deg} C(m, t) E[(K_d - 1)^t],
 
-    K_d the degree-d truncation of the kernel series (d = inf keeps K).
+    K_d the degree-d truncation of the kernel series (d = inf keeps K, else d >= 0 is an integer).
     """
     if m < 1 or k_deg < 0:
         raise ValueError(f"need m >= 1 and k_deg >= 0, got m={m}, k_deg={k_deg}")
-    finite_d = not (d is None or d == math.inf)
-    if finite_d and model.kernel.series is None:
-        raise UnsupportedCriterionError(
-            f"kernel {model.kernel.name!r} has no series; samplewise degree d < inf unsupported"
-        )
-
-    def truncated(ts) -> tuple[np.ndarray, np.ndarray]:
-        """K_d - 1 at each point, in log form."""
-        b = np.array([model.kernel.truncated_minus_one(x, int(d)) for x in np.asarray(ts).tolist()])
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(b)), np.sign(b)
-
-    on_grid = truncated(model.law.grid) if finite_d and not model.is_discrete else None
-
-    def moment(t: int) -> float:
-        if not finite_d:
-            return _deviation_moment(model, t)
-        if model.is_discrete:
-            return expect(model.law, lambda v: model.kernel.truncated_minus_one(float(v), int(d)) ** t)
-        return integral(model.law, lambda ts: _power_log(truncated(ts), t),
-                        _power_log(on_grid, t)[0], *model.law.support)[0]
-
+    if d != math.inf and not (d >= 0 and float(d).is_integer()):
+        raise ValueError(f"the per-sample degree d must be a nonnegative integer or inf, got {d}")
+    ts = range(0, min(k_deg, m) + 1)
     total = 0.0
-    for t in range(0, min(k_deg, m) + 1):
-        total += math.comb(m, t) * moment(t)
+    for t, moment in zip(ts, _deviation_moments(model, ts, d)):
+        total += math.comb(m, t) * moment
     return total
 
 
@@ -594,30 +595,28 @@ class AssumptionReport:
 
 
 def assumption_holds(model: ModelSpec, k_max: int = 10) -> AssumptionReport:
-    """Evaluate the orbit-averaged correlation moments
-    E_{g,g'}[(K - 1)^k] on every atom (or a dense grid) for k <= k_max;
-    nonnegativity of all of them is the certified assumption.  Under the
-    sign flip the pairs (g, g') reach t and -t twice each, so the average
-    is ((K(t) - 1)^k + (K(-t) - 1)^k) / 2, from K - 1 at t and its mirror."""
-    flip = model.group.order == 2
+    """Evaluate the orbit-averaged correlation moments E_{g,g'}[(K - 1)^k],
+    k = 1..k_max, at every atom or point of the continuous law's grid;
+    nonnegativity of all of them is the certified assumption (a power past
+    the float range is +inf).  Under the sign flip the pairs (g, g') reach t
+    and -t twice each, so the average is ((K(t) - 1)^k + (K(-t) - 1)^k) / 2,
+    from the table's K - 1 at t and at its mirror (the reversed grid)."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be a positive integer, got {k_max}")
     if model.is_discrete:
         tab = model.atom_table
-        points = zip(model.law.values, tab.dev.tolist(), tab.mirror_dev.tolist())
+        points, dev, mirror_dev = model.law.values, tab.dev, tab.mirror_dev
     else:
-        kernel = model.kernel
-        grid = list(np.linspace(*model.law.support, _CORRELATION_GRID))
-        dev = [kernel.minus_one(t) for t in grid]
-        points = zip(grid, dev, [kernel.minus_one(-t) for t in grid] if flip else dev)
-    min_value = math.inf
-    witness = None
-    for t, a, b in points:
-        for k in range(1, k_max + 1):
-            val = math.fsum([a**k, b**k]) / 2 if flip else a**k
-            if val < min_value:
-                min_value = val
-                witness = (t, k)
+        points, dev, mirror_dev = model.law.grid, model.kernel_table[1], model.kernel_table[1][::-1]
+    ks = np.arange(1, k_max + 1)
+    with np.errstate(over="ignore"):
+        vals = dev[:, None] ** ks
+        if model.group.order == 2:
+            vals = (vals + mirror_dev[:, None] ** ks) / 2
+    i, k = np.unravel_index(np.argmin(vals), vals.shape)  # the first minimum, points outermost
+    min_value = float(vals[i, k])
     passed = min_value >= -_CORRELATION_TOL
-    return AssumptionReport(min_value, None if passed else witness, k_max, passed)
+    return AssumptionReport(min_value, None if passed else (points[i], int(k) + 1), k_max, passed)
 
 
 @dataclass(frozen=True)

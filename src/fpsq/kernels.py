@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -58,6 +58,11 @@ _PRESERVE_TOL = 1e-12  # mass mismatch GroupSpec.preserves allows between t and 
 
 class SingularityError(ValueError):
     """Kernel evaluated at a statistic value outside its finite domain."""
+
+
+def _series_sum(series: Iterable[tuple[int, float]], x: float) -> float:
+    """sum c_i x^i over the (i, c_i) pairs of series, correctly rounded."""
+    return math.fsum(c * x**i for i, c in series)
 
 
 def _minus_one(lv: float | None) -> float:
@@ -105,7 +110,7 @@ class Kernel:
         """K_d(t) - 1 = sum_{degree <= d} c_i t^i (series kernels only)."""
         if self.series is None:
             raise ValueError(f"kernel {self.name!r} carries no series; d < inf unsupported")
-        return math.fsum(c * t**i for i, c in self.series if i <= d)
+        return _series_sum(((i, c) for i, c in self.series if i <= d), t)
 
     def tail_bound(self, t: float) -> float | None:
         """Bound on the series remainder beyond the stored degrees.
@@ -240,7 +245,7 @@ def _series_kernel(
 
     def log_fn(t: Statistic) -> float | None:
         x = float(t)
-        acc = math.fsum(c * x**i for i, c in series)
+        acc = _series_sum(series, x)
         if acc < -1.0:
             raise SingularityError(f"{name} kernel series is negative at t = {t}")
         return None if acc == -1.0 else math.log1p(acc)
@@ -268,19 +273,28 @@ def _log_factorial_half(i: int) -> float:
     return 0.5 * math.lgamma(i + 1)
 
 
+def _gaussian_parts(mu_spec: dict) -> list[tuple[float, float, float]] | None:
+    """(weight, mean, var) of each component of a Gaussian-mixture mu, a
+    "gaussian" being the one-component mixture; None for any other kind."""
+    kind = mu_spec.get("kind")
+    if kind == "gaussian":
+        return [(1.0, float(mu_spec["mean"]), float(mu_spec["var"]))]
+    if kind != "gaussian_mixture":
+        return None
+    weights = [float(w) for w in mu_spec["weights"]]
+    if abs(sum(weights) - 1.0) > 1e-12 or any(w < 0 for w in weights):
+        raise ValueError("mixture weights must be a probability vector")
+    return [(w, float(m), float(v)) for w, m, v in zip(weights, mu_spec["means"], mu_spec["vars"])]
+
+
 def ngca_nu_coeffs(mu_spec: dict, max_degree: int) -> list[float]:
     """nu_i = E_{z~mu}[h_i(z)] for the supported marginal descriptors."""
     kind = mu_spec.get("kind")
-    if kind == "gaussian":
-        moments = _gaussian_he_moments(float(mu_spec["mean"]), float(mu_spec["var"]), max_degree)
-        return [m * math.exp(-_log_factorial_half(i)) for i, m in enumerate(moments)]
-    if kind == "gaussian_mixture":
-        weights = [float(w) for w in mu_spec["weights"]]
-        if abs(sum(weights) - 1.0) > 1e-12 or any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be a probability vector")
+    parts = _gaussian_parts(mu_spec)
+    if parts is not None:
         nus = np.zeros(max_degree + 1)
-        for w, mean, var in zip(weights, mu_spec["means"], mu_spec["vars"]):
-            moments = _gaussian_he_moments(float(mean), float(var), max_degree)
+        for w, mean, var in parts:
+            moments = _gaussian_he_moments(mean, var, max_degree)
             nus += w * np.array(
                 [m * math.exp(-_log_factorial_half(i)) for i, m in enumerate(moments)]
             )
@@ -317,20 +331,8 @@ def ngca_nu_coeffs(mu_spec: dict, max_degree: int) -> list[float]:
 def ngca_density_ratio(mu_spec: dict) -> Callable[[np.ndarray], np.ndarray] | None:
     """(dmu/dphi)(z) when mu has a density; None for discrete mu."""
     kind = mu_spec.get("kind")
-    if kind == "gaussian":
-        mean, var = float(mu_spec["mean"]), float(mu_spec["var"])
-
-        def ratio(z: np.ndarray) -> np.ndarray:
-            z = np.asarray(z, dtype=float)
-            return np.exp(0.5 * z * z - 0.5 * (z - mean) ** 2 / var) / math.sqrt(var)
-
-        return ratio
-    if kind == "gaussian_mixture":
-        parts = [
-            (float(w), float(m), float(v))
-            for w, m, v in zip(mu_spec["weights"], mu_spec["means"], mu_spec["vars"])
-        ]
-
+    parts = _gaussian_parts(mu_spec)
+    if parts is not None:
         def ratio(z: np.ndarray) -> np.ndarray:
             z = np.asarray(z, dtype=float)
             out = np.zeros_like(z)
@@ -498,8 +500,7 @@ def slab_kernel(alpha: float, max_degree: int) -> Kernel:
             raise ValueError(f"slab kernel domain is [-1, 1], got {t}")
         if abs(abs(x) - 1.0) <= 1e-15:
             return edge
-        acc = math.fsum(c * x**i for i, c in series)
-        return math.log1p(acc)
+        return math.log1p(_series_sum(series, x))
 
     return Kernel(
         name="slab",
@@ -659,7 +660,7 @@ class ModelSpec:
 
     The per-model work that no (q, m) changes is cached on first use:
     the kernel table, the atom table of a discrete law and, on the
-    continuous law, the checked grids of |<u,v>|, rho_G and |K - 1|.
+    continuous law, the checked grids of rho_G and |K - 1|.
     """
 
     name: str
@@ -703,11 +704,6 @@ class ModelSpec:
         log_k = self.log_k(law.values if self.is_discrete else law.grid)
         return (log_k, np.array([_minus_one(lv) for lv in log_k.tolist()], dtype=float),
                 np.array(law.log_probs) if self.is_discrete else law.grid_log_pdf)
-
-    @cached_property
-    def overlap_grid(self) -> ShapeGrid:
-        overlap = self.euclid_overlap
-        return check_even_nondecreasing(self.law, lambda t: abs(overlap(t)))
 
     @cached_property
     def rho_grid(self) -> ShapeGrid:

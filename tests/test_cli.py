@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -23,6 +24,15 @@ from fpsq.cli import (
 
 def run(argv):
     return main(argv)
+
+
+def big_config(tmp_path) -> str:
+    """A config whose model "big" has K - 1 = e^484 - 1 at its top atom."""
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"models": {
+        "big": {"model": "gam", "lambda": 22.0, "prior": {"kind": "rademacher_mean", "n": 4}},
+    }}))
+    return str(cfg)
 
 
 class TestGridParsing:
@@ -135,6 +145,23 @@ class TestCriterionCommand:
                     "--q", "5", "--m", "1"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("d", ["2.5", "-1"])
+    def test_ld_refuses_a_degree_that_is_not_a_nonnegative_integer(self, d, capsys):
+        code = run(["criterion", "--model", "si-sign-sparse", "--criterion", "ld", "--m", "3",
+                    "--d", d, "--k-deg", "2"])
+        assert code == EXIT_CONFIG
+        assert "nonnegative integer" in capsys.readouterr().err
+
+    def test_usq_past_the_float_range_refuses_without_a_warning(self, tmp_path, capsys):
+        # (K - 1)^2 overflows at the top atom: a refusal, with no numpy
+        # RuntimeWarning raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["criterion", "--config", big_config(tmp_path), "--model", "big",
+                        "--criterion", "usq", "--m", "2"])
+        assert code == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
+
     def test_config_file_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "mslr-desk", "criteria": ["chi2"], "m": [2]}))
@@ -192,6 +219,12 @@ class TestCheckCommand:
         rep = payload["injected_broken_kernel"]
         assert rep["passed"] is False
         assert rep["witness"] is not None
+
+    def test_assumption_with_powers_past_the_float_range(self, tmp_path, capsys):
+        # (K - 1)^k beyond the float range is +inf, which is nonnegative
+        assert run(["check", "--config", big_config(tmp_path), "--model", "big",
+                    "--k-max", "4"]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["assumption"]["passed"] is True
 
     def test_single_model_assumption(self, capsys):
         assert run(["check", "--model", "gam-sphere", "--k-max", "4"]) == EXIT_PASS

@@ -127,8 +127,10 @@ def hand_model(log_fn, n: int = 50, overlap=float) -> ModelSpec:
 
 class TestRefusals:
     def test_fp_refuses_non_even_overlap(self):
+        # continuous FP reads the statistic as the overlap, so |<u,v>| = |t|
+        # is even; a model that maps the statistic elsewhere is refused
         model = hand_model(lambda t: 0.5 * t * t, overlap=lambda t: t + 0.1)
-        with pytest.raises(ValueError, match="even"):
+        with pytest.raises(UnsupportedCriterionError, match="Euclidean overlap"):
             fp_value(model, 5.0, 2)
 
     def test_rho_fp_refuses_non_even_deviation(self):

@@ -434,6 +434,35 @@ class TestLdSamplewise:
             want += math.comb(m, j) * mom
         assert got == pytest.approx(want, rel=1e-9)
 
+    def test_finite_degree_reads_the_truncated_kernel_once_per_atom(self, monkeypatch):
+        from fpsq.kernels import Kernel
+
+        model = build_model({"model": "gam", "lambda": 0.8,
+                             "prior": {"kind": "rademacher_mean", "n": 30}})
+        calls = []
+        truncated = Kernel.truncated_minus_one
+        monkeypatch.setattr(Kernel, "truncated_minus_one",
+                            lambda self, t, d: calls.append(t) or truncated(self, t, d))
+        ld_samplewise(model, 5, 2, 3)
+        assert sorted(calls) == sorted(model.law.values)
+
+    def test_finite_degree_matches_mpmath_on_a_discrete_law(self):
+        # gam on the 30-sign law: K_2 - 1 = lam^2 t + lam^4 t^2 / 2, masses
+        # C(30, b) / 2^30 at t = (2b - 30)/30, summed at 50 digits
+        import mpmath
+
+        lam, n, m, k_deg = 0.8, 30, 5, 3
+        model = build_model({"model": "gam", "lambda": lam,
+                             "prior": {"kind": "rademacher_mean", "n": n}})
+        with mpmath.workdps(50):
+            l2 = mpmath.mpf(lam) ** 2
+            atoms = [(mpmath.mpf(2 * b - n) / n, mpmath.mpf(math.comb(n, b)) / 2**n)
+                     for b in range(n + 1)]
+            moments = [mpmath.fsum(p * (l2 * x + l2**2 * x**2 / 2) ** t for x, p in atoms)
+                       for t in range(k_deg + 1)]
+            want = mpmath.fsum(math.comb(m, t) * mom for t, mom in enumerate(moments))
+            assert ld_samplewise(model, m, 2, k_deg) == pytest.approx(float(want), rel=1e-14)
+
     def test_finite_degree_needs_series(self):
         model = build_model({"model": "mslr", "n": 40, "k": 4, "sigma2": 1.0})
         with pytest.raises(UnsupportedCriterionError):

@@ -16,7 +16,9 @@ from fpsq.kernels import (
     dirac_kernel,
     gam_kernel,
     mslr_kernel,
+    ngca_density_ratio,
     ngca_kernel,
+    ngca_nu_coeffs,
     rho_g,
     si_kernel,
     si_lambda_coeffs,
@@ -24,6 +26,7 @@ from fpsq.kernels import (
     synthetic_kernel,
 )
 from fpsq.laws import make_law
+from fpsq.numerics import gauss_hermite_rule
 
 
 def orbit_model(kernel, group, points):
@@ -128,6 +131,14 @@ class TestNgcaKernel:
     def test_diverging_total_is_flagged_unknown(self):
         k = ngca_kernel({"kind": "gaussian", "mean": 0.0, "var": 2.0}, max_degree=40)
         assert k.series_total is None
+
+    def test_gaussian_is_the_one_component_mixture(self):
+        gauss = {"kind": "gaussian", "mean": 0.4, "var": 1.3}
+        mixture = {"kind": "gaussian_mixture", "weights": [1.0], "means": [0.4], "vars": [1.3]}
+        assert ngca_nu_coeffs(gauss, 40) == ngca_nu_coeffs(mixture, 40)
+        z = gauss_hermite_rule(200).nodes
+        assert ngca_density_ratio(gauss)(z).tolist() == ngca_density_ratio(mixture)(z).tolist()
+        assert ngca_kernel(gauss, 40).series_total == ngca_kernel(mixture, 40).series_total
 
 
 class TestSiKernel:

@@ -1,5 +1,6 @@
 """The README's library example and the benchmark's hooks stay runnable,
-and every array sum in the engine takes one code path."""
+every array sum in the engine takes one code path, and no engine module
+calls laws.expect or laws.survival."""
 
 import ast
 import contextlib
@@ -52,3 +53,27 @@ def test_array_sums_go_through_exact_sum():
         calls -= {node for func in exempt for node in ast.walk(func)}
         offenders += [f"{name}:{node.lineno}" for node in calls]
     assert sorted(offenders) == []
+
+
+def test_engine_calls_neither_expect_nor_survival():
+    # every expectation reads a model's table; laws.expect and laws.survival
+    # stay only for the package exports and the benchmark's tracer
+    # (QuadratureRule.expect is a different method)
+    offenders = []
+    src = os.path.join(ROOT, "src", "fpsq")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and ast.unparse(func.value) in ("laws", "fpsq.laws"):
+                called = func.attr
+            else:
+                called = func.id if isinstance(func, ast.Name) else None
+            if called in ("expect", "survival"):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
