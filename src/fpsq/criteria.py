@@ -24,8 +24,8 @@ its levels, an event a mask, the event value a log-sum-exp of
 m log K + log p over the mask.  On the continuous law each is one
 laws.integral of its integrand in log form, read from the model's
 kernel table on the grid.  USQ and LD (every d) share one moment
-function; the correlation check reads K - 1 at t and -t from the same
-tables.  Every report records the threshold object, the computation
+function, whose values each model keeps; the correlation check reads
+K - 1 at t and -t from the same tables.  Every report records the threshold object, the computation
 method, and a hard/not-hard verdict against the caller-supplied epsilon
 (or 1/m for SQ).
 """
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from fpsq.kernels import ModelSpec, SingularityError
+from fpsq.kernels import AtomTable, ModelSpec, SingularityError
 from fpsq.laws import (
     AtomEvaluationError,
     ShapeGrid,
@@ -93,9 +93,12 @@ def _hard(value: float, bound: float) -> str:
 
 
 def _require_q(q: float, minimum: float, criterion: str) -> float:
+    """The tail mass q^{-2}, after the shared checks on q and on that mass."""
     if not q >= minimum:
         raise ValueError(f"{criterion} requires q >= {minimum}, got {q}")
-    return float(q) ** -2
+    mass = float(q) ** -2
+    check_mass(mass)
+    return mass
 
 
 def _le(a, b):
@@ -159,7 +162,6 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
         )
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if model.is_discrete:
-        check_mass(mass)
         tab = model.atom_table
         thr = tab.overlap.threshold(mass)
         keep = _le(tab.overlap.at, thr.threshold)
@@ -179,7 +181,6 @@ def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Cr
         raise ValueError(f"m must be a positive integer, got {m}")
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if model.is_discrete:
-        check_mass(mass)
         tab = model.atom_table
         thr = tab.rho.threshold(mass)
         keep = tab.rho.at < thr.threshold * (1.0 - _REL)
@@ -204,14 +205,12 @@ def _log_add(a: float, b: float) -> float:
     return a if b == -math.inf else a + math.log1p(math.exp(b - a))
 
 
-def _by_density(values: Sequence[float], weights: Sequence[float]) -> list[int]:
+def _by_density(values: Sequence[float], log_weights: Sequence[float]) -> np.ndarray:
     """Items of nonzero value in increasing log value per unit mass, ties
-    in item order (math.log, not np.log, whose last bit differs on some
-    inputs and could reorder near-ties)."""
+    in item order (log_weights as AtomTable.log_orbit_mass rounds them)."""
     values = np.asarray(values)
     items = np.flatnonzero(values > -math.inf)
-    log_w = np.array([math.log(w) if w > 0.0 else -math.inf for w in weights])
-    return items[np.argsort(values[items] - log_w[items], kind="stable")].tolist()
+    return items[np.argsort(values[items] - np.asarray(log_weights)[items], kind="stable")]
 
 
 def _fractional_fill(values: Sequence[float], weights: Sequence[float], order: Sequence[int],
@@ -234,12 +233,13 @@ def _fractional_fill(values: Sequence[float], weights: Sequence[float], order: S
 
 
 def solve_min_inclusion(
-    values: Sequence[float], weights: Sequence[float], needed: float
+    values: Sequence[float], weights: Sequence[float], log_weights: Sequence[float], needed: float
 ) -> tuple[list[int], float] | None:
     """Exact covering knapsack on log-values: choose items minimizing
     log sum(exp(values)) subject to sum(weights) >= needed, by
-    depth-first branch and bound with a fractional lower bound.  Returns
-    (included items, log value), or None once _BNB_NODES nodes are spent.
+    depth-first branch and bound with a fractional lower bound, in the
+    density order of the weights' logs.  Returns (included items, log
+    value), or None once _BNB_NODES nodes are spent.
 
     This is the complement of the exclusion problem (drop atoms of total
     mass <= capacity maximizing the dropped value).  Items of log-value
@@ -251,7 +251,7 @@ def solve_min_inclusion(
         return [], -math.inf
     free = [j for j in range(n) if values[j] == -math.inf]
     base_weight = math.fsum(weights[j] for j in free)
-    order = _by_density(values, weights)
+    order = _by_density(values, log_weights).tolist()
     if base_weight >= needed:
         return sorted(free), -math.inf
     best_value = math.inf
@@ -293,37 +293,35 @@ def solve_min_inclusion(
 
 
 def greedy_min_inclusion(
-    values: Sequence[float], weights: Sequence[float], needed: float
-) -> tuple[list[int], float, float]:
-    """Greedy low-density cover on log-values plus certified brackets:
-    returns (included set, achieved log value = upper bracket on the
-    exact infimum, fractional lower bracket)."""
-    free = [j for j in range(len(values)) if values[j] == -math.inf]
-    weight = math.fsum(weights[j] for j in free)
-    order = _by_density(values, weights)
-    chosen = list(free)
-    value = -math.inf
-    for j in order:
-        if weight >= needed:
-            break
-        chosen.append(j)
-        value = _log_add(value, values[j])
-        weight += weights[j]
-    if weight < needed:
+    values: np.ndarray, weights: np.ndarray, log_weights: np.ndarray, needed: float
+) -> tuple[np.ndarray, float]:
+    """Greedy low-density cover on log-values: returns (included items,
+    sorted; fractional lower bracket on the exact infimum).  The cover's
+    own log value is the upper bracket.  The running mass is one
+    sequential cumsum from the free items' mass, so the cover is the one
+    a loop of `weight += w` stops at, bit for bit."""
+    free = np.flatnonzero(values == -math.inf)
+    order = _by_density(values, log_weights)
+    reached = np.cumsum(np.concatenate(([exact_sum(weights[free])], weights[order])))
+    k = int(np.argmax(reached >= needed))  # items order[:k] reach the needed mass
+    if not reached[k] >= needed:
         raise ValueError("covering constraint infeasible: total mass below requirement")
-    lower = _fractional_fill(values, weights, order, 0, -math.inf,
-                             math.fsum(weights[j] for j in free), needed)
-    return sorted(chosen), value, lower
+    if k == 0:
+        return free, -math.inf
+    last = order[k - 1]  # the fractional item of the relaxation
+    part = (needed - reached[k - 1]) / weights[last]
+    lower = log_sum_exp(np.append(values[order[:k - 1]], values[last] + math.log(min(part, 1.0))))
+    return np.sort(np.concatenate((free, order[:k]))), lower
 
 
-def _orbit_log_values(log_terms: np.ndarray, orbit: np.ndarray, count: int) -> list[float]:
-    """Per-orbit log-sum-exp of the atoms' log-terms."""
-    top = np.full(count, -math.inf)
-    np.maximum.at(top, orbit, log_terms)
+def _orbit_log_values(log_terms: np.ndarray, tab: AtomTable) -> np.ndarray:
+    """Per-orbit log-sum-exp of the atoms' log-terms (an orbit holds an
+    atom and its mirror, so its largest term is the larger of the two)."""
+    top = np.maximum(log_terms[tab.orbit_rep], log_terms[tab.mirror[tab.orbit_rep]])
     shift = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
-        sums = np.bincount(orbit, weights=np.exp(log_terms - shift[orbit]), minlength=count)
-        return (np.log(sums) + shift).tolist()
+        sums = np.bincount(tab.orbit, weights=np.exp(log_terms - shift[tab.orbit]), minlength=len(top))
+        return np.log(sums) + shift
 
 
 def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> CriterionReport:
@@ -368,31 +366,33 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
 
     tab = model.atom_table
     log_terms = m * tab.log_k + tab.log_p
-    weights = tab.orbit_mass
-    values = _orbit_log_values(log_terms, tab.orbit, len(weights))
+    values = _orbit_log_values(log_terms, tab)
     # capacity mass may be dropped; the included event needs the rest,
     # with a 1e-12 relative slack so an atom whose mass equals q^{-2}
     # in exact arithmetic is still droppable
     needed = 1.0 - mass * (1.0 + _REL)
     detail: dict = {"orbit_atoms": len(values)}
-    solved = solve_min_inclusion(values, weights, needed) if len(values) <= _MAX_EXACT_ORBITS else None
+    solved = (solve_min_inclusion(values.tolist(), tab.orbit_mass.tolist(), tab.log_orbit_mass.tolist(),
+                                  needed) if len(values) <= _MAX_EXACT_ORBITS else None)
+    lower = None
     if solved is not None:
         included = solved[0]
         detail["optimizer"] = "branch-and-bound-exact"
         method = "exact-sum"
     else:
-        included, upper, lower = greedy_min_inclusion(values, weights, needed)
+        included, lower = greedy_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass, needed)
         detail["optimizer"] = ("greedy-bracket" if len(values) > _MAX_EXACT_ORBITS
                                else "branch-and-bound-budget")
-        detail["value_brackets"] = (exp_or_inf(lower), exp_or_inf(upper))
         method = "exact-sum(greedy-bracket)"
     chosen = np.zeros(len(values), dtype=bool)
     chosen[included] = True
     keep = chosen[tab.orbit]
     value, lv = _event_value(log_terms[keep])
+    if lower is not None:  # the greedy event's own value is the upper bracket
+        detail["value_brackets"] = (exp_or_inf(lower), value)
     atoms = model.law.values
     detail["excluded_atoms"] = [atoms[i] for i in np.flatnonzero(~keep).tolist()]
-    detail["excluded_mass"] = exact_sum(np.asarray(weights)[~chosen])
+    detail["excluded_mass"] = exact_sum(tab.orbit_mass[~chosen])
     return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method, detail)
 
 
@@ -448,7 +448,6 @@ def _superlevel(law, sides: tuple[ShapeGrid, ShapeGrid], mass: float):
     of ModelSpec.deviation_sides: the shape of |K - 1| for every built-in
     continuous-law kernel.  A crossing is None when g stays below c on
     that side."""
-    check_mass(mass)
     log_mass = math.log(mass)
 
     def crossings(c: float) -> list[float | None]:
@@ -475,14 +474,24 @@ def _superlevel(law, sides: tuple[ShapeGrid, ShapeGrid], mass: float):
 
 
 def _deviation_moments(model: ModelSpec, ts: Sequence[int], d: float = math.inf) -> list[float]:
+    """E[(K_d - 1)^t] for each t in ts, each (d, t) computed once per model
+    (ModelSpec.deviation_moments)."""
+    if d != math.inf and model.kernel.series is None:
+        raise UnsupportedCriterionError(
+            f"kernel {model.kernel.name!r} has no series; samplewise degree d < inf unsupported")
+    memo = model.deviation_moments
+    missing = [t for t in ts if (d, t) not in memo]
+    if missing:
+        memo.update(zip([(d, t) for t in missing], _compute_moments(model, missing, d)))
+    return [memo[d, t] for t in ts]
+
+
+def _compute_moments(model: ModelSpec, ts: Sequence[int], d: float) -> list[float]:
     """E[(K_d - 1)^t] for each t in ts: exact sums (AtomEvaluationError at a
     non-finite term) or laws.integral, from K_d - 1 read once per call at each
     atom or grid point: the table's K - 1 at d = inf (in log form from log K
     on the continuous law), else one pass of Kernel.truncated_minus_one."""
     law, kernel = model.law, model.kernel
-    if d != math.inf and kernel.series is None:
-        raise UnsupportedCriterionError(
-            f"kernel {kernel.name!r} has no series; samplewise degree d < inf unsupported")
     truncated = lambda points: np.array([kernel.truncated_minus_one(float(x), int(d)) for x in points])
     if model.is_discrete:
         dev = model.atom_table.dev if d == math.inf else truncated(law.values)
@@ -514,6 +523,9 @@ def usq_moment(model: ModelSpec, t: int) -> float:
 
 
 def usq_hard(model: ModelSpec, m: int, t: int) -> CriterionReport:
+    """E[(K - 1)^t] against the bound m^{-t}."""
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
     value = usq_moment(model, t)
     bound = float(m) ** (-t)
     lv = math.log(value) if value > 0.0 else -math.inf

@@ -613,8 +613,10 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
 class AtomTable:
     """What the discrete criteria read, one entry per atom: p, log p,
     log K (-inf at exact zeros), K - 1 (as Kernel.minus_one), the mirror
-    (GroupSpec.mirror), K - 1 at -t, the orbit index, and the Levels of
-    |<u,v>| (None without a Euclidean overlap), rho_G and |K - 1|."""
+    (GroupSpec.mirror), K - 1 at -t and the orbit index; one entry per
+    orbit (an atom and its mirror): the representative (lower) atom and
+    the mass, whose log GFP reads; and the Levels of |<u,v>| (None
+    without a Euclidean overlap), rho_G and |K - 1|."""
 
     p: np.ndarray
     log_p: np.ndarray
@@ -623,10 +625,18 @@ class AtomTable:
     mirror: np.ndarray
     mirror_dev: np.ndarray
     orbit: np.ndarray
-    orbit_mass: list[float]
+    orbit_rep: np.ndarray
+    orbit_mass: np.ndarray
     overlap: Levels | None
     rho: Levels
     abs_dev: Levels
+
+    @cached_property
+    def log_orbit_mass(self) -> np.ndarray:
+        """math.log of each orbit mass (-inf at 0), on first use: GFP's
+        density order ties as math.log rounds (np.log's last bit differs
+        on some inputs)."""
+        return np.array([math.log(w) if w > 0.0 else -math.inf for w in self.orbit_mass.tolist()])
 
 
 def _atom_table(model: ModelSpec) -> AtomTable:
@@ -639,12 +649,11 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     for i in np.flatnonzero(lone):  # no atom at -t (a mass within GroupSpec.preserves' slack)
         mirror_dev[i] = kernel.minus_one(-values[i])
     # orbits in order of first appearance, which GFP's tie order follows
-    orbit = np.unique(np.minimum(np.arange(len(values)), mirror), return_inverse=True)[1]
+    rep, orbit = np.unique(np.minimum(np.arange(len(values)), mirror), return_inverse=True)
     overlap = (None if model.euclid_overlap is None
                else Levels.of([abs(model.euclid_overlap(v)) for v in values], p))
     return AtomTable(
-        p, log_p, log_k, dev, mirror, mirror_dev, orbit,
-        np.bincount(orbit, weights=p).tolist(), overlap,
+        p, log_p, log_k, dev, mirror, mirror_dev, orbit, rep, np.bincount(orbit, weights=p), overlap,
         Levels.of(np.maximum(np.abs(dev), np.abs(mirror_dev)), p), Levels.of(np.abs(dev), p),
     )
 
@@ -659,7 +668,9 @@ class ModelSpec:
     when the statistic does not determine <u, v>).
 
     The per-model work that no (q, m) changes is cached on first use:
-    the kernel table, the atom table of a discrete law and, on the
+    the kernel table, the atom table of a discrete law (with GFP's
+    per-orbit masses, their logs and representative atoms), the moments
+    E[(K_d - 1)^t] per (d, t) that USQ and LD read, and, on the
     continuous law, the checked grids of rho_G and |K - 1|.
     """
 
@@ -689,6 +700,11 @@ class ModelSpec:
     @cached_property
     def atom_table(self) -> AtomTable:
         return _atom_table(self)
+
+    @cached_property
+    def deviation_moments(self) -> dict[tuple[float, int], float]:
+        """E[(K_d - 1)^t] keyed by (d, t), filled by the criteria on first use."""
+        return {}
 
     def log_k(self, points) -> np.ndarray:
         """log K at each point (-inf at exact zeros), one Kernel.log_eval call each."""

@@ -152,6 +152,12 @@ class TestCriterionCommand:
         assert code == EXIT_CONFIG
         assert "nonnegative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_usq_refuses_m_below_one(self, m, capsys):
+        code = run(["criterion", "--model", "mslr-desk", "--criterion", "usq", "--m", m])
+        assert code == EXIT_CONFIG
+        assert "m must be a positive integer" in capsys.readouterr().err
+
     def test_usq_past_the_float_range_refuses_without_a_warning(self, tmp_path, capsys):
         # (K - 1)^2 overflows at the top atom: a refusal, with no numpy
         # RuntimeWarning raised on the way

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpsq import criteria
 from fpsq.criteria import (
     UnsupportedCriterionError,
     assumption_holds,
@@ -214,6 +217,18 @@ class TestGfpValue:
         assert gfp.detail["optimizer"] == "superlevel-set"
 
 
+@st.composite
+def knapsack_cases(draw):
+    """Up to 12 items with log values in [-5, 5] or -inf (free), masses
+    in (0, 1], and a needed mass below the total."""
+    n = draw(st.integers(1, 12))
+    values = draw(st.lists(st.one_of(st.just(-math.inf), st.floats(-5.0, 5.0)),
+                           min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+    needed = draw(st.floats(0.0, 0.999)) * math.fsum(weights)
+    return values, weights, needed
+
+
 class TestKnapsackSolvers:
     # the solvers take log-values; -inf marks a free (zero-value) item
 
@@ -229,14 +244,14 @@ class TestKnapsackSolvers:
         for mask in itertools.product([0, 1], repeat=n):
             if sum(w for b, w in zip(mask, weights) if b) >= needed:
                 best = min(best, sum(v for b, v in zip(mask, values) if b))
-        _, got = solve_min_inclusion(log_values(values), weights.tolist(), needed)
+        _, got = solve_min_inclusion(log_values(values), weights.tolist(), log_values(weights), needed)
         assert math.exp(got) == pytest.approx(best, rel=1e-12, abs=1e-12)
 
     def test_handles_astronomic_value_separation(self):
         # a huge-value item must not absorb small ones in the optimum
         values = [1e200, 2.0, 1.0]
         weights = [0.0004, 0.2, 0.7996]
-        included, got = solve_min_inclusion(log_values(values), weights, 0.9)
+        included, got = solve_min_inclusion(log_values(values), weights, log_values(weights), 0.9)
         assert included == [1, 2]
         assert math.exp(got) == pytest.approx(3.0)
 
@@ -245,13 +260,54 @@ class TestKnapsackSolvers:
         values = log_values(rng.uniform(0, 3, 12))
         weights = rng.dirichlet(np.ones(12)).tolist()
         needed = 0.8
-        _, exact = solve_min_inclusion(values, weights, needed)
-        _, upper, lower = greedy_min_inclusion(values, weights, needed)
+        _, exact = solve_min_inclusion(values, weights, log_values(weights), needed)
+        included, lower = greedy_min_inclusion(*as_arrays(values, weights), needed)
+        upper = cover_log_value(values, included)  # the greedy cover's own value
         assert math.exp(lower) - 1e-12 <= math.exp(exact) <= math.exp(upper) + 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(knapsack_cases())
+    def test_array_greedy_is_the_sequential_greedy(self, case):
+        values, weights, needed = case
+        included, lower = greedy_min_inclusion(*as_arrays(values, weights), needed)
+        assert sorted(included.tolist()) == sequential_greedy(values, weights, needed)
+        solved = solve_min_inclusion(values, weights, log_values(weights), needed)
+        assert solved is not None  # 12 items stay far inside the node budget
+        exact = solved[1]
+        upper = cover_log_value(values, included)
+        # the three log-sums round apart; the free items alone give exact -inf
+        slack = 1e-12 * max(1.0, abs(exact)) if exact > -math.inf else 0.0
+        assert lower <= exact + slack
+        assert exact <= upper + slack
 
 
 def log_values(values):
     return [math.log(v) if v > 0.0 else -math.inf for v in values]
+
+
+def as_arrays(values, weights):
+    """The greedy's inputs as the atom table holds them: log values, masses, log masses."""
+    return np.array(values), np.array(weights), np.array(log_values(weights))
+
+
+def cover_log_value(values, included):
+    terms = [values[j] for j in included if values[j] > -math.inf]
+    return math.log(math.fsum(math.exp(v) for v in terms)) if terms else -math.inf
+
+
+def sequential_greedy(values, weights, needed):
+    """Free items, then the others in increasing value per unit mass (ties
+    in item order), added one at a time until the mass reaches `needed`."""
+    free = [j for j, v in enumerate(values) if v == -math.inf]
+    rest = sorted((j for j, v in enumerate(values) if v > -math.inf),
+                  key=lambda j: values[j] - math.log(weights[j]))
+    chosen, weight = list(free), math.fsum(weights[j] for j in free)
+    for j in rest:
+        if weight >= needed:
+            break
+        chosen.append(j)
+        weight += weights[j]
+    return sorted(chosen)
 
 
 class TestSqValue:
@@ -353,6 +409,50 @@ class TestUsq:
                 for q in (1.0, 2.0, 5.0):
                     bound = q ** (2.0 / t) / m
                     assert sq_value(model, q).value <= bound * (1 + 1e-9)
+
+
+class TestMomentCache:
+    # USQ and LD read E[(K_d - 1)^t] from the model, computed once per (d, t)
+
+    @pytest.mark.parametrize("desc", [
+        {"model": "gam", "lambda": 0.9, "prior": {"kind": "rademacher_mean", "n": 200}},
+        {"model": "gam", "lambda": 0.9, "prior": {"kind": "sphere", "n": 50}},
+    ])
+    def test_each_moment_is_computed_once_per_model(self, desc, monkeypatch):
+        model = build_model(desc)
+        computed = []
+        compute = criteria._compute_moments
+
+        def counting(model, ts, d):
+            computed.extend((d, t) for t in ts)
+            return compute(model, ts, d)
+
+        monkeypatch.setattr(criteria, "_compute_moments", counting)
+        qs, ms = [2.0 ** k for k in range(1, 10)], [1, 2, 5, 16, 64]
+        for q, m in itertools.product(qs, ms):  # the q x m grid of a sweep, USQ first
+            usq_hard(model, m, 2)
+        for q, m in itertools.product(qs, ms):
+            ld_samplewise(model, m, math.inf, 1)
+        assert sorted(computed) == [(math.inf, 0), (math.inf, 1), (math.inf, 2)]
+        assert sorted(model.deviation_moments) == sorted(computed)
+        monkeypatch.undo()
+        fresh = build_model(desc)
+        for (d, t), value in model.deviation_moments.items():
+            assert criteria._deviation_moments(fresh, [t], d)[0] == value  # bit for bit, t alone
+
+
+class TestMassCheck:
+    # q^{-2} = 0 passes every q >= minimum test; the shared mass check refuses it
+
+    @pytest.mark.parametrize("desc", [
+        {"model": "gam", "lambda": 0.9, "prior": {"kind": "rademacher_mean", "n": 20}},
+        {"model": "gam", "lambda": 0.9, "prior": {"kind": "sphere", "n": 50}},
+    ])
+    @pytest.mark.parametrize("criterion", [fp_value, rho_fp_value, gfp_value, sq_value])
+    @pytest.mark.parametrize("q", [math.inf, 1e200])
+    def test_q_without_tail_mass_refuses(self, desc, criterion, q):
+        with pytest.raises(ValueError, match=r"mass must lie in \(0, 1\]"):
+            criterion(build_model(desc), q, 2)
 
 
 class TestChiSquared:
