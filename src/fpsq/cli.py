@@ -201,6 +201,15 @@ def write_rows(rows: list[dict], metadata: dict, fmt: str, out) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _whole(m) -> int:
+    """m as an integer: a grid point within 1e-9 relative of one (a log
+    grid's 2^k, say) rounds to it, and any other m is refused."""
+    m = float(m)
+    if not (math.isfinite(m) and abs(m - round(m)) <= 1e-9 * abs(round(m))):
+        raise ConfigError(f"m must be a whole number, got {m!r}")
+    return round(m)
+
+
 def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: float,
                t: int, d, k_deg: int) -> dict:
     if crit in ("fp", "rho_fp", "gfp", "sq") and q is None:
@@ -208,30 +217,30 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
     if crit != "sq" and m is None:
         raise ConfigError(f"criterion {crit!r} requires an m grid")
     q = None if q is None else float(q)
-    m = None if m is None else int(m)
+    m = None if m is None else _whole(m)
     if crit == "fp":
-        rep = fp_value(model, q, int(m), epsilon)
+        rep = fp_value(model, q, m, epsilon)
     elif crit == "rho_fp":
-        rep = rho_fp_value(model, q, int(m), epsilon)
+        rep = rho_fp_value(model, q, m, epsilon)
     elif crit == "gfp":
-        rep = gfp_value(model, q, int(m), epsilon)
+        rep = gfp_value(model, q, m, epsilon)
     elif crit == "sq":
-        rep = sq_value(model, q, None if m is None else int(m))
+        rep = sq_value(model, q, m)
     elif crit == "usq":
-        rep = usq_hard(model, int(m), t)
+        rep = usq_hard(model, m, t)
         rep = CriterionReport(f"USQ[t={t}]", {"q": q, "m": m, "epsilon": epsilon},
                               None, rep.value, rep.log_value, rep.verdict, rep.method)
     elif crit == "chi2":
-        value = chi_squared(model, int(m))
+        value = chi_squared(model, m)
         verdict = None if epsilon <= 0.0 else ("hard" if value <= epsilon else "not-hard")
         # log E[K^m] stays finite where the linear value overflows
-        lv = log_moment(model, int(m)) if math.isinf(value) else (
+        lv = log_moment(model, m) if math.isinf(value) else (
             math.log1p(value) if value > -1.0 else None)
         rep = CriterionReport("CHI2", {"q": q, "m": m, "epsilon": epsilon}, None,
                               value, lv, verdict,
                               "exact-sum" if model.is_discrete else "quadrature")
     elif crit == "ld":
-        value = ld_samplewise(model, int(m), d, k_deg)
+        value = ld_samplewise(model, m, d, k_deg)
         d_tag = "inf" if d == math.inf else int(d)
         rep = CriterionReport(f"LD[d={d_tag},k={k_deg}]",
                               {"q": q, "m": m, "epsilon": epsilon}, None, value,
@@ -302,6 +311,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if model_ref is None:
         raise ConfigError("no model given (use --model or a 'model' config field)")
     model_name, desc = resolve_descriptor(model_ref, cfg)
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be a positive integer, got {args.samples}")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     rows = kernel_table(desc, seed=seed, num_samples=args.samples)
     out = sys.stdout if not args.out else open(args.out, "w")
@@ -379,6 +390,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             results["equivalence"] = eq.checks
             ok = ok and eq.passed
     else:
+        if args.seeds < 1:
+            raise ConfigError(f"--seeds must be a positive integer, got {args.seeds}")
         suite = equivalence_suite(num_models=args.seeds, base_seed=seed)
         results["randomized_equivalence_suite"] = suite
         ok = ok and suite["violations"] == 0

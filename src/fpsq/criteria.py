@@ -33,7 +33,9 @@ method, and a hard/not-hard verdict against the caller-supplied epsilon
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -205,113 +207,112 @@ def _log_add(a: float, b: float) -> float:
     return a if b == -math.inf else a + math.log1p(math.exp(b - a))
 
 
-def _by_density(values: Sequence[float], log_weights: Sequence[float]) -> np.ndarray:
-    """Items of nonzero value in increasing log value per unit mass, ties
-    in item order (log_weights as AtomTable.log_orbit_mass rounds them)."""
-    values = np.asarray(values)
-    items = np.flatnonzero(values > -math.inf)
-    return items[np.argsort(values[items] - np.asarray(log_weights)[items], kind="stable")]
-
-
-def _fractional_fill(values: Sequence[float], weights: Sequence[float], order: Sequence[int],
-                     start: int, value: float, weight: float, needed: float) -> float:
-    """Lower bound (log) on the cheapest completion: fill the missing
-    mass with the lowest-density remaining items, the last one
-    fractionally."""
-    missing = needed - weight
-    bound = value
-    for j in order[start:]:
-        if missing <= 0.0:
-            break
-        if weights[j] <= missing:
-            missing -= weights[j]
-            bound = _log_add(bound, values[j])
-        else:
-            bound = _log_add(bound, values[j] + math.log(missing / weights[j]))
-            missing = 0.0
-    return bound if missing <= 0.0 else math.inf
+def greedy_min_inclusion(
+    values: Sequence[float], weights: Sequence[float], log_weights: Sequence[float], needed: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Greedy low-density cover on log-values, the first descent of
+    solve_min_inclusion.  Returns (free, order, reached, k):
+    - free, the items of log value -inf;
+    - order, the others in increasing log value per unit mass, ties in
+      item order (log_weights as AtomTable.log_orbit_mass rounds them);
+    - reached[i], the mass of the free items and order[:i], one
+      sequential cumsum from the free items' exact sum;
+    - k, the length of the shortest prefix of order whose reached mass
+      is `needed`.
+    The cover is the free items and order[:k], the one a loop of
+    `weight += w` stops at, bit for bit."""
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    free = (values == -math.inf).nonzero()[0]
+    items = (values > -math.inf).nonzero()[0]
+    order = items[(values[items] - np.asarray(log_weights)[items]).argsort(kind="stable")]
+    reached = np.concatenate(([exact_sum(weights[free])], weights[order])).cumsum()
+    k = int(reached.searchsorted(needed))  # reached is nondecreasing
+    if k == len(reached):
+        raise ValueError("covering constraint infeasible: total mass below requirement")
+    return free, order, reached, k
 
 
 def solve_min_inclusion(
     values: Sequence[float], weights: Sequence[float], log_weights: Sequence[float], needed: float
-) -> tuple[list[int], float] | None:
-    """Exact covering knapsack on log-values: choose items minimizing
-    log sum(exp(values)) subject to sum(weights) >= needed, by
-    depth-first branch and bound with a fractional lower bound, in the
-    density order of the weights' logs.  Returns (included items, log
-    value), or None once _BNB_NODES nodes are spent.
+) -> tuple[list[int], float, float | None]:
+    """Covering knapsack on log-values: the items minimizing
+    log sum(exp(values)) subject to sum(weights) >= needed, the
+    complement of the exclusion problem (drop atoms of total mass <=
+    capacity maximizing the dropped value).  Items of log value -inf are
+    free and always included; log space keeps every item exact, whatever
+    the spread of kernel powers.
 
-    This is the complement of the exclusion problem (drop atoms of total
-    mass <= capacity maximizing the dropped value).  Items of log-value
-    -inf are free and always included.  Working in log space keeps every
-    item exact, whatever the spread of kernel powers.
+    Depth-first branch and bound in greedy_min_inclusion's density order.
+    Its first descent, which takes every item until the mass is reached,
+    is the greedy cover: the cover is the first incumbent, and the search
+    goes on from the cover's exclusion branches.  A node's bound is the
+    fractional fill of the missing mass by the next items, read with one
+    bisect from prefix arrays of the mass and of exp(value - greedy
+    value).  The node budget is _BNB_NODES up to _MAX_EXACT_ORBITS items
+    and 0 beyond, the cap under which the benchmark's reference values
+    were recorded.
+
+    Returns (included items, sorted; their log value; lower).  lower is
+    None when the optimum is proved.  Otherwise it is the log of the
+    greedy cover's fractional fill, a lower bracket on the optimum, and
+    the items are the best cover found, never worse than the greedy one.
     """
-    n = len(values)
-    if needed <= 0.0:
-        return [], -math.inf
-    free = [j for j in range(n) if values[j] == -math.inf]
-    base_weight = math.fsum(weights[j] for j in free)
-    order = _by_density(values, log_weights).tolist()
-    if base_weight >= needed:
-        return sorted(free), -math.inf
-    best_value = math.inf
-    best_set: list[int] = []
-    path: list[int] = []
-    nodes = 0
-    suffix_weight = [0.0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix_weight[i] = suffix_weight[i + 1] + weights[order[i]]
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    free, order, reached, k = greedy_min_inclusion(values, weights, log_weights, needed)
+    v = values[order]
+    best_value = log_sum_exp(v[:k]) if k else -math.inf
+    best_set = order[:k].tolist()
+    budget = _BNB_NODES if len(values) <= _MAX_EXACT_ORBITS else 0
+    if budget:
+        items, mass, vl, wl = order.tolist(), reached.tolist(), v.tolist(), weights[order].tolist()
+        n, nodes, path = len(items), 0, items[:k]
+        # bounds are summed in exp(. - top), top the greedy value, where an
+        # item above it counts as 1 and one below the float range as 0: both
+        # only lower a bound, and the slack covers the rounding of the prefix
+        # sums, so that their difference cannot raise it either
+        top = best_value
+        xl = np.exp(np.minimum(v - top, 0.0)).tolist()
+        sums = list(accumulate(xl, initial=0.0))
+        slack = 2.0 * n * 2.0**-52
 
-    def dfs(start: int, value: float, weight: float) -> None:
-        nonlocal best_value, best_set, nodes
-        nodes += 1
-        if nodes > _BNB_NODES:
-            return
-        if weight >= needed:
-            if value < best_value:
-                best_value = value
-                best_set = list(path)
-            return  # adding more items can only increase the value
-        if weight + suffix_weight[start] < needed:
-            return  # cannot reach the required mass
-        if value >= best_value:
-            return
-        if _fractional_fill(values, weights, order, start, value, weight, needed) >= best_value:
-            return
-        j = order[start]
-        path.append(j)
-        dfs(start + 1, _log_add(value, values[j]), weight + weights[j])
-        path.pop()
-        dfs(start + 1, value, weight)
+        def dfs(start: int, value: float, weight: float) -> None:
+            nonlocal best_value, best_set, nodes
+            nodes += 1
+            if nodes > budget:
+                return
+            if weight >= needed:
+                if value < best_value:
+                    best_value, best_set = value, list(path)
+                return  # adding more items can only increase the value
+            if value >= best_value:
+                return  # no completion can help, and exp(value - top) stays below 1
+            # the fill: items[start:e] whole, the break item e in part
+            target = needed - weight + mass[start]
+            e = bisect_left(mass, target, start + 1) - 1
+            if e == n:
+                return  # cannot reach the required mass
+            rest = (math.exp(value - top) + sums[e] - sums[start] - slack * sums[e]
+                    + xl[e] * min((target - mass[e]) / wl[e], 1.0))
+            if rest > 0.0 and top + math.log(rest) >= best_value:
+                return
+            path.append(items[start])
+            dfs(start + 1, _log_add(value, vl[start]), weight + wl[start])
+            path.pop()
+            dfs(start + 1, value, weight)
 
-    dfs(0, -math.inf, base_weight)
-    if best_value == math.inf:
-        raise ValueError("covering constraint infeasible: total mass below requirement")
-    if nodes > _BNB_NODES:
-        return None
-    return sorted(free + best_set), best_value
-
-
-def greedy_min_inclusion(
-    values: np.ndarray, weights: np.ndarray, log_weights: np.ndarray, needed: float
-) -> tuple[np.ndarray, float]:
-    """Greedy low-density cover on log-values: returns (included items,
-    sorted; fractional lower bracket on the exact infimum).  The cover's
-    own log value is the upper bracket.  The running mass is one
-    sequential cumsum from the free items' mass, so the cover is the one
-    a loop of `weight += w` stops at, bit for bit."""
-    free = np.flatnonzero(values == -math.inf)
-    order = _by_density(values, log_weights)
-    reached = np.cumsum(np.concatenate(([exact_sum(weights[free])], weights[order])))
-    k = int(np.argmax(reached >= needed))  # items order[:k] reach the needed mass
-    if not reached[k] >= needed:
-        raise ValueError("covering constraint infeasible: total mass below requirement")
-    if k == 0:
-        return free, -math.inf
-    last = order[k - 1]  # the fractional item of the relaxation
-    part = (needed - reached[k - 1]) / weights[last]
-    lower = log_sum_exp(np.append(values[order[:k - 1]], values[last] + math.log(min(part, 1.0))))
-    return np.sort(np.concatenate((free, order[:k]))), lower
+        # the cover's exclusion branches, deepest first, from the path
+        # values the first descent would have summed
+        on_path = list(accumulate(vl[:k], _log_add, initial=-math.inf))
+        for d in range(k - 1, -1, -1):
+            path.pop()
+            dfs(d + 1, on_path[d], mass[d])
+        if nodes <= budget:
+            return sorted(free.tolist() + best_set), best_value, None
+    lower = -math.inf
+    if k:  # order[:k - 1] whole and the missing part of order[k - 1]
+        part = (needed - reached[k - 1]) / weights[order[k - 1]]
+        lower = log_sum_exp(np.append(v[:k - 1], v[k - 1] + math.log(min(part, 1.0))))
+    return sorted(free.tolist() + best_set), best_value, lower
 
 
 def _orbit_log_values(log_terms: np.ndarray, tab: AtomTable) -> np.ndarray:
@@ -331,10 +332,10 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     Discrete laws: atoms are merged into group orbits, each carrying
     its log value log sum p K^m, and the complementary exclusion problem
     (drop orbits maximizing sum p K^m subject to dropped mass <= q^{-2})
-    is solved exactly by branch and bound up to _MAX_EXACT_ORBITS orbits
-    and _BNB_NODES nodes.  Beyond either limit a greedy exclusion with
-    certified lower/upper brackets is reported and the conservative
-    (upper) value is returned.
+    is solved by solve_min_inclusion.  Where its search stops early
+    (beyond _MAX_EXACT_ORBITS orbits or at _BNB_NODES nodes) the best
+    cover found is reported with certified lower/upper brackets, and the
+    conservative (upper) value is returned.
 
     Continuous laws: the optimal symmetric event is the complement of a
     top superlevel set of the orbit-averaged m-sample kernel.  When that
@@ -372,15 +373,11 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     # in exact arithmetic is still droppable
     needed = 1.0 - mass * (1.0 + _REL)
     detail: dict = {"orbit_atoms": len(values)}
-    solved = (solve_min_inclusion(values.tolist(), tab.orbit_mass.tolist(), tab.log_orbit_mass.tolist(),
-                                  needed) if len(values) <= _MAX_EXACT_ORBITS else None)
-    lower = None
-    if solved is not None:
-        included = solved[0]
+    included, _, lower = solve_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass, needed)
+    if lower is None:
         detail["optimizer"] = "branch-and-bound-exact"
         method = "exact-sum"
     else:
-        included, lower = greedy_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass, needed)
         detail["optimizer"] = ("greedy-bracket" if len(values) > _MAX_EXACT_ORBITS
                                else "branch-and-bound-budget")
         method = "exact-sum(greedy-bracket)"
@@ -388,10 +385,9 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     chosen[included] = True
     keep = chosen[tab.orbit]
     value, lv = _event_value(log_terms[keep])
-    if lower is not None:  # the greedy event's own value is the upper bracket
+    if lower is not None:  # the event's own value is the upper bracket
         detail["value_brackets"] = (exp_or_inf(lower), value)
-    atoms = model.law.values
-    detail["excluded_atoms"] = [atoms[i] for i in np.flatnonzero(~keep).tolist()]
+    detail["excluded_atoms"] = tab.atoms[~keep].tolist()
     detail["excluded_mass"] = exact_sum(tab.orbit_mass[~chosen])
     return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method, detail)
 

@@ -43,7 +43,7 @@ from fpsq.laws import (
     nondecreasing,
 )
 from fpsq.numerics import (
-    gauss_hermite_rule,
+    exact_sum,
     hermite_matrix,
     normal_pdf,
     normal_quantile,
@@ -278,13 +278,17 @@ def _gaussian_parts(mu_spec: dict) -> list[tuple[float, float, float]] | None:
     "gaussian" being the one-component mixture; None for any other kind."""
     kind = mu_spec.get("kind")
     if kind == "gaussian":
-        return [(1.0, float(mu_spec["mean"]), float(mu_spec["var"]))]
-    if kind != "gaussian_mixture":
+        parts = [(1.0, float(mu_spec["mean"]), float(mu_spec["var"]))]
+    elif kind == "gaussian_mixture":
+        weights = [float(w) for w in mu_spec["weights"]]
+        if abs(sum(weights) - 1.0) > 1e-12 or any(w < 0 for w in weights):
+            raise ValueError("mixture weights must be a probability vector")
+        parts = [(w, float(m), float(v)) for w, m, v in zip(weights, mu_spec["means"], mu_spec["vars"])]
+    else:
         return None
-    weights = [float(w) for w in mu_spec["weights"]]
-    if abs(sum(weights) - 1.0) > 1e-12 or any(w < 0 for w in weights):
-        raise ValueError("mixture weights must be a probability vector")
-    return [(w, float(m), float(v)) for w, m, v in zip(weights, mu_spec["means"], mu_spec["vars"])]
+    if not all(v > 0.0 for _, _, v in parts):
+        raise ValueError("Gaussian component variances must be positive")
+    return parts
 
 
 def ngca_nu_coeffs(mu_spec: dict, max_degree: int) -> list[float]:
@@ -355,25 +359,28 @@ def ngca_density_ratio(mu_spec: dict) -> Callable[[np.ndarray], np.ndarray] | No
     return None
 
 
-def _chi2_of_mu(mu_spec: dict, num_nodes: int = 400) -> float | None:
-    """sum_i nu_i^2 = chi^2(mu || N(0,1)), by quadrature of the squared
-    density ratio; None when unavailable or divergent."""
-    ratio = ngca_density_ratio(mu_spec)
-    if ratio is None:
+def _chi2_of_mu(mu_spec: dict) -> float | None:
+    """sum_i nu_i^2 = chi^2(mu || N(0,1)) for a Gaussian or Gaussian-mixture
+    mu, in closed form: 1 + chi^2 = E_phi[(dmu/dphi)^2] sums, over pairs
+    of components (w, m, v), the Gaussian integral
+
+        w_i w_j exp(b^2 / (2a) - c/2) / sqrt(v_i v_j a),
+
+    a = 1/v_i + 1/v_j - 1, b = m_i/v_i + m_j/v_j, c = m_i^2/v_i + m_j^2/v_j.
+    None when a <= 0 for a pair (the integral diverges), when the sum
+    passes the float range, and for every other kind of mu."""
+    parts = _gaussian_parts(mu_spec)
+    if parts is None:
         return None
-    try:
-        vals = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for nn in (num_nodes // 2, num_nodes):
-                rule = gauss_hermite_rule(nn)
-                vals.append(rule.expect(lambda z: ratio(z) ** 2) - 1.0)
-        if not all(math.isfinite(v) for v in vals):
-            return None
-        if abs(vals[1] - vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
-            return None  # not converged: treat the total as unknown
-        return max(vals[1], 0.0)
-    except OverflowError:
+    w, m, v = (np.array(col, dtype=float)[:, None] for col in zip(*parts))
+    a = 1.0 / v + 1.0 / v.T - 1.0
+    if np.any(a <= 0.0):
         return None
+    b = m / v + (m / v).T
+    c = m * m / v + (m * m / v).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = exact_sum(w * w.T * np.exp(b * b / (2.0 * a) - c / 2.0) / np.sqrt(v * v.T * a))
+    return max(total - 1.0, 0.0) if math.isfinite(total) else None
 
 
 def _find_s_star(coeffs: Sequence[float]) -> int | None:
@@ -611,13 +618,14 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
 
 @dataclass(frozen=True)
 class AtomTable:
-    """What the discrete criteria read, one entry per atom: p, log p,
-    log K (-inf at exact zeros), K - 1 (as Kernel.minus_one), the mirror
-    (GroupSpec.mirror), K - 1 at -t and the orbit index; one entry per
-    orbit (an atom and its mirror): the representative (lower) atom and
-    the mass, whose log GFP reads; and the Levels of |<u,v>| (None
+    """What the discrete criteria read, one entry per atom: the atom, p,
+    log p, log K (-inf at exact zeros), K - 1 (as Kernel.minus_one), the
+    mirror (GroupSpec.mirror), K - 1 at -t and the orbit index; one entry
+    per orbit (an atom and its mirror): the representative (lower) atom
+    and the mass, whose log GFP reads; and the Levels of |<u,v>| (None
     without a Euclidean overlap), rho_G and |K - 1|."""
 
+    values: tuple
     p: np.ndarray
     log_p: np.ndarray
     log_k: np.ndarray
@@ -638,6 +646,12 @@ class AtomTable:
         on some inputs)."""
         return np.array([math.log(w) if w > 0.0 else -math.inf for w in self.orbit_mass.tolist()])
 
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """The atoms as an object array, on first use: GFP lists the ones
+        its event drops by a mask."""
+        return np.fromiter(self.values, dtype=object, count=len(self.values))
+
 
 def _atom_table(model: ModelSpec) -> AtomTable:
     law, kernel = model.law, model.kernel
@@ -653,7 +667,7 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     overlap = (None if model.euclid_overlap is None
                else Levels.of([abs(model.euclid_overlap(v)) for v in values], p))
     return AtomTable(
-        p, log_p, log_k, dev, mirror, mirror_dev, orbit, rep, np.bincount(orbit, weights=p), overlap,
+        values, p, log_p, log_k, dev, mirror, mirror_dev, orbit, rep, np.bincount(orbit, weights=p), overlap,
         Levels.of(np.maximum(np.abs(dev), np.abs(mirror_dev)), p), Levels.of(np.abs(dev), p),
     )
 

@@ -158,6 +158,21 @@ class TestCriterionCommand:
         assert code == EXIT_CONFIG
         assert "m must be a positive integer" in capsys.readouterr().err
 
+    def test_log_grid_m_rounds_to_its_whole_numbers(self, tmp_path):
+        # the grid's points 2^k come out of exp(log) a few ulps off
+        out = tmp_path / "rows.csv"
+        assert run(["criterion", "--model", "mslr-desk", "--criterion", "chi2",
+                    "--m", "log:1:1024:11", "--out", str(out)]) == EXIT_PASS
+        assert [row["m"] for row in read_rows(str(out))] == [str(2**k) for k in range(11)]
+
+    @pytest.mark.parametrize("m", ["2.5", "3.000001", "inf"])
+    def test_fractional_m_is_refused(self, m, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        for command in ("criterion", "sweep"):
+            assert run([command, "--model", "mslr-desk", "--criterion", "chi2", "--m", m,
+                        "--out", str(out)]) == EXIT_CONFIG
+            assert "m must be a whole number" in capsys.readouterr().err
+
     def test_usq_past_the_float_range_refuses_without_a_warning(self, tmp_path, capsys):
         # (K - 1)^2 overflows at the top atom: a refusal, with no numpy
         # RuntimeWarning raised on the way
@@ -190,6 +205,11 @@ class TestKernelCommand:
         assert lines[0] == "statistic,kernel_value,oracle_value,abs_diff,bound"
         assert len(lines) >= 11
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one_is_refused(self, samples, capsys):
+        assert run(["kernel", "--model", "mslr-oracle", "--samples", samples]) == EXIT_CONFIG
+        assert "--samples must be a positive integer" in capsys.readouterr().err
+
     def test_resource_error_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"models": {
@@ -217,6 +237,13 @@ class TestCheckCommand:
         assert run(["check", "--seeds", "8"]) == EXIT_PASS
         payload = json.loads(capsys.readouterr().out)
         assert payload["randomized_equivalence_suite"]["violations"] == 0
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_model_count_below_one_is_refused(self, seeds, capsys):
+        assert run(["check", "--seeds", seeds]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--seeds must be a positive integer" in captured.err
+        assert captured.out == ""
 
     def test_injected_broken_kernel_reports_witness(self, capsys):
         code = run(["check", "--seeds", "2", "--inject-broken"])

@@ -244,24 +244,25 @@ class TestKnapsackSolvers:
         for mask in itertools.product([0, 1], repeat=n):
             if sum(w for b, w in zip(mask, weights) if b) >= needed:
                 best = min(best, sum(v for b, v in zip(mask, values) if b))
-        _, got = solve_min_inclusion(log_values(values), weights.tolist(), log_values(weights), needed)
+        _, got, _ = solve_min_inclusion(log_values(values), weights.tolist(), log_values(weights), needed)
         assert math.exp(got) == pytest.approx(best, rel=1e-12, abs=1e-12)
 
     def test_handles_astronomic_value_separation(self):
         # a huge-value item must not absorb small ones in the optimum
         values = [1e200, 2.0, 1.0]
         weights = [0.0004, 0.2, 0.7996]
-        included, got = solve_min_inclusion(log_values(values), weights, log_values(weights), 0.9)
+        included, got, _ = solve_min_inclusion(log_values(values), weights, log_values(weights), 0.9)
         assert included == [1, 2]
         assert math.exp(got) == pytest.approx(3.0)
 
-    def test_greedy_brackets_contain_optimum(self):
+    def test_greedy_brackets_contain_optimum(self, monkeypatch):
         rng = np.random.default_rng(5)
         values = log_values(rng.uniform(0, 3, 12))
         weights = rng.dirichlet(np.ones(12)).tolist()
         needed = 0.8
-        _, exact = solve_min_inclusion(values, weights, log_values(weights), needed)
-        included, lower = greedy_min_inclusion(*as_arrays(values, weights), needed)
+        _, exact, _ = solve_min_inclusion(values, weights, log_values(weights), needed)
+        monkeypatch.setattr(criteria, "_BNB_NODES", 0)  # the greedy cover and its brackets
+        included, _, lower = solve_min_inclusion(values, weights, log_values(weights), needed)
         upper = cover_log_value(values, included)  # the greedy cover's own value
         assert math.exp(lower) - 1e-12 <= math.exp(exact) <= math.exp(upper) + 1e-12
 
@@ -269,16 +270,64 @@ class TestKnapsackSolvers:
     @given(knapsack_cases())
     def test_array_greedy_is_the_sequential_greedy(self, case):
         values, weights, needed = case
-        included, lower = greedy_min_inclusion(*as_arrays(values, weights), needed)
-        assert sorted(included.tolist()) == sequential_greedy(values, weights, needed)
+        free, order, _, k = greedy_min_inclusion(*as_arrays(values, weights), needed)
+        assert sorted(free.tolist() + order[:k].tolist()) == sequential_greedy(values, weights, needed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criteria, "_BNB_NODES", 0)
+            _, _, lower = solve_min_inclusion(values, weights, log_values(weights), needed)
         solved = solve_min_inclusion(values, weights, log_values(weights), needed)
-        assert solved is not None  # 12 items stay far inside the node budget
+        assert solved[2] is None  # 12 items stay far inside the node budget
         exact = solved[1]
-        upper = cover_log_value(values, included)
+        upper = cover_log_value(values, sequential_greedy(values, weights, needed))
         # the three log-sums round apart; the free items alone give exact -inf
         slack = 1e-12 * max(1.0, abs(exact)) if exact > -math.inf else 0.0
         assert lower <= exact + slack
         assert exact <= upper + slack
+
+
+class TestOneSolver:
+    """solve_min_inclusion from its greedy first descent, under node
+    budgets of 0, a few and the full _BNB_NODES, against 2^n enumeration."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(knapsack_cases())
+    def test_no_budget_returns_the_greedy_cover(self, case):
+        values, weights, needed = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criteria, "_BNB_NODES", 0)
+            included, value, lower = solve_min_inclusion(values, weights, log_values(weights), needed)
+        assert included == sequential_greedy(values, weights, needed)
+        assert value == pytest.approx(cover_log_value(values, included), rel=1e-12, abs=1e-12)
+        assert lower is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(knapsack_cases())
+    def test_full_budget_matches_enumeration(self, case):
+        values, weights, needed = case
+        included, value, lower = solve_min_inclusion(values, weights, log_values(weights), needed)
+        best = enumerated_optimum(values, weights, needed)
+        assert lower is None
+        assert math.fsum(weights[j] for j in included) >= needed
+        assert value == pytest.approx(cover_log_value(values, included), rel=1e-12, abs=1e-12)
+        assert value == pytest.approx(best, rel=1e-12, abs=1e-12)  # -inf only equals -inf
+
+    @settings(max_examples=100, deadline=None)
+    @given(knapsack_cases(), st.integers(1, 6))
+    def test_few_nodes_bracket_the_optimum(self, case, budget):
+        values, weights, needed = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criteria, "_BNB_NODES", budget)
+            included, value, lower = solve_min_inclusion(values, weights, log_values(weights), needed)
+        best = enumerated_optimum(values, weights, needed)
+        greedy = cover_log_value(values, sequential_greedy(values, weights, needed))
+        slack = 1e-12 * max(1.0, abs(best)) if best > -math.inf else 0.0
+        assert math.fsum(weights[j] for j in included) >= needed
+        if lower is None:
+            assert value == pytest.approx(best, rel=1e-12, abs=1e-12)
+        else:
+            assert lower <= best + slack
+        assert best <= value + slack
+        assert value <= greedy + slack
 
 
 def log_values(values):
@@ -293,6 +342,15 @@ def as_arrays(values, weights):
 def cover_log_value(values, included):
     terms = [values[j] for j in included if values[j] > -math.inf]
     return math.log(math.fsum(math.exp(v) for v in terms)) if terms else -math.inf
+
+
+def enumerated_optimum(values, weights, needed):
+    """The least log sum(exp(values)) over all 2^n item sets of mass >= needed."""
+    best = math.inf
+    for mask in itertools.product([0, 1], repeat=len(values)):
+        if math.fsum(w for b, w in zip(mask, weights) if b) >= needed:
+            best = min(best, cover_log_value(values, [j for j, b in enumerate(mask) if b]))
+    return best
 
 
 def sequential_greedy(values, weights, needed):

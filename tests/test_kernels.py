@@ -132,6 +132,39 @@ class TestNgcaKernel:
         k = ngca_kernel({"kind": "gaussian", "mean": 0.0, "var": 2.0}, max_degree=40)
         assert k.series_total is None
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixture_total_matches_mpmath_quadrature(self, seed):
+        # chi^2(mu || N(0,1)) = E_phi[(dmu/dphi)^2] - 1, integrated at 30
+        # digits; variances up to 1.95 give the slowly decaying tails where
+        # Gauss-Hermite rules of 200 and 400 nodes disagree
+        import mpmath
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        parts = list(zip(rng.dirichlet(np.ones(n)).tolist(), rng.uniform(-1.5, 1.5, n).tolist(),
+                         rng.uniform(0.3, 1.95, n).tolist()))
+        mu = {"kind": "gaussian_mixture", "weights": [w for w, _, _ in parts],
+              "means": [m for _, m, _ in parts], "vars": [v for _, _, v in parts]}
+        with mpmath.workdps(30):
+            def squared_ratio(z):
+                ratio = sum(w * mpmath.exp(z * z / 2 - (z - m) ** 2 / (2 * v)) / mpmath.sqrt(v)
+                            for w, m, v in parts)
+                return ratio * ratio * mpmath.npdf(z)
+
+            want = mpmath.quad(squared_ratio, [-mpmath.inf, -40, -10, 0, 10, 40, mpmath.inf]) - 1
+        assert ngca_kernel(mu, 20).series_total == pytest.approx(float(want), rel=1e-12)
+
+    def test_uniform_total_is_unknown_rather_than_zero(self):
+        # chi^2 of U(-w, w) is about sqrt(2 pi) / (2w) - 1 = 1252.3 at w = 1e-3;
+        # quadrature of the squared density ratio on Hermite nodes read 0.0
+        k = ngca_kernel({"kind": "uniform_symmetric", "half_width": 1e-3}, max_degree=8)
+        assert k.series_total is None
+
+    @pytest.mark.parametrize("var", [0.0, -1.0])
+    def test_nonpositive_variance_is_refused(self, var):
+        with pytest.raises(ValueError, match="variances must be positive"):
+            ngca_kernel({"kind": "gaussian", "mean": 0.0, "var": var}, max_degree=8)
+
     def test_gaussian_is_the_one_component_mixture(self):
         gauss = {"kind": "gaussian", "mean": 0.4, "var": 1.3}
         mixture = {"kind": "gaussian_mixture", "weights": [1.0], "means": [0.4], "vars": [1.3]}

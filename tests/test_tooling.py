@@ -1,10 +1,11 @@
-"""The README's library example and the benchmark's hooks stay runnable,
-every array sum in the engine takes one code path, and no engine module
-calls laws.expect or laws.survival."""
+"""The README's library example, the benchmark's hooks and the value
+dump stay runnable, every array sum in the engine takes one code path,
+and no engine module calls laws.expect or laws.survival."""
 
 import ast
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -32,6 +33,21 @@ def test_benchmark_tracer_finds_every_attribute_it_wraps():
             "import spans; spans.Tracer().install()")
     subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "src"),
                     os.path.join(ROOT, "perfbench")], check=True, cwd=ROOT, timeout=120)
+
+
+def test_sweep_values_dumps_every_benchmark_cell():
+    # tests/sweep_values.py prints each workload's cells as exact reprs,
+    # for diffing two checkouts
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "tests", "sweep_values.py"), "0"],
+                         env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    payload = json.loads(out)
+    assert sorted(payload) == ["discrete-large", "discrete-wide", "sphere-sweep"]
+    cells = payload["discrete-wide"]["0"]
+    assert len(cells) == 945
+    gfp = [v for k, v in cells.items() if "|gfp|" in k]
+    assert len(gfp) == 135 and all(isinstance(v, list) and len(v) == 3 for v in gfp)
 
 
 def test_array_sums_go_through_exact_sum():
