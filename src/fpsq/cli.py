@@ -282,16 +282,21 @@ def cmd_criterion(args: argparse.Namespace) -> int:
             for m in ms:
                 rows.append(_eval_cell(model_name, model, crit, q, m, epsilon,
                                        args.t, d, args.k_deg))
-    _emit(rows, metadata, fmt, args.out)
+    _emit(args.out, lambda out: write_rows(rows, metadata, fmt, out))
     return EXIT_PASS
 
 
-def _emit(rows, metadata, fmt, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            write_rows(rows, metadata, fmt, fh)
-    else:
-        write_rows(rows, metadata, fmt, sys.stdout)
+def _emit(path: str | None, write) -> None:
+    """write(file) on path (stdout without one); ConfigError if path is unwritable."""
+    if not path:
+        write(sys.stdout)
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
+        write(fh)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -315,16 +320,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         raise ConfigError(f"--samples must be a positive integer, got {args.samples}")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     rows = kernel_table(desc, seed=seed, num_samples=args.samples)
-    out = sys.stdout if not args.out else open(args.out, "w")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["statistic", "kernel_value", "oracle_value", "abs_diff", "bound"])
-        for r in rows:
-            writer.writerow([_fmt(r.statistic), _fmt(r.kernel_value), _fmt(r.oracle_value),
-                             _fmt(r.diff), _fmt(r.bound)])
-    finally:
-        if args.out:
-            out.close()
+    table = [["statistic", "kernel_value", "oracle_value", "abs_diff", "bound"]] + [
+        [_fmt(v) for v in (r.statistic, r.kernel_value, r.oracle_value, r.diff, r.bound)] for r in rows]
+    _emit(args.out, lambda out: csv.writer(out, lineterminator="\n").writerows(table))
     failed = [r for r in rows if not r.passed]
     for r in failed:
         print(f"FAIL {model_name} at {r.statistic}: |diff| {r.diff:g} > bound {r.bound:g}",
@@ -352,13 +350,14 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         lines.append(f"  [{status}] {c.name}: {c.value!r} {c.comparison} {c.bound!r}  ({c.note})")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _emit(args.out, lambda out: out.write(text))
     sys.stdout.write(text)
     return EXIT_PASS if result.passed else EXIT_ASSERTION
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if (args.q is None) != (args.m is None):
+        raise ConfigError("--q and --m name one (q, m) point of the equivalence battery; give both")
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     results = {}

@@ -17,8 +17,8 @@ proxy-runtime parameter q (tail mass q^{-2}):
 - samplewise LD: sum_t C(m, t) E[(K_d - 1)^t] for the degree-d
            truncated kernel (d = inf uses K itself).
 
-All m-th powers run through exp(m log K); exact kernel zeros
-short-circuit to exact 0.  On a discrete law every criterion reads the
+All m-th powers run through exp(m log K); an exact kernel zero has
+log K = -inf and adds an exact 0.  On a discrete law every criterion reads the
 model's atom table (ModelSpec.atom_table): a threshold is a bisection in
 its levels, an event a mask, the event value a log-sum-exp of
 m log K + log p over the mask.  On the continuous law each is one
@@ -316,13 +316,13 @@ def solve_min_inclusion(
 
 
 def _orbit_log_values(log_terms: np.ndarray, tab: AtomTable) -> np.ndarray:
-    """Per-orbit log-sum-exp of the atoms' log-terms (an orbit holds an
-    atom and its mirror, so its largest term is the larger of the two)."""
-    top = np.maximum(log_terms[tab.orbit_rep], log_terms[tab.mirror[tab.orbit_rep]])
-    shift = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        sums = np.bincount(tab.orbit, weights=np.exp(log_terms - shift[tab.orbit]), minlength=len(top))
-        return np.log(sums) + shift
+    """Per-orbit log-sum-exp of the atoms' log-terms, top + log(1 + exp(low -
+    top)) of the representative's term and its mirror's (-inf if alone)."""
+    rep, partner = tab.orbit_rep, tab.mirror[tab.orbit_rep]
+    own, other = log_terms[rep], np.where(partner == rep, -math.inf, log_terms[partner])
+    top, low = np.maximum(own, other), np.minimum(own, other)
+    with np.errstate(invalid="ignore"):
+        return np.where(top == -math.inf, top, top + np.log(1.0 + np.exp(low - top)))
 
 
 def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> CriterionReport:
@@ -486,9 +486,9 @@ def _compute_moments(model: ModelSpec, ts: Sequence[int], d: float) -> list[floa
     """E[(K_d - 1)^t] for each t in ts: exact sums (AtomEvaluationError at a
     non-finite term) or laws.integral, from K_d - 1 read once per call at each
     atom or grid point: the table's K - 1 at d = inf (in log form from log K
-    on the continuous law), else one pass of Kernel.truncated_minus_one."""
+    on the continuous law), else one Kernel.truncated_minus_one call."""
     law, kernel = model.law, model.kernel
-    truncated = lambda points: np.array([kernel.truncated_minus_one(float(x), int(d)) for x in points])
+    truncated = lambda points: kernel.truncated_minus_one(np.asarray(points, dtype=float), int(d))
     if model.is_discrete:
         dev = model.atom_table.dev if d == math.inf else truncated(law.values)
         with np.errstate(over="ignore"):

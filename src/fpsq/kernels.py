@@ -17,9 +17,10 @@ through the overlap statistic of the signal pair:
 - dense planted clique:         K(ell) = p^{-C(ell,2)}
 - Dirac:                        K = 2^n on the diagonal, exactly 0 off it.
 
-Kernels are exposed in log space.  Exact zeros (the Dirac off-diagonal,
-a truncated series summing to 0) are represented by log_eval returning
-None rather than -inf so that criteria can short-circuit to exact 0.
+Kernels map a statistic value, or an array of them in one call, to
+log K, with -inf at exact zeros (the Dirac off-diagonal, a series summing
+to 0).  Series kernels sum by Horner's rule, within gamma_2n sum |c_i|
+|t|^i of the exact sum (n the top degree), and their K - 1 is that sum.
 Group actions on the statistic (trivial or Z_2 sign flip) provide the
 orbits behind rho_G and the correlation-inequality averages.
 """
@@ -60,21 +61,47 @@ class SingularityError(ValueError):
     """Kernel evaluated at a statistic value outside its finite domain."""
 
 
-def _series_sum(series: Iterable[tuple[int, float]], x: float) -> float:
-    """sum c_i x^i over the (i, c_i) pairs of series, correctly rounded."""
-    return math.fsum(c * x**i for i, c in series)
+def _dense(series: Iterable[tuple[int, float]], d: float = math.inf) -> list[float]:
+    """c_1, ..., c_n from the (i, c_i) pairs of series with i <= d, 0 in the gaps."""
+    c = dict(series)
+    return [c.get(i, 0.0) for i in range(1, int(min(d, max(c, default=0))) + 1)]
 
 
-def _minus_one(lv: float | None) -> float:
+def _series_sum(coeffs: list[float], x):
+    """sum c_i x^i over coeffs = _dense(series) at a float or an array x, by
+    Horner's rule in place: within gamma_2n sum |c_i| |x|^i, n the top degree,
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability, 2002, 5.1)."""
+    acc = 0.0 * x
+    for c in reversed(coeffs):
+        acc += c
+        acc *= x
+    return acc
+
+
+def _plain(x):
+    """An array as it is, a scalar as a Python float."""
+    return float(x) if getattr(x, "ndim", 0) == 0 else x
+
+
+def _first(t, bad):
+    """The first statistic value of t (one value or an array) where bad holds."""
+    return np.asarray(t)[bad][0].tolist()
+
+
+def _expm1(log_k):
     """K - 1 from log K: -1 at an exact zero, inf beyond log K = 700."""
-    if lv is None:
-        return -1.0
-    return math.inf if lv > 700.0 else math.expm1(lv)
+    with np.errstate(over="ignore"):
+        return np.where(log_k > 700.0, math.inf, np.expm1(log_k))
 
 
 @dataclass(frozen=True)
 class Kernel:
     """log K plus optional power-series data.
+
+    log_fn maps a statistic value or an array of them (pair counts as an
+    (..., 3) array) to log K, -inf at an exact zero; minus_one_fn, if set,
+    to K - 1 (a series kernel's sum, log_fn its log1p), else K - 1 is
+    expm1(log K).  The methods give a single value back as a float.
 
     series lists (degree, coefficient) pairs with nonnegative
     coefficients such that K(t) = 1 + sum c_i t^i (+ tail) on the
@@ -84,33 +111,30 @@ class Kernel:
 
     name: str
     domain: str  # "scalar" or "pair_counts"
-    log_fn: Callable[[Statistic], float | None]
+    log_fn: Callable
     series: tuple[tuple[int, float], ...] | None = None
     series_total: float | None = None
     extras: dict = field(default_factory=dict)
+    minus_one_fn: Callable | None = None
 
-    def log_eval(self, t: Statistic) -> float | None:
-        """Natural log of K(t); None encodes an exact kernel zero."""
-        return self.log_fn(t)
+    def log_eval(self, t):
+        """Natural log of K(t), -inf at an exact zero."""
+        with np.errstate(divide="ignore"):  # log1p(-1) for a series summing to -1
+            return _plain(self.log_fn(t))
 
-    def eval(self, t: Statistic) -> float:
-        lv = self.log_eval(t)
-        if lv is None:
-            return 0.0
-        try:
-            return math.exp(lv)
-        except OverflowError:
-            return math.inf
+    def eval(self, t):
+        with np.errstate(over="ignore"):
+            return _plain(np.exp(self.log_eval(t)))
 
-    def minus_one(self, t: Statistic) -> float:
-        """K(t) - 1, computed as expm1 for precision near 1."""
-        return _minus_one(self.log_eval(t))
+    def minus_one(self, t):
+        """K(t) - 1: the series sum of a series kernel, else expm1(log K)."""
+        return _plain(_expm1(self.log_eval(t)) if self.minus_one_fn is None else self.minus_one_fn(t))
 
-    def truncated_minus_one(self, t: float, d: int) -> float:
+    def truncated_minus_one(self, t, d: int):
         """K_d(t) - 1 = sum_{degree <= d} c_i t^i (series kernels only)."""
         if self.series is None:
             raise ValueError(f"kernel {self.name!r} carries no series; d < inf unsupported")
-        return _series_sum(((i, c) for i, c in self.series if i <= d), t)
+        return _plain(_series_sum(_dense(self.series, d), t))
 
     def tail_bound(self, t: float) -> float | None:
         """Bound on the series remainder beyond the stored degrees.
@@ -174,7 +198,7 @@ class GroupSpec:
 
 def rho_g(kernel: Kernel, group: GroupSpec, t: Statistic) -> float:
     """Group-maximized kernel deviation max_{g,g'} |K(T(g(u),g'(v))) - 1| over the orbit."""
-    return max(abs(kernel.minus_one(s)) for s in group.orbit(t))
+    return float(np.max(np.abs(kernel.minus_one(np.asarray(group.orbit(t))))))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +224,7 @@ def gam_kernel(lam: float, max_degree: int = 64) -> Kernel:
     return Kernel(
         name="gam",
         domain="scalar",
-        log_fn=lambda t: l2 * float(t),
+        log_fn=lambda t: l2 * t,
         series=tuple(series),
         series_total=math.expm1(l2),
         extras={"lambda": lam},
@@ -215,13 +239,12 @@ def mslr_kernel(k: int, sigma2: float) -> Kernel:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     scale = k + sigma2
 
-    def log_fn(t: Statistic) -> float:
-        x = float(t) / scale
-        if abs(x) >= 1.0:
-            raise SingularityError(
-                f"mSLR kernel singular at |ell| >= k + sigma2 = {scale}, got ell = {t}"
-            )
-        return -math.log1p(-x * x)
+    def log_fn(t):
+        x = t / scale
+        if np.any(np.abs(x) >= 1.0):
+            raise SingularityError(f"mSLR kernel singular at |ell| >= k + sigma2 = {scale}, "
+                                   f"got ell = {_first(t, np.abs(x) >= 1.0)}")
+        return -np.log1p(-x * x)
 
     return Kernel(
         name="mslr",
@@ -243,21 +266,16 @@ def _series_kernel(
         (i, c) for i, c in enumerate(coeffs_sq) if i >= 1 and c > 0.0 and (s_star is None or i >= s_star)
     )
 
-    def log_fn(t: Statistic) -> float | None:
-        x = float(t)
-        acc = _series_sum(series, x)
-        if acc < -1.0:
-            raise SingularityError(f"{name} kernel series is negative at t = {t}")
-        return None if acc == -1.0 else math.log1p(acc)
+    coeffs = _dense(series)
 
-    return Kernel(
-        name=name,
-        domain="scalar",
-        log_fn=log_fn,
-        series=series,
-        series_total=total,
-        extras=extras,
-    )
+    def minus_one_fn(t):
+        acc = _series_sum(coeffs, t)
+        if np.any(acc < -1.0):
+            raise SingularityError(f"{name} kernel series is negative at t = {_first(t, acc < -1.0)}")
+        return acc
+
+    return Kernel(name=name, domain="scalar", log_fn=lambda t: np.log1p(minus_one_fn(t)),
+                  series=series, series_total=total, extras=extras, minus_one_fn=minus_one_fn)
 
 
 def _gaussian_he_moments(mean: float, var: float, max_degree: int) -> list[float]:
@@ -499,28 +517,17 @@ def slab_kernel(alpha: float, max_degree: int) -> Kernel:
     series = tuple(
         (i, scale * c * c) for i, c in enumerate(f.coefficients) if i >= 2 and i % 2 == 0
     )
-    edge = -math.log1p(-alpha)
+    total, coeffs = alpha / (1.0 - alpha), _dense(series)
 
-    def log_fn(t: Statistic) -> float:
-        x = float(t)
-        if abs(x) > 1.0 + 1e-12:
-            raise ValueError(f"slab kernel domain is [-1, 1], got {t}")
-        if abs(abs(x) - 1.0) <= 1e-15:
-            return edge
-        return math.log1p(_series_sum(series, x))
+    def minus_one_fn(t):
+        x = np.abs(t)
+        if np.any(x > 1.0 + 1e-12):
+            raise ValueError(f"slab kernel domain is [-1, 1], got {_first(t, x > 1.0 + 1e-12)}")
+        return np.where(np.abs(x - 1.0) <= 1e-15, total, _series_sum(coeffs, t))
 
-    return Kernel(
-        name="slab",
-        domain="scalar",
-        log_fn=log_fn,
-        series=series,
-        series_total=alpha / (1.0 - alpha),
-        extras={
-            "alpha": alpha,
-            "kappa": kappa,
-            "f_coeffs": f.coefficients,
-        },
-    )
+    return Kernel(name="slab", domain="scalar", log_fn=lambda t: np.log1p(minus_one_fn(t)),
+                  series=series, series_total=total, minus_one_fn=minus_one_fn,
+                  extras={"alpha": alpha, "kappa": kappa, "f_coeffs": f.coefficients})
 
 
 def counterexample_kernel(n: int, r: float, alpha_c: float) -> Kernel:
@@ -540,13 +547,14 @@ def counterexample_kernel(n: int, r: float, alpha_c: float) -> Kernel:
     lb = math.log1p(r2 * alpha_c)
     lc = math.log1p(r2 * alpha_c * alpha_c)
 
-    def log_fn(t: Statistic) -> float:
-        try:
-            a, b, c = (int(v) for v in t)
-        except (TypeError, ValueError):
-            raise ValueError(f"pair-count statistic must be an (a, b, c) triple, got {t!r}") from None
-        if a < 0 or b < 0 or c < 0 or a + b + c != n + 1:
-            raise ValueError(f"need nonnegative a + b + c = n + 1 = {n + 1}, got {t!r}")
+    def log_fn(t):
+        counts = np.asarray(t)
+        if counts.shape[-1:] != (3,):
+            raise ValueError(f"pair-count statistic must be an (a, b, c) triple, got {t!r}")
+        a, b, c = np.moveaxis(counts, -1, 0)
+        bad = (a < 0) | (b < 0) | (c < 0) | (a + b + c != n + 1)
+        if np.any(bad):
+            raise ValueError(f"need nonnegative a + b + c = n + 1 = {n + 1}, got {_first(t, bad)}")
         return a * la + b * lb + c * lc
 
     return Kernel(
@@ -565,11 +573,12 @@ def dense_clique_kernel(n: int, p: float) -> Kernel:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     log_inv_p = -math.log(p)
 
-    def log_fn(t: Statistic) -> float:
-        ell = int(round(float(t)))
-        if abs(ell - float(t)) > 1e-9 or ell < 0:
-            raise ValueError(f"intersection count must be a nonnegative integer, got {t}")
-        return math.comb(ell, 2) * log_inv_p
+    def log_fn(t):
+        ell = np.rint(t)
+        bad = (np.abs(ell - t) > 1e-9) | (ell < 0)
+        if np.any(bad):
+            raise ValueError(f"intersection count must be a nonnegative integer, got {_first(t, bad)}")
+        return ell * (ell - 1.0) / 2.0 * log_inv_p  # C(ell, 2), exact
 
     return Kernel(
         name="dense_clique", domain="scalar", log_fn=log_fn, extras={"n": n, "p": p}
@@ -579,16 +588,13 @@ def dense_clique_kernel(n: int, p: float) -> Kernel:
 def dirac_kernel(n: int) -> Kernel:
     """Repeated-signal model: K = 2^n on the diagonal (T = 1), 0 off it.
 
-    The off-diagonal zero is an exact zero (log_eval returns None).
+    The off-diagonal zero is an exact zero (log K = -inf).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     diag = n * math.log(2.0)
-
-    def log_fn(t: Statistic) -> float | None:
-        return diag if float(t) == 1.0 else None
-
-    return Kernel(name="dirac", domain="scalar", log_fn=log_fn, extras={"n": n})
+    return Kernel(name="dirac", domain="scalar", log_fn=lambda t: np.where(t == 1.0, diag, -math.inf),
+                  extras={"n": n})
 
 
 def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) -> Kernel:
@@ -596,17 +602,18 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
     injection); kernel_values of exactly 0 become exact zeros."""
     if len(values) != len(kernel_values):
         raise ValueError("values and kernel_values must have equal length")
-    table: dict[float, float | None] = {}
+    table: dict[float, float] = {}
     for v, kv in zip(values, kernel_values):
         if kv < 0.0:
             raise ValueError(f"kernel values must be nonnegative, got {kv}")
-        table[float(v)] = None if kv == 0.0 else math.log(kv)
+        table[float(v)] = -math.inf if kv == 0.0 else math.log(kv)
+    keys, logs = (np.array(col) for col in zip(*sorted(table.items())))
 
-    def log_fn(t: Statistic) -> float | None:
-        key = float(t)
-        if key not in table:
-            raise KeyError(f"synthetic kernel undefined at {t!r}")
-        return table[key]
+    def log_fn(t):
+        i = np.minimum(np.searchsorted(keys, t), len(keys) - 1)
+        if np.any(keys[i] != t):
+            raise KeyError(f"synthetic kernel undefined at {_first(t, keys[i] != t)!r}")
+        return logs[i]
 
     return Kernel(name="synthetic", domain="scalar", log_fn=log_fn)
 
@@ -660,8 +667,8 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     log_k, dev, log_p = model.kernel_table
     mirror, lone = model.group.mirror(values)
     mirror_dev = dev[mirror]
-    for i in np.flatnonzero(lone):  # no atom at -t (a mass within GroupSpec.preserves' slack)
-        mirror_dev[i] = kernel.minus_one(-values[i])
+    if lone.any():  # no atom at -t (a mass within GroupSpec.preserves' slack)
+        mirror_dev[lone] = kernel.minus_one(-np.asarray(values)[lone])
     # orbits in order of first appearance, which GFP's tie order follows
     rep, orbit = np.unique(np.minimum(np.arange(len(values)), mirror), return_inverse=True)
     overlap = (None if model.euclid_overlap is None
@@ -721,19 +728,19 @@ class ModelSpec:
         return {}
 
     def log_k(self, points) -> np.ndarray:
-        """log K at each point (-inf at exact zeros), one Kernel.log_eval call each."""
-        logs = [self.kernel.log_eval(t) for t in points]
-        return np.array([-math.inf if lv is None else lv for lv in logs], dtype=float)
+        """log K at each point (-inf at exact zeros), one Kernel.log_eval call."""
+        return self.kernel.log_eval(np.asarray(points))
 
     @cached_property
     def kernel_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The model's one pass of Kernel.log_eval: log K (-inf at exact
-        zeros), K - 1 and log p at each atom of a discrete law, or at each
-        point of law.grid with the log density in place of log p."""
-        law = self.law
-        log_k = self.log_k(law.values if self.is_discrete else law.grid)
-        return (log_k, np.array([_minus_one(lv) for lv in log_k.tolist()], dtype=float),
-                np.array(law.log_probs) if self.is_discrete else law.grid_log_pdf)
+        """log K (-inf at exact zeros), K - 1 (Kernel.minus_one) and log p
+        at each atom of a discrete law, or at each point of law.grid with
+        the log density in place of log p: one call of each on all points."""
+        law, kernel = self.law, self.kernel
+        points = law.values if self.is_discrete else law.grid
+        log_k = self.log_k(points)
+        dev = _expm1(log_k) if kernel.minus_one_fn is None else kernel.minus_one(np.asarray(points))
+        return log_k, dev, np.array(law.log_probs) if self.is_discrete else law.grid_log_pdf
 
     @cached_property
     def rho_grid(self) -> ShapeGrid:

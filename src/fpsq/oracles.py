@@ -28,7 +28,7 @@ import numpy as np
 from fpsq.kernels import ModelSpec, ngca_density_ratio
 from fpsq.laws import sample as law_sample
 from fpsq.laws import ResourceLimitError, threshold_sup
-from fpsq.numerics import gauss_hermite_rule, normal_cdf
+from fpsq.numerics import exact_sum, gauss_hermite_rule, normal_cdf
 
 _MC_CHUNK = 250_000  # Monte Carlo draws per vectorized batch
 
@@ -230,25 +230,18 @@ def mc_criterion(
     else:
         keep = lambda t: True
 
-    def integrand(t) -> float:
-        if not keep(t):
-            return -1.0 if criterion == "chi2" else 0.0
-        lv = model.kernel.log_eval(t)
-        val = 0.0 if lv is None else math.exp(m * lv)
-        return val - 1.0 if criterion == "chi2" else val
-
     # Group the draws by atom before evaluating: identical to averaging
-    # the per-draw integrand, but one kernel call per distinct value.
-    if model.law.statistic == "pair_counts":
-        counts: dict = {}
-        for t in draws:
-            counts[t] = counts.get(t, 0) + 1
-        pairs = [(integrand(t), c) for t, c in counts.items()]
-    else:
-        uniq, cnt = np.unique(np.asarray(draws, dtype=float), return_counts=True)
-        pairs = [(integrand(t), int(c)) for t, c in zip(uniq, cnt)]
-    total = math.fsum(v * c for v, c in pairs)
-    total_sq = math.fsum(v * v * c for v, c in pairs)
+    # the per-draw integrand, with one kernel call on the distinct values
+    # (pair counts are the rows of an (n, 3) array).
+    axis = 0 if model.law.statistic == "pair_counts" else None
+    uniq, cnt = np.unique(np.array(draws.tolist()), axis=axis, return_counts=True)
+    kept = np.array([keep(t) for t in uniq.tolist()], dtype=bool)
+    with np.errstate(over="ignore"):
+        vals = np.where(kept, np.exp(m * model.log_k(uniq)), 0.0)
+    if criterion == "chi2":
+        vals -= 1.0
+    total = exact_sum(vals * cnt)
+    total_sq = exact_sum(vals * vals * cnt)
     mean = total / num_pairs
     var = max(total_sq / num_pairs - mean * mean, 0.0)
     se = math.sqrt(var / num_pairs)

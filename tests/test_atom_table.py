@@ -121,7 +121,7 @@ class TestMirror:
     def test_lone_atom_evaluates_its_negation_once(self):
         calls = []
         gam = gam_kernel(1.0)
-        kernel = Kernel("gam", "scalar", lambda t: calls.append(float(t)) or gam.log_eval(t))
+        kernel = Kernel("gam", "scalar", lambda t: calls.extend(np.ravel(t).tolist()) or gam.log_eval(t))
         # 0.7 has no mirror atom; its mass sits within GroupSpec.preserves' slack
         law = make_law({"kind": "atoms", "values": [-0.5, 0.5, 0.7], "probs": [0.5, 0.5 - 1e-13, 1e-13]})
         group = GroupSpec("sign_flip")

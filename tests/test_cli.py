@@ -192,6 +192,31 @@ class TestCriterionCommand:
         assert row["m"] == "5"
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ["criterion", "--model", "gam-rademacher", "--criterion", "chi2", "--m", "1"],
+        ["kernel", "--model", "gam-rademacher", "--samples", "10"],
+        ["reproduce", "dirac"],
+    ])
+    def test_unwritable_out_is_a_config_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        assert run(argv + ["--out", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--model", "slab-desk", "--samples", "10"],
+    ["criterion", "--model", "slab-desk", "--criterion", "fp,rho_fp,gfp,sq,usq,chi2,ld",
+     "--q", "10", "--m", "2"],
+    ["check", "--model", "si-sign-sphere", "--q", "10", "--m", "4"],
+])
+def test_no_field_prints_a_numpy_scalar_repr(argv, capsys):
+    # the kernels hand back Python floats for a single statistic value
+    assert run(argv) == EXIT_PASS
+    assert "np.float64(" not in capsys.readouterr().out
+
+
 class TestKernelCommand:
     def test_counterexample_table_passes(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -244,6 +269,14 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert "--seeds must be a positive integer" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("half", [["--q", "10"], ["--m", "4"]])
+    def test_half_a_q_m_point_is_refused(self, half, capsys):
+        # the equivalence battery runs at one (q, m) point: half of one is
+        # refused, not dropped
+        assert run(["check", "--model", "gam-rademacher"] + half) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--q and --m" in captured.err and captured.out == ""
 
     def test_injected_broken_kernel_reports_witness(self, capsys):
         code = run(["check", "--seeds", "2", "--inject-broken"])

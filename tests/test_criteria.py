@@ -27,7 +27,7 @@ from fpsq.criteria import (
 )
 from fpsq.kernels import build_model
 from fpsq.laws import survival
-from fpsq.scenarios import random_assumption_model
+from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS, random_assumption_model
 from helpers import builtin_models
 
 
@@ -600,9 +600,20 @@ class TestLdSamplewise:
         calls = []
         truncated = Kernel.truncated_minus_one
         monkeypatch.setattr(Kernel, "truncated_minus_one",
-                            lambda self, t, d: calls.append(t) or truncated(self, t, d))
+                            lambda self, t, d: calls.extend(np.ravel(t).tolist()) or truncated(self, t, d))
         ld_samplewise(model, 5, 2, 3)
         assert sorted(calls) == sorted(model.law.values)
+
+    def test_odd_kernel_first_moment_is_exactly_zero(self):
+        # the sign link's K - 1 is odd in t and the signed-sparse law is
+        # symmetric; Horner's rule negates exactly with t and K - 1 is the
+        # series sum itself, so E[K_d - 1] is exactly 0 and LD at k = 1 is
+        # exactly 1 (0.9999999999999993 through expm1(log1p(.)))
+        model = build_model(BUILTIN_MODEL_DESCRIPTORS["si-sign-sparse"])
+        assert ld_samplewise(model, 200, math.inf, 1) == 1.0
+        for d in (math.inf, 5):
+            ld_samplewise(model, 200, d, 1)
+            assert model.deviation_moments[d, 1] == 0.0
 
     def test_finite_degree_matches_mpmath_on_a_discrete_law(self):
         # gam on the 30-sign law: K_2 - 1 = lam^2 t + lam^4 t^2 / 2, masses

@@ -188,10 +188,10 @@ class TestSiKernel:
 
     def test_truncated_series_zero_and_negative_values(self):
         # K_5(-1) = 1 - 1 + 1 - 1 + 1 - 1 = 0 for the identity link: an exact zero
-        assert si_kernel({"kind": "identity"}, max_degree=5).log_eval(-1.0) is None
+        assert si_kernel({"kind": "identity"}, max_degree=5).log_eval(-1.0) == -math.inf
         # K(t) = 1 + 4t is negative below t = -1/4: refused as a ValueError
         kernel = ngca_kernel({"kind": "hermite_moments", "values": [1, 2]}, max_degree=1)
-        assert kernel.log_eval(-0.25) is None
+        assert kernel.log_eval(-0.25) == -math.inf
         with pytest.raises(SingularityError, match="negative"):
             kernel.log_eval(-1.0)
 
@@ -306,7 +306,7 @@ class TestCliqueAndDirac:
     def test_dirac_diagonal_and_zero(self):
         k = dirac_kernel(20)
         assert k.eval(1.0) == 2.0**20
-        assert k.log_eval(0.0) is None
+        assert k.log_eval(0.0) == -math.inf
         assert k.eval(0.0) == 0.0
         assert k.minus_one(0.0) == -1.0
 
@@ -433,8 +433,28 @@ class TestModelAssembly:
 
     def test_synthetic_zero_kernel_tagged(self):
         k = synthetic_kernel([0.0, 1.0], [0.0, 2.0])
-        assert k.log_eval(0.0) is None
+        assert k.log_eval(0.0) == -math.inf
         assert k.eval(0.0) == 0.0
+
+
+class TestArrayContract:
+    def test_one_array_call_matches_the_calls_point_by_point(self):
+        # the same code runs on a float and on an array: equal bit for bit,
+        # and a float (or one pair count) comes back as a Python float
+        from helpers import builtin_models
+
+        for name, model in builtin_models().items():
+            k = model.kernel
+            points = model.law.values if model.is_discrete else model.law.grid
+            calls = [k.log_eval, k.minus_one, k.eval]
+            if k.series is not None:
+                calls.append(lambda t: k.truncated_minus_one(t, 5))
+            for call in calls:
+                whole = call(np.asarray(points))
+                singles = [call(t) for t in points]
+                assert all(type(v) is float for v in singles), name
+                assert np.array_equal(whole, singles), name
+            assert type(model.rho_g(points[0])) is float
 
 
 class TestBinomialExpansionIdentity:

@@ -1,6 +1,7 @@
 """The README's library example, the benchmark's hooks and the value
 dump stay runnable, every array sum in the engine takes one code path,
-and no engine module calls laws.expect or laws.survival."""
+no engine module calls laws.expect or laws.survival, and none evaluates
+a kernel point by point."""
 
 import ast
 import contextlib
@@ -92,4 +93,24 @@ def test_engine_calls_neither_expect_nor_survival():
                 called = func.id if isinstance(func, ast.Name) else None
             if called in ("expect", "survival"):
                 offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_loop_evaluates_a_kernel_point_by_point():
+    # a kernel maps an array of statistics to log K in one call, so no
+    # comprehension or for loop in the engine calls it once per point
+    kernel_calls = {"log_eval", "log_fn", "minus_one", "truncated_minus_one", "eval"}
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    offenders = []
+    for name in ("criteria.py", "kernels.py", "laws.py"):
+        with open(os.path.join(ROOT, "src", "fpsq", name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for loop in (node for node in ast.walk(tree) if isinstance(node, loops)):
+            for node in ast.walk(loop):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in kernel_calls:
+                    offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
