@@ -641,7 +641,7 @@ def check_equivalence_bounds(model: ModelSpec, q: float, m: int, epsilon: float 
 
     (a) if SQ(q) <= 1/m then rho_G-FP at q' = floor(q/sqrt 2) - 1,
         m' = floor(m/2) is at most 1 + e |G|^{-1} m'/m;
-    (b) GFP(q, m) <= rho_G-FP(q, m);
+    (b) when the r(q) tail mass is exact, GFP(q, m) <= rho_G-FP(q, m);
     (c) when the r(q) tail mass is exact and m is even,
         rho_G-FP(q, m) <= 3|G| (GFP - 1) + 1 + m chi^2 + (3/|G|)(1 + eps).
 
@@ -678,14 +678,20 @@ def check_equivalence_bounds(model: ModelSpec, q: float, m: int, epsilon: float 
 
     rfp = rho_fp_value(model, q, m, epsilon)
     gfp = gfp_value(model, q, m, epsilon)
-    checks["gfp_le_rho_fp"] = {
-        "status": "checked",
-        "gfp": gfp.value,
-        "rho_fp": rfp.value,
-        "passed": gfp.value <= rfp.value * (1.0 + 1e-9) + 1e-12,
-    }
+    # the strict event {rho_G < r(q)} holds 1 - q^-2 of the mass, so is
+    # GFP-feasible, only when the r(q) tail mass is exact
+    exact = rfp.threshold is not None and rfp.threshold.exact
+    if exact:
+        checks["gfp_le_rho_fp"] = {
+            "status": "checked",
+            "gfp": gfp.value,
+            "rho_fp": rfp.value,
+            "passed": gfp.value <= rfp.value * (1.0 + 1e-9) + 1e-12,
+        }
+    else:
+        checks["gfp_le_rho_fp"] = {"status": "premise-failed", "passed": True}
 
-    if rfp.threshold is not None and rfp.threshold.exact and m % 2 == 0:
+    if exact and m % 2 == 0:
         chi2 = chi_squared(model, 1)
         bound = 3.0 * G * (gfp.value - 1.0) + 1.0 + m * chi2 + (3.0 / G) * (1.0 + epsilon)
         checks["rho_fp_le_gfp_chain"] = {

@@ -189,9 +189,10 @@ class GroupSpec:
             return True
         if law.statistic != "scalar":
             return False
-        if law.kind == "discrete":
-            table = dict(law.atoms)
-            return all(abs(table.get(-v, 0.0) - p) <= _PRESERVE_TOL for v, p in law.atoms)
+        if law.kind == "discrete":  # the mass at -t (0 where no atom sits there) against that at t
+            mirror, lone = self.mirror(law.values)
+            p = np.asarray(law.probs)
+            return bool(np.all(np.abs(np.where(lone, 0.0, p[mirror]) - p) <= _PRESERVE_TOL))
         mid = 0.5 * (law.support[0] + law.support[1])
         return abs(mid) <= _PRESERVE_TOL and abs(law.cdf(-0.3) - (1.0 - law.cdf(0.3))) <= 1e-9
 

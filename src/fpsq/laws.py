@@ -7,8 +7,15 @@ agreement triple (a, b, c).  This module represents the pushforward of
 pi^{x2} through that statistic:
 
 - discrete laws carry each atom mass as p = f 2^e (f in [0.5, 1), e an
-  integer), so no mass underflows; the combinatorial laws round an exact
-  integer ratio once (_exact_law), and log_probs and probs are views;
+  integer), so no mass underflows, and log_probs and probs are views.
+  Every combinatorial mass is the exact mass correctly rounded.  The
+  rademacher_mean and hypergeometric masses come from one double-double
+  prefix product of the exact ratios of consecutive masses
+  (_chain_masses): mass i lies within (i + 4) 2^-100 relative of
+  the exact one, and where that bound does not settle the rounding, the
+  mass is rounded from exact integers.  The signed_sparse and equality
+  laws round an exact integer ratio once (_exact_law).  No discrete law
+  may have more than MAX_ATOMS atoms (ResourceLimitError);
 - the single continuous law (sphere overlap) is represented by its exact
   Beta density and distribution function (an in-house incomplete Beta
   continued fraction, _beta_cf), never by a discretization.
@@ -48,6 +55,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -80,6 +88,12 @@ _CF_TERMS = 500  # continued-fraction steps one incomplete Beta may take; then R
 _CF_CENTER = 1.5  # the sphere CDF takes its central form where (a + 5/2) t^2 is below this
 _ABOVE_MINUS_ONE = -1.0 + 2.0**-53  # the float next to -1
 _LAGUERRE_FROM = 100.0  # the sphere law's tail takes Gauss-Laguerre from a = (n - 1)/2 on
+# The most atoms a discrete law may have: the rademacher_mean law at n = 10^6
+# and its atom table take about 0.5 GB
+MAX_ATOMS = 2_000_000
+_SPLITTER = 134217729.0  # 2^27 + 1, which splits a double into two 26-bit halves
+_BLOCK = 8  # rows of the grid _dd_cumprod scans
+_SHORT = 64  # _dd_cumprod multiplies this many factors or fewer one by one
 
 
 class ResourceLimitError(ValueError):
@@ -129,7 +143,7 @@ class OverlapLaw:
 
     def __post_init__(self) -> None:
         if self.kind == "discrete":
-            if any(f < 0.0 for f, _ in self.masses):
+            if min(self.masses, default=(0.0, 0))[0] < 0.0:  # the least f
                 raise ValueError("atom probabilities must be nonnegative")
             total = exact_sum(self.probs)
             if abs(total - 1.0) > 1e-12:
@@ -147,7 +161,7 @@ class OverlapLaw:
     @cached_property
     def probs(self) -> tuple[float, ...]:
         """Atom masses as floats (0.0 below the float range)."""
-        return tuple(math.ldexp(f, e) for f, e in self.masses)
+        return tuple(starmap(math.ldexp, self.masses))
 
     @cached_property
     def grid(self) -> list[float]:
@@ -210,23 +224,24 @@ def _binomial_row(n: int, upto: int) -> list[int]:
     return row
 
 
-def _exact_law(descriptor: dict, numerators: dict, denominator: int) -> OverlapLaw:
-    """Discrete law with masses numerators[v] / denominator (integers).
+def _round_ratio(num: int, den: int) -> tuple[float, int]:
+    """num / den (positive integers, num <= den) correctly rounded, as (f, e)
+    with f in [0.5, 1): scaled by a power of two into [2^63, 2^65) and divided
+    once (int / int is correctly rounded), so every mass keeps 53 significant
+    bits whatever its size."""
+    s = den.bit_length() - num.bit_length() + 64
+    f, e = math.frexp((num << s) / den)
+    return f, e - s
 
-    Each ratio is scaled by a power of two into [2^63, 2^65) and divided
-    once (int / int is correctly rounded), so every mass keeps 53
-    significant bits whatever its size."""
+
+def _exact_law(descriptor: dict, numerators: dict, denominator: int) -> OverlapLaw:
+    """Discrete law with masses numerators[v] / denominator (integers),
+    each rounded once by _round_ratio."""
     if sum(numerators.values()) != denominator:
         raise AssertionError(f"exact atom masses do not sum to {denominator}")
-    values, masses = [], []
-    for v in sorted(v for v, num in numerators.items() if num > 0):
-        num = numerators[v]
-        s = denominator.bit_length() - num.bit_length() + 64
-        f, e = math.frexp((num << s) / denominator)
-        values.append(v)
-        masses.append((f, e - s))
-    return OverlapLaw(kind="discrete", statistic="scalar", descriptor=descriptor,
-                      values=tuple(values), masses=tuple(masses))
+    values = sorted(v for v, num in numerators.items() if num > 0)
+    return OverlapLaw(kind="discrete", statistic="scalar", descriptor=descriptor, values=tuple(values),
+                      masses=tuple(_round_ratio(numerators[v], denominator) for v in values))
 
 
 def _float_law(descriptor: dict, statistic: str, items: list) -> OverlapLaw:
@@ -240,16 +255,149 @@ def _float_law(descriptor: dict, statistic: str, items: list) -> OverlapLaw:
                       masses=tuple(math.frexp(p) for _, p in items))
 
 
+def _check_atoms(count: int, kind: str) -> None:
+    """Refuse a discrete law of more than MAX_ATOMS atoms before building it."""
+    if count > MAX_ATOMS:
+        raise ResourceLimitError(f"the {kind} law would have {count} atoms, more than "
+                                 f"the {MAX_ATOMS} a discrete law may have")
+
+
+# Double-double arithmetic (Dekker 1971), elementwise on floats or numpy
+# arrays: a value is hi + lo with |lo| at most half an ulp of hi, about 106
+# significant bits, here with its binary exponent e apart, hi in [0.5, 1),
+# so that no product of many masses underflows.  u = 2^-53 below.
+
+
+def _two_prod(a, b):
+    """p = a b rounded and the exact rest a b - p, elementwise (Dekker's
+    product: each factor split into halves of 26 bits)."""
+    p = a * b
+    t = a * _SPLITTER
+    ah = t - (t - a)
+    t = b * _SPLITTER
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(xh, xl, yh, yl):
+    """(xh + xl)(yh + yl) as a double-double, within 7u^2 relative
+    (Joldes, Muller & Popescu 2017, DWTimesDW1)."""
+    ch, cl = _two_prod(xh, yh)
+    cl = cl + (xh * yl + xl * yh)
+    zh = ch + cl
+    return zh, cl - (zh - ch)
+
+
+def _dd_quotient(a, d):
+    """a / d as a double-double for positive integers a, d below 2^53 (held
+    as floats), within u^2 relative: q = a / d rounded, the remainder
+    a - q d exactly (it is a float), and that remainder over d rounded."""
+    q = a / d
+    p, rest = _two_prod(q, d)
+    return q, ((a - p) - rest) / d
+
+
+def _dd_ratio(num: int, den: int) -> tuple[float, float, int]:
+    """num / den (positive integers) as (hi, lo, e), from a quotient of 112
+    or 113 bits: within 2u^2 relative."""
+    s = den.bit_length() - num.bit_length() + 112
+    q = (num << s) // den
+    hi = float(q)
+    m, k = math.frexp(hi)
+    return m, math.ldexp(float(q - int(hi)), -k), k - s
+
+
+def _dd_normalized(hi, lo, e):
+    """(hi + lo) 2^e rescaled exactly so that hi lies in [0.5, 1)."""
+    m, k = np.frexp(hi)
+    return m, np.ldexp(lo, -k), e + k
+
+
+def _dd_cumprod(hi, lo, e):
+    """Inclusive prefix products of the double-doubles (hi + lo) 2^e, hi in
+    [0.5, 1), in the same form.  The factors are laid out as the columns of
+    a _BLOCK-row grid; one pass down the rows gives each column's prefix
+    products (at least 2^-_BLOCK, so far from underflow), the column totals
+    get their own prefix products by recursion, and one more pass multiplies
+    each column by the totals before it.  Up to _SHORT factors are instead
+    multiplied one by one, on Python floats (cheaper than numpy calls on a
+    few elements; the same arithmetic).  Every product is a tree over the
+    factors it covers, so product i comes from i multiplications."""
+    n = len(hi)
+    if n <= _SHORT:
+        h, l = hi.tolist(), lo.tolist()
+        for i in range(1, n):
+            h[i], l[i] = _dd_mul(h[i - 1], l[i - 1], h[i], l[i])
+        return _dd_normalized(np.array(h), np.array(l), np.cumsum(e))
+    cols = -(-n // _BLOCK)
+
+    def grid(x, one):  # pad with 1 = 0.5 * 2^1, which no real product reads
+        pad = np.full(_BLOCK * cols - n, one, dtype=x.dtype)
+        return np.concatenate([x, pad]).reshape(cols, _BLOCK).T.copy()
+
+    h, l, e = grid(hi, 0.5), grid(lo, 0.0), grid(e, 1)
+    for r in range(1, _BLOCK):
+        h[r], l[r] = _dd_mul(h[r - 1], l[r - 1], h[r], l[r])
+    e = np.cumsum(e, axis=0)
+    th, tl, te = _dd_cumprod(*_dd_normalized(h[-1, :-1], l[-1, :-1], e[-1, :-1]))
+    h[:, 1:], l[:, 1:] = _dd_mul(h[:, 1:], l[:, 1:], th, tl)
+    e[:, 1:] += te
+    return _dd_normalized(h.T.ravel()[:n], l.T.ravel()[:n], e.T.ravel()[:n])
+
+
+def _chain_masses(start: tuple[float, float, int], hi: np.ndarray, lo: np.ndarray,
+                  exact: Callable[[int], tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The correctly rounded masses f 2^e (f in [0.5, 1)) of atoms 0, 1, ...,
+    given the mass of atom 0, start = (hi, lo, e), and the ratios hi + lo of
+    each further mass to the one before.
+
+    The double-double masses come from one prefix product (_dd_cumprod).  Mass
+    i is a product of i + 1 double-doubles, each within 9u^2 of its exact
+    value (_dd_ratio, _dd_quotient, or a product of two quotients), by i
+    multiplications within 7u^2 each: within (i + 1) 16u^2 < (i + 4) 2^-100
+    of the exact mass.  Where that bound keeps the mass off every rounding
+    midpoint, the double-double's hi is the correctly rounded mass (Ziv
+    1991); the gap below f = 0.5 is half as wide.  Every other mass is
+    exact(i), the mass rounded from exact integers."""
+    f, l, e = _dd_cumprod(*_dd_normalized(np.r_[start[0], hi], np.r_[start[1], lo],
+                                          np.r_[start[2], np.zeros(len(hi), dtype=np.int64)]))
+    bound = (np.arange(len(f)) + 4.0) * 2.0**-100  # absolute in f, as f < 1
+    half_gap = np.where((f == 0.5) & (l < 0.0), 2.0**-55, 2.0**-54)
+    for i in np.flatnonzero(np.abs(l) + bound >= half_gap).tolist():
+        f[i], e[i] = exact(i)
+    return f, e
+
+
+def _summed_law(descriptor: dict, values: np.ndarray, f: np.ndarray, e: np.ndarray) -> OverlapLaw:
+    """Discrete law with masses f 2^e, which must sum to 1 within 2^-51 (each
+    correctly rounded mass is within 2^-53 relative)."""
+    total = exact_sum(np.ldexp(f, e))
+    if abs(total - 1.0) > 2.0**-51:
+        raise AssertionError(f"the atom masses of {descriptor} sum to {total}, not 1")
+    return OverlapLaw(kind="discrete", statistic="scalar", descriptor=descriptor,
+                      values=tuple(values.tolist()), masses=tuple(zip(f.tolist(), e.tolist())))
+
+
 def hypergeometric_law(n: int, k: int) -> OverlapLaw:
     """|u n v| for two independent uniform k-subsets (or binary k-sparse
-    vectors) of [n]; exact combinatorial pmf C(k, l) C(n-k, k-l) / C(n, k)."""
+    vectors) of [n]: pmf C(k, l) C(n-k, k-l) / C(n, k) on l >= max(0, 2k - n),
+    from the exact ratios [(k - l)/(l + 1)] [(k - l)/(n - 2k + l + 1)] of
+    each mass to the one before (_chain_masses)."""
     if n <= 0 or k <= 0:
         raise ValueError(f"need n, k positive, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"need k <= n, got k={k} > n={n}")
-    inner, outer = _binomial_row(k, k), _binomial_row(n - k, k)
-    nums = {float(ell): inner[ell] * outer[k - ell] for ell in range(k + 1)}
-    return _exact_law({"kind": "hypergeometric", "n": n, "k": k}, nums, math.comb(n, k))
+    if n >= 2**53:
+        raise ValueError(f"need n below 2^53, where the mass ratios are exact floats, got n={n}")
+    low = max(0, 2 * k - n)
+    _check_atoms(k - low + 1, "hypergeometric")
+    ell = np.arange(low, k, dtype=float)
+    ratios = _dd_mul(*_dd_quotient(k - ell, ell + 1.0), *_dd_quotient(k - ell, n - 2.0 * k + ell + 1.0))
+    total = math.comb(n, k)
+    f, e = _chain_masses(_dd_ratio(math.comb(k, low) * math.comb(n - k, k - low), total), *ratios,
+                         lambda i: _round_ratio(math.comb(k, low + i) * math.comb(n - k, k - low - i), total))
+    return _summed_law({"kind": "hypergeometric", "n": n, "k": k}, np.arange(low, k + 1, dtype=float), f, e)
 
 
 def signed_sparse_law(n: int, k: int) -> OverlapLaw:
@@ -261,6 +409,7 @@ def signed_sparse_law(n: int, k: int) -> OverlapLaw:
     """
     if n <= 0 or k <= 0 or k > n:
         raise ValueError(f"invalid signed_sparse parameters n={n}, k={k}")
+    _check_atoms(2 * k + 1, "signed_sparse")
     inner, outer = _binomial_row(k, k), _binomial_row(n - k, k)
     acc: dict[int, int] = {}
     for ell in range(k + 1):
@@ -273,11 +422,18 @@ def signed_sparse_law(n: int, k: int) -> OverlapLaw:
 
 def rademacher_mean_law(n: int) -> OverlapLaw:
     """<u, v> = n^{-1} sum_i eps_i for u, v uniform on {-1/sqrt(n), 1/sqrt(n)}^n:
-    a shifted binomial on the grid (2b - n)/n, masses C(n, b) / 2^n."""
+    a shifted binomial on the grid (2b - n)/n, masses C(n, b) / 2^n, from the
+    exact mass 2^-n and the ratios (n - b)/(b + 1) of each mass to the one
+    before (_chain_masses) up to b = n/2, mirrored beyond."""
     if n <= 0:
         raise ValueError(f"need n positive, got {n}")
-    nums = {(2 * b - n) / n: c for b, c in enumerate(_binomial_row(n, n))}
-    return _exact_law({"kind": "rademacher_mean", "n": n}, nums, 1 << n)
+    _check_atoms(n + 1, "rademacher_mean")
+    b = np.arange(n // 2, dtype=float)
+    f, e = _chain_masses((1.0, 0.0, -n), *_dd_quotient(n - b, b + 1.0),
+                         lambda i: _round_ratio(math.comb(n, i), 1 << n))
+    rest = n + 1 - len(f)  # C(n, b) = C(n, n - b)
+    return _summed_law({"kind": "rademacher_mean", "n": n}, (2 * np.arange(n + 1) - n) / n,
+                       np.r_[f, f[rest - 1::-1]], np.r_[e, e[rest - 1::-1]])
 
 
 def two_point_law(rho_p: float, stat_values: tuple[float, float, float]) -> OverlapLaw:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -183,6 +184,17 @@ class TestCriterionCommand:
         assert code == EXIT_CONFIG
         assert "non-finite" in capsys.readouterr().err
 
+    def test_a_law_past_the_atom_budget_exits_at_once(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {
+            "huge": {"model": "gam", "lambda": 0.8, "prior": {"kind": "rademacher_mean", "n": 10**7}},
+        }}))
+        start = time.process_time()
+        assert run(["criterion", "--config", str(cfg), "--model", "huge", "--criterion", "chi2",
+                    "--m", "1"]) == EXIT_RESOURCE
+        assert time.process_time() - start < 0.2
+        assert "10000001 atoms" in capsys.readouterr().err
+
     def test_config_file_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "mslr-desk", "criteria": ["chi2"], "m": [2]}))
@@ -277,6 +289,16 @@ class TestCheckCommand:
         assert run(["check", "--model", "gam-rademacher"] + half) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "--q and --m" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("name", ["gam-rademacher", "slab-desk", "mslr-desk",
+                                      "ngca-rademacher-sparse", "si-sign-sparse"])
+    def test_gfp_check_needs_an_exact_rho_g_tail(self, name, capsys):
+        # at q = 10 the strict event {rho_G < r(q)} of these discrete laws
+        # holds less than 1 - q^-2 of the mass, so it is no GFP-feasible
+        # event and GFP <= rho_G-FP has no premise there
+        assert run(["check", "--model", name, "--q", "10", "--m", "4"]) == EXIT_PASS
+        checks = json.loads(capsys.readouterr().out)["equivalence"]
+        assert checks["gfp_le_rho_fp"] == {"status": "premise-failed", "passed": True}
 
     def test_injected_broken_kernel_reports_witness(self, capsys):
         code = run(["check", "--seeds", "2", "--inject-broken"])

@@ -688,6 +688,7 @@ class TestEquivalence:
     def test_exact_premise_checked(self):
         model, q, m = random_assumption_model(4)
         rep = check_equivalence_bounds(model, q, m)
+        assert rep.checks["gfp_le_rho_fp"]["status"] == "checked"
         assert rep.checks["rho_fp_le_gfp_chain"]["status"] == "checked"
         assert rep.checks["sq_implies_rho_fp"]["status"] == "checked"
         assert rep.passed

@@ -1,14 +1,19 @@
 """Overlap-statistic laws: exact pmfs, survival thresholds, sampling."""
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+import fpsq.laws
 from fpsq.laws import (
+    MAX_ATOMS,
     AtomEvaluationError,
+    ResourceLimitError,
     expect,
     make_law,
     sample,
@@ -71,12 +76,103 @@ class TestConstruction:
             make_law({"kind": "hypergeometric", "n": 5, "k": 6})
         with pytest.raises(ValueError):
             make_law({"kind": "hypergeometric", "n": 0, "k": 0})
+        with pytest.raises(ValueError, match="2\\^53"):  # the mass ratios' integers must be exact floats
+            make_law({"kind": "hypergeometric", "n": 2**53, "k": 2})
         with pytest.raises(ValueError):
             make_law({"kind": "two_point", "rho_p": 1.3, "values": [1, 2, 0]})
         with pytest.raises(ValueError):
             make_law({"kind": "no-such-prior"})
         with pytest.raises(ValueError):
             make_law({"kind": "equality", "n": 17})
+
+
+def rounded(num: int, den: int) -> tuple[float, int]:
+    """num / den as (f, e), f in [0.5, 1): int / int is correctly rounded,
+    and every mass checked here is a normal float."""
+    return math.frexp(num / den)
+
+
+class TestMasses:
+    """The rademacher_mean and hypergeometric masses against exact integer
+    ratios (math.comb, Fraction) and 50-digit mpmath logs."""
+
+    def test_every_rademacher_mass_is_the_rounded_ratio(self):
+        for n in range(1, 301):
+            law = make_law({"kind": "rademacher_mean", "n": n})
+            assert law.values == tuple((2 * b - n) / n for b in range(n + 1))
+            assert law.masses == tuple(rounded(math.comb(n, b), 2**n) for b in range(n + 1)), n
+
+    def test_every_hypergeometric_mass_is_the_rounded_ratio(self):
+        for n in range(1, 61):
+            for k in range(1, n + 1):  # 2k > n and k = n included
+                law = make_law({"kind": "hypergeometric", "n": n, "k": k})
+                support = range(max(0, 2 * k - n), k + 1)
+                assert law.values == tuple(float(ell) for ell in support)
+                assert law.masses == tuple(rounded(math.comb(k, ell) * math.comb(n - k, k - ell),
+                                                   math.comb(n, k)) for ell in support), (n, k)
+
+    @pytest.mark.parametrize("n, b", [(57, 32), (60, 25), (61, 38)])
+    def test_masses_on_a_rounding_tie(self, n, b):
+        # C(n, b) has an odd part of 54 bits: its mass lies exactly halfway
+        # between two floats and rounds to the even one
+        c = math.comb(n, b)
+        odd = c >> ((c & -c).bit_length() - 1)
+        assert odd.bit_length() == 54
+        f, e = make_law({"kind": "rademacher_mean", "n": n}).masses[b]
+        assert (f, e) == rounded(c, 2**n)
+        assert int(math.ldexp(f, 53)) % 2 == 0
+        assert abs(Fraction(f) * Fraction(2) ** e - Fraction(c, 2**n)) == Fraction(2) ** (e - 54)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "rademacher_mean", "n": 10**5},
+        {"kind": "hypergeometric", "n": 10**6, "k": 1000},
+        {"kind": "hypergeometric", "n": 10**9, "k": 10**4},
+    ])
+    def test_log_masses_match_mpmath_at_scale(self, spec):
+        n = spec["n"]
+        law = make_law(spec)
+        if spec["kind"] == "rademacher_mean":
+            low, mode = 0, n // 2
+            ref = lambda i: mpmath.log(mpmath.binomial(n, i)) - n * mpmath.log(2)
+        else:
+            k = spec["k"]
+            low, mode = max(0, 2 * k - n), (k + 1) ** 2 // (n + 2)
+            ref = lambda ell: (mpmath.log(mpmath.binomial(k, ell)) + mpmath.log(mpmath.binomial(n - k, k - ell))
+                               - mpmath.log(mpmath.binomial(n, k)))
+        count = len(law.values)
+        atoms = random.Random(14).sample(range(count), 200) + [0, mode - low, count - 1]
+        for i in atoms:
+            with mpmath.workdps(50):
+                want = ref(low + i)
+            assert abs(law.log_probs[i] - want) <= 1e-14 * abs(want), (spec, low + i)
+
+    def test_masses_sum_to_one_within_two_ulp(self):
+        for spec in ({"kind": "rademacher_mean", "n": 4000}, {"kind": "hypergeometric", "n": 10**6, "k": 1000}):
+            assert abs(math.fsum(make_law(spec).probs) - 1.0) <= 2.0**-51
+
+    def test_a_wrong_mass_ratio_fails_the_total_check(self, monkeypatch):
+        # the builders check the rounded masses' total within 2^-51, so a
+        # recurrence one part in 10^12 off is caught
+        quotient = fpsq.laws._dd_quotient
+        monkeypatch.setattr(fpsq.laws, "_dd_quotient", lambda a, d: quotient(a * (1.0 + 1e-12), d))
+        with pytest.raises(AssertionError, match="sum to"):
+            make_law({"kind": "rademacher_mean", "n": 100})
+
+
+class TestAtomBudget:
+    @pytest.mark.parametrize("spec", [
+        {"kind": "rademacher_mean", "n": MAX_ATOMS},
+        {"kind": "hypergeometric", "n": 10**9, "k": MAX_ATOMS},
+        {"kind": "signed_sparse", "n": 10**9, "k": MAX_ATOMS // 2},
+    ])
+    def test_a_law_past_the_budget_is_refused(self, spec):
+        with pytest.raises(ResourceLimitError, match="atoms"):
+            make_law(spec)
+
+    def test_the_hypergeometric_count_is_its_support(self):
+        # k = n - 1 gives two atoms, whatever k
+        law = make_law({"kind": "hypergeometric", "n": MAX_ATOMS + 10, "k": MAX_ATOMS + 9})
+        assert law.values == (float(MAX_ATOMS + 8), float(MAX_ATOMS + 9))
 
 
 class TestSurvival:

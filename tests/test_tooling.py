@@ -1,7 +1,8 @@
 """The README's library example, the benchmark's hooks and the value
 dump stay runnable, every array sum in the engine takes one code path,
-no engine module calls laws.expect or laws.survival, and none evaluates
-a kernel point by point."""
+no engine module calls laws.expect or laws.survival, none evaluates
+a kernel point by point, and building the discrete models imports no
+exact-arithmetic or scipy module."""
 
 import ast
 import contextlib
@@ -114,3 +115,19 @@ def test_no_loop_evaluates_a_kernel_point_by_point():
                 if called in kernel_calls:
                     offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_discrete_models_build_without_exact_arithmetic_modules():
+    # every module the cli's import graph or a law's construction pulls in
+    # is paid on each start; the discrete laws need math.comb and numpy only
+    code = ("import random, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "import fpsq.cli, grids; from fpsq.kernels import build_model; "
+            "from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS as presets; "
+            "models = [build_model(d) for d in presets.values()] + "
+            "[build_model(b.desc) for b in grids.discrete_large(random.Random(0), False)]; "
+            "assert sum(m.is_discrete for m in models) == 14; "
+            "print(sorted(m for m in ('fractions', 'decimal', 'mpmath', 'scipy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "src"),
+                          os.path.join(ROOT, "perfbench")], capture_output=True, text=True,
+                         check=True, cwd=ROOT, timeout=120).stdout
+    assert out == "[]\n"
