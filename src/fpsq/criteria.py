@@ -167,7 +167,7 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
         tab = model.atom_table
         thr = tab.overlap.threshold(mass)
         keep = _le(tab.overlap.at, thr.threshold)
-        value, lv = _event_value(m * tab.log_k[keep] + tab.log_p[keep])
+        value, lv = _event_value(m * tab.log_k[keep] + model.law.log_probs[keep])
         method = "exact-sum"
     else:
         thr, half = abs_event(model.law, mass)  # |<u,v>| = |t|: the threshold is tau itself
@@ -186,7 +186,7 @@ def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Cr
         tab = model.atom_table
         thr = tab.rho.threshold(mass)
         keep = tab.rho.at < thr.threshold * (1.0 - _REL)
-        value, lv = _event_value(m * tab.log_k[keep] + tab.log_p[keep])
+        value, lv = _event_value(m * tab.log_k[keep] + model.law.log_probs[keep])
         method = "exact-sum"
     else:
         thr, half = abs_event(model.law, mass, model.rho_grid, strict=True)
@@ -317,7 +317,10 @@ def solve_min_inclusion(
 
 def _orbit_log_values(log_terms: np.ndarray, tab: AtomTable) -> np.ndarray:
     """Per-orbit log-sum-exp of the atoms' log-terms, top + log(1 + exp(low -
-    top)) of the representative's term and its mirror's (-inf if alone)."""
+    top)) of the representative's term and its mirror's (-inf if alone):
+    the log-terms themselves where every orbit is one atom."""
+    if len(tab.orbit_rep) == len(log_terms):
+        return log_terms
     rep, partner = tab.orbit_rep, tab.mirror[tab.orbit_rep]
     own, other = log_terms[rep], np.where(partner == rep, -math.inf, log_terms[partner])
     top, low = np.maximum(own, other), np.minimum(own, other)
@@ -366,7 +369,7 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
         )
 
     tab = model.atom_table
-    log_terms = m * tab.log_k + tab.log_p
+    log_terms = m * tab.log_k + model.law.log_probs
     values = _orbit_log_values(log_terms, tab)
     # capacity mass may be dropped; the included event needs the rest,
     # with a 1e-12 relative slack so an atom whose mass equals q^{-2}
@@ -387,7 +390,7 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     value, lv = _event_value(log_terms[keep])
     if lower is not None:  # the event's own value is the upper bracket
         detail["value_brackets"] = (exp_or_inf(lower), value)
-    detail["excluded_atoms"] = tab.atoms[~keep].tolist()
+    detail["excluded_atoms"] = model.law.atom_values(~keep)
     detail["excluded_mass"] = exact_sum(tab.orbit_mass[~chosen])
     return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method, detail)
 
@@ -495,8 +498,8 @@ def _compute_moments(model: ModelSpec, ts: Sequence[int], d: float) -> list[floa
             ys = np.array([dev**t for t in ts])
         bad = np.argwhere(~np.isfinite(ys))  # the first t, then the first atom
         if bad.size:
-            raise AtomEvaluationError(law.values[bad[0, 1]], float(ys[tuple(bad[0])]))
-        return [exact_sum(y * model.atom_table.p) for y in ys]
+            raise AtomEvaluationError(law.atom_values([bad[0, 1]])[0], float(ys[tuple(bad[0])]))
+        return [exact_sum(y * law.probs) for y in ys]
 
     def form(points) -> tuple[np.ndarray, np.ndarray]:
         """K_d - 1 at each point, in log form."""
@@ -550,11 +553,11 @@ def chi_squared(model: ModelSpec, m: int) -> float:
         raise ValueError(f"m must be a positive integer, got {m}")
     if not model.is_discrete:
         return _kernel_integral(model, lambda lk: _expm1_log(m * lk))[0]
-    tab = model.atom_table
-    x = m * tab.log_k
-    scaled = (x > 0.0) & ((tab.p < 1e-300) | (x > 700.0))
+    law = model.law
+    x = m * model.atom_table.log_k
+    scaled = (x > 0.0) & ((law.probs < 1e-300) | (x > 700.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.where(scaled, np.exp(tab.log_p + x) * -np.expm1(-x), tab.p * np.expm1(x))
+        terms = np.where(scaled, np.exp(law.log_probs + x) * -np.expm1(-x), law.probs * np.expm1(x))
     return exact_sum(terms)
 
 
@@ -566,8 +569,7 @@ def log_moment(model: ModelSpec, m: int) -> float:
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if model.is_discrete:
-        tab = model.atom_table
-        return _event_value(m * tab.log_k + tab.log_p)[1]
+        return _event_value(m * model.atom_table.log_k + model.law.log_probs)[1]
     return _event_integral(model, m, model.law.support[1])[1]
 
 
@@ -613,9 +615,9 @@ def assumption_holds(model: ModelSpec, k_max: int = 10) -> AssumptionReport:
         raise ValueError(f"k_max must be a positive integer, got {k_max}")
     if model.is_discrete:
         tab = model.atom_table
-        points, dev, mirror_dev = model.law.values, tab.dev, tab.mirror_dev
+        dev, mirror_dev = tab.dev, tab.mirror_dev
     else:
-        points, dev, mirror_dev = model.law.grid, model.kernel_table[1], model.kernel_table[1][::-1]
+        dev, mirror_dev = model.kernel_table[1], model.kernel_table[1][::-1]
     ks = np.arange(1, k_max + 1)
     with np.errstate(over="ignore"):
         vals = dev[:, None] ** ks
@@ -624,7 +626,8 @@ def assumption_holds(model: ModelSpec, k_max: int = 10) -> AssumptionReport:
     i, k = np.unravel_index(np.argmin(vals), vals.shape)  # the first minimum, points outermost
     min_value = float(vals[i, k])
     passed = min_value >= -_CORRELATION_TOL
-    return AssumptionReport(min_value, None if passed else (points[i], int(k) + 1), k_max, passed)
+    point = model.law.atom_values([i])[0] if model.is_discrete else model.law.grid[i]
+    return AssumptionReport(min_value, None if passed else (point, int(k) + 1), k_max, passed)
 
 
 @dataclass(frozen=True)

@@ -191,15 +191,18 @@ class GroupSpec:
             return False
         if law.kind == "discrete":  # the mass at -t (0 where no atom sits there) against that at t
             mirror, lone = self.mirror(law.values)
-            p = np.asarray(law.probs)
-            return bool(np.all(np.abs(np.where(lone, 0.0, p[mirror]) - p) <= _PRESERVE_TOL))
+            return bool(np.all(np.abs(np.where(lone, 0.0, law.probs[mirror]) - law.probs) <= _PRESERVE_TOL))
         mid = 0.5 * (law.support[0] + law.support[1])
         return abs(mid) <= _PRESERVE_TOL and abs(law.cdf(-0.3) - (1.0 - law.cdf(0.3))) <= 1e-9
 
 
 def rho_g(kernel: Kernel, group: GroupSpec, t: Statistic) -> float:
-    """Group-maximized kernel deviation max_{g,g'} |K(T(g(u),g'(v))) - 1| over the orbit."""
-    return float(np.max(np.abs(kernel.minus_one(np.asarray(group.orbit(t))))))
+    """Group-maximized kernel deviation max_{g,g'} |K(T(g(u),g'(v))) - 1| over
+    the orbit of t (one or two points), evaluated point by point as floats:
+    at two points numpy's per-call cost outweighs its arithmetic."""
+    orbit = group.orbit(t)
+    dev = abs(kernel.minus_one(orbit[0]))
+    return max(dev, abs(kernel.minus_one(orbit[1]))) if len(orbit) == 2 else dev
 
 
 # ---------------------------------------------------------------------------
@@ -626,16 +629,14 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
 
 @dataclass(frozen=True)
 class AtomTable:
-    """What the discrete criteria read, one entry per atom: the atom, p,
-    log p, log K (-inf at exact zeros), K - 1 (as Kernel.minus_one), the
-    mirror (GroupSpec.mirror), K - 1 at -t and the orbit index; one entry
-    per orbit (an atom and its mirror): the representative (lower) atom
-    and the mass, whose log GFP reads; and the Levels of |<u,v>| (None
-    without a Euclidean overlap), rho_G and |K - 1|."""
+    """What the discrete criteria read besides the law's own arrays (its
+    values, probs and log_probs), one entry per atom: log K (-inf at exact
+    zeros), K - 1 (as Kernel.minus_one), the mirror (GroupSpec.mirror),
+    K - 1 at -t and the orbit index; one entry per orbit (an atom and its
+    mirror): the representative (lower) atom and the mass, whose log GFP
+    reads; and the Levels of |<u,v>| (None without a Euclidean overlap),
+    rho_G and |K - 1|."""
 
-    values: tuple
-    p: np.ndarray
-    log_p: np.ndarray
     log_k: np.ndarray
     dev: np.ndarray
     mirror: np.ndarray
@@ -654,28 +655,23 @@ class AtomTable:
         on some inputs)."""
         return np.array([math.log(w) if w > 0.0 else -math.inf for w in self.orbit_mass.tolist()])
 
-    @cached_property
-    def atoms(self) -> np.ndarray:
-        """The atoms as an object array, on first use: GFP lists the ones
-        its event drops by a mask."""
-        return np.fromiter(self.values, dtype=object, count=len(self.values))
-
 
 def _atom_table(model: ModelSpec) -> AtomTable:
+    """The atom table from the law's arrays, copying none of them; |<u,v>|
+    is the statistic itself, or the agreement count c of pair counts."""
     law, kernel = model.law, model.kernel
-    values = law.values
-    p = np.asarray(law.probs, dtype=float)
-    log_k, dev, log_p = model.kernel_table
+    values, p = law.values, law.probs
+    log_k, dev, _ = model.kernel_table
     mirror, lone = model.group.mirror(values)
     mirror_dev = dev[mirror]
     if lone.any():  # no atom at -t (a mass within GroupSpec.preserves' slack)
-        mirror_dev[lone] = kernel.minus_one(-np.asarray(values)[lone])
+        mirror_dev[lone] = kernel.minus_one(-values[lone])
     # orbits in order of first appearance, which GFP's tie order follows
     rep, orbit = np.unique(np.minimum(np.arange(len(values)), mirror), return_inverse=True)
     overlap = (None if model.euclid_overlap is None
-               else Levels.of([abs(model.euclid_overlap(v)) for v in values], p))
+               else Levels.of(np.abs(values[:, 2] if law.statistic == "pair_counts" else values), p))
     return AtomTable(
-        values, p, log_p, log_k, dev, mirror, mirror_dev, orbit, rep, np.bincount(orbit, weights=p), overlap,
+        log_k, dev, mirror, mirror_dev, orbit, rep, np.bincount(orbit, weights=p), overlap,
         Levels.of(np.maximum(np.abs(dev), np.abs(mirror_dev)), p), Levels.of(np.abs(dev), p),
     )
 
@@ -687,7 +683,8 @@ class ModelSpec:
     euclid_overlap maps a statistic atom to the Euclidean overlap
     <u, v> when that quantity is recoverable (identity for scalar
     overlap laws, the agreement count c for pair-count models, None
-    when the statistic does not determine <u, v>).
+    when the statistic does not determine <u, v>); the atom table reads
+    the same from the law's values in one array operation.
 
     The per-model work that no (q, m) changes is cached on first use:
     the kernel table, the atom table of a discrete law (with GFP's
@@ -738,10 +735,10 @@ class ModelSpec:
         at each atom of a discrete law, or at each point of law.grid with
         the log density in place of log p: one call of each on all points."""
         law, kernel = self.law, self.kernel
-        points = law.values if self.is_discrete else law.grid
+        points = law.values if self.is_discrete else np.asarray(law.grid)
         log_k = self.log_k(points)
-        dev = _expm1(log_k) if kernel.minus_one_fn is None else kernel.minus_one(np.asarray(points))
-        return log_k, dev, np.array(law.log_probs) if self.is_discrete else law.grid_log_pdf
+        dev = _expm1(log_k) if kernel.minus_one_fn is None else kernel.minus_one(points)
+        return log_k, dev, law.log_probs if self.is_discrete else law.grid_log_pdf
 
     @cached_property
     def rho_grid(self) -> ShapeGrid:

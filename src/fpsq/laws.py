@@ -6,16 +6,18 @@ overlap <u, v>, a support-intersection count |u n v|, or the coordinate
 agreement triple (a, b, c).  This module represents the pushforward of
 pi^{x2} through that statistic:
 
-- discrete laws carry each atom mass as p = f 2^e (f in [0.5, 1), e an
-  integer), so no mass underflows, and log_probs and probs are views.
-  Every combinatorial mass is the exact mass correctly rounded.  The
-  rademacher_mean and hypergeometric masses come from one double-double
-  prefix product of the exact ratios of consecutive masses
-  (_chain_masses): mass i lies within (i + 4) 2^-100 relative of
-  the exact one, and where that bound does not settle the rounding, the
-  mass is rounded from exact integers.  The signed_sparse and equality
-  laws round an exact integer ratio once (_exact_law).  No discrete law
-  may have more than MAX_ATOMS atoms (ResourceLimitError);
+- a discrete law is numpy arrays, built by one constructor
+  (_discrete_law): its sorted values and each atom mass as p = f 2^e (f
+  in [0.5, 1), e an integer), so no mass underflows; probs and
+  log_probs are arrays computed from f and e.  Every combinatorial mass
+  is the exact mass correctly rounded.  The rademacher_mean and
+  hypergeometric masses come from one double-double prefix product of
+  the exact ratios of consecutive masses (_chain_masses): mass i lies
+  within (i + 4) 2^-100 relative of the exact one, and where that bound
+  does not settle the rounding, the mass is rounded from exact integers.
+  The signed_sparse and equality laws round an exact integer ratio once
+  (_round_ratio).  No discrete law may have more than MAX_ATOMS atoms
+  (ResourceLimitError);
 - the single continuous law (sphere overlap) is represented by its exact
   Beta density and distribution function (an in-house incomplete Beta
   continued fraction, _beta_cf), never by a discretization.
@@ -53,9 +55,8 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import starmap
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -119,21 +120,24 @@ class ThresholdResult:
     exact: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapLaw:
     """Distribution of the overlap statistic under pi x pi.
 
     kind: "discrete" (values + masses) or "continuous" (density
     accessors; the law must be symmetric about 0, which the |t| closed
     forms use).  statistic: "scalar" or "pair_counts" (integer triples).
-    A discrete mass is stored as the pair (f, e) with p = f 2^e.
+    A discrete law's sorted values are a float array, or an (N, 3) integer
+    array of pair counts; atom i has mass p = f[i] 2^e[i], f in [0.5, 1)
+    (0 for a zero mass).  _discrete_law builds and checks one.
     """
 
     kind: str
     statistic: str
     descriptor: dict
-    values: tuple = ()
-    masses: tuple = ()
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))  # none on a continuous law
+    f: np.ndarray | None = None
+    e: np.ndarray | None = None
     _log_pdf: Callable[[np.ndarray], np.ndarray] | None = None
     _log_cdf: Callable[[float], float] | None = None
     _ppf: Callable[[float], float] | None = None
@@ -142,26 +146,21 @@ class OverlapLaw:
     _sampler: Callable | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "discrete":
-            if min(self.masses, default=(0.0, 0))[0] < 0.0:  # the least f
-                raise ValueError("atom probabilities must be nonnegative")
-            total = exact_sum(self.probs)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"atom probabilities sum to {total}, not 1")
-        elif self.kind != "continuous":
+        if self.kind not in ("discrete", "continuous"):
             raise ValueError(f"unknown law kind {self.kind!r}")
-        elif self.support[0] != -self.support[1]:
+        if self.kind == "continuous" and self.support[0] != -self.support[1]:
             raise ValueError("continuous laws must be symmetric about 0")
 
     @cached_property
-    def log_probs(self) -> tuple[float, ...]:
-        """Natural log of each atom mass (-inf for a zero mass)."""
-        return tuple(math.log(f) + e * _LN2 if f > 0.0 else -math.inf for f, e in self.masses)
+    def log_probs(self) -> np.ndarray:
+        """Natural log of each atom mass, log f + e log 2 (-inf for a zero mass)."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.f) + self.e * _LN2
 
     @cached_property
-    def probs(self) -> tuple[float, ...]:
+    def probs(self) -> np.ndarray:
         """Atom masses as floats (0.0 below the float range)."""
-        return tuple(starmap(math.ldexp, self.masses))
+        return np.ldexp(self.f, self.e)
 
     @cached_property
     def grid(self) -> list[float]:
@@ -180,11 +179,18 @@ class OverlapLaw:
         """The log density at each point of grid."""
         return self.log_pdf(np.asarray(self.grid))
 
+    def atom_values(self, index=slice(None)) -> list[Statistic]:
+        """The atoms at index (a slice, index array or mask) as Python
+        values: floats, or (a, b, c) tuples of pair counts."""
+        out = self.values[index].tolist()
+        return list(map(tuple, out)) if self.statistic == "pair_counts" else out
+
     @property
     def atoms(self) -> list[tuple[Statistic, float]]:
+        """(value, mass) of each atom as Python values, one pair per atom."""
         if self.kind != "discrete":
             raise ValueError("atoms are only defined for discrete laws")
-        return list(zip(self.values, self.probs))
+        return list(zip(self.atom_values(), self.probs.tolist()))
 
     def log_pdf(self, t):
         """The log density at t, a float or an array of points."""
@@ -232,27 +238,6 @@ def _round_ratio(num: int, den: int) -> tuple[float, int]:
     s = den.bit_length() - num.bit_length() + 64
     f, e = math.frexp((num << s) / den)
     return f, e - s
-
-
-def _exact_law(descriptor: dict, numerators: dict, denominator: int) -> OverlapLaw:
-    """Discrete law with masses numerators[v] / denominator (integers),
-    each rounded once by _round_ratio."""
-    if sum(numerators.values()) != denominator:
-        raise AssertionError(f"exact atom masses do not sum to {denominator}")
-    values = sorted(v for v, num in numerators.items() if num > 0)
-    return OverlapLaw(kind="discrete", statistic="scalar", descriptor=descriptor, values=tuple(values),
-                      masses=tuple(_round_ratio(numerators[v], denominator) for v in values))
-
-
-def _float_law(descriptor: dict, statistic: str, items: list) -> OverlapLaw:
-    """Discrete law from (value, float mass) pairs; equal values merge into one atom."""
-    acc: dict = {}
-    for v, p in items:
-        acc[v] = acc.get(v, 0.0) + p
-    items = sorted(acc.items())
-    return OverlapLaw(kind="discrete", statistic=statistic, descriptor=descriptor,
-                      values=tuple(v for v, _ in items),
-                      masses=tuple(math.frexp(p) for _, p in items))
 
 
 def _check_atoms(count: int, kind: str) -> None:
@@ -369,14 +354,29 @@ def _chain_masses(start: tuple[float, float, int], hi: np.ndarray, lo: np.ndarra
     return f, e
 
 
-def _summed_law(descriptor: dict, values: np.ndarray, f: np.ndarray, e: np.ndarray) -> OverlapLaw:
-    """Discrete law with masses f 2^e, which must sum to 1 within 2^-51 (each
-    correctly rounded mass is within 2^-53 relative)."""
+def _discrete_law(descriptor: dict, statistic: str, values, f, e, exact: bool) -> OverlapLaw:
+    """The discrete law with atoms at values (floats, or rows of pair counts)
+    and masses f 2^e (arrays or sequences), its atoms sorted by value
+    (np.unique); equal values merge into one atom, whose float mass sums
+    theirs in the order given.  The masses must sum to 1: within 2^-51
+    where each is an exact mass correctly rounded (exact; 2^-53 relative
+    each), else AssertionError, a fault of the builder; within 1e-12 for
+    float masses, else ValueError."""
+    f, e = np.asarray(f), np.asarray(e)
+    values, inverse = np.unique(values, axis=0 if statistic == "pair_counts" else None, return_inverse=True)
+    inverse = inverse.ravel()
+    if len(values) < len(inverse):
+        f, e = np.frexp(np.bincount(inverse, weights=np.ldexp(f, e), minlength=len(values)))
+    else:  # a permutation: the masses are sorted with the values, none rounded
+        order = np.argsort(inverse)
+        f, e = f[order], e[order]
+    if np.any(f < 0.0):
+        raise ValueError("atom probabilities must be nonnegative")
     total = exact_sum(np.ldexp(f, e))
-    if abs(total - 1.0) > 2.0**-51:
-        raise AssertionError(f"the atom masses of {descriptor} sum to {total}, not 1")
-    return OverlapLaw(kind="discrete", statistic="scalar", descriptor=descriptor,
-                      values=tuple(values.tolist()), masses=tuple(zip(f.tolist(), e.tolist())))
+    if abs(total - 1.0) > (2.0**-51 if exact else 1e-12):
+        error = AssertionError if exact else ValueError
+        raise error(f"the atom masses of {descriptor} sum to {total}, not 1")
+    return OverlapLaw(kind="discrete", statistic=statistic, descriptor=descriptor, values=values, f=f, e=e)
 
 
 def hypergeometric_law(n: int, k: int) -> OverlapLaw:
@@ -397,7 +397,8 @@ def hypergeometric_law(n: int, k: int) -> OverlapLaw:
     total = math.comb(n, k)
     f, e = _chain_masses(_dd_ratio(math.comb(k, low) * math.comb(n - k, k - low), total), *ratios,
                          lambda i: _round_ratio(math.comb(k, low + i) * math.comb(n - k, k - low - i), total))
-    return _summed_law({"kind": "hypergeometric", "n": n, "k": k}, np.arange(low, k + 1, dtype=float), f, e)
+    return _discrete_law({"kind": "hypergeometric", "n": n, "k": k}, "scalar",
+                         np.arange(low, k + 1, dtype=float), f, e, exact=True)
 
 
 def signed_sparse_law(n: int, k: int) -> OverlapLaw:
@@ -416,8 +417,9 @@ def signed_sparse_law(n: int, k: int) -> OverlapLaw:
         weight = (inner[ell] * outer[k - ell]) << (k - ell)
         for b, c in enumerate(_binomial_row(ell, ell)):
             acc[2 * b - ell] = acc.get(2 * b - ell, 0) + weight * c
-    nums = {j / k: num for j, num in acc.items()}
-    return _exact_law({"kind": "signed_sparse", "n": n, "k": k}, nums, math.comb(n, k) << k)
+    js, den = [j for j, num in acc.items() if num > 0], math.comb(n, k) << k
+    return _discrete_law({"kind": "signed_sparse", "n": n, "k": k}, "scalar", np.array(js) / k,
+                         *zip(*(_round_ratio(acc[j], den) for j in js)), exact=True)
 
 
 def rademacher_mean_law(n: int) -> OverlapLaw:
@@ -432,22 +434,26 @@ def rademacher_mean_law(n: int) -> OverlapLaw:
     f, e = _chain_masses((1.0, 0.0, -n), *_dd_quotient(n - b, b + 1.0),
                          lambda i: _round_ratio(math.comb(n, i), 1 << n))
     rest = n + 1 - len(f)  # C(n, b) = C(n, n - b)
-    return _summed_law({"kind": "rademacher_mean", "n": n}, (2 * np.arange(n + 1) - n) / n,
-                       np.r_[f, f[rest - 1::-1]], np.r_[e, e[rest - 1::-1]])
+    return _discrete_law({"kind": "rademacher_mean", "n": n}, "scalar", (2 * np.arange(n + 1) - n) / n,
+                         np.r_[f, f[rest - 1::-1]], np.r_[e, e[rest - 1::-1]], exact=True)
+
+
+def _pair_class_law(descriptor: dict, statistic: str, values: np.ndarray, rho_p: float) -> OverlapLaw:
+    """The statistic of a two-point prior (point 1 w.p. rho_p) at its three
+    pair classes, values = (T(1,1), T(2,2), T(mixed)), of masses rho_p^2,
+    (1-rho_p)^2 and 2 rho_p (1-rho_p); a class of zero mass is no atom."""
+    if not 0.0 <= rho_p <= 1.0:
+        raise ValueError(f"rho_p must lie in [0, 1], got {rho_p}")
+    p = np.array([rho_p * rho_p, (1 - rho_p) ** 2, 2 * rho_p * (1 - rho_p)])
+    return _discrete_law(descriptor, statistic, values[p > 0.0], *np.frexp(p[p > 0.0]), exact=False)
 
 
 def two_point_law(rho_p: float, stat_values: tuple[float, float, float]) -> OverlapLaw:
-    """Scalar statistic of a two-point prior: point 1 w.p. rho_p.
-
-    stat_values = (T(1,1), T(2,2), T(mixed)); the three pair classes have
-    masses rho_p^2, (1-rho_p)^2, 2 rho_p (1-rho_p).
-    """
-    if not 0.0 <= rho_p <= 1.0:
-        raise ValueError(f"rho_p must lie in [0, 1], got {rho_p}")
+    """Scalar statistic of a two-point prior: point 1 w.p. rho_p, and
+    stat_values = (T(1,1), T(2,2), T(mixed))."""
     v11, v22, vmix = (float(v) for v in stat_values)
-    pairs = ((v11, rho_p * rho_p), (v22, (1 - rho_p) ** 2), (vmix, 2 * rho_p * (1 - rho_p)))
-    return _float_law({"kind": "two_point", "rho_p": rho_p, "values": [v11, v22, vmix]},
-                      "scalar", [(v, p) for v, p in pairs if p > 0.0])
+    return _pair_class_law({"kind": "two_point", "rho_p": rho_p, "values": [v11, v22, vmix]}, "scalar",
+                           np.array([v11, v22, vmix]), rho_p)
 
 
 def pair_counts_law(n: int, rho_p: float) -> OverlapLaw:
@@ -456,15 +462,8 @@ def pair_counts_law(n: int, rho_p: float) -> OverlapLaw:
     {e_0 w.p. rho_p, 1 - e_0 w.p. 1-rho_p}."""
     if n <= 0:
         raise ValueError(f"need n positive, got {n}")
-    if not 0.0 <= rho_p <= 1.0:
-        raise ValueError(f"rho_p must lie in [0, 1], got {rho_p}")
-    atoms = [
-        ((n, 0, 1), rho_p * rho_p),
-        ((1, 0, n), (1 - rho_p) ** 2),
-        ((0, n + 1, 0), 2 * rho_p * (1 - rho_p)),
-    ]
-    return _float_law({"kind": "pair_counts", "n": n, "rho_p": rho_p}, "pair_counts",
-                      [(v, p) for v, p in atoms if p > 0.0])
+    return _pair_class_law({"kind": "pair_counts", "n": n, "rho_p": rho_p}, "pair_counts",
+                           np.array([(n, 0, 1), (1, 0, n), (0, n + 1, 0)]), rho_p)
 
 
 def equality_law(n: int) -> OverlapLaw:
@@ -473,15 +472,17 @@ def equality_law(n: int) -> OverlapLaw:
     if n <= 0 or n % 10 != 0:
         raise ValueError(f"need n positive and divisible by 10, got {n}")
     size = math.comb(n, 9 * n // 10)
-    return _exact_law({"kind": "equality", "n": n}, {1.0: 1, 0.0: size - 1}, size)
+    return _discrete_law({"kind": "equality", "n": n}, "scalar", [0.0, 1.0],
+                         *zip(_round_ratio(size - 1, size), _round_ratio(1, size)), exact=True)
 
 
 def atoms_law(values: Sequence[float], probs: Sequence[float]) -> OverlapLaw:
     """Synthetic discrete law from explicit atoms (testing / CLI)."""
     if len(values) != len(probs) or not values:
         raise ValueError("values and probs must be nonempty and of equal length")
-    return _float_law({"kind": "atoms", "values": list(values), "probs": list(probs)}, "scalar",
-                      list(zip((float(v) for v in values), (float(p) for p in probs))))
+    return _discrete_law({"kind": "atoms", "values": list(values), "probs": list(probs)}, "scalar",
+                         np.asarray(values, dtype=float), *np.frexp(np.asarray(probs, dtype=float)),
+                         exact=False)
 
 
 # Coefficients of the asymptotic series log Gamma(a + 1/2) - log Gamma(a) =
@@ -840,7 +841,7 @@ def threshold_sup(law: OverlapLaw, mass: float, transform: Transform = None) -> 
     """
     check_mass(mass)
     if law.kind == "discrete":
-        return Levels.of([_apply(transform, v) for v in law.values], law.probs).threshold(mass)
+        return Levels.of([_apply(transform, v) for v in law.atom_values()], law.probs).threshold(mass)
     if transform is None:
         return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)
     return abs_event(law, mass, check_even_nondecreasing(law, transform))[0]
@@ -867,7 +868,7 @@ def expect(
         if interval is not None:
             raise ValueError("expect: interval applies to continuous laws only")
         ys = []
-        for v in law.values:
+        for v in law.atom_values():
             y = float(f(v))
             if not math.isfinite(y):
                 raise AtomEvaluationError(v, y)
@@ -995,11 +996,8 @@ def sample(law: OverlapLaw, seed: int, count: int) -> np.ndarray:
         raise ValueError(f"count must be positive, got {count}")
     rng = np.random.default_rng(seed)
     if law.kind == "discrete":
-        idx = rng.choice(len(law.values), size=count, p=np.asarray(law.probs))
-        if law.statistic == "pair_counts":
-            out = np.empty(count, dtype=object)
-            for i, j in enumerate(idx):
-                out[i] = law.values[j]  # keep the triples hashable tuples
-            return out
-        return np.asarray([law.values[i] for i in idx], dtype=float)
+        idx = rng.choice(len(law.values), size=count, p=law.probs)
+        if law.statistic == "pair_counts":  # keep the triples hashable tuples
+            return np.fromiter(law.atom_values(idx), dtype=object, count=count)
+        return law.values[idx]
     return np.asarray(law._sampler(rng, count), dtype=float)

@@ -418,7 +418,7 @@ def _scenario_dense_clique() -> ScenarioResult:
     p = 1.0 - n**-0.25
     k = round(n ** (1.0 / 3.0))
     model = build_model({"model": "dense_clique", "n": n, "k": k, "p": p})
-    diag_mass = model.law.probs[-1]
+    diag_mass = float(model.law.probs[-1])
     q_sq = diag_mass**-0.5
     q_gfp = math.exp(n ** (1.0 / 32.0))
     m = max(1, round(n ** (1.0 / 8.0)))
@@ -437,7 +437,7 @@ def _scenario_dense_clique() -> ScenarioResult:
 def _scenario_dirac() -> ScenarioResult:
     n = 20
     model = build_model({"model": "dirac", "n": n})
-    diag_mass = model.law.probs[-1] if model.law.values[-1] == 1.0 else model.law.probs[0]
+    diag_mass = float(model.law.probs[-1] if model.law.values[-1] == 1.0 else model.law.probs[0])
     q = diag_mass**-0.5
     params = {"n": n, "q_gfp": q}
     sq = sq_value(model, 1, m=1)

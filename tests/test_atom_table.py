@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from cli_rows import read_rows
 from fpsq.cli import EXIT_PASS, main
-from fpsq.criteria import assumption_holds, chi_squared, gfp_value, log_moment, rho_fp_value
+from fpsq.criteria import assumption_holds, chi_squared, gfp_value, log_moment, rho_fp_value, usq_moment
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model, gam_kernel, rho_g
-from fpsq.laws import make_law
+from fpsq.laws import AtomEvaluationError, make_law, sample
+from fpsq.scenarios import run_scenario
 
 mpmath.mp.dps = 50
 
@@ -49,7 +50,7 @@ class TestLawLogMasses:
     def test_log_masses_match_mpmath(self, spec, pmf):
         law = make_law(spec)
         exact = pmf(*(spec[key] for key in ("n", "k") if key in spec))
-        assert law.values == tuple(sorted(v for v, p in exact.items() if p > 0))
+        assert law.values.tolist() == sorted(v for v, p in exact.items() if p > 0)
         for v, lp in zip(law.values, law.log_probs):
             p = exact[v]
             ref = mpmath.log(p.numerator) - mpmath.log(p.denominator)
@@ -65,7 +66,7 @@ class TestLawLogMasses:
             for b in range(ell + 1):
                 j = 2 * b - ell
                 ref[j] = ref.get(j, 0) + w * mpmath.binomial(ell, b) / mpmath.mpf(2) ** ell
-        assert law.values == tuple(j / k for j in sorted(ref))
+        assert law.values.tolist() == [j / k for j in sorted(ref)]
         for v, lp in zip(law.values, law.log_probs):
             want = mpmath.log(ref[round(v * k)])
             assert abs(lp - want) <= 1e-15 * max(1.0, abs(float(want)))
@@ -140,7 +141,24 @@ class TestMirror:
 
     def test_equal_atoms_merge_into_one(self):
         law = make_law({"kind": "atoms", "values": [0.5, -1.0, 0.5], "probs": [0.25, 0.5, 0.25]})
-        assert law.values == (-1.0, 0.5) and law.probs == (0.5, 0.5)
+        assert law.values.tolist() == [-1.0, 0.5] and law.probs.tolist() == [0.5, 0.5]
+
+
+def test_values_leaving_the_engine_are_python_values():
+    # a law holds its atoms as numpy arrays; what a report, an error or a
+    # draw hands back is a Python float, or a tuple of pair counts
+    counts = build_model({"model": "counterexample", "n": 6, "r": 0.5, "alpha_c": 0.5, "rho_p": 0.3})
+    assert gfp_value(counts, 3.0, 2).detail["excluded_atoms"] == [(6, 0, 1)]
+    assert all(type(v) is tuple for v in sample(counts.law, 0, 5))
+    broken = build_model({"model": "synthetic", "values": [0.0, 0.5, 1.0], "probs": [0.5, 0.3, 0.2],
+                          "kernel_values": [1.0, 0.5, 2.0]})
+    assert type(assumption_holds(broken, k_max=3).witness[0]) is float
+    assert [type(v) for v in gfp_value(broken, 2.0, 1).detail["excluded_atoms"]] == [float]
+    with pytest.raises(AtomEvaluationError) as err:
+        usq_moment(gam_rademacher(4, 22.0), 2)
+    assert type(err.value.atom) is float
+    assert type(run_scenario("dirac").params["q_gfp"]) is float
+    assert type(run_scenario("dense-clique").params["q_sq"]) is float
 
 
 class TestGfpLogValues:
@@ -161,7 +179,7 @@ class TestGfpLogValues:
         model = build_model({"model": "synthetic", "values": [0.0, 2.0, 10.0],
                              "probs": [0.8, 0.1, 0.1], "kernel_values": [0.5, 3.0, 4.0]})
         rep = gfp_value(model, 2.0, 3)
-        assert model.law.values == (0.0, 2.0, 10.0)
+        assert model.law.values.tolist() == [0.0, 2.0, 10.0]
         assert rep.detail["excluded_atoms"] == [2.0, 10.0]
         assert rep.detail["excluded_mass"] == pytest.approx(0.2, rel=1e-15)
 

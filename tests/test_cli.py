@@ -182,7 +182,8 @@ class TestCriterionCommand:
             code = run(["criterion", "--config", big_config(tmp_path), "--model", "big",
                         "--criterion", "usq", "--m", "2"])
         assert code == EXIT_CONFIG
-        assert "non-finite" in capsys.readouterr().err
+        # the atom is a Python float, not a numpy scalar
+        assert capsys.readouterr().err == "config error: non-finite integrand value inf at atom 1.0\n"
 
     def test_a_law_past_the_atom_budget_exits_at_once(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -222,10 +223,16 @@ class TestOutputPath:
     ["criterion", "--model", "slab-desk", "--criterion", "fp,rho_fp,gfp,sq,usq,chi2,ld",
      "--q", "10", "--m", "2"],
     ["check", "--model", "si-sign-sphere", "--q", "10", "--m", "4"],
+    # these read a law's masses and the assumption's witness atom
+    ["reproduce", "dense-clique"],
+    ["reproduce", "dirac"],
+    ["reproduce", "counterexample"],
+    ["check", "--seeds", "2", "--inject-broken"],  # the broken kernel fails its check
 ])
 def test_no_field_prints_a_numpy_scalar_repr(argv, capsys):
-    # the kernels hand back Python floats for a single statistic value
-    assert run(argv) == EXIT_PASS
+    # the kernels hand back Python floats for a single statistic value, and
+    # values read from a law's arrays leave the engine as Python floats
+    assert run(argv) == (EXIT_ASSERTION if "--inject-broken" in argv else EXIT_PASS)
     assert "np.float64(" not in capsys.readouterr().out
 
 

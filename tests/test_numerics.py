@@ -380,7 +380,7 @@ class TestExactSum:
     def test_wide_atom_masses(self):
         # the 1000-sign law's masses run from 2^-1000 to 2^-5
         probs = build_model({"model": "gam", "lambda": 1.0,
-                             "prior": {"kind": "rademacher_mean", "n": 1000}}).atom_table.p
+                             "prior": {"kind": "rademacher_mean", "n": 1000}}).law.probs
         assert exact_sum(probs) == exact_sum(probs[::-1]) == math.fsum(probs.tolist())
         assert abs(exact_sum(probs) - 1.0) <= 2e-16
 

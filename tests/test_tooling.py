@@ -1,8 +1,8 @@
 """The README's library example, the benchmark's hooks and the value
 dump stay runnable, every array sum in the engine takes one code path,
 no engine module calls laws.expect or laws.survival, none evaluates
-a kernel point by point, and building the discrete models imports no
-exact-arithmetic or scipy module."""
+a kernel point by point or walks a law atom by atom, and building the
+discrete models imports no exact-arithmetic or scipy module."""
 
 import ast
 import contextlib
@@ -115,6 +115,43 @@ def test_no_loop_evaluates_a_kernel_point_by_point():
                 if called in kernel_calls:
                     offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_loop_walks_a_law_atom_by_atom():
+    # a discrete law is numpy arrays from its construction through the
+    # criteria, so no comprehension or for loop in the engine iterates over
+    # a law's arrays, read directly or through a local name bound to one
+    # (x.values() is a dict's); the functions the benchmark's tracer still
+    # wraps keep their per-atom view
+    arrays = {"values", "probs", "log_probs", "atoms", "atom_values"}
+    exempt = {"expect", "survival", "threshold_sup", "sample"}
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def law_array(node):
+        return isinstance(node, ast.Attribute) and node.attr in arrays
+
+    offenders = set()
+    for name in ("criteria.py", "kernels.py", "laws.py"):
+        with open(os.path.join(ROOT, "src", "fpsq", name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or func.name in exempt:
+                continue
+            bound = set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        pairs = (zip(target.elts, node.value.elts)
+                                 if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                                 else [(target, node.value)])
+                        bound |= {t.id for t, v in pairs if isinstance(t, ast.Name) and law_array(v)}
+            for loop in (node for node in ast.walk(func) if isinstance(node, loops)):
+                for it in [loop.iter] if isinstance(loop, ast.For) else [g.iter for g in loop.generators]:
+                    called = {id(node.func) for node in ast.walk(it) if isinstance(node, ast.Call)}
+                    if any(law_array(node) and not (node.attr == "values" and id(node) in called)
+                           or isinstance(node, ast.Name) and node.id in bound for node in ast.walk(it)):
+                        offenders.add(f"{name}:{it.lineno}")
+    assert sorted(offenders) == []
 
 
 def test_discrete_models_build_without_exact_arithmetic_modules():
