@@ -9,7 +9,8 @@ proxy-runtime parameter q (tail mass q^{-2}):
            group-maximized deviation rho_G;
 - GFP:     inf over G^2-invariant statistic events A of mass >= 1 - q^{-2}
            of E[K^m 1(A)]; exact 0/1-exclusion optimization on discrete
-           laws, superlevel-set construction on continuous ones;
+           laws, the complement of the top superlevel set of the
+           orbit-averaged K^m on continuous ones;
 - SQ:      sup over events of mass >= q^{-2} of E[|K - 1| | A], attained
            by the smallest whole-level superlevel set of |K - 1|;
 - USQ:     unconditional moments E[(K - 1)^t], t even;
@@ -21,11 +22,14 @@ All m-th powers run through exp(m log K); an exact kernel zero has
 log K = -inf and adds an exact 0.  On a discrete law every criterion reads the
 model's atom table (ModelSpec.atom_table): a threshold is a bisection in
 its levels, an event a mask, the event value a log-sum-exp of
-m log K + log p over the mask.  On the continuous law each is one
-laws.integral of its integrand in log form, read from the model's
-kernel table on the grid.  USQ and LD (every d) share one moment
-function, whose values each model keeps; the correlation check reads
-K - 1 at t and -t from the same tables.  Every report records the threshold object, the computation
+m log K + log p over the mask.  On the continuous law every event is a
+level set of one function on the support (|t| for FP, rho_G for rho_G-FP,
+the orbit-averaged log K^m for GFP, |K - 1| for SQ), found by
+laws.LevelSets from its kernel table column, and its value is one
+laws.integral per interval of the event, read from the same table.  USQ
+and LD (every d) share one moment function, whose values each model
+keeps; the correlation check reads K - 1 at t and -t from the same
+tables.  Every report records the threshold object, the computation
 method, and a hard/not-hard verdict against the caller-supplied epsilon
 (or 1/m for SQ).
 """
@@ -40,18 +44,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from fpsq.kernels import AtomTable, ModelSpec, SingularityError
+from fpsq.kernels import AtomTable, ModelSpec
 from fpsq.laws import (
     AtomEvaluationError,
-    ShapeGrid,
+    LevelSets,
     ThresholdResult,
-    abs_event,
-    check_even_nondecreasing,
     check_mass,
-    crossing,
     expect,  # noqa: F401  (the benchmark traces this attribute)
     exp_or_inf,
-    find_root,
     integral,
     threshold_sup,  # noqa: F401  (stays importable from this module)
 )
@@ -127,9 +127,34 @@ def _kernel_integral(model: ModelSpec, form: Callable[[np.ndarray], tuple],
                     *(bounds or model.law.support))
 
 
-def _event_integral(model: ModelSpec, m: int, h: float) -> tuple[float, float]:
-    """(value, log_value) of E[K^m 1(|T| <= h)] on the continuous law."""
-    return _kernel_integral(model, lambda lk: (m * lk, 1.0), (-h, h))
+def _event_integral(model: ModelSpec, form: Callable, intervals: np.ndarray) -> tuple[float, float]:
+    """(value, log_value) of E[f(T) 1(T in the intervals)] for f = form(log K)
+    nonnegative: one _kernel_integral per interval (rows [a, b]), summed."""
+    parts = [_kernel_integral(model, form, (a, b)) for a, b in intervals.tolist()]
+    if len(parts) < 2:
+        return parts[0] if parts else (0.0, -math.inf)
+    lv = log_sum_exp([p[1] for p in parts])
+    return (math.fsum(p[0] for p in parts) if lv < 700.0 else exp_or_inf(lv)), lv
+
+
+def _complement(intervals: np.ndarray, support: tuple[float, float]) -> np.ndarray:
+    """The intervals of the support between the given ones (rows, in order)."""
+    edges = np.concatenate([support[:1], intervals.ravel(), support[1:]]).reshape(-1, 2)
+    return edges[edges[:, 0] < edges[:, 1]]
+
+
+def _orbit_sets(model: ModelSpec, table: np.ndarray, at: Callable, combine: Callable) -> LevelSets:
+    """LevelSets of f, given on the grid (table) and at points (at), or of
+    combine(f(t), f(-t)) under the sign flip (one call of at on both)."""
+    if model.group.order == 1:
+        return LevelSets(model.law, table, at)
+    both = lambda ts: at(np.concatenate([ts, -ts])).reshape(2, -1)
+    return LevelSets(model.law, combine(table, table[::-1]), lambda ts: combine(*both(ts)))
+
+
+def _deviation(model: ModelSpec) -> tuple[np.ndarray, Callable]:
+    """|K - 1| on the grid (from the kernel table) and at points."""
+    return np.abs(model.kernel_table[1]), lambda ts: np.abs(model.kernel.minus_one(ts))
 
 
 def _expm1_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,8 +195,9 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
         value, lv = _event_value(m * tab.log_k[keep] + model.law.log_probs[keep])
         method = "exact-sum"
     else:
-        thr, half = abs_event(model.law, mass)  # |<u,v>| = |t|: the threshold is tau itself
-        value, lv = _event_integral(model, m, half)
+        law = model.law  # |<u,v>| = |t|: the threshold is tau itself
+        thr, above = LevelSets(law, np.abs(law.grid), np.abs).threshold(mass)
+        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), _complement(above, law.support))
         method = "quadrature"
     return CriterionReport("FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -189,8 +215,14 @@ def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Cr
         value, lv = _event_value(m * tab.log_k[keep] + model.law.log_probs[keep])
         method = "exact-sum"
     else:
-        thr, half = abs_event(model.law, mass, model.rho_grid, strict=True)
-        value, lv = _event_integral(model, m, half)
+        law = model.law
+        sets = _orbit_sets(model, *_deviation(model), np.maximum)  # rho_G: the larger |K - 1| on the orbit
+        thr, above = sets.threshold(mass)
+        event = _complement(above, law.support)
+        inside = ((law.grid > event[:, :1]) & (law.grid < event[:, 1:])).any(axis=0)
+        if (sets.table[inside] >= thr.threshold).any():  # rho_G flat at r inside {|T| < tau}
+            event = _complement(sets.superlevel(thr.threshold)[0], law.support)
+        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), event)
         method = "quadrature"
     return CriterionReport("RHO_FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -340,32 +372,31 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     cover found is reported with certified lower/upper brackets, and the
     conservative (upper) value is returned.
 
-    Continuous laws: the optimal symmetric event is the complement of a
-    top superlevel set of the orbit-averaged m-sample kernel.  When that
-    average is even and nondecreasing in |t| (the grid check shared with
-    the thresholds, run on its log over the kernel table) the event is
-    {|T| < tau} with P(|T| >= tau) = q^{-2} exactly; any other shape is
-    refused, because a one-sided event can then do better.
+    Continuous laws: the event drops the top level set, of mass q^{-2},
+    of h = log of the orbit-averaged K^m (any shape; where h is flat at
+    the level, it keeps what part of the flat set its mass allows).  The
+    threshold is tau where the dropped set is {|T| >= tau}, else None;
+    detail["level"] holds the level of h.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     mass = _require_q(q, 1.0, "GFP")
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if not model.is_discrete:
-        lk = m * model.kernel_table[0]  # log K^m; power: log of its average over the orbit
-        power = np.logaddexp(lk, lk[::-1]) - math.log(2.0) if model.group.order == 2 else lk
-        try:
-            check_even_nondecreasing(model.law, None, power.tolist())
-        except ValueError as exc:
-            raise UnsupportedCriterionError(
-                f"continuous GFP requires the orbit-averaged kernel power to be even and "
-                f"nondecreasing in |t| ({exc}); use a discrete law for this kernel"
-            ) from None
-        thr, half = abs_event(model.law, mass)
-        value, lv = _event_integral(model, m, half)
+        law = model.law
+        level, above = _orbit_sets(model, m * model.kernel_table[0], lambda ts: m * model.log_k(ts),
+                                   lambda x, y: np.logaddexp(x, y) - math.log(2.0)).threshold(mass)
+        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), _complement(above, law.support))
+        if not level.exact:  # h is flat at the level: keep the flat part the mass allows
+            lv = log_sum_exp([lv, math.log(level.achieved_mass - mass) + level.threshold])
+            value = exp_or_inf(lv)
+        # where the dropped set is {|T| >= tau}, report tau, as FP does
+        tails = len(above) == 2 and (above[0, 0], above[1, 1]) == law.support
+        thr = (ThresholdResult(float(above[1, 0]), level.achieved_mass, level.exact)
+               if tails and above[0, 1] == -above[1, 0] else None)
         return CriterionReport(
             "GFP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), "quadrature",
-            {"optimizer": "superlevel-set"},
+            {"optimizer": "superlevel-set", "level": level},
         )
 
     tab = model.atom_table
@@ -407,7 +438,8 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
     the smallest such set of mass >= q^{-2}; ties at the boundary level
     are included wholly, on a discrete law with every level within
     relative 1e-12 below it (mirror atoms whose |K - 1| round one ulp
-    apart).  With m supplied the verdict compares against 1/m.
+    apart).  On the continuous law the set is a union of intervals
+    (laws.LevelSets).  With m supplied the verdict compares against 1/m.
     """
     mass = _require_q(q, 1.0, "SQ")
     inputs = {"q": q, "m": m}
@@ -418,58 +450,15 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
         thr = ThresholdResult(float(dev.levels[j]), achieved, math.isclose(achieved, mass, rel_tol=_REL))
         top_sum = exact_sum((dev.levels * dev.mass)[j:])  # E[|K - 1| 1(levels j..)]
         value = top_sum / achieved if achieved > 0.0 else 0.0
+        lv = math.log(value) if value > 0.0 else -math.inf
         method = "exact-sum"
     else:
-        try:
-            sides = model.deviation_sides
-        except SingularityError:
-            raise
-        except ValueError:
-            raise UnsupportedCriterionError(
-                "continuous SQ needs |K - 1| quasiconvex on the support"
-            ) from None
-        level, t_left, t_right = _superlevel(model.law, sides, mass)
-        thr = ThresholdResult(level, mass, True)
-        lo, hi = model.law.support
-        tails = [_kernel_integral(model, lambda lk: (_expm1_log(lk)[0], 1.0), (a, b))[0]  # |K - 1|
-                 for a, b in ((lo, t_left), (t_right, hi)) if a is not None and b is not None]
-        value = math.fsum(tails) / mass
+        thr, above = LevelSets(model.law, *_deviation(model)).threshold(mass)
+        total, lv = _event_integral(model, lambda lk: (_expm1_log(lk)[0], 1.0), above)
+        value, lv = total / thr.achieved_mass, lv - math.log(thr.achieved_mass)  # lv stays finite past 1e308
         method = "quadrature"
     verdict = None if m is None else _hard(value, 1.0 / m)
-    lv = math.log(value) if value > 0.0 else -math.inf
     return CriterionReport("SQ", inputs, thr, value, lv, verdict, method)
-
-
-def _superlevel(law, sides: tuple[ShapeGrid, ShapeGrid], mass: float):
-    """Level c and crossings (t_left, t_right) such that the superlevel
-    event {g(T) >= c} = {T <= t_left} u {T >= t_right} has probability
-    `mass`, for g quasiconvex on the support with the checked grid sides
-    of ModelSpec.deviation_sides: the shape of |K - 1| for every built-in
-    continuous-law kernel.  A crossing is None when g stays below c on
-    that side."""
-    log_mass = math.log(mass)
-
-    def crossings(c: float) -> list[float | None]:
-        return [crossing(side, c) for side in sides]
-
-    def excess(c: float) -> float:
-        """log mass - log P(g(T) >= c), nondecreasing in c (symmetric law),
-        +inf where no mass is left; in log mass the root-finder meets a
-        smooth function instead of one flat at mass across most levels."""
-        t_left, t_right = crossings(c)
-        tails = [law.log_cdf(t) for t in (t_left, None if t_right is None else -t_right) if t is not None]
-        return log_mass - (log_sum_exp(tails) if tails else -math.inf)
-
-    # with g's minimum inside (-tau, tau), P(|T| >= tau) = mass, the level lies
-    # between g(-tau) and g(tau): at the lower the event holds both tails of
-    # |T| >= tau, at the higher it lies within them (g is quasiconvex)
-    tau = abs_event(law, mass)[1]
-    if abs(sides[1].xs[0]) < tau:
-        c_lo, c_hi = sorted(sides[1].g(s) for s in (-tau, tau))
-    else:
-        c_lo, c_hi = sides[1].vals[0], max(sides[0].vals[-1], sides[1].vals[-1])
-    level = find_root(excess, c_lo, c_hi, excess(c_lo), excess(c_hi))[0]
-    return (level, *crossings(level))
 
 
 def _deviation_moments(model: ModelSpec, ts: Sequence[int], d: float = math.inf) -> list[float]:
@@ -563,14 +552,14 @@ def chi_squared(model: ModelSpec, m: int) -> float:
 
 def log_moment(model: ModelSpec, m: int) -> float:
     """log E[K(T)^m] = log(1 + chi^2), finite where chi_squared overflows:
-    a log-sum-exp over the atom table, or _event_integral over the
+    a log-sum-exp over the atom table, or one integral over the
     continuous support.  Below the float range log1p(chi_squared) is more
     precise."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if model.is_discrete:
         return _event_value(m * model.atom_table.log_k + model.law.log_probs)[1]
-    return _event_integral(model, m, model.law.support[1])[1]
+    return _kernel_integral(model, lambda lk: (m * lk, 1.0))[1]
 
 
 def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
@@ -626,7 +615,7 @@ def assumption_holds(model: ModelSpec, k_max: int = 10) -> AssumptionReport:
     i, k = np.unravel_index(np.argmin(vals), vals.shape)  # the first minimum, points outermost
     min_value = float(vals[i, k])
     passed = min_value >= -_CORRELATION_TOL
-    point = model.law.atom_values([i])[0] if model.is_discrete else model.law.grid[i]
+    point = model.law.atom_values([i])[0] if model.is_discrete else float(model.law.grid[i])
     return AssumptionReport(min_value, None if passed else (point, int(k) + 1), k_max, passed)
 
 

@@ -34,15 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from fpsq.laws import (
-    Levels,
-    OverlapLaw,
-    ShapeGrid,
-    Statistic,
-    check_even_nondecreasing,
-    make_law,
-    nondecreasing,
-)
+from fpsq.laws import Levels, OverlapLaw, Statistic, make_law, mirror_index
 from fpsq.numerics import (
     exact_sum,
     hermite_matrix,
@@ -174,14 +166,11 @@ class GroupSpec:
 
     def mirror(self, values: Sequence[Statistic]) -> tuple[np.ndarray, np.ndarray]:
         """Per atom of a sorted law, the index of the atom at -t (itself
-        under the trivial group or where no atom sits at -t) and that mask."""
-        own = np.arange(len(values))
+        under the trivial group or where no atom sits at -t) and that mask
+        (laws.mirror_index)."""
         if self.kind == "trivial":
-            return own, np.zeros(len(values), dtype=bool)
-        v = np.asarray(values, dtype=float)
-        at = np.minimum(np.searchsorted(v, -v), len(v) - 1)
-        lone = v[at] != -v
-        return np.where(lone, own, at), lone
+            return np.arange(len(values)), np.zeros(len(values), dtype=bool)
+        return mirror_index(values)
 
     def preserves(self, law: OverlapLaw) -> bool:
         """Pushforward-equality check of the law under the action."""
@@ -190,7 +179,7 @@ class GroupSpec:
         if law.statistic != "scalar":
             return False
         if law.kind == "discrete":  # the mass at -t (0 where no atom sits there) against that at t
-            mirror, lone = self.mirror(law.values)
+            mirror, lone = law.mirror
             return bool(np.all(np.abs(np.where(lone, 0.0, law.probs[mirror]) - law.probs) <= _PRESERVE_TOL))
         mid = 0.5 * (law.support[0] + law.support[1])
         return abs(mid) <= _PRESERVE_TOL and abs(law.cdf(-0.3) - (1.0 - law.cdf(0.3))) <= 1e-9
@@ -662,7 +651,7 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     law, kernel = model.law, model.kernel
     values, p = law.values, law.probs
     log_k, dev, _ = model.kernel_table
-    mirror, lone = model.group.mirror(values)
+    mirror, lone = law.mirror if model.group.order == 2 else model.group.mirror(values)
     mirror_dev = dev[mirror]
     if lone.any():  # no atom at -t (a mass within GroupSpec.preserves' slack)
         mirror_dev[lone] = kernel.minus_one(-values[lone])
@@ -689,8 +678,7 @@ class ModelSpec:
     The per-model work that no (q, m) changes is cached on first use:
     the kernel table, the atom table of a discrete law (with GFP's
     per-orbit masses, their logs and representative atoms), the moments
-    E[(K_d - 1)^t] per (d, t) that USQ and LD read, and, on the
-    continuous law, the checked grids of rho_G and |K - 1|.
+    E[(K_d - 1)^t] per (d, t) that USQ and LD read.
     """
 
     name: str
@@ -735,27 +723,10 @@ class ModelSpec:
         at each atom of a discrete law, or at each point of law.grid with
         the log density in place of log p: one call of each on all points."""
         law, kernel = self.law, self.kernel
-        points = law.values if self.is_discrete else np.asarray(law.grid)
+        points = law.values if self.is_discrete else law.grid
         log_k = self.log_k(points)
         dev = _expm1(log_k) if kernel.minus_one_fn is None else kernel.minus_one(points)
         return log_k, dev, law.log_probs if self.is_discrete else law.grid_log_pdf
-
-    @cached_property
-    def rho_grid(self) -> ShapeGrid:
-        dev = np.abs(self.kernel_table[1])  # rho_G is the larger of |K - 1| at t and at -t
-        return check_even_nondecreasing(self.law, self.rho_g, np.maximum(
-            dev, dev[::-1] if self.group.order == 2 else dev).tolist())
-
-    @cached_property
-    def deviation_sides(self) -> tuple[ShapeGrid, ShapeGrid]:
-        """|K - 1| on law.grid, read outward from its minimum; ValueError unless quasiconvex."""
-        xs, vals = self.law.grid, np.abs(self.kernel_table[1]).tolist()
-        g = lambda t: abs(self.kernel.minus_one(t))  # for root-finding between grid points
-        i0 = vals.index(min(vals))
-        sides = (ShapeGrid(g, xs[i0::-1], vals[i0::-1]), ShapeGrid(g, xs[i0:], vals[i0:]))
-        if not all(nondecreasing(side.vals) for side in sides):
-            raise ValueError("|K - 1| is not quasiconvex on the support")
-        return sides
 
 
 def _default_group(name: str, law: OverlapLaw, requested: str | None) -> GroupSpec:

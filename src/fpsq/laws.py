@@ -33,13 +33,12 @@ criteria need to expose.  On a discrete law every such threshold reads
 one Levels object: the distinct levels of g(T) with compensated tail
 masses, searched by bisection.
 
-On the continuous law a transform g must be even and nondecreasing in
-|t|; one grid check enforces this and anything else is refused.  Then
-{g(T) >= r} = {|T| >= tau}, and the threshold is g(tau) with tau the
-two-sided Beta quantile 1 - 2 I^{-1}_{a,a}(mass / 2), a = (n - 1)/2.  That
-quantile and the remaining boundary searches (the strict event
-{g(T) < r}, survival levels, the SQ superlevel set) share one bracketing
-root-finder with a step budget, find_root.
+On the continuous law every event is a level set {h >= c} of a function
+h on the support, of any shape, found by one routine, LevelSets; where h
+is even and nondecreasing in |t| it is {|T| >= tau}, tau the two-sided
+Beta quantile 1 - 2 I^{-1}_{a,a}(mass / 2), a = (n - 1)/2.  That quantile
+and the level sets share one bracketing root-finder with a step budget,
+find_root, elementwise on arrays of brackets.
 
 Every expectation on the continuous law is one log-domain integral,
 integral: f comes in log form (log |f| and its sign), the integrand
@@ -57,11 +56,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from fpsq.numerics import exact_sum, normal_quantile
+from fpsq.numerics import exact_sum, log_sum_exp, normal_quantile
 
 Statistic = float | tuple
 Transform = Callable[[Statistic], float] | None
@@ -70,10 +69,9 @@ Transform = Callable[[Statistic], float] | None
 # discrepancies when a caller passes a mass meant to hit an atom exactly.
 _REL_TOL = 1e-12
 
-# Relative slack of the grid checks of evenness and quasiconvexity; the
-# monotonicity in |t| that r = g(tau) rests on gets the tighter _REL_TOL.
-_SHAPE_TOL = 1e-9
 _ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
+_ROUNDS = 8  # level searches LevelSets.threshold runs before it reports the mass it reached
+_LEVEL_TOL = 2.0**-46  # |log P(h >= c) - log mass| at which LevelSets.threshold stops
 _GRID = 257  # evenly spaced points of OverlapLaw.grid, which is symmetric about 0
 # Relative tolerance of every continuous-law integral: the two Gauss-Legendre
 # orders of all panels together disagree by at most this times the integral
@@ -163,21 +161,28 @@ class OverlapLaw:
         return np.ldexp(self.f, self.e)
 
     @cached_property
-    def grid(self) -> list[float]:
-        """The continuous support's one grid: _GRID even points, 1 - 2^-k to
-        each end, and +-scale 2^(j/2) for j = -12..20, so a law concentrated
-        far inside the even spacing still has points across its bulk."""
+    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
+        """mirror_index of a scalar discrete law's atoms, once per law."""
+        return mirror_index(self.values)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """The continuous support's one grid, sorted: _GRID even points,
+        1 - 2^-k to each end, and +-scale 2^(j/2) for j = -12..20, so a law
+        concentrated far inside the even spacing still has points across
+        its bulk."""
         lo, hi = self.support
         edge = hi * (1.0 - 2.0 ** -np.arange(1.0, 53.0))
         bulk = self.scale * 2.0 ** (np.arange(-12.0, 21.0) / 2.0)
         bulk = bulk[bulk < hi]
         # a set, not np.unique, whose first call imports numpy.ma (about 15 ms)
-        return sorted(set(np.concatenate([np.linspace(lo, hi, _GRID), edge, -edge, bulk, -bulk]).tolist()))
+        return np.array(sorted(set(np.concatenate([np.linspace(lo, hi, _GRID), edge, -edge, bulk,
+                                                   -bulk]).tolist())))
 
     @cached_property
     def grid_log_pdf(self) -> np.ndarray:
         """The log density at each point of grid."""
-        return self.log_pdf(np.asarray(self.grid))
+        return self.log_pdf(self.grid)
 
     def atom_values(self, index=slice(None)) -> list[Statistic]:
         """The atoms at index (a slice, index array or mask) as Python
@@ -215,6 +220,15 @@ class OverlapLaw:
         if self._ppf is None:
             raise ValueError("law has no quantile function")
         return self._ppf(p)
+
+
+def mirror_index(values) -> tuple[np.ndarray, np.ndarray]:
+    """Per value t of a sorted array, the index of the value -t (its own
+    where no value sits at -t) and the mask of those without one."""
+    v = np.asarray(values, dtype=float)
+    at = np.minimum(np.searchsorted(v, -v), len(v) - 1)
+    lone = v[at] != -v
+    return np.where(lone, np.arange(len(v)), at), lone
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +699,7 @@ def survival(law: OverlapLaw, r: float, transform: Transform = None) -> float:
         return math.fsum(p for v, p in law.atoms if _apply(transform, v) >= r)
     if transform is None:
         return law.cdf(-r)  # symmetric law: no cancellation in the upper tail
-    tau = crossing(check_even_nondecreasing(law, transform), r)
-    if tau is None:
-        return 0.0
-    return 1.0 if tau <= 0.0 else 2.0 * law.cdf(-tau)
+    return math.exp(_transformed(law, transform).superlevel(r)[1])
 
 
 @dataclass(frozen=True)
@@ -730,34 +741,20 @@ class Levels:
         return ThresholdResult(float(self.levels[i]), achieved, exact)
 
 
-class ShapeGrid(NamedTuple):
-    """A transform g with vals = g(xs) on a grid along which g has been
-    checked nondecreasing; seeds crossing's brackets."""
-
-    g: Callable[[float], float]
-    xs: list[float]
-    vals: list[float]
-
-
-def nondecreasing(vals: list[float], slack: float = _SHAPE_TOL) -> bool:
-    """vals is nondecreasing up to the relative grid-check slack."""
-    return all(b >= a - slack * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
-
-
-def check_even_nondecreasing(law: OverlapLaw, g: Transform, vals: list | None = None) -> ShapeGrid:
-    """The one shape check on continuous-law transforms: g must be even
-    and nondecreasing in |t| on law.grid (vals, when given, are g there).
-    Raises ValueError otherwise; returns the checked half t >= 0."""
-    mid = len(law.grid) // 2
-    vals = [float(g(x)) for x in law.grid] if vals is None else vals
-    if any(abs(b - v) > _SHAPE_TOL * max(1.0, abs(v)) for v, b in zip(vals[mid:], vals[mid::-1])):
-        raise ValueError("continuous-law transforms must be even in t")
-    if not nondecreasing(vals[mid:], _REL_TOL):
-        raise ValueError("continuous-law transforms must be nondecreasing in |t|")
-    return ShapeGrid(g, law.grid[mid:], vals[mid:])
+def _itp_point(a: float, b: float, fa: float, fb: float, tol: float, n_max: int, k1: float, j: int) -> float:
+    """Step j's point in (a, b): regula falsi, truncated toward the midpoint
+    by k1 width^2 and projected into the bisection radius."""
+    width, mid = abs(b - a), 0.5 * (a + b)
+    x_f = (a * fb - b * fa) / (fb - fa) if math.isfinite(fb - fa) else mid
+    sigma = math.copysign(1.0, mid - x_f)
+    delta = k1 * width * width
+    x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+    radius = tol * 2.0 ** (n_max - j) - 0.5 * width
+    x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+    return min(max(x, min(a, b) + tol), max(a, b) - tol)  # move by at least tol
 
 
-def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float):
+def find_root(f: Callable, a, b, fa, fb):
     """Bracket (a', b') of the sign change of a monotone f, with
     f(a') < 0 <= f(b'), shrunk to float resolution (|b' - a'| <= 2^-51
     max(|a|, |b|)) or until _ROOT_STEPS evaluations are spent.  a may lie
@@ -765,44 +762,26 @@ def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: fl
     2021): regula falsi, truncated toward the midpoint and projected into
     a shrinking bisection radius, so no run takes more steps than
     bisection and smooth f converge superlinearly (about 10 steps).  An
-    infinite f at an end (no mass left, say) makes that step a bisection."""
-    if fa >= 0.0:
-        return a, a
-    tol = 2.0**-52 * max(abs(a), abs(b))
-    width = abs(b - a)
-    n_max = math.ceil(math.log2(max(width / tol, 1.0))) if tol > 0.0 else 0
-    k1 = 0.2 / width if width > 0.0 else 0.0
+    infinite f at an end (no mass left, say) makes that step a bisection.
+    Elementwise on arrays of brackets, as Kernel methods take a float or
+    an array: f then maps the points of the open brackets in one call."""
+    arrays = isinstance(a, np.ndarray)
+    a, b, fa, fb = (list(map(float, v)) if arrays else [v] for v in (a, b, fa, fb))
+    tol = [2.0**-52 * max(abs(x), abs(y)) for x, y in zip(a, b)]
+    n_max = [math.ceil(math.log2(max(abs(y - x) / t, 1.0))) if t > 0.0 else 0 for x, y, t in zip(a, b, tol)]
+    k1 = [0.2 / abs(y - x) if y != x else 0.0 for x, y in zip(a, b)]
+    b = [x if f_x >= 0.0 else y for x, y, f_x in zip(a, b, fa)]  # f(a) >= 0 already: the bracket is (a, a)
     for j in range(_ROOT_STEPS):
-        width = abs(b - a)
-        if width <= 2.0 * tol:
+        todo = [i for i, t in enumerate(tol) if abs(b[i] - a[i]) > 2.0 * t]
+        if not todo:
             break
-        mid = 0.5 * (a + b)
-        x_f = (a * fb - b * fa) / (fb - fa) if math.isfinite(fb - fa) else mid
-        sigma = math.copysign(1.0, mid - x_f)
-        delta = k1 * width * width
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        radius = tol * 2.0 ** (n_max - j) - 0.5 * width
-        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-        x = min(max(x, min(a, b) + tol), max(a, b) - tol)  # move by at least tol
-        y = f(x)
-        if y >= 0.0:
-            b, fb = x, y
-        else:
-            a, fa = x, y
-    return a, b
-
-
-def crossing(shape: ShapeGrid, r: float) -> float | None:
-    """First point along the grid (either direction) where g >= r:
-    xs[0] when g(xs[0]) >= r, None when g stays below r, else one
-    find_root between grid points."""
-    g, xs, vals = shape
-    if vals[0] >= r:
-        return xs[0]
-    if vals[-1] < r:
-        return None
-    k = bisect_left(vals, r)  # vals[k - 1] < r <= vals[k]
-    return find_root(lambda s: g(s) - r, xs[k - 1], xs[k], vals[k - 1] - r, vals[k] - r)[1]
+        xs = [_itp_point(a[i], b[i], fa[i], fb[i], tol[i], n_max[i], k1[i], j) for i in todo]
+        for i, x, y in zip(todo, xs, f(np.array(xs)).tolist() if arrays else [f(xs[0])]):
+            if y >= 0.0:
+                b[i], fb[i] = x, y
+            else:
+                a[i], fa[i] = x, y
+    return (np.array(a), np.array(b)) if arrays else (a[0], b[0])
 
 
 def check_mass(mass: float) -> None:
@@ -811,22 +790,111 @@ def check_mass(mass: float) -> None:
         raise ValueError(f"mass must lie in (0, 1], got {mass}")
 
 
-def abs_event(law: OverlapLaw, mass: float, shape: ShapeGrid | None = None,
-              strict: bool = False) -> tuple[ThresholdResult, float]:
-    """Threshold r = sup { r : P(g(T) >= r) >= mass } on a continuous law,
-    for g = shape.g checked by check_even_nondecreasing (|t| if None), plus
-    the half-width h of the complementary event {|T| <= h}: the closed event
-    {g(T) <= r} up to its boundary (h = tau, mass exactly 1 - mass) or,
-    with strict, {g(T) < r} (h = the smallest |t| with g(t) >= r, at
-    most tau; one root-find)."""
-    check_mass(mass)
-    tau = max(-law.ppf(0.5 * min(mass, 1.0)), 0.0)
-    thr = ThresholdResult(tau if shape is None else float(shape.g(tau)), min(mass, 1.0), mass <= 1.0)
-    if not strict:
-        return thr, tau
-    # g(tau) = r puts the first |t| with g >= r at or below tau, up to the check's slack
-    h = crossing(shape, thr.threshold)
-    return thr, tau if h is None else min(h, tau)
+def _log_between(law: OverlapLaw, a: float, b: float) -> float:
+    """log P(a <= T <= b) on the symmetric continuous law, from the log CDF
+    at a and b on the side where their tails do not cancel."""
+    if a < 0.0 < b:
+        rest = math.exp(law.log_cdf(a)) + math.exp(law.log_cdf(-b))
+        return math.log1p(-rest) if rest < 1.0 else -math.inf
+    hi, lo = (law.log_cdf(b), law.log_cdf(a)) if b <= 0.0 else (law.log_cdf(-a), law.log_cdf(-b))
+    return hi + math.log(-math.expm1(lo - hi)) if lo < hi else -math.inf
+
+
+class LevelSets:
+    """The level sets of h on the continuous support, behind every
+    continuous event: h comes as table (on law.grid) and as a map of point
+    arrays, and is taken as monotone between adjacent grid points, so a
+    cell whose ends straddle a level holds one crossing.  Every point
+    find_root evaluates joins the grid (xs, hv)."""
+
+    def __init__(self, law: OverlapLaw, table, h: Callable[[np.ndarray], np.ndarray]):
+        self.law, self.h, self.table = law, h, np.asarray(table, dtype=float)
+        self.xs, self.hv = law.grid, self.table
+
+    def superlevel(self, c: float, refine: bool = True) -> tuple[np.ndarray, float]:
+        """The intervals [a, b] (rows, in order) of {h >= c} and log P(h(T)
+        >= c), each interval's mass from the log CDF at its ends.  The
+        crossings of all straddling cells come from one elementwise
+        find_root call, or without refine from linear interpolation."""
+        xs, hv = self.xs, self.hv
+        above = hv >= c
+        cells = np.flatnonzero(above[:-1] != above[1:])
+        lo, hi, f_lo, f_hi = xs[cells], xs[cells + 1], hv[cells] - c, hv[cells + 1] - c
+        up = f_hi >= 0.0  # h rises through c: the crossing opens an interval
+        if refine:
+            seen = []
+
+            def minus_c(x: np.ndarray) -> np.ndarray:
+                seen.append((x, self.h(x)))
+                return seen[-1][1] - c
+
+            cross = find_root(minus_c, np.where(up, lo, hi), np.where(up, hi, lo),
+                              np.where(up, f_lo, f_hi), np.where(up, f_hi, f_lo))[1]
+            if seen:
+                x, y = (np.concatenate([old, *new]) for old, new in zip((xs, hv), zip(*seen)))
+                self.xs, self.hv = x[(order := np.argsort(x, kind="stable"))], y[order]
+        else:  # the midpoint where an end is infinite
+            with np.errstate(invalid="ignore"):
+                frac = f_lo / (f_lo - f_hi)
+            cross = lo + np.where(np.isnan(frac), 0.5, frac) * (hi - lo)
+        starts = np.concatenate([xs[:1][above[:1]], cross[up]]).tolist()
+        stops = np.concatenate([cross[~up], xs[-1:][above[-1:]]]).tolist()
+        logs = [_log_between(self.law, a, b) for a, b in zip(starts, stops)]
+        log_f = -math.inf if not logs else logs[0] if len(logs) == 1 else log_sum_exp(logs)
+        return np.array([starts, stops]).T.reshape(-1, 2), log_f
+
+    def threshold(self, mass: float) -> tuple[ThresholdResult, np.ndarray]:
+        """The level c = sup { c : P(h(T) >= c) >= mass }, with its achieved
+        mass, and the intervals of {h >= c}.  Where the table is even and
+        nondecreasing in |t| (relative slack 1e-12), {h >= c} is taken as
+        {|T| >= tau}, c = h(tau).  Else each round is a find_root on log mass
+        - log P(h(T) >= c) over interpolated crossings, then the refinement
+        of that level's crossings, until the mass is met (_LEVEL_TOL), the
+        level repeats or _ROUNDS have run.  Where h is flat at c on positive
+        mass, the achieved mass exceeds mass and exact is False."""
+        check_mass(mass)
+        law, table, grid = self.law, self.table, self.law.grid
+        low, high = table[len(grid) // 2:-1], table[len(grid) // 2 + 1:]  # the grid is symmetric about 0
+        if np.array_equal(table, table[::-1]) and ((high >= low).all() or (
+                high - low >= -_REL_TOL * np.maximum(np.abs(low), 1.0)).all()):
+            tau = max(-law.ppf(0.5 * min(mass, 1.0)), 0.0)
+            thr = ThresholdResult(float(self.h(np.array([tau]))[0]), min(mass, 1.0), mass <= 1.0)
+            return thr, np.array([[law.support[0], -tau], [tau, law.support[1]]])
+        log_mass = math.log(mass)
+        excess = lambda c: log_mass - self.superlevel(c, refine=False)[1]
+        dx = np.diff(grid)  # round 1's guess: the grid's trapezoid masses, from the top level down
+        weights = 0.5 * np.exp(law.grid_log_pdf) * (np.concatenate([dx, [0.0]]) + np.concatenate([[0.0], dx]))
+        guess = int(np.searchsorted(np.cumsum(weights[np.argsort(-table, kind="stable")]), mass))
+
+        def probe(direction: int, stop: Callable[[float], bool]) -> tuple[float, float]:
+            """The first level, in steps doubling from the guess, whose excess stops."""
+            step = 1
+            while True:
+                i = min(max(guess + direction * step, 0), len(levels) - 1)
+                c, e = float(levels[i]), excess(float(levels[i]))
+                if stop(e) or i in (0, len(levels) - 1):
+                    return c, e
+                step *= 2
+
+        level = None
+        for _ in range(_ROUNDS):
+            levels = -np.sort(-self.hv[np.isfinite(self.hv)])
+            if level is not None:  # later rounds start from the last level
+                guess = int(np.searchsorted(-levels, -level))
+            (lo, e_lo), (hi, e_hi) = probe(1, lambda e: e < 0.0), probe(-1, lambda e: e >= 0.0)
+            last, level = level, hi if e_hi < 0.0 else find_root(excess, lo, hi, e_lo, e_hi)[0]
+            intervals, log_f = self.superlevel(level)
+            if abs(log_f - log_mass) <= _LEVEL_TOL or level == last:
+                break
+        achieved = math.exp(log_f)
+        exact = abs(achieved - mass) <= _REL_TOL * max(achieved, mass)
+        return ThresholdResult(level, achieved, exact), intervals
+
+
+def _transformed(law: OverlapLaw, transform: Callable[[float], float]) -> LevelSets:
+    """The level sets of a scalar transform, called once per point."""
+    h = lambda ts: np.array([float(transform(t)) for t in ts.tolist()])
+    return LevelSets(law, h(law.grid), h)
 
 
 def threshold_sup(law: OverlapLaw, mass: float, transform: Transform = None) -> ThresholdResult:
@@ -835,16 +903,15 @@ def threshold_sup(law: OverlapLaw, mass: float, transform: Transform = None) -> 
 
     For discrete laws the sup is attained at an atom of g(T) (see
     Levels); `exact` records whether its tail mass equals `mass` to
-    relative 1e-12.  On the continuous law the survival function is
-    continuous and strictly decreasing, and the threshold comes in
-    closed form from the Beta quantile (see abs_event).
+    relative 1e-12.  On the continuous law the threshold of T itself is
+    the Beta quantile, and that of a transform is its LevelSets level.
     """
     check_mass(mass)
     if law.kind == "discrete":
         return Levels.of([_apply(transform, v) for v in law.atom_values()], law.probs).threshold(mass)
     if transform is None:
         return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)
-    return abs_event(law, mass, check_even_nondecreasing(law, transform))[0]
+    return _transformed(law, transform).threshold(mass)[0]
 
 
 class AtomEvaluationError(ValueError):
@@ -880,7 +947,7 @@ def expect(
         with np.errstate(divide="ignore"):
             return np.log(np.abs(y)), np.sign(y)
 
-    inner = log_f(np.asarray(law.grid[1:-1]))[0]  # integral never reads the support's ends
+    inner = log_f(law.grid[1:-1])[0]  # integral never reads the support's ends
     return integral(law, log_f, np.r_[-np.inf, inner, -np.inf], *(interval or law.support))[0]
 
 
@@ -908,7 +975,7 @@ def integral(law: OverlapLaw, log_f: Callable[[np.ndarray], tuple], grid_log_f: 
     lo, hi = max(lo, law.support[0]), min(hi, law.support[1])
     if not lo < hi:
         return 0.0, -math.inf
-    grid = np.asarray(law.grid)
+    grid = law.grid
     i, j = np.searchsorted(grid, lo, side="right"), np.searchsorted(grid, hi, side="left")
     ends = np.array([lo, hi])
     end_pdf = law.log_pdf(ends)

@@ -19,6 +19,7 @@ from cli_rows import read_rows
 from fpsq.cli import EXIT_PASS, main
 from fpsq.criteria import assumption_holds, chi_squared, gfp_value, log_moment, rho_fp_value, usq_moment
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model, gam_kernel, rho_g
+from fpsq import laws
 from fpsq.laws import AtomEvaluationError, make_law, sample
 from fpsq.scenarios import run_scenario
 
@@ -138,6 +139,17 @@ class TestMirror:
         want = min(math.fsum([math.expm1(t) ** k, math.expm1(-t) ** k]) / 2
                    for t in law.values for k in (1, 2, 3))
         assert rep.min_value == want and rep.passed
+
+    def test_mirror_is_computed_once_per_law(self, monkeypatch):
+        # the default group's check, the model's check and the atom table
+        # read one cached mirror of the law
+        calls = []
+        mirror_index = laws.mirror_index
+        monkeypatch.setattr(laws, "mirror_index", lambda v: calls.append(len(v)) or mirror_index(v))
+        model = gam_rademacher(2000, 0.8)
+        tab = model.atom_table
+        assert model.group.kind == "sign_flip" and calls == [2001]
+        assert tab.mirror.tolist() == list(range(2000, -1, -1))
 
     def test_equal_atoms_merge_into_one(self):
         law = make_law({"kind": "atoms", "values": [0.5, -1.0, 0.5], "probs": [0.25, 0.5, 0.25]})

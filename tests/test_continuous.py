@@ -1,13 +1,15 @@
-"""Continuous (sphere-overlap) law: closed-form thresholds, the shape
-checks that guard them, and golden criterion values.
+"""Continuous (sphere-overlap) law: closed-form thresholds, level sets
+of any shape, and golden criterion values.
 
 References are independent of the package's code path: a 40-digit
-mpmath bisection on the regularized incomplete Beta function,
-scipy.stats/scipy.integrate for the one-sided GFP witness, and values
-recorded before the closed-form thresholds replaced the nested
-bisections.
+mpmath bisection on the regularized incomplete Beta function, the
+50-digit level sets of levelset_ref (dense mpmath evaluation and
+mpmath.findroot), scipy.stats/scipy.integrate for the one-sided GFP
+witness, and values recorded before the closed-form thresholds replaced
+the nested bisections.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -19,7 +21,7 @@ import pytest
 from scipy import integrate, stats
 
 from fpsq import cli, laws
-from fpsq.cli import EXIT_CONFIG, EXIT_RESOURCE, main
+from fpsq.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_RESOURCE, main
 from fpsq.criteria import (
     UnsupportedCriterionError,
     chi_squared,
@@ -34,6 +36,7 @@ from fpsq.criteria import (
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model
 from fpsq.laws import ResourceLimitError, find_root, sample, sphere_law, survival, threshold_sup
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
+from levelset_ref import complement, expectation, level_set, ngca_mixture_deviation
 
 
 def mp_abs_threshold(n: int, mass: float) -> mp.mpf:
@@ -133,38 +136,6 @@ class TestRefusals:
         with pytest.raises(UnsupportedCriterionError, match="Euclidean overlap"):
             fp_value(model, 5.0, 2)
 
-    def test_rho_fp_refuses_non_even_deviation(self):
-        # trivial group: rho_G = |exp(t) - 1| is not even
-        model = build_model({"model": "gam", "lambda": 1.0, "group": "trivial",
-                             "prior": {"kind": "sphere", "n": 50}})
-        with pytest.raises(ValueError, match="even"):
-            rho_fp_value(model, 5.0, 4)
-
-    def test_threshold_refuses_non_monotone_transform(self):
-        law = sphere_law(20)
-        with pytest.raises(ValueError, match="nondecreasing"):
-            threshold_sup(law, 0.05, transform=lambda t: math.cos(6.0 * t))
-        with pytest.raises(ValueError, match="nondecreasing"):
-            survival(law, 0.5, transform=lambda t: math.cos(6.0 * t))
-
-    def test_gfp_refuses_non_even_power_with_one_sided_witness(self):
-        model = build_model({"model": "gam", "lambda": 1.0, "group": "trivial",
-                             "prior": {"kind": "sphere", "n": 50}})
-        q, m = 5.0, 4
-        with pytest.raises(UnsupportedCriterionError, match="even"):
-            gfp_value(model, q, m)
-        # Why refusing is right: the symmetric event {|T| < tau} a
-        # superlevel construction would report is beaten by the
-        # one-sided event {T < c} of the same mass.
-        law = stats.beta(24.5, 24.5, loc=-1.0, scale=2.0)
-        mass = q**-2
-        k4 = lambda t: math.exp(4.0 * t) * law.pdf(t)
-        tau = law.isf(mass / 2.0)
-        symmetric, _ = integrate.quad(k4, -tau, tau, epsrel=1e-12)
-        one_sided, _ = integrate.quad(k4, -1.0, law.isf(mass), epsrel=1e-12)
-        assert symmetric == pytest.approx(1.0895, abs=1e-4)
-        assert one_sided == pytest.approx(1.0367, abs=1e-4)
-        assert one_sided < symmetric
 
     @pytest.mark.parametrize("criterion", [fp_value, rho_fp_value, gfp_value, sq_value])
     @pytest.mark.parametrize("q", [math.inf, 1e200])
@@ -174,17 +145,140 @@ class TestRefusals:
         with pytest.raises(ValueError, match="mass"):
             criterion(model, q, 1)
 
-    def test_sq_refuses_non_quasiconvex_deviation(self):
-        # |K - 1| = 0.5 sin^2(6t) has several local minima
-        model = hand_model(lambda t: np.log1p(0.5 * np.sin(6.0 * t) ** 2), n=20)
-        with pytest.raises(UnsupportedCriterionError, match="quasiconvex"):
-            sq_value(model, 3.0)
-
     def test_gfp_accepts_sign_flip_average(self):
         # the same kernel with the sign-flip group averages to cosh
         model = build_model({"model": "gam", "lambda": 1.0,
                              "prior": {"kind": "sphere", "n": 50}})
         assert gfp_value(model, 5.0, 4).detail["optimizer"] == "superlevel-set"
+
+
+def gam_trivial_sphere() -> ModelSpec:
+    return build_model({"model": "gam", "lambda": 1.0, "group": "trivial",
+                        "prior": {"kind": "sphere", "n": 50}})
+
+
+MIXTURE = {"model": "ngca", "prior": {"kind": "sphere", "n": 50},
+           "mu": {"kind": "gaussian_mixture", "weights": [0.3, 0.7], "means": [-1.4, 0.6],
+                  "vars": [0.5, 0.5]}}
+
+
+@functools.cache
+def mixture_sq_reference(q: float) -> tuple[float, float]:
+    """(level, value) of SQ on MIXTURE at q, from levelset_ref."""
+    dev = ngca_mixture_deviation([0.3, 0.7], [-1.4, 0.6], [0.5, 0.5])
+    h = lambda t: abs(dev(t))
+    mass = mp.mpf(q) ** -2
+    c, intervals = level_set(h, 50, mass)
+    return float(c), float(expectation(h, 50, intervals) / mass)
+
+
+class TestAnyShape:
+    """Events that are level sets of a function of any shape, against the
+    50-digit references of levelset_ref."""
+
+    def test_rho_fp_on_non_even_deviation_vs_mpmath(self):
+        # trivial group: rho_G = |exp(t) - 1| is not even, and {rho_G >= r}
+        # is two tails of different widths
+        mass, m = mp.mpf(1) / 25, 4
+        r, intervals = level_set(lambda t: abs(mp.expm1(t)), 50, mass)
+        want = expectation(lambda t: mp.exp(m * t), 50, complement(intervals))
+        rep = rho_fp_value(gam_trivial_sphere(), 5.0, m)
+        assert rep.threshold.threshold == pytest.approx(float(r), rel=1e-9)
+        assert rep.threshold.exact and rep.threshold.achieved_mass == pytest.approx(0.04, rel=1e-12)
+        assert rep.value == pytest.approx(float(want), rel=1e-9)
+
+    def test_threshold_of_non_monotone_transform_vs_mpmath(self):
+        # cos 6t falls in |t| near 0, so {cos 6T >= r} is the interval about 0
+        law, g = sphere_law(20), lambda t: math.cos(6.0 * t)
+        r, intervals = level_set(lambda t: mp.cos(6 * t), 20, mp.mpf("0.05"))
+        assert len(intervals) == 1
+        res = threshold_sup(law, 0.05, transform=g)
+        assert res.exact and res.threshold == pytest.approx(float(r), rel=1e-9)
+        assert survival(law, float(r), transform=g) == pytest.approx(0.05, rel=1e-9)
+
+    def test_gfp_on_non_even_power_is_the_one_sided_witness(self):
+        # K^4 = e^{4t} under the trivial group: the optimal event is the
+        # one-sided {T < c}, which beats FP's symmetric {|T| < tau}
+        q, m = 5.0, 4
+        rep = gfp_value(gam_trivial_sphere(), q, m)
+        law = stats.beta(24.5, 24.5, loc=-1.0, scale=2.0)
+        mass = q**-2
+        k4 = lambda t: math.exp(4.0 * t) * law.pdf(t)
+        tau = law.isf(mass / 2.0)
+        symmetric, _ = integrate.quad(k4, -tau, tau, epsrel=1e-12)
+        one_sided, _ = integrate.quad(k4, -1.0, law.isf(mass), epsrel=1e-12)
+        assert symmetric == pytest.approx(1.0895, abs=1e-4)
+        assert one_sided == pytest.approx(1.0367, abs=1e-4)
+        assert rep.value == pytest.approx(one_sided, rel=1e-9)
+        c, intervals = level_set(lambda t: m * t, 50, mp.mpf(1) / 25)
+        assert rep.value == pytest.approx(float(expectation(lambda t: mp.exp(m * t), 50,
+                                                            complement(intervals))), rel=1e-9)
+        assert rep.detail["level"].threshold == pytest.approx(float(c), rel=1e-9)
+        assert rep.threshold is None  # the dropped set {T >= c / 4} is not {|T| >= tau}
+
+    def test_sq_on_non_quasiconvex_deviation_vs_mpmath(self):
+        # |K - 1| = 0.5 sin^2(6t) has several local minima
+        model = hand_model(lambda t: np.log1p(0.5 * np.sin(6.0 * t) ** 2), n=20)
+        h = lambda t: mp.sin(6 * t) ** 2 / 2
+        c, intervals = level_set(h, 20, mp.mpf(1) / 9)
+        rep = sq_value(model, 3.0)
+        assert rep.threshold.threshold == pytest.approx(float(c), rel=1e-9)
+        assert rep.value == pytest.approx(float(expectation(h, 20, intervals) * 9), rel=1e-9)
+
+    def test_rho_fp_strict_event_where_rho_g_is_flat(self):
+        # K = 1 (lambda = 0): rho_G = 0 on the whole support, so the strict
+        # event {rho_G < r(q)} = {0 < 0} is empty, while GFP keeps 1 - q^-2
+        model = build_model({"model": "gam", "lambda": 0.0, "prior": {"kind": "sphere", "n": 50}})
+        rep = rho_fp_value(model, 5.0, 2)
+        assert rep.threshold.threshold == 0.0 and rep.value == 0.0
+        assert gfp_value(model, 5.0, 2).value == pytest.approx(0.96, rel=1e-12)
+
+    def test_sq_log_beyond_float_range_vs_mpmath(self):
+        # |K - 1| = e^{800 t^2} - 1 passes 1e308 inside the SQ event: the
+        # value is +inf, its log the integral's own
+        model = hand_model(lambda t: 800.0 * t * t, n=20)
+        h = lambda t: mp.expm1(800 * t * t)
+        c, intervals = level_set(h, 20, mp.mpf(1) / 9)
+        rep = sq_value(model, 3.0)
+        assert rep.threshold.threshold == pytest.approx(float(c), rel=1e-12)
+        assert rep.value == math.inf
+        assert rep.log_value == pytest.approx(float(mp.log(expectation(h, 20, intervals) * 9)), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [3.0, 8.0, 100.0])
+    def test_sq_on_mixture_ngca_vs_mpmath(self, q):
+        # K - 1 vanishes at t = 0 and again near t = -0.707, so |K - 1| is
+        # not quasiconvex; FP, rho_G-FP and GFP were already defined here
+        level, value = mixture_sq_reference(q)
+        rep = sq_value(build_model(MIXTURE), q)
+        assert rep.threshold.threshold == pytest.approx(level, rel=1e-9)
+        assert rep.value == pytest.approx(value, rel=1e-9)
+
+    def test_sq_cli_on_mixture_from_a_config(self, tmp_path, capsys):
+        config = tmp_path / "models.json"
+        config.write_text(json.dumps({"models": {"mixture": MIXTURE}}))
+        argv = ["criterion", "--config", str(config), "--model", "mixture", "--criterion", "sq",
+                "--q", "8", "--m", "2"]
+        assert main(argv) == 0
+        row = capsys.readouterr().out.splitlines()[2].split(",")
+        level, value = mixture_sq_reference(8.0)
+        assert row[1] == "SQ" and float(row[5]) == pytest.approx(level, rel=1e-9)
+        assert float(row[7]) == pytest.approx(value, rel=1e-9)
+
+    def test_check_cli_on_trivial_group_gam(self, tmp_path, capsys):
+        # every check of the battery now has its numbers; the run exits 1
+        # because the correlation assumption fails under the trivial group
+        # (K(-1) - 1 = 1/e - 1 < 0), which is the answer, not a refusal
+        config = tmp_path / "models.json"
+        config.write_text(json.dumps({"models": {"gam-trivial": {
+            "model": "gam", "lambda": 1.0, "group": "trivial", "prior": {"kind": "sphere", "n": 50}}}}))
+        argv = ["check", "--config", str(config), "--model", "gam-trivial", "--q", "5", "--m", "4"]
+        assert main(argv) == EXIT_ASSERTION
+        out = json.loads(capsys.readouterr().out)
+        assert out["assumption"]["min_value"] == pytest.approx(math.exp(-1.0) - 1.0, rel=1e-12)
+        names = ("sq_implies_rho_fp", "gfp_le_rho_fp", "rho_fp_le_gfp_chain")
+        checks = [out["equivalence"][k] for k in names]
+        assert all(c["status"] in ("checked", "premise-failed") and c["passed"] for c in checks)
+        assert out["equivalence"]["gfp_le_rho_fp"]["status"] == "checked"
 
 
 # Values recorded before the closed-form thresholds, with the old nested
@@ -368,7 +462,8 @@ def test_gfp_cell_calls_the_kernel_only_in_its_integral(monkeypatch):
         calls.clear()
         evals.clear()
         gfp_value(model, q, m)
-        assert len(calls) == len(evals) + 2  # the quadrature and the interval's two ends
+        # the quadrature, the interval's two ends, and the level at +-tau
+        assert len(calls) == len(evals) + 4
 
 
 def test_truncated_series_kernel_at_the_support_ends(tmp_path):
@@ -569,24 +664,31 @@ def test_log_gamma_ratio_vs_mpmath(n):
 @pytest.mark.parametrize("name", ["gam-sphere", "si-sign-sphere"])
 @pytest.mark.parametrize("q", [1.5, 8.0, 20.0, 917.0, 2048.0])
 def test_sq_level_search_steps(monkeypatch, name, q):
-    # the level search runs in log mass, where find_root meets a smooth
-    # function, from the bracket [g(-tau), g(tau)]: 2 evaluations at its
-    # ends (all on si-sign-sphere, whose |K - 1| is even) and on
-    # gam-sphere about 10 inside
-    counts = []
-    inner = find_root
+    # si-sign-sphere's |K - 1| is even: its level is the Beta quantile's,
+    # one find_root call; gam-sphere's is searched in at most three rounds,
+    # each one find_root on the level and one elementwise find_root on the
+    # crossings.  No call starts while another runs, and none takes more
+    # than 15 evaluations.
+    counts, running = [], []
+    inner = laws.find_root
 
     def counting(f, a, b, fa, fb):
-        calls = [2]
+        assert not running, "a root-find nested in another"
+        calls = [0]
 
         def g(x):
             calls[0] += 1
             return f(x)
 
-        out = inner(g, a, b, fa, fb)
+        running.append(True)
+        try:
+            out = inner(g, a, b, fa, fb)
+        finally:
+            running.pop()
         counts.append(calls[0])
         return out
 
-    monkeypatch.setattr("fpsq.criteria.find_root", counting)
+    monkeypatch.setattr(laws, "find_root", counting)
     sq_value(build_model(BUILTIN_MODEL_DESCRIPTORS[name]), q)
-    assert len(counts) == 1 and counts[0] <= 15, counts
+    assert len(counts) <= (1 if name == "si-sign-sphere" else 6), counts
+    assert max(counts) <= 15, counts

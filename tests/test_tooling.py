@@ -1,7 +1,8 @@
 """The README's library example, the benchmark's hooks and the value
 dump stay runnable, every array sum in the engine takes one code path,
 no engine module calls laws.expect or laws.survival, none evaluates
-a kernel point by point or walks a law atom by atom, and building the
+a kernel point by point or walks a law atom by atom, one root-finder
+serves the quantile and the level sets without nesting, and building the
 discrete models imports no exact-arithmetic or scipy module."""
 
 import ast
@@ -152,6 +153,41 @@ def test_no_loop_walks_a_law_atom_by_atom():
                            or isinstance(node, ast.Name) and node.id in bound for node in ast.walk(it)):
                         offenders.add(f"{name}:{it.lineno}")
     assert sorted(offenders) == []
+
+
+def test_find_root_serves_the_quantile_and_the_level_sets_alone():
+    # laws.find_root is called by the sphere quantile and by LevelSets
+    # only, and no function handed to it calls it in turn
+    callers, nested = set(), []
+
+    def calls_find_root(node):
+        return any(isinstance(n, ast.Call) and ast.unparse(n.func).endswith("find_root")
+                   for n in ast.walk(node))
+
+    def visit(node, scope, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], child if isinstance(child, ast.FunctionDef) else function)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith("find_root"):
+                callers.add(".".join(scope))
+                passed = child.args[0]
+                if isinstance(passed, ast.Name):  # a def or a lambda bound in the caller
+                    passed = [n for n in ast.walk(function)
+                              if isinstance(n, ast.FunctionDef) and n.name == passed.id
+                              or isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == passed.id]
+                    passed = passed[0] if passed else None
+                if passed is None or calls_find_root(passed):
+                    nested.append(f"{'.'.join(scope)}:{child.lineno}")
+            visit(child, scope, function)
+
+    src = os.path.join(ROOT, "src", "fpsq")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                visit(ast.parse(fh.read(), name), [name[:-3]], None)
+    assert callers == {"laws.sphere_law.ppf", "laws.LevelSets.superlevel", "laws.LevelSets.threshold"}
+    assert nested == []
 
 
 def test_discrete_models_build_without_exact_arithmetic_modules():
