@@ -9,8 +9,7 @@ proxy-runtime parameter q (tail mass q^{-2}):
            group-maximized deviation rho_G;
 - GFP:     inf over G^2-invariant statistic events A of mass >= 1 - q^{-2}
            of E[K^m 1(A)]; exact 0/1-exclusion optimization on discrete
-           laws, the complement of the top superlevel set of the
-           orbit-averaged K^m on continuous ones;
+           laws, the complement of a top level set on continuous ones;
 - SQ:      sup over events of mass >= q^{-2} of E[|K - 1| | A], attained
            by the smallest whole-level superlevel set of |K - 1|;
 - USQ:     unconditional moments E[(K - 1)^t], t even;
@@ -23,15 +22,13 @@ log K = -inf and adds an exact 0.  On a discrete law every criterion reads the
 model's atom table (ModelSpec.atom_table): a threshold is a bisection in
 its levels, an event a mask, the event value a log-sum-exp of
 m log K + log p over the mask.  On the continuous law every event is a
-level set of one function on the support (|t| for FP, rho_G for rho_G-FP,
-the orbit-averaged log K^m for GFP, |K - 1| for SQ), found by
-laws.LevelSets from its kernel table column, and its value is one
-laws.integral per interval of the event, read from the same table.  USQ
-and LD (every d) share one moment function, whose values each model
-keeps; the correlation check reads K - 1 at t and -t from the same
-tables.  Every report records the threshold object, the computation
-method, and a hard/not-hard verdict against the caller-supplied epsilon
-(or 1/m for SQ).
+level set (laws.LevelSets) of |t| (FP), rho_G (rho_G-FP), the orbit-
+averaged log K^m (GFP) or |K - 1| (SQ), and its value one laws.integral
+per interval, both read from the kernel table.  USQ and LD (every d)
+share one moment function, whose values each model keeps; the
+correlation check reads K - 1 at t and -t from the same tables.  Every
+report records the threshold object, the computation method, and a
+hard/not-hard verdict against the caller-supplied epsilon (or 1/m for SQ).
 """
 
 from __future__ import annotations
@@ -215,14 +212,8 @@ def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Cr
         value, lv = _event_value(m * tab.log_k[keep] + model.law.log_probs[keep])
         method = "exact-sum"
     else:
-        law = model.law
-        sets = _orbit_sets(model, *_deviation(model), np.maximum)  # rho_G: the larger |K - 1| on the orbit
-        thr, above = sets.threshold(mass)
-        event = _complement(above, law.support)
-        inside = ((law.grid > event[:, :1]) & (law.grid < event[:, 1:])).any(axis=0)
-        if (sets.table[inside] >= thr.threshold).any():  # rho_G flat at r inside {|T| < tau}
-            event = _complement(sets.superlevel(thr.threshold)[0], law.support)
-        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), event)
+        thr, above = _orbit_sets(model, *_deviation(model), np.maximum).threshold(mass)  # rho_G
+        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), _complement(above, model.law.support))
         method = "quadrature"
     return CriterionReport("RHO_FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -375,29 +366,25 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     Continuous laws: the event drops the top level set, of mass q^{-2},
     of h = log of the orbit-averaged K^m (any shape; where h is flat at
     the level, it keeps what part of the flat set its mass allows).  The
-    threshold is tau where the dropped set is {|T| >= tau}, else None;
-    detail["level"] holds the level of h.
+    threshold is tau where the dropped set is {|T| >= tau}; else it is
+    None and detail["level"] holds the level of h.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     mass = _require_q(q, 1.0, "GFP")
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if not model.is_discrete:
-        law = model.law
-        level, above = _orbit_sets(model, m * model.kernel_table[0], lambda ts: m * model.log_k(ts),
-                                   lambda x, y: np.logaddexp(x, y) - math.log(2.0)).threshold(mass)
-        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), _complement(above, law.support))
-        if not level.exact:  # h is flat at the level: keep the flat part the mass allows
-            lv = log_sum_exp([lv, math.log(level.achieved_mass - mass) + level.threshold])
+        sets = _orbit_sets(model, m * model.kernel_table[0], lambda ts: m * model.log_k(ts),
+                           lambda x, y: np.logaddexp(x, y) - math.log(2.0))
+        tails = sets.two_tails(mass)  # the dropped set is {|T| >= tau}: no level of h is needed
+        thr, above = tails or sets.threshold(mass)
+        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), _complement(above, model.law.support))
+        if thr.achieved_mass > mass and not thr.exact:  # h is flat at the level: keep what the mass allows
+            lv = log_sum_exp([lv, math.log(thr.achieved_mass - mass) + thr.threshold])
             value = exp_or_inf(lv)
-        # where the dropped set is {|T| >= tau}, report tau, as FP does
-        tails = len(above) == 2 and (above[0, 0], above[1, 1]) == law.support
-        thr = (ThresholdResult(float(above[1, 0]), level.achieved_mass, level.exact)
-               if tails and above[0, 1] == -above[1, 0] else None)
-        return CriterionReport(
-            "GFP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), "quadrature",
-            {"optimizer": "superlevel-set", "level": level},
-        )
+        detail = {"optimizer": "superlevel-set"} if tails else {"optimizer": "superlevel-set", "level": thr}
+        return CriterionReport("GFP", inputs, thr if tails else None, value, lv,
+                               _hard(value, 1.0 + epsilon), "quadrature", detail)
 
     tab = model.atom_table
     log_terms = m * tab.log_k + model.law.log_probs

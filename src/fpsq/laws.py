@@ -35,10 +35,9 @@ masses, searched by bisection.
 
 On the continuous law every event is a level set {h >= c} of a function
 h on the support, of any shape, found by one routine, LevelSets; where h
-is even and nondecreasing in |t| it is {|T| >= tau}, tau the two-sided
-Beta quantile 1 - 2 I^{-1}_{a,a}(mass / 2), a = (n - 1)/2.  That quantile
-and the level sets share one bracketing root-finder with a step budget,
-find_root, elementwise on arrays of brackets.
+is even and rises in |t| it is {|T| >= tau}, tau the two-sided Beta
+quantile 1 - 2 I^{-1}_{a,a}(mass / 2), a = (n - 1)/2.  That quantile and
+the level search share one bracketing root-finder, find_root.
 
 Every expectation on the continuous law is one log-domain integral,
 integral: f comes in log form (log |f| and its sign), the integrand
@@ -54,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -70,8 +69,7 @@ Transform = Callable[[Statistic], float] | None
 _REL_TOL = 1e-12
 
 _ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
-_ROUNDS = 8  # level searches LevelSets.threshold runs before it reports the mass it reached
-_LEVEL_TOL = 2.0**-46  # |log P(h >= c) - log mass| at which LevelSets.threshold stops
+_LEVEL_TOL = 2.0**-46  # |log P(h >= c) - log mass| at which LevelSets.threshold's search stops
 _GRID = 257  # evenly spaced points of OverlapLaw.grid, which is symmetric about 0
 # Relative tolerance of every continuous-law integral: the two Gauss-Legendre
 # orders of all panels together disagree by at most this times the integral
@@ -741,47 +739,42 @@ class Levels:
         return ThresholdResult(float(self.levels[i]), achieved, exact)
 
 
-def _itp_point(a: float, b: float, fa: float, fb: float, tol: float, n_max: int, k1: float, j: int) -> float:
-    """Step j's point in (a, b): regula falsi, truncated toward the midpoint
-    by k1 width^2 and projected into the bisection radius."""
-    width, mid = abs(b - a), 0.5 * (a + b)
-    x_f = (a * fb - b * fa) / (fb - fa) if math.isfinite(fb - fa) else mid
-    sigma = math.copysign(1.0, mid - x_f)
-    delta = k1 * width * width
-    x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-    radius = tol * 2.0 ** (n_max - j) - 0.5 * width
-    x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-    return min(max(x, min(a, b) + tol), max(a, b) - tol)  # move by at least tol
-
-
-def find_root(f: Callable, a, b, fa, fb):
+def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float, f_tol: float = 0.0):
     """Bracket (a', b') of the sign change of a monotone f, with
     f(a') < 0 <= f(b'), shrunk to float resolution (|b' - a'| <= 2^-51
-    max(|a|, |b|)) or until _ROOT_STEPS evaluations are spent.  a may lie
-    on either side of b.  ITP steps (Oliveira and Takahashi, ACM TOMS 47,
-    2021): regula falsi, truncated toward the midpoint and projected into
-    a shrinking bisection radius, so no run takes more steps than
-    bisection and smooth f converge superlinearly (about 10 steps).  An
-    infinite f at an end (no mass left, say) makes that step a bisection.
-    Elementwise on arrays of brackets, as Kernel methods take a float or
-    an array: f then maps the points of the open brackets in one call."""
-    arrays = isinstance(a, np.ndarray)
-    a, b, fa, fb = (list(map(float, v)) if arrays else [v] for v in (a, b, fa, fb))
-    tol = [2.0**-52 * max(abs(x), abs(y)) for x, y in zip(a, b)]
-    n_max = [math.ceil(math.log2(max(abs(y - x) / t, 1.0))) if t > 0.0 else 0 for x, y, t in zip(a, b, tol)]
-    k1 = [0.2 / abs(y - x) if y != x else 0.0 for x, y in zip(a, b)]
-    b = [x if f_x >= 0.0 else y for x, y, f_x in zip(a, b, fa)]  # f(a) >= 0 already: the bracket is (a, a)
+    max(|a|, |b|)), to (x, x) at a point x with |f(x)| < f_tol, or until
+    _ROOT_STEPS evaluations are spent.  a may lie on either side of b.
+    ITP steps (Oliveira and Takahashi, ACM TOMS 47, 2021): regula falsi,
+    truncated toward the midpoint and projected into a shrinking
+    bisection radius, so no run takes more steps than bisection and
+    smooth f converge superlinearly (about 10 steps).  An infinite f at
+    an end (no mass left, say) makes that step a bisection."""
+    if fa >= 0.0:
+        return a, a
+    tol = 2.0**-52 * max(abs(a), abs(b))
+    width = abs(b - a)
+    n_max = math.ceil(math.log2(max(width / tol, 1.0))) if tol > 0.0 else 0
+    k1 = 0.2 / width if width > 0.0 else 0.0
     for j in range(_ROOT_STEPS):
-        todo = [i for i, t in enumerate(tol) if abs(b[i] - a[i]) > 2.0 * t]
-        if not todo:
+        width = abs(b - a)
+        if width <= 2.0 * tol:
             break
-        xs = [_itp_point(a[i], b[i], fa[i], fb[i], tol[i], n_max[i], k1[i], j) for i in todo]
-        for i, x, y in zip(todo, xs, f(np.array(xs)).tolist() if arrays else [f(xs[0])]):
-            if y >= 0.0:
-                b[i], fb[i] = x, y
-            else:
-                a[i], fa[i] = x, y
-    return (np.array(a), np.array(b)) if arrays else (a[0], b[0])
+        mid = 0.5 * (a + b)
+        x_f = (a * fb - b * fa) / (fb - fa) if math.isfinite(fb - fa) else mid
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = k1 * width * width
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        radius = tol * 2.0 ** (n_max - j) - 0.5 * width
+        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        x = min(max(x, min(a, b) + tol), max(a, b) - tol)  # move by at least tol
+        y = f(x)
+        if abs(y) < f_tol:
+            return x, x
+        if y >= 0.0:
+            b, fb = x, y
+        else:
+            a, fa = x, y
+    return a, b
 
 
 def check_mass(mass: float) -> None:
@@ -804,91 +797,83 @@ class LevelSets:
     """The level sets of h on the continuous support, behind every
     continuous event: h comes as table (on law.grid) and as a map of point
     arrays, and is taken as monotone between adjacent grid points, so a
-    cell whose ends straddle a level holds one crossing.  Every point
-    find_root evaluates joins the grid (xs, hv)."""
+    cell whose ends straddle a level holds one crossing."""
 
     def __init__(self, law: OverlapLaw, table, h: Callable[[np.ndarray], np.ndarray]):
         self.law, self.h, self.table = law, h, np.asarray(table, dtype=float)
-        self.xs, self.hv = law.grid, self.table
+        self.xs, self.hv = law.grid, self.table  # the grid and h on it, refined by the level search
 
-    def superlevel(self, c: float, refine: bool = True) -> tuple[np.ndarray, float]:
-        """The intervals [a, b] (rows, in order) of {h >= c} and log P(h(T)
-        >= c), each interval's mass from the log CDF at its ends.  The
-        crossings of all straddling cells come from one elementwise
-        find_root call, or without refine from linear interpolation."""
-        xs, hv = self.xs, self.hv
-        above = hv >= c
+    def _cells(self, c: float) -> tuple[np.ndarray, ...]:
+        """The grid cells that straddle c, in order: the end below c, the end above,
+        h - c at both, and the crossing linear in each (midway at an infinite end)."""
+        above = self.hv >= c
         cells = np.flatnonzero(above[:-1] != above[1:])
-        lo, hi, f_lo, f_hi = xs[cells], xs[cells + 1], hv[cells] - c, hv[cells + 1] - c
-        up = f_hi >= 0.0  # h rises through c: the crossing opens an interval
-        if refine:
-            seen = []
+        below, over = cells + ~above[cells + 1], cells + above[cells + 1]  # where h rises, cells + 1 is above
+        a, b, fa, fb = self.xs[below], self.xs[over], self.hv[below] - c, self.hv[over] - c
+        with np.errstate(invalid="ignore"):
+            frac = fa / (fa - fb)
+        return a, b, fa, fb, a + np.where(np.isnan(frac), 0.5, frac) * (b - a)
 
-            def minus_c(x: np.ndarray) -> np.ndarray:
-                seen.append((x, self.h(x)))
-                return seen[-1][1] - c
+    def _event(self, c: float, cross: np.ndarray) -> tuple[np.ndarray, float]:
+        """The intervals [a, b] (rows) of {h >= c}, which its crossings open
+        and close in turn, and log P(h(T) >= c) from the log CDF at the ends."""
+        xs, hv = self.xs, self.hv
+        ends = np.concatenate([xs[:1][hv[:1] >= c], cross, xs[-1:][hv[-1:] >= c]]).reshape(-1, 2)
+        logs = [_log_between(self.law, a, b) for a, b in ends.tolist()]
+        return ends, log_sum_exp(logs) if logs else -math.inf
 
-            cross = find_root(minus_c, np.where(up, lo, hi), np.where(up, hi, lo),
-                              np.where(up, f_lo, f_hi), np.where(up, f_hi, f_lo))[1]
-            if seen:
-                x, y = (np.concatenate([old, *new]) for old, new in zip((xs, hv), zip(*seen)))
-                self.xs, self.hv = x[(order := np.argsort(x, kind="stable"))], y[order]
-        else:  # the midpoint where an end is infinite
-            with np.errstate(invalid="ignore"):
-                frac = f_lo / (f_lo - f_hi)
-            cross = lo + np.where(np.isnan(frac), 0.5, frac) * (hi - lo)
-        starts = np.concatenate([xs[:1][above[:1]], cross[up]]).tolist()
-        stops = np.concatenate([cross[~up], xs[-1:][above[-1:]]]).tolist()
-        logs = [_log_between(self.law, a, b) for a, b in zip(starts, stops)]
-        log_f = -math.inf if not logs else logs[0] if len(logs) == 1 else log_sum_exp(logs)
-        return np.array([starts, stops]).T.reshape(-1, 2), log_f
+    def superlevel(self, c: float) -> tuple[np.ndarray, float]:
+        """_event of c, each crossing from find_root on h."""
+        minus_c = lambda x: float(self.h(np.array([x]))[0]) - c
+        cross = [find_root(minus_c, *cell)[1] for cell in zip(*(v.tolist() for v in self._cells(c)[:4]))]
+        return self._event(c, np.array(cross, dtype=float))
+
+    def two_tails(self, mass: float) -> tuple[ThresholdResult, np.ndarray] | None:
+        """tau with P(|T| >= tau) = mass and the tails {|T| >= tau} where the
+        table is even and nondecreasing in |t| (relative slack 1e-12): they
+        are {h >= h(tau)} unless h is flat at h(tau).  None elsewhere."""
+        table, grid, (lo, hi) = self.table, self.law.grid, self.law.support
+        low, high = table[len(grid) // 2:-1], table[len(grid) // 2 + 1:]  # the grid is symmetric about 0
+        if not np.array_equal(table, table[::-1]) or not ((high >= low).all() or (
+                high - low >= -_REL_TOL * np.maximum(np.abs(low), 1.0)).all()):
+            return None
+        tau = max(-self.law.ppf(0.5 * min(mass, 1.0)), 0.0)
+        return ThresholdResult(tau, min(mass, 1.0), mass <= 1.0), np.array([[lo, -tau], [tau, hi]])
 
     def threshold(self, mass: float) -> tuple[ThresholdResult, np.ndarray]:
         """The level c = sup { c : P(h(T) >= c) >= mass }, with its achieved
-        mass, and the intervals of {h >= c}.  Where the table is even and
-        nondecreasing in |t| (relative slack 1e-12), {h >= c} is taken as
-        {|T| >= tau}, c = h(tau).  Else each round is a find_root on log mass
-        - log P(h(T) >= c) over interpolated crossings, then the refinement
-        of that level's crossings, until the mass is met (_LEVEL_TOL), the
-        level repeats or _ROUNDS have run.  Where h is flat at c on positive
-        mass, the achieved mass exceeds mass and exact is False."""
+        mass, and the intervals of {h >= c}: two_tails' where the table
+        rises over the cell holding tau, c = h(tau).  Else one find_root on
+        log mass - log P(h(T) >= c), from the lowest finite level to the
+        highest, until the two agree to _LEVEL_TOL; each step joins h at
+        the crossings of c (one call) to the grid and interpolates again.
+        Where h is flat at c on positive mass, exact is False."""
         check_mass(mass)
-        law, table, grid = self.law, self.table, self.law.grid
-        low, high = table[len(grid) // 2:-1], table[len(grid) // 2 + 1:]  # the grid is symmetric about 0
-        if np.array_equal(table, table[::-1]) and ((high >= low).all() or (
-                high - low >= -_REL_TOL * np.maximum(np.abs(low), 1.0)).all()):
-            tau = max(-law.ppf(0.5 * min(mass, 1.0)), 0.0)
-            thr = ThresholdResult(float(self.h(np.array([tau]))[0]), min(mass, 1.0), mass <= 1.0)
-            return thr, np.array([[law.support[0], -tau], [tau, law.support[1]]])
+        tails = self.two_tails(mass)
+        if tails is not None:
+            tau, intervals = tails
+            i = int(np.searchsorted(self.law.grid, tau.threshold))
+            if tau.threshold == 0.0 or self.table[i - 1] < self.table[i]:  # else h may be flat at h(tau)
+                return replace(tau, threshold=float(self.h(np.array([tau.threshold]))[0])), intervals
         log_mass = math.log(mass)
-        excess = lambda c: log_mass - self.superlevel(c, refine=False)[1]
-        dx = np.diff(grid)  # round 1's guess: the grid's trapezoid masses, from the top level down
-        weights = 0.5 * np.exp(law.grid_log_pdf) * (np.concatenate([dx, [0.0]]) + np.concatenate([[0.0], dx]))
-        guess = int(np.searchsorted(np.cumsum(weights[np.argsort(-table, kind="stable")]), mass))
 
-        def probe(direction: int, stop: Callable[[float], bool]) -> tuple[float, float]:
-            """The first level, in steps doubling from the guess, whose excess stops."""
-            step = 1
-            while True:
-                i = min(max(guess + direction * step, 0), len(levels) - 1)
-                c, e = float(levels[i]), excess(float(levels[i]))
-                if stop(e) or i in (0, len(levels) - 1):
-                    return c, e
-                step *= 2
+        def excess(c: float) -> float:
+            x = np.concatenate([self.xs, self._cells(c)[4]])
+            order = np.argsort(x, kind="stable")
+            self.xs, self.hv = x[order], np.concatenate([self.hv, self.h(x[len(self.hv):])])[order]
+            return log_mass - self._event(c, self._cells(c)[4])[1]
 
-        level = None
-        for _ in range(_ROUNDS):
-            levels = -np.sort(-self.hv[np.isfinite(self.hv)])
-            if level is not None:  # later rounds start from the last level
-                guess = int(np.searchsorted(-levels, -level))
-            (lo, e_lo), (hi, e_hi) = probe(1, lambda e: e < 0.0), probe(-1, lambda e: e >= 0.0)
-            last, level = level, hi if e_hi < 0.0 else find_root(excess, lo, hi, e_lo, e_hi)[0]
-            intervals, log_f = self.superlevel(level)
-            if abs(log_f - log_mass) <= _LEVEL_TOL or level == last:
-                break
+        # the search runs on u = sign(c) log(1 + |c|), so a top level far above
+        # the answer (|K - 1| near t = 1, say) does not coarsen its resolution
+        at = lambda u: math.copysign(math.expm1(abs(u)), u)
+        finite = self.table[np.isfinite(self.table)]
+        top, e_top = float(finite.max()), excess(float(finite.max()))
+        lo, hi = (math.copysign(math.log1p(abs(c)), c) for c in (float(finite.min()), top))
+        level = top if e_top < 0.0 else at(find_root(lambda u: excess(at(u)), lo, hi, excess(at(lo)), e_top,
+                                                     _LEVEL_TOL)[0])
+        intervals, log_f = self._event(level, self._cells(level)[4])
         achieved = math.exp(log_f)
-        exact = abs(achieved - mass) <= _REL_TOL * max(achieved, mass)
-        return ThresholdResult(level, achieved, exact), intervals
+        return ThresholdResult(level, achieved, math.isclose(achieved, mass, rel_tol=_REL_TOL)), intervals
 
 
 def _transformed(law: OverlapLaw, transform: Callable[[float], float]) -> LevelSets:

@@ -36,7 +36,7 @@ from fpsq.criteria import (
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model
 from fpsq.laws import ResourceLimitError, find_root, sample, sphere_law, survival, threshold_sup
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
-from levelset_ref import complement, expectation, level_set, ngca_mixture_deviation
+from levelset_ref import complement, expectation, interval_mass, level_set, ngca_mixture_deviation
 
 
 def mp_abs_threshold(n: int, mass: float) -> mp.mpf:
@@ -232,6 +232,37 @@ class TestAnyShape:
         rep = rho_fp_value(model, 5.0, 2)
         assert rep.threshold.threshold == 0.0 and rep.value == 0.0
         assert gfp_value(model, 5.0, 2).value == pytest.approx(0.96, rel=1e-12)
+
+    def test_gfp_keeps_what_the_mass_allows_of_a_flat_top(self):
+        # log K = min(t, 0.1): h = 4 log K is flat at its top on {T >= 0.1},
+        # whose mass is above q^-2, so GFP drops q^-2 of it and keeps the rest
+        q, m = 5.0, 4
+        rep = gfp_value(hand_model(lambda t: np.minimum(t, 0.1)), q, m)
+        with mp.workdps(50):
+            top = interval_mass(50, mp.mpf("0.1"), 1)
+            kept = expectation(lambda t: mp.exp(m * t), 50, [(mp.mpf(-1), mp.mpf("0.1"))])
+            want = kept + (top - mp.mpf(1) / 25) * mp.exp(m * mp.mpf("0.1"))
+        level = rep.detail["level"]
+        assert level.threshold == 0.4 and not level.exact
+        assert level.achieved_mass == pytest.approx(float(top), rel=1e-12)
+        assert rep.value == pytest.approx(float(want), rel=1e-9)
+
+    def test_threshold_of_a_transform_flat_at_its_level(self):
+        # min(|t|, 0.1) is even and nondecreasing in |t| but flat at its
+        # level: the achieved mass is all of {|T| >= 0.1}, not the 0.04 asked
+        law = sphere_law(50)
+        res = threshold_sup(law, 0.04, transform=lambda t: min(abs(t), 0.1))
+        assert res.threshold == 0.1 and not res.exact
+        assert res.achieved_mass == pytest.approx(2.0 * law.cdf(-0.1), rel=1e-12)
+
+    def test_level_search_resolves_below_a_far_top_level(self):
+        # gam with lambda = 3 under the trivial group at n = 400: |K - 1|
+        # reaches about 8.1e3 at t = 1, 1.6e4 times the SQ level at q = 2
+        model = build_model({"model": "gam", "lambda": 3.0, "group": "trivial",
+                             "prior": {"kind": "sphere", "n": 400}})
+        for q in (2.0, 1e6):
+            thr = sq_value(model, q).threshold
+            assert thr.exact and thr.achieved_mass == pytest.approx(q**-2, rel=1e-12)
 
     def test_sq_log_beyond_float_range_vs_mpmath(self):
         # |K - 1| = e^{800 t^2} - 1 passes 1e308 inside the SQ event: the
@@ -462,8 +493,7 @@ def test_gfp_cell_calls_the_kernel_only_in_its_integral(monkeypatch):
         calls.clear()
         evals.clear()
         gfp_value(model, q, m)
-        # the quadrature, the interval's two ends, and the level at +-tau
-        assert len(calls) == len(evals) + 4
+        assert len(calls) == len(evals) + 2  # the quadrature and the interval's two ends
 
 
 def test_truncated_series_kernel_at_the_support_ends(tmp_path):
@@ -664,31 +694,29 @@ def test_log_gamma_ratio_vs_mpmath(n):
 @pytest.mark.parametrize("name", ["gam-sphere", "si-sign-sphere"])
 @pytest.mark.parametrize("q", [1.5, 8.0, 20.0, 917.0, 2048.0])
 def test_sq_level_search_steps(monkeypatch, name, q):
-    # si-sign-sphere's |K - 1| is even: its level is the Beta quantile's,
-    # one find_root call; gam-sphere's is searched in at most three rounds,
-    # each one find_root on the level and one elementwise find_root on the
-    # crossings.  No call starts while another runs, and none takes more
-    # than 15 evaluations.
-    counts, running = [], []
-    inner = laws.find_root
+    # one find_root call per cell, of at most 15 evaluations with its two
+    # ends: on si-sign-sphere, whose |K - 1| is even, the Beta quantile's,
+    # and h runs once, at tau; on gam-sphere the level search's, in which
+    # each evaluation, the ends too, runs h once, and h runs nowhere else
+    counts, h_calls = [], []
+    inner, init = laws.find_root, laws.LevelSets.__init__
 
-    def counting(f, a, b, fa, fb):
-        assert not running, "a root-find nested in another"
-        calls = [0]
+    def counting(f, a, b, fa, fb, *f_tol):
+        calls = [2]
 
         def g(x):
             calls[0] += 1
             return f(x)
 
-        running.append(True)
-        try:
-            out = inner(g, a, b, fa, fb)
-        finally:
-            running.pop()
+        out = inner(g, a, b, fa, fb, *f_tol)
         counts.append(calls[0])
         return out
 
+    def counted_h(self, law, table, h):
+        init(self, law, table, lambda ts: h_calls.append(1) or h(ts))
+
     monkeypatch.setattr(laws, "find_root", counting)
+    monkeypatch.setattr(laws.LevelSets, "__init__", counted_h)
     sq_value(build_model(BUILTIN_MODEL_DESCRIPTORS[name]), q)
-    assert len(counts) <= (1 if name == "si-sign-sphere" else 6), counts
-    assert max(counts) <= 15, counts
+    assert len(counts) == 1 and counts[0] <= 15, counts
+    assert len(h_calls) == (1 if name == "si-sign-sphere" else counts[0]), (h_calls, counts)
