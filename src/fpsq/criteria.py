@@ -25,10 +25,25 @@ m log K + log p over the mask.  On the continuous law every event is a
 level set (laws.LevelSets) of |t| (FP), rho_G (rho_G-FP), the orbit-
 averaged log K^m (GFP) or |K - 1| (SQ), and its value one laws.integral
 per interval, both read from the kernel table.  USQ and LD (every d)
-share one moment function, whose values each model keeps; the
-correlation check reads K - 1 at t and -t from the same tables.  Every
-report records the threshold object, the computation method, and a
-hard/not-hard verdict against the caller-supplied epsilon (or 1/m for SQ).
+share one moment function; the correlation check reads K - 1 at t and -t
+from the same tables.  Every report records the threshold object, the
+computation method, and a hard/not-hard verdict against the
+caller-supplied epsilon (or 1/m for SQ).
+
+A sweep reuses what depends on one coordinate through the model's memo
+(ModelSpec.memo), keyed by (what, coordinate):
+- per q: the FP and rho_G-FP thresholds (with the kept intervals on the
+  continuous law) and SQ's (threshold, value, log value, method);
+- per m: chi^2, log E[K^m] and, on a discrete law, GFP's orbit log
+  values with their greedy order (free items, the others in density
+  order, the free items' exact mass), for the _GFP_ORDERS most recently
+  used m only;
+- per (d, t): the moments E[(K_d - 1)^t] of USQ and LD.
+Entries hold scalars, interval rows and per-orbit arrays, never a per-atom
+array: each cell recomputes its masks and m log K + log p, its event sum,
+its GFP search and its verdict.  The argument checks run before any
+lookup, and a computation or GFP cell that raises stores nothing, so
+every cell returns what it returns on a fresh model, bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +73,7 @@ _REL = 1e-12
 _MAX_EXACT_ORBITS = 64  # GFP orbit items beyond this take the greedy brackets
 _BNB_NODES = 20_000  # branch-and-bound node budget; then the greedy brackets
 _CORRELATION_TOL = 1e-12  # assumption_holds passes at a minimum >= -this
+_GFP_ORDERS = 32  # per-m GFP orders a model's memo keeps: a 16-m sweep's, twice over
 
 
 class UnsupportedCriterionError(ValueError):
@@ -100,6 +116,15 @@ def _require_q(q: float, minimum: float, criterion: str) -> float:
     return mass
 
 
+def _memo(model: ModelSpec, key: tuple, compute: Callable):
+    """model.memo[key], from compute() on first use; a compute that raises
+    stores nothing."""
+    memo = model.memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def _le(a, b):
     """a <= b up to relative 1e-12 (elementwise on arrays)."""
     return a <= b + _REL * np.maximum(np.abs(a), np.abs(b))
@@ -138,6 +163,13 @@ def _complement(intervals: np.ndarray, support: tuple[float, float]) -> np.ndarr
     """The intervals of the support between the given ones (rows, in order)."""
     edges = np.concatenate([support[:1], intervals.ravel(), support[1:]]).reshape(-1, 2)
     return edges[edges[:, 0] < edges[:, 1]]
+
+
+def _below(sets: LevelSets, mass: float) -> tuple[ThresholdResult, np.ndarray]:
+    """The threshold at tail mass `mass` and the intervals of the support
+    below it: FP's and rho_G-FP's event on the continuous law."""
+    thr, above = sets.threshold(mass)
+    return thr, _complement(above, sets.law.support)
 
 
 def _orbit_sets(model: ModelSpec, table: np.ndarray, at: Callable, combine: Callable) -> LevelSets:
@@ -187,14 +219,14 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if model.is_discrete:
         tab = model.atom_table
-        thr = tab.overlap.threshold(mass)
+        thr = _memo(model, ("fp", q), lambda: tab.overlap.threshold(mass))
         keep = _le(tab.overlap.at, thr.threshold)
         value, lv = _event_value(m * tab.log_k[keep] + model.law.log_probs[keep])
         method = "exact-sum"
     else:
         law = model.law  # |<u,v>| = |t|: the threshold is tau itself
-        thr, above = LevelSets(law, np.abs(law.grid), np.abs).threshold(mass)
-        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), _complement(above, law.support))
+        thr, below = _memo(model, ("fp", q), lambda: _below(LevelSets(law, np.abs(law.grid), np.abs), mass))
+        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), below)
         method = "quadrature"
     return CriterionReport("FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -207,13 +239,14 @@ def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Cr
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if model.is_discrete:
         tab = model.atom_table
-        thr = tab.rho.threshold(mass)
+        thr = _memo(model, ("rho_fp", q), lambda: tab.rho.threshold(mass))
         keep = tab.rho.at < thr.threshold * (1.0 - _REL)
         value, lv = _event_value(m * tab.log_k[keep] + model.law.log_probs[keep])
         method = "exact-sum"
-    else:
-        thr, above = _orbit_sets(model, *_deviation(model), np.maximum).threshold(mass)  # rho_G
-        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), _complement(above, model.law.support))
+    else:  # the level sets of rho_G
+        thr, below = _memo(model, ("rho_fp", q),
+                           lambda: _below(_orbit_sets(model, *_deviation(model), np.maximum), mass))
+        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), below)
         method = "quadrature"
     return CriterionReport("RHO_FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
 
@@ -231,33 +264,27 @@ def _log_add(a: float, b: float) -> float:
 
 
 def greedy_min_inclusion(
-    values: Sequence[float], weights: Sequence[float], log_weights: Sequence[float], needed: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Greedy low-density cover on log-values, the first descent of
-    solve_min_inclusion.  Returns (free, order, reached, k):
-    - free, the items of log value -inf;
+    values: Sequence[float], weights: Sequence[float], log_weights: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The greedy low-density order on log-values, the first descent of
+    solve_min_inclusion, whatever the mass needed.  Returns (free, order,
+    free_mass):
+    - free, the items of log value -inf (int32);
     - order, the others in increasing log value per unit mass, ties in
-      item order (log_weights as AtomTable.log_orbit_mass rounds them);
-    - reached[i], the mass of the free items and order[:i], one
-      sequential cumsum from the free items' exact sum;
-    - k, the length of the shortest prefix of order whose reached mass
-      is `needed`.
-    The cover is the free items and order[:k], the one a loop of
-    `weight += w` stops at, bit for bit."""
-    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
-    free = (values == -math.inf).nonzero()[0]
+      item order (log_weights as AtomTable.log_orbit_mass rounds them;
+      int32);
+    - free_mass, the exact sum of the free items' weights."""
+    values = np.asarray(values, dtype=float)
+    free = (values == -math.inf).nonzero()[0].astype(np.int32)
     items = (values > -math.inf).nonzero()[0]
-    order = items[(values[items] - np.asarray(log_weights)[items]).argsort(kind="stable")]
-    reached = np.concatenate(([exact_sum(weights[free])], weights[order])).cumsum()
-    k = int(reached.searchsorted(needed))  # reached is nondecreasing
-    if k == len(reached):
-        raise ValueError("covering constraint infeasible: total mass below requirement")
-    return free, order, reached, k
+    order = items[(values[items] - np.asarray(log_weights)[items]).argsort(kind="stable")].astype(np.int32)
+    return free, order, exact_sum(np.asarray(weights, dtype=float)[free])
 
 
 def solve_min_inclusion(
-    values: Sequence[float], weights: Sequence[float], log_weights: Sequence[float], needed: float
-) -> tuple[list[int], float, float | None]:
+    values: Sequence[float], weights: Sequence[float], log_weights: Sequence[float], needed: float,
+    greedy: tuple[np.ndarray, np.ndarray, float] | None = None,
+) -> tuple[np.ndarray, float, float | None]:
     """Covering knapsack on log-values: the items minimizing
     log sum(exp(values)) subject to sum(weights) >= needed, the
     complement of the exclusion problem (drop atoms of total mass <=
@@ -265,29 +292,39 @@ def solve_min_inclusion(
     free and always included; log space keeps every item exact, whatever
     the spread of kernel powers.
 
-    Depth-first branch and bound in greedy_min_inclusion's density order.
-    Its first descent, which takes every item until the mass is reached,
-    is the greedy cover: the cover is the first incumbent, and the search
-    goes on from the cover's exclusion branches.  A node's bound is the
-    fractional fill of the missing mass by the next items, read with one
-    bisect from prefix arrays of the mass and of exp(value - greedy
-    value).  The node budget is _BNB_NODES up to _MAX_EXACT_ORBITS items
-    and 0 beyond, the cap under which the benchmark's reference values
-    were recorded.
+    Depth-first branch and bound in greedy_min_inclusion's density order
+    (greedy, when the caller kept it from an earlier call on the same
+    values and weights).  Its first descent takes every item until the
+    mass is reached: reached[i], the mass of the free items and order[:i],
+    is one sequential cumsum from the free items' exact sum, and the
+    descent stops at its first index k with reached[k] >= needed, the
+    cover a loop of `weight += w` stops at, bit for bit.  That greedy
+    cover is the first incumbent, and the search goes on from the cover's
+    exclusion branches.  A node's bound is the fractional fill of the
+    missing mass by the next items, read with one bisect from prefix
+    arrays of the mass and of exp(value - greedy value).  The node budget
+    is _BNB_NODES up to _MAX_EXACT_ORBITS items and 0 beyond, the cap
+    under which the benchmark's reference values were recorded.
 
-    Returns (included items, sorted; their log value; lower).  lower is
-    None when the optimum is proved.  Otherwise it is the log of the
-    greedy cover's fractional fill, a lower bracket on the optimum, and
-    the items are the best cover found, never worse than the greedy one.
+    Returns (included items, a sorted index array; their log value;
+    lower).  lower is None when the optimum is proved.  Otherwise it is
+    the log of the greedy cover's fractional fill, a lower bracket on the
+    optimum, and the items are the best cover found, never worse than the
+    greedy one.
     """
     values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
-    free, order, reached, k = greedy_min_inclusion(values, weights, log_weights, needed)
-    v = values[order]
-    best_value = log_sum_exp(v[:k]) if k else -math.inf
-    best_set = order[:k].tolist()
+    free, order, free_mass = greedy_min_inclusion(values, weights, log_weights) if greedy is None else greedy
+    w = weights[order]
+    reached = np.concatenate(([free_mass], w)).cumsum()
+    k = int(reached.searchsorted(needed))  # reached is nondecreasing
+    if k == len(reached):
+        raise ValueError("covering constraint infeasible: total mass below requirement")
     budget = _BNB_NODES if len(values) <= _MAX_EXACT_ORBITS else 0
+    v = values[order if budget else order[:k]]
+    best_value = log_sum_exp(v[:k]) if k else -math.inf
+    best_set = order[:k]
     if budget:
-        items, mass, vl, wl = order.tolist(), reached.tolist(), v.tolist(), weights[order].tolist()
+        items, mass, vl, wl = order.tolist(), reached.tolist(), v.tolist(), w.tolist()
         n, nodes, path = len(items), 0, items[:k]
         # bounds are summed in exp(. - top), top the greedy value, where an
         # item above it counts as 1 and one below the float range as 0: both
@@ -305,7 +342,7 @@ def solve_min_inclusion(
                 return
             if weight >= needed:
                 if value < best_value:
-                    best_value, best_set = value, list(path)
+                    best_value, best_set = value, np.array(path, dtype=np.int32)
                 return  # adding more items can only increase the value
             if value >= best_value:
                 return  # no completion can help, and exp(value - top) stays below 1
@@ -330,12 +367,12 @@ def solve_min_inclusion(
             path.pop()
             dfs(d + 1, on_path[d], mass[d])
         if nodes <= budget:
-            return sorted(free.tolist() + best_set), best_value, None
+            return np.sort(np.concatenate([free, best_set])), best_value, None
     lower = -math.inf
     if k:  # order[:k - 1] whole and the missing part of order[k - 1]
-        part = (needed - reached[k - 1]) / weights[order[k - 1]]
+        part = (needed - reached[k - 1]) / w[k - 1]
         lower = log_sum_exp(np.append(v[:k - 1], v[k - 1] + math.log(min(part, 1.0))))
-    return sorted(free.tolist() + best_set), best_value, lower
+    return np.sort(np.concatenate([free, best_set])), best_value, lower
 
 
 def _orbit_log_values(log_terms: np.ndarray, tab: AtomTable) -> np.ndarray:
@@ -351,6 +388,16 @@ def _orbit_log_values(log_terms: np.ndarray, tab: AtomTable) -> np.ndarray:
         return np.where(top == -math.inf, top, top + np.log(1.0 + np.exp(low - top)))
 
 
+def _keep_recent(memo: dict, key: tuple, state) -> None:
+    """memo[key] = state as the most recently used GFP order (dict order is
+    use order), dropping the least recently used beyond _GFP_ORDERS."""
+    if memo.pop(key, None) is None:
+        kept = [k for k in memo if k[0] == "gfp"]
+        if len(kept) >= _GFP_ORDERS:
+            del memo[kept[0]]
+    memo[key] = state
+
+
 def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> CriterionReport:
     """inf over G^2-invariant events A with pi^2(A) >= 1 - q^{-2} of
     E[K^m 1(A)], within the statistic-measurable class.
@@ -358,10 +405,13 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     Discrete laws: atoms are merged into group orbits, each carrying
     its log value log sum p K^m, and the complementary exclusion problem
     (drop orbits maximizing sum p K^m subject to dropped mass <= q^{-2})
-    is solved by solve_min_inclusion.  Where its search stops early
-    (beyond _MAX_EXACT_ORBITS orbits or at _BNB_NODES nodes) the best
-    cover found is reported with certified lower/upper brackets, and the
-    conservative (upper) value is returned.
+    is solved by solve_min_inclusion, from the greedy order the model's
+    memo keeps per m.  Where its search stops early (beyond
+    _MAX_EXACT_ORBITS orbits or at _BNB_NODES nodes) the best cover found
+    is reported with certified lower/upper brackets, and the conservative
+    (upper) value is returned.  detail["excluded"] is the boolean mask of
+    the atoms the event drops, in law order (law.atom_values(mask) gives
+    their values), and detail["excluded_mass"] their exact mass.
 
     Continuous laws: the event drops the top level set, of mass q^{-2},
     of h = log of the orbit-averaged K^m (any shape; where h is flat at
@@ -388,13 +438,19 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
 
     tab = model.atom_table
     log_terms = m * tab.log_k + model.law.log_probs
-    values = _orbit_log_values(log_terms, tab)
+    key = ("gfp", m)
+    state = model.memo.get(key)
+    if state is None:
+        values = _orbit_log_values(log_terms, tab)
+        state = values, greedy_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass)
+    values, greedy = state
     # capacity mass may be dropped; the included event needs the rest,
     # with a 1e-12 relative slack so an atom whose mass equals q^{-2}
     # in exact arithmetic is still droppable
     needed = 1.0 - mass * (1.0 + _REL)
     detail: dict = {"orbit_atoms": len(values)}
-    included, _, lower = solve_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass, needed)
+    included, _, lower = solve_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass, needed, greedy)
+    _keep_recent(model.memo, key, state)
     if lower is None:
         detail["optimizer"] = "branch-and-bound-exact"
         method = "exact-sum"
@@ -408,7 +464,7 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     value, lv = _event_value(log_terms[keep])
     if lower is not None:  # the event's own value is the upper bracket
         detail["value_brackets"] = (exp_or_inf(lower), value)
-    detail["excluded_atoms"] = model.law.atom_values(~keep)
+    detail["excluded"] = ~keep
     detail["excluded_mass"] = exact_sum(tab.orbit_mass[~chosen])
     return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method, detail)
 
@@ -429,7 +485,13 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
     (laws.LevelSets).  With m supplied the verdict compares against 1/m.
     """
     mass = _require_q(q, 1.0, "SQ")
-    inputs = {"q": q, "m": m}
+    thr, value, lv, method = _memo(model, ("sq", q), lambda: _sq(model, mass))
+    verdict = None if m is None else _hard(value, 1.0 / m)
+    return CriterionReport("SQ", {"q": q, "m": m}, thr, value, lv, verdict, method)
+
+
+def _sq(model: ModelSpec, mass: float) -> tuple[ThresholdResult, float, float, str]:
+    """SQ's (threshold, value, log value, method) at tail mass `mass`."""
     if model.is_discrete:
         dev = model.atom_table.abs_dev
         j = int(np.argmax(dev.levels >= dev.threshold(mass).threshold * (1.0 - _REL)))
@@ -437,28 +499,24 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
         thr = ThresholdResult(float(dev.levels[j]), achieved, math.isclose(achieved, mass, rel_tol=_REL))
         top_sum = exact_sum((dev.levels * dev.mass)[j:])  # E[|K - 1| 1(levels j..)]
         value = top_sum / achieved if achieved > 0.0 else 0.0
-        lv = math.log(value) if value > 0.0 else -math.inf
-        method = "exact-sum"
-    else:
-        thr, above = LevelSets(model.law, *_deviation(model)).threshold(mass)
-        total, lv = _event_integral(model, lambda lk: (_expm1_log(lk)[0], 1.0), above)
-        value, lv = total / thr.achieved_mass, lv - math.log(thr.achieved_mass)  # lv stays finite past 1e308
-        method = "quadrature"
-    verdict = None if m is None else _hard(value, 1.0 / m)
-    return CriterionReport("SQ", inputs, thr, value, lv, verdict, method)
+        return thr, value, math.log(value) if value > 0.0 else -math.inf, "exact-sum"
+    thr, above = LevelSets(model.law, *_deviation(model)).threshold(mass)
+    total, lv = _event_integral(model, lambda lk: (_expm1_log(lk)[0], 1.0), above)
+    # lv stays finite past 1e308
+    return thr, total / thr.achieved_mass, lv - math.log(thr.achieved_mass), "quadrature"
 
 
 def _deviation_moments(model: ModelSpec, ts: Sequence[int], d: float = math.inf) -> list[float]:
     """E[(K_d - 1)^t] for each t in ts, each (d, t) computed once per model
-    (ModelSpec.deviation_moments)."""
+    (the memo's ("moment", (d, t)) entries)."""
     if d != math.inf and model.kernel.series is None:
         raise UnsupportedCriterionError(
             f"kernel {model.kernel.name!r} has no series; samplewise degree d < inf unsupported")
-    memo = model.deviation_moments
-    missing = [t for t in ts if (d, t) not in memo]
+    memo = model.memo
+    missing = [t for t in ts if ("moment", (d, t)) not in memo]
     if missing:
-        memo.update(zip([(d, t) for t in missing], _compute_moments(model, missing, d)))
-    return [memo[d, t] for t in ts]
+        memo.update(zip([("moment", (d, t)) for t in missing], _compute_moments(model, missing, d)))
+    return [memo["moment", (d, t)] for t in ts]
 
 
 def _compute_moments(model: ModelSpec, ts: Sequence[int], d: float) -> list[float]:
@@ -527,6 +585,10 @@ def chi_squared(model: ModelSpec, m: int) -> float:
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    return _memo(model, ("chi2", m), lambda: _chi_squared(model, m))
+
+
+def _chi_squared(model: ModelSpec, m: int) -> float:
     if not model.is_discrete:
         return _kernel_integral(model, lambda lk: _expm1_log(m * lk))[0]
     law = model.law
@@ -544,9 +606,9 @@ def log_moment(model: ModelSpec, m: int) -> float:
     precise."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if model.is_discrete:
-        return _event_value(m * model.atom_table.log_k + model.law.log_probs)[1]
-    return _kernel_integral(model, lambda lk: (m * lk, 1.0))[1]
+    return _memo(model, ("log_moment", m), lambda: (
+        _event_value(m * model.atom_table.log_k + model.law.log_probs)[1] if model.is_discrete
+        else _kernel_integral(model, lambda lk: (m * lk, 1.0))[1]))
 
 
 def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:

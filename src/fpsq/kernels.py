@@ -676,9 +676,13 @@ class ModelSpec:
     the same from the law's values in one array operation.
 
     The per-model work that no (q, m) changes is cached on first use:
-    the kernel table, the atom table of a discrete law (with GFP's
-    per-orbit masses, their logs and representative atoms), the moments
-    E[(K_d - 1)^t] per (d, t) that USQ and LD read.
+    the kernel table and the atom table of a discrete law (with GFP's
+    per-orbit masses, their logs and representative atoms).  What the
+    criteria compute from one coordinate of a sweep lives in ``memo``,
+    keyed by (what, coordinate): per q the FP and rho_G-FP thresholds and
+    SQ's threshold and value, per m chi^2, log E[K^m] and GFP's greedy
+    order, per (d, t) the moments E[(K_d - 1)^t] of USQ and LD
+    (fpsq.criteria says what each entry holds).
     """
 
     name: str
@@ -709,8 +713,9 @@ class ModelSpec:
         return _atom_table(self)
 
     @cached_property
-    def deviation_moments(self) -> dict[tuple[float, int], float]:
-        """E[(K_d - 1)^t] keyed by (d, t), filled by the criteria on first use."""
+    def memo(self) -> dict:
+        """The criteria's per-coordinate results, filled on first use; scalars
+        and per-orbit arrays only, never per-atom arrays."""
         return {}
 
     def log_k(self, points) -> np.ndarray:

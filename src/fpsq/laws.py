@@ -13,8 +13,9 @@ pi^{x2} through that statistic:
   is the exact mass correctly rounded.  The rademacher_mean and
   hypergeometric masses come from one double-double prefix product of
   the exact ratios of consecutive masses (_chain_masses): mass i lies
-  within (i + 4) 2^-100 relative of the exact one, and where that bound
-  does not settle the rounding, the mass is rounded from exact integers.
+  within (i + 4) 2^-100 relative of the exact one (plus the factors of a
+  start mass that is itself such a product), and where that bound does
+  not settle the rounding, the mass is rounded from exact integers.
   The signed_sparse and equality laws round an exact integer ratio once
   (_round_ratio).  No discrete law may have more than MAX_ATOMS atoms
   (ResourceLimitError);
@@ -295,16 +296,6 @@ def _dd_quotient(a, d):
     return q, ((a - p) - rest) / d
 
 
-def _dd_ratio(num: int, den: int) -> tuple[float, float, int]:
-    """num / den (positive integers) as (hi, lo, e), from a quotient of 112
-    or 113 bits: within 2u^2 relative."""
-    s = den.bit_length() - num.bit_length() + 112
-    q = (num << s) // den
-    hi = float(q)
-    m, k = math.frexp(hi)
-    return m, math.ldexp(float(q - int(hi)), -k), k - s
-
-
 def _dd_normalized(hi, lo, e):
     """(hi + lo) 2^e rescaled exactly so that hi lies in [0.5, 1)."""
     m, k = np.frexp(hi)
@@ -344,22 +335,25 @@ def _dd_cumprod(hi, lo, e):
 
 
 def _chain_masses(start: tuple[float, float, int], hi: np.ndarray, lo: np.ndarray,
-                  exact: Callable[[int], tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
+                  exact: Callable[[int], tuple[float, int]],
+                  start_factors: int) -> tuple[np.ndarray, np.ndarray]:
     """The correctly rounded masses f 2^e (f in [0.5, 1)) of atoms 0, 1, ...,
-    given the mass of atom 0, start = (hi, lo, e), and the ratios hi + lo of
-    each further mass to the one before.
+    given the mass of atom 0, start = (hi, lo, e), a product of start_factors
+    double-doubles, and the ratios hi + lo of each further mass to the one
+    before.
 
     The double-double masses come from one prefix product (_dd_cumprod).  Mass
-    i is a product of i + 1 double-doubles, each within 9u^2 of its exact
-    value (_dd_ratio, _dd_quotient, or a product of two quotients), by i
-    multiplications within 7u^2 each: within (i + 1) 16u^2 < (i + 4) 2^-100
-    of the exact mass.  Where that bound keeps the mass off every rounding
-    midpoint, the double-double's hi is the correctly rounded mass (Ziv
-    1991); the gap below f = 0.5 is half as wide.  Every other mass is
-    exact(i), the mass rounded from exact integers."""
+    i is a product of i + start_factors double-doubles, each within 9u^2 of
+    its exact value (_dd_quotient, or a product of two quotients),
+    by i + start_factors - 1 multiplications within 7u^2 each: within
+    (i + start_factors) 16u^2 < (i + start_factors + 3) 2^-100 of the exact
+    mass.  Where that bound keeps the mass off every rounding midpoint, the
+    double-double's hi is the correctly rounded mass (Ziv 1991); the gap
+    below f = 0.5 is half as wide.  Every other mass is exact(i), the mass
+    rounded from exact integers."""
     f, l, e = _dd_cumprod(*_dd_normalized(np.r_[start[0], hi], np.r_[start[1], lo],
                                           np.r_[start[2], np.zeros(len(hi), dtype=np.int64)]))
-    bound = (np.arange(len(f)) + 4.0) * 2.0**-100  # absolute in f, as f < 1
+    bound = (np.arange(len(f)) + start_factors + 3.0) * 2.0**-100  # absolute in f, as f < 1
     half_gap = np.where((f == 0.5) & (l < 0.0), 2.0**-55, 2.0**-54)
     for i in np.flatnonzero(np.abs(l) + bound >= half_gap).tolist():
         f[i], e[i] = exact(i)
@@ -393,9 +387,11 @@ def _discrete_law(descriptor: dict, statistic: str, values, f, e, exact: bool) -
 
 def hypergeometric_law(n: int, k: int) -> OverlapLaw:
     """|u n v| for two independent uniform k-subsets (or binary k-sparse
-    vectors) of [n]: pmf C(k, l) C(n-k, k-l) / C(n, k) on l >= max(0, 2k - n),
-    from the exact ratios [(k - l)/(l + 1)] [(k - l)/(n - 2k + l + 1)] of
-    each mass to the one before (_chain_masses)."""
+    vectors) of [n]: pmf C(k, l) C(n-k, k-l) / C(n, k) on l >= low = max(0,
+    2k - n), from the exact ratios [(k - l)/(l + 1)] [(k - l)/(n - 2k + l +
+    1)] of each mass to the one before (_chain_masses).  The mass at low is
+    the product of the s = min(k, n - k) exact ratios (n - s - j)/(n - j),
+    j < s; C(n, k) is read only where a mass's rounding is ambiguous."""
     if n <= 0 or k <= 0:
         raise ValueError(f"need n, k positive, got n={n}, k={k}")
     if k > n:
@@ -404,11 +400,14 @@ def hypergeometric_law(n: int, k: int) -> OverlapLaw:
         raise ValueError(f"need n below 2^53, where the mass ratios are exact floats, got n={n}")
     low = max(0, 2 * k - n)
     _check_atoms(k - low + 1, "hypergeometric")
+    s = min(k, n - k)
+    j = np.arange(s, dtype=float)
+    start = _dd_cumprod(*_dd_normalized(*_dd_quotient(n - s - j, n - j), np.zeros(s, dtype=np.int64)))
     ell = np.arange(low, k, dtype=float)
     ratios = _dd_mul(*_dd_quotient(k - ell, ell + 1.0), *_dd_quotient(k - ell, n - 2.0 * k + ell + 1.0))
-    total = math.comb(n, k)
-    f, e = _chain_masses(_dd_ratio(math.comb(k, low) * math.comb(n - k, k - low), total), *ratios,
-                         lambda i: _round_ratio(math.comb(k, low + i) * math.comb(n - k, k - low - i), total))
+    f, e = _chain_masses(tuple(x[-1] for x in start) if s else (1.0, 0.0, 0), *ratios,
+                         lambda i: _round_ratio(math.comb(k, low + i) * math.comb(n - k, k - low - i),
+                                                math.comb(n, k)), max(s, 1))
     return _discrete_law({"kind": "hypergeometric", "n": n, "k": k}, "scalar",
                          np.arange(low, k + 1, dtype=float), f, e, exact=True)
 
@@ -444,7 +443,7 @@ def rademacher_mean_law(n: int) -> OverlapLaw:
     _check_atoms(n + 1, "rademacher_mean")
     b = np.arange(n // 2, dtype=float)
     f, e = _chain_masses((1.0, 0.0, -n), *_dd_quotient(n - b, b + 1.0),
-                         lambda i: _round_ratio(math.comb(n, i), 1 << n))
+                         lambda i: _round_ratio(math.comb(n, i), 1 << n), 1)
     rest = n + 1 - len(f)  # C(n, b) = C(n, n - b)
     return _discrete_law({"kind": "rademacher_mean", "n": n}, "scalar", (2 * np.arange(n + 1) - n) / n,
                          np.r_[f, f[rest - 1::-1]], np.r_[e, e[rest - 1::-1]], exact=True)

@@ -160,12 +160,12 @@ def test_values_leaving_the_engine_are_python_values():
     # a law holds its atoms as numpy arrays; what a report, an error or a
     # draw hands back is a Python float, or a tuple of pair counts
     counts = build_model({"model": "counterexample", "n": 6, "r": 0.5, "alpha_c": 0.5, "rho_p": 0.3})
-    assert gfp_value(counts, 3.0, 2).detail["excluded_atoms"] == [(6, 0, 1)]
+    assert counts.law.atom_values(gfp_value(counts, 3.0, 2).detail["excluded"]) == [(6, 0, 1)]
     assert all(type(v) is tuple for v in sample(counts.law, 0, 5))
     broken = build_model({"model": "synthetic", "values": [0.0, 0.5, 1.0], "probs": [0.5, 0.3, 0.2],
                           "kernel_values": [1.0, 0.5, 2.0]})
     assert type(assumption_holds(broken, k_max=3).witness[0]) is float
-    assert [type(v) for v in gfp_value(broken, 2.0, 1).detail["excluded_atoms"]] == [float]
+    assert [type(v) for v in broken.law.atom_values(gfp_value(broken, 2.0, 1).detail["excluded"])] == [float]
     with pytest.raises(AtomEvaluationError) as err:
         usq_moment(gam_rademacher(4, 22.0), 2)
     assert type(err.value.atom) is float
@@ -183,7 +183,7 @@ class TestGfpLogValues:
         want = math.log(0.01) + 2 * math.log(1e200)
         assert rep.log_value == pytest.approx(916.4, abs=0.05)
         assert rep.log_value == pytest.approx(want, rel=1e-14)
-        assert rep.detail["excluded_atoms"] == [0.5]
+        assert model.law.atom_values(rep.detail["excluded"]) == [0.5]
 
     def test_excluded_atoms_follow_law_order(self):
         # both high-kernel atoms fit in the q^-2 = 0.25 budget; their reprs
@@ -192,7 +192,7 @@ class TestGfpLogValues:
                              "probs": [0.8, 0.1, 0.1], "kernel_values": [0.5, 3.0, 4.0]})
         rep = gfp_value(model, 2.0, 3)
         assert model.law.values.tolist() == [0.0, 2.0, 10.0]
-        assert rep.detail["excluded_atoms"] == [2.0, 10.0]
+        assert model.law.atom_values(rep.detail["excluded"]) == [2.0, 10.0]
         assert rep.detail["excluded_mass"] == pytest.approx(0.2, rel=1e-15)
 
     def test_node_budget_returns_brackets(self):

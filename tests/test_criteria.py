@@ -252,7 +252,7 @@ class TestKnapsackSolvers:
         values = [1e200, 2.0, 1.0]
         weights = [0.0004, 0.2, 0.7996]
         included, got, _ = solve_min_inclusion(log_values(values), weights, log_values(weights), 0.9)
-        assert included == [1, 2]
+        assert included.tolist() == [1, 2]
         assert math.exp(got) == pytest.approx(3.0)
 
     def test_greedy_brackets_contain_optimum(self, monkeypatch):
@@ -270,11 +270,11 @@ class TestKnapsackSolvers:
     @given(knapsack_cases())
     def test_array_greedy_is_the_sequential_greedy(self, case):
         values, weights, needed = case
-        free, order, _, k = greedy_min_inclusion(*as_arrays(values, weights), needed)
-        assert sorted(free.tolist() + order[:k].tolist()) == sequential_greedy(values, weights, needed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(criteria, "_BNB_NODES", 0)
+            included, _, _ = solve_min_inclusion(*as_arrays(values, weights), needed)
             _, _, lower = solve_min_inclusion(values, weights, log_values(weights), needed)
+        assert included.tolist() == sequential_greedy(values, weights, needed)
         solved = solve_min_inclusion(values, weights, log_values(weights), needed)
         assert solved[2] is None  # 12 items stay far inside the node budget
         exact = solved[1]
@@ -296,7 +296,7 @@ class TestOneSolver:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(criteria, "_BNB_NODES", 0)
             included, value, lower = solve_min_inclusion(values, weights, log_values(weights), needed)
-        assert included == sequential_greedy(values, weights, needed)
+        assert included.tolist() == sequential_greedy(values, weights, needed)
         assert value == pytest.approx(cover_log_value(values, included), rel=1e-12, abs=1e-12)
         assert lower is not None
 
@@ -492,11 +492,141 @@ class TestMomentCache:
         for q, m in itertools.product(qs, ms):
             ld_samplewise(model, m, math.inf, 1)
         assert sorted(computed) == [(math.inf, 0), (math.inf, 1), (math.inf, 2)]
-        assert sorted(model.deviation_moments) == sorted(computed)
+        moments = {key: value for (what, key), value in model.memo.items() if what == "moment"}
+        assert sorted(moments) == sorted(computed)
         monkeypatch.undo()
         fresh = build_model(desc)
-        for (d, t), value in model.deviation_moments.items():
+        for (d, t), value in moments.items():
             assert criteria._deviation_moments(fresh, [t], d)[0] == value  # bit for bit, t alone
+
+
+MEMO_PRESETS = [name for name, model in builtin_models().items() if model.is_discrete] + [
+    "gam-sphere", "si-sign-sphere"]
+GRID_CRITERIA = ("fp", "rho_fp", "gfp", "sq", "usq", "chi2", "ld")
+
+
+def grid_cell(model, crit, q, m):
+    """What one sweep cell computes, or the type of what it raised."""
+    try:
+        if crit == "fp":
+            return fp_value(model, q, m)
+        if crit == "rho_fp":
+            return rho_fp_value(model, q, m)
+        if crit == "gfp":
+            return gfp_value(model, q, m)
+        if crit == "sq":
+            return sq_value(model, q, m)
+        if crit == "usq":
+            return usq_hard(model, m, 2)
+        if crit == "chi2":
+            return chi_squared(model, m), criteria.log_moment(model, m)
+        return ld_samplewise(model, m, math.inf, 1)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same values, floats and arrays bit for bit."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return isinstance(b, float) and a.hex() == b.hex()
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_bits, a, b))
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and all(same_bits(getattr(a, f), getattr(b, f))
+                                          for f in a.__dataclass_fields__)
+    return a == b
+
+
+class TestSweepMemo:
+    # a sweep reuses per-q and per-m work through ModelSpec.memo; every
+    # cell must read as it does on a fresh model
+
+    @pytest.mark.parametrize("name", MEMO_PRESETS)
+    def test_a_shared_model_gives_each_cell_of_a_fresh_one(self, name):
+        desc = BUILTIN_MODEL_DESCRIPTORS[name]
+        qs, ms = (1.5, 3.0, 20.0, 1000.0), (1, 3, 20)
+        cells = list(itertools.product(GRID_CRITERIA, qs, ms)) * 2
+        np.random.default_rng(7).shuffle(cells)
+        shared, fresh = build_model(desc), {}
+        for crit, q, m in cells:
+            got = grid_cell(shared, crit, q, m)
+            if (crit, q, m) not in fresh:
+                fresh[crit, q, m] = grid_cell(build_model(desc), crit, q, m)
+            assert same_bits(got, fresh[crit, q, m]), (name, crit, q, m)
+
+    @pytest.mark.parametrize("desc", [
+        {"model": "gam", "lambda": 0.9, "prior": {"kind": "rademacher_mean", "n": 200}},
+        {"model": "gam", "lambda": 0.9, "prior": {"kind": "sphere", "n": 50}},
+    ])
+    def test_each_coordinate_is_computed_once(self, desc, monkeypatch):
+        from fpsq import laws
+
+        model = build_model(desc)
+        thresholds, greedy, sums = [], [], []
+        levels = laws.Levels if model.is_discrete else laws.LevelSets
+        threshold, order, exact = levels.threshold, greedy_min_inclusion, criteria.exact_sum
+        monkeypatch.setattr(levels, "threshold",
+                            lambda self, mass: thresholds.append(mass) or threshold(self, mass))
+        monkeypatch.setattr(criteria, "greedy_min_inclusion",
+                            lambda *args: greedy.append(args) or order(*args))
+        qs, ms = [2.0, 5.0, 40.0], [1, 4, 9]
+        for crit in ("fp", "rho_fp", "sq"):
+            for q, m in itertools.product(qs, ms):
+                grid_cell(model, crit, q, m)
+        assert len(thresholds) == 3 * len(qs)  # once per q and criterion
+        # the sum over the atoms, or the integral over the support
+        integral = criteria.integral
+        monkeypatch.setattr(criteria, "exact_sum", lambda x: sums.append(x) or exact(x))
+        monkeypatch.setattr(criteria, "integral", lambda *args: sums.append(args) or integral(*args))
+        for q, m in itertools.product(qs, ms):
+            chi_squared(model, m)
+        assert len(sums) == len(ms)
+        if model.is_discrete:
+            for q, m in itertools.product(qs, ms):
+                gfp_value(model, q, m)
+            assert len(greedy) == len(ms)
+
+    def test_argument_checks_run_on_a_memo_hit(self):
+        model = build_model({"model": "gam", "lambda": 0.9, "prior": {"kind": "rademacher_mean", "n": 40}})
+        for crit in GRID_CRITERIA:
+            grid_cell(model, crit, 3.0, 2)
+        keys = list(model.memo)
+        for call in (lambda: fp_value(model, 3.0, 0), lambda: rho_fp_value(model, 3.0, 0),
+                     lambda: gfp_value(model, 3.0, 0), lambda: chi_squared(model, 0),
+                     lambda: criteria.log_moment(model, 0), lambda: fp_value(model, 1.5, 2),
+                     lambda: rho_fp_value(model, 1.5, 2), lambda: gfp_value(model, 0.8, 2),
+                     lambda: sq_value(model, 0.8, 2)):
+            with pytest.raises(ValueError):
+                call()
+        assert list(model.memo) == keys
+
+    def test_a_cell_that_raises_stores_nothing(self):
+        # masses 1e-13 short of 1 cannot cover 1 - 1e-14: GFP's cover is infeasible
+        short = synthetic([0.0, 1.0], [0.5, 0.5 - 1e-13], [1.0, 2.0])
+        with pytest.raises(ValueError, match="infeasible"):
+            gfp_value(short, 1e7, 1)
+        assert short.memo == {}
+        gfp_value(short, 2.0, 1)
+        assert list(short.memo) == [("gfp", 1)]
+        with pytest.raises(ValueError, match="infeasible"):
+            gfp_value(short, 1e7, 1)  # a hit on m, then a raise
+        big = build_model({"model": "gam", "lambda": 22.0, "prior": {"kind": "rademacher_mean", "n": 4}})
+        with pytest.raises(criteria.AtomEvaluationError):
+            usq_moment(big, 2)
+        assert big.memo == {}
+
+    def test_more_m_than_the_memo_keeps(self):
+        desc = {"model": "gam", "lambda": 1.1, "prior": {"kind": "rademacher_mean", "n": 100}}
+        ms = list(range(1, criteria._GFP_ORDERS + 9))
+        fresh = {m: gfp_value(build_model(desc), 3.0, m) for m in ms}
+        model = build_model(desc)
+        for m in ms + ms[::-1] + ms:
+            assert same_bits(gfp_value(model, 3.0, m), fresh[m]), m
+            assert sum(what == "gfp" for what, _ in model.memo) <= criteria._GFP_ORDERS
 
 
 class TestMassCheck:
@@ -613,7 +743,7 @@ class TestLdSamplewise:
         assert ld_samplewise(model, 200, math.inf, 1) == 1.0
         for d in (math.inf, 5):
             ld_samplewise(model, 200, d, 1)
-            assert model.deviation_moments[d, 1] == 0.0
+            assert model.memo["moment", (d, 1)] == 0.0
 
     def test_finite_degree_matches_mpmath_on_a_discrete_law(self):
         # gam on the 30-sign law: K_2 - 1 = lam^2 t + lam^4 t^2 / 2, masses

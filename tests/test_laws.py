@@ -130,6 +130,7 @@ class TestMasses:
         {"kind": "rademacher_mean", "n": 10**5},
         {"kind": "hypergeometric", "n": 10**6, "k": 1000},
         {"kind": "hypergeometric", "n": 10**9, "k": 10**4},
+        {"kind": "hypergeometric", "n": 10**9, "k": 10**5},
     ])
     def test_log_masses_match_mpmath_at_scale(self, spec):
         n = spec["n"]
@@ -152,6 +153,15 @@ class TestMasses:
     def test_masses_sum_to_one_within_two_ulp(self):
         for spec in ({"kind": "rademacher_mean", "n": 4000}, {"kind": "hypergeometric", "n": 10**6, "k": 1000}):
             assert abs(math.fsum(make_law(spec).probs) - 1.0) <= 2.0**-51
+
+    def test_a_large_hypergeometric_law_reads_no_big_binomial(self, monkeypatch):
+        # the start mass comes from the double-double chain; C(n, k), whose
+        # cost the atom budget does not bound, is read only where a rounding
+        # is ambiguous, and no mass of (10^9, 10^5) is
+        comb, calls = math.comb, []
+        monkeypatch.setattr(math, "comb", lambda a, b: calls.append((a, b)) or comb(a, b))
+        law = make_law({"kind": "hypergeometric", "n": 10**9, "k": 10**5})
+        assert calls == [] and len(law.values) == 10**5 + 1
 
     def test_a_wrong_mass_ratio_fails_the_total_check(self, monkeypatch):
         # the builders check the rounded masses' total within 2^-51, so a

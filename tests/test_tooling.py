@@ -1,5 +1,5 @@
-"""The README's library example, the benchmark's hooks and the value
-dump stay runnable, every array sum in the engine takes one code path,
+"""The README's library example, the benchmark's hooks, the value dump
+and the phase-grid timer stay runnable, every array sum in the engine takes one code path,
 no engine module calls laws.expect or laws.survival, none evaluates
 a kernel point by point or walks a law atom by atom, one root-finder
 serves the quantile and the level sets without nesting, and building the
@@ -9,6 +9,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -51,6 +52,21 @@ def test_sweep_values_dumps_every_benchmark_cell():
     assert len(cells) == 945
     gfp = [v for k, v in cells.items() if "|gfp|" in k]
     assert len(gfp) == 135 and all(isinstance(v, list) and len(v) == 3 for v in gfp)
+
+
+def test_phase_grid_times_every_criterion():
+    # tests/phase_grid.py times a 16 q x 16 m sweep of all seven criteria
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "tests", "phase_grid.py"), "1000"],
+                         env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    payload = json.loads(out)
+    assert sorted(payload) == ["build_s", "cells", "criteria_s", "n", "peak_rss_mb", "sweep_s"]
+    assert payload["n"] == 1000 and payload["cells"] == 7 * 16 * 16
+    assert sorted(payload["criteria_s"]) == sorted(["fp", "rho_fp", "gfp", "sq", "usq", "chi2", "ld"])
+    assert all(t >= 0.0 for t in payload["criteria_s"].values())
+    assert math.isclose(payload["sweep_s"], sum(payload["criteria_s"].values()))
+    assert payload["build_s"] >= 0.0 and payload["peak_rss_mb"] > 0.0
 
 
 def test_array_sums_go_through_exact_sum():
