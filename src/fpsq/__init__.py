@@ -10,9 +10,7 @@ closed-form likelihood-ratio kernel ships with an independent oracle
 """
 
 from fpsq.numerics import (
-    QuadratureRule,
     HermiteSeries,
-    gauss_hermite_rule,
     interval_indicator_coeffs,
     log_sum_exp,
     normal_cdf,
@@ -60,9 +58,7 @@ from fpsq.oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadratureRule",
     "HermiteSeries",
-    "gauss_hermite_rule",
     "interval_indicator_coeffs",
     "log_sum_exp",
     "normal_cdf",

@@ -102,8 +102,12 @@ def parse_grid(text: str | None) -> list[float] | None:
         return None
     text = str(text).strip()
     if text.startswith(("lin:", "log:")):
-        kind, lo_s, hi_s, n_s = text.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        try:
+            kind, lo_s, hi_s, n_s = text.split(":")
+            lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        except ValueError:
+            raise ConfigError(f"malformed grid {text!r}: expected {text[:3]}:lo:hi:n "
+                              "with numbers lo, hi and an integer n") from None
         if n < 1:
             raise ConfigError(f"grid size must be positive in {text!r}")
         if n == 1:

@@ -140,19 +140,14 @@ def _event_value(log_terms: np.ndarray) -> tuple[float, float]:
     return exp_or_inf(lv), lv
 
 
-def _kernel_integral(model: ModelSpec, form: Callable[[np.ndarray], tuple],
-                     bounds: tuple[float, float] | None = None) -> tuple[float, float]:
-    """(value, log |value|) of E[f(T) 1(lo <= T <= hi)] on the continuous law
-    (bounds = (lo, hi), the support by default) for f = form(log K) in log
-    form (log |f|, sign f): laws.integral, fed the kernel table on the grid."""
-    return integral(model.law, lambda ts: form(model.log_k(ts)), form(model.kernel_table[0])[0],
-                    *(bounds or model.law.support))
-
-
 def _event_integral(model: ModelSpec, form: Callable, intervals: np.ndarray) -> tuple[float, float]:
-    """(value, log_value) of E[f(T) 1(T in the intervals)] for f = form(log K)
-    nonnegative: one _kernel_integral per interval (rows [a, b]), summed."""
-    parts = [_kernel_integral(model, form, (a, b)) for a, b in intervals.tolist()]
+    """(value, log |value|) of E[f(T) 1(T in the intervals)] on the continuous
+    law for f = form(log K) in log form (log |f|, sign f): laws.integral,
+    fed the kernel table on the grid, once per interval (rows [a, b]).  A
+    single interval's result is returned as is; several are summed, which
+    needs f nonnegative."""
+    parts = [integral(model.law, lambda ts: form(model.log_k(ts)), form(model.kernel_table[0])[0], a, b)
+             for a, b in intervals.tolist()]
     if len(parts) < 2:
         return parts[0] if parts else (0.0, -math.inf)
     lv = log_sum_exp([p[1] for p in parts])
@@ -590,7 +585,7 @@ def chi_squared(model: ModelSpec, m: int) -> float:
 
 def _chi_squared(model: ModelSpec, m: int) -> float:
     if not model.is_discrete:
-        return _kernel_integral(model, lambda lk: _expm1_log(m * lk))[0]
+        return _event_integral(model, lambda lk: _expm1_log(m * lk), np.array([model.law.support]))[0]
     law = model.law
     x = m * model.atom_table.log_k
     scaled = (x > 0.0) & ((law.probs < 1e-300) | (x > 700.0))
@@ -608,7 +603,7 @@ def log_moment(model: ModelSpec, m: int) -> float:
         raise ValueError(f"m must be a positive integer, got {m}")
     return _memo(model, ("log_moment", m), lambda: (
         _event_value(m * model.atom_table.log_k + model.law.log_probs)[1] if model.is_discrete
-        else _kernel_integral(model, lambda lk: (m * lk, 1.0))[1]))
+        else _event_integral(model, lambda lk: (m * lk, 1.0), np.array([model.law.support]))[1]))
 
 
 def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:

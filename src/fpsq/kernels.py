@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from fpsq.laws import Levels, OverlapLaw, Statistic, make_law, mirror_index
+from fpsq.laws import Levels, OverlapLaw, Statistic, make_law
 from fpsq.numerics import (
     exact_sum,
     hermite_matrix,
@@ -163,14 +163,6 @@ class GroupSpec:
     def orbit(self, t: Statistic) -> list[Statistic]:
         """Distinct statistic values in the orbit of t."""
         return [t] if self.kind == "trivial" or t == -t else [t, -t]
-
-    def mirror(self, values: Sequence[Statistic]) -> tuple[np.ndarray, np.ndarray]:
-        """Per atom of a sorted law, the index of the atom at -t (itself
-        under the trivial group or where no atom sits at -t) and that mask
-        (laws.mirror_index)."""
-        if self.kind == "trivial":
-            return np.arange(len(values)), np.zeros(len(values), dtype=bool)
-        return mirror_index(values)
 
     def preserves(self, law: OverlapLaw) -> bool:
         """Pushforward-equality check of the law under the action."""
@@ -620,11 +612,12 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
 class AtomTable:
     """What the discrete criteria read besides the law's own arrays (its
     values, probs and log_probs), one entry per atom: log K (-inf at exact
-    zeros), K - 1 (as Kernel.minus_one), the mirror (GroupSpec.mirror),
-    K - 1 at -t and the orbit index; one entry per orbit (an atom and its
-    mirror): the representative (lower) atom and the mass, whose log GFP
-    reads; and the Levels of |<u,v>| (None without a Euclidean overlap),
-    rho_G and |K - 1|."""
+    zeros), K - 1 (as Kernel.minus_one), the mirror (OverlapLaw.mirror;
+    each atom its own under the trivial group), K - 1 at -t and the orbit
+    index; one entry per orbit (an atom and its mirror): the
+    representative (lower) atom and the mass, whose log GFP reads; and
+    the Levels of |<u,v>| (None without a Euclidean overlap), rho_G and
+    |K - 1|."""
 
     log_k: np.ndarray
     dev: np.ndarray
@@ -651,7 +644,10 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     law, kernel = model.law, model.kernel
     values, p = law.values, law.probs
     log_k, dev, _ = model.kernel_table
-    mirror, lone = law.mirror if model.group.order == 2 else model.group.mirror(values)
+    if model.group.order == 2:
+        mirror, lone = law.mirror
+    else:  # the trivial group: every atom is its own mirror
+        mirror, lone = np.arange(len(p)), np.zeros(len(p), dtype=bool)
     mirror_dev = dev[mirror]
     if lone.any():  # no atom at -t (a mass within GroupSpec.preserves' slack)
         mirror_dev[lone] = kernel.minus_one(-values[lone])

@@ -11,10 +11,6 @@ Conventions used throughout the package:
 
       h_{i+1}(z) = (z h_i(z) - sqrt(i) h_{i-1}(z)) / sqrt(i + 1).
 
-- Quadrature rules integrate against the standard normal density:
-
-      E[f(Z)] = int f(z) phi(z) dz ~= sum_j w_j f(z_j),   sum_j w_j = 1.
-
 - Coefficients of interval indicators 1(a <= z <= b) admit the exact
   boundary form (integration by parts, He_i phi = -(He_{i-1} phi)'):
 
@@ -33,12 +29,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-DEFAULT_MAX_DEGREE = 512
-DEFAULT_NUM_NODES = 200
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -150,85 +143,6 @@ def hermite_matrix(max_degree: int, x: np.ndarray) -> np.ndarray:
     for i in range(1, max_degree):
         out[i + 1] = (x * out[i] - math.sqrt(i) * out[i - 1]) / math.sqrt(i + 1)
     return out
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite nodes/weights for the standard normal weight.
-
-    An N-node rule integrates polynomials of degree <= 2N - 1 exactly
-    against phi; weights are strictly positive and sum to 1.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1D arrays of equal length")
-        if np.any(weights <= 0.0):
-            raise ValueError("quadrature weights must be strictly positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("quadrature weights must sum to 1 within 1e-12")
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.nodes.size)
-
-    def expect(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """E[f(Z)] for Z ~ N(0,1); f must accept an ndarray of nodes."""
-        return float(np.dot(self.weights, np.asarray(f(self.nodes), dtype=float)))
-
-
-def _hermite_sweep(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(h_{n-1}(x) s, h_n(x) s, sum_{i<n} h_i(x)^2 s^2, s) at each node,
-    by the normalized recurrence started from s = exp(-x^2/4), which keeps
-    every term within a small factor of 1 (|h_i(x)| <= 1.09 e^{x^2/4},
-    Cramer's inequality) for |x| up to about 53."""
-    s = np.exp(-0.25 * x * x)
-    roots = np.sqrt(np.arange(n + 1.0))
-    prev, cur, total = np.zeros_like(x), s, np.zeros_like(x)
-    for i in range(n):
-        total += cur * cur
-        prev, cur = cur, (x * cur - roots[i] * prev) / roots[i + 1]
-    return prev, cur, total, s
-
-
-@functools.cache
-def gauss_hermite_rule(num_nodes: int = DEFAULT_NUM_NODES) -> QuadratureRule:
-    """Gauss-Hermite rule of the given size for the N(0,1) weight, built
-    once per size.
-
-    Golub-Welsch: since He_2k(x) and He_2k+1(x)/x are Laguerre polynomials
-    in x^2/2 (parameter -1/2 and +1/2), the nodes are +-sqrt(2 y) for y the
-    eigenvalues of that Laguerre Jacobi matrix, half the size of Hermite's;
-    one Newton step with the normalized recurrence refines them, and the
-    weights are the Christoffel numbers 1 / sum_{i<n} h_i(x_j)^2.  Nodes
-    whose weight underflows to 0 (from about 350 nodes on) are dropped,
-    which changes nothing at double precision.
-    """
-    if not 1 <= num_nodes <= DEFAULT_MAX_DEGREE:
-        raise ValueError(f"num_nodes must be in [1, {DEFAULT_MAX_DEGREE}], got {num_nodes}")
-    half, odd = divmod(num_nodes, 2)
-    alpha = odd - 0.5
-    k = np.arange(half)
-    jacobi = np.diag(2.0 * k + alpha + 1.0)
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    jacobi += np.diag(off, 1) + np.diag(off, -1)
-    pos = np.sqrt(2.0 * np.linalg.eigvalsh(jacobi)) if half else np.empty(0)
-    x = np.r_[-pos[::-1], np.zeros(odd), pos]
-    prev, cur, _, _ = _hermite_sweep(num_nodes, x)
-    x = x - cur / (math.sqrt(num_nodes) * prev)
-    _, _, total, s = _hermite_sweep(num_nodes, x)
-    weights = s / total * s
-    keep = weights > 0.0
-    nodes, weights = x[keep], weights[keep] / weights[keep].sum()
-    nodes.flags.writeable = weights.flags.writeable = False  # one cached rule serves every caller
-    return QuadratureRule(nodes, weights)
 
 
 @dataclass(frozen=True)

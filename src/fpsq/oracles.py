@@ -12,10 +12,11 @@ they check:
   the density-ratio product on a correlated Gaussian pair; slab: 1D
   adaptive integration of the bivariate-normal rectangle probability).
 
-Every estimate carries an error bound: exactly 0 for enumeration, a
-node-doubling difference for quadrature, and three empirical standard
-errors for Monte Carlo (acceptance gates on the band, never on a fixed
-absolute tolerance).
+Every estimate carries an error bound: exactly 0 for enumeration, for
+quadrature twice the gap between the half-size and the full Gauss-Hermite
+rule (NGCA) or ten times scipy's error estimate (slab), and three
+empirical standard errors for Monte Carlo (acceptance gates on the band,
+never on a fixed absolute tolerance).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from fpsq.kernels import ModelSpec, ngca_density_ratio
 from fpsq.laws import sample as law_sample
 from fpsq.laws import ResourceLimitError, threshold_sup
-from fpsq.numerics import exact_sum, gauss_hermite_rule, normal_cdf
+from fpsq.numerics import exact_sum, normal_cdf
 
 _MC_CHUNK = 250_000  # Monte Carlo draws per vectorized batch
 
@@ -130,39 +131,33 @@ def quad_kernel_ngca(mu_spec: dict, rho: float, num_nodes: int = 200) -> OracleE
     """<L_u, L_v>_Q for an NGCA marginal mu, computed directly as
     E[g(S) g(T)] with g = dmu/dphi and (S, T) bivariate standard normal
     with correlation rho, by tensor Gauss-Hermite quadrature on the
-    Cholesky pair (S, T) = (Z1, rho Z1 + sqrt(1 - rho^2) Z2).
+    Cholesky pair (S, T) = (Z1, rho Z1 + sqrt(1 - rho^2) Z2).  The nodes
+    and weights are scipy's roots_hermitenorm, normalized to mass 1, less
+    the nodes whose weight underflows to 0.  The tensor sum is taken in
+    log space: tail nodes can overflow the linear product although the
+    weighted sum is moderate.  At |rho| = 1 the second factor is constant
+    in Z2, and the same sum is E[g(Z) g(rho Z)].
 
-    The error bound is twice the node-doubling difference.
+    The error bound is twice the difference between the num_nodes // 2
+    rule and the full one.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     ratio = ngca_density_ratio(mu_spec)
     if ratio is None:
         raise ValueError(f"mu descriptor {mu_spec.get('kind')!r} has no pointwise density ratio")
+    from scipy.special import logsumexp, roots_hermitenorm
+
+    c = math.sqrt(1.0 - rho * rho)
 
     def value_at(nn: int) -> float:
-        rule = gauss_hermite_rule(nn)
-        z = rule.nodes
-        w = rule.weights
-        if abs(abs(rho) - 1.0) <= 1e-15:
-            s = ratio(z)
-            t = ratio(math.copysign(1.0, rho) * z)
-            return float(np.dot(w, s * t))
-        c = math.sqrt(1.0 - rho * rho)
-        g1 = ratio(z)
+        z, w = roots_hermitenorm(nn)
+        keep = w > 0.0
+        z, w = z[keep], w[keep] / w[keep].sum()
         inner = rho * z[:, None] + c * z[None, :]
-        with np.errstate(over="ignore"):
-            vals = g1[:, None] * ratio(inner)
-            out = float(w @ vals @ w)
-        if math.isfinite(out):
-            return out
-        # extreme tail nodes can overflow the linear product even though
-        # the weighted sum is moderate; redo the sum in log space
-        from scipy.special import logsumexp
-
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             log_terms = (
-                np.log(g1)[:, None] + np.log(ratio(inner))
+                np.log(ratio(z))[:, None] + np.log(ratio(inner))
                 + np.log(w)[:, None] + np.log(w)[None, :]
             )
         return float(np.exp(logsumexp(log_terms)))

@@ -1,16 +1,16 @@
 """Independent Hermite references for the tests.
 
 Scalar recurrence evaluation and quadrature-based coefficient
-extraction: routes that share nothing with the package's vectorized
-hermite_matrix and exact boundary-term coefficients, so the tests can
-cross-check one against the other.
+extraction on scipy's Gauss-Hermite rule: routes that share nothing with
+the package's vectorized hermite_matrix and exact boundary-term
+coefficients, so the tests can cross-check one against the other.
 """
 
 import math
 
 import numpy as np
 
-from fpsq.numerics import HermiteSeries, QuadratureRule, hermite_matrix
+from fpsq.numerics import HermiteSeries, hermite_matrix
 
 MAX_DEGREE = 512
 
@@ -29,20 +29,30 @@ def hermite_eval(degree: int, x: float, max_degree: int = MAX_DEGREE) -> float:
     return cur
 
 
-def hermite_coeffs(f, max_degree: int, rule: QuadratureRule) -> HermiteSeries:
+def normal_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's n-node Gauss-Hermite rule for the N(0, 1) weight, normalized
+    to mass 1: sum_j w_j f(z_j) ~= E[f(Z)], exact for polynomials of
+    degree <= 2n - 1."""
+    from scipy.special import roots_hermitenorm
+
+    nodes, weights = roots_hermitenorm(n)
+    return nodes, weights / weights.sum()
+
+
+def hermite_coeffs(f, max_degree: int, nodes: np.ndarray, weights: np.ndarray) -> HermiteSeries:
     """Hermite coefficients c_i = E[f(Z) h_i(Z)] of a smooth function by
     quadrature, with the Parseval deficit as the declared tail.  Needs
-    num_nodes >= max_degree + 1 to resolve the requested degree."""
+    at least max_degree + 1 nodes to resolve the requested degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    if rule.num_nodes < max_degree + 1:
+    if nodes.size < max_degree + 1:
         raise ValueError(
-            f"rule with {rule.num_nodes} nodes cannot resolve degree {max_degree}; "
+            f"rule with {nodes.size} nodes cannot resolve degree {max_degree}; "
             f"need at least {max_degree + 1} nodes"
         )
-    values = np.asarray(f(rule.nodes), dtype=float)
-    coeffs = hermite_matrix(max_degree, rule.nodes) @ (rule.weights * values)
-    total = float(np.dot(rule.weights, values * values))
+    values = np.asarray(f(nodes), dtype=float)
+    coeffs = hermite_matrix(max_degree, nodes) @ (weights * values)
+    total = float(np.dot(weights, values * values))
     tail = max(total - float(np.dot(coeffs, coeffs)), 0.0)
     return HermiteSeries(tuple(float(c) for c in coeffs), tail=tail)
 

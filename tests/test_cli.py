@@ -53,6 +53,12 @@ class TestGridParsing:
     def test_none_passthrough(self):
         assert parse_grid(None) is None
 
+    @pytest.mark.parametrize("grid", ["lin:1:2", "log:1:x:3"])
+    def test_malformed_range_is_a_config_error(self, grid, capsys):
+        code = run(["criterion", "--model", "gam-rademacher", "--criterion", "fp", "--q", grid, "--m", "1"])
+        assert code == EXIT_CONFIG
+        assert f"malformed grid '{grid}': expected {grid[:3]}:lo:hi:n" in capsys.readouterr().err
+
 
 class TestConfigHash:
     def test_stable_under_key_order(self):

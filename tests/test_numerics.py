@@ -1,4 +1,4 @@
-"""Hermite basis, Gauss-Hermite rules, and log-domain accumulators."""
+"""Hermite basis, normal CDF and quantile, and log-domain accumulators."""
 
 import math
 
@@ -12,9 +12,7 @@ from fpsq import numerics
 from fpsq.criteria import chi_squared, log_moment
 from fpsq.kernels import build_model
 from fpsq.numerics import (
-    QuadratureRule,
     exact_sum,
-    gauss_hermite_rule,
     hermite_matrix,
     interval_indicator_coeffs,
     log_sum_exp,
@@ -24,15 +22,7 @@ from fpsq.numerics import (
     symmetric_indicator_coeffs,
     symmetric_indicator_tail,
 )
-from hermite_ref import hermite_coeffs, hermite_eval, series_eval, squared_mass
-
-
-def double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+from hermite_ref import hermite_coeffs, hermite_eval, normal_rule, series_eval, squared_mass
 
 
 class TestHermiteEval:
@@ -70,103 +60,6 @@ class TestHermiteEval:
         for i in range(11):
             for j, x in enumerate(xs):
                 assert mat[i, j] == pytest.approx(hermite_eval(i, float(x)), rel=1e-13, abs=1e-13)
-
-
-class TestQuadrature:
-    def test_one_point_rule(self):
-        rule = gauss_hermite_rule(1)
-        assert rule.nodes.tolist() == [0.0]
-        assert rule.weights.tolist() == [1.0]
-
-    def test_second_moment_two_nodes(self):
-        rule = gauss_hermite_rule(2)
-        assert rule.expect(lambda z: z**2) == pytest.approx(1.0, abs=1e-14)
-
-    def test_fourth_moment_three_nodes(self):
-        rule = gauss_hermite_rule(3)
-        assert rule.expect(lambda z: z**4) == pytest.approx(3.0, abs=1e-12)
-
-    @pytest.mark.parametrize("num_nodes", [2, 5, 20, 64])
-    def test_monomial_exactness_up_to_degree(self, num_nodes):
-        # E[Z^{2k}] = (2k-1)!!, odd moments vanish; the 1e-10 tolerance
-        # is relative to the integrand scale E[|Z|^deg] since high odd
-        # moments cancel to roundoff of enormous summands
-        rule = gauss_hermite_rule(num_nodes)
-        for deg in range(0, 2 * num_nodes - 1):
-            got = rule.expect(lambda z, d=deg: z**d)
-            want = 0.0 if deg % 2 else float(double_factorial(deg - 1))
-            scale = float(double_factorial(deg - 1 if deg % 2 == 0 else deg))
-            assert abs(got - want) <= 1e-10 * max(1.0, scale)
-
-    def test_weights_positive_and_normalized(self):
-        for n in (2, 33, 200, 512):
-            rule = gauss_hermite_rule(n)
-            assert np.all(rule.weights > 0)
-            assert abs(rule.weights.sum() - 1.0) <= 1e-12
-
-    def test_orthonormality_to_degree_twenty(self):
-        rule = gauss_hermite_rule(64)
-        mat = hermite_matrix(20, rule.nodes)
-        gram = (mat * rule.weights) @ mat.T
-        np.testing.assert_allclose(gram, np.eye(21), atol=1e-10)
-
-    def test_every_size_vs_scipy_and_its_moments(self):
-        # every size against scipy's roots_hermitenorm (normalized to mass
-        # 1), whose rule drops more underflowed tail nodes from 384 nodes
-        # on, so the rules are aligned on their middles.  Weights are within
-        # 1e-11, not 1e-12: scipy's own tail weights are off by up to 3.9e-12
-        # (n = 143, its first node, against mpmath; see the next test).
-        from scipy.special import roots_hermitenorm
-
-        sizes = range(1, 513)
-        rules = [gauss_hermite_rule(n) for n in sizes]
-        for n, rule in zip(sizes, rules):
-            nodes, weights = roots_hermitenorm(n)
-            weights = weights / weights.sum()
-            cut = (n - rule.num_nodes) // 2
-            nodes, weights = nodes[cut:n - cut], weights[cut:n - cut]
-            assert np.abs(rule.nodes - nodes).max() <= 1e-13, n
-            big = weights > 1e-300
-            assert (np.abs(rule.weights[big] / weights[big] - 1.0) <= 1e-11).all(), n
-        # E[h_k(Z)] = delta_k0 up to degree 2n - 1, all sizes at once: the
-        # recurrence runs over every rule's nodes, and each moment is summed per rule
-        x = np.concatenate([r.nodes for r in rules])
-        w = np.concatenate([r.weights for r in rules])
-        starts = np.cumsum([0] + [r.num_nodes for r in rules[:-1]])
-        top = 2 * np.array(sizes) - 1
-        prev, cur = np.zeros_like(x), np.ones_like(x)
-        for k in range(2 * sizes[-1]):
-            moment = np.add.reduceat(w * cur, starts) - (k == 0)
-            assert np.abs(moment[top >= k]).max() <= 1e-14, k
-            prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-
-    @pytest.mark.parametrize("n", [143, 200, 512])
-    def test_tail_weights_vs_mpmath(self, n):
-        # Newton on the 40-digit recurrence from each node; weight
-        # 1 / (n h_{n-1}(x)^2) by Christoffel-Darboux, not the code's sum
-        rule = gauss_hermite_rule(n)
-        with mp.workdps(40):
-            for j in (0, 1, 5, rule.num_nodes // 2):
-                x = mp.mpf(float(rule.nodes[j]))
-                for _ in range(3):
-                    prev, cur = mp.mpf(0), mp.mpf(1)
-                    for i in range(n):
-                        prev, cur = cur, (x * cur - mp.sqrt(i) * prev) / mp.sqrt(i + 1)
-                    x -= cur / (mp.sqrt(n) * prev)
-                assert abs(rule.nodes[j] - x) <= 1e-14 * max(1, abs(x)), (n, j)
-                assert rule.weights[j] == pytest.approx(float(1 / (n * prev**2)), rel=1e-13), (n, j)
-
-    def test_node_count_bounds(self):
-        with pytest.raises(ValueError):
-            gauss_hermite_rule(0)
-        with pytest.raises(ValueError):
-            gauss_hermite_rule(513)
-
-    def test_invalid_rule_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, -0.5]))
-        with pytest.raises(ValueError):
-            QuadratureRule(np.array([0.0, 1.0]), np.array([0.6, 0.6]))
 
 
 class TestNormal:
@@ -208,14 +101,12 @@ class TestNormal:
 
 class TestHermiteCoeffs:
     def test_constant_function(self):
-        rule = gauss_hermite_rule(40)
-        series = hermite_coeffs(lambda z: np.ones_like(z), 10, rule)
+        series = hermite_coeffs(lambda z: np.ones_like(z), 10, *normal_rule(40))
         assert series.coefficients[0] == pytest.approx(1.0, abs=1e-13)
         assert max(abs(c) for c in series.coefficients[1:]) <= 1e-12
 
     def test_identity_function(self):
-        rule = gauss_hermite_rule(40)
-        series = hermite_coeffs(lambda z: z, 10, rule)
+        series = hermite_coeffs(lambda z: z, 10, *normal_rule(40))
         assert series.coefficients[1] == pytest.approx(1.0, abs=1e-13)
         assert abs(series.coefficients[0]) <= 1e-13
         assert max(abs(c) for c in series.coefficients[2:]) <= 1e-12
@@ -232,24 +123,22 @@ class TestHermiteCoeffs:
     def test_indicator_matches_quadrature_route_on_low_degrees(self):
         kappa = 0.9
         exact = interval_indicator_coeffs(-kappa, kappa, 8)
-        rule = gauss_hermite_rule(400)
-        quad = hermite_coeffs(lambda z: (np.abs(z) <= kappa).astype(float), 8, rule)
+        quad = hermite_coeffs(lambda z: (np.abs(z) <= kappa).astype(float), 8, *normal_rule(400))
         # raw quadrature on an indicator is slowly convergent; only a
         # loose agreement is expected, exactness belongs to the boundary formula
         np.testing.assert_allclose(quad.coefficients, exact.coefficients, atol=3e-2)
 
     def test_smooth_roundtrip_within_declared_tail(self):
-        rule = gauss_hermite_rule(120)
+        nodes, weights = normal_rule(120)
         f = lambda z: np.exp(0.4 * z)
-        series = hermite_coeffs(f, 30, rule)
+        series = hermite_coeffs(f, 30, nodes, weights)
         # L2(phi) error of the truncation vs the declared Parseval deficit
-        err2 = rule.expect(lambda z: (f(z) - np.array([series_eval(series, float(x)) for x in z])) ** 2)
+        err2 = weights @ (f(nodes) - np.array([series_eval(series, float(x)) for x in nodes])) ** 2
         assert err2 <= series.tail + 1e-10
 
     def test_rule_must_resolve_degree(self):
-        rule = gauss_hermite_rule(10)
         with pytest.raises(ValueError):
-            hermite_coeffs(lambda z: z, 12, rule)
+            hermite_coeffs(lambda z: z, 12, *normal_rule(10))
 
     def test_indicator_tail_estimate_dominates_true_deficit(self):
         kappa = 1.6448536269514722

@@ -1,9 +1,10 @@
-"""The README's library example, the benchmark's hooks, the value dump
-and the phase-grid timer stay runnable, every array sum in the engine takes one code path,
-no engine module calls laws.expect or laws.survival, none evaluates
-a kernel point by point or walks a law atom by atom, one root-finder
-serves the quantile and the level sets without nesting, and building the
-discrete models imports no exact-arithmetic or scipy module."""
+"""The README's library example, the package's exports, the benchmark's
+hooks, the value dump and the phase-grid timer stay runnable, every array
+sum in the engine takes one code path, no engine module calls laws.expect
+or laws.survival, none evaluates a kernel point by point or walks a law
+atom by atom, one root-finder serves the quantile and the level sets
+without nesting, and building the discrete models imports no
+exact-arithmetic or scipy module."""
 
 import ast
 import contextlib
@@ -37,6 +38,12 @@ def test_benchmark_tracer_finds_every_attribute_it_wraps():
             "import spans; spans.Tracer().install()")
     subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "src"),
                     os.path.join(ROOT, "perfbench")], check=True, cwd=ROOT, timeout=120)
+
+
+def test_every_export_resolves():
+    # a name left in fpsq.__all__ after its object is gone fails the star import
+    code = "import sys; sys.path[:0] = [sys.argv[1]]; from fpsq import *"
+    subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "src")], check=True, cwd=ROOT, timeout=120)
 
 
 def test_sweep_values_dumps_every_benchmark_cell():
@@ -92,8 +99,8 @@ def test_array_sums_go_through_exact_sum():
 
 def test_engine_calls_neither_expect_nor_survival():
     # every expectation reads a model's table; laws.expect and laws.survival
-    # stay only for the package exports and the benchmark's tracer
-    # (QuadratureRule.expect is a different method)
+    # stay only for the package exports and the benchmark's tracer (a
+    # method named expect on another object would be a different call)
     offenders = []
     src = os.path.join(ROOT, "src", "fpsq")
     for name in sorted(os.listdir(src)):
