@@ -20,27 +20,28 @@ proxy-runtime parameter q (tail mass q^{-2}):
 All m-th powers run through exp(m log K); an exact kernel zero has
 log K = -inf and adds an exact 0.  On a discrete law every criterion reads the
 model's atom table (ModelSpec.atom_table): a threshold is a bisection in
-its levels, an event a mask, the event value a log-sum-exp of
-m log K + log p over the mask.  On the continuous law every event is a
-level set (laws.LevelSets) of |t| (FP), rho_G (rho_G-FP), the orbit-
-averaged log K^m (GFP) or |K - 1| (SQ), and its value one laws.integral
-per interval, both read from the kernel table.  USQ and LD (every d)
-share one moment function; the correlation check reads K - 1 at t and -t
-from the same tables.  Every report records the threshold object, the
-computation method, and a hard/not-hard verdict against the
-caller-supplied epsilon (or 1/m for SQ).
+its levels, an event a cut in them (laws.Levels.cut), the event value a
+log-sum-exp of m log K + log p over the kept atoms.  On the continuous
+law every event is a level set (laws.LevelSets) of |t| (FP), rho_G
+(rho_G-FP), the orbit-averaged log K^m (GFP) or |K - 1| (SQ), and its
+value one laws.integral per interval, both read from the kernel table.
+FP and rho_G-FP share one body: only h and the boundary side differ.
+USQ and LD (every d) share one moment function; the correlation check
+reads K - 1 at t and -t from the same tables.  Every report records the
+threshold object, the computation method, and a hard/not-hard verdict
+against the caller-supplied epsilon (or 1/m for SQ).
 
 A sweep reuses what depends on one coordinate through the model's memo
 (ModelSpec.memo), keyed by (what, coordinate):
-- per q: the FP and rho_G-FP thresholds (with the kept intervals on the
-  continuous law) and SQ's (threshold, value, log value, method);
+- per q: the FP and rho_G-FP thresholds with their level cut (or kept
+  intervals) and SQ's (threshold, value, log value, method);
 - per m: chi^2, log E[K^m] and, on a discrete law, GFP's orbit log
   values with their greedy order (free items, the others in density
   order, the free items' exact mass), for the _GFP_ORDERS most recently
   used m only;
 - per (d, t): the moments E[(K_d - 1)^t] of USQ and LD.
 Entries hold scalars, interval rows and per-orbit arrays, never a per-atom
-array: each cell recomputes its masks and m log K + log p, its event sum,
+array: each cell recomputes its kept atoms and m log K + log p, its event sum,
 its GFP search and its verdict.  The argument checks run before any
 lookup, and a computation or GFP cell that raises stores nothing, so
 every cell returns what it returns on a fresh model, bit for bit.
@@ -58,6 +59,7 @@ import numpy as np
 
 from fpsq.kernels import AtomTable, ModelSpec
 from fpsq.laws import (
+    REL_TOL,
     AtomEvaluationError,
     LevelSets,
     ThresholdResult,
@@ -69,7 +71,6 @@ from fpsq.laws import (
 )
 from fpsq.numerics import exact_sum, log_sum_exp
 
-_REL = 1e-12
 _MAX_EXACT_ORBITS = 64  # GFP orbit items beyond this take the greedy brackets
 _BNB_NODES = 20_000  # branch-and-bound node budget; then the greedy brackets
 _CORRELATION_TOL = 1e-12  # assumption_holds passes at a minimum >= -this
@@ -107,13 +108,20 @@ def _hard(value: float, bound: float) -> str:
     return "hard" if value <= bound else "not-hard"
 
 
-def _require_q(q: float, minimum: float, criterion: str) -> float:
-    """The tail mass q^{-2}, after the shared checks on q and on that mass."""
+def _require_q(q: float, minimum: float, criterion: str, m: int | None) -> float:
+    """The tail mass q^{-2}, after the shared checks on q, that mass and m (if given)."""
     if not q >= minimum:
         raise ValueError(f"{criterion} requires q >= {minimum}, got {q}")
     mass = float(q) ** -2
     check_mass(mass)
+    if m is not None:
+        _require_m(m)
     return mass
+
+
+def _require_m(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
 
 
 def _memo(model: ModelSpec, key: tuple, compute: Callable):
@@ -123,11 +131,6 @@ def _memo(model: ModelSpec, key: tuple, compute: Callable):
     if key not in memo:
         memo[key] = compute()
     return memo[key]
-
-
-def _le(a, b):
-    """a <= b up to relative 1e-12 (elementwise on arrays)."""
-    return a <= b + _REL * np.maximum(np.abs(a), np.abs(b))
 
 
 def _event_value(log_terms: np.ndarray) -> tuple[float, float]:
@@ -154,17 +157,21 @@ def _event_integral(model: ModelSpec, form: Callable, intervals: np.ndarray) -> 
     return (math.fsum(p[0] for p in parts) if lv < 700.0 else exp_or_inf(lv)), lv
 
 
+def _power_sum(model: ModelSpec, m: int, kept=None) -> tuple[float, float]:
+    """(value, log value) of E[K^m 1(kept)]: a log-sum-exp of m log K + log p
+    over the kept atoms (a mask) of a discrete law, or one integral per
+    kept interval (rows [a, b]) on the continuous law; None keeps the
+    whole support."""
+    if model.is_discrete:
+        kept = slice(None) if kept is None else kept
+        return _event_value(m * model.atom_table.log_k[kept] + model.law.log_probs[kept])
+    return _event_integral(model, lambda lk: (m * lk, 1.0), np.array([model.law.support]) if kept is None else kept)
+
+
 def _complement(intervals: np.ndarray, support: tuple[float, float]) -> np.ndarray:
     """The intervals of the support between the given ones (rows, in order)."""
     edges = np.concatenate([support[:1], intervals.ravel(), support[1:]]).reshape(-1, 2)
     return edges[edges[:, 0] < edges[:, 1]]
-
-
-def _below(sets: LevelSets, mass: float) -> tuple[ThresholdResult, np.ndarray]:
-    """The threshold at tail mass `mass` and the intervals of the support
-    below it: FP's and rho_G-FP's event on the continuous law."""
-    thr, above = sets.threshold(mass)
-    return thr, _complement(above, sets.law.support)
 
 
 def _orbit_sets(model: ModelSpec, table: np.ndarray, at: Callable, combine: Callable) -> LevelSets:
@@ -204,46 +211,41 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
 
     Requires the model's statistic to determine the Euclidean overlap.
     """
-    mass = _require_q(q, 2.0, "FP")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    mass = _require_q(q, 2.0, "FP", m)
     if model.euclid_overlap is None or not (model.is_discrete or model.euclid_overlap is float):
         raise UnsupportedCriterionError(  # a continuous law's statistic is the overlap itself
             f"model {model.name!r} does not expose a Euclidean overlap; FP undefined"
         )
-    inputs = {"q": q, "m": m, "epsilon": epsilon}
-    if model.is_discrete:
-        tab = model.atom_table
-        thr = _memo(model, ("fp", q), lambda: tab.overlap.threshold(mass))
-        keep = _le(tab.overlap.at, thr.threshold)
-        value, lv = _event_value(m * tab.log_k[keep] + model.law.log_probs[keep])
-        method = "exact-sum"
-    else:
-        law = model.law  # |<u,v>| = |t|: the threshold is tau itself
-        thr, below = _memo(model, ("fp", q), lambda: _below(LevelSets(law, np.abs(law.grid), np.abs), mass))
-        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), below)
-        method = "quadrature"
-    return CriterionReport("FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
+    return _kept_below(model, "FP", q, m, epsilon, mass, "overlap", False,  # continuous: |<u,v>| = |t|
+                       lambda: LevelSets(model.law, np.abs(model.law.grid), np.abs))
 
 
 def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> CriterionReport:
     """E[K^m 1(rho_G < r(q))], strict boundary per the definition."""
-    mass = _require_q(q, 2.0, "rho_G-FP")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    inputs = {"q": q, "m": m, "epsilon": epsilon}
-    if model.is_discrete:
-        tab = model.atom_table
-        thr = _memo(model, ("rho_fp", q), lambda: tab.rho.threshold(mass))
-        keep = tab.rho.at < thr.threshold * (1.0 - _REL)
-        value, lv = _event_value(m * tab.log_k[keep] + model.law.log_probs[keep])
-        method = "exact-sum"
-    else:  # the level sets of rho_G
-        thr, below = _memo(model, ("rho_fp", q),
-                           lambda: _below(_orbit_sets(model, *_deviation(model), np.maximum), mass))
-        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), below)
-        method = "quadrature"
-    return CriterionReport("RHO_FP", inputs, thr, value, lv, _hard(value, 1.0 + epsilon), method)
+    mass = _require_q(q, 2.0, "rho_G-FP", m)
+    return _kept_below(model, "RHO_FP", q, m, epsilon, mass, "rho", True,
+                       lambda: _orbit_sets(model, *_deviation(model), np.maximum))
+
+
+def _kept_below(model: ModelSpec, name: str, q: float, m: int, epsilon: float, mass: float,
+                levels: str, strict: bool, sets: Callable[[], LevelSets]) -> CriterionReport:
+    """E[K^m 1(h(T) below r)], r the sup-threshold of h at tail mass `mass`:
+    the cut at r in the atom table's Levels `levels`, closed or strict, or
+    the support less {h >= r} in the LevelSets from sets().  The memo keeps
+    (threshold, cut) or (threshold, intervals) per q."""
+    h = getattr(model.atom_table, levels) if model.is_discrete else None
+
+    def event() -> tuple[ThresholdResult, int | np.ndarray]:
+        if h is not None:
+            thr = h.threshold(mass)
+            return thr, h.cut(thr.threshold, strict)
+        thr, above = sets().threshold(mass)
+        return thr, _complement(above, model.law.support)
+
+    thr, kept = _memo(model, (name.lower(), q), event)
+    value, lv = _power_sum(model, m, kept if h is None else h.index < kept)
+    return CriterionReport(name, {"q": q, "m": m, "epsilon": epsilon}, thr, value, lv,
+                           _hard(value, 1.0 + epsilon), "exact-sum" if model.is_discrete else "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +416,14 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     threshold is tau where the dropped set is {|T| >= tau}; else it is
     None and detail["level"] holds the level of h.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    mass = _require_q(q, 1.0, "GFP")
+    mass = _require_q(q, 1.0, "GFP", m)
     inputs = {"q": q, "m": m, "epsilon": epsilon}
     if not model.is_discrete:
         sets = _orbit_sets(model, m * model.kernel_table[0], lambda ts: m * model.log_k(ts),
                            lambda x, y: np.logaddexp(x, y) - math.log(2.0))
         tails = sets.two_tails(mass)  # the dropped set is {|T| >= tau}: no level of h is needed
         thr, above = tails or sets.threshold(mass)
-        value, lv = _event_integral(model, lambda lk: (m * lk, 1.0), _complement(above, model.law.support))
+        value, lv = _power_sum(model, m, _complement(above, model.law.support))
         if thr.achieved_mass > mass and not thr.exact:  # h is flat at the level: keep what the mass allows
             lv = log_sum_exp([lv, math.log(thr.achieved_mass - mass) + thr.threshold])
             value = exp_or_inf(lv)
@@ -442,7 +442,7 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     # capacity mass may be dropped; the included event needs the rest,
     # with a 1e-12 relative slack so an atom whose mass equals q^{-2}
     # in exact arithmetic is still droppable
-    needed = 1.0 - mass * (1.0 + _REL)
+    needed = 1.0 - mass * (1.0 + REL_TOL)
     detail: dict = {"orbit_atoms": len(values)}
     included, _, lower = solve_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass, needed, greedy)
     _keep_recent(model.memo, key, state)
@@ -479,7 +479,7 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
     apart).  On the continuous law the set is a union of intervals
     (laws.LevelSets).  With m supplied the verdict compares against 1/m.
     """
-    mass = _require_q(q, 1.0, "SQ")
+    mass = _require_q(q, 1.0, "SQ", m)
     thr, value, lv, method = _memo(model, ("sq", q), lambda: _sq(model, mass))
     verdict = None if m is None else _hard(value, 1.0 / m)
     return CriterionReport("SQ", {"q": q, "m": m}, thr, value, lv, verdict, method)
@@ -489,11 +489,10 @@ def _sq(model: ModelSpec, mass: float) -> tuple[ThresholdResult, float, float, s
     """SQ's (threshold, value, log value, method) at tail mass `mass`."""
     if model.is_discrete:
         dev = model.atom_table.abs_dev
-        j = int(np.argmax(dev.levels >= dev.threshold(mass).threshold * (1.0 - _REL)))
-        achieved = dev.tails[j]
-        thr = ThresholdResult(float(dev.levels[j]), achieved, math.isclose(achieved, mass, rel_tol=_REL))
+        j = dev.cut(dev.threshold(mass).threshold, strict=True)  # the levels from j on are kept
+        thr = dev.tail(j, mass)
         top_sum = exact_sum((dev.levels * dev.mass)[j:])  # E[|K - 1| 1(levels j..)]
-        value = top_sum / achieved if achieved > 0.0 else 0.0
+        value = top_sum / thr.achieved_mass if thr.achieved_mass > 0.0 else 0.0
         return thr, value, math.log(value) if value > 0.0 else -math.inf, "exact-sum"
     thr, above = LevelSets(model.law, *_deviation(model)).threshold(mass)
     total, lv = _event_integral(model, lambda lk: (_expm1_log(lk)[0], 1.0), above)
@@ -552,8 +551,7 @@ def usq_moment(model: ModelSpec, t: int) -> float:
 
 def usq_hard(model: ModelSpec, m: int, t: int) -> CriterionReport:
     """E[(K - 1)^t] against the bound m^{-t}."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    _require_m(m)
     value = usq_moment(model, t)
     bound = float(m) ** (-t)
     lv = math.log(value) if value > 0.0 else -math.inf
@@ -578,8 +576,7 @@ def chi_squared(model: ModelSpec, m: int) -> float:
     log(-expm1(-x)) for x > 0, so no integrand value is capped.  A value
     beyond the float range is +inf, and log_moment gives its log.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    _require_m(m)
     return _memo(model, ("chi2", m), lambda: _chi_squared(model, m))
 
 
@@ -599,11 +596,8 @@ def log_moment(model: ModelSpec, m: int) -> float:
     a log-sum-exp over the atom table, or one integral over the
     continuous support.  Below the float range log1p(chi_squared) is more
     precise."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    return _memo(model, ("log_moment", m), lambda: (
-        _event_value(m * model.atom_table.log_k + model.law.log_probs)[1] if model.is_discrete
-        else _event_integral(model, lambda lk: (m * lk, 1.0), np.array([model.law.support]))[1]))
+    _require_m(m)
+    return _memo(model, ("log_moment", m), lambda: _power_sum(model, m)[1])
 
 
 def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
@@ -684,8 +678,7 @@ def check_equivalence_bounds(model: ModelSpec, q: float, m: int, epsilon: float 
     Premises that fail are reported as 'premise-failed', not as
     violations.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    _require_m(m)
     checks: dict = {}
     assumption = assumption_holds(model, k_max=4)
     checks["assumption"] = {

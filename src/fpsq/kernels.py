@@ -173,8 +173,7 @@ class GroupSpec:
         if law.kind == "discrete":  # the mass at -t (0 where no atom sits there) against that at t
             mirror, lone = law.mirror
             return bool(np.all(np.abs(np.where(lone, 0.0, law.probs[mirror]) - law.probs) <= _PRESERVE_TOL))
-        mid = 0.5 * (law.support[0] + law.support[1])
-        return abs(mid) <= _PRESERVE_TOL and abs(law.cdf(-0.3) - (1.0 - law.cdf(0.3))) <= 1e-9
+        return True  # OverlapLaw refuses an asymmetric support and takes cdf(t > 0) as 1 - cdf(-t)
 
 
 def rho_g(kernel: Kernel, group: GroupSpec, t: Statistic) -> float:
@@ -617,7 +616,7 @@ class AtomTable:
     index; one entry per orbit (an atom and its mirror): the
     representative (lower) atom and the mass, whose log GFP reads; and
     the Levels of |<u,v>| (None without a Euclidean overlap), rho_G and
-    |K - 1|."""
+    |K - 1|, each discrete event a cut in one of them (Levels.cut)."""
 
     log_k: np.ndarray
     dev: np.ndarray
@@ -643,7 +642,7 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     is the statistic itself, or the agreement count c of pair counts."""
     law, kernel = model.law, model.kernel
     values, p = law.values, law.probs
-    log_k, dev, _ = model.kernel_table
+    log_k, dev = model.kernel_table
     if model.group.order == 2:
         mirror, lone = law.mirror
     else:  # the trivial group: every atom is its own mirror
@@ -719,15 +718,15 @@ class ModelSpec:
         return self.kernel.log_eval(np.asarray(points))
 
     @cached_property
-    def kernel_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """log K (-inf at exact zeros), K - 1 (Kernel.minus_one) and log p
-        at each atom of a discrete law, or at each point of law.grid with
-        the log density in place of log p: one call of each on all points."""
+    def kernel_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """log K (-inf at exact zeros) and K - 1 (Kernel.minus_one) at each
+        atom of a discrete law, or at each point of law.grid: one call of
+        each on all points."""
         law, kernel = self.law, self.kernel
         points = law.values if self.is_discrete else law.grid
         log_k = self.log_k(points)
         dev = _expm1(log_k) if kernel.minus_one_fn is None else kernel.minus_one(points)
-        return log_k, dev, law.log_probs if self.is_discrete else law.grid_log_pdf
+        return log_k, dev
 
 
 def _default_group(name: str, law: OverlapLaw, requested: str | None) -> GroupSpec:

@@ -32,7 +32,8 @@ thresholds
 whose boundary-atom behaviour (achieved mass, exactness flag) the
 criteria need to expose.  On a discrete law every such threshold reads
 one Levels object: the distinct levels of g(T) with compensated tail
-masses, searched by bisection.
+masses, searched by bisection, and every event is a cut in those levels
+(Levels.cut, with the closed or the strict boundary).
 
 On the continuous law every event is a level set {h >= c} of a function
 h on the support, of any shape, found by one routine, LevelSets; where h
@@ -65,9 +66,9 @@ from fpsq.numerics import exact_sum, log_sum_exp, normal_quantile
 Statistic = float | tuple
 Transform = Callable[[Statistic], float] | None
 
-# Relative slack for survival >= mass comparisons; absorbs 1-ulp float
+# Relative slack of survival >= mass and of a level cut; absorbs 1-ulp float
 # discrepancies when a caller passes a mass meant to hit an atom exactly.
-_REL_TOL = 1e-12
+REL_TOL = 1e-12
 
 _ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
 _LEVEL_TOL = 2.0**-46  # |log P(h >= c) - log mass| at which LevelSets.threshold's search stops
@@ -96,10 +97,6 @@ _SHORT = 64  # _dd_cumprod multiplies this many factors or fewer one by one
 
 class ResourceLimitError(ValueError):
     """A computation exceeds its size or step budget (CLI exit code 3)."""
-
-
-def _ge(a: float, b: float) -> bool:
-    return a >= b - _REL_TOL * max(abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -701,21 +698,20 @@ def survival(law: OverlapLaw, r: float, transform: Transform = None) -> float:
 
 @dataclass(frozen=True)
 class Levels:
-    """A transform g(T) on a discrete law: its value at each atom, its
-    distinct levels r_0 < r_1 < ..., the mass of each level, and the
+    """A transform g(T) on a discrete law: the index of each atom's level,
+    the distinct levels r_0 < r_1 < ..., the mass of each level, and the
     tail masses tails[i] = P(g(T) >= r_i), accumulated from the top with
-    Kahan compensation.  Every discrete sup-threshold reads these."""
+    Kahan compensation.  Every discrete sup-threshold and event reads these."""
 
-    at: np.ndarray
+    index: np.ndarray
     levels: np.ndarray
     mass: np.ndarray
     tails: list[float]
 
     @classmethod
-    def of(cls, at: Sequence[float], probs: Sequence[float]) -> Levels:
-        at = np.asarray(at, dtype=float)
-        levels, inverse = np.unique(at, return_inverse=True)
-        mass = np.bincount(inverse, weights=probs, minlength=len(levels))
+    def of(cls, values: Sequence[float], probs: Sequence[float]) -> Levels:
+        levels, index = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+        mass = np.bincount(index, weights=probs, minlength=len(levels))
         tails: list[float] = []
         acc, comp = 0.0, 0.0
         for x in reversed(mass.tolist()):
@@ -725,17 +721,27 @@ class Levels:
             acc = t
             tails.append(acc)
         tails.reverse()
-        return cls(at, levels, mass, tails)
+        return cls(index.astype(np.int32), levels, mass, tails)  # int32 holds MAX_ATOMS; a cut reads half the bytes
+
+    def tail(self, i: int, mass: float) -> ThresholdResult:
+        """Level i and its tail mass, exact if `mass` up to relative 1e-12."""
+        achieved = self.tails[i]
+        return ThresholdResult(float(self.levels[i]), achieved, math.isclose(achieved, mass, rel_tol=REL_TOL))
 
     def threshold(self, mass: float) -> ThresholdResult:
         """sup { r : P(g(T) >= r) >= mass }: the highest level whose tail
         mass is >= mass up to the relative slack 1e-12 (the lowest level
         when none is)."""
-        tails = self.tails
-        i = max(bisect_left(range(len(tails)), True, key=lambda j: not _ge(tails[j], mass)) - 1, 0)
-        achieved = tails[i]
-        exact = abs(achieved - mass) <= _REL_TOL * max(abs(achieved), abs(mass))
-        return ThresholdResult(float(self.levels[i]), achieved, exact)
+        i = max(bisect_left(self.tails, True, key=lambda t: t < mass - REL_TOL * max(abs(t), mass)) - 1, 0)
+        return self.tail(i, mass)
+
+    def cut(self, c: float, strict: bool = False) -> int:
+        """The event below c, as the atoms with index < cut: the number of levels
+        l <= c + 1e-12 max(|l|, |c|) (closed; a prefix of the finite levels) or
+        l < c (1 - 1e-12) (strict)."""
+        if strict:
+            return int(self.levels.searchsorted(c * (1.0 - REL_TOL)))
+        return int(np.count_nonzero(self.levels <= c + REL_TOL * np.maximum(np.abs(self.levels), abs(c))))
 
 
 def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float, f_tol: float = 0.0):
@@ -778,7 +784,7 @@ def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: fl
 
 def check_mass(mass: float) -> None:
     """Refuse a tail mass outside (0, 1], up to 1-ulp slack above 1."""
-    if not 0.0 < mass <= 1.0 + _REL_TOL:
+    if not 0.0 < mass <= 1.0 + REL_TOL:
         raise ValueError(f"mass must lie in (0, 1], got {mass}")
 
 
@@ -834,7 +840,7 @@ class LevelSets:
         table, grid, (lo, hi) = self.table, self.law.grid, self.law.support
         low, high = table[len(grid) // 2:-1], table[len(grid) // 2 + 1:]  # the grid is symmetric about 0
         if not np.array_equal(table, table[::-1]) or not ((high >= low).all() or (
-                high - low >= -_REL_TOL * np.maximum(np.abs(low), 1.0)).all()):
+                high - low >= -REL_TOL * np.maximum(np.abs(low), 1.0)).all()):
             return None
         tau = max(-self.law.ppf(0.5 * min(mass, 1.0)), 0.0)
         return ThresholdResult(tau, min(mass, 1.0), mass <= 1.0), np.array([[lo, -tau], [tau, hi]])
@@ -872,7 +878,7 @@ class LevelSets:
                                                      _LEVEL_TOL)[0])
         intervals, log_f = self._event(level, self._cells(level)[4])
         achieved = math.exp(log_f)
-        return ThresholdResult(level, achieved, math.isclose(achieved, mass, rel_tol=_REL_TOL)), intervals
+        return ThresholdResult(level, achieved, math.isclose(achieved, mass, rel_tol=REL_TOL)), intervals
 
 
 def _transformed(law: OverlapLaw, transform: Callable[[float], float]) -> LevelSets:

@@ -21,7 +21,7 @@ from fpsq.criteria import assumption_holds, chi_squared, gfp_value, log_moment, 
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model, gam_kernel, rho_g
 from fpsq import laws
 from fpsq.laws import AtomEvaluationError, make_law, sample
-from fpsq.scenarios import run_scenario
+from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS, run_scenario
 
 mpmath.mp.dps = 50
 
@@ -133,8 +133,8 @@ class TestMirror:
         assert tab.mirror.tolist() == [1, 0, 2]
         assert tab.orbit.tolist() == [0, 0, 1]  # the lone atom keeps its own orbit
         assert tab.mirror_dev.tolist() == [math.expm1(0.5), math.expm1(-0.5), math.expm1(-0.7)]
-        assert tab.rho.at.tolist() == [rho_g(gam, group, t) for t in law.values]
-        assert tab.rho.at[2] == math.expm1(0.7)
+        assert tab.rho.levels[tab.rho.index].tolist() == [rho_g(gam, group, t) for t in law.values]
+        assert tab.rho.levels[tab.rho.index][2] == math.expm1(0.7)
         rep = assumption_holds(model, k_max=3)
         want = min(math.fsum([math.expm1(t) ** k, math.expm1(-t) ** k]) / 2
                    for t in law.values for k in (1, 2, 3))
@@ -258,3 +258,68 @@ def test_gfp_matches_enumeration(case):
         assert rep.value == 0.0
     else:
         assert rep.log_value == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+# The float rules a discrete event's boundary followed before it became a
+# level cut, kept here as the reference Levels.cut must reproduce
+def closed_rule(at, c):
+    return at <= c + 1e-12 * np.maximum(np.abs(at), abs(c))
+
+
+def strict_rule(at, c):
+    return at < c * (1.0 - 1e-12)
+
+
+def near(levels):
+    """Each level, one ulp either side of it and 1e-12 relative either side."""
+    return np.concatenate([levels, np.nextafter(levels, np.inf), np.nextafter(levels, -np.inf),
+                           levels * (1.0 + 1e-12), levels * (1.0 - 1e-12)])
+
+
+def assert_cuts_follow_the_rules(h, at):
+    """index < cut(c) against both float rules, atom by atom, at every c near a level."""
+    for c in near(h.levels).tolist():
+        assert np.array_equal(h.index < h.cut(c), closed_rule(at, c)), c
+        assert np.array_equal(h.index < h.cut(c, strict=True), strict_rule(at, c)), c
+
+
+class TestLevelCut:
+    # every discrete preset, and the models of the benchmark's discrete-wide workload
+    DESCS = {name: desc for name, desc in BUILTIN_MODEL_DESCRIPTORS.items()
+             if desc.get("prior", {}).get("kind") != "sphere"} | {
+        "gam-rademacher-1000": {"model": "gam", "lambda": 0.8, "prior": {"kind": "rademacher_mean", "n": 1000}},
+        "gam-rademacher-126": {"model": "gam", "lambda": 1.2, "prior": {"kind": "rademacher_mean", "n": 126}},
+        "mslr-scenario": {"model": "mslr", "n": 10_000, "k": 50, "sigma2": 50.0},
+    }
+
+    @pytest.mark.parametrize("name", sorted(DESCS))
+    def test_cut_is_the_float_rule_on_every_levels(self, name):
+        model = build_model(self.DESCS[name])
+        assert model.is_discrete
+        tab, values = model.atom_table, model.law.values
+        # each transform at each atom, as the atom table computes it
+        ats = {"rho": np.maximum(np.abs(tab.dev), np.abs(tab.mirror_dev)), "abs_dev": np.abs(tab.dev)}
+        if tab.overlap is not None:
+            ats["overlap"] = np.abs(values[:, 2] if model.law.statistic == "pair_counts" else values)
+        for attr, at in ats.items():
+            h = getattr(tab, attr)
+            assert np.array_equal(h.levels[h.index], at), attr  # each atom's level is its value
+            assert_cuts_follow_the_rules(h, at)
+
+
+@st.composite
+def near_tie_levels(draw):
+    """Values with mirror pairs one ulp apart, as |K - 1| at t and -t round
+    on gam-rademacher, and their masses."""
+    base = draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.floats(1e-300, 1e300), st.floats(-1e3, 0.0)),
+                         min_size=1, max_size=12))
+    values = base + [math.nextafter(x, math.inf) for x in draw(st.lists(st.sampled_from(base), max_size=6))]
+    probs = draw(st.lists(st.floats(0.01, 1.0), min_size=len(values), max_size=len(values)))
+    return np.array(values), np.array(probs) / sum(probs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_tie_levels())
+def test_cut_is_the_float_rule_on_near_ties(case):
+    values, probs = case
+    assert_cuts_follow_the_rules(laws.Levels.of(values, probs), values)

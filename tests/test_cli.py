@@ -164,6 +164,10 @@ class TestCriterionCommand:
         code = run(["criterion", "--model", "mslr-desk", "--criterion", "usq", "--m", m])
         assert code == EXIT_CONFIG
         assert "m must be a positive integer" in capsys.readouterr().err
+        # SQ's verdict reads 1/m: it refuses the same m
+        code = run(["criterion", "--model", "gam-rademacher", "--criterion", "sq", "--q", "4", "--m", m])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: m must be a positive integer, got {m}\n"
 
     def test_log_grid_m_rounds_to_its_whole_numbers(self, tmp_path):
         # the grid's points 2^k come out of exp(log) a few ulps off

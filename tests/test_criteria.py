@@ -599,7 +599,8 @@ class TestSweepMemo:
                      lambda: gfp_value(model, 3.0, 0), lambda: chi_squared(model, 0),
                      lambda: criteria.log_moment(model, 0), lambda: fp_value(model, 1.5, 2),
                      lambda: rho_fp_value(model, 1.5, 2), lambda: gfp_value(model, 0.8, 2),
-                     lambda: sq_value(model, 0.8, 2)):
+                     lambda: sq_value(model, 0.8, 2), lambda: sq_value(model, 3.0, 0),
+                     lambda: sq_value(model, 3.0, -2)):
             with pytest.raises(ValueError):
                 call()
         assert list(model.memo) == keys

@@ -1,8 +1,9 @@
 """The README's library example, the package's exports, the benchmark's
 hooks, the value dump and the phase-grid timer stay runnable, every array
 sum in the engine takes one code path, no engine module calls laws.expect
-or laws.survival, none evaluates a kernel point by point or walks a law
-atom by atom, one root-finder serves the quantile and the level sets
+or laws.survival, the criteria compare nothing against the boundary
+slack that laws.Levels owns, no module evaluates a kernel point by point
+or walks a law atom by atom, one root-finder serves the quantile and the level sets
 without nesting, and building the discrete models imports no
 exact-arithmetic or scipy module."""
 
@@ -95,6 +96,23 @@ def test_array_sums_go_through_exact_sum():
         calls -= {node for func in exempt for node in ast.walk(func)}
         offenders += [f"{name}:{node.lineno}" for node in calls]
     assert sorted(offenders) == []
+
+
+def test_boundary_slack_lives_in_levels():
+    # a discrete event's boundary is laws.Levels.cut, which owns the 1e-12
+    # slack; the criteria import that one constant and compare nothing
+    # against it (GFP's mass slack is arithmetic, not a comparison)
+    from fpsq import criteria, laws
+
+    slack = re.compile(r"_?REL(_TOL)?$")
+    with open(os.path.join(ROOT, "src", "fpsq", "criteria.py")) as fh:
+        tree = ast.parse(fh.read(), "criteria.py")
+    compares = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(inner, ast.Name) and slack.match(inner.id) for inner in ast.walk(node))]
+    copies = [target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name) and slack.match(target.id)]
+    assert compares == [] and copies == []
+    assert criteria.REL_TOL is laws.REL_TOL
 
 
 def test_engine_calls_neither_expect_nor_survival():
