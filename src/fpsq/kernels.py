@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from fpsq.laws import Levels, OverlapLaw, Statistic, make_law
+from fpsq.laws import Levels, OverlapLaw, Statistic, make_law, whole_field
 from fpsq.numerics import (
     exact_sum,
     hermite_matrix,
@@ -746,29 +746,33 @@ def build_model(desc: dict) -> ModelSpec:
     if "model" not in desc:
         raise ValueError("model descriptor requires a 'model' field")
     name = desc["model"]
-    max_degree = int(desc.get("max_degree", 64))
+    max_degree = whole_field(desc, "max_degree", 64)
     overlap: Callable[[Statistic], float] | None = float  # the statistic is <u, v> itself
     if name == "gam":
         law, kernel = make_law(desc["prior"]), gam_kernel(float(desc["lambda"]), max_degree=max_degree)
     elif name == "mslr":
-        law = make_law({"kind": "hypergeometric", "n": int(desc["n"]), "k": int(desc["k"])})
-        kernel = mslr_kernel(int(desc["k"]), float(desc["sigma2"]))
+        n, k = whole_field(desc, "n"), whole_field(desc, "k")
+        law = make_law({"kind": "hypergeometric", "n": n, "k": k})
+        kernel = mslr_kernel(k, float(desc["sigma2"]))
     elif name == "ngca":
         law, kernel = make_law(desc["prior"]), ngca_kernel(desc["mu"], max_degree=max_degree)
     elif name == "si":
         law, kernel = make_law(desc["prior"]), si_kernel(desc["link"], max_degree=max_degree)
     elif name == "slab":
-        law = make_law({"kind": "rademacher_mean", "n": int(desc["d"])})
-        kernel = slab_kernel(float(desc["alpha"]), max_degree=int(desc.get("max_degree", 100)))
+        law = make_law({"kind": "rademacher_mean", "n": whole_field(desc, "d")})
+        kernel = slab_kernel(float(desc["alpha"]), max_degree=whole_field(desc, "max_degree", 100))
     elif name == "counterexample":
-        law = make_law({"kind": "pair_counts", "n": int(desc["n"]), "rho_p": float(desc["rho_p"])})
-        kernel = counterexample_kernel(int(desc["n"]), float(desc["r"]), float(desc["alpha_c"]))
+        n = whole_field(desc, "n")
+        law = make_law({"kind": "pair_counts", "n": n, "rho_p": float(desc["rho_p"])})
+        kernel = counterexample_kernel(n, float(desc["r"]), float(desc["alpha_c"]))
         overlap = lambda t: float(t[2])  # the agreement count c
     elif name == "dense_clique":
-        law = make_law({"kind": "hypergeometric", "n": int(desc["n"]), "k": int(desc["k"])})
-        kernel = dense_clique_kernel(int(desc["n"]), float(desc["p"]))
+        n = whole_field(desc, "n")
+        law = make_law({"kind": "hypergeometric", "n": n, "k": whole_field(desc, "k")})
+        kernel = dense_clique_kernel(n, float(desc["p"]))
     elif name == "dirac":
-        law, kernel = make_law({"kind": "equality", "n": int(desc["n"])}), dirac_kernel(int(desc["n"]))
+        n = whole_field(desc, "n")
+        law, kernel = make_law({"kind": "equality", "n": n}), dirac_kernel(n)
         overlap = None  # the equality indicator does not determine <u, v>: FP undefined
     elif name == "synthetic":
         law = make_law({"kind": "atoms", "values": desc["values"], "probs": desc["probs"]})

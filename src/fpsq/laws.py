@@ -16,8 +16,12 @@ pi^{x2} through that statistic:
   within (i + 4) 2^-100 relative of the exact one (plus the factors of a
   start mass that is itself such a product), and where that bound does
   not settle the rounding, the mass is rounded from exact integers.
-  The signed_sparse and equality laws round an exact integer ratio once
-  (_round_ratio).  No discrete law may have more than MAX_ATOMS atoms
+  The signed_sparse numerators are the coefficients of
+  sum_ell w_ell (x + 1/x)^ell over the intersection sizes ell, from one
+  exact Horner recurrence on Python ints; they and the equality law's
+  integers are each rounded once over their denominator (_round_ratio).
+  No discrete law may have more than MAX_ATOMS atoms, and no
+  signed_sparse law may take more than MAX_SIGNED_SPARSE_WORK
   (ResourceLimitError);
 - the single continuous law (sphere overlap) is represented by its exact
   Beta density and distribution function (an in-house incomplete Beta
@@ -90,6 +94,10 @@ _LAGUERRE_FROM = 100.0  # the sphere law's tail takes Gauss-Laguerre from a = (n
 # The most atoms a discrete law may have: the rademacher_mean law at n = 10^6
 # and its atom table take about 0.5 GB
 MAX_ATOMS = 2_000_000
+# The most work a signed_sparse law may take, (k + 1)^2 bits(C(n, k) 2^k):
+# the largest law it admits (n near 2k, the dearest shape per unit) builds in
+# about 10 s on a 2-core x86 machine, (10^5, 1000) in about 0.15 s
+MAX_SIGNED_SPARSE_WORK = 3.5e11
 _SPLITTER = 134217729.0  # 2^27 + 1, which splits a double into two 26-bit halves
 _BLOCK = 8  # rows of the grid _dd_cumprod scans
 _SHORT = 64  # _dd_cumprod multiplies this many factors or fewer one by one
@@ -248,6 +256,16 @@ def _round_ratio(num: int, den: int) -> tuple[float, int]:
     s = den.bit_length() - num.bit_length() + 64
     f, e = math.frexp((num << s) / den)
     return f, e - s
+
+
+def _log2_comb(n: int, k: int) -> float:
+    """log2 C(n, k) from lgamma, a size estimate and never a mass: within a
+    unit for k up to 10^6.  From n = 2^40 on, where lgamma(n + 1) -
+    lgamma(n - s + 1) would cancel most of its digits, log C(n, s) (s =
+    min(k, n - k)) is taken as s log n - log s!, which errs by under s^2/2n."""
+    s = min(k, n - k)
+    top = math.lgamma(n + 1) - math.lgamma(n - s + 1) if n < 2**40 else s * math.log(n)
+    return (top - math.lgamma(s + 1)) / _LN2
 
 
 def _check_atoms(count: int, kind: str) -> None:
@@ -414,20 +432,33 @@ def signed_sparse_law(n: int, k: int) -> OverlapLaw:
 
     Conditional on an intersection of size ell (hypergeometric), the dot
     product is (2B - ell)/k with B ~ Bin(ell, 1/2); atoms live on the
-    grid j/k, j in [-k, k].  Common denominator C(n, k) 2^k.
+    grid j/k, j in [-k, k].  Over the common denominator C(n, k) 2^k, the
+    mass at j/k is the coefficient of x^j in sum_ell w_ell (x + 1/x)^ell,
+    w_ell = C(k, ell) C(n - k, k - ell) 2^(k - ell): one exact Horner
+    recurrence on Python ints, from ell = k down to 0 (multiply by
+    x + 1/x, then add w_ell), each step one vectorized add over the
+    band |j| <= k - ell.  The sum is even in j, so only j >= 0 is built
+    and rounded (_round_ratio), and mirrored.  ResourceLimitError past
+    MAX_SIGNED_SPARSE_WORK.
     """
     if n <= 0 or k <= 0 or k > n:
         raise ValueError(f"invalid signed_sparse parameters n={n}, k={k}")
     _check_atoms(2 * k + 1, "signed_sparse")
+    work = (k + 1) ** 2 * (_log2_comb(n, k) + k)  # about (k + 1)^2 / 2 adds of up to bits(C(n, k) 2^k) bits
+    if work > MAX_SIGNED_SPARSE_WORK:
+        raise ResourceLimitError(f"the signed_sparse law at n={n}, k={k} would take about {work:.3g} "
+                                 f"bit operations, more than the {MAX_SIGNED_SPARSE_WORK:.3g} allowed")
     inner, outer = _binomial_row(k, k), _binomial_row(n - k, k)
-    acc: dict[int, int] = {}
-    for ell in range(k + 1):
-        weight = (inner[ell] * outer[k - ell]) << (k - ell)
-        for b, c in enumerate(_binomial_row(ell, ell)):
-            acc[2 * b - ell] = acc.get(2 * b - ell, 0) + weight * c
-    js, den = [j for j, num in acc.items() if num > 0], math.comb(n, k) << k
+    r = np.zeros(k + 2, dtype=object)  # r[j] = coefficient of x^j (and of x^-j); r[k + 1] stays 0
+    for ell in range(k, -1, -1):
+        h = k - ell  # the degree after this step
+        r[0], r[1:h + 1] = r[1] << 1, r[:h] + r[2:h + 2]
+        r[0] += (inner[ell] * outer[k - ell]) << (k - ell)
+    den = math.comb(n, k) << k
+    rounded = {j: _round_ratio(num, den) for j, num in enumerate(r[:-1].tolist()) if num > 0}
+    js = [-j for j in reversed(rounded) if j] + list(rounded)
     return _discrete_law({"kind": "signed_sparse", "n": n, "k": k}, "scalar", np.array(js) / k,
-                         *zip(*(_round_ratio(acc[j], den) for j in js)), exact=True)
+                         *zip(*(rounded[abs(j)] for j in js)), exact=True)
 
 
 def rademacher_mean_law(n: int) -> OverlapLaw:
@@ -651,14 +682,26 @@ def sphere_law(n: int) -> OverlapLaw:
     )
 
 
+def whole_field(spec: dict, key: str, default: int | None = None) -> int:
+    """The size spec[key] (default where it is absent) as an int: an integer,
+    or a float with no fractional part.  A bool, a string, a fraction or an
+    infinity is refused with ValueError naming the field, where int() would
+    truncate or convert it without a word."""
+    value = spec.get(key, default)
+    if ((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer())):
+        return int(value)
+    raise ValueError(f"{key!r} must be a whole number, got {value!r}")
+
+
 _LAW_BUILDERS = {
-    "hypergeometric": lambda d: hypergeometric_law(int(d["n"]), int(d["k"])),
-    "signed_sparse": lambda d: signed_sparse_law(int(d["n"]), int(d["k"])),
-    "rademacher_mean": lambda d: rademacher_mean_law(int(d["n"])),
-    "sphere": lambda d: sphere_law(int(d["n"])),
+    "hypergeometric": lambda d: hypergeometric_law(whole_field(d, "n"), whole_field(d, "k")),
+    "signed_sparse": lambda d: signed_sparse_law(whole_field(d, "n"), whole_field(d, "k")),
+    "rademacher_mean": lambda d: rademacher_mean_law(whole_field(d, "n")),
+    "sphere": lambda d: sphere_law(whole_field(d, "n")),
     "two_point": lambda d: two_point_law(float(d["rho_p"]), tuple(d["values"])),
-    "pair_counts": lambda d: pair_counts_law(int(d["n"]), float(d["rho_p"])),
-    "equality": lambda d: equality_law(int(d["n"])),
+    "pair_counts": lambda d: pair_counts_law(whole_field(d, "n"), float(d["rho_p"])),
+    "equality": lambda d: equality_law(whole_field(d, "n")),
     "atoms": lambda d: atoms_law(d["values"], d["probs"]),
 }
 

@@ -206,6 +206,35 @@ class TestCriterionCommand:
         assert time.process_time() - start < 0.2
         assert "10000001 atoms" in capsys.readouterr().err
 
+    def test_a_signed_sparse_law_past_the_work_budget_exits_at_once(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {
+            "huge": {"model": "ngca", "mu": {"kind": "atoms", "values": [-1.0, 1.0], "probs": [0.5, 0.5]},
+                     "prior": {"kind": "signed_sparse", "n": 10**9, "k": 10**5}},
+        }}))
+        start = time.process_time()
+        assert run(["criterion", "--config", str(cfg), "--model", "huge", "--criterion", "fp",
+                    "--q", "20", "--m", "1"]) == EXIT_RESOURCE
+        assert time.process_time() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: the signed_sparse law at n=1000000000, k=100000") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("prior, field", [
+        ({"kind": "signed_sparse", "n": 40.9, "k": 6.5}, "n"),
+        ({"kind": "signed_sparse", "n": 40, "k": True}, "k"),
+    ])
+    def test_a_fractional_size_is_a_config_error(self, prior, field, tmp_path, capsys):
+        # int() would read n = 40.9, k = 6.5 as (40, 6) and print an FP row
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {
+            "frac": {"model": "ngca", "mu": {"kind": "atoms", "values": [-1.0, 1.0], "probs": [0.5, 0.5]},
+                     "prior": prior, "max_degree": 40},
+        }}))
+        assert run(["criterion", "--config", str(cfg), "--model", "frac", "--criterion", "fp",
+                    "--q", "20", "--m", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {field!r} must be a whole number, got {prior[field]!r}\n"
+
     def test_config_file_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "mslr-desk", "criteria": ["chi2"], "m": [2]}))

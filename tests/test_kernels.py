@@ -431,6 +431,28 @@ class TestModelAssembly:
         with pytest.raises(ValueError):
             build_model({"model": "nope"})
 
+    @pytest.mark.parametrize("desc, field", [
+        ({"model": "mslr", "n": 200.5, "k": 5, "sigma2": 1.0}, "n"),
+        ({"model": "mslr", "n": 200, "k": True, "sigma2": 1.0}, "k"),
+        ({"model": "slab", "alpha": 0.1, "d": 128.5}, "d"),
+        ({"model": "slab", "alpha": 0.1, "d": 128, "max_degree": 99.5}, "max_degree"),
+        ({"model": "ngca", "mu": {"kind": "atoms", "values": [-1.0, 1.0], "probs": [0.5, 0.5]},
+          "prior": {"kind": "signed_sparse", "n": 40, "k": 6}, "max_degree": "40"}, "max_degree"),
+        ({"model": "counterexample", "n": 8.25, "r": 0.2, "alpha_c": 0.3, "rho_p": 0.3}, "n"),
+        ({"model": "dense_clique", "n": 400, "k": 8.5, "p": 0.8}, "k"),
+        ({"model": "dirac", "n": math.inf}, "n"),
+    ])
+    def test_a_size_that_is_not_a_whole_number_is_refused(self, desc, field):
+        # int() would truncate it, or read a bool or a string, without a word
+        with pytest.raises(ValueError, match=f"^'{field}' must be a whole number"):
+            build_model(desc)
+
+    def test_a_whole_float_size_is_its_integer(self):
+        as_float = build_model({"model": "slab", "alpha": 0.1, "d": 16.0, "max_degree": 100.0})
+        as_int = build_model({"model": "slab", "alpha": 0.1, "d": 16, "max_degree": 100})
+        assert as_float.law.descriptor == as_int.law.descriptor == {"kind": "rademacher_mean", "n": 16}
+        assert as_float.kernel_table[0].tolist() == as_int.kernel_table[0].tolist()
+
     def test_synthetic_zero_kernel_tagged(self):
         k = synthetic_kernel([0.0, 1.0], [0.0, 2.0])
         assert k.log_eval(0.0) == -math.inf

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -64,6 +65,27 @@ class TestConstruction:
         for v, p in law.atoms:
             assert table[-v] == pytest.approx(p, rel=1e-12)
             assert round(v * 4) == pytest.approx(v * 4, abs=1e-12)
+
+    @pytest.mark.parametrize("n, k", [
+        (1, 1), (5, 1),  # k = 1
+        (7, 7), (8, 8),  # k = n
+        (12, 6), (14, 7),  # n = 2k
+        (10, 9), (13, 12),  # n = k + 1
+        (31, 5), (40, 6),  # n > 2k, odd and even k
+        (1000, 200),  # the benchmark's law
+    ])
+    def test_signed_sparse_masses_are_the_exact_masses_rounded(self, n, k):
+        # reference: the double sum over the intersection size ell and the
+        # number b of agreeing signs in it, in Fractions
+        exact = {}
+        for ell in range(k + 1):
+            weight = Fraction(math.comb(k, ell) * math.comb(n - k, k - ell), math.comb(n, k))
+            for b in range(ell + 1):
+                exact[2 * b - ell] = exact.get(2 * b - ell, 0) + weight * Fraction(math.comb(ell, b), 2**ell)
+        js = sorted(j for j, p in exact.items() if p)
+        law = make_law({"kind": "signed_sparse", "n": n, "k": k})
+        assert law.values.tolist() == [j / k for j in js]
+        assert law.probs.tolist() == [float(exact[j]) for j in js]  # float(Fraction) rounds correctly
 
     def test_sphere_is_symmetric_continuous(self):
         law = make_law({"kind": "sphere", "n": 12})
@@ -182,10 +204,56 @@ class TestAtomBudget:
         with pytest.raises(ResourceLimitError, match="atoms"):
             make_law(spec)
 
+    @pytest.mark.parametrize("n, k", [(10**9, 10**5), (10**4, 9000), (10**30, 5000)])
+    def test_a_signed_sparse_law_past_the_work_budget_is_refused_at_once(self, n, k):
+        # within the atom budget, but (k + 1)^2 big-integer additions that would run for minutes to hours
+        start = time.process_time()
+        with pytest.raises(ResourceLimitError, match="bit operations"):
+            make_law({"kind": "signed_sparse", "n": n, "k": k})
+        assert time.process_time() - start < 1.0
+
+    def test_a_signed_sparse_law_within_the_work_budget_is_built(self):
+        law = make_law({"kind": "signed_sparse", "n": 10**5, "k": 1000})
+        assert law.values.tolist() == [j / 1000 for j in range(-1000, 1001)]
+        assert law.probs[1000] == law.probs.max()
+
+    @pytest.mark.parametrize("n", [2, 40, 1000, 10**5, 2**40 - 1, 2**40, 2**53 + 1, 10**30])
+    def test_the_work_estimate_reads_the_binomial_size(self, n):
+        # lgamma, and s log n - log s! from 2^40 on, against the exact bit length
+        for k in {1, 2, 3000, n // 3, n // 2, n - 1, n} & set(range(1, min(n, 3000) + 1)):
+            exact = math.comb(n, k).bit_length()  # log2 C(n, k) lies in [exact - 1, exact)
+            assert exact - 2 <= fpsq.laws._log2_comb(n, k) <= exact + 1, (n, k)
+
     def test_the_hypergeometric_count_is_its_support(self):
         # k = n - 1 gives two atoms, whatever k
         law = make_law({"kind": "hypergeometric", "n": MAX_ATOMS + 10, "k": MAX_ATOMS + 9})
         assert law.values.tolist() == [float(MAX_ATOMS + 8), float(MAX_ATOMS + 9)]
+
+
+class TestWholeSizes:
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "signed_sparse", "n": 40.9, "k": 6}, "n"),
+        ({"kind": "signed_sparse", "n": 40, "k": 6.5}, "k"),
+        ({"kind": "hypergeometric", "n": True, "k": True}, "n"),
+        ({"kind": "hypergeometric", "n": 100, "k": "5"}, "k"),
+        ({"kind": "rademacher_mean", "n": "64"}, "n"),
+        ({"kind": "sphere", "n": math.inf}, "n"),
+        ({"kind": "sphere", "n": math.nan}, "n"),
+        ({"kind": "pair_counts", "n": 8.2, "rho_p": 0.25}, "n"),
+        ({"kind": "equality", "n": False}, "n"),
+        ({"kind": "signed_sparse", "k": 6}, "n"),
+    ])
+    def test_a_size_that_is_not_a_whole_number_is_refused(self, spec, field):
+        # int() would truncate 40.9 to 40, read True as 1 and "64" as 64
+        with pytest.raises(ValueError, match=f"^'{field}' must be a whole number"):
+            make_law(spec)
+
+    def test_a_whole_float_or_numpy_size_is_its_integer(self):
+        want = make_law({"kind": "signed_sparse", "n": 40, "k": 6})
+        for n, k in [(40.0, 6.0), (np.int64(40), np.int32(6)), (np.float64(40.0), 6)]:
+            law = make_law({"kind": "signed_sparse", "n": n, "k": k})
+            assert law.descriptor == want.descriptor
+            assert law.values.tolist() == want.values.tolist() and law.probs.tolist() == want.probs.tolist()
 
 
 class TestSurvival:

@@ -77,6 +77,26 @@ def test_phase_grid_times_every_criterion():
     assert payload["build_s"] >= 0.0 and payload["peak_rss_mb"] > 0.0
 
 
+def test_law_build_times_every_law():
+    # tests/law_build.py times build_model on the largest discrete laws; SCALE = 100 shrinks them
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "tests", "law_build.py"), "100"],
+                         env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    payload = json.loads(out)
+    assert sorted(payload) == ["laws", "peak_rss_mb", "scale"] and payload["scale"] == 100
+    assert [entry["law"] for entry in payload["laws"]] == [
+        {"kind": "signed_sparse", "n": 10, "k": 2},
+        {"kind": "signed_sparse", "n": 1000, "k": 10},
+        {"kind": "rademacher_mean", "n": 10_000},
+        {"kind": "hypergeometric", "n": 10**7, "k": 1000},
+    ]
+    assert [entry["atoms"] for entry in payload["laws"]] == [5, 21, 10_001, 1001]
+    assert all(sorted(entry) == ["atoms", "build_s", "law"] and entry["build_s"] >= 0.0
+               for entry in payload["laws"])
+    assert payload["peak_rss_mb"] > 0.0
+
+
 def test_array_sums_go_through_exact_sum():
     # numerics.exact_sum is the one code path that sums an array; short
     # Python-level lists may keep math.fsum
