@@ -374,7 +374,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "probs": [0.5, 0.3, 0.2],
             "kernel_values": [1.0, 0.5, 2.0],  # K(0.5) < 1 violates the condition
         })
-        rep = assumption_holds(broken, k_max=3)
+        rep = assumption_holds(broken)
         results["injected_broken_kernel"] = {
             "passed": rep.passed,
             "min_value": rep.min_value,
@@ -384,7 +384,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.model:
         _, model = resolve_model(args.model, cfg)
-        rep = assumption_holds(model, k_max=args.k_max)
+        rep = assumption_holds(model)
         results["assumption"] = {"passed": rep.passed, "min_value": rep.min_value,
                                  "witness": rep.witness}
         ok = ok and rep.passed
@@ -452,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of randomized models in the default suite")
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=10)
     sp.add_argument("--inject-broken", action="store_true",
                     help="also run a deliberately broken kernel (expects a violation report)")
     sp.set_defaults(func=cmd_check)

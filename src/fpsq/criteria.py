@@ -626,35 +626,31 @@ def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
 @dataclass(frozen=True)
 class AssumptionReport:
     min_value: float
-    witness: tuple | None  # (statistic, k) attaining the minimum when negative
-    k_max: int
+    witness: float | tuple | None  # the atom or grid point attaining the minimum when the check fails
     passed: bool
 
 
-def assumption_holds(model: ModelSpec, k_max: int = 10) -> AssumptionReport:
-    """Evaluate the orbit-averaged correlation moments E_{g,g'}[(K - 1)^k],
-    k = 1..k_max, at every atom or point of the continuous law's grid;
-    nonnegativity of all of them is the certified assumption (a power past
-    the float range is +inf).  Under the sign flip the pairs (g, g') reach t
-    and -t twice each, so the average is ((K(t) - 1)^k + (K(-t) - 1)^k) / 2,
-    from the table's K - 1 at t and at its mirror (the reversed grid)."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be a positive integer, got {k_max}")
+def assumption_holds(model: ModelSpec) -> AssumptionReport:
+    """Certify the orbit-averaged correlation moments E_{g,g'}[(K - 1)^k]
+    >= 0 for every k >= 1, at every atom or point of the continuous law's
+    grid, by the one test at k = 1.  Under the trivial group the average
+    is a^k, a = K(t) - 1, and a^k >= 0 for every k iff a >= 0.  Under the
+    sign flip the pairs (g, g') reach t and -t twice each, so the average
+    is (a^k + b^k) / 2, b = K(-t) - 1 the table's K - 1 at the mirror (the
+    reversed grid): it is >= 0 for even k, and for odd k it is >= 0 iff
+    a + b >= 0, because x -> x^k is increasing.  min_value is the least
+    k = 1 average."""
     if model.is_discrete:
         tab = model.atom_table
         dev, mirror_dev = tab.dev, tab.mirror_dev
     else:
         dev, mirror_dev = model.kernel_table[1], model.kernel_table[1][::-1]
-    ks = np.arange(1, k_max + 1)
-    with np.errstate(over="ignore"):
-        vals = dev[:, None] ** ks
-        if model.group.order == 2:
-            vals = (vals + mirror_dev[:, None] ** ks) / 2
-    i, k = np.unravel_index(np.argmin(vals), vals.shape)  # the first minimum, points outermost
-    min_value = float(vals[i, k])
+    vals = (dev + mirror_dev) / 2 if model.group.order == 2 else dev
+    i = int(np.argmin(vals))  # the first minimum
+    min_value = float(vals[i])
     passed = min_value >= -_CORRELATION_TOL
     point = model.law.atom_values([i])[0] if model.is_discrete else float(model.law.grid[i])
-    return AssumptionReport(min_value, None if passed else (point, int(k) + 1), k_max, passed)
+    return AssumptionReport(min_value, None if passed else point, passed)
 
 
 @dataclass(frozen=True)
@@ -680,7 +676,7 @@ def check_equivalence_bounds(model: ModelSpec, q: float, m: int, epsilon: float 
     """
     _require_m(m)
     checks: dict = {}
-    assumption = assumption_holds(model, k_max=4)
+    assumption = assumption_holds(model)
     checks["assumption"] = {
         "passed": assumption.passed,
         "min_value": assumption.min_value,
@@ -732,7 +728,5 @@ def check_equivalence_bounds(model: ModelSpec, q: float, m: int, epsilon: float 
     else:
         checks["rho_fp_le_gfp_chain"] = {"status": "premise-failed", "passed": True}
 
-    passed = assumption.passed and all(
-        c["passed"] for c in checks.values() if isinstance(c, dict) and "passed" in c
-    )
+    passed = all(c["passed"] for c in checks.values() if isinstance(c, dict) and "passed" in c)
     return EquivalenceReport(checks=checks, passed=passed)

@@ -196,9 +196,9 @@ def gam_kernel(lam: float, max_degree: int = 64) -> Kernel:
     Series coefficients lambda^{2i} / i!; their total mass is
     exp(lambda^2) - 1.
     """
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
     l2 = lam * lam
+    if not (lam >= 0.0 and math.isfinite(l2)):
+        raise ValueError(f"lambda must be nonnegative with a finite square, got {lam}")
     series = []
     if l2 > 0.0:
         log_c = 0.0
@@ -219,7 +219,7 @@ def mslr_kernel(k: int, sigma2: float) -> Kernel:
     """Mixed sparse linear regression: K(ell) = (1 - (ell/(k+s^2))^2)^{-1}."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if sigma2 <= 0.0:
+    if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     scale = k + sigma2
 
@@ -288,8 +288,8 @@ def _gaussian_parts(mu_spec: dict) -> list[tuple[float, float, float]] | None:
         parts = [(w, float(m), float(v)) for w, m, v in zip(weights, mu_spec["means"], mu_spec["vars"])]
     else:
         return None
-    if not all(v > 0.0 for _, _, v in parts):
-        raise ValueError("Gaussian component variances must be positive")
+    if not all(math.isfinite(m) and math.isfinite(v) and v > 0.0 for _, m, v in parts):
+        raise ValueError("Gaussian component variances must be positive, and means and variances finite")
     return parts
 
 
@@ -314,7 +314,7 @@ def ngca_nu_coeffs(mu_spec: dict, max_degree: int) -> list[float]:
         return [float(v) for v in basis @ probs]
     if kind == "uniform_symmetric":
         w = float(mu_spec["half_width"])
-        if w <= 0.0:
+        if not w > 0.0:
             raise ValueError(f"half_width must be positive, got {w}")
         # exact antiderivative: int_{-w}^{w} h_i dz = 2 h_{i+1}(w) sqrt(i+1) ... / ...
         basis = hermite_matrix(max_degree + 1, np.array([w]))
@@ -588,7 +588,7 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
         raise ValueError("values and kernel_values must have equal length")
     table: dict[float, float] = {}
     for v, kv in zip(values, kernel_values):
-        if kv < 0.0:
+        if not kv >= 0.0:
             raise ValueError(f"kernel values must be nonnegative, got {kv}")
         table[float(v)] = -math.inf if kv == 0.0 else math.log(kv)
     keys, logs = (np.array(col) for col in zip(*sorted(table.items())))

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fpsq.criteria import (
+    _CORRELATION_TOL,
     assumption_holds,
     chi_squared,
     fp_value,
@@ -304,13 +305,13 @@ def _scenario_slab() -> ScenarioResult:
     model = build_model({"model": "slab", "alpha": alpha, "d": d, "max_degree": 100})
     params = {"alpha": alpha, "d": d, "log_q": log_q, "m": m}
     rfp = rho_fp_value(model, math.exp(log_q), m)
-    asm = assumption_holds(model, k_max=4)
+    asm = assumption_holds(model)
     checks = [
         _le_check("rho_fp_near_one", rfp.value, 1.5,
                   "m = 0.1 n / (alpha^2 log(1/alpha)^{3/2} log q); leading constant "
                   "calibrated, not pinned by theory"),
-        _ge_check("correlation_nonneg", asm.min_value, -1e-12,
-                  "slab kernel >= 1 pointwise (correlation inequality instance)"),
+        ScenarioCheck("correlation_nonneg", asm.min_value, -_CORRELATION_TOL, ">=", asm.passed,
+                      "slab kernel >= 1 pointwise (correlation inequality instance)"),
     ]
     return ScenarioResult("slab-truncation", params, checks)
 
@@ -336,12 +337,13 @@ def _ngca_si_common(
     params = {"descriptor": desc, "m": m, "q": q}
     rfp = rho_fp_value(model, q, m)
     gfp = gfp_value(model, q, m)
-    asm = assumption_holds(model, k_max=4)
+    asm = assumption_holds(model)
     checks = [
         _le_check("rho_fp_near_one", rfp.value, 2.0, note),
         _le_check("gfp_le_rho_fp", gfp.value, rfp.value + 1e-8,
                   "the event optimizer can only improve on the rho_G event"),
-        _ge_check("correlation_nonneg", asm.min_value, -1e-12, "sign-flip averaging"),
+        ScenarioCheck("correlation_nonneg", asm.min_value, -_CORRELATION_TOL, ">=", asm.passed,
+                      "sign-flip averaging"),
     ]
     return ScenarioResult(name, params, checks)
 

@@ -347,23 +347,53 @@ class TestCheckCommand:
         assert checks["gfp_le_rho_fp"] == {"status": "premise-failed", "passed": True}
 
     def test_injected_broken_kernel_reports_witness(self, capsys):
-        code = run(["check", "--seeds", "2", "--inject-broken"])
+        code = run(["check", "--seeds", "1", "--inject-broken"])
         assert code == EXIT_ASSERTION
-        payload = json.loads(capsys.readouterr().out)
-        rep = payload["injected_broken_kernel"]
+        out = capsys.readouterr().out
+        rep = json.loads(out)["injected_broken_kernel"]
         assert rep["passed"] is False
-        assert rep["witness"] is not None
+        # the k = 1 check certifies every k, so the witness is a bare point
+        assert '"witness": 0.5' in out and rep["min_value"] == -0.5
 
     def test_assumption_with_powers_past_the_float_range(self, tmp_path, capsys):
-        # (K - 1)^k beyond the float range is +inf, which is nonnegative
-        assert run(["check", "--config", big_config(tmp_path), "--model", "big",
-                    "--k-max", "4"]) == EXIT_PASS
-        assert json.loads(capsys.readouterr().out)["assumption"]["passed"] is True
+        # (K - 1)^k at k >= 2 is beyond the float range at the top atom; the
+        # k = 1 check, which covers every k, reads the finite e^484 - 1 there
+        # and its least value, 0, at t = 0
+        assert run(["check", "--config", big_config(tmp_path), "--model", "big"]) == EXIT_PASS
+        rep = json.loads(capsys.readouterr().out)["assumption"]
+        assert rep == {"passed": True, "min_value": 0.0, "witness": None}
 
     def test_single_model_assumption(self, capsys):
-        assert run(["check", "--model", "gam-sphere", "--k-max", "4"]) == EXIT_PASS
+        assert run(["check", "--model", "gam-sphere"]) == EXIT_PASS
         payload = json.loads(capsys.readouterr().out)
         assert payload["assumption"]["passed"] is True
+
+    def test_k_max_is_no_longer_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "--model", "gam-sphere", "--k-max", "4"])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fpsq ") and err.endswith("fpsq: error: unrecognized arguments: --k-max 4\n")
+
+    @pytest.mark.parametrize("command", [
+        ["criterion", "--criterion", "fp,chi2", "--q", "4", "--m", "2"],
+        ["check"],
+    ])
+    @pytest.mark.parametrize("desc", [
+        {"model": "gam", "lambda": math.inf, "prior": {"kind": "rademacher_mean", "n": 10}},
+        {"model": "gam", "lambda": 1e200, "prior": {"kind": "rademacher_mean", "n": 10}},
+        {"model": "synthetic", "values": [0.0, 0.5], "probs": [0.5, 0.5], "kernel_values": [1.0, math.nan]},
+        {"model": "ngca", "mu": {"kind": "gaussian", "mean": 0.0, "var": math.inf},
+         "prior": {"kind": "sphere", "n": 50}, "max_degree": 20},
+    ])
+    def test_a_non_finite_kernel_parameter_is_a_config_error(self, command, desc, tmp_path, capsys):
+        # these printed a nan row with exit 0, or a nan "violation" with exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {"bad": desc}}))  # inf and nan as Infinity and NaN
+        assert run(command + ["--config", str(cfg), "--model", "bad"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

@@ -774,10 +774,10 @@ class TestAssumptionHolds:
         # the repeated-signal model is the documented violator: its
         # off-diagonal kernel is exactly 0, so E[K - 1] = -1 there
         for name, model in builtin_models().items():
-            rep = assumption_holds(model, k_max=6)
+            rep = assumption_holds(model)
             if name == "dirac-desk":
                 assert not rep.passed
-                assert rep.witness == (0.0, 1)
+                assert rep.witness == 0.0
                 assert rep.min_value == pytest.approx(-1.0)
             else:
                 assert rep.passed, (name, rep.min_value)
@@ -785,12 +785,39 @@ class TestAssumptionHolds:
 
     def test_broken_kernel_produces_witness(self):
         model = synthetic([0.0, 0.5, 1.0], [0.5, 0.3, 0.2], [1.0, 0.5, 2.0])
-        rep = assumption_holds(model, k_max=3)
+        rep = assumption_holds(model)
         assert not rep.passed
-        atom, order = rep.witness
-        assert atom == 0.5
-        assert order == 1
+        assert rep.witness == 0.5 and type(rep.witness) is float
         assert rep.min_value == pytest.approx(-0.5, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_the_k1_verdict_is_the_verdict_at_every_k(self, sign_flip, data):
+        # exact rationals, no criteria code: the orbit average of
+        # (K - 1)^k is a^k (trivial group) or (a^k + b^k) / 2 (sign flip,
+        # b the deviation at -t). Every even k passes and every odd k has
+        # the k = 1 verdict, so passing at k = 1 is passing at every k <= 40
+        kernel = st.fractions(0, 3, max_denominator=8)
+        if sign_flip:
+            pos = data.draw(st.lists(st.fractions(0, 1, max_denominator=16).filter(bool),
+                                     min_size=1, max_size=6, unique=True))
+            points = sorted({-p for p in pos} | set(pos) | set(data.draw(st.sampled_from([[], [0]]))))
+        else:
+            points = sorted(data.draw(st.lists(st.fractions(-1, 1, max_denominator=16),
+                                               min_size=1, max_size=8, unique=True)))
+        kv = {t: data.draw(kernel) for t in points}
+
+        def averages(k):
+            if sign_flip:
+                return [((kv[t] - 1) ** k + (kv[-t] - 1) ** k) / 2 for t in points]
+            return [(kv[t] - 1) ** k for t in points]
+
+        verdict = min(averages(1)) >= 0
+        assert all((min(averages(k)) >= 0) == (verdict or k % 2 == 0) for k in range(2, 41))
+        model = synthetic([float(t) for t in points], [1.0 / len(points)] * len(points),
+                          [float(kv[t]) for t in points], group="sign_flip" if sign_flip else None)
+        if abs(min(averages(1))) > 1e-9:
+            assert assumption_holds(model).passed == verdict
 
 
 class TestEquivalence:
@@ -853,7 +880,7 @@ class TestGeneralProperties:
         for lam in np.arange(0.1, 2.01, 0.1):
             model = build_model({"model": "gam", "lambda": float(lam),
                                  "prior": {"kind": "rademacher_mean", "n": 32}})
-            rep = assumption_holds(model, k_max=6)
+            rep = assumption_holds(model)
             assert rep.passed, lam
 
 

@@ -362,13 +362,15 @@ class TestGroups:
             assert rho_g(k, g, t) == pytest.approx(rho_g(k, g, -t), rel=1e-14)
 
     def test_group_average_cosh_bound(self):
-        rep = assumption_holds(orbit_model(gam_kernel(1.0), GroupSpec("sign_flip"), [-0.5]), k_max=1)
+        rep = assumption_holds(orbit_model(gam_kernel(1.0), GroupSpec("sign_flip"), [-0.5]))
         assert rep.min_value == pytest.approx(math.cosh(0.5) - 1.0, rel=1e-13)
         assert rep.min_value > 0.0 and rep.passed
 
     def test_group_average_nonneg_propagates_to_higher_orders(self):
         # with the trivial or sign-flip action, nonnegativity at k = 1
-        # forces it at every order (x + y >= 0 implies x^k + y^k >= 0)
+        # forces it at every order (x + y >= 0 implies x^k + y^k >= 0):
+        # the k = 1 check is the least k = 1 average, and every higher
+        # order's average is nonnegative wherever that one is
         kernels = [
             (gam_kernel(1.3), GroupSpec("sign_flip")),
             (ngca_kernel({"kind": "gaussian", "mean": 0.0, "var": 1.4}, 40), GroupSpec("sign_flip")),
@@ -379,12 +381,12 @@ class TestGroups:
             if kernel.name == "mslr":
                 ts = np.abs(ts) * 5
             model = orbit_model(kernel, group, ts.tolist())
-            for k_max in (1, 10):
-                rep = assumption_holds(model, k_max=k_max)
-                want = min(orbit_pair_average(kernel, group, t, k)
-                           for t in model.law.values for k in range(1, k_max + 1))
-                assert rep.min_value == pytest.approx(want, rel=1e-9, abs=1e-14)
-                assert rep.min_value >= -1e-13 and rep.passed
+            rep = assumption_holds(model)
+            want = min(orbit_pair_average(kernel, group, t, 1) for t in model.law.values)
+            assert rep.min_value == pytest.approx(want, rel=1e-9, abs=1e-14)
+            assert rep.min_value >= -1e-13 and rep.passed
+            assert all(orbit_pair_average(kernel, group, t, k) >= -1e-13
+                       for t in model.law.values for k in range(1, 11))
 
     def test_ngca_sign_flip_average_keeps_even_terms(self):
         kernel = ngca_kernel({"kind": "gaussian", "mean": 0.4, "var": 1.3}, 40)
@@ -393,7 +395,7 @@ class TestGroups:
         for t in (0.35, -0.6):
             want = math.fsum(nu[i] ** 2 * t**i for i in range(2, 41, 2) )
             # odd terms cancel in the orbit average at k = 1
-            got = assumption_holds(orbit_model(kernel, g, [t]), k_max=1).min_value
+            got = assumption_holds(orbit_model(kernel, g, [t])).min_value
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
             assert got >= 0.0
 
@@ -445,6 +447,28 @@ class TestModelAssembly:
     def test_a_size_that_is_not_a_whole_number_is_refused(self, desc, field):
         # int() would truncate it, or read a bool or a string, without a word
         with pytest.raises(ValueError, match=f"^'{field}' must be a whole number"):
+            build_model(desc)
+
+    @pytest.mark.parametrize("desc, message", [
+        ({"model": "gam", "lambda": math.inf, "prior": {"kind": "rademacher_mean", "n": 10}}, "lambda"),
+        ({"model": "gam", "lambda": 1e200, "prior": {"kind": "rademacher_mean", "n": 10}}, "lambda"),
+        ({"model": "gam", "lambda": math.nan, "prior": {"kind": "rademacher_mean", "n": 10}}, "lambda"),
+        ({"model": "ngca", "mu": {"kind": "gaussian", "mean": 0.0, "var": math.inf},
+          "prior": {"kind": "sphere", "n": 50}}, "variances"),
+        ({"model": "ngca", "mu": {"kind": "gaussian", "mean": math.nan, "var": 1.5},
+          "prior": {"kind": "sphere", "n": 50}}, "variances"),
+        ({"model": "ngca", "mu": {"kind": "gaussian_mixture", "weights": [0.5, 0.5], "means": [-1.0, math.inf],
+                                  "vars": [1.0, 1.0]}, "prior": {"kind": "sphere", "n": 50}}, "variances"),
+        ({"model": "synthetic", "values": [0.0, 0.5], "probs": [0.5, 0.5], "kernel_values": [1.0, math.nan]},
+         "kernel values"),
+        ({"model": "mslr", "n": 40, "k": 4, "sigma2": math.nan}, "sigma2"),
+        ({"model": "ngca", "mu": {"kind": "uniform_symmetric", "half_width": math.nan},
+          "prior": {"kind": "sphere", "n": 50}}, "half_width"),
+    ])
+    def test_a_non_finite_kernel_parameter_is_refused(self, desc, message):
+        # lambda^2 = inf gives log K = inf * 0 = nan at t = 0, and a NaN
+        # kernel value or Gaussian moment reaches every criterion as nan
+        with pytest.raises(ValueError, match=f"^(Gaussian component )?{message} must be"):
             build_model(desc)
 
     def test_a_whole_float_size_is_its_integer(self):

@@ -2,7 +2,8 @@
 hooks, the value dump and the phase-grid timer stay runnable, every array
 sum in the engine takes one code path, no engine module calls laws.expect
 or laws.survival, the criteria compare nothing against the boundary
-slack that laws.Levels owns, no module evaluates a kernel point by point
+slack that laws.Levels owns and no other module compares the correlation
+check's min_value, no module evaluates a kernel point by point
 or walks a law atom by atom, one root-finder serves the quantile and the level sets
 without nesting, and building the discrete models imports no
 exact-arithmetic or scipy module."""
@@ -133,6 +134,27 @@ def test_boundary_slack_lives_in_levels():
               for target in node.targets if isinstance(target, ast.Name) and slack.match(target.id)]
     assert compares == [] and copies == []
     assert criteria.REL_TOL is laws.REL_TOL
+
+
+def test_the_assumption_tolerance_lives_in_criteria():
+    # criteria.assumption_holds owns the correlation check's tolerance and
+    # its verdict, report.passed; no other module compares a min_value,
+    # in place or through the scenarios' _ge_check and _le_check
+    def comparing(node):
+        return (isinstance(node, ast.Compare) or isinstance(node, ast.Call)
+                and ast.unparse(node.func) in ("_ge_check", "_le_check"))
+
+    offenders = []
+    src = os.path.join(ROOT, "src", "fpsq")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "criteria.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree) if comparing(node)
+                      and any(isinstance(inner, ast.Attribute) and inner.attr == "min_value"
+                              for inner in ast.walk(node))]
+    assert offenders == []
 
 
 def test_engine_calls_neither_expect_nor_survival():
