@@ -308,6 +308,8 @@ def ngca_nu_coeffs(mu_spec: dict, max_degree: int) -> list[float]:
     if kind == "atoms":
         values = np.asarray(mu_spec["values"], dtype=float)
         probs = np.asarray(mu_spec["probs"], dtype=float)
+        if not (np.isfinite(values).all() and np.isfinite(probs).all() and (probs >= 0.0).all()):
+            raise ValueError("atom values must be finite, and probabilities finite and nonnegative")
         if probs.shape != values.shape or abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("atom probabilities must match values and sum to 1")
         basis = hermite_matrix(max_degree, values)
@@ -588,8 +590,8 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
         raise ValueError("values and kernel_values must have equal length")
     table: dict[float, float] = {}
     for v, kv in zip(values, kernel_values):
-        if not kv >= 0.0:
-            raise ValueError(f"kernel values must be nonnegative, got {kv}")
+        if not (math.isfinite(kv) and kv >= 0.0):
+            raise ValueError(f"kernel values must be finite and nonnegative, got {kv}")
         table[float(v)] = -math.inf if kv == 0.0 else math.log(kv)
     keys, logs = (np.array(col) for col in zip(*sorted(table.items())))
 
@@ -650,8 +652,12 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     mirror_dev = dev[mirror]
     if lone.any():  # no atom at -t (a mass within GroupSpec.preserves' slack)
         mirror_dev[lone] = kernel.minus_one(-values[lone])
-    # orbits in order of first appearance, which GFP's tie order follows
-    rep, orbit = np.unique(np.minimum(np.arange(len(values)), mirror), return_inverse=True)
+    # orbits in order of first appearance, which GFP's tie order follows: the
+    # representatives are the atoms that come before their mirror (mirror is an involution)
+    atoms = np.arange(len(values))
+    first = np.minimum(atoms, mirror)
+    is_rep = first == atoms
+    rep, orbit = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[first]
     overlap = (None if model.euclid_overlap is None
                else Levels.of(np.abs(values[:, 2] if law.statistic == "pair_counts" else values), p))
     return AtomTable(
@@ -720,13 +726,17 @@ class ModelSpec:
     @cached_property
     def kernel_table(self) -> tuple[np.ndarray, np.ndarray]:
         """log K (-inf at exact zeros) and K - 1 (Kernel.minus_one) at each
-        atom of a discrete law, or at each point of law.grid: one call of
-        each on all points."""
+        atom of a discrete law, or at each point of law.grid, from one kernel
+        call on all points: log K and its expm1, or a series kernel's sum
+        K - 1 and its log1p, which is its log_fn bit for bit."""
         law, kernel = self.law, self.kernel
         points = law.values if self.is_discrete else law.grid
-        log_k = self.log_k(points)
-        dev = _expm1(log_k) if kernel.minus_one_fn is None else kernel.minus_one(points)
-        return log_k, dev
+        if kernel.minus_one_fn is None:
+            log_k = self.log_k(points)
+            return log_k, _expm1(log_k)
+        dev = kernel.minus_one(points)
+        with np.errstate(divide="ignore"):  # a series kernel's log_fn is log1p(minus_one_fn)
+            return np.log1p(dev), dev
 
 
 def _default_group(name: str, law: OverlapLaw, requested: str | None) -> GroupSpec:

@@ -35,8 +35,8 @@ thresholds
 
 whose boundary-atom behaviour (achieved mass, exactness flag) the
 criteria need to expose.  On a discrete law every such threshold reads
-one Levels object: the distinct levels of g(T) with compensated tail
-masses, searched by bisection, and every event is a cut in those levels
+one Levels object: the distinct levels of g(T) with correctly rounded
+tail masses, searched by bisection, and every event is a cut in those levels
 (Levels.cut, with the closed or the strict boundary).
 
 On the continuous law every event is a level set {h >= c} of a function
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -743,40 +742,37 @@ def survival(law: OverlapLaw, r: float, transform: Transform = None) -> float:
 class Levels:
     """A transform g(T) on a discrete law: the index of each atom's level,
     the distinct levels r_0 < r_1 < ..., the mass of each level, and the
-    tail masses tails[i] = P(g(T) >= r_i), accumulated from the top with
-    Kahan compensation.  Every discrete sup-threshold and event reads these."""
+    tail masses tails[i] = P(g(T) >= r_i), each the level masses from i up
+    summed exactly and rounded once (_suffix_sums), so they never increase.
+    Every discrete sup-threshold and event reads these."""
 
     index: np.ndarray
     levels: np.ndarray
     mass: np.ndarray
-    tails: list[float]
+    tails: np.ndarray
 
     @classmethod
     def of(cls, values: Sequence[float], probs: Sequence[float]) -> Levels:
         levels, index = np.unique(np.asarray(values, dtype=float), return_inverse=True)
         mass = np.bincount(index, weights=probs, minlength=len(levels))
-        tails: list[float] = []
-        acc, comp = 0.0, 0.0
-        for x in reversed(mass.tolist()):
-            y = x - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-            tails.append(acc)
-        tails.reverse()
+        # the levels above the last with mass (most of them where masses underflow) have tail 0
+        live = len(mass) - int(np.argmax(mass[::-1] > 0.0))
+        tails = np.zeros(len(mass))
+        tails[:live] = _suffix_sums(mass[:live])
         return cls(index.astype(np.int32), levels, mass, tails)  # int32 holds MAX_ATOMS; a cut reads half the bytes
 
     def tail(self, i: int, mass: float) -> ThresholdResult:
         """Level i and its tail mass, exact if `mass` up to relative 1e-12."""
-        achieved = self.tails[i]
+        achieved = float(self.tails[i])
         return ThresholdResult(float(self.levels[i]), achieved, math.isclose(achieved, mass, rel_tol=REL_TOL))
 
     def threshold(self, mass: float) -> ThresholdResult:
         """sup { r : P(g(T) >= r) >= mass }: the highest level whose tail
         mass is >= mass up to the relative slack 1e-12 (the lowest level
-        when none is)."""
-        i = max(bisect_left(self.tails, True, key=lambda t: t < mass - REL_TOL * max(abs(t), mass)) - 1, 0)
-        return self.tail(i, mass)
+        when none is).  As tails are >= 0, t < mass - 1e-12 max(t, mass)
+        holds exactly where t < mass - 1e-12 mass."""
+        short = int(self.tails[::-1].searchsorted(mass - REL_TOL * mass))  # the tails below mass, less the slack
+        return self.tail(max(len(self.tails) - short - 1, 0), mass)
 
     def cut(self, c: float, strict: bool = False) -> int:
         """The event below c, as the atoms with index < cut: the number of levels
@@ -785,6 +781,49 @@ class Levels:
         if strict:
             return int(self.levels.searchsorted(c * (1.0 - REL_TOL)))
         return int(np.count_nonzero(self.levels <= c + REL_TOL * np.maximum(np.abs(self.levels), abs(c))))
+
+
+def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(a + b) - s exactly for s = fl(a + b), barring overflow: Knuth's
+    TwoSum, (a - (s - v)) + (b - v) with v = s - a, in two buffers."""
+    b_virtual = s - a
+    err = s - b_virtual
+    np.subtract(a, err, out=err)
+    b_virtual -= b
+    err -= b_virtual
+    return err
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """sum(x[i:]) for each i of a nonnegative array, each the exact sum
+    correctly rounded, from one error-free prefix scan over the reversed
+    x: the running sums s, the exact error of each step (TwoSum), a
+    running sum c of those errors, and t = s + c (Sum2 of Ogita, Rump and
+    Oishi, SIAM J. Sci. Comput. 26:1955, 2005, in prefix form).  The exact
+    sum is t + f + (E - c), f the exact error of s + c and E the exact sum
+    of the errors, with |E - c| <= u sum_j |c_j| (u = 2^-53, each step of
+    c off by at most u |c_j|).  Where E may differ from c and |f| plus that
+    bound may reach half the gap from t down to the next float (the
+    smaller gap, as t >= 0), the rounding is ambiguous and the sum comes
+    from exact_sum."""
+    r = np.asarray(x, dtype=float)[::-1]
+    s = np.add.accumulate(r)
+    before = np.empty_like(s)
+    before[:1], before[1:] = 0.0, s[:-1]
+    c = np.add.accumulate(_two_sum_error(before, r, s))
+    t = s + c
+    bound = np.abs(c)
+    np.add.accumulate(bound, out=bound)
+    bound *= 2.0**-51  # 4x the bound: 2x covers the rounding of the test below
+    f = np.abs(_two_sum_error(s, c, t), out=c)
+    f += bound
+    f *= 2.0
+    gap = np.nextafter(t, -math.inf, out=s)
+    np.subtract(t, gap, out=gap)
+    for k in np.flatnonzero(f >= gap).tolist():
+        if bound[k] > 0.0:  # else c = E, and t = fl(s + E) is the exact sum rounded
+            t[k] = exact_sum(r[: k + 1])
+    return t[::-1]
 
 
 def find_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float, f_tol: float = 0.0):

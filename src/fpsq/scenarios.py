@@ -324,7 +324,7 @@ def _exact_tail_q(model: ModelSpec, target_mass: float) -> float:
     best = next((s for s in model.atom_table.rho.tails if 0.0 < s <= target_mass), None)
     if best is None:
         raise ValueError("no rho_G tail level at or below the target mass")
-    return best**-0.5
+    return float(best) ** -0.5
 
 
 def _ngca_si_common(

@@ -5,10 +5,12 @@
 Builds, one after another in one process, a model on each of a fixed list
 of discrete laws: ``signed_sparse`` at (n, k) = (1000, 200), the
 ``discrete-large`` benchmark's law, and at (10^5, 1000); ``rademacher_mean``
-at n = 10^6; ``hypergeometric`` at (10^9, 10^5).  SCALE (default 1) divides
-every n and k, for a quick run.  Prints one JSON object: per law its
-descriptor, its atom count and the CPU seconds of ``build_model``
-(``build_s``), then the process's peak RSS in MB.
+at n = 10^6 (under ``gam``); ``hypergeometric`` at (10^9, 10^5).  SCALE
+(default 1) divides every n and k, for a quick run.  Prints one JSON
+object: per law its model and descriptor, its atom count, the CPU seconds
+of ``build_model`` (``build_s``) and of the atom table the model builds on
+its first discrete cell (``atom_table_s``), then the process's peak RSS in
+MB.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ def law_build(scale: int) -> dict:
     for desc in models(scale):
         t0 = time.process_time()
         model = build_model(desc)
-        build_s = time.process_time() - t0
-        laws.append({"law": model.law.descriptor, "atoms": len(model.law.values), "build_s": build_s})
+        t1 = time.process_time()
+        model.atom_table  # built lazily, on the first discrete cell
+        laws.append({"model": desc["model"], "law": model.law.descriptor, "atoms": len(model.law.values),
+                     "build_s": t1 - t0, "atom_table_s": time.process_time() - t1})
     return {
         "scale": scale,
         "laws": laws,

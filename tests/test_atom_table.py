@@ -3,9 +3,12 @@ tests against independent references (mpmath log-sums, 2^n
 enumeration) for masses below the float range, kernel powers beyond it,
 and the GFP optimizer's node budget."""
 
+import bisect
 import itertools
 import json
 import math
+import os
+import sys
 import time
 from fractions import Fraction
 
@@ -322,3 +325,112 @@ def near_tie_levels(draw):
 def test_cut_is_the_float_rule_on_near_ties(case):
     values, probs = case
     assert_cuts_follow_the_rules(laws.Levels.of(values, probs), values)
+
+
+# ---------------------------------------------------------------------------
+# The atom table's whole-array forms against independent references
+# ---------------------------------------------------------------------------
+
+
+def discrete_large_descs(seed: int) -> dict:
+    """The model descriptors of the benchmark's discrete-large workload."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    try:
+        import grids
+    finally:
+        sys.path.pop(0)
+    return {f"{b.label}-seed{seed}": b.desc for b in grids.blocks("discrete-large", seed)}
+
+
+# every preset, and the models of the benchmark's discrete-large workload at seed 0
+MODEL_DESCS = BUILTIN_MODEL_DESCRIPTORS | discrete_large_descs(0)
+TABLE_DESCS = {name: desc for name, desc in MODEL_DESCS.items() if desc.get("prior", {}).get("kind") != "sphere"}
+
+
+def exact_suffix_sums(masses) -> list[float]:
+    """sum(masses[i:]) for each i, exactly in integers (every float is a whole
+    multiple of 2^-1074) and rounded once by Python's correctly rounded
+    int / int."""
+    unit = 2**1074
+    scaled = [num * (unit // den) for num, den in (float(x).as_integer_ratio() for x in masses)]
+    out, acc = [], 0
+    for v in reversed(scaled):
+        acc += v
+        out.append(acc / unit)
+    return out[::-1]
+
+
+def assert_exact_tails(levels):
+    tails = levels.tails.tolist()
+    assert tails == exact_suffix_sums(levels.mass.tolist())
+    assert all(a >= b for a, b in zip(tails, tails[1:]))  # nonincreasing
+
+
+class TestAtomTableForms:
+    @pytest.fixture(scope="class", params=sorted(TABLE_DESCS))
+    def model(self, request):
+        return build_model(TABLE_DESCS[request.param])
+
+    def test_tails_are_the_exact_suffix_sums(self, model):
+        tab = model.atom_table
+        for levels in (tab.overlap, tab.rho, tab.abs_dev):
+            if levels is not None:
+                assert_exact_tails(levels)
+
+    def test_threshold_is_the_slack_rule(self, model):
+        # the first level whose tail is below mass by more than the slack, as a bisection found it
+        tab = model.atom_table
+        for levels in (tab.overlap, tab.rho, tab.abs_dev):
+            if levels is None:
+                continue
+            tails = levels.tails.tolist()
+            for mass in {*near(np.array([t for t in tails if 0.0 < t <= 1.0])).tolist(), 1e-300, 1.0}:
+                if 0.0 < mass <= 1.0:
+                    i = bisect.bisect_left(tails, True, key=lambda t: t < mass - 1e-12 * max(abs(t), mass))
+                    assert levels.threshold(mass) == levels.tail(max(i - 1, 0), mass), mass
+
+    def test_orbits_match_the_sorted_unique_form(self, model):
+        tab = model.atom_table
+        rep, orbit = np.unique(np.minimum(np.arange(len(tab.mirror)), tab.mirror), return_inverse=True)
+        assert tab.orbit_rep.dtype == rep.dtype and np.array_equal(tab.orbit_rep, rep)
+        assert tab.orbit.dtype == orbit.dtype and np.array_equal(tab.orbit, orbit)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DESCS))
+def test_kernel_table_is_two_kernel_calls_bit_for_bit(name):
+    model = build_model(MODEL_DESCS[name])
+    log_k, dev = model.kernel_table
+    points = model.law.values if model.is_discrete else model.law.grid
+    assert np.array_equal(log_k.view(np.int64), model.kernel.log_eval(points).view(np.int64))
+    assert np.array_equal(dev.view(np.int64), model.kernel.minus_one(points).view(np.int64))
+
+
+def test_tail_whose_error_sum_rounds_comes_from_the_exact_sum():
+    # from the top: 0.5 + 2^-54 ties to 0.5, and so does the sum of the two
+    # errors, 2^-54 + 2^-107; their exact total lies above the tie, so the
+    # tail rounds up, where s + c (and the old compensated loop) gave 0.5
+    masses = [2.0**-107, 2.0**-54, 0.5]
+    levels = laws.Levels.of([0.0, 1.0, 2.0], masses)
+    assert levels.tails.tolist() == exact_suffix_sums(masses)
+    assert levels.tails[0] == 0.5 + 2.0**-53
+
+
+def masses_strategy():
+    """Level masses: zeros, subnormals, exact powers of two and spread
+    exponents down to 2^-1000, with runs of equal masses."""
+    mass = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+        st.builds(math.ldexp, st.just(1.0), st.integers(-1000, 0)),
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1000, 0)),
+    )
+    runs = st.lists(st.tuples(mass, st.integers(1, 8)), min_size=1, max_size=40)
+    return runs.map(lambda rs: [x for x, count in rs for _ in range(count)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(masses_strategy())
+def test_tails_are_the_exact_suffix_sums_of_any_masses(masses):
+    levels = laws.Levels.of(np.arange(len(masses), dtype=float), masses)
+    assert levels.mass.tolist() == masses
+    assert_exact_tails(levels)

@@ -385,6 +385,12 @@ class TestCheckCommand:
         {"model": "synthetic", "values": [0.0, 0.5], "probs": [0.5, 0.5], "kernel_values": [1.0, math.nan]},
         {"model": "ngca", "mu": {"kind": "gaussian", "mean": 0.0, "var": math.inf},
          "prior": {"kind": "sphere", "n": 50}, "max_degree": 20},
+        # these three printed inf or a unit-kernel chi2 of 0.0 with exit 0
+        {"model": "synthetic", "values": [0.0, 0.5], "probs": [0.5, 0.5], "kernel_values": [1.0, math.inf]},
+        {"model": "ngca", "mu": {"kind": "atoms", "values": [-1.0, math.nan], "probs": [0.5, 0.5]},
+         "prior": {"kind": "sphere", "n": 50}},
+        {"model": "ngca", "mu": {"kind": "atoms", "values": [-1.0, 1.0], "probs": [math.nan, 0.5]},
+         "prior": {"kind": "sphere", "n": 50}},
     ])
     def test_a_non_finite_kernel_parameter_is_a_config_error(self, command, desc, tmp_path, capsys):
         # these printed a nan row with exit 0, or a nan "violation" with exit 1

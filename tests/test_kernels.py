@@ -113,6 +113,16 @@ class TestNgcaKernel:
         assert nu[4] == pytest.approx(-2.0 / math.sqrt(24.0), rel=1e-12)
         assert k.extras["s_star"] == 4
 
+    @pytest.mark.parametrize("values, probs", [
+        ([-1.0, math.nan], [0.5, 0.5]),
+        ([-1.0, math.inf], [0.5, 0.5]),
+        ([-1.0, 1.0], [math.nan, 0.5]),
+        ([-1.0, 1.0], [1.5, -0.5]),  # sums to 1
+    ])
+    def test_atoms_marginal_must_be_finite_and_nonnegative(self, values, probs):
+        with pytest.raises(ValueError, match="finite"):
+            ngca_kernel({"kind": "atoms", "values": values, "probs": probs}, max_degree=20)
+
     def test_uniform_marginal_unit_variance(self):
         w = math.sqrt(3.0)
         k = ngca_kernel({"kind": "uniform_symmetric", "half_width": w}, max_degree=16)

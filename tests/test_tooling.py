@@ -79,7 +79,8 @@ def test_phase_grid_times_every_criterion():
 
 
 def test_law_build_times_every_law():
-    # tests/law_build.py times build_model on the largest discrete laws; SCALE = 100 shrinks them
+    # tests/law_build.py times build_model and the atom table on the largest
+    # discrete laws; SCALE = 100 shrinks them
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, os.path.join(ROOT, "tests", "law_build.py"), "100"],
                          env=env, cwd=ROOT, capture_output=True, text=True, check=True,
@@ -92,8 +93,10 @@ def test_law_build_times_every_law():
         {"kind": "rademacher_mean", "n": 10_000},
         {"kind": "hypergeometric", "n": 10**7, "k": 1000},
     ]
+    assert [entry["model"] for entry in payload["laws"]] == ["ngca", "ngca", "gam", "mslr"]
     assert [entry["atoms"] for entry in payload["laws"]] == [5, 21, 10_001, 1001]
-    assert all(sorted(entry) == ["atoms", "build_s", "law"] and entry["build_s"] >= 0.0
+    assert all(sorted(entry) == ["atom_table_s", "atoms", "build_s", "law", "model"]
+               and entry["build_s"] >= 0.0 and entry["atom_table_s"] >= 0.0
                for entry in payload["laws"])
     assert payload["peak_rss_mb"] > 0.0
 
