@@ -35,16 +35,22 @@ A sweep reuses what depends on one coordinate through the model's memo
 (ModelSpec.memo), keyed by (what, coordinate):
 - per q: the FP and rho_G-FP thresholds with their level cut (or kept
   intervals) and SQ's (threshold, value, log value, method);
-- per m: chi^2, log E[K^m] and, on a discrete law, GFP's orbit log
-  values with their greedy order (free items, the others in density
-  order, the free items' exact mass), for the _GFP_ORDERS most recently
-  used m only;
+- per m: chi^2, log E[K^m] and, on a discrete law, GFP's GreedyDescent
+  (the orbits' greedy order, the mass it reaches at each step and, up
+  to _MAX_EXACT_ORBITS orbits, the branch and bound's lists), for the
+  _GFP_ORDERS most recently used m only;
 - per (d, t): the moments E[(K_d - 1)^t] of USQ and LD.
-Entries hold scalars, interval rows and per-orbit arrays, never a per-atom
-array: each cell recomputes its kept atoms and m log K + log p, its event sum,
-its GFP search and its verdict.  The argument checks run before any
-lookup, and a computation or GFP cell that raises stores nothing, so
-every cell returns what it returns on a fresh model, bit for bit.
+Entries hold scalars, interval rows, lists and per-orbit arrays, never a
+per-atom array.  So a cell rebuilds nothing that depends on q or m alone:
+an FP or rho_G-FP cell reads its kept atoms as the slice
+order[:starts[cut]] of the level order, a GFP cell beyond
+_MAX_EXACT_ORBITS orbits its cover as one searchsorted in the descent
+(up to it the branch and bound builds only its bound's prefix sums).
+Each cell still sums m log K + log p over its kept atoms, one pass of
+their length, and GFP's detail beyond the optimizer is computed when
+read.  The argument checks run before any lookup, and a computation or
+GFP cell that raises stores nothing, so every cell returns what it
+returns on a fresh model, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,11 +142,10 @@ def _memo(model: ModelSpec, key: tuple, compute: Callable):
 
 def _event_value(log_terms: np.ndarray) -> tuple[float, float]:
     """(value, log_value) of a sum given by its log-terms; -inf terms
-    (exact kernel zeros, zero masses) drop out."""
-    terms = log_terms[log_terms > -math.inf]
-    if not terms.size:
+    (exact kernel zeros, zero masses) add exact zeros (log_sum_exp)."""
+    if not log_terms.size:
         return 0.0, -math.inf
-    lv = log_sum_exp(terms)
+    lv = log_sum_exp(log_terms)
     return exp_or_inf(lv), lv
 
 
@@ -159,7 +165,7 @@ def _event_integral(model: ModelSpec, form: Callable, intervals: np.ndarray) -> 
 
 def _power_sum(model: ModelSpec, m: int, kept=None) -> tuple[float, float]:
     """(value, log value) of E[K^m 1(kept)]: a log-sum-exp of m log K + log p
-    over the kept atoms (a mask) of a discrete law, or one integral per
+    over the kept atoms (an index array) of a discrete law, or one integral per
     kept interval (rows [a, b]) on the continuous law; None keeps the
     whole support."""
     if model.is_discrete:
@@ -243,7 +249,7 @@ def _kept_below(model: ModelSpec, name: str, q: float, m: int, epsilon: float, m
         return thr, _complement(above, model.law.support)
 
     thr, kept = _memo(model, (name.lower(), q), event)
-    value, lv = _power_sum(model, m, kept if h is None else h.index < kept)
+    value, lv = _power_sum(model, m, kept if h is None else h.order[:h.starts[kept]])
     return CriterionReport(name, {"q": q, "m": m, "epsilon": epsilon}, thr, value, lv,
                            _hard(value, 1.0 + epsilon), "exact-sum" if model.is_discrete else "quadrature")
 
@@ -260,27 +266,75 @@ def _log_add(a: float, b: float) -> float:
     return a if b == -math.inf else a + math.log1p(math.exp(b - a))
 
 
-def greedy_min_inclusion(
-    values: Sequence[float], weights: Sequence[float], log_weights: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The greedy low-density order on log-values, the first descent of
-    solve_min_inclusion, whatever the mass needed.  Returns (free, order,
-    free_mass):
+class _Search(NamedTuple):
+    """The branch and bound's view of a greedy descent of at most
+    _MAX_EXACT_ORBITS items: the items' log values (values), order and
+    reached as lists (items, mass), the values in order as an array (v)
+    and a list (vl), the weights in order (wl), and on_path[i], the
+    _log_add of vl[:i] from -inf."""
+
+    values: np.ndarray
+    items: list
+    mass: list
+    v: np.ndarray
+    vl: list
+    wl: list
+    on_path: list
+
+
+class GreedyDescent(NamedTuple):
+    """The greedy low-density order of a set of items and the first descent
+    of solve_min_inclusion along it, whatever the mass needed:
     - free, the items of log value -inf (int32);
     - order, the others in increasing log value per unit mass, ties in
       item order (log_weights as AtomTable.log_orbit_mass rounds them;
       int32);
-    - free_mass, the exact sum of the free items' weights."""
-    values = np.asarray(values, dtype=float)
+    - free_mass, the exact sum of the free items' weights;
+    - reached[i], the mass of the free items and order[:i], one sequential
+      cumsum from free_mass, so a loop of `weight += w` reaches it bit for
+      bit;
+    - search, the lists the branch and bound reads, for at most
+      _MAX_EXACT_ORBITS items (else None).
+    Beyond _MAX_EXACT_ORBITS items that is 12 bytes per item."""
+
+    free: np.ndarray
+    order: np.ndarray
+    free_mass: float
+    reached: np.ndarray
+    search: _Search | None
+
+    def cover(self, needed: float) -> int:
+        """The first k with reached[k] >= needed: the greedy cover is the free
+        items and order[:k]."""
+        k = int(self.reached.searchsorted(needed))  # reached is nondecreasing
+        if k == len(self.reached):
+            raise ValueError("covering constraint infeasible: total mass below requirement")
+        return k
+
+
+def greedy_min_inclusion(values: Sequence[float], weights: Sequence[float],
+                         log_weights: Sequence[float]) -> GreedyDescent:
+    """The GreedyDescent of items with these log values, weights and log
+    weights: solve_min_inclusion's greedy order and first descent."""
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     free = (values == -math.inf).nonzero()[0].astype(np.int32)
     items = (values > -math.inf).nonzero()[0]
     order = items[(values[items] - np.asarray(log_weights)[items]).argsort(kind="stable")].astype(np.int32)
-    return free, order, exact_sum(np.asarray(weights, dtype=float)[free])
+    free_mass = exact_sum(weights[free])
+    w = weights[order]
+    reached = np.concatenate(([free_mass], w)).cumsum()
+    search = None
+    if len(values) <= _MAX_EXACT_ORBITS:
+        v = values[order]
+        vl = v.tolist()
+        search = _Search(values, order.tolist(), reached.tolist(), v, vl, w.tolist(),
+                         list(accumulate(vl, _log_add, initial=-math.inf)))
+    return GreedyDescent(free, order, free_mass, reached, search)
 
 
 def solve_min_inclusion(
     values: Sequence[float], weights: Sequence[float], log_weights: Sequence[float], needed: float,
-    greedy: tuple[np.ndarray, np.ndarray, float] | None = None,
+    greedy: GreedyDescent | None = None,
 ) -> tuple[np.ndarray, float, float | None]:
     """Covering knapsack on log-values: the items minimizing
     log sum(exp(values)) subject to sum(weights) >= needed, the
@@ -290,18 +344,16 @@ def solve_min_inclusion(
     the spread of kernel powers.
 
     Depth-first branch and bound in greedy_min_inclusion's density order
-    (greedy, when the caller kept it from an earlier call on the same
-    values and weights).  Its first descent takes every item until the
-    mass is reached: reached[i], the mass of the free items and order[:i],
-    is one sequential cumsum from the free items' exact sum, and the
-    descent stops at its first index k with reached[k] >= needed, the
-    cover a loop of `weight += w` stops at, bit for bit.  That greedy
-    cover is the first incumbent, and the search goes on from the cover's
-    exclusion branches.  A node's bound is the fractional fill of the
-    missing mass by the next items, read with one bisect from prefix
-    arrays of the mass and of exp(value - greedy value).  The node budget
-    is _BNB_NODES up to _MAX_EXACT_ORBITS items and 0 beyond, the cap
-    under which the benchmark's reference values were recorded.
+    (greedy, when the caller kept its GreedyDescent of the same items).
+    Its first descent takes every item until the mass is reached: the
+    greedy cover, GreedyDescent.cover.  That cover is the first
+    incumbent, and the search goes on from the cover's exclusion branches,
+    each from its on-path value.  A node's bound is the fractional fill
+    of the missing mass by the next items, read with one bisect from
+    prefix arrays of the mass and of exp(value - greedy value), the only
+    lists built per call.  The node budget is _BNB_NODES up to
+    _MAX_EXACT_ORBITS items and 0 beyond, the cap under which the
+    benchmark's reference values were recorded.
 
     Returns (included items, a sorted index array; their log value;
     lower).  lower is None when the optimum is proved.  Otherwise it is
@@ -309,19 +361,15 @@ def solve_min_inclusion(
     optimum, and the items are the best cover found, never worse than the
     greedy one.
     """
-    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
-    free, order, free_mass = greedy_min_inclusion(values, weights, log_weights) if greedy is None else greedy
-    w = weights[order]
-    reached = np.concatenate(([free_mass], w)).cumsum()
-    k = int(reached.searchsorted(needed))  # reached is nondecreasing
-    if k == len(reached):
-        raise ValueError("covering constraint infeasible: total mass below requirement")
-    budget = _BNB_NODES if len(values) <= _MAX_EXACT_ORBITS else 0
-    v = values[order if budget else order[:k]]
+    descent = greedy_min_inclusion(values, weights, log_weights) if greedy is None else greedy
+    free, order, search = descent.free, descent.order, descent.search
+    k = descent.cover(needed)
+    budget = _BNB_NODES if search is not None else 0
+    v = search.v if search is not None else np.asarray(values, dtype=float)[order[:k]]
     best_value = log_sum_exp(v[:k]) if k else -math.inf
     best_set = order[:k]
     if budget:
-        items, mass, vl, wl = order.tolist(), reached.tolist(), v.tolist(), w.tolist()
+        items, mass, vl, wl = search.items, search.mass, search.vl, search.wl
         n, nodes, path = len(items), 0, items[:k]
         # bounds are summed in exp(. - top), top the greedy value, where an
         # item above it counts as 1 and one below the float range as 0: both
@@ -359,17 +407,23 @@ def solve_min_inclusion(
 
         # the cover's exclusion branches, deepest first, from the path
         # values the first descent would have summed
-        on_path = list(accumulate(vl[:k], _log_add, initial=-math.inf))
         for d in range(k - 1, -1, -1):
             path.pop()
-            dfs(d + 1, on_path[d], mass[d])
+            dfs(d + 1, search.on_path[d], mass[d])
         if nodes <= budget:
             return np.sort(np.concatenate([free, best_set])), best_value, None
-    lower = -math.inf
-    if k:  # order[:k - 1] whole and the missing part of order[k - 1]
-        part = (needed - reached[k - 1]) / w[k - 1]
-        lower = log_sum_exp(np.append(v[:k - 1], v[k - 1] + math.log(min(part, 1.0))))
+    lower = _greedy_lower(descent, v, np.asarray(weights, dtype=float), needed, k)
     return np.sort(np.concatenate([free, best_set])), best_value, lower
+
+
+def _greedy_lower(descent: GreedyDescent, v: np.ndarray, weights: np.ndarray, needed: float, k: int) -> float:
+    """The log of the greedy cover's fractional fill, v the values of
+    order[:k] (or more) and weights every item's: order[:k - 1] whole and
+    the missing part of order[k - 1]; -inf where the free items cover."""
+    if not k:
+        return -math.inf
+    part = (needed - descent.reached[k - 1]) / weights[descent.order[k - 1]]
+    return log_sum_exp(np.append(v[:k - 1], v[k - 1] + math.log(min(part, 1.0))))
 
 
 def _orbit_log_values(log_terms: np.ndarray, tab: AtomTable) -> np.ndarray:
@@ -385,14 +439,92 @@ def _orbit_log_values(log_terms: np.ndarray, tab: AtomTable) -> np.ndarray:
         return np.where(top == -math.inf, top, top + np.log(1.0 + np.exp(low - top)))
 
 
+def _orbit_atoms(tab: AtomTable, orbits: np.ndarray) -> np.ndarray:
+    """The atoms of the given orbits, in no particular order: each
+    representative, then each mirror that is another atom."""
+    reps = tab.orbit_rep[orbits]
+    if len(tab.orbit_rep) == len(tab.orbit):
+        return reps
+    others = tab.mirror[reps]
+    return np.concatenate((reps, others[others != reps]))
+
+
 def _keep_recent(memo: dict, key: tuple, state) -> None:
-    """memo[key] = state as the most recently used GFP order (dict order is
-    use order), dropping the least recently used beyond _GFP_ORDERS."""
+    """memo[key] = state as the most recently used GFP descent (dict order
+    is use order), dropping the least recently used beyond _GFP_ORDERS."""
     if memo.pop(key, None) is None:
         kept = [k for k in memo if k[0] == "gfp"]
         if len(kept) >= _GFP_ORDERS:
             del memo[kept[0]]
     memo[key] = state
+
+
+class _DetailOnRead(dict):
+    """A report's detail whose values stored as functools.partial are
+    computed on first read and then kept.  keys() lists every entry from
+    the start; [], get, items, values, copy, repr and dict(detail) see
+    computed values only."""
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if isinstance(value, partial):
+            value = value()
+            super().__setitem__(key, value)
+        return value
+
+    def __iter__(self):  # so dict(detail) and update() read through __getitem__
+        return super().__iter__()
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def items(self):
+        return [(key, self[key]) for key in self]
+
+    def values(self):
+        return [self[key] for key in self]
+
+    def copy(self) -> dict:
+        return dict(self.items())
+
+    def __repr__(self) -> str:
+        return repr(self.copy())
+
+
+class _GfpEvent(NamedTuple):
+    """The event a discrete GFP cell chose, as its report keeps it for the
+    detail built on read: the orbits included, the free items and the
+    first k of the memo's GreedyDescent (the greedy cover) or the array
+    `orbits` solve_min_inclusion returned.  It holds no per-atom array."""
+
+    model: ModelSpec
+    m: int
+    descent: GreedyDescent
+    k: int
+    orbits: np.ndarray | None
+
+    def included(self) -> np.ndarray:
+        """The included orbits, unsorted on the greedy cover."""
+        d = self.descent
+        return np.concatenate((d.free, d.order[:self.k])) if self.orbits is None else self.orbits
+
+    def excluded_orbits(self) -> np.ndarray:
+        """The orbits left out, as a mask."""
+        chosen = np.zeros(len(self.model.atom_table.orbit_rep), dtype=bool)
+        chosen[self.included()] = True
+        return ~chosen
+
+    def excluded(self) -> np.ndarray:
+        return self.excluded_orbits()[self.model.atom_table.orbit]
+
+    def excluded_mass(self) -> float:
+        return exact_sum(self.model.atom_table.orbit_mass[self.excluded_orbits()])
+
+    def greedy_brackets(self, needed: float, upper: float) -> tuple[float, float]:
+        """(exp of _greedy_lower, upper), from the orbit log values at m."""
+        tab, d = self.model.atom_table, self.descent
+        v = _orbit_log_values(self.m * tab.log_k + self.model.law.log_probs, tab)[d.order[:self.k]]
+        return exp_or_inf(_greedy_lower(d, v, tab.orbit_mass, needed, self.k)), upper
 
 
 def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> CriterionReport:
@@ -402,13 +534,17 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     Discrete laws: atoms are merged into group orbits, each carrying
     its log value log sum p K^m, and the complementary exclusion problem
     (drop orbits maximizing sum p K^m subject to dropped mass <= q^{-2})
-    is solved by solve_min_inclusion, from the greedy order the model's
-    memo keeps per m.  Where its search stops early (beyond
-    _MAX_EXACT_ORBITS orbits or at _BNB_NODES nodes) the best cover found
-    is reported with certified lower/upper brackets, and the conservative
-    (upper) value is returned.  detail["excluded"] is the boolean mask of
-    the atoms the event drops, in law order (law.atom_values(mask) gives
-    their values), and detail["excluded_mass"] their exact mass.
+    is solved from the GreedyDescent the model's memo keeps per m.  Beyond
+    _MAX_EXACT_ORBITS orbits the event is the greedy cover, one
+    searchsorted in the descent; up to it solve_min_inclusion searches on.
+    The value is a log-sum-exp over the event's atoms.  Where the search
+    stops early (beyond _MAX_EXACT_ORBITS orbits or at _BNB_NODES nodes)
+    the best cover found is reported with certified lower/upper brackets,
+    and the conservative (upper) value is returned.  detail["excluded"] is
+    the boolean mask of the atoms the event drops, in law order
+    (law.atom_values(mask) gives their values), detail["excluded_mass"]
+    their exact mass; these and detail["value_brackets"] are computed when
+    first read.
 
     Continuous laws: the event drops the top level set, of mass q^{-2},
     of h = log of the orbit-averaged K^m (any shape; where h is flat at
@@ -432,35 +568,37 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
                                _hard(value, 1.0 + epsilon), "quadrature", detail)
 
     tab = model.atom_table
-    log_terms = m * tab.log_k + model.law.log_probs
     key = ("gfp", m)
-    state = model.memo.get(key)
-    if state is None:
-        values = _orbit_log_values(log_terms, tab)
-        state = values, greedy_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass)
-    values, greedy = state
+    descent = model.memo.get(key)
+    if descent is None:
+        values = _orbit_log_values(m * tab.log_k + model.law.log_probs, tab)
+        descent = greedy_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass)
     # capacity mass may be dropped; the included event needs the rest,
     # with a 1e-12 relative slack so an atom whose mass equals q^{-2}
     # in exact arithmetic is still droppable
     needed = 1.0 - mass * (1.0 + REL_TOL)
-    detail: dict = {"orbit_atoms": len(values)}
-    included, _, lower = solve_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass, needed, greedy)
-    _keep_recent(model.memo, key, state)
-    if lower is None:
-        detail["optimizer"] = "branch-and-bound-exact"
-        method = "exact-sum"
+    lower = None
+    if descent.search is None:  # the greedy cover
+        event = _GfpEvent(model, m, descent, descent.cover(needed), None)
     else:
-        detail["optimizer"] = ("greedy-bracket" if len(values) > _MAX_EXACT_ORBITS
-                               else "branch-and-bound-budget")
-        method = "exact-sum(greedy-bracket)"
-    chosen = np.zeros(len(values), dtype=bool)
-    chosen[included] = True
-    keep = chosen[tab.orbit]
-    value, lv = _event_value(log_terms[keep])
-    if lower is not None:  # the event's own value is the upper bracket
+        included, _, lower = solve_min_inclusion(descent.search.values, tab.orbit_mass, tab.log_orbit_mass,
+                                                 needed, descent)
+        event = _GfpEvent(model, m, descent, 0, included)
+    _keep_recent(model.memo, key, descent)
+    atoms = _orbit_atoms(tab, event.included())
+    value, lv = _event_value(m * tab.log_k[atoms] + model.law.log_probs[atoms])
+    detail = _DetailOnRead(orbit_atoms=len(tab.orbit_rep))
+    if descent.search is None:
+        detail["optimizer"] = "greedy-bracket"
+        detail["value_brackets"] = partial(event.greedy_brackets, needed, value)
+    elif lower is None:
+        detail["optimizer"] = "branch-and-bound-exact"
+    else:
+        detail["optimizer"] = "branch-and-bound-budget"
         detail["value_brackets"] = (exp_or_inf(lower), value)
-    detail["excluded"] = ~keep
-    detail["excluded_mass"] = exact_sum(tab.orbit_mass[~chosen])
+    detail["excluded"] = partial(event.excluded)
+    detail["excluded_mass"] = partial(event.excluded_mass)
+    method = "exact-sum" if detail["optimizer"] == "branch-and-bound-exact" else "exact-sum(greedy-bracket)"
     return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method, detail)
 
 

@@ -682,7 +682,7 @@ class ModelSpec:
     criteria compute from one coordinate of a sweep lives in ``memo``,
     keyed by (what, coordinate): per q the FP and rho_G-FP thresholds and
     SQ's threshold and value, per m chi^2, log E[K^m] and GFP's greedy
-    order, per (d, t) the moments E[(K_d - 1)^t] of USQ and LD
+    descent, per (d, t) the moments E[(K_d - 1)^t] of USQ and LD
     (fpsq.criteria says what each entry holds).
     """
 

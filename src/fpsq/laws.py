@@ -365,8 +365,8 @@ def _chain_masses(start: tuple[float, float, int], hi: np.ndarray, lo: np.ndarra
     double-double's hi is the correctly rounded mass (Ziv 1991); the gap
     below f = 0.5 is half as wide.  Every other mass is exact(i), the mass
     rounded from exact integers."""
-    f, l, e = _dd_cumprod(*_dd_normalized(np.r_[start[0], hi], np.r_[start[1], lo],
-                                          np.r_[start[2], np.zeros(len(hi), dtype=np.int64)]))
+    f, l, e = _dd_cumprod(*_dd_normalized(np.concatenate(([start[0]], hi)), np.concatenate(([start[1]], lo)),
+                                          np.concatenate(([start[2]], np.zeros(len(hi), dtype=np.int64)))))
     bound = (np.arange(len(f)) + start_factors + 3.0) * 2.0**-100  # absolute in f, as f < 1
     half_gap = np.where((f == 0.5) & (l < 0.0), 2.0**-55, 2.0**-54)
     for i in np.flatnonzero(np.abs(l) + bound >= half_gap).tolist():
@@ -473,7 +473,7 @@ def rademacher_mean_law(n: int) -> OverlapLaw:
                          lambda i: _round_ratio(math.comb(n, i), 1 << n), 1)
     rest = n + 1 - len(f)  # C(n, b) = C(n, n - b)
     return _discrete_law({"kind": "rademacher_mean", "n": n}, "scalar", (2 * np.arange(n + 1) - n) / n,
-                         np.r_[f, f[rest - 1::-1]], np.r_[e, e[rest - 1::-1]], exact=True)
+                         np.concatenate((f, f[rest - 1::-1])), np.concatenate((e, e[rest - 1::-1])), exact=True)
 
 
 def _pair_class_law(descriptor: dict, statistic: str, values: np.ndarray, rho_p: float) -> OverlapLaw:
@@ -740,26 +740,37 @@ def survival(law: OverlapLaw, r: float, transform: Transform = None) -> float:
 
 @dataclass(frozen=True)
 class Levels:
-    """A transform g(T) on a discrete law: the index of each atom's level,
-    the distinct levels r_0 < r_1 < ..., the mass of each level, and the
+    """A transform g(T) on a discrete law, from one stable sort of its
+    values: order, the atoms in level order (ties in atom order); starts,
+    the position in order of each level's first atom, then the atom count;
+    the distinct levels r_0 < r_1 < ...; the mass of each level; and the
     tail masses tails[i] = P(g(T) >= r_i), each the level masses from i up
     summed exactly and rounded once (_suffix_sums), so they never increase.
-    Every discrete sup-threshold and event reads these."""
+    The atoms of levels 0..c-1 are order[:starts[c]].  Every discrete
+    sup-threshold and event reads these."""
 
-    index: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
     levels: np.ndarray
     mass: np.ndarray
     tails: np.ndarray
 
     @classmethod
     def of(cls, values: Sequence[float], probs: Sequence[float]) -> Levels:
-        levels, index = np.unique(np.asarray(values, dtype=float), return_inverse=True)
-        mass = np.bincount(index, weights=probs, minlength=len(levels))
+        values = np.asarray(values, dtype=float)
+        order = values.argsort(kind="stable").astype(np.int32)  # int32 holds MAX_ATOMS
+        ranked = values[order]
+        new = ranked[1:] != ranked[:-1]
+        starts = np.flatnonzero(np.concatenate(([True], new, [True]))).astype(np.int32)
+        levels = ranked[starts[:-1]]
+        # the sort is stable, so bincount adds each level's masses in atom order
+        level_of = np.concatenate(([0], np.cumsum(new)))
+        mass = np.bincount(level_of, weights=np.asarray(probs, dtype=float)[order], minlength=len(levels))
         # the levels above the last with mass (most of them where masses underflow) have tail 0
         live = len(mass) - int(np.argmax(mass[::-1] > 0.0))
         tails = np.zeros(len(mass))
         tails[:live] = _suffix_sums(mass[:live])
-        return cls(index.astype(np.int32), levels, mass, tails)  # int32 holds MAX_ATOMS; a cut reads half the bytes
+        return cls(order, starts, levels, mass, tails)
 
     def tail(self, i: int, mass: float) -> ThresholdResult:
         """Level i and its tail mass, exact if `mass` up to relative 1e-12."""
@@ -775,9 +786,9 @@ class Levels:
         return self.tail(max(len(self.tails) - short - 1, 0), mass)
 
     def cut(self, c: float, strict: bool = False) -> int:
-        """The event below c, as the atoms with index < cut: the number of levels
-        l <= c + 1e-12 max(|l|, |c|) (closed; a prefix of the finite levels) or
-        l < c (1 - 1e-12) (strict)."""
+        """The event below c, as the number of levels l <= c + 1e-12 max(|l|, |c|)
+        (closed; a prefix of the finite levels) or l < c (1 - 1e-12) (strict):
+        the atoms order[:starts[cut]]."""
         if strict:
             return int(self.levels.searchsorted(c * (1.0 - REL_TOL)))
         return int(np.count_nonzero(self.levels <= c + REL_TOL * np.maximum(np.abs(self.levels), abs(c))))
@@ -1020,7 +1031,7 @@ def expect(
             return np.log(np.abs(y)), np.sign(y)
 
     inner = log_f(law.grid[1:-1])[0]  # integral never reads the support's ends
-    return integral(law, log_f, np.r_[-np.inf, inner, -np.inf], *(interval or law.support))[0]
+    return integral(law, log_f, np.concatenate(([-np.inf], inner, [-np.inf])), *(interval or law.support))[0]
 
 
 def exp_or_inf(x: float) -> float:
@@ -1058,8 +1069,8 @@ def integral(law: OverlapLaw, log_f: Callable[[np.ndarray], tuple], grid_log_f: 
     inside = np.abs(ends) < law.support[1]
     if inside.any():
         end_x[inside] = log_f(ends[inside])[0] + end_pdf[inside]
-    xs = np.r_[lo, grid[i:j], hi]  # grid[i:j] lies in (lo, hi)
-    vals = np.r_[end_x[0], grid_log_f[i:j] + law.grid_log_pdf[i:j], end_x[1]]
+    xs = np.concatenate((ends[:1], grid[i:j], ends[1:]))  # grid[i:j] lies in (lo, hi)
+    vals = np.concatenate((end_x[:1], grid_log_f[i:j] + law.grid_log_pdf[i:j], end_x[1:]))
     shift = float(vals.max())
     if shift == -math.inf:
         return 0.0, -math.inf
@@ -1067,7 +1078,8 @@ def integral(law: OverlapLaw, log_f: Callable[[np.ndarray], tuple], grid_log_f: 
         raise ValueError(f"the integrand is not finite (log |f| + log pdf = {shift})")
     near = np.flatnonzero(vals >= shift - _LOG_DROP)
     gap = np.flatnonzero(np.diff(near) > 2)  # runs of near points, widened by a point each side
-    runs = np.clip(np.c_[near[np.r_[0, gap + 1]] - 1, near[np.r_[gap, -1]] + 1], 0, len(xs) - 1)
+    first, last = near[np.concatenate(([0], gap + 1))], near[np.append(gap, -1)]
+    runs = np.clip(np.column_stack((first - 1, last + 1)), 0, len(xs) - 1)
 
     def shifted(ts: np.ndarray) -> np.ndarray:
         log_abs, sign = log_f(ts)
@@ -1106,7 +1118,7 @@ def gauss_legendre_panels(g: Callable[[np.ndarray], np.ndarray], panels: np.ndar
     halved.  ResourceLimitError once more than _PANEL_BUDGET panels would be
     needed, ValueError where g is not finite; never a partial sum."""
     (x_lo, w_lo), (x_hi, w_hi) = _legendre(_ORDERS[0]), _legendre(_ORDERS[1])
-    nodes, k = np.r_[x_lo, x_hi], len(x_lo)
+    nodes, k = np.concatenate((x_lo, x_hi)), len(x_lo)
     todo = np.asarray(panels, dtype=float)
     done = np.empty((0, 5))  # per panel: a, b, value, error, integral of |g|
     while True:
@@ -1119,13 +1131,15 @@ def gauss_legendre_panels(g: Callable[[np.ndarray], np.ndarray], panels: np.ndar
         if not np.isfinite(y).all():
             raise ValueError("the integrand is not finite at a quadrature node")
         low, high = half * (y[:, :k] @ w_lo), half * (y[:, k:] @ w_hi)
-        done = np.r_[done, np.c_[todo, high, np.abs(high - low), half * (np.abs(y[:, k:]) @ w_hi)]]
+        done = np.concatenate((done, np.column_stack((todo, high, np.abs(high - low),
+                                                      half * (np.abs(y[:, k:]) @ w_hi)))))
         allowed = rel_tol * done[:, 4].sum()
         if done[:, 3].sum() <= allowed:
             return exact_sum(done[:, 2])
         split = done[:, 3] > allowed / len(done)
         a, b = done[split, 0], done[split, 1]
-        todo = np.r_[np.c_[a, 0.5 * (a + b)], np.c_[0.5 * (a + b), b]]
+        mid = 0.5 * (a + b)
+        todo = np.concatenate((np.column_stack((a, mid)), np.column_stack((mid, b))))
         done = done[~split]
 
 

@@ -8,7 +8,9 @@ evaluates all seven criteria over 16 q (log-spaced from 2 to 1000) x 16 m
 criterion by criterion as ``fpsq sweep`` loops them, on the one model.
 Prints one JSON object: the CPU seconds of ``build_model`` plus the atom
 table (``build_s``), of each criterion's 256 cells (``criteria_s``) and of
-all of them (``sweep_s``), the cell count, and the process's peak RSS in MB.
+all of them (``sweep_s``), the cell count, the process's peak RSS in MB,
+and the MB the model's memo holds in its GFP entries at the end
+(``gfp_memo_mb``, by ``held_bytes``).
 """
 
 from __future__ import annotations
@@ -19,9 +21,24 @@ import resource
 import sys
 import time
 
+import numpy as np
+
 CRITERIA = ("fp", "rho_fp", "gfp", "sq", "usq", "chi2", "ld")
 QS = tuple(2.0 * 500.0 ** (i / 15) for i in range(16))
 MS = tuple(round(2.0 ** (10 * i / 15)) for i in range(16))
+
+
+def held_bytes(obj) -> int:
+    """The bytes an object holds: the whole buffer under each array (a view
+    keeps its base alive), and the Python objects of its lists and tuples
+    (named ones too)."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        return obj.nbytes
+    if isinstance(obj, (list, tuple)):
+        return sys.getsizeof(obj) + sum(held_bytes(x) for x in obj)
+    return 0 if obj is None else sys.getsizeof(obj)
 
 
 def phase_grid(n: int) -> dict:
@@ -46,6 +63,7 @@ def phase_grid(n: int) -> dict:
         "criteria_s": criteria_s,
         "sweep_s": sum(criteria_s.values()),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "gfp_memo_mb": sum(held_bytes(v) for k, v in model.memo.items() if k[0] == "gfp") / 2.0**20,
     }
 
 

@@ -4,26 +4,31 @@ enumeration) for masses below the float range, kernel powers beyond it,
 and the GFP optimizer's node budget."""
 
 import bisect
+import gc
 import itertools
 import json
 import math
 import os
 import sys
 import time
+import types
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cli_rows import read_rows
 from fpsq.cli import EXIT_PASS, main
-from fpsq.criteria import assumption_holds, chi_squared, gfp_value, log_moment, rho_fp_value, usq_moment
+from fpsq import criteria
+from fpsq.criteria import (assumption_holds, chi_squared, gfp_value, log_moment, rho_fp_value,
+                           solve_min_inclusion, usq_moment)
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model, gam_kernel, rho_g
 from fpsq import laws
 from fpsq.laws import AtomEvaluationError, make_law, sample
+from fpsq.numerics import log_sum_exp
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS, run_scenario
 
 mpmath.mp.dps = 50
@@ -136,8 +141,8 @@ class TestMirror:
         assert tab.mirror.tolist() == [1, 0, 2]
         assert tab.orbit.tolist() == [0, 0, 1]  # the lone atom keeps its own orbit
         assert tab.mirror_dev.tolist() == [math.expm1(0.5), math.expm1(-0.5), math.expm1(-0.7)]
-        assert tab.rho.levels[tab.rho.index].tolist() == [rho_g(gam, group, t) for t in law.values]
-        assert tab.rho.levels[tab.rho.index][2] == math.expm1(0.7)
+        assert atom_levels(tab.rho).tolist() == [rho_g(gam, group, t) for t in law.values]
+        assert atom_levels(tab.rho)[2] == math.expm1(0.7)
         rep = assumption_holds(model)
         want = min(math.fsum([math.expm1(t), math.expm1(-t)]) / 2 for t in law.values)
         assert rep.min_value == want and rep.passed
@@ -278,11 +283,25 @@ def near(levels):
                            levels * (1.0 + 1e-12), levels * (1.0 - 1e-12)])
 
 
+def atom_levels(h):
+    """Each atom's level, in atom order, read from the level order."""
+    out = np.empty(len(h.order))
+    out[h.order] = np.repeat(h.levels, np.diff(h.starts))
+    return out
+
+
+def kept_mask(h, cut):
+    """The atoms order[:starts[cut]] as a mask in atom order."""
+    mask = np.zeros(len(h.order), dtype=bool)
+    mask[h.order[:h.starts[cut]]] = True
+    return mask
+
+
 def assert_cuts_follow_the_rules(h, at):
-    """index < cut(c) against both float rules, atom by atom, at every c near a level."""
+    """The atoms of cut(c) against both float rules, atom by atom, at every c near a level."""
     for c in near(h.levels).tolist():
-        assert np.array_equal(h.index < h.cut(c), closed_rule(at, c)), c
-        assert np.array_equal(h.index < h.cut(c, strict=True), strict_rule(at, c)), c
+        assert np.array_equal(kept_mask(h, h.cut(c)), closed_rule(at, c)), c
+        assert np.array_equal(kept_mask(h, h.cut(c, strict=True)), strict_rule(at, c)), c
 
 
 class TestLevelCut:
@@ -305,8 +324,18 @@ class TestLevelCut:
             ats["overlap"] = np.abs(values[:, 2] if model.law.statistic == "pair_counts" else values)
         for attr, at in ats.items():
             h = getattr(tab, attr)
-            assert np.array_equal(h.levels[h.index], at), attr  # each atom's level is its value
+            assert np.array_equal(atom_levels(h), at), attr  # each atom's level is its value
             assert_cuts_follow_the_rules(h, at)
+
+    @pytest.mark.parametrize("name", sorted(DESCS))
+    def test_level_order_is_np_unique(self, name):
+        model = build_model(self.DESCS[name])
+        tab, values, probs = model.atom_table, model.law.values, model.law.probs
+        ats = {"rho": np.maximum(np.abs(tab.dev), np.abs(tab.mirror_dev)), "abs_dev": np.abs(tab.dev)}
+        if tab.overlap is not None:
+            ats["overlap"] = np.abs(values[:, 2] if model.law.statistic == "pair_counts" else values)
+        for attr, at in ats.items():
+            assert_level_order_is_unique(getattr(tab, attr), at, probs)
 
 
 @st.composite
@@ -327,24 +356,188 @@ def test_cut_is_the_float_rule_on_near_ties(case):
     assert_cuts_follow_the_rules(laws.Levels.of(values, probs), values)
 
 
+def assert_level_order_is_unique(h, at, probs):
+    """order and starts against np.unique's levels and inverse: the atoms
+    level by level, each level's in atom order, and each level's mass
+    the bincount of its atoms' masses, bit for bit."""
+    levels, inverse = np.unique(at, return_inverse=True)
+    assert np.array_equal(h.levels, levels)
+    assert h.order.dtype == np.int32 and np.array_equal(h.order, np.argsort(inverse, kind="stable"))
+    assert h.starts[0] == 0 and np.array_equal(np.diff(h.starts), np.bincount(inverse))
+    assert h.mass.tobytes() == np.bincount(inverse, weights=probs, minlength=len(levels)).tobytes()
+
+
+@st.composite
+def tied_levels(draw):
+    """Values drawn from a few of zeros of either sign, subnormals, wide
+    floats and 1, so ties are common (one value makes them all equal),
+    with masses from 0 to 1."""
+    pool = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                                   st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+                                   st.floats(-1e300, 1e300)), min_size=1, max_size=6))
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(values), max_size=len(values)))
+    return np.array(values), np.array(probs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_levels())
+@example((np.array([0.25]), np.array([1.0])))  # one atom
+@example((np.full(5, 2.0**-1074), np.full(5, 0.2)))  # one subnormal level
+def test_level_order_is_np_unique_on_ties(case):
+    values, probs = case
+    h = laws.Levels.of(values, probs)
+    assert_level_order_is_unique(h, values, probs)
+    assert_cuts_follow_the_rules(h, values)
+
+
 # ---------------------------------------------------------------------------
 # The atom table's whole-array forms against independent references
 # ---------------------------------------------------------------------------
 
 
-def discrete_large_descs(seed: int) -> dict:
-    """The model descriptors of the benchmark's discrete-large workload."""
+def workload_descs(workload: str, seed: int) -> dict:
+    """The model descriptors of one of the benchmark's workloads."""
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
     try:
         import grids
     finally:
         sys.path.pop(0)
-    return {f"{b.label}-seed{seed}": b.desc for b in grids.blocks("discrete-large", seed)}
+    return {f"{b.label}-seed{seed}": b.desc for b in grids.blocks(workload, seed)}
 
 
 # every preset, and the models of the benchmark's discrete-large workload at seed 0
-MODEL_DESCS = BUILTIN_MODEL_DESCRIPTORS | discrete_large_descs(0)
+MODEL_DESCS = BUILTIN_MODEL_DESCRIPTORS | workload_descs("discrete-large", 0)
 TABLE_DESCS = {name: desc for name, desc in MODEL_DESCS.items() if desc.get("prior", {}).get("kind") != "sphere"}
+
+
+# ---------------------------------------------------------------------------
+# GFP's detail, built on read, against the eager reference
+# ---------------------------------------------------------------------------
+
+
+def greedy_fill(values, weights, log_weights, needed):
+    """The log of the greedy cover's fractional fill: the items by log value
+    per unit mass (a stable sort), taken whole by a loop of weight += w
+    from the free items' exact mass, the one that reaches `needed` in part."""
+    order = sorted((j for j, v in enumerate(values) if v > -math.inf), key=lambda j: values[j] - log_weights[j])
+    weight = math.fsum(w for v, w in zip(values, weights) if v == -math.inf)
+    if weight >= needed:
+        return -math.inf
+    for i, j in enumerate(order):
+        if weight + weights[j] >= needed:
+            part = (needed - weight) / weights[j]
+            return log_sum_exp([values[o] for o in order[:i]] + [values[j] + math.log(min(part, 1.0))])
+        weight += weights[j]
+    raise AssertionError("the cover is infeasible")
+
+
+def eager_gfp(model, q, m):
+    """GFP's value, log value and detail as computed eagerly from the orbit
+    log values: the items of a fresh solve_min_inclusion, the mask of the
+    atoms outside them, the exact sum of the excluded orbit masses and,
+    when the search stopped early, the greedy fill as the lower bracket."""
+    tab = model.atom_table
+    log_terms = m * tab.log_k + model.law.log_probs
+    values = criteria._orbit_log_values(log_terms, tab)
+    needed = 1.0 - q**-2 * (1.0 + 1e-12)
+    included, _, lower = solve_min_inclusion(values, tab.orbit_mass, tab.log_orbit_mass, needed)
+    chosen = np.zeros(len(values), dtype=bool)
+    chosen[included] = True
+    terms = log_terms[chosen[tab.orbit]]
+    terms = terms[terms > -math.inf]
+    lv = log_sum_exp(terms) if terms.size else -math.inf
+    detail = {}
+    if lower is not None:
+        fill = greedy_fill(values.tolist(), tab.orbit_mass.tolist(), tab.log_orbit_mass.tolist(), needed)
+        detail["value_brackets"] = (laws.exp_or_inf(fill), laws.exp_or_inf(lv))
+    detail["excluded"] = ~chosen[tab.orbit]
+    detail["excluded_mass"] = math.fsum(tab.orbit_mass[~chosen].tolist())
+    return laws.exp_or_inf(lv), lv, detail
+
+
+def bits(x):
+    """x with floats as hex and arrays as (dtype, bytes), to compare bit for bit."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(map(bits, x))
+    return float(x).hex()
+
+
+def reachable_arrays(obj) -> list:
+    """The arrays obj refers to, directly or through other objects, except
+    through a model (which holds the law and atom table), a function or a
+    module."""
+    seen, todo, arrays = set(), [obj], []
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (ModelSpec, type, types.FunctionType, types.ModuleType)):
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            arrays.append(x if x.base is None else x.base)
+        else:
+            todo.extend(gc.get_referents(x))
+    return arrays
+
+
+class TestGfpDetailOnRead:
+    # every discrete preset and the discrete-wide models of seeds 0 and 1:
+    # 501 sign orbits (greedy path), 64 (branch and bound), and the mslr law
+    DESCS = {name: desc for name, desc in (BUILTIN_MODEL_DESCRIPTORS | workload_descs("discrete-wide", 0)
+                                           | workload_descs("discrete-wide", 1)).items()
+             if desc.get("prior", {}).get("kind") != "sphere"}
+
+    @pytest.mark.parametrize("budget", [None, 3])
+    @pytest.mark.parametrize("name", sorted(DESCS))
+    def test_detail_is_the_eager_reference(self, name, budget, monkeypatch):
+        if budget is not None:  # the branch and bound stops early: the budget path
+            monkeypatch.setattr(criteria, "_BNB_NODES", budget)
+        model = build_model(self.DESCS[name])
+        orbits = len(model.atom_table.orbit_rep)
+        for q, m in itertools.product((1.5, 3.0, 20.0, 1000.0), (1, 3, 20)):
+            rep = gfp_value(model, q, m)
+            value, lv, detail = eager_gfp(model, q, m)
+            assert bits(rep.value) == bits(value) and bits(rep.log_value) == bits(lv), (q, m)
+            assert list(rep.detail) == ["orbit_atoms", "optimizer", *detail], (q, m)
+            assert {key: bits(rep.detail[key]) for key in detail} == {key: bits(v) for key, v in detail.items()}
+            if orbits > criteria._MAX_EXACT_ORBITS:
+                assert rep.detail["optimizer"] == "greedy-bracket"
+            elif budget is None:
+                assert rep.detail["optimizer"] == "branch-and-bound-exact"
+
+    def test_every_path_is_compared(self, monkeypatch):
+        wide = build_model(self.DESCS["gam-rademacher-1000-seed0"])
+        small = build_model(self.DESCS["gam-rademacher-126-seed0"])
+        assert gfp_value(wide, 3.0, 3).detail["optimizer"] == "greedy-bracket"
+        assert gfp_value(small, 3.0, 3).detail["optimizer"] == "branch-and-bound-exact"
+        monkeypatch.setattr(criteria, "_BNB_NODES", 3)
+        assert gfp_value(small, 3.0, 3).detail["optimizer"] == "branch-and-bound-budget"
+
+    def test_the_memo_holds_12_bytes_per_orbit(self):
+        from phase_grid import held_bytes
+
+        model = build_model(self.DESCS["gam-rademacher-1000-seed1"])
+        orbits = len(model.atom_table.orbit_rep)
+        assert orbits > criteria._MAX_EXACT_ORBITS
+        gfp_value(model, 3.0, 7)
+        descent = model.memo["gfp", 7]
+        assert descent.search is None and type(descent.free_mass) is float
+        # free and order are int32 and hold each orbit once; reached is one float more than order
+        arrays = [held_bytes(x) for x in descent if isinstance(x, np.ndarray)]
+        assert len(arrays) == 3 and sum(arrays) <= 12 * orbits + 8
+
+    def test_an_unread_report_holds_no_atom_array(self):
+        model = build_model(self.DESCS["gam-rademacher-1000-seed0"])
+        tab = model.atom_table
+        atoms, orbits = len(tab.orbit), len(tab.orbit_rep)
+        assert atoms > orbits + 1
+        for q in (1.5, 1000.0):
+            rep = gfp_value(model, q, 4)
+            held = reachable_arrays(rep)
+            assert held and max(a.size for a in held) <= orbits + 1, [a.size for a in held]
+            assert rep.detail["excluded"].size == atoms  # built on read
 
 
 def exact_suffix_sums(masses) -> list[float]:

@@ -1,6 +1,7 @@
 """The README's library example, the package's exports, the benchmark's
 hooks, the value dump and the phase-grid timer stay runnable, every array
-sum in the engine takes one code path, no engine module calls laws.expect
+sum in the engine takes one code path, no engine module builds an array
+with np.r_ or np.c_, no engine module calls laws.expect
 or laws.survival, the criteria compare nothing against the boundary
 slack that laws.Levels owns and no other module compares the correlation
 check's min_value, no module evaluates a kernel point by point
@@ -70,12 +71,13 @@ def test_phase_grid_times_every_criterion():
                          env=env, cwd=ROOT, capture_output=True, text=True, check=True,
                          timeout=300).stdout
     payload = json.loads(out)
-    assert sorted(payload) == ["build_s", "cells", "criteria_s", "n", "peak_rss_mb", "sweep_s"]
+    assert sorted(payload) == ["build_s", "cells", "criteria_s", "gfp_memo_mb", "n", "peak_rss_mb", "sweep_s"]
     assert payload["n"] == 1000 and payload["cells"] == 7 * 16 * 16
     assert sorted(payload["criteria_s"]) == sorted(["fp", "rho_fp", "gfp", "sq", "usq", "chi2", "ld"])
     assert all(t >= 0.0 for t in payload["criteria_s"].values())
     assert math.isclose(payload["sweep_s"], sum(payload["criteria_s"].values()))
     assert payload["build_s"] >= 0.0 and payload["peak_rss_mb"] > 0.0
+    assert 0.0 < payload["gfp_memo_mb"] < payload["peak_rss_mb"]
 
 
 def test_law_build_times_every_law():
@@ -120,6 +122,20 @@ def test_array_sums_go_through_exact_sum():
         calls -= {node for func in exempt for node in ast.walk(func)}
         offenders += [f"{name}:{node.lineno}" for node in calls]
     assert sorted(offenders) == []
+
+
+def test_engine_builds_arrays_without_index_tricks():
+    # np.r_ and np.c_ parse their index on every call, about 18% of a
+    # sphere sweep's CPU; the engine modules join arrays with
+    # np.concatenate and np.column_stack (scenarios.py is off the hot path)
+    offenders = []
+    for name in ("laws.py", "criteria.py", "kernels.py", "numerics.py"):
+        with open(os.path.join(ROOT, "src", "fpsq", name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in ("r_", "c_")
+                      and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert offenders == []
 
 
 def test_boundary_slack_lives_in_levels():
