@@ -52,7 +52,7 @@ from fpsq.criteria import (
     usq_hard,
 )
 from fpsq.kernels import ModelSpec, build_model
-from fpsq.laws import QUAD_REL_TOL, ResourceLimitError
+from fpsq.laws import OBJECT, QUAD_REL_TOL, REAL, WHOLE, ResourceLimitError, read_field
 from fpsq.scenarios import (
     BUILTIN_MODEL_DESCRIPTORS,
     SCENARIOS,
@@ -81,19 +81,20 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return cfg
+def load_config(args: argparse.Namespace) -> tuple[dict, int]:
+    """The --config file's JSON object ({} without one), and --seed, else its "seed", else 0."""
+    path, cfg = args.config, {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+    return cfg, args.seed if args.seed is not None else read_field(cfg, "seed", WHOLE, 0)
 
 
 def parse_grid(text: str | None) -> list[float] | None:
@@ -130,10 +131,12 @@ def config_hash(semantic: dict) -> str:
 def resolve_descriptor(name_or_desc, cfg: dict) -> tuple[str, dict]:
     """(name, descriptor) of a model: an inline descriptor, else a name
     from the config's "models" table, else a built-in preset."""
+    if name_or_desc is None:
+        raise ConfigError("no model given (use --model or a 'model' config field)")
     if isinstance(name_or_desc, dict):
         return name_or_desc.get("model", "inline"), name_or_desc
     name = str(name_or_desc)
-    table = cfg.get("models", {})
+    table = read_field(cfg, "models", OBJECT, {})
     if name in table:
         return name, table[name]
     if name in BUILTIN_MODEL_DESCRIPTORS:
@@ -257,20 +260,19 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
 
 
 def cmd_criterion(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg, seed = load_config(args)
     fmt = args.format or cfg.get("format", "csv")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    epsilon = args.epsilon if args.epsilon is not None else float(cfg.get("epsilon", 0.0))
+    epsilon = args.epsilon if args.epsilon is not None else read_field(cfg, "epsilon", REAL, 0.0)
     criteria = (args.criterion or cfg.get("criteria") or "chi2")
     if isinstance(criteria, str):
         criteria = [c.strip() for c in criteria.split(",") if c.strip()]
+    if not (isinstance(criteria, list) and all(isinstance(c, str) for c in criteria)):
+        raise ConfigError(f"'criteria' must be a comma list or a list of names, got {criteria!r}")
     qs = parse_grid(args.q) or cfg.get("q") or [None]
     ms = parse_grid(args.m) or cfg.get("m") or [1]
     if not isinstance(qs, list) or not isinstance(ms, list) or not qs or not ms:
         raise ConfigError("q and m grids must be nonempty lists")
     model_ref = args.model or cfg.get("model")
-    if model_ref is None:
-        raise ConfigError("no model given (use --model or a 'model' config field)")
     model_name, model = resolve_model(model_ref, cfg)
 
     semantic = {
@@ -315,14 +317,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    model_ref = args.model or cfg.get("model")
-    if model_ref is None:
-        raise ConfigError("no model given (use --model or a 'model' config field)")
-    model_name, desc = resolve_descriptor(model_ref, cfg)
+    cfg, seed = load_config(args)
+    model_name, desc = resolve_descriptor(args.model or cfg.get("model"), cfg)
     if args.samples < 1:
         raise ConfigError(f"--samples must be a positive integer, got {args.samples}")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     rows = kernel_table(desc, seed=seed, num_samples=args.samples)
     table = [["statistic", "kernel_value", "oracle_value", "abs_diff", "bound"]] + [
         [_fmt(v) for v in (r.statistic, r.kernel_value, r.oracle_value, r.diff, r.bound)] for r in rows]
@@ -340,12 +338,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    name = args.scenario
-    if name not in SCENARIOS:
-        print(f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    result = run_scenario(name)
+    result = run_scenario(args.scenario)
     lines = [f"scenario {result.scenario}: {'PASS' if result.passed else 'FAIL'}"]
     for key, val in sorted(result.params.items(), key=lambda kv: kv[0]):
         lines.append(f"  param {key} = {val}")
@@ -362,8 +355,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if (args.q is None) != (args.m is None):
         raise ConfigError("--q and --m name one (q, m) point of the equivalence battery; give both")
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    cfg, seed = load_config(args)
     results = {}
     ok = True
 

@@ -629,7 +629,7 @@ def _sq(model: ModelSpec, mass: float) -> tuple[ThresholdResult, float, float, s
         dev = model.atom_table.abs_dev
         j = dev.cut(dev.threshold(mass).threshold, strict=True)  # the levels from j on are kept
         thr = dev.tail(j, mass)
-        top_sum = exact_sum((dev.levels * dev.mass)[j:])  # E[|K - 1| 1(levels j..)]
+        top_sum = exact_sum(dev.levels[j:] * dev.mass[j:])  # E[|K - 1| 1(levels j..)]
         value = top_sum / thr.achieved_mass if thr.achieved_mass > 0.0 else 0.0
         return thr, value, math.log(value) if value > 0.0 else -math.inf, "exact-sum"
     thr, above = LevelSets(model.law, *_deviation(model)).threshold(mass)

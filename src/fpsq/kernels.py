@@ -34,7 +34,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from fpsq.laws import Levels, OverlapLaw, Statistic, make_law, whole_field
+from fpsq.laws import (NAME, OBJECT, REAL, REALS, WHOLE, Levels, OverlapLaw, Statistic, atoms_law,
+                       build_descriptor, equality_law, hypergeometric_law, make_law, pair_counts_law,
+                       rademacher_mean_law, read_descriptor)
 from fpsq.numerics import (
     exact_sum,
     hermite_matrix,
@@ -45,8 +47,8 @@ from fpsq.numerics import (
 )
 
 COEFF_TOL = 1e-10  # |nu_i| below this is treated as a vanishing coefficient
-_S_STAR_SCAN = 20  # how many leading coefficients must vanish to flag K = 1
 _PRESERVE_TOL = 1e-12  # mass mismatch GroupSpec.preserves allows between t and -t
+_LN_2, _PHI_0 = math.log(2.0), normal_pdf(0.0)  # log 2 and phi(0), in every odd lambda_i of the sign link
 
 
 class SingularityError(ValueError):
@@ -201,9 +203,9 @@ def gam_kernel(lam: float, max_degree: int = 64) -> Kernel:
         raise ValueError(f"lambda must be nonnegative with a finite square, got {lam}")
     series = []
     if l2 > 0.0:
-        log_c = 0.0
+        log_c, log_l2 = 0.0, math.log(l2)
         for i in range(1, max_degree + 1):
-            log_c += math.log(l2) - math.log(i)
+            log_c += log_l2 - math.log(i)
             series.append((i, math.exp(log_c)))
     return Kernel(
         name="gam",
@@ -211,7 +213,6 @@ def gam_kernel(lam: float, max_degree: int = 64) -> Kernel:
         log_fn=lambda t: l2 * t,
         series=tuple(series),
         series_total=math.expm1(l2),
-        extras={"lambda": lam},
     )
 
 
@@ -234,7 +235,6 @@ def mslr_kernel(k: int, sigma2: float) -> Kernel:
         name="mslr",
         domain="scalar",
         log_fn=log_fn,
-        extras={"k": k, "sigma2": sigma2, "snr": k / sigma2},
     )
 
 
@@ -275,107 +275,44 @@ def _log_factorial_half(i: int) -> float:
     return 0.5 * math.lgamma(i + 1)
 
 
-def _gaussian_parts(mu_spec: dict) -> list[tuple[float, float, float]] | None:
-    """(weight, mean, var) of each component of a Gaussian-mixture mu, a
-    "gaussian" being the one-component mixture; None for any other kind."""
-    kind = mu_spec.get("kind")
-    if kind == "gaussian":
-        parts = [(1.0, float(mu_spec["mean"]), float(mu_spec["var"]))]
-    elif kind == "gaussian_mixture":
-        weights = [float(w) for w in mu_spec["weights"]]
-        if abs(sum(weights) - 1.0) > 1e-12 or any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be a probability vector")
-        parts = [(w, float(m), float(v)) for w, m, v in zip(weights, mu_spec["means"], mu_spec["vars"])]
-    else:
-        return None
-    if not all(math.isfinite(m) and math.isfinite(v) and v > 0.0 for _, m, v in parts):
-        raise ValueError("Gaussian component variances must be positive, and means and variances finite")
-    return parts
+def _gaussian_mixture(weights: list[float], means: list[float], variances: list[float]) -> tuple:
+    """The mixture of N(mean, var) components of the given weights, a
+    "gaussian" being the one-component mixture."""
+    if not len(weights) == len(means) == len(variances):
+        raise ValueError("mixture weights, means and vars must have equal lengths")
+    if abs(sum(weights) - 1.0) > 1e-12 or any(w < 0 for w in weights):
+        raise ValueError("mixture weights must be a probability vector")
+    if not all(v > 0.0 for v in variances):
+        raise ValueError("Gaussian component variances must be positive")
+    parts = list(zip(weights, means, variances))
 
-
-def ngca_nu_coeffs(mu_spec: dict, max_degree: int) -> list[float]:
-    """nu_i = E_{z~mu}[h_i(z)] for the supported marginal descriptors."""
-    kind = mu_spec.get("kind")
-    parts = _gaussian_parts(mu_spec)
-    if parts is not None:
+    def nu(max_degree: int) -> list[float]:
         nus = np.zeros(max_degree + 1)
         for w, mean, var in parts:
             moments = _gaussian_he_moments(mean, var, max_degree)
-            nus += w * np.array(
-                [m * math.exp(-_log_factorial_half(i)) for i, m in enumerate(moments)]
-            )
-        return [float(v) for v in nus]
-    if kind == "atoms":
-        values = np.asarray(mu_spec["values"], dtype=float)
-        probs = np.asarray(mu_spec["probs"], dtype=float)
-        if not (np.isfinite(values).all() and np.isfinite(probs).all() and (probs >= 0.0).all()):
-            raise ValueError("atom values must be finite, and probabilities finite and nonnegative")
-        if probs.shape != values.shape or abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("atom probabilities must match values and sum to 1")
-        basis = hermite_matrix(max_degree, values)
-        return [float(v) for v in basis @ probs]
-    if kind == "uniform_symmetric":
-        w = float(mu_spec["half_width"])
-        if not w > 0.0:
-            raise ValueError(f"half_width must be positive, got {w}")
-        # exact antiderivative: int_{-w}^{w} h_i dz = 2 h_{i+1}(w) sqrt(i+1) ... / ...
-        basis = hermite_matrix(max_degree + 1, np.array([w]))
-        out = [1.0]
-        for i in range(1, max_degree + 1):
-            if i % 2 == 1:
-                out.append(0.0)
-            else:
-                out.append(float(basis[i + 1, 0]) / (w * math.sqrt(i + 1)))
+            nus += w * np.array([m * math.exp(-_log_factorial_half(i)) for i, m in enumerate(moments)])
+        return nus.tolist()
+
+    def ratio(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        out = np.zeros_like(z)
+        for w, m, v in parts:
+            out += w * np.exp(0.5 * z * z - 0.5 * (z - m) ** 2 / v) / math.sqrt(v)
         return out
-    if kind == "hermite_moments":
-        vals = [float(v) for v in mu_spec["values"]]
-        if not vals or vals[0] != 1.0:
-            raise ValueError("hermite_moments must start with E[He_0] = 1")
-        vals = vals[: max_degree + 1] + [0.0] * max(0, max_degree + 1 - len(vals))
-        return [m * math.exp(-_log_factorial_half(i)) for i, m in enumerate(vals)]
-    raise ValueError(f"unsupported mu descriptor kind {kind!r}")
+
+    return nu, ratio, _mixture_chi2(parts)
 
 
-def ngca_density_ratio(mu_spec: dict) -> Callable[[np.ndarray], np.ndarray] | None:
-    """(dmu/dphi)(z) when mu has a density; None for discrete mu."""
-    kind = mu_spec.get("kind")
-    parts = _gaussian_parts(mu_spec)
-    if parts is not None:
-        def ratio(z: np.ndarray) -> np.ndarray:
-            z = np.asarray(z, dtype=float)
-            out = np.zeros_like(z)
-            for w, m, v in parts:
-                out += w * np.exp(0.5 * z * z - 0.5 * (z - m) ** 2 / v) / math.sqrt(v)
-            return out
-
-        return ratio
-    if kind == "uniform_symmetric":
-        w = float(mu_spec["half_width"])
-
-        def ratio(z: np.ndarray) -> np.ndarray:
-            z = np.asarray(z, dtype=float)
-            out = np.zeros_like(z)
-            inside = np.abs(z) <= w
-            out[inside] = math.sqrt(2.0 * math.pi) / (2.0 * w) * np.exp(0.5 * z[inside] ** 2)
-            return out
-
-        return ratio
-    return None
-
-
-def _chi2_of_mu(mu_spec: dict) -> float | None:
-    """sum_i nu_i^2 = chi^2(mu || N(0,1)) for a Gaussian or Gaussian-mixture
-    mu, in closed form: 1 + chi^2 = E_phi[(dmu/dphi)^2] sums, over pairs
-    of components (w, m, v), the Gaussian integral
+def _mixture_chi2(parts: list[tuple[float, float, float]]) -> float | None:
+    """chi^2(mu || N(0,1)) for a Gaussian mixture of components (w, m, v),
+    in closed form: 1 + chi^2 = E_phi[(dmu/dphi)^2] sums, over pairs of
+    components, the Gaussian integral
 
         w_i w_j exp(b^2 / (2a) - c/2) / sqrt(v_i v_j a),
 
     a = 1/v_i + 1/v_j - 1, b = m_i/v_i + m_j/v_j, c = m_i^2/v_i + m_j^2/v_j.
-    None when a <= 0 for a pair (the integral diverges), when the sum
-    passes the float range, and for every other kind of mu."""
-    parts = _gaussian_parts(mu_spec)
-    if parts is None:
-        return None
+    None when a <= 0 for a pair (the integral diverges) and when the sum
+    passes the float range."""
     w, m, v = (np.array(col, dtype=float)[:, None] for col in zip(*parts))
     a = 1.0 / v + 1.0 / v.T - 1.0
     if np.any(a <= 0.0):
@@ -385,6 +322,66 @@ def _chi2_of_mu(mu_spec: dict) -> float | None:
     with np.errstate(over="ignore", invalid="ignore"):
         total = exact_sum(w * w.T * np.exp(b * b / (2.0 * a) - c / 2.0) / np.sqrt(v * v.T * a))
     return max(total - 1.0, 0.0) if math.isfinite(total) else None
+
+
+def _atom_marginal(values: list[float], probs: list[float]) -> tuple:
+    """mu on explicit atoms: nu_i = sum_j probs_j h_i(values_j)."""
+    values, probs = np.asarray(values), np.asarray(probs)
+    if probs.shape != values.shape or not (probs >= 0.0).all() or abs(probs.sum() - 1.0) > 1e-12:
+        raise ValueError(f"'probs' must be nonnegative, match 'values' and sum to 1, got {probs.tolist()}")
+    return (lambda max_degree: (hermite_matrix(max_degree, values) @ probs).tolist()), None, None
+
+
+def _uniform_marginal(w: float) -> tuple:
+    """mu uniform on [-w, w]."""
+    if not w > 0.0:
+        raise ValueError(f"half_width must be positive, got {w}")
+
+    def nu(max_degree: int) -> list[float]:
+        # exact antiderivative: int_{-w}^{w} h_i dz = 2 h_{i+1}(w) sqrt(i+1) ... / ...
+        h = hermite_matrix(max_degree + 1, np.array([w]))[:, 0].tolist()  # h_0(w), ..., h_{d+1}(w)
+        return [1.0] + [0.0 if i % 2 else h[i + 1] / (w * math.sqrt(i + 1)) for i in range(1, max_degree + 1)]
+
+    def ratio(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        out = np.zeros_like(z)
+        inside = np.abs(z) <= w
+        out[inside] = math.sqrt(2.0 * math.pi) / (2.0 * w) * np.exp(0.5 * z[inside] ** 2)
+        return out
+
+    return nu, ratio, None
+
+
+def _hermite_marginal(values: list[float]) -> tuple:
+    """mu given by its Hermite moments E[He_i(z)], i = 0, 1, ..., the rest 0."""
+    if not values or values[0] != 1.0:
+        raise ValueError("hermite_moments must start with E[He_0] = 1")
+
+    def nu(max_degree: int) -> list[float]:
+        vals = values[: max_degree + 1] + [0.0] * max(0, max_degree + 1 - len(values))
+        return [m * math.exp(-_log_factorial_half(i)) for i, m in enumerate(vals)]
+
+    return nu, None, None
+
+
+MU_KINDS = {  # kind: ({field: (type[, default])}, builder of (d -> [nu_0..nu_d], dmu/dphi, chi^2 or None))
+    "gaussian": ({"mean": (REAL,), "var": (REAL,)}, lambda f: _gaussian_mixture([1.0], [f["mean"]], [f["var"]])),
+    "gaussian_mixture": ({"weights": (REALS,), "means": (REALS,), "vars": (REALS,)},
+                         lambda f: _gaussian_mixture(f["weights"], f["means"], f["vars"])),
+    "atoms": ({"values": (REALS,), "probs": (REALS,)}, lambda f: _atom_marginal(f["values"], f["probs"])),
+    "uniform_symmetric": ({"half_width": (REAL,)}, lambda f: _uniform_marginal(f["half_width"])),
+    "hermite_moments": ({"values": (REALS,)}, lambda f: _hermite_marginal(f["values"])),
+}
+
+
+def ngca_nu_coeffs(mu_spec: dict, max_degree: int) -> list[float]:
+    """nu_i = E_{z~mu}[h_i(z)], i = 0..max_degree, for a mu descriptor (MU_KINDS)."""
+    return build_descriptor(mu_spec, MU_KINDS)[0](max_degree)
+
+
+def ngca_density_ratio(mu_spec: dict) -> Callable[[np.ndarray], np.ndarray] | None:
+    """(dmu/dphi)(z) when mu has a density; None for discrete mu."""
+    return build_descriptor(mu_spec, MU_KINDS)[1]
 
 
 def _find_s_star(coeffs: Sequence[float]) -> int | None:
@@ -403,82 +400,74 @@ def ngca_kernel(mu_spec: dict, max_degree: int) -> Kernel:
     """
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
-    nu = ngca_nu_coeffs(mu_spec, max_degree)
+    nu_of, _, chi2 = build_descriptor(mu_spec, MU_KINDS)
+    nu = nu_of(max_degree)
     s_star = _find_s_star(nu)
-    flag = s_star is None and max_degree >= _S_STAR_SCAN
-    total = _chi2_of_mu(mu_spec)
     return _series_kernel(
         "ngca",
         [c * c for c in nu],
         s_star,
-        total,
+        chi2,
         extras={
             "nu": tuple(nu),
             "s_star": s_star,
-            "mu": dict(mu_spec),
-            "degenerate": bool(flag or (s_star is None)),
+            "degenerate": s_star is None,
         },
     )
 
 
+def _sign_lambda(i: int) -> float:
+    """lambda_i of the sign link: zeta_i(+-1) = +-2 He_{i-1}(0) phi(0) / sqrt(i!) for odd i, 0 even."""
+    if i % 2 == 0:
+        return 0.0
+    j = (i - 1) // 2
+    log_dfact = math.lgamma(i) - (j * _LN_2 + math.lgamma(j + 1))
+    return 2.0 * _PHI_0 * math.exp(log_dfact - 0.5 * math.lgamma(i + 1))
+
+
+def _noisy_link(tau2: float) -> tuple[Callable[[int], float], float]:
+    if tau2 <= 0.0:
+        raise ValueError(f"tau2 must be positive, got {tau2}")
+    return (lambda i: (1.0 + tau2) ** (-0.5 * i)), 1.0 / tau2
+
+
+LINK_KINDS = {  # kind: ({field: (type[, default])}, builder of (i -> lambda_i, sum_{i>=1} lambda_i^2 or None))
+    "identity": ({}, lambda f: (lambda i: 1.0, None)),
+    "abs": ({}, lambda f: (lambda i: 0.0 if i % 2 else 1.0, None)),
+    "sign": ({}, lambda f: (_sign_lambda, 1.0)),  # E_Q[(2 1(y = sign z))^2] - 1
+    "gaussian_noise": ({"tau2": (REAL,)}, lambda f: _noisy_link(f["tau2"])),
+    "independent": ({}, lambda f: (lambda i: 0.0, 0.0)),
+}
+
+
 def si_lambda_coeffs(joint_spec: dict, max_degree: int) -> tuple[list[float], int | None]:
-    """lambda_i = ||E[h_i(z) | y]||_{mu_y} for the supported links, plus
-    the generative exponent s*.
+    """lambda_0..lambda_d and the generative exponent s* that si_kernel carries."""
+    extras = si_kernel(joint_spec, max_degree).extras
+    return list(extras["lambda"]), extras["s_star"]
+
+
+def si_kernel(joint_spec: dict, max_degree: int) -> Kernel:
+    """Single-index kernel 1 + sum_{i>=s*} lambda_i^2 t^i, lambda_i =
+    ||E[h_i(z) | y]||_{mu_y}, for a link descriptor (LINK_KINDS).
 
     Links: identity (y = z), sign (y = sign z), abs (y = |z|),
     gaussian_noise (y = z + N(0, tau2)).  The first three have exact
     conditional expectations; the noisy link uses the closed posterior
     contraction E[h_i(z) | y] = (1+tau2)^{-i/2} h_i(y / sqrt(1+tau2)).
     """
-    kind = joint_spec.get("kind")
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
-    lambdas = [1.0]
-    if kind == "identity":
-        lambdas += [1.0] * max_degree
-    elif kind == "abs":
-        lambdas += [0.0 if i % 2 else 1.0 for i in range(1, max_degree + 1)]
-    elif kind == "sign":
-        # zeta_i(+-1) = +-2 He_{i-1}(0) phi(0) / sqrt(i!) for odd i, 0 even
-        p0 = normal_pdf(0.0)
-        for i in range(1, max_degree + 1):
-            if i % 2 == 0:
-                lambdas.append(0.0)
-            else:
-                j = (i - 1) // 2
-                log_dfact = math.lgamma(i) - (j * math.log(2.0) + math.lgamma(j + 1))
-                lambdas.append(2.0 * p0 * math.exp(log_dfact - 0.5 * math.lgamma(i + 1)))
-    elif kind == "gaussian_noise":
-        tau2 = float(joint_spec["tau2"])
-        if tau2 <= 0.0:
-            raise ValueError(f"tau2 must be positive, got {tau2}")
-        lambdas += [(1.0 + tau2) ** (-0.5 * i) for i in range(1, max_degree + 1)]
-    elif kind == "independent":
-        lambdas += [0.0] * max_degree
-    else:
-        raise ValueError(f"unsupported single-index link {kind!r}")
+    lam, total = build_descriptor(joint_spec, LINK_KINDS)
+    lambdas = [1.0, *map(lam, range(1, max_degree + 1))]
     s_star = _find_s_star(lambdas)
-    return lambdas, s_star
-
-
-def si_kernel(joint_spec: dict, max_degree: int) -> Kernel:
-    """Single-index kernel 1 + sum_{i>=s*} lambda_i^2 t^i."""
-    lambdas, s_star = si_lambda_coeffs(joint_spec, max_degree)
-    kind = joint_spec.get("kind")
-    totals = {
-        "sign": 1.0,  # E_Q[(2 1(y = sign z))^2] - 1
-        "gaussian_noise": (1.0 / float(joint_spec.get("tau2", 1.0))) if kind == "gaussian_noise" else None,
-        "independent": 0.0,
-    }
     return _series_kernel(
         "si",
         [c * c for c in lambdas],
         s_star,
-        totals.get(kind),
+        total,
         extras={
             "lambda": tuple(lambdas),
             "s_star": s_star,
-            "link": dict(joint_spec),
             "degenerate": s_star is None,
         },
     )
@@ -547,7 +536,6 @@ def counterexample_kernel(n: int, r: float, alpha_c: float) -> Kernel:
         name="counterexample",
         domain="pair_counts",
         log_fn=log_fn,
-        extras={"n": n, "r": r, "alpha_c": alpha_c},
     )
 
 
@@ -566,9 +554,7 @@ def dense_clique_kernel(n: int, p: float) -> Kernel:
             raise ValueError(f"intersection count must be a nonnegative integer, got {_first(t, bad)}")
         return ell * (ell - 1.0) / 2.0 * log_inv_p  # C(ell, 2), exact
 
-    return Kernel(
-        name="dense_clique", domain="scalar", log_fn=log_fn, extras={"n": n, "p": p}
-    )
+    return Kernel(name="dense_clique", domain="scalar", log_fn=log_fn)
 
 
 def dirac_kernel(n: int) -> Kernel:
@@ -579,15 +565,14 @@ def dirac_kernel(n: int) -> Kernel:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     diag = n * math.log(2.0)
-    return Kernel(name="dirac", domain="scalar", log_fn=lambda t: np.where(t == 1.0, diag, -math.inf),
-                  extras={"n": n})
+    return Kernel(name="dirac", domain="scalar", log_fn=lambda t: np.where(t == 1.0, diag, -math.inf))
 
 
 def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) -> Kernel:
     """Lookup-table kernel on explicit atoms (tests and broken-kernel
     injection); kernel_values of exactly 0 become exact zeros."""
-    if len(values) != len(kernel_values):
-        raise ValueError("values and kernel_values must have equal length")
+    if len(values) != len(kernel_values) or not values:
+        raise ValueError("values and kernel_values must be nonempty and of equal length")
     table: dict[float, float] = {}
     for v, kv in zip(values, kernel_values):
         if not (math.isfinite(kv) and kv >= 0.0):
@@ -739,55 +724,41 @@ class ModelSpec:
             return np.log1p(dev), dev
 
 
-def _default_group(name: str, law: OverlapLaw, requested: str | None) -> GroupSpec:
-    if requested is not None:
-        return GroupSpec(requested)
-    if name in ("gam", "ngca", "si") and GroupSpec("sign_flip").preserves(law):
-        return GroupSpec("sign_flip")
-    return GroupSpec("trivial")
+_GROUP = (NAME, None)  # every model's optional group: "trivial" or "sign_flip"
+
+MODEL_KINDS = {  # model: ({field: (type[, default])}, builder of the kernel, then the dearer law)
+    "gam": ({"lambda": (REAL,), "prior": (OBJECT,), "max_degree": (WHOLE, 64), "group": _GROUP},
+            lambda f: (gam_kernel(f["lambda"], f["max_degree"]), make_law(f["prior"]))),
+    "mslr": ({"n": (WHOLE,), "k": (WHOLE,), "sigma2": (REAL,), "group": _GROUP},
+             lambda f: (mslr_kernel(f["k"], f["sigma2"]), hypergeometric_law(f["n"], f["k"]))),
+    "ngca": ({"mu": (OBJECT,), "prior": (OBJECT,), "max_degree": (WHOLE, 64), "group": _GROUP},
+             lambda f: (ngca_kernel(f["mu"], f["max_degree"]), make_law(f["prior"]))),
+    "si": ({"link": (OBJECT,), "prior": (OBJECT,), "max_degree": (WHOLE, 64), "group": _GROUP},
+           lambda f: (si_kernel(f["link"], f["max_degree"]), make_law(f["prior"]))),
+    "slab": ({"alpha": (REAL,), "d": (WHOLE,), "max_degree": (WHOLE, 100), "group": _GROUP},
+             lambda f: (slab_kernel(f["alpha"], f["max_degree"]), rademacher_mean_law(f["d"]))),
+    "counterexample": ({"n": (WHOLE,), "r": (REAL,), "alpha_c": (REAL,), "rho_p": (REAL,), "group": _GROUP},
+                       lambda f: (counterexample_kernel(f["n"], f["r"], f["alpha_c"]),
+                                  pair_counts_law(f["n"], f["rho_p"]))),
+    "dense_clique": ({"n": (WHOLE,), "k": (WHOLE,), "p": (REAL,), "group": _GROUP},
+                     lambda f: (dense_clique_kernel(f["n"], f["p"]), hypergeometric_law(f["n"], f["k"]))),
+    "dirac": ({"n": (WHOLE,), "group": _GROUP}, lambda f: (dirac_kernel(f["n"]), equality_law(f["n"]))),
+    "synthetic": ({"values": (REALS,), "probs": (REALS,), "kernel_values": (REALS,), "group": _GROUP},
+                  lambda f: (synthetic_kernel(f["values"], f["kernel_values"]),
+                             atoms_law(f["values"], f["probs"]))),
+}
 
 
 def build_model(desc: dict) -> ModelSpec:
-    """Assemble a ModelSpec from a flat descriptor (see README / cli).
-
-    Required field "model"; model-specific parameters; optional "prior"
-    sub-descriptor where the prior is not implied; optional "group".
-    """
-    if "model" not in desc:
-        raise ValueError("model descriptor requires a 'model' field")
-    name = desc["model"]
-    max_degree = whole_field(desc, "max_degree", 64)
-    overlap: Callable[[Statistic], float] | None = float  # the statistic is <u, v> itself
-    if name == "gam":
-        law, kernel = make_law(desc["prior"]), gam_kernel(float(desc["lambda"]), max_degree=max_degree)
-    elif name == "mslr":
-        n, k = whole_field(desc, "n"), whole_field(desc, "k")
-        law = make_law({"kind": "hypergeometric", "n": n, "k": k})
-        kernel = mslr_kernel(k, float(desc["sigma2"]))
-    elif name == "ngca":
-        law, kernel = make_law(desc["prior"]), ngca_kernel(desc["mu"], max_degree=max_degree)
-    elif name == "si":
-        law, kernel = make_law(desc["prior"]), si_kernel(desc["link"], max_degree=max_degree)
-    elif name == "slab":
-        law = make_law({"kind": "rademacher_mean", "n": whole_field(desc, "d")})
-        kernel = slab_kernel(float(desc["alpha"]), max_degree=whole_field(desc, "max_degree", 100))
-    elif name == "counterexample":
-        n = whole_field(desc, "n")
-        law = make_law({"kind": "pair_counts", "n": n, "rho_p": float(desc["rho_p"])})
-        kernel = counterexample_kernel(n, float(desc["r"]), float(desc["alpha_c"]))
-        overlap = lambda t: float(t[2])  # the agreement count c
-    elif name == "dense_clique":
-        n = whole_field(desc, "n")
-        law = make_law({"kind": "hypergeometric", "n": n, "k": whole_field(desc, "k")})
-        kernel = dense_clique_kernel(n, float(desc["p"]))
-    elif name == "dirac":
-        n = whole_field(desc, "n")
-        law, kernel = make_law({"kind": "equality", "n": n}), dirac_kernel(n)
-        overlap = None  # the equality indicator does not determine <u, v>: FP undefined
-    elif name == "synthetic":
-        law = make_law({"kind": "atoms", "values": desc["values"], "probs": desc["probs"]})
-        kernel = synthetic_kernel(desc["values"], desc["kernel_values"])
-    else:
-        raise ValueError(f"unknown model {name!r}")
-    return ModelSpec(name, dict(desc), kernel, law, _default_group(name, law, desc.get("group")),
-                     euclid_overlap=overlap)
+    """The ModelSpec of a model descriptor (MODEL_KINDS; params holds its
+    fields as read).  The group defaults to the sign flip for gam, ngca and
+    si where it preserves the law, else trivial."""
+    name, params = read_descriptor(desc, MODEL_KINDS, tag="model")
+    kernel, law = MODEL_KINDS[name][1](params)
+    group = params["group"]
+    if group is None:
+        sign_flip = name in ("gam", "ngca", "si") and GroupSpec("sign_flip").preserves(law)
+        group = "sign_flip" if sign_flip else "trivial"
+    # the statistic is <u, v> itself, but for the agreement count c of pair counts and the equality indicator
+    overlap = {"counterexample": lambda t: float(t[2]), "dirac": None}.get(name, float)
+    return ModelSpec(name, params, kernel, law, GroupSpec(group), euclid_overlap=overlap)

@@ -52,6 +52,10 @@ and the interval's ends, and it is integrated over the stretches within
 e^-60 of that peak by composite Gauss-Legendre panels
 (gauss_legendre_panels), which refuse past a panel budget
 (ResourceLimitError) rather than return a partial sum.
+
+Priors, like the models, NGCA marginals and single-index links of
+fpsq.kernels, come as JSON descriptors, each level read by read_descriptor
+against its one table (PRIOR_KINDS here) before the kind's builder runs.
 """
 
 from __future__ import annotations
@@ -486,12 +490,14 @@ def _pair_class_law(descriptor: dict, statistic: str, values: np.ndarray, rho_p:
     return _discrete_law(descriptor, statistic, values[p > 0.0], *np.frexp(p[p > 0.0]), exact=False)
 
 
-def two_point_law(rho_p: float, stat_values: tuple[float, float, float]) -> OverlapLaw:
+def two_point_law(rho_p: float, stat_values: Sequence[float]) -> OverlapLaw:
     """Scalar statistic of a two-point prior: point 1 w.p. rho_p, and
     stat_values = (T(1,1), T(2,2), T(mixed))."""
-    v11, v22, vmix = (float(v) for v in stat_values)
+    if len(stat_values) != 3:
+        raise ValueError(f"two_point values must be (T(1,1), T(2,2), T(mixed)), got {stat_values}")
+    v11, v22, vmix = stat_values
     return _pair_class_law({"kind": "two_point", "rho_p": rho_p, "values": [v11, v22, vmix]}, "scalar",
-                           np.array([v11, v22, vmix]), rho_p)
+                           np.array([v11, v22, vmix], dtype=float), rho_p)
 
 
 def pair_counts_law(n: int, rho_p: float) -> OverlapLaw:
@@ -681,43 +687,86 @@ def sphere_law(n: int) -> OverlapLaw:
     )
 
 
-def whole_field(spec: dict, key: str, default: int | None = None) -> int:
-    """The size spec[key] (default where it is absent) as an int: an integer,
-    or a float with no fractional part.  A bool, a string, a fraction or an
-    infinity is refused with ValueError naming the field, where int() would
-    truncate or convert it without a word."""
-    value = spec.get(key, default)
-    if ((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
-            or (isinstance(value, float) and value.is_integer())):
-        return int(value)
-    raise ValueError(f"{key!r} must be a whole number, got {value!r}")
+def _whole(value) -> int | None:
+    """An integer of any size, or a float with no fractional part; no bool."""
+    whole = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    return int(value) if whole and not isinstance(value, bool) else None
 
 
-_LAW_BUILDERS = {
-    "hypergeometric": lambda d: hypergeometric_law(whole_field(d, "n"), whole_field(d, "k")),
-    "signed_sparse": lambda d: signed_sparse_law(whole_field(d, "n"), whole_field(d, "k")),
-    "rademacher_mean": lambda d: rademacher_mean_law(whole_field(d, "n")),
-    "sphere": lambda d: sphere_law(whole_field(d, "n")),
-    "two_point": lambda d: two_point_law(float(d["rho_p"]), tuple(d["values"])),
-    "pair_counts": lambda d: pair_counts_law(whole_field(d, "n"), float(d["rho_p"])),
-    "equality": lambda d: equality_law(whole_field(d, "n")),
-    "atoms": lambda d: atoms_law(d["values"], d["probs"]),
+def _real(value) -> float | None:
+    """A finite number; no bool, and no int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _reals(value) -> list[float] | None:
+    out = [_real(v) for v in value] if isinstance(value, (list, tuple)) else [None]
+    return None if None in out else out
+
+
+# the descriptor field types: (what messages call it, reader of a JSON value, None where it is not one)
+WHOLE = ("a whole number", _whole)
+REAL = ("a finite real", _real)
+REALS = ("a list of finite reals", _reals)
+OBJECT = ("an object", lambda value: value if isinstance(value, dict) else None)
+NAME = ("a string", lambda value: value if isinstance(value, str) else None)
+
+
+def read_field(spec: dict, key: str, field_type: tuple, *default):
+    """spec[key] as field_type = (what, read) reads it, or the default, if given,
+    where key is absent; else ValueError "'key' must be <what>, got <value>"."""
+    if default and key not in spec:
+        return default[0]
+    what, read = field_type
+    value = read(spec.get(key))
+    if value is None:
+        raise ValueError(f"{key!r} must be {what}, got {spec.get(key)!r}")
+    return value
+
+
+def read_descriptor(spec, kinds: dict, tag: str = "kind") -> tuple[str, dict]:
+    """(kind, fields) of a descriptor against kinds, a table {kind: ({field:
+    (type[, default])}, builder)}: spec is an object whose tag names a kind,
+    with no field that kind lacks, and fields maps each of the kind's fields
+    to its value (read_field).  ValueError otherwise."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a descriptor must be an object with a {tag!r} field, got {spec!r}")
+    kind = spec.get(tag)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ValueError(f"{tag!r} must be one of {', '.join(map(repr, kinds))}, got {kind!r}")
+    schema = kinds[kind][0]
+    for key in spec:
+        if key != tag and key not in schema:
+            raise ValueError(f"unknown field {key!r} for {tag} {kind!r} (fields: {', '.join(schema) or 'none'})")
+    return kind, {key: read_field(spec, key, *entry) for key, entry in schema.items()}
+
+
+def build_descriptor(spec, kinds: dict):
+    """What the builder of the kind spec names makes of its fields (read_descriptor)."""
+    kind, fields = read_descriptor(spec, kinds)
+    return kinds[kind][1](fields)
+
+
+PRIOR_KINDS = {  # kind: ({field: (type[, default])}, builder of the law)
+    "hypergeometric": ({"n": (WHOLE,), "k": (WHOLE,)}, lambda f: hypergeometric_law(f["n"], f["k"])),
+    "signed_sparse": ({"n": (WHOLE,), "k": (WHOLE,)}, lambda f: signed_sparse_law(f["n"], f["k"])),
+    "rademacher_mean": ({"n": (WHOLE,)}, lambda f: rademacher_mean_law(f["n"])),
+    "sphere": ({"n": (WHOLE,)}, lambda f: sphere_law(f["n"])),
+    "two_point": ({"rho_p": (REAL,), "values": (REALS,)}, lambda f: two_point_law(f["rho_p"], f["values"])),
+    "pair_counts": ({"n": (WHOLE,), "rho_p": (REAL,)}, lambda f: pair_counts_law(f["n"], f["rho_p"])),
+    "equality": ({"n": (WHOLE,)}, lambda f: equality_law(f["n"])),
+    "atoms": ({"values": (REALS,), "probs": (REALS,)}, lambda f: atoms_law(f["values"], f["probs"])),
 }
 
 
 def make_law(spec: dict) -> OverlapLaw:
-    """Build an OverlapLaw from a prior descriptor (see _LAW_BUILDERS)."""
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ValueError("prior descriptor must be a dict with a 'kind' field") from None
-    try:
-        builder = _LAW_BUILDERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown prior kind {kind!r}; available: {sorted(_LAW_BUILDERS)}"
-        ) from None
-    return builder(spec)
+    """Build an OverlapLaw from a prior descriptor (see PRIOR_KINDS)."""
+    return build_descriptor(spec, PRIOR_KINDS)
 
 
 # ---------------------------------------------------------------------------

@@ -165,37 +165,30 @@ def _mslr_vectors(n: int, k: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
 
 def kernel_table(desc: dict, seed: int = 0, num_samples: int = 1_000_000) -> list[KernelRow]:
     """Closed-form kernel vs its independent oracle on a model grid."""
-    name = desc["model"]
     model = build_model(desc)
+    name, f, kernel = model.name, model.params, model.kernel  # params: the fields as read
     rows: list[KernelRow] = []
     if name == "mslr":
-        n, k, sigma2 = int(desc["n"]), int(desc["k"]), float(desc["sigma2"])
-        for ell in range(0, k + 1):
-            u, v = _mslr_vectors(n, k, ell)
-            est = mc_kernel_mslr(k, sigma2, u, v, num_samples=num_samples, seed=seed + ell)
-            kv = model.kernel.eval(float(ell))
+        for ell in range(0, f["k"] + 1):
+            u, v = _mslr_vectors(f["n"], f["k"], ell)
+            est = mc_kernel_mslr(f["k"], f["sigma2"], u, v, num_samples=num_samples, seed=seed + ell)
+            kv = kernel.eval(float(ell))
             rows.append(KernelRow(ell, kv, est.value, abs(kv - est.value), est.error_bound))
-        return rows
-    if name == "ngca":
-        grid = np.linspace(-0.9, 0.9, 21)
-        for rho in grid:
-            est = quad_kernel_ngca(desc["mu"], float(rho), num_nodes=400)
-            kv = model.kernel.eval(float(rho))
+    elif name == "ngca":
+        for rho in np.linspace(-0.9, 0.9, 21):
+            est = quad_kernel_ngca(f["mu"], float(rho), num_nodes=400)
+            kv = kernel.eval(float(rho))
             bound = max(est.error_bound, 1e-6)
             rows.append(KernelRow(float(rho), kv, est.value, abs(kv - est.value), bound))
-        return rows
-    if name == "slab":
-        kappa = model.kernel.extras["kappa"]
-        alpha = model.kernel.extras["alpha"]
+    elif name == "slab":
+        scale = (1.0 - f["alpha"]) ** 2
         for rho in np.linspace(-1.0, 1.0, 21):
-            est = bvn_rectangle(kappa, float(rho))
-            kv = model.kernel.eval(float(rho))
-            oracle = est.value / (1.0 - alpha) ** 2
-            bound = max(est.error_bound / (1.0 - alpha) ** 2, 1e-6)
-            rows.append(KernelRow(float(rho), kv, oracle, abs(kv - oracle), bound))
-        return rows
-    if name == "counterexample":
-        n = int(desc["n"])
+            est = bvn_rectangle(kernel.extras["kappa"], float(rho))
+            kv = kernel.eval(float(rho))
+            oracle = est.value / scale
+            rows.append(KernelRow(float(rho), kv, oracle, abs(kv - oracle), max(est.error_bound / scale, 1e-6)))
+    elif name == "counterexample":
+        n = f["n"]
         rng = np.random.default_rng(seed)
         pairs = [
             (np.r_[1.0, np.zeros(n)], np.r_[1.0, np.zeros(n)]),
@@ -209,32 +202,26 @@ def kernel_table(desc: dict, seed: int = 0, num_samples: int = 1_000_000) -> lis
             a = int(np.sum((u == 0) & (v == 0)))
             b = int(np.sum(u != v))
             c = int(np.sum((u == 1) & (v == 1)))
-            est = enum_kernel_counterexample(n, float(desc["r"]), float(desc["alpha_c"]), u, v)
-            kv = model.kernel.eval((a, b, c))
+            est = enum_kernel_counterexample(n, f["r"], f["alpha_c"], u, v)
+            kv = kernel.eval((a, b, c))
             rows.append(KernelRow((a, b, c), kv, est.value, abs(kv - est.value), 1e-12))
-        return rows
-    if name == "gam":
-        lam = float(desc["lambda"])
+    elif name == "gam":
         for t in np.linspace(-1.0, 1.0, 11):
-            kv = model.kernel.eval(float(t))
-            oracle = math.exp(lam * lam * float(t))
+            kv = kernel.eval(float(t))
+            oracle = math.exp(f["lambda"] * f["lambda"] * float(t))
             rows.append(KernelRow(float(t), kv, oracle, abs(kv - oracle), 1e-12))
-        return rows
-    if name == "dense_clique":
-        # one-line combinatorial identity: p^{-C(ell,2)}
-        p = float(desc["p"])
-        for ell in range(0, int(desc["k"]) + 1):
-            kv = model.kernel.eval(float(ell))
-            oracle = p ** -math.comb(ell, 2)
+    elif name == "dense_clique":  # one-line combinatorial identity: p^{-C(ell,2)}
+        for ell in range(0, f["k"] + 1):
+            kv = kernel.eval(float(ell))
+            oracle = f["p"] ** -math.comb(ell, 2)
             rows.append(KernelRow(ell, kv, oracle, abs(kv - oracle), 1e-12 * max(1.0, oracle)))
-        return rows
-    if name == "dirac":
-        n = int(desc["n"])
-        for t, oracle in ((0.0, 0.0), (1.0, 2.0**n)):
-            kv = model.kernel.eval(t)
+    elif name == "dirac":
+        for t, oracle in ((0.0, 0.0), (1.0, 2.0 ** f["n"])):
+            kv = kernel.eval(t)
             rows.append(KernelRow(t, kv, oracle, abs(kv - oracle), 0.0))
-        return rows
-    raise ValueError(f"no oracle-backed kernel table for model {name!r}")
+    else:
+        raise ValueError(f"no oracle-backed kernel table for model {name!r}")
+    return rows
 
 
 # ---------------------------------------------------------------------------

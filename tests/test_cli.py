@@ -1,14 +1,19 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_rows import read_rows
 from fpsq.cli import (
@@ -21,6 +26,7 @@ from fpsq.cli import (
     main,
     parse_grid,
 )
+from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
 
 
 def run(argv):
@@ -400,6 +406,132 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+def run_config(cfg: dict, argv=("--criterion", "chi2", "--m", "1")) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of an in-process `fpsq criterion --config`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)  # inf and nan as Infinity and NaN
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["criterion", "--config", path, *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_config_error(code: int, out: str, err: str) -> None:
+    assert code == EXIT_CONFIG, (code, err)
+    assert err.startswith("config error: ") and err.count("\n") == 1 and out == ""
+
+
+SPHERE = {"kind": "sphere", "n": 50}
+RADEMACHER = {"kind": "rademacher_mean", "n": 10}
+
+
+class TestDescriptorSchema:
+    @pytest.mark.parametrize("desc, message", [
+        # each ended in a KeyError or AttributeError traceback, exit 1
+        ({"model": "gam", "prior": RADEMACHER}, "'lambda' must be a finite real, got None"),
+        ({"model": "gam", "lambda": 1.0}, "'prior' must be an object, got None"),
+        ({"model": "si", "link": "identity", "prior": SPHERE}, "'link' must be an object, got 'identity'"),
+        ({"model": "ngca", "mu": {"kind": "gaussian", "var": 1.5}, "prior": SPHERE},
+         "'mean' must be a finite real, got None"),
+        ({"model": "gam", "lambda": 1.0, "prior": {"kind": "two_point", "rho_p": 0.5}},
+         "'values' must be a list of finite reals, got None"),
+        ({"model": "mslr", "n": 40, "k": 4}, "'sigma2' must be a finite real, got None"),
+        ({"model": "synthetic", "values": [0.0, 0.5], "probs": [0.5, 0.5]},
+         "'kernel_values' must be a list of finite reals, got None"),
+        ({"model": "si", "link": {"kind": "gaussian_noise"}, "prior": SPHERE},
+         "'tau2' must be a finite real, got None"),
+        # each built a model and printed a row, exit 0
+        ({"model": "gam", "lambda": "1", "prior": RADEMACHER}, "'lambda' must be a finite real, got '1'"),
+        ({"model": "gam", "lambda": True, "prior": RADEMACHER}, "'lambda' must be a finite real, got True"),
+        ({"model": "gam", "lambda": 2.0, "lamda": 2.0, "prior": RADEMACHER},
+         "unknown field 'lamda' for model 'gam'"),
+        # zip cut the means short and chi2 printed 0.0
+        ({"model": "ngca", "mu": {"kind": "gaussian_mixture", "weights": [0.5, 0.5], "means": [0.0],
+                                  "vars": [1.0, 1.0]}, "prior": SPHERE}, "mixture weights, means and vars"),
+        # an int past the float range is no finite real, and float() raised OverflowError
+        ({"model": "gam", "lambda": 10**400, "prior": RADEMACHER}, "'lambda' must be a finite real, got 1000"),
+        ({"model": "nope"}, "'model' must be one of 'gam', "),
+        ({"model": "gam", "lambda": 1.0, "prior": {"kind": "nope"}}, "'kind' must be one of 'hypergeometric', "),
+    ])
+    def test_a_malformed_descriptor_is_one_config_error(self, desc, message):
+        code, out, err = run_config({"models": {"bad": desc}, "model": "bad"})
+        assert_one_config_error(code, out, err)
+        assert err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("cfg, argv, message", [
+        ({"seed": [1]}, ("--criterion", "chi2"), "'seed' must be a whole number, got [1]"),
+        ({"seed": 1.5}, ("--criterion", "chi2"), "'seed' must be a whole number, got 1.5"),
+        ({"epsilon": "0.1"}, ("--criterion", "chi2"), "'epsilon' must be a finite real, got '0.1'"),
+        ({"criteria": 5}, (), "'criteria' must be a comma list or a list of names, got 5"),
+        ({"criteria": ["chi2", 5]}, (), "'criteria' must be a comma list or a list of names"),
+        ({"models": [1]}, ("--criterion", "chi2"), "'models' must be an object, got [1]"),
+        ({"models": {"a": 5}, "model": "a"}, ("--criterion", "chi2"), "a descriptor must be an object"),
+    ])
+    def test_a_malformed_config_field_is_one_config_error(self, cfg, argv, message):
+        # each ended in a TypeError traceback, exit 1, or ran with the field ignored
+        code, out, err = run_config({"model": "gam-rademacher", **cfg}, argv)
+        assert_one_config_error(code, out, err)
+        assert err.startswith(f"config error: {message}")
+
+    def test_fpsq_kernel_reads_the_descriptor_before_the_oracle(self, tmp_path, capsys):
+        # kernel_table read desc["model"] and desc["lambda"] first: KeyError, exit 1
+        cfg = tmp_path / "cfg.json"
+        for model in ({"lambda": 1.0, "prior": SPHERE}, {"model": "gam", "prior": SPHERE}):
+            cfg.write_text(json.dumps({"model": model}))
+            assert run(["kernel", "--config", str(cfg), "--samples", "10"]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: '") and err.count("\n") == 1
+
+
+def _paths(desc: dict, prefix: tuple = ()):
+    """The path of every field of a descriptor and of its nested descriptors."""
+    for key, value in desc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+_RETYPED = {"string": "1", "bool": True, "list": [1], "object": {}, "none": None}
+_MUTATIONS = ("drop", "unknown", "inf", "nan", *_RETYPED)
+
+
+def _mutated(desc: dict, path: tuple, how: str) -> dict:
+    """desc with the field at path dropped, retyped or made non-finite (a
+    list's first entry), or with an unknown field beside it."""
+    out = json.loads(json.dumps(desc))
+    *parents, key = path
+    level = out
+    for name in parents:
+        level = level[name]
+    if how == "drop":
+        del level[key]
+    elif how == "unknown":
+        level["no_such_field"] = 1.0
+    elif how in ("inf", "nan"):
+        value = level[key]
+        level[key] = [float(how), *value[1:]] if isinstance(value, list) else float(how)
+    else:
+        level[key] = _RETYPED[how]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(BUILTIN_MODEL_DESCRIPTORS)), st.sampled_from(_MUTATIONS), st.data())
+def test_a_mutated_preset_is_one_config_error_or_a_model(preset, how, data):
+    # no mutation of a field of a preset, at any level, ends in a traceback
+    # or exit 1: either the schema or a constructor refuses it with one line,
+    # or it is still a valid model (a dropped group, a list of atom values)
+    desc = BUILTIN_MODEL_DESCRIPTORS[preset]
+    path = data.draw(st.sampled_from(list(_paths(desc))))
+    code, out, err = run_config({"models": {"bad": _mutated(desc, path, how)}, "model": "bad"})
+    if code == EXIT_PASS:
+        assert err == "" and out.count("\n") == 3
+    else:
+        assert_one_config_error(code, out, err)
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

@@ -1,5 +1,6 @@
 """The README's library example, the package's exports, the benchmark's
-hooks, the value dump and the phase-grid timer stay runnable, every array
+hooks, the value dump and the phase-grid timer stay runnable, the README's
+descriptor reference lists the descriptor tables, every array
 sum in the engine takes one code path, no engine module builds an array
 with np.r_ or np.c_, no engine module calls laws.expect
 or laws.survival, the criteria compare nothing against the boundary
@@ -32,6 +33,22 @@ def test_readme_library_example_runs():
     lines = out.getvalue().splitlines()
     assert lines[0] == "0.0005282132768118696"
     assert lines[1].startswith("CriterionReport(criterion='RHO_FP'")
+
+
+def test_readme_lists_every_descriptor_kind_and_field():
+    # the README's descriptor reference is the four tables, kind by kind
+    from fpsq.kernels import LINK_KINDS, MODEL_KINDS, MU_KINDS
+    from fpsq.laws import PRIOR_KINDS
+
+    def entry(field, field_type, *default):
+        extra = "" if not default else ", optional" if default[0] is None else f", default {default[0]}"
+        return f"`{field}` ({field_type[0]}{extra})"
+
+    want = [f"- `{kind}`: " + (", ".join(entry(field, *e) for field, e in fields.items()) or "no fields")
+            for table in (MODEL_KINDS, PRIOR_KINDS, MU_KINDS, LINK_KINDS) for kind, (fields, _) in table.items()]
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        (section,) = re.findall(r"\n## Model descriptors\n(.*?)\n## ", fh.read(), re.S)
+    assert [line for line in section.splitlines() if line.startswith("- `")] == want
 
 
 def test_benchmark_tracer_finds_every_attribute_it_wraps():
