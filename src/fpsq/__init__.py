@@ -17,7 +17,7 @@ from fpsq.numerics import (
     normal_pdf,
     normal_quantile,
 )
-from fpsq.laws import OverlapLaw, ThresholdResult, make_law, survival, threshold_sup, expect, sample
+from fpsq.laws import OverlapLaw, ThresholdResult, make_law, survival, threshold_sup, expect
 from fpsq.kernels import (
     GroupSpec,
     Kernel,
@@ -50,7 +50,6 @@ from fpsq.oracles import (
     OracleEstimate,
     bvn_rectangle,
     enum_kernel_counterexample,
-    mc_criterion,
     mc_kernel_mslr,
     quad_kernel_ngca,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "survival",
     "threshold_sup",
     "expect",
-    "sample",
     "GroupSpec",
     "Kernel",
     "ModelSpec",
@@ -100,6 +98,5 @@ __all__ = [
     "enum_kernel_counterexample",
     "quad_kernel_ngca",
     "bvn_rectangle",
-    "mc_criterion",
     "__version__",
 ]

@@ -52,7 +52,7 @@ from fpsq.criteria import (
     usq_hard,
 )
 from fpsq.kernels import ModelSpec, build_model
-from fpsq.laws import OBJECT, QUAD_REL_TOL, REAL, WHOLE, ResourceLimitError, read_field
+from fpsq.laws import OBJECT, QUAD_REL_TOL, REAL, REALS, WHOLE, ResourceLimitError, read_field
 from fpsq.scenarios import (
     BUILTIN_MODEL_DESCRIPTORS,
     SCENARIOS,
@@ -121,6 +121,12 @@ def parse_grid(text: str | None) -> list[float] | None:
         la, lb = math.log(lo), math.log(hi)
         return [math.exp(la + i * (lb - la) / (n - 1)) for i in range(n)]
     return [float(v) for v in text.split(",") if v != ""]
+
+
+def config_grid(cfg: dict, key: str) -> list | None:
+    """The config's grid as written (integers stay integers in the config hash), if a list of finite reals."""
+    read_field(cfg, key, REALS, None)
+    return cfg.get(key)
 
 
 def config_hash(semantic: dict) -> str:
@@ -262,14 +268,14 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
 def cmd_criterion(args: argparse.Namespace) -> int:
     cfg, seed = load_config(args)
     fmt = args.format or cfg.get("format", "csv")
-    epsilon = args.epsilon if args.epsilon is not None else read_field(cfg, "epsilon", REAL, 0.0)
+    epsilon = read_field(cfg if args.epsilon is None else {"epsilon": args.epsilon}, "epsilon", REAL, 0.0)
     criteria = (args.criterion or cfg.get("criteria") or "chi2")
     if isinstance(criteria, str):
         criteria = [c.strip() for c in criteria.split(",") if c.strip()]
     if not (isinstance(criteria, list) and all(isinstance(c, str) for c in criteria)):
         raise ConfigError(f"'criteria' must be a comma list or a list of names, got {criteria!r}")
-    qs = parse_grid(args.q) or cfg.get("q") or [None]
-    ms = parse_grid(args.m) or cfg.get("m") or [1]
+    qs = parse_grid(args.q) or config_grid(cfg, "q") or [None]
+    ms = parse_grid(args.m) or config_grid(cfg, "m") or [1]
     if not isinstance(qs, list) or not isinstance(ms, list) or not qs or not ms:
         raise ConfigError("q and m grids must be nonempty lists")
     model_ref = args.model or cfg.get("model")

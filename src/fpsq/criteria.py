@@ -218,8 +218,8 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
     Requires the model's statistic to determine the Euclidean overlap.
     """
     mass = _require_q(q, 2.0, "FP", m)
-    if model.euclid_overlap is None or not (model.is_discrete or model.euclid_overlap is float):
-        raise UnsupportedCriterionError(  # a continuous law's statistic is the overlap itself
+    if not model.euclid_overlap:
+        raise UnsupportedCriterionError(
             f"model {model.name!r} does not expose a Euclidean overlap; FP undefined"
         )
     return _kept_below(model, "FP", q, m, epsilon, mass, "overlap", False,  # continuous: |<u,v>| = |t|

@@ -220,6 +220,8 @@ def mslr_kernel(k: int, sigma2: float) -> Kernel:
     """Mixed sparse linear regression: K(ell) = (1 - (ell/(k+s^2))^2)^{-1}."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    if k >= 2**53:
+        raise ValueError(f"k must be below 2^53, where the overlaps are exact floats, got {k}")
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     scale = k + sigma2
@@ -372,11 +374,6 @@ MU_KINDS = {  # kind: ({field: (type[, default])}, builder of (d -> [nu_0..nu_d]
     "uniform_symmetric": ({"half_width": (REAL,)}, lambda f: _uniform_marginal(f["half_width"])),
     "hermite_moments": ({"values": (REALS,)}, lambda f: _hermite_marginal(f["values"])),
 }
-
-
-def ngca_nu_coeffs(mu_spec: dict, max_degree: int) -> list[float]:
-    """nu_i = E_{z~mu}[h_i(z)], i = 0..max_degree, for a mu descriptor (MU_KINDS)."""
-    return build_descriptor(mu_spec, MU_KINDS)[0](max_degree)
 
 
 def ngca_density_ratio(mu_spec: dict) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -562,8 +559,8 @@ def dirac_kernel(n: int) -> Kernel:
 
     The off-diagonal zero is an exact zero (log K = -inf).
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    if not 1 <= n < 2**53:
+        raise ValueError(f"n must be positive and below 2^53, got {n}")
     diag = n * math.log(2.0)
     return Kernel(name="dirac", domain="scalar", log_fn=lambda t: np.where(t == 1.0, diag, -math.inf))
 
@@ -602,8 +599,9 @@ class AtomTable:
     each atom its own under the trivial group), K - 1 at -t and the orbit
     index; one entry per orbit (an atom and its mirror): the
     representative (lower) atom and the mass, whose log GFP reads; and
-    the Levels of |<u,v>| (None without a Euclidean overlap), rho_G and
-    |K - 1|, each discrete event a cut in one of them (Levels.cut)."""
+    the Levels of |<u,v>| (None where the statistic does not determine
+    it), rho_G and |K - 1|, each discrete event a cut in one of them
+    (Levels.cut)."""
 
     log_k: np.ndarray
     dev: np.ndarray
@@ -625,8 +623,9 @@ class AtomTable:
 
 
 def _atom_table(model: ModelSpec) -> AtomTable:
-    """The atom table from the law's arrays, copying none of them; |<u,v>|
-    is the statistic itself, or the agreement count c of pair counts."""
+    """The atom table from the law's arrays, copying none of them; where
+    the statistic determines <u,v>, |<u,v>| is the statistic itself, or the
+    agreement count c of pair counts."""
     law, kernel = model.law, model.kernel
     values, p = law.values, law.probs
     log_k, dev = model.kernel_table
@@ -643,8 +642,8 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     first = np.minimum(atoms, mirror)
     is_rep = first == atoms
     rep, orbit = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[first]
-    overlap = (None if model.euclid_overlap is None
-               else Levels.of(np.abs(values[:, 2] if law.statistic == "pair_counts" else values), p))
+    overlap = (Levels.of(np.abs(values[:, 2] if law.statistic == "pair_counts" else values), p)
+               if model.euclid_overlap else None)
     return AtomTable(
         log_k, dev, mirror, mirror_dev, orbit, rep, np.bincount(orbit, weights=p), overlap,
         Levels.of(np.maximum(np.abs(dev), np.abs(mirror_dev)), p), Levels.of(np.abs(dev), p),
@@ -655,11 +654,10 @@ def _atom_table(model: ModelSpec) -> AtomTable:
 class ModelSpec:
     """A named detection task: kernel + overlap law + group action.
 
-    euclid_overlap maps a statistic atom to the Euclidean overlap
-    <u, v> when that quantity is recoverable (identity for scalar
-    overlap laws, the agreement count c for pair-count models, None
-    when the statistic does not determine <u, v>); the atom table reads
-    the same from the law's values in one array operation.
+    euclid_overlap says whether the statistic determines the Euclidean
+    overlap <u, v>: it is the statistic itself on a scalar law and the
+    agreement count c of pair counts, which the atom table reads from the
+    law's values (FP needs it; the equality indicator of dirac lacks it).
 
     The per-model work that no (q, m) changes is cached on first use:
     the kernel table and the atom table of a discrete law (with GFP's
@@ -676,7 +674,7 @@ class ModelSpec:
     kernel: Kernel
     law: OverlapLaw
     group: GroupSpec
-    euclid_overlap: Callable[[Statistic], float] | None = None
+    euclid_overlap: bool = False
 
     def __post_init__(self) -> None:
         if self.kernel.domain != self.law.statistic:
@@ -690,9 +688,6 @@ class ModelSpec:
     @property
     def is_discrete(self) -> bool:
         return self.law.kind == "discrete"
-
-    def rho_g(self, t: Statistic) -> float:
-        return rho_g(self.kernel, self.group, t)
 
     @cached_property
     def atom_table(self) -> AtomTable:
@@ -759,6 +754,4 @@ def build_model(desc: dict) -> ModelSpec:
     if group is None:
         sign_flip = name in ("gam", "ngca", "si") and GroupSpec("sign_flip").preserves(law)
         group = "sign_flip" if sign_flip else "trivial"
-    # the statistic is <u, v> itself, but for the agreement count c of pair counts and the equality indicator
-    overlap = {"counterexample": lambda t: float(t[2]), "dirac": None}.get(name, float)
-    return ModelSpec(name, params, kernel, law, GroupSpec(group), euclid_overlap=overlap)
+    return ModelSpec(name, params, kernel, law, GroupSpec(group), euclid_overlap=name != "dirac")

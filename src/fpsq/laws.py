@@ -28,16 +28,17 @@ pi^{x2} through that statistic:
   continued fraction, _beta_cf), never by a discretization.
 
 On top of the laws sit the quantile objects used by the hardness
-criteria: survival functions P(g(T) >= r) and the generalized-inverse
+criteria: survival functions P(T >= r) and the generalized-inverse
 thresholds
 
-    threshold_sup(mass) = sup { r : P(g(T) >= r) >= mass },
+    threshold_sup(mass) = sup { r : P(T >= r) >= mass },
 
 whose boundary-atom behaviour (achieved mass, exactness flag) the
-criteria need to expose.  On a discrete law every such threshold reads
-one Levels object: the distinct levels of g(T) with correctly rounded
-tail masses, searched by bisection, and every event is a cut in those levels
-(Levels.cut, with the closed or the strict boundary).
+criteria need to expose.  On a discrete law every threshold of a level
+function g(T) (|<u,v>|, rho_G, |K - 1|) reads one Levels object: the
+distinct levels of g(T) with correctly rounded tail masses, searched by
+bisection, and every event is a cut in those levels (Levels.cut, with the
+closed or the strict boundary).
 
 On the continuous law every event is a level set {h >= c} of a function
 h on the support, of any shape, found by one routine, LevelSets; where h
@@ -71,7 +72,6 @@ import numpy as np
 from fpsq.numerics import exact_sum, log_sum_exp, normal_quantile
 
 Statistic = float | tuple
-Transform = Callable[[Statistic], float] | None
 
 # Relative slack of survival >= mass and of a level cut; absorbs 1-ulp float
 # discrepancies when a caller passes a mass meant to hit an atom exactly.
@@ -112,7 +112,7 @@ class ResourceLimitError(ValueError):
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """sup-threshold of a transformed statistic at a given tail mass.
+    """sup-threshold of a statistic, or of a level function of it, at a given tail mass.
 
     `exact` is True iff the survival function actually attains the
     requested mass at the threshold (relative tolerance 1e-12); when it
@@ -129,9 +129,9 @@ class ThresholdResult:
 class OverlapLaw:
     """Distribution of the overlap statistic under pi x pi.
 
-    kind: "discrete" (values + masses) or "continuous" (density
-    accessors; the law must be symmetric about 0, which the |t| closed
-    forms use).  statistic: "scalar" or "pair_counts" (integer triples).
+    kind: "discrete" (values + masses) or "continuous" (log density,
+    log CDF and quantile; the law must be symmetric about 0, which the |t|
+    closed forms use).  statistic: "scalar" or "pair_counts" (integer triples).
     A discrete law's sorted values are a float array, or an (N, 3) integer
     array of pair counts; atom i has mass p = f[i] 2^e[i], f in [0.5, 1)
     (0 for a zero mass).  _discrete_law builds and checks one.
@@ -148,7 +148,6 @@ class OverlapLaw:
     _ppf: Callable[[float], float] | None = None
     support: tuple[float, float] = (0.0, 0.0)
     scale: float = 1.0  # a continuous law's spread about 0 (the standard deviation of T)
-    _sampler: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("discrete", "continuous"):
@@ -209,9 +208,6 @@ class OverlapLaw:
         if self._log_pdf is None:
             raise ValueError("law has no density")
         return self._log_pdf(t)
-
-    def pdf(self, t):
-        return np.exp(self.log_pdf(t))
 
     def log_cdf(self, t: float) -> float:
         """log P(T <= t)."""
@@ -504,8 +500,8 @@ def pair_counts_law(n: int, rho_p: float) -> OverlapLaw:
     """Agreement-count triple (a, b, c) = (#{u_i=v_i=0}, #{u_i!=v_i},
     #{u_i=v_i=1}) over n+1 coordinates for the two-point prior
     {e_0 w.p. rho_p, 1 - e_0 w.p. 1-rho_p}."""
-    if n <= 0:
-        raise ValueError(f"need n positive, got {n}")
+    if not 0 < n < 2**53:
+        raise ValueError(f"need n positive and below 2^53, where the counts are exact floats, got n={n}")
     return _pair_class_law({"kind": "pair_counts", "n": n, "rho_p": rho_p}, "pair_counts",
                            np.array([(n, 0, 1), (1, 0, n), (0, n + 1, 0)]), rho_p)
 
@@ -600,6 +596,8 @@ def sphere_law(n: int) -> OverlapLaw:
     """
     if n < 2:
         raise ValueError(f"sphere law needs n >= 2, got {n}")
+    if n >= 2**53:
+        raise ValueError(f"sphere law needs n below 2^53, where (n - 1)/2 is an exact float, got n={n}")
     a = 0.5 * (n - 1)
     # 1 / (2^{n-2} B(a, a)) = Gamma(a + 1/2) / (Gamma(a) sqrt(pi)), the density's normalizer
     log_norm = _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
@@ -671,9 +669,6 @@ def sphere_law(n: int) -> OverlapLaw:
         (lo, f_lo), (hi, f_hi) = sorted(((t, ft), (s, fs)), key=lambda pair: pair[1])
         return find_root(f, lo, hi, f_lo, f_hi)[1]
 
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        return 2.0 * rng.beta(a, a, size=count) - 1.0
-
     return OverlapLaw(
         kind="continuous",
         statistic="scalar",
@@ -683,7 +678,6 @@ def sphere_law(n: int) -> OverlapLaw:
         _ppf=ppf,
         support=(-1.0, 1.0),
         scale=n**-0.5,
-        _sampler=sampler,
     )
 
 
@@ -770,26 +764,20 @@ def make_law(spec: dict) -> OverlapLaw:
 
 
 # ---------------------------------------------------------------------------
-# Survival / thresholds / expectations / sampling
+# Survival / thresholds / expectations
 # ---------------------------------------------------------------------------
 
 
-def _apply(transform: Transform, value: Statistic) -> float:
-    return float(value) if transform is None else float(transform(value))
-
-
-def survival(law: OverlapLaw, r: float, transform: Transform = None) -> float:
-    """P(g(T) >= r) with g the optional transform (identity by default)."""
+def survival(law: OverlapLaw, r: float) -> float:
+    """P(T >= r) of a scalar statistic."""
     if law.kind == "discrete":
-        return math.fsum(p for v, p in law.atoms if _apply(transform, v) >= r)
-    if transform is None:
-        return law.cdf(-r)  # symmetric law: no cancellation in the upper tail
-    return math.exp(_transformed(law, transform).superlevel(r)[1])
+        return exact_sum(law.probs[law.values >= r])
+    return law.cdf(-r)  # symmetric law: no cancellation in the upper tail
 
 
 @dataclass(frozen=True)
 class Levels:
-    """A transform g(T) on a discrete law, from one stable sort of its
+    """A level function g(T) on a discrete law, from one stable sort of its
     values: order, the atoms in level order (ties in atom order); starts,
     the position in order of each level's first atom, then the atom count;
     the distinct levels r_0 < r_1 < ...; the mass of each level; and the
@@ -969,12 +957,6 @@ class LevelSets:
         logs = [_log_between(self.law, a, b) for a, b in ends.tolist()]
         return ends, log_sum_exp(logs) if logs else -math.inf
 
-    def superlevel(self, c: float) -> tuple[np.ndarray, float]:
-        """_event of c, each crossing from find_root on h."""
-        minus_c = lambda x: float(self.h(np.array([x]))[0]) - c
-        cross = [find_root(minus_c, *cell)[1] for cell in zip(*(v.tolist() for v in self._cells(c)[:4]))]
-        return self._event(c, np.array(cross, dtype=float))
-
     def two_tails(self, mass: float) -> tuple[ThresholdResult, np.ndarray] | None:
         """tau with P(|T| >= tau) = mass and the tails {|T| >= tau} where the
         table is even and nondecreasing in |t| (relative slack 1e-12): they
@@ -1023,27 +1005,19 @@ class LevelSets:
         return ThresholdResult(level, achieved, math.isclose(achieved, mass, rel_tol=REL_TOL)), intervals
 
 
-def _transformed(law: OverlapLaw, transform: Callable[[float], float]) -> LevelSets:
-    """The level sets of a scalar transform, called once per point."""
-    h = lambda ts: np.array([float(transform(t)) for t in ts.tolist()])
-    return LevelSets(law, h(law.grid), h)
+def threshold_sup(law: OverlapLaw, mass: float) -> ThresholdResult:
+    """sup { r : P(T >= r) >= mass }, the generalized inverse of the
+    survival function of a scalar statistic.
 
-
-def threshold_sup(law: OverlapLaw, mass: float, transform: Transform = None) -> ThresholdResult:
-    """sup { r : P(g(T) >= r) >= mass }, the generalized inverse of the
-    survival function of the transformed statistic.
-
-    For discrete laws the sup is attained at an atom of g(T) (see
-    Levels); `exact` records whether its tail mass equals `mass` to
-    relative 1e-12.  On the continuous law the threshold of T itself is
-    the Beta quantile, and that of a transform is its LevelSets level.
+    For discrete laws the sup is attained at an atom (see Levels);
+    `exact` records whether its tail mass equals `mass` to relative
+    1e-12.  On the continuous law it is the Beta quantile.  The threshold
+    of a level function of T is its Levels (discrete) or LevelSets level.
     """
     check_mass(mass)
     if law.kind == "discrete":
-        return Levels.of([_apply(transform, v) for v in law.atom_values()], law.probs).threshold(mass)
-    if transform is None:
-        return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)
-    return _transformed(law, transform).threshold(mass)[0]
+        return Levels.of(law.values, law.probs).threshold(mass)
+    return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)
 
 
 class AtomEvaluationError(ValueError):
@@ -1191,15 +1165,3 @@ def gauss_legendre_panels(g: Callable[[np.ndarray], np.ndarray], panels: np.ndar
         todo = np.concatenate((np.column_stack((a, mid)), np.column_stack((mid, b))))
         done = done[~split]
 
-
-def sample(law: OverlapLaw, seed: int, count: int) -> np.ndarray:
-    """Seeded statistic draws; deterministic for a fixed (seed, count)."""
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    rng = np.random.default_rng(seed)
-    if law.kind == "discrete":
-        idx = rng.choice(len(law.values), size=count, p=law.probs)
-        if law.statistic == "pair_counts":  # keep the triples hashable tuples
-            return np.fromiter(law.atom_values(idx), dtype=object, count=count)
-        return law.values[idx]
-    return np.asarray(law._sampler(rng, count), dtype=float)

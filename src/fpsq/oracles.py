@@ -16,7 +16,8 @@ Every estimate carries an error bound: exactly 0 for enumeration, for
 quadrature twice the gap between the half-size and the full Gauss-Hermite
 rule (NGCA) or ten times scipy's error estimate (slab), and three
 empirical standard errors for Monte Carlo (acceptance gates on the band,
-never on a fixed absolute tolerance).
+never on a fixed absolute tolerance).  The criterion sums are checked in
+the tests, by a Monte Carlo average over atom draws.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fpsq.kernels import ModelSpec, ngca_density_ratio
-from fpsq.laws import sample as law_sample
-from fpsq.laws import ResourceLimitError, threshold_sup
-from fpsq.numerics import exact_sum, normal_cdf
+from fpsq.kernels import ngca_density_ratio
+from fpsq.laws import ResourceLimitError
+from fpsq.numerics import normal_cdf
 
 _MC_CHUNK = 250_000  # Monte Carlo draws per vectorized batch
 
@@ -195,49 +195,3 @@ def bvn_rectangle(kappa: float, rho: float) -> OracleEstimate:
     value, abserr = integrate.quad(integrand, -kappa, kappa, epsabs=1e-13, epsrel=1e-12, limit=300)
     return OracleEstimate(float(value), max(10.0 * abserr, 1e-12), "quadrature")
 
-
-def mc_criterion(
-    model: ModelSpec,
-    criterion: str,
-    q: float | None,
-    m: int,
-    num_pairs: int = 1_000_000,
-    seed: int = 0,
-) -> OracleEstimate:
-    """Monte Carlo validation of an exact criterion sum: draw statistic
-    values from the overlap law and average the criterion integrand
-    (thresholds are still computed exactly).
-
-    criterion: "fp", "rho_fp" (event indicators included) or "chi2"
-    (E[K^m] - 1)."""
-    if criterion not in ("fp", "rho_fp", "chi2"):
-        raise ValueError(f"unsupported Monte Carlo criterion {criterion!r}")
-    draws = law_sample(model.law, seed, num_pairs)
-
-    if criterion == "fp":
-        if model.euclid_overlap is None:
-            raise ValueError("model exposes no Euclidean overlap")
-        thr = threshold_sup(model.law, float(q) ** -2, transform=lambda t: abs(model.euclid_overlap(t)))
-        keep = lambda t: abs(model.euclid_overlap(t)) <= thr.threshold * (1.0 + 1e-12)
-    elif criterion == "rho_fp":
-        thr = threshold_sup(model.law, float(q) ** -2, transform=model.rho_g)
-        keep = lambda t: model.rho_g(t) < thr.threshold * (1.0 - 1e-12)
-    else:
-        keep = lambda t: True
-
-    # Group the draws by atom before evaluating: identical to averaging
-    # the per-draw integrand, with one kernel call on the distinct values
-    # (pair counts are the rows of an (n, 3) array).
-    axis = 0 if model.law.statistic == "pair_counts" else None
-    uniq, cnt = np.unique(np.array(draws.tolist()), axis=axis, return_counts=True)
-    kept = np.array([keep(t) for t in uniq.tolist()], dtype=bool)
-    with np.errstate(over="ignore"):
-        vals = np.where(kept, np.exp(m * model.log_k(uniq)), 0.0)
-    if criterion == "chi2":
-        vals -= 1.0
-    total = exact_sum(vals * cnt)
-    total_sq = exact_sum(vals * vals * cnt)
-    mean = total / num_pairs
-    var = max(total_sq / num_pairs - mean * mean, 0.0)
-    se = math.sqrt(var / num_pairs)
-    return OracleEstimate(mean, 3.0 * se, "monte-carlo", seed=seed, num_samples=num_pairs)

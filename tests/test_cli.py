@@ -477,6 +477,48 @@ class TestDescriptorSchema:
         assert_one_config_error(code, out, err)
         assert err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_non_finite_epsilon_is_one_config_error_as_flag_and_field(self, value):
+        # --epsilon nan printed verdict not-hard with exit 0
+        want = f"config error: 'epsilon' must be a finite real, got {float(value)!r}\n"
+        argv = ("--criterion", "fp", "--q", "4", "--m", "2")
+        for cfg, extra in (({}, (f"--epsilon={value}",)), ({"epsilon": float(value)}, ())):
+            code, out, err = run_config({"model": "gam-rademacher", **cfg}, argv + extra)
+            assert_one_config_error(code, out, err)
+            assert err == want
+
+    @pytest.mark.parametrize("key", ["q", "m"])
+    @pytest.mark.parametrize("grid", [[[1]], [2.0, "3"], [True], [math.nan], 5])
+    def test_a_config_grid_of_non_numbers_is_one_config_error(self, key, grid):
+        # [[1]] ended in a TypeError traceback from float(), exit 1
+        code, out, err = run_config({"model": "gam-rademacher", "q": [3], "m": [2], key: grid},
+                                    ("--criterion", "fp"))
+        assert_one_config_error(code, out, err)
+        assert err.startswith(f"config error: {key!r} must be a list of finite reals, got ")
+
+    def test_an_integer_config_grid_keeps_its_integers_in_the_config_hash(self):
+        outs = [run_config({"model": "gam-rademacher", "q": q, "m": [2]}, ("--criterion", "fp")) for q in ([3], [3.0])]
+        assert [code for code, _, _ in outs] == [EXIT_PASS, EXIT_PASS]
+        (head_int, *rows_int), (head_float, *rows_float) = (out.splitlines() for _, out, _ in outs)
+        assert rows_int == rows_float and head_int != head_float
+
+    @pytest.mark.parametrize("desc, code", [
+        ({"model": "gam", "lambda": 1.0, "prior": {"kind": "sphere", "n": 10**400}}, EXIT_CONFIG),
+        ({"model": "mslr", "n": 40, "k": 10**400, "sigma2": 1.0}, EXIT_CONFIG),
+        ({"model": "mslr", "n": 10**400, "k": 4, "sigma2": 1.0}, EXIT_CONFIG),
+        ({"model": "dirac", "n": 10**400}, EXIT_CONFIG),
+        ({"model": "counterexample", "n": 10**400, "r": 0.3, "alpha_c": 0.2, "rho_p": 0.3}, EXIT_CONFIG),
+        ({"model": "dense_clique", "n": 10**400, "k": 4, "p": 0.5}, EXIT_CONFIG),
+        ({"model": "slab", "alpha": 0.1, "d": 10**400}, EXIT_RESOURCE),
+        ({"model": "gam", "lambda": 1.0, "prior": {"kind": "rademacher_mean", "n": 10**400}}, EXIT_RESOURCE),
+    ])
+    def test_a_size_past_the_float_range_is_refused(self, desc, code):
+        # the sphere, mslr k, dirac and counterexample sizes ended in an
+        # OverflowError or TypeError traceback, exit 1
+        got, out, err = run_config({"model": desc})
+        assert (got, out, err.count("\n")) == (code, "", 1)
+        assert err.startswith("config error: " if code == EXIT_CONFIG else "resource error: ")
+
     def test_fpsq_kernel_reads_the_descriptor_before_the_oracle(self, tmp_path, capsys):
         # kernel_table read desc["model"] and desc["lambda"] first: KeyError, exit 1
         cfg = tmp_path / "cfg.json"

@@ -10,7 +10,6 @@ the nested bisections.
 """
 
 import functools
-import hashlib
 import json
 import math
 import time
@@ -34,7 +33,7 @@ from fpsq.criteria import (
     usq_hard,
 )
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model
-from fpsq.laws import ResourceLimitError, find_root, sample, sphere_law, survival, threshold_sup
+from fpsq.laws import LevelSets, ResourceLimitError, find_root, sphere_law, survival
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
 from levelset_ref import complement, expectation, interval_mass, level_set, ngca_mixture_deviation
 
@@ -59,7 +58,7 @@ class TestClosedFormThreshold:
     @pytest.mark.parametrize("q", [3, 20, 917, 10**4])
     def test_abs_threshold_vs_mpmath(self, q):
         law = sphere_law(50)
-        res = threshold_sup(law, float(q) ** -2, transform=abs)
+        res = LevelSets(law, np.abs(law.grid), np.abs).threshold(float(q) ** -2)[0]
         want = mp_abs_threshold(50, float(q) ** -2)
         assert res.exact
         assert res.threshold == pytest.approx(float(want), rel=1e-13)
@@ -67,10 +66,11 @@ class TestClosedFormThreshold:
     def test_threshold_is_transform_of_tau(self):
         # r = g(tau) for an even, increasing transform
         law = sphere_law(30)
-        g = lambda t: math.expm1(3.0 * t * t)
-        res = threshold_sup(law, 0.01, transform=g)
+        g = lambda t: np.expm1(3.0 * t * t)
+        res = LevelSets(law, g(law.grid), g).threshold(0.01)[0]
         assert res.threshold == pytest.approx(g(float(mp_abs_threshold(30, 0.01))), rel=1e-13)
-        assert survival(law, res.threshold, transform=g) == pytest.approx(0.01, rel=1e-12)
+        # P(g(T) >= r) = P(|T| >= g^-1(r)) for the even, increasing g
+        assert 2.0 * survival(law, math.sqrt(math.log1p(res.threshold) / 3.0)) == pytest.approx(0.01, rel=1e-12)
 
     def test_upper_tail_without_cancellation(self):
         # P(T >= t) = I_{(1-t)/2}(a, a); far in the tail 1 - cdf would
@@ -79,16 +79,6 @@ class TestClosedFormThreshold:
         with mp.workdps(30):
             want = mp.betainc(24.5, 24.5, 0, mp.mpf(1 - 0.9) / 2, regularized=True)
         assert survival(law, 0.9) == pytest.approx(float(want), rel=1e-13)
-
-    def test_sample_stream_unchanged(self):
-        law = sphere_law(50)
-        draws = sample(law, 5, 1000)
-        # the scipy.stats Beta sampler on the same generator
-        want = stats.beta(24.5, 24.5, loc=-1.0, scale=2.0).rvs(
-            size=1000, random_state=np.random.default_rng(5))
-        np.testing.assert_array_equal(draws, want)
-        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
-            "9f9cc691a7e6840f5ca509b7b26aa344a7e2f17322df6ae40d194c168994121b")
 
 
 class TestFindRoot:
@@ -122,7 +112,7 @@ class TestFindRoot:
         assert find_root(lambda x: x, 0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
 
 
-def hand_model(log_fn, n: int = 50, overlap=float) -> ModelSpec:
+def hand_model(log_fn, n: int = 50, overlap: bool = True) -> ModelSpec:
     kernel = Kernel(name="hand", domain="scalar", log_fn=log_fn)
     return ModelSpec("hand", {}, kernel, sphere_law(n), GroupSpec("trivial"),
                      euclid_overlap=overlap)
@@ -131,8 +121,9 @@ def hand_model(log_fn, n: int = 50, overlap=float) -> ModelSpec:
 class TestRefusals:
     def test_fp_refuses_non_even_overlap(self):
         # continuous FP reads the statistic as the overlap, so |<u,v>| = |t|
-        # is even; a model that maps the statistic elsewhere is refused
-        model = hand_model(lambda t: 0.5 * t * t, overlap=lambda t: t + 0.1)
+        # is even; a model whose statistic does not determine the overlap
+        # is refused
+        model = hand_model(lambda t: 0.5 * t * t, overlap=False)
         with pytest.raises(UnsupportedCriterionError, match="Euclidean overlap"):
             fp_value(model, 5.0, 2)
 
@@ -189,12 +180,13 @@ class TestAnyShape:
 
     def test_threshold_of_non_monotone_transform_vs_mpmath(self):
         # cos 6t falls in |t| near 0, so {cos 6T >= r} is the interval about 0
-        law, g = sphere_law(20), lambda t: math.cos(6.0 * t)
+        law, g = sphere_law(20), lambda t: np.cos(6.0 * t)
         r, intervals = level_set(lambda t: mp.cos(6 * t), 20, mp.mpf("0.05"))
         assert len(intervals) == 1
-        res = threshold_sup(law, 0.05, transform=g)
+        res, above = LevelSets(law, g(law.grid), g).threshold(0.05)
         assert res.exact and res.threshold == pytest.approx(float(r), rel=1e-9)
-        assert survival(law, float(r), transform=g) == pytest.approx(0.05, rel=1e-9)
+        assert above == pytest.approx(np.array(intervals, dtype=float), rel=1e-9)
+        assert math.fsum(law.cdf(b) - law.cdf(a) for a, b in above.tolist()) == pytest.approx(0.05, rel=1e-9)
 
     def test_gfp_on_non_even_power_is_the_one_sided_witness(self):
         # K^4 = e^{4t} under the trivial group: the optimal event is the
@@ -251,7 +243,8 @@ class TestAnyShape:
         # min(|t|, 0.1) is even and nondecreasing in |t| but flat at its
         # level: the achieved mass is all of {|T| >= 0.1}, not the 0.04 asked
         law = sphere_law(50)
-        res = threshold_sup(law, 0.04, transform=lambda t: min(abs(t), 0.1))
+        h = lambda t: np.minimum(np.abs(t), 0.1)
+        res = LevelSets(law, h(law.grid), h).threshold(0.04)[0]
         assert res.threshold == 0.1 and not res.exact
         assert res.achieved_mass == pytest.approx(2.0 * law.cdf(-0.1), rel=1e-12)
 
@@ -483,7 +476,7 @@ def test_gfp_cell_calls_the_kernel_only_in_its_integral(monkeypatch):
     base = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
     calls, evals = [], []
     kernel = Kernel("counted", "scalar", lambda t: calls.extend(np.ravel(t)) or base.kernel.log_eval(t))
-    model = ModelSpec("counted", {}, kernel, base.law, base.group, euclid_overlap=float)
+    model = ModelSpec("counted", {}, kernel, base.law, base.group, euclid_overlap=True)
     assert not calls
     assert len(model.kernel_table[0]) == len(calls) == len(base.law.grid)  # once per model
     panels = laws.gauss_legendre_panels

@@ -25,8 +25,7 @@ from fpsq.criteria import (
     usq_hard,
     usq_moment,
 )
-from fpsq.kernels import build_model
-from fpsq.laws import survival
+from fpsq.kernels import ModelSpec, build_model, rho_g
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS, random_assumption_model
 from helpers import builtin_models
 
@@ -85,6 +84,19 @@ class TestFpValue:
         with pytest.raises(UnsupportedCriterionError):
             fp_value(model, q=5, m=1)
 
+    def test_euclid_overlap_says_whether_the_statistic_gives_the_overlap(self):
+        # one synthetic law and kernel: with the flag FP cuts the |t| levels
+        # (at q = 2, P(|T| >= 0.5) = 0.3 >= 1/4 > P(|T| >= 1)), without it FP
+        # is undefined
+        base = synthetic([-0.5, 0.0, 0.25, 1.0], [0.1, 0.4, 0.3, 0.2], [1.5, 1.0, 1.2, 2.0])
+        on, off = (ModelSpec("flag", {}, base.kernel, base.law, base.group, euclid_overlap=flag)
+                   for flag in (True, False))
+        rep = fp_value(on, 2.0, 3)
+        assert rep.threshold.threshold == 0.5
+        assert rep.value == pytest.approx(0.1 * 1.5**3 + 0.4 + 0.3 * 1.2**3, rel=1e-14)
+        with pytest.raises(UnsupportedCriterionError, match="Euclidean overlap"):
+            fp_value(off, 2.0, 3)
+
     def test_q_domain(self):
         model = random_model(0)
         with pytest.raises(ValueError):
@@ -101,7 +113,7 @@ class TestFpValue:
 
         delta = rep.threshold.threshold
         val, _ = integrate.quad(
-            lambda t: math.exp(3 * 0.64 * t) * model.law.pdf(t), -delta, delta,
+            lambda t: math.exp(3 * 0.64 * t) * np.exp(model.law.log_pdf(t)), -delta, delta,
             epsrel=1e-11,
         )
         assert rep.value == pytest.approx(val, rel=1e-8)
@@ -113,7 +125,8 @@ class TestRhoFpValue:
         # monotone kernel, trivial group: same event as FP up to the
         # strict/closed boundary atom
         model = synthetic([0.0, 0.5, 1.0], [0.8, 0.12, 0.08], [1.0, 1.5, 3.0])
-        q = survival(model.law, model.rho_g(0.5), transform=model.rho_g) ** -0.5
+        rho = model.atom_table.rho  # P(rho_G >= rho_G(0.5)) = 0.2
+        q = rho.tails[rho.levels.searchsorted(rho_g(model.kernel, model.group, 0.5))] ** -0.5
         fp = fp_value(model, q, 2)
         rfp = rho_fp_value(model, q, 2)
         # rho threshold sits at the |T| = 0.5 level; the strict event
@@ -718,7 +731,7 @@ class TestLdSamplewise:
 
         want = 0.0
         for j in range(0, 3):
-            mom, _ = integrate.quad(lambda t: dev(t) ** j * model.law.pdf(t), -1, 1,
+            mom, _ = integrate.quad(lambda t: dev(t) ** j * np.exp(model.law.log_pdf(t)), -1, 1,
                                     epsrel=1e-11)
             want += math.comb(m, j) * mom
         assert got == pytest.approx(want, rel=1e-9)
@@ -872,7 +885,7 @@ class TestGeneralProperties:
         model = build_model({"model": "gam", "lambda": 1.0,
                              "prior": {"kind": "sphere", "n": 50}})
         got = chi_squared(model, 1)
-        want, _ = integrate.quad(lambda t: (math.exp(t) - 1.0) * model.law.pdf(t),
+        want, _ = integrate.quad(lambda t: (math.exp(t) - 1.0) * np.exp(model.law.log_pdf(t)),
                                  -1.0, 1.0, epsrel=1e-12)
         assert got == pytest.approx(want, rel=1e-9)
 

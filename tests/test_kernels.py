@@ -18,7 +18,6 @@ from fpsq.kernels import (
     mslr_kernel,
     ngca_density_ratio,
     ngca_kernel,
-    ngca_nu_coeffs,
     rho_g,
     si_kernel,
     si_lambda_coeffs,
@@ -178,7 +177,7 @@ class TestNgcaKernel:
     def test_gaussian_is_the_one_component_mixture(self):
         gauss = {"kind": "gaussian", "mean": 0.4, "var": 1.3}
         mixture = {"kind": "gaussian_mixture", "weights": [1.0], "means": [0.4], "vars": [1.3]}
-        assert ngca_nu_coeffs(gauss, 40) == ngca_nu_coeffs(mixture, 40)
+        assert ngca_kernel(gauss, 40).extras["nu"] == ngca_kernel(mixture, 40).extras["nu"]
         z, _ = normal_rule(200)
         assert ngca_density_ratio(gauss)(z).tolist() == ngca_density_ratio(mixture)(z).tolist()
         assert ngca_kernel(gauss, 40).series_total == ngca_kernel(mixture, 40).series_total
@@ -433,11 +432,13 @@ class TestModelAssembly:
     def test_pair_count_model_exposes_agreement_overlap(self):
         model = build_model({"model": "counterexample", "n": 8, "r": 0.2,
                              "alpha_c": 0.3, "rho_p": 0.3})
-        assert model.euclid_overlap((8, 0, 1)) == 1.0
-        assert model.euclid_overlap((1, 0, 8)) == 8.0
+        # the atoms (8, 0, 1), (1, 0, 8) and (0, 9, 0): |<u,v>| is the agreement count c
+        assert model.euclid_overlap is True
+        assert model.atom_table.overlap.levels.tolist() == [0.0, 1.0, 8.0]
 
     def test_dirac_has_no_euclidean_overlap(self):
-        assert build_model({"model": "dirac", "n": 20}).euclid_overlap is None
+        model = build_model({"model": "dirac", "n": 20})
+        assert model.euclid_overlap is False and model.atom_table.overlap is None
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -512,7 +513,7 @@ class TestArrayContract:
                 singles = [call(t) for t in points]
                 assert all(type(v) is float for v in singles), name
                 assert np.array_equal(whole, singles), name
-            assert type(model.rho_g(points[0])) is float
+            assert type(rho_g(k, model.group, points[0])) is float
 
 
 class TestBinomialExpansionIdentity:

@@ -1,4 +1,5 @@
-"""Overlap-statistic laws: exact pmfs, survival thresholds, sampling."""
+"""Overlap-statistic laws: exact pmfs, survival thresholds, and the
+seeded atom draws of the tests' Monte Carlo check."""
 
 import math
 import random
@@ -14,13 +15,15 @@ import fpsq.laws
 from fpsq.laws import (
     MAX_ATOMS,
     AtomEvaluationError,
+    LevelSets,
+    Levels,
     ResourceLimitError,
     expect,
     make_law,
-    sample,
     survival,
     threshold_sup,
 )
+from helpers import draw_atoms
 
 
 class TestConstruction:
@@ -91,7 +94,7 @@ class TestConstruction:
         law = make_law({"kind": "sphere", "n": 12})
         assert survival(law, 0.0) == pytest.approx(0.5, abs=1e-9)
         assert law.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert law.pdf(0.0) > 0.0
+        assert np.exp(law.log_pdf(0.0)) > 0.0
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):
@@ -273,7 +276,8 @@ class TestSurvival:
     def test_transform_pushforward(self):
         law = make_law({"kind": "signed_sparse", "n": 24, "k": 4})
         direct = math.fsum(p for v, p in law.atoms if abs(v) >= 0.5)
-        assert survival(law, 0.5, transform=abs) == pytest.approx(direct, rel=1e-14)
+        levels = Levels.of(np.abs(law.values), law.probs)
+        assert levels.tails[levels.levels.searchsorted(0.5)] == pytest.approx(direct, rel=1e-14)
 
 
 class TestThresholdSup:
@@ -292,13 +296,14 @@ class TestThresholdSup:
 
     def test_generalized_inverse_property(self):
         law = make_law({"kind": "signed_sparse", "n": 24, "k": 4})
+        abs_survival = lambda r: math.fsum(p for v, p in law.atoms if abs(v) >= r)
         for mass in (0.9, 0.5, 0.1, 0.01, 1e-4):
-            res = threshold_sup(law, mass, transform=abs)
-            assert survival(law, res.threshold, transform=abs) >= mass * (1 - 1e-12)
+            res = Levels.of(np.abs(law.values), law.probs).threshold(mass)
+            assert abs_survival(res.threshold) >= mass * (1 - 1e-12)
             levels = sorted({abs(v) for v, _ in law.atoms})
             above = [x for x in levels if x > res.threshold + 1e-12]
             if above:
-                assert survival(law, above[0], transform=abs) < mass
+                assert abs_survival(above[0]) < mass
 
     def test_two_point_diagonal_dominates_at_scale(self):
         # two-point prior with one heavy self-overlap-n atom: when the
@@ -309,15 +314,15 @@ class TestThresholdSup:
         rho_p = math.exp(-float(n) ** 0.2) / 2.0
         law = make_law({"kind": "two_point", "rho_p": rho_p, "values": [1.0, float(n), 0.0]})
         assert 2 * rho_p * (1 - rho_p) < 1.0 / n
-        res = threshold_sup(law, 1.0 / n, transform=abs)
+        res = Levels.of(np.abs(law.values), law.probs).threshold(1.0 / n)
         assert res.threshold == float(n)
         assert res.threshold > 0.0
 
     def test_continuous_threshold_solves_mass(self):
         law = make_law({"kind": "sphere", "n": 30})
-        res = threshold_sup(law, 0.05, transform=abs)
+        res = LevelSets(law, np.abs(law.grid), np.abs).threshold(0.05)[0]
         assert res.exact
-        assert survival(law, res.threshold, transform=abs) == pytest.approx(0.05, abs=1e-9)
+        assert 2.0 * survival(law, res.threshold) == pytest.approx(0.05, abs=1e-9)
 
     def test_mass_domain(self):
         law = make_law({"kind": "hypergeometric", "n": 100, "k": 5})
@@ -353,21 +358,23 @@ class TestExpect:
 
 
 class TestSampling:
+    """helpers.draw_atoms, the draws of the tests' Monte Carlo check."""
+
     def test_determinism(self):
         law = make_law({"kind": "hypergeometric", "n": 100, "k": 5})
-        a = sample(law, seed=123, count=1000)
-        b = sample(law, seed=123, count=1000)
+        a = law.values[draw_atoms(law, 123, 1000)]
+        b = law.values[draw_atoms(law, 123, 1000)]
         np.testing.assert_array_equal(a, b)
 
     def test_degenerate_two_point(self):
         law = make_law({"kind": "two_point", "rho_p": 0.0, "values": [1.0, 9.0, 0.0]})
-        draws = sample(law, seed=0, count=100)
+        draws = law.values[draw_atoms(law, 0, 100)]
         assert np.all(draws == 9.0)
 
     def test_empirical_frequencies_within_binomial_band(self):
         law = make_law({"kind": "hypergeometric", "n": 100, "k": 5})
         N = 1_000_000
-        draws = sample(law, seed=7, count=N)
+        draws = law.values[draw_atoms(law, 7, N)]
         for v, p in law.atoms:
             emp = float(np.mean(draws == v))
             band = 3.0 * math.sqrt(p * (1 - p) / N)
@@ -376,7 +383,7 @@ class TestSampling:
     def test_chi_square_goodness_of_fit(self):
         law = make_law({"kind": "hypergeometric", "n": 100, "k": 5})
         N = 1_000_000
-        draws = sample(law, seed=11, count=N)
+        draws = law.values[draw_atoms(law, 11, N)]
         counts, expected = [], []
         spill_c = spill_e = 0.0
         for v, p in law.atoms:
@@ -395,11 +402,11 @@ class TestSampling:
     def test_count_validation(self):
         law = make_law({"kind": "hypergeometric", "n": 100, "k": 5})
         with pytest.raises(ValueError):
-            sample(law, seed=0, count=0)
+            draw_atoms(law, 0, 0)
 
     def test_pair_count_draws_are_tuples(self):
         law = make_law({"kind": "pair_counts", "n": 8, "rho_p": 0.3})
-        draws = sample(law, seed=4, count=200)
+        draws = law.atom_values(draw_atoms(law, 4, 200))
         assert all(isinstance(t, tuple) and len(t) == 3 for t in draws)
         table = dict(law.atoms)
         emp = {v: float(np.mean([d == v for d in draws])) for v in table}

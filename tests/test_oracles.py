@@ -1,4 +1,5 @@
-"""Independent oracles: Monte Carlo, enumeration, quadrature."""
+"""Independent oracles: Monte Carlo, enumeration, quadrature, and the
+tests' Monte Carlo check of the discrete criterion sums."""
 
 import math
 
@@ -12,11 +13,10 @@ from fpsq.oracles import (
     ResourceLimitError,
     bvn_rectangle,
     enum_kernel_counterexample,
-    mc_criterion,
     mc_kernel_mslr,
     quad_kernel_ngca,
 )
-from helpers import covers
+from helpers import covers, mc_criterion
 
 
 def sparse_pair(n, k, ell):

@@ -28,11 +28,10 @@ def test_builtin_registry_builds():
 
 def test_harness_models_satisfy_their_premises():
     from fpsq.criteria import sq_value
-    from fpsq.laws import threshold_sup
 
     for seed in range(10):
         model, q, m = random_assumption_model(seed)
         assert m % 2 == 0
         assert sq_value(model, q).value <= 1.0 / m
-        thr = threshold_sup(model.law, q**-2, transform=model.rho_g)
+        thr = model.atom_table.rho.threshold(q**-2)
         assert thr.exact
