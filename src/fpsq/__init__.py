@@ -6,7 +6,7 @@ diagrams: the Franz-Parisi (FP) value, its event-optimized generalization
 (GFP), the rho_G-FP variant, statistical-query (SQ) and unconditional-SQ
 moments, samplewise low-degree norms, and chi-squared divergences.  Every
 closed-form likelihood-ratio kernel ships with an independent oracle
-(exact enumeration, quadrature, or seeded Monte Carlo).
+(exact enumeration, a closed-form Gaussian integral, or quadrature).
 """
 
 from fpsq.numerics import (
@@ -50,7 +50,7 @@ from fpsq.oracles import (
     OracleEstimate,
     bvn_rectangle,
     enum_kernel_counterexample,
-    mc_kernel_mslr,
+    gauss_kernel_mslr,
     quad_kernel_ngca,
 )
 
@@ -94,7 +94,7 @@ __all__ = [
     "assumption_holds",
     "check_equivalence_bounds",
     "OracleEstimate",
-    "mc_kernel_mslr",
+    "gauss_kernel_mslr",
     "enum_kernel_counterexample",
     "quad_kernel_ngca",
     "bvn_rectangle",

@@ -81,8 +81,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def load_config(args: argparse.Namespace) -> tuple[dict, int]:
-    """The --config file's JSON object ({} without one), and --seed, else its "seed", else 0."""
+def load_config(args: argparse.Namespace) -> dict:
+    """The --config file's JSON object ({} without one)."""
     path, cfg = args.config, {}
     if path is not None:
         try:
@@ -94,7 +94,7 @@ def load_config(args: argparse.Namespace) -> tuple[dict, int]:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-    return cfg, args.seed if args.seed is not None else read_field(cfg, "seed", WHOLE, 0)
+    return cfg
 
 
 def parse_grid(text: str | None) -> list[float] | None:
@@ -229,7 +229,7 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
         raise ConfigError(f"criterion {crit!r} requires a q grid")
     if crit != "sq" and m is None:
         raise ConfigError(f"criterion {crit!r} requires an m grid")
-    q = None if q is None else float(q)
+    q = None if q is None else read_field({"q": q}, "q", REAL)
     m = None if m is None else _whole(m)
     if crit == "fp":
         rep = fp_value(model, q, m, epsilon)
@@ -266,7 +266,8 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
 
 
 def cmd_criterion(args: argparse.Namespace) -> int:
-    cfg, seed = load_config(args)
+    cfg = load_config(args)
+    seed = args.seed if args.seed is not None else read_field(cfg, "seed", WHOLE, 0)
     fmt = args.format or cfg.get("format", "csv")
     epsilon = read_field(cfg if args.epsilon is None else {"epsilon": args.epsilon}, "epsilon", REAL, 0.0)
     criteria = (args.criterion or cfg.get("criteria") or "chi2")
@@ -323,11 +324,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    cfg, seed = load_config(args)
+    cfg = load_config(args)
     model_name, desc = resolve_descriptor(args.model or cfg.get("model"), cfg)
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be a positive integer, got {args.samples}")
-    rows = kernel_table(desc, seed=seed, num_samples=args.samples)
+    rows = kernel_table(desc)
     table = [["statistic", "kernel_value", "oracle_value", "abs_diff", "bound"]] + [
         [_fmt(v) for v in (r.statistic, r.kernel_value, r.oracle_value, r.diff, r.bound)] for r in rows]
     _emit(args.out, lambda out: csv.writer(out, lineterminator="\n").writerows(table))
@@ -361,7 +360,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if (args.q is None) != (args.m is None):
         raise ConfigError("--q and --m name one (q, m) point of the equivalence battery; give both")
-    cfg, seed = load_config(args)
+    cfg = load_config(args)
+    seed = args.seed if args.seed is not None else read_field(cfg, "seed", WHOLE, 0)
     results = {}
     ok = True
 
@@ -397,7 +397,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         results["randomized_equivalence_suite"] = suite
         ok = ok and suite["violations"] == 0
 
-    print(json.dumps(results, indent=2, sort_keys=True, default=str))
+    text = json.dumps(results, indent=2, sort_keys=True, default=str) + "\n"
+    _emit(args.out, lambda out: out.write(text))
     return EXIT_PASS if ok else EXIT_ASSERTION
 
 
@@ -412,17 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"fpsq {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seed=True, fmt=True):
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument("--model", help="model name (config 'models' table or built-in preset)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
+        if fmt:
+            sp.add_argument("--format", choices=["csv", "json"], default=None)
         sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("kernel", help="kernel-vs-oracle validation table")
-    common(sp)
-    sp.add_argument("--samples", type=int, default=1_000_000,
-                    help="Monte Carlo sample count for stochastic oracles")
+    common(sp, seed=False, fmt=False)
     sp.set_defaults(func=cmd_kernel)
 
     for name, factory in (("criterion", cmd_criterion), ("sweep", cmd_sweep)):
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_reproduce)
 
     sp = sub.add_parser("check", help="assumption + equivalence property suite")
-    common(sp)
+    common(sp, fmt=False)
     sp.add_argument("--seeds", type=int, default=100,
                     help="number of randomized models in the default suite")
     sp.add_argument("--q", type=float, default=None)

@@ -1,22 +1,20 @@
 """Independent validators for the closed-form kernels.
 
-Three oracle families, none of which share code paths with the kernels
+Two oracle families, none of which share code paths with the kernels
 they check:
 
-- seeded Monte Carlo simulation of the generative model under the null
-  (mSLR: sample (x, y) ~ Q and average the two-branch likelihood-ratio
-  product directly);
-- exact enumeration (the +-1 product model: sum over all 2^{n+1} sign
-  vectors with uniform weights);
+- exact evaluation (mSLR: the Gaussian integral of the two-branch
+  likelihood-ratio product under the null, from two 3x3 determinants;
+  the +-1 product model: a sum over all 2^{n+1} sign vectors with
+  uniform weights);
 - deterministic quadrature (NGCA: tensor Gauss-Hermite integration of
   the density-ratio product on a correlated Gaussian pair; slab: 1D
   adaptive integration of the bivariate-normal rectangle probability).
 
-Every estimate carries an error bound: exactly 0 for enumeration, for
-quadrature twice the gap between the half-size and the full Gauss-Hermite
-rule (NGCA) or ten times scipy's error estimate (slab), and three
-empirical standard errors for Monte Carlo (acceptance gates on the band,
-never on a fixed absolute tolerance).  The criterion sums are checked in
+Every estimate carries an error bound: exactly 0 for enumeration, 1e-12
+relative for the mSLR determinants, and for quadrature twice the gap
+between the half-size and the full Gauss-Hermite rule (NGCA) or ten
+times scipy's error estimate (slab).  The criterion sums are checked in
 the tests, by a Monte Carlo average over atom draws.
 """
 
@@ -31,41 +29,40 @@ from fpsq.kernels import ngca_density_ratio
 from fpsq.laws import ResourceLimitError
 from fpsq.numerics import normal_cdf
 
-_MC_CHUNK = 250_000  # Monte Carlo draws per vectorized batch
-
-
 @dataclass(frozen=True)
 class OracleEstimate:
-    """Estimate plus a certified (or 3-sigma) error bound."""
+    """Estimate plus a certified error bound."""
 
     value: float
     error_bound: float
     method: str
-    seed: int | None = None
-    num_samples: int | None = None
 
     def __post_init__(self) -> None:
         if self.error_bound < 0.0:
             raise ValueError("error_bound must be nonnegative")
 
 
-def mc_kernel_mslr(
-    k: int,
-    sigma2: float,
-    u: np.ndarray,
-    v: np.ndarray,
-    num_samples: int = 1_000_000,
-    seed: int = 0,
-) -> OracleEstimate:
-    """Monte Carlo estimate of <L_u, L_v>_Q for mixed sparse linear
-    regression: draw (x, y) ~ Q and average L_u(x, y) L_v(x, y) with
+def gauss_kernel_mslr(k: int, sigma2: float, u: np.ndarray, v: np.ndarray) -> OracleEstimate:
+    """Exact <L_u, L_v>_Q for mixed sparse linear regression, from the
+    definition E_Q[L_u L_v] with
 
         L_u = (lam/2) [ exp(-(lam^2-1) y^2/2 + (lam/s) y <x,u> - <x,u>^2/(2 s^2))
                       + exp(-(lam^2-1) y^2/2 - (lam/s) y <x,u> - <x,u>^2/(2 s^2)) ],
 
-    lam = sqrt(k/s^2 + 1).  Only the coordinates in supp(u) u supp(v)
-    enter the two projections, so x is drawn on that union.
+    lam = sqrt(k/s^2 + 1).  Under Q, z = (<x,u>, <x,v>, (lam/s) y) ~ N(0, S),
+    S the Gram matrix of u and v bordered by lam^2/s^2, and each of the four
+    sign terms of L_u L_v is (lam^2/4) exp(-z^T A z / 2), whose mean is
+    (lam^2/4) det(I + S A)^(-1/2).  Flipping y maps the signs (+, +) to
+    (-, -) and (+, -) to (-, +), so two determinants give the value.
+    det(I + S A) needs no inverse of S, which is singular at <u,v> = k.
+
+    Every entry of S and A is rational in sigma2, so the determinants are
+    exact; I + S A is ill-conditioned at small sigma2, where a float
+    determinant loses digits.  Only the two square roots and their sum
+    round, a few ulps that the 1e-12 relative error bound covers.
     """
+    from fractions import Fraction
+
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.ndim != 1 or v.shape != u.shape:
@@ -74,32 +71,18 @@ def mc_kernel_mslr(
         raise ValueError("u and v must be binary vectors")
     if int(u.sum()) != k or int(v.sum()) != k:
         raise ValueError(f"u and v must be k-sparse with k = {k}")
-    sigma = math.sqrt(sigma2)
-    lam = math.sqrt(k / sigma2 + 1.0)
-    support = np.flatnonzero((u > 0) | (v > 0))
-    u_s, v_s = u[support], v[support]
-
-    def l_ratio(proj: np.ndarray, y: np.ndarray) -> np.ndarray:
-        base = -0.5 * (lam * lam - 1.0) * y * y - proj * proj / (2.0 * sigma2)
-        cross = (lam / sigma) * y * proj
-        return 0.5 * lam * (np.exp(base + cross) + np.exp(base - cross))
-
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < num_samples:
-        size = min(_MC_CHUNK, num_samples - done)
-        x = rng.standard_normal((size, support.size))
-        y = rng.standard_normal(size)
-        vals = l_ratio(x @ u_s, y) * l_ratio(x @ v_s, y)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += size
-    mean = total / num_samples
-    var = max(total_sq / num_samples - mean * mean, 0.0)
-    se = math.sqrt(var / num_samples)
-    return OracleEstimate(mean, 3.0 * se, "monte-carlo", seed=seed, num_samples=num_samples)
+    s2, ell = Fraction(sigma2), int(u @ v)
+    lam2 = k / s2 + 1
+    gram = np.array([[k, ell, 0], [ell, k, 0], [0, 0, lam2 / s2]], dtype=object)
+    value = 0.0
+    for sign in (1, -1):  # the sign of v's branch relative to u's
+        a = np.array([[1 / s2, 0, -1], [0, 1 / s2, -sign], [-1, -sign, 2 * k / lam2]], dtype=object)
+        m = np.eye(3, dtype=object) + gram @ a  # exact: Fraction entries
+        det = (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+               - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+               + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+        value += 0.5 * float(lam2 * lam2 / det) ** 0.5  # (lam^2/2) det^(-1/2)
+    return OracleEstimate(value, 1e-12 * value, "gaussian-integral")
 
 
 def enum_kernel_counterexample(

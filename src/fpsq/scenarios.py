@@ -45,7 +45,7 @@ from fpsq.kernels import ModelSpec, build_model
 from fpsq.oracles import (
     bvn_rectangle,
     enum_kernel_counterexample,
-    mc_kernel_mslr,
+    gauss_kernel_mslr,
     quad_kernel_ngca,
 )
 
@@ -97,8 +97,7 @@ BUILTIN_MODEL_DESCRIPTORS: dict[str, dict] = {
         "group": "trivial",
     },
     "mslr-desk": {"model": "mslr", "n": 200, "k": 5, "sigma2": 1.0},
-    # high noise floor: keeps the Monte Carlo oracle's variance finite
-    # (the product estimator needs sigma^2 above ~8.5 k)
+    # high noise floor: the kernel stays within 2% of 1 at every overlap
     "mslr-oracle": {"model": "mslr", "n": 40, "k": 4, "sigma2": 36.0},
     "ngca-gauss-sphere": {
         "model": "ngca",
@@ -155,6 +154,14 @@ class KernelRow:
         return self.diff <= self.bound or (self.bound == 0.0 and self.diff <= 1e-12)
 
 
+# (both, u only, v only) shares of the n + 1 coordinates in the counterexample
+# table's pairs beyond its three corners; each of a, b and c varies
+_COUNTEREXAMPLE_SHARES = (
+    (0.5, 0.0, 0.0), (0.25, 0.25, 0.25), (0.0, 0.5, 0.5), (0.75, 0.25, 0.0),
+    (0.0, 0.25, 0.0), (0.5, 0.0, 0.5), (0.25, 0.5, 0.25),
+)
+
+
 def _mslr_vectors(n: int, k: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.zeros(n)
     v = np.zeros(n)
@@ -163,7 +170,7 @@ def _mslr_vectors(n: int, k: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def kernel_table(desc: dict, seed: int = 0, num_samples: int = 1_000_000) -> list[KernelRow]:
+def kernel_table(desc: dict) -> list[KernelRow]:
     """Closed-form kernel vs its independent oracle on a model grid."""
     model = build_model(desc)
     name, f, kernel = model.name, model.params, model.kernel  # params: the fields as read
@@ -171,8 +178,8 @@ def kernel_table(desc: dict, seed: int = 0, num_samples: int = 1_000_000) -> lis
     if name == "mslr":
         for ell in range(0, f["k"] + 1):
             u, v = _mslr_vectors(f["n"], f["k"], ell)
-            est = mc_kernel_mslr(f["k"], f["sigma2"], u, v, num_samples=num_samples, seed=seed + ell)
             kv = kernel.eval(float(ell))
+            est = gauss_kernel_mslr(f["k"], f["sigma2"], u, v)
             rows.append(KernelRow(ell, kv, est.value, abs(kv - est.value), est.error_bound))
     elif name == "ngca":
         for rho in np.linspace(-0.9, 0.9, 21):
@@ -189,19 +196,12 @@ def kernel_table(desc: dict, seed: int = 0, num_samples: int = 1_000_000) -> lis
             rows.append(KernelRow(float(rho), kv, oracle, abs(kv - oracle), max(est.error_bound / scale, 1e-6)))
     elif name == "counterexample":
         n = f["n"]
-        rng = np.random.default_rng(seed)
-        pairs = [
-            (np.r_[1.0, np.zeros(n)], np.r_[1.0, np.zeros(n)]),
-            (np.r_[1.0, np.zeros(n)], np.r_[0.0, np.ones(n)]),
-            (np.r_[0.0, np.ones(n)], np.r_[0.0, np.ones(n)]),
-        ]
-        while len(pairs) < 10:
-            pairs.append((rng.integers(0, 2, n + 1).astype(float),
-                          rng.integers(0, 2, n + 1).astype(float)))
-        for u, v in pairs:
-            a = int(np.sum((u == 0) & (v == 0)))
-            b = int(np.sum(u != v))
-            c = int(np.sum((u == 1) & (v == 1)))
+        corners = [(1, 0, 0), (0, 1, n), (n, 0, 0)]  # u = v of weight 1 or n; weights 1 and n disjoint
+        for c, bu, bv in corners + [tuple(int(share * (n + 1)) for share in shares)
+                                    for shares in _COUNTEREXAMPLE_SHARES]:
+            u, v = np.zeros(n + 1), np.zeros(n + 1)
+            u[: c + bu] = v[:c] = v[c + bu : c + bu + bv] = 1.0
+            a, b = n + 1 - c - bu - bv, bu + bv
             est = enum_kernel_counterexample(n, f["r"], f["alpha_c"], u, v)
             kv = kernel.eval((a, b, c))
             rows.append(KernelRow((a, b, c), kv, est.value, abs(kv - est.value), 1e-12))

@@ -54,4 +54,4 @@ def mc_criterion(model: ModelSpec, criterion: str, q: float | None, m: int,
         vals -= 1.0
     mean = exact_sum(vals * counts) / num_pairs
     var = max(exact_sum(vals * vals * counts) / num_pairs - mean * mean, 0.0)
-    return OracleEstimate(mean, 3.0 * math.sqrt(var / num_pairs), "monte-carlo", seed=seed, num_samples=num_pairs)
+    return OracleEstimate(mean, 3.0 * math.sqrt(var / num_pairs), "monte-carlo")

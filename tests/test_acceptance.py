@@ -35,14 +35,17 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 class TestCriterion01KernelOracleAgreement:
-    def test_mslr_monte_carlo_band(self):
-        t0 = time.monotonic()
-        rows = kernel_table({"model": "mslr", "n": 40, "k": 4, "sigma2": 36.0},
-                            seed=0, num_samples=1_000_000)
-        elapsed = time.monotonic() - t0
-        ok = all(r.diff <= r.bound for r in rows) and elapsed < 60.0
-        _report(1, "mslr kernel vs Monte Carlo (3 sigma, 1e6 samples)", ok,
-                f"{len(rows)} overlaps, {elapsed:.1f}s")
+    def test_mslr_gaussian_integral(self):
+        # every overlap 0..k, the singular Gram matrix at ell = k included
+        worst = 0.0
+        for sigma2 in (1.0, 36.0, 50.0):
+            rows = kernel_table({"model": "mslr", "n": 40, "k": 4, "sigma2": sigma2})
+            assert [r.statistic for r in rows] == [0, 1, 2, 3, 4]
+            assert all(r.bound == 1e-12 * r.oracle_value for r in rows)
+            worst = max([worst] + [r.diff / r.oracle_value for r in rows])
+        ok = worst <= 1e-12
+        _report(1, "mslr kernel vs exact Gaussian integral (sigma2 1, 36, 50)", ok,
+                f"max relative diff {worst:.2e}")
         assert ok
 
     def test_ngca_series_vs_quadrature(self):

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -190,6 +191,21 @@ class TestCriterionCommand:
                         "--out", str(out)]) == EXIT_CONFIG
             assert "m must be a whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--q", "nan", "'q' must be a finite real, got nan"),
+        ("--q", "inf", "'q' must be a finite real, got inf"),
+        ("--q", "lin:1:nan:3", "'q' must be a finite real, got nan"),
+        ("--m", "nan", "m must be a whole number, got nan"),
+        ("--m", "-inf", "m must be a whole number, got -inf"),
+    ])
+    def test_a_non_finite_grid_point_is_one_config_error(self, flag, value, message, capsys):
+        # chi2 reads no q: --q nan printed a row with q = nan and exit 0
+        point = {"--q": "4", "--m": "1"} | {flag: value}
+        for command in ("criterion", "sweep"):
+            assert run([command, "--model", "gam-rademacher", "--criterion", "chi2",
+                        *(f"{key}={grid}" for key, grid in point.items())]) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
+
     def test_usq_past_the_float_range_refuses_without_a_warning(self, tmp_path, capsys):
         # (K - 1)^2 overflows at the top atom: a refusal, with no numpy
         # RuntimeWarning raised on the way
@@ -253,8 +269,9 @@ class TestCriterionCommand:
 class TestOutputPath:
     @pytest.mark.parametrize("argv", [
         ["criterion", "--model", "gam-rademacher", "--criterion", "chi2", "--m", "1"],
-        ["kernel", "--model", "gam-rademacher", "--samples", "10"],
+        ["kernel", "--model", "gam-rademacher"],
         ["reproduce", "dirac"],
+        ["check", "--model", "gam-rademacher"],
     ])
     def test_unwritable_out_is_a_config_error(self, argv, tmp_path, capsys):
         path = tmp_path / "missing" / "out.txt"
@@ -264,7 +281,7 @@ class TestOutputPath:
 
 
 @pytest.mark.parametrize("argv", [
-    ["kernel", "--model", "slab-desk", "--samples", "10"],
+    ["kernel", "--model", "slab-desk"],
     ["criterion", "--model", "slab-desk", "--criterion", "fp,rho_fp,gfp,sq,usq,chi2,ld",
      "--q", "10", "--m", "2"],
     ["check", "--model", "si-sign-sphere", "--q", "10", "--m", "4"],
@@ -294,10 +311,37 @@ class TestKernelCommand:
         assert lines[0] == "statistic,kernel_value,oracle_value,abs_diff,bound"
         assert len(lines) >= 11
 
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_sample_count_below_one_is_refused(self, samples, capsys):
-        assert run(["kernel", "--model", "mslr-oracle", "--samples", samples]) == EXIT_CONFIG
-        assert "--samples must be a positive integer" in capsys.readouterr().err
+    @pytest.mark.parametrize("preset", ["mslr-desk", "mslr-oracle"])
+    def test_mslr_tables_pass_with_or_without_a_config_seed(self, preset, tmp_path, capsys):
+        # the Monte Carlo oracle failed mslr-desk (|diff| 0.206 > bound 0.0944
+        # at ell = 4); the exact one reads no seed
+        outs = []
+        for cfg in ({}, {"seed": 5}):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            assert run(["kernel", "--config", str(path), "--model", preset]) == EXIT_PASS
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].err == ""
+        header, *rows = list(csv.reader(io.StringIO(outs[0].out)))
+        k = BUILTIN_MODEL_DESCRIPTORS[preset]["k"]
+        assert [int(row[0]) for row in rows] == list(range(k + 1))
+        for _, kernel_value, oracle_value, diff, bound in rows:
+            assert float(diff) == abs(float(kernel_value) - float(oracle_value))
+            assert float(diff) <= float(bound) == 1e-12 * float(oracle_value)
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--model", "mslr-oracle", "--samples", "10"],
+        ["kernel", "--model", "mslr-oracle", "--seed", "1"],
+        ["kernel", "--model", "mslr-oracle", "--format", "json"],
+        ["check", "--model", "gam-sphere", "--format", "csv"],
+    ])
+    def test_a_flag_the_command_does_not_read_is_refused(self, argv, capsys):
+        # --samples and --seed fed the Monte Carlo oracle; kernel printed CSV
+        # under --format json and check printed JSON under --format csv
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_resource_error_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -373,6 +417,15 @@ class TestCheckCommand:
         assert run(["check", "--model", "gam-sphere"]) == EXIT_PASS
         payload = json.loads(capsys.readouterr().out)
         assert payload["assumption"]["passed"] is True
+
+    def test_out_holds_the_json(self, tmp_path, capsys):
+        # --out was accepted and ignored: the JSON went to stdout
+        out = tmp_path / "check.json"
+        assert run(["check", "--model", "gam-rademacher", "--q", "20", "--m", "4", "--out", str(out)]) == EXIT_PASS
+        assert capsys.readouterr().out == ""
+        assert run(["check", "--model", "gam-rademacher", "--q", "20", "--m", "4"]) == EXIT_PASS
+        text = out.read_text()
+        assert text == capsys.readouterr().out and json.loads(text)["assumption"]["passed"] is True
 
     def test_k_max_is_no_longer_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -524,7 +577,7 @@ class TestDescriptorSchema:
         cfg = tmp_path / "cfg.json"
         for model in ({"lambda": 1.0, "prior": SPHERE}, {"model": "gam", "prior": SPHERE}):
             cfg.write_text(json.dumps({"model": model}))
-            assert run(["kernel", "--config", str(cfg), "--samples", "10"]) == EXIT_CONFIG
+            assert run(["kernel", "--config", str(cfg)]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("config error: '") and err.count("\n") == 1
 

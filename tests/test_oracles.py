@@ -1,7 +1,9 @@
-"""Independent oracles: Monte Carlo, enumeration, quadrature, and the
-tests' Monte Carlo check of the discrete criterion sums."""
+"""Independent oracles: the exact mSLR Gaussian integral, enumeration,
+quadrature, and the tests' Monte Carlo check of the discrete criterion
+sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from fpsq.oracles import (
     ResourceLimitError,
     bvn_rectangle,
     enum_kernel_counterexample,
-    mc_kernel_mslr,
+    gauss_kernel_mslr,
     quad_kernel_ngca,
 )
 from helpers import covers, mc_criterion
@@ -27,37 +29,46 @@ def sparse_pair(n, k, ell):
     return u, v
 
 
-class TestMslrMonteCarlo:
-    # the estimator averages L_u L_v under the null; its variance is
-    # finite only for sigma^2 above ~8.5 k (Gaussian integrability of
-    # the squared product), so the validated configurations keep the
-    # noise floor high enough for the 3-sigma band to be meaningful
+def mslr_closed_form(k, sigma2, ell):
+    """(1 - (ell/(k + sigma2))^2)^-1 in exact rational arithmetic, correctly rounded."""
+    scale = k + Fraction(sigma2)
+    return float(scale * scale / (scale * scale - ell * ell))
+
+
+class TestMslrGaussianIntegral:
+    # the oracle integrates L_u L_v over (<x,u>, <x,v>, y) ~ N(0, S) exactly;
+    # S is singular at ell = k, and I + S A is ill-conditioned at small sigma2
+    @pytest.mark.parametrize("k, sigma2", [(5, 1.0), (4, 36.0), (5, 50.0)])
+    def test_every_overlap_is_the_closed_form(self, k, sigma2):
+        for ell in range(k + 1):
+            est = gauss_kernel_mslr(k, sigma2, *sparse_pair(3 * k, k, ell))
+            assert est.error_bound == 1e-12 * est.value and est.method == "gaussian-integral"
+            assert covers(est, mslr_closed_form(k, sigma2, ell))
+
     def test_disjoint_supports_mean_one(self):
-        u, v = sparse_pair(12, 3, 0)
-        est = mc_kernel_mslr(3, 25.0, u, v, num_samples=200_000, seed=5)
-        assert covers(est, 1.0)
+        for sigma2 in (1.0, 36.0, 50.0):
+            est = gauss_kernel_mslr(3, sigma2, *sparse_pair(12, 3, 0))
+            assert covers(est, 1.0)
 
     def test_full_overlap_closed_form(self):
-        u, v = sparse_pair(12, 3, 3)
-        est = mc_kernel_mslr(3, 25.0, u, v, num_samples=1_000_000, seed=7)
+        est = gauss_kernel_mslr(3, 25.0, *sparse_pair(12, 3, 3))
         want = 1.0 / (1.0 - (3.0 / 28.0) ** 2)
         assert covers(est, want)
-        # the band is tight enough to distinguish the kernel from 1
-        assert est.error_bound < want - 1.0
 
-    def test_seed_reproducibility(self):
-        u, v = sparse_pair(10, 3, 2)
-        a = mc_kernel_mslr(3, 1.0, u, v, num_samples=50_000, seed=42)
-        b = mc_kernel_mslr(3, 1.0, u, v, num_samples=50_000, seed=42)
-        assert a.value == b.value
-        assert a.error_bound == b.error_bound
+    @pytest.mark.parametrize("sigma2", [1e-6, 0.3])
+    def test_small_noise_keeps_every_digit(self, sigma2):
+        # a float determinant of I + S A read 1499820.32 for 1500000.75 at
+        # sigma2 = 1e-6, ell = k = 3: its entries are ~1e12 and cancel
+        for ell in range(4):
+            est = gauss_kernel_mslr(3, sigma2, *sparse_pair(10, 3, ell))
+            assert covers(est, mslr_closed_form(3, sigma2, ell))
 
     def test_input_validation(self):
         u, v = sparse_pair(10, 3, 1)
         with pytest.raises(ValueError):
-            mc_kernel_mslr(4, 1.0, u, v, num_samples=10)
+            gauss_kernel_mslr(4, 1.0, u, v)
         with pytest.raises(ValueError):
-            mc_kernel_mslr(3, 1.0, u * 2.0, v, num_samples=10)
+            gauss_kernel_mslr(3, 1.0, u * 2.0, v)
 
 
 class TestEnumeration:

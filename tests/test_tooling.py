@@ -8,8 +8,9 @@ slack that laws.Levels owns and no other module compares the correlation
 check's min_value, no module evaluates a kernel point by point
 or walks a law atom by atom, one root-finder serves the quantile and the level sets
 without nesting, and building the discrete models imports no
-exact-arithmetic or scipy module, and no function, method or class of
-the package is reached only from tests."""
+exact-arithmetic or scipy module, no function, method or class of
+the package is reached only from tests, and no subcommand registers a
+flag that its command never reads."""
 
 import ast
 import contextlib
@@ -360,3 +361,29 @@ def test_every_definition_is_referenced_in_the_package():
                           and all(any(owner is node for owner in owners) for owners in references.get(ident, [])))
     assert unreferenced == []
     assert allowed <= {ident for _, ident, _ in definitions}  # no stale entry
+
+
+def test_every_flag_is_read_by_its_command():
+    # a flag a command never reads is accepted and silently ignored (kernel
+    # --format json printed CSV); a command reads args.<dest> itself or
+    # through a function it hands args to (load_config, cmd_criterion)
+    from fpsq.cli import build_parser
+
+    with open(os.path.join(ROOT, "src", "fpsq", "cli.py")) as fh:
+        tree = ast.parse(fh.read(), "cli.py")
+    reads, hands_to = {}, {}
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        reads[func.name] = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
+                            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        hands_to[func.name] = {ast.unparse(node.func) for node in ast.walk(func) if isinstance(node, ast.Call)
+                               and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)}
+
+    def read_by(name, seen=()):
+        return reads.get(name, set()).union(*(read_by(callee, seen + (name,))
+                                              for callee in hands_to.get(name, ()) if callee not in seen))
+
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    unread = sorted(f"{command} --{action.dest}" for command, sp in subparsers.choices.items()
+                    for action in sp._actions
+                    if action.dest != "help" and action.dest not in read_by(sp.get_default("func").__name__))
+    assert unread == []
