@@ -343,6 +343,16 @@ class TestKernelCommand:
         assert exc.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one_is_refused(self, samples, capsys):
+        # the exact oracle takes no sample count, so argparse refuses any
+        with pytest.raises(SystemExit) as exc:
+            run(["kernel", "--model", "mslr-oracle", "--samples", samples])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: --samples {samples}" in captured.err
+        assert captured.out == ""
+
     def test_resource_error_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"models": {
