@@ -52,7 +52,7 @@ from fpsq.criteria import (
     usq_hard,
 )
 from fpsq.kernels import ModelSpec, build_model
-from fpsq.laws import OBJECT, QUAD_REL_TOL, REAL, REALS, WHOLE, ResourceLimitError, read_field
+from fpsq.laws import NAME, OBJECT, QUAD_REL_TOL, REAL, REALS, WHOLE, ResourceLimitError, read_field
 from fpsq.scenarios import (
     BUILTIN_MODEL_DESCRIPTORS,
     SCENARIOS,
@@ -268,7 +268,9 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
 def cmd_criterion(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     seed = args.seed if args.seed is not None else read_field(cfg, "seed", WHOLE, 0)
-    fmt = args.format or cfg.get("format", "csv")
+    fmt = args.format or read_field(cfg, "format", NAME, "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"'format' must be 'csv' or 'json', got {fmt!r}")
     epsilon = read_field(cfg if args.epsilon is None else {"epsilon": args.epsilon}, "epsilon", REAL, 0.0)
     criteria = (args.criterion or cfg.get("criteria") or "chi2")
     if isinstance(criteria, str):
@@ -360,6 +362,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if (args.q is None) != (args.m is None):
         raise ConfigError("--q and --m name one (q, m) point of the equivalence battery; give both")
+    if args.model and (args.seed is not None or args.seeds is not None):
+        raise ConfigError("--seed and --seeds drive the randomized suite, which --model replaces")
     cfg = load_config(args)
     seed = args.seed if args.seed is not None else read_field(cfg, "seed", WHOLE, 0)
     results = {}
@@ -391,9 +395,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             results["equivalence"] = eq.checks
             ok = ok and eq.passed
     else:
-        if args.seeds < 1:
-            raise ConfigError(f"--seeds must be a positive integer, got {args.seeds}")
-        suite = equivalence_suite(num_models=args.seeds, base_seed=seed)
+        seeds = 100 if args.seeds is None else args.seeds
+        if seeds < 1:
+            raise ConfigError(f"--seeds must be a positive integer, got {seeds}")
+        suite = equivalence_suite(num_models=seeds, base_seed=seed)
         results["randomized_equivalence_suite"] = suite
         ok = ok and suite["violations"] == 0
 
@@ -447,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="assumption + equivalence property suite")
     common(sp, fmt=False)
-    sp.add_argument("--seeds", type=int, default=100,
-                    help="number of randomized models in the default suite")
+    sp.add_argument("--seeds", type=int, default=None,
+                    help="number of randomized models in the default suite (100)")
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--inject-broken", action="store_true",

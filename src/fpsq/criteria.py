@@ -39,7 +39,9 @@ A sweep reuses what depends on one coordinate through the model's memo
   (the orbits' greedy order, the mass it reaches at each step and, up
   to _MAX_EXACT_ORBITS orbits, the branch and bound's lists), for the
   _GFP_ORDERS most recently used m only;
-- per (d, t): the moments E[(K_d - 1)^t] of USQ and LD.
+- per (d, t): the moments E[(K_d - 1)^t] of USQ and LD;
+- on the continuous law, per (m, kept intervals): E[K^m 1(intervals)],
+  which FP, rho_G-FP and GFP share where their events are equal.
 Entries hold scalars, interval rows, lists and per-orbit arrays, never a
 per-atom array.  So a cell rebuilds nothing that depends on q or m alone:
 an FP or rho_G-FP cell reads its kept atoms as the slice
@@ -166,12 +168,16 @@ def _event_integral(model: ModelSpec, form: Callable, intervals: np.ndarray) -> 
 def _power_sum(model: ModelSpec, m: int, kept=None) -> tuple[float, float]:
     """(value, log value) of E[K^m 1(kept)]: a log-sum-exp of m log K + log p
     over the kept atoms (an index array) of a discrete law, or one integral per
-    kept interval (rows [a, b]) on the continuous law; None keeps the
+    kept interval (rows [a, b]) on the continuous law, once per m and
+    intervals (the memo's ("power", (m, bytes of the rows)) entries, which FP,
+    rho_G-FP and GFP share where their events are equal); None keeps the
     whole support."""
     if model.is_discrete:
         kept = slice(None) if kept is None else kept
         return _event_value(m * model.atom_table.log_k[kept] + model.law.log_probs[kept])
-    return _event_integral(model, lambda lk: (m * lk, 1.0), np.array([model.law.support]) if kept is None else kept)
+    kept = np.array([model.law.support]) if kept is None else kept
+    return _memo(model, ("power", (m, kept.tobytes())),
+                 lambda: _event_integral(model, lambda lk: (m * lk, 1.0), kept))
 
 
 def _complement(intervals: np.ndarray, support: tuple[float, float]) -> np.ndarray:

@@ -49,6 +49,10 @@ from fpsq.numerics import (
 COEFF_TOL = 1e-10  # |nu_i| below this is treated as a vanishing coefficient
 _PRESERVE_TOL = 1e-12  # mass mismatch GroupSpec.preserves allows between t and -t
 _LN_2, _PHI_0 = math.log(2.0), normal_pdf(0.0)  # log 2 and phi(0), in every odd lambda_i of the sign link
+# _series_sum's array loop makes 2n ufunc calls (n the degree, about 0.4 us
+# each) at any size, its float loop 2n N float operations (about 0.03 us
+# each) on N points: they break even near N = 16 to 30.
+_FEW_POINTS = 16
 
 
 class SingularityError(ValueError):
@@ -64,7 +68,11 @@ def _dense(series: Iterable[tuple[int, float]], d: float = math.inf) -> list[flo
 def _series_sum(coeffs: list[float], x):
     """sum c_i x^i over coeffs = _dense(series) at a float or an array x, by
     Horner's rule in place: within gamma_2n sum |c_i| |x|^i, n the top degree,
-    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability, 2002, 5.1)."""
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability, 2002, 5.1).
+    An array of at most _FEW_POINTS points is summed point by point on Python
+    floats, whose IEEE rounding is numpy's, so the bits are the same."""
+    if isinstance(x, np.ndarray) and x.size <= _FEW_POINTS:
+        return np.array([_series_sum(coeffs, xi) for xi in x.ravel().tolist()]).reshape(x.shape)[()]
     acc = 0.0 * x
     for c in reversed(coeffs):
         acc += c
@@ -231,7 +239,12 @@ def mslr_kernel(k: int, sigma2: float) -> Kernel:
         if np.any(np.abs(x) >= 1.0):
             raise SingularityError(f"mSLR kernel singular at |ell| >= k + sigma2 = {scale}, "
                                    f"got ell = {_first(t, np.abs(x) >= 1.0)}")
-        return -np.log1p(-x * x)
+        # -log(1 - x^2) to a few ulp: log1p(-x^2) where x^2 <= 1/2; nearer
+        # |x| = 1 the rounding of x^2 would cost 2^-53 / (1 - x^2) relative, so
+        # 1 - x^2 is formed as ((k - |ell|) + s^2)((k + |ell|) + s^2) / (k + s^2)^2
+        ell = np.abs(t)
+        near_one = ((k - ell) + sigma2) * ((k + ell) + sigma2) / (scale * scale)
+        return np.where(x * x <= 0.5, -np.log1p(-x * x), -np.log(near_one))[()]
 
     return Kernel(
         name="mslr",
@@ -665,7 +678,8 @@ class ModelSpec:
     criteria compute from one coordinate of a sweep lives in ``memo``,
     keyed by (what, coordinate): per q the FP and rho_G-FP thresholds and
     SQ's threshold and value, per m chi^2, log E[K^m] and GFP's greedy
-    descent, per (d, t) the moments E[(K_d - 1)^t] of USQ and LD
+    descent, per (d, t) the moments E[(K_d - 1)^t] of USQ and LD, per
+    (m, intervals) a continuous law's integral of K^m over them
     (fpsq.criteria says what each entry holds).
     """
 

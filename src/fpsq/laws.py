@@ -43,8 +43,9 @@ closed or the strict boundary).
 On the continuous law every event is a level set {h >= c} of a function
 h on the support, of any shape, found by one routine, LevelSets; where h
 is even and rises in |t| it is {|T| >= tau}, tau the two-sided Beta
-quantile 1 - 2 I^{-1}_{a,a}(mass / 2), a = (n - 1)/2.  That quantile and
-the level search share one bracketing root-finder, find_root.
+quantile 1 - 2 I^{-1}_{a,a}(mass / 2), a = (n - 1)/2, found once per mass
+and law.  That quantile and the level search share one bracketing
+root-finder, find_root.
 
 Every expectation on the continuous law is one log-domain integral,
 integral: f comes in log form (log |f| and its sign), the integrand
@@ -61,7 +62,6 @@ against its one table (PRIOR_KINDS here) before the kind's builder runs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -87,7 +87,6 @@ _GRID = 257  # evenly spaced points of OverlapLaw.grid, which is symmetric about
 # rows), that rounding level replaces it.
 QUAD_REL_TOL = 1e-10
 _LOG_DROP = 60.0  # integral integrates where the grid is within e^-this of its peak
-_ORDERS = (20, 40)  # the two Gauss-Legendre rule orders each panel is checked by
 _PANEL_BUDGET = 500  # panels one integral may split into; then ResourceLimitError
 _LN2 = math.log(2.0)
 _CF_TERMS = 500  # continued-fraction steps one incomplete Beta may take; then ResourceLimitError
@@ -219,10 +218,19 @@ class OverlapLaw:
         """P(T <= t); above 0 as 1 - P(T <= -t) (the law is symmetric)."""
         return math.exp(self.log_cdf(t)) if t <= 0.0 else -math.expm1(self.log_cdf(-t))
 
+    @cached_property
+    def quantiles(self) -> dict:
+        """Each quantile ppf has found, by p: the FP, rho_G-FP, GFP and SQ
+        thresholds at one q ask for the same one."""
+        return {}
+
     def ppf(self, p: float) -> float:
+        """inf { t : P(T <= t) >= p }, found once per p and law."""
         if self._ppf is None:
             raise ValueError("law has no quantile function")
-        return self._ppf(p)
+        if p not in self.quantiles:
+            self.quantiles[p] = self._ppf(p)
+        return self.quantiles[p]
 
 
 def mirror_index(values) -> tuple[np.ndarray, np.ndarray]:
@@ -632,7 +640,7 @@ def sphere_law(n: int) -> OverlapLaw:
         if a < _LAGUERRE_FROM:
             tail = _beta_cf(a, a, 0.5 + 0.5 * t)
         else:
-            v, weights = _laguerre()
+            v, weights = _LAGUERRE
             tail = float(weights @ (w + (1.0 - w) * -np.expm1(v / -a)) ** -0.5)
         log_s = math.log1p(-w) if t > -0.5 else math.log((1.0 - t) * (1.0 + t))
         return a * log_s + log_tail_norm + math.log(tail)
@@ -1117,31 +1125,90 @@ def integral(law: OverlapLaw, log_f: Callable[[np.ndarray], tuple], grid_log_f: 
     return math.copysign(exp_or_inf(lv), total), lv
 
 
-@functools.cache
-def _laguerre() -> tuple[np.ndarray, np.ndarray]:
-    """The 64-point Gauss-Laguerre rule, built on first use: within about
-    6e-15 on the sphere law's tail integral from a = 24.5 on."""
-    return np.polynomial.laguerre.laggauss(64)
+def _mirrored(nodes: tuple, weights: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A Gauss-Legendre rule of even order on [-1, 1] from its positive half."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
-@functools.cache
-def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(order)
+# The Gauss-Legendre rules of orders 20 and 40 and the 64-point Gauss-Laguerre
+# rule as stored literals, equal bit for bit to numpy's leggauss and laggauss,
+# whose set-up (an import and an eigenproblem each) every process would
+# otherwise pay; numpy's Legendre rules are exactly symmetric, so each keeps
+# its positive half.  The Laguerre rule is within about 6e-15 on the sphere
+# law's tail integral from a = 24.5 on.
+_LEGENDRE_20 = _mirrored((
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+    0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.993128599185095,
+), (
+    0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+    0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+    0.040601429800386446, 0.017614007139150893,
+))
+_LEGENDRE_40 = _mirrored((
+    0.038772417506050816, 0.11608407067525521, 0.1926975807013711, 0.2681521850072537,
+    0.3419940908257585, 0.413779204371605, 0.4830758016861787, 0.5494671250951282,
+    0.6125538896679802, 0.6719566846141796, 0.7273182551899271, 0.7783056514265194,
+    0.8246122308333117, 0.8659595032122595, 0.9020988069688742, 0.9328128082786765,
+    0.9579168192137917, 0.9772599499837743, 0.990726238699457, 0.9982377097105591,
+), (
+    0.07750594797842451, 0.07703981816424763, 0.07611036190062598, 0.07472316905796794,
+    0.07288658239580377, 0.07061164739128656, 0.06791204581523368, 0.06480401345660076,
+    0.061306242492928834, 0.05743976909939129, 0.0532278469839367, 0.04869580763507193,
+    0.04387090818567321, 0.03878216797447219, 0.03346019528254789, 0.027937006980023434,
+    0.022245849194166653, 0.016421058381906828, 0.010498284531153814, 0.004521277098536349,
+))
+_LAGUERRE = np.array((
+    0.022415874146706448, 0.11812251209676791, 0.29036574401803716, 0.5392862212279776,
+    0.8650370046481128, 1.2678140407752434, 1.7478596260594355, 2.3054637393075104,
+    2.940965156725251, 3.654752650207291, 4.447266343313096, 5.318999254496391,
+    6.270499046923653, 7.302370002587394, 8.415275239483025, 9.609939192796107,
+    10.887150383886373, 12.2477645042443, 13.692707845547506, 15.222981111524728,
+    16.83966365264874, 18.54391817085919, 20.336995948730237, 22.220242665950874,
+    24.195104875933254, 26.263137227118484, 28.426010527501028, 30.685520767525972,
+    33.04359923643783, 35.50232389114121, 38.06393216564647, 40.73083544445863,
+    43.50563546642153, 46.391142978616195, 49.39039902562469, 52.506699341346305,
+    55.74362241327838, 59.10506191901711, 62.59526440015139, 66.21887325124756,
+    69.98098037714684, 73.88718723248296, 77.94367743446313, 82.1573037783193,
+    86.53569334945652, 91.08737561313309, 95.82194001552074, 100.75023196951398,
+    105.88459946879995, 111.23920752443958, 116.8304450513065, 122.67746026853858,
+    128.80287876923768, 135.23378794952583, 142.00312148993152, 149.15166590004938,
+    156.73107513267115, 164.8086026551505, 173.47494683642427, 182.85820469143147,
+    193.15113603707292, 204.67202848505946, 218.03185193532852, 234.80957917132616,
+)), np.array((
+    0.05625284233926343, 0.11902398731216846, 0.15749640386211758, 0.1675470504157797,
+    0.1533528557792363, 0.1242210536093556, 0.09034230098649183, 0.059477755768364206,
+    0.035627518904037626, 0.019480410431167456, 0.00974359489938254, 0.004464310364166527,
+    0.0018753595813231973, 0.0007226469815750431, 0.00025548753283350994, 8.287143534397395e-05,
+    2.4656863967887347e-05, 6.726713878830065e-06, 1.6817853699641775e-06, 3.850812981546922e-07,
+    8.06872804099105e-08, 1.5457237067577817e-08, 2.7044801476176626e-09, 4.316775475427437e-10,
+    6.277752541761931e-11, 8.306317376289372e-12, 9.984031787220735e-13, 1.0883538871167375e-13,
+    1.0740174034416394e-14, 9.575737231575047e-16, 7.697028023649183e-17, 5.56488113745443e-18,
+    3.6097564090107047e-19, 2.095095369549093e-20, 1.0847933010976027e-21, 4.994699486364154e-23,
+    2.0378369745990277e-24, 7.33953756427892e-26, 2.323783082198866e-27, 6.438234706909275e-29,
+    1.5531210957882923e-30, 3.2442500920196557e-32, 5.832386267836268e-34, 8.963254833103514e-36,
+    1.168703989550801e-37, 1.2820559843599814e-39, 1.1720949374050954e-41, 8.835339672329785e-44,
+    5.4249555903056626e-46, 2.6755426666794473e-48, 1.0429170314114302e-50, 3.1529023519577127e-53,
+    7.229541910648479e-56, 1.2242353012299734e-58, 1.4821685049020455e-61, 1.2325193488145018e-64,
+    6.691499004571391e-68, 2.220465941850509e-71, 4.1209460947384755e-75, 3.7743990618967917e-79,
+    1.4141150529178096e-83, 1.5918330640415922e-88, 2.9894843488612213e-94, 2.089063508436509e-101,
+))
+_NODES = np.concatenate((_LEGENDRE_20[0], _LEGENDRE_40[0]))  # every panel's nodes, the 20 then the 40
 
 
 def gauss_legendre_panels(g: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
                           rel_tol: float) -> float:
     """Integral of a vectorized g over disjoint panels [a, b] (rows of panels).
 
-    Each panel is integrated by the two Gauss-Legendre orders _ORDERS; their
-    difference bounds the error of the higher one, whose value is kept.
+    Each panel is integrated by the Gauss-Legendre rules of orders 20 and 40;
+    their difference bounds the error of the higher one, whose value is kept.
     While the differences of all panels sum to more than rel_tol times the
     integral of |g|, every panel above its equal share of that allowance is
     halved.  ResourceLimitError once more than _PANEL_BUDGET panels would be
     needed, ValueError where g is not finite; never a partial sum."""
-    (x_lo, w_lo), (x_hi, w_hi) = _legendre(_ORDERS[0]), _legendre(_ORDERS[1])
-    nodes, k = np.concatenate((x_lo, x_hi)), len(x_lo)
+    (_, w_lo), (_, w_hi) = _LEGENDRE_20, _LEGENDRE_40
+    k = len(w_lo)
     todo = np.asarray(panels, dtype=float)
     done = np.empty((0, 5))  # per panel: a, b, value, error, integral of |g|
     while True:
@@ -1150,7 +1217,7 @@ def gauss_legendre_panels(g: Callable[[np.ndarray], np.ndarray], panels: np.ndar
                 f"the integral did not converge to relative {rel_tol:.1e} within {_PANEL_BUDGET} panels")
         half = 0.5 * (todo[:, 1] - todo[:, 0])
         mid = 0.5 * (todo[:, 0] + todo[:, 1])
-        y = g((mid[:, None] + half[:, None] * nodes).ravel()).reshape(len(todo), -1)
+        y = g((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(len(todo), -1)
         if not np.isfinite(y).all():
             raise ValueError("the integrand is not finite at a quadrature node")
         low, high = half * (y[:, :k] @ w_lo), half * (y[:, k:] @ w_hi)

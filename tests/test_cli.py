@@ -375,6 +375,28 @@ class TestReproduceCommand:
         assert "[PASS]" in text
 
 
+@pytest.mark.parametrize("config, argv, message", [
+    ({"format": "xml"}, ["criterion", "--model", "gam-rademacher", "--criterion", "chi2", "--m", "1"],
+     "'format' must be 'csv' or 'json', got 'xml'"),
+    ({"format": "xml"}, ["sweep", "--model", "gam-rademacher", "--criterion", "chi2", "--m", "1"],
+     "'format' must be 'csv' or 'json', got 'xml'"),
+    (None, ["check", "--model", "gam-rademacher", "--seed", "5"],
+     "--seed and --seeds drive the randomized suite, which --model replaces"),
+    (None, ["check", "--model", "gam-rademacher", "--seeds", "5"],
+     "--seed and --seeds drive the randomized suite, which --model replaces"),
+])
+def test_a_setting_the_command_would_ignore_is_refused(config, argv, message, tmp_path, capsys):
+    # a config "format" of xml printed CSV, and check --model printed the
+    # same JSON with or without a seed; both exited 0
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert run(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n" and captured.out == ""
+
+
 class TestCheckCommand:
     def test_randomized_suite_passes(self, capsys):
         assert run(["check", "--seeds", "8"]) == EXIT_PASS
@@ -639,17 +661,23 @@ def test_a_mutated_preset_is_one_config_error_or_a_model(preset, how, data):
         assert_one_config_error(code, out, err)
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # startup cost guard: the engine imports only numpy, so neither the
-    # import nor any criterion on a sphere-law or slab model loads scipy
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    # startup cost guard: the engine imports only numpy and stores its Gauss
+    # rules, so neither the import nor any criterion on a sphere-law or slab
+    # model loads scipy or numpy.polynomial (the sphere law at n = 400 takes
+    # its tails by Gauss-Laguerre)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"models": {
+        "gam-sphere-400": {"model": "gam", "lambda": 1.0, "prior": {"kind": "sphere", "n": 400}}}}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     code = ("import os, sys, fpsq.cli; "
-            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-            "print(scipy()); "
-            "codes = [fpsq.cli.main(['criterion', '--model', name, '--criterion', "
+            "heavy = lambda: sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')); "
+            "print(heavy()); "
+            "codes = [fpsq.cli.main(['criterion', '--config', sys.argv[1], '--model', name, '--criterion', "
             "'fp,rho_fp,gfp,sq,usq,chi2,ld', '--q', '20', '--m', '3', '--out', os.devnull]) "
-            "for name in ('gam-sphere', 'si-sign-sphere', 'slab-desk')]; "
-            "print(codes, scipy())")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+            "for name in ('gam-sphere', 'si-sign-sphere', 'slab-desk', 'gam-sphere-400')]; "
+            "print(codes, heavy())")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg)], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines() == ["[]", "[0, 0, 0] []"]
+    assert out.splitlines() == ["[]", "[0, 0, 0, 0] []"]

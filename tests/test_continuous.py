@@ -676,6 +676,16 @@ def test_sphere_cdf_and_ppf_vs_mpmath(n):
     assert law.ppf(0.75) == -law.ppf(0.25)
 
 
+@pytest.mark.parametrize("rule, reference", [
+    ("_LEGENDRE_20", lambda: np.polynomial.legendre.leggauss(20)),
+    ("_LEGENDRE_40", lambda: np.polynomial.legendre.leggauss(40)),
+    ("_LAGUERRE", lambda: np.polynomial.laguerre.laggauss(64)),
+])
+def test_stored_gauss_rules_are_numpys_bit_for_bit(rule, reference):
+    for stored, want in zip(getattr(laws, rule), reference(), strict=True):
+        assert stored.dtype == want.dtype and stored.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", range(2, 26))
 def test_log_gamma_ratio_vs_mpmath(n):
     with mp.workdps(50):

@@ -603,6 +603,21 @@ class TestSweepMemo:
                 gfp_value(model, q, m)
             assert len(greedy) == len(ms)
 
+    @pytest.mark.parametrize("name", ["gam-sphere", "si-sign-sphere"])
+    def test_sphere_cells_read_the_same_bits_in_any_order(self, name):
+        # FP, rho_G-FP and GFP keep the same central interval on the sphere
+        # law, so they share one integral, and log E[K^m] the whole support's
+        desc, q, m = BUILTIN_MODEL_DESCRIPTORS[name], 20.0, 3
+        cells = {"fp": lambda model: fp_value(model, q, m), "rho_fp": lambda model: rho_fp_value(model, q, m),
+                 "gfp": lambda model: gfp_value(model, q, m), "chi2": lambda model: chi_squared(model, m),
+                 "log_moment": lambda model: criteria.log_moment(model, m)}
+        fresh = {crit: cell(build_model(desc)) for crit, cell in cells.items()}
+        for order in itertools.permutations(cells):
+            model = build_model(desc)
+            for crit in order:
+                assert same_bits(cells[crit](model), fresh[crit]), (order, crit)
+            assert sum(what == "power" for what, _ in model.memo) == 2, order
+
     def test_argument_checks_run_on_a_memo_hit(self):
         model = build_model({"model": "gam", "lambda": 0.9, "prior": {"kind": "rademacher_mean", "n": 40}})
         for crit in GRID_CRITERIA:

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fpsq import kernels
 from fpsq.criteria import assumption_holds
 from fpsq.kernels import (
     GroupSpec,
@@ -25,6 +28,7 @@ from fpsq.kernels import (
     synthetic_kernel,
 )
 from fpsq.laws import make_law, mirror_index
+from fpsq.scenarios import kernel_table
 from hermite_ref import normal_rule
 
 
@@ -88,6 +92,14 @@ class TestMslrKernel:
         k = mslr_kernel(5, 0.7)
         for ell in range(0, 6):
             assert k.eval(float(ell)) >= 1.0
+
+    @pytest.mark.parametrize("sigma2", [1e-6, 1e-3, 1.0])
+    def test_small_sigma2_vs_exact_gaussian_integral(self, sigma2):
+        # -log1p(-x^2) rounded x^2 near |x| = 1: a relative gap of 2.7e-10 at
+        # ell = k, sigma2 = 1e-6, where the factored 1 - x^2 keeps a few ulp
+        rows = kernel_table({"model": "mslr", "n": 20, "k": 5, "sigma2": sigma2})
+        assert [r.statistic for r in rows] == list(range(6))
+        assert max(r.diff / r.oracle_value for r in rows) <= 1e-13
 
 
 class TestNgcaKernel:
@@ -514,6 +526,31 @@ class TestArrayContract:
                 assert all(type(v) is float for v in singles), name
                 assert np.array_equal(whole, singles), name
             assert type(rho_g(k, model.group, points[0])) is float
+
+
+def horner_on_arrays(coeffs, x):
+    """The series sum by whole-array Horner steps, as _series_sum sums many points."""
+    acc = 0.0 * x
+    for c in reversed(coeffs):
+        acc += c
+        acc *= x
+    return acc
+
+
+POINTS = st.one_of(
+    st.floats(allow_nan=False),  # +-0.0, subnormals, huge |x| and the infinities included
+    st.floats(0.99, 1.0).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([1.0 - 2.0**-53, -1.0 + 2.0**-53, 1e300, -1e300]))
+
+
+@given(st.lists(st.floats(allow_nan=False), max_size=90), st.lists(POINTS, min_size=1, max_size=6))
+def test_few_point_series_sum_is_the_array_sum_bit_for_bit(coeffs, points):
+    x = np.array(points)
+    with np.errstate(all="ignore"):
+        want = horner_on_arrays(coeffs, x)
+    got = kernels._series_sum(coeffs, x)
+    assert len(points) <= kernels._FEW_POINTS and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 class TestBinomialExpansionIdentity:
