@@ -17,7 +17,7 @@ from fpsq.numerics import (
     normal_pdf,
     normal_quantile,
 )
-from fpsq.laws import OverlapLaw, ThresholdResult, make_law, survival, threshold_sup, expect
+from fpsq.laws import OverlapLaw, SphereLaw, ThresholdResult, make_law, survival, threshold_sup, expect
 from fpsq.kernels import (
     GroupSpec,
     Kernel,
@@ -64,6 +64,7 @@ __all__ = [
     "normal_pdf",
     "normal_quantile",
     "OverlapLaw",
+    "SphereLaw",
     "ThresholdResult",
     "make_law",
     "survival",

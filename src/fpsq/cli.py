@@ -16,11 +16,12 @@ fixed schema
 
     model,criterion,q,m,epsilon,threshold,achieved_mass,value,verdict,method,error_bound
 
-and the first line is a ``#`` metadata comment carrying the config hash,
-tool version, and seed (never a timestamp, so identical configs produce
+and the first line is a ``#`` metadata comment carrying the tool version
+and the config hash (never a timestamp, so identical configs produce
 byte-identical files).  Criterion values whose natural log exceeds 700
 are emitted as the log value with an ``overflow-log`` marker appended to
-the method field.
+the method field.  Nothing in criterion or sweep is random, so they take
+no seed: only check's randomized suite reads --seed or a config "seed".
 
 Exit codes: 0 pass, 1 assertion failure, 2 config error, 3 resource
 error.
@@ -200,8 +201,7 @@ def write_rows(rows: list[dict], metadata: dict, fmt: str, out) -> None:
         out.write("\n")
         return
     out.write(
-        f"# fpsq-version={metadata['version']} config-hash={metadata['config_hash']} "
-        f"seed={metadata['seed']}\n"
+        f"# fpsq-version={metadata['version']} config-hash={metadata['config_hash']}\n"
     )
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -267,7 +267,6 @@ def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: floa
 
 def cmd_criterion(args: argparse.Namespace) -> int:
     cfg = load_config(args)
-    seed = args.seed if args.seed is not None else read_field(cfg, "seed", WHOLE, 0)
     fmt = args.format or read_field(cfg, "format", NAME, "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"'format' must be 'csv' or 'json', got {fmt!r}")
@@ -286,10 +285,10 @@ def cmd_criterion(args: argparse.Namespace) -> int:
 
     semantic = {
         "command": "criterion", "model": model_ref, "criteria": criteria,
-        "q": qs, "m": ms, "epsilon": epsilon, "seed": seed,
+        "q": qs, "m": ms, "epsilon": epsilon,
         "t": args.t, "d": args.d, "k_deg": args.k_deg,
     }
-    metadata = {"version": __version__, "config_hash": config_hash(semantic), "seed": seed}
+    metadata = {"version": __version__, "config_hash": config_hash(semantic)}
     d = math.inf if args.d in (None, "inf") else float(args.d)
     rows = []
     for crit in criteria:
@@ -418,17 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"fpsq {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, fmt=True):
+    def common(sp, fmt=True):
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument("--model", help="model name (config 'models' table or built-in preset)")
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
         if fmt:
             sp.add_argument("--format", choices=["csv", "json"], default=None)
         sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("kernel", help="kernel-vs-oracle validation table")
-    common(sp, seed=False, fmt=False)
+    common(sp, fmt=False)
     sp.set_defaults(func=cmd_kernel)
 
     for name, factory in (("criterion", cmd_criterion), ("sweep", cmd_sweep)):
@@ -452,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="assumption + equivalence property suite")
     common(sp, fmt=False)
+    sp.add_argument("--seed", type=int, default=None, help="base seed of the randomized suite (0)")
     sp.add_argument("--seeds", type=int, default=None,
                     help="number of randomized models in the default suite (100)")
     sp.add_argument("--q", type=float, default=None)

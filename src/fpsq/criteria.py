@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -76,7 +77,7 @@ from fpsq.laws import (
     expect,  # noqa: F401  (the benchmark traces this attribute)
     exp_or_inf,
     integral,
-    threshold_sup,  # noqa: F401  (stays importable from this module)
+    threshold_sup,  # noqa: F401  (the benchmark traces this attribute)
 )
 from fpsq.numerics import exact_sum, log_sum_exp
 
@@ -106,7 +107,7 @@ class CriterionReport:
     log_value: float | None
     verdict: str | None
     method: str
-    detail: dict = field(default_factory=dict)
+    detail: Mapping = field(default_factory=dict)
 
     @property
     def overflowed(self) -> bool:
@@ -465,36 +466,30 @@ def _keep_recent(memo: dict, key: tuple, state) -> None:
     memo[key] = state
 
 
-class _DetailOnRead(dict):
-    """A report's detail whose values stored as functools.partial are
-    computed on first read and then kept.  keys() lists every entry from
-    the start; [], get, items, values, copy, repr and dict(detail) see
-    computed values only."""
+class _DetailOnRead(Mapping):
+    """A report's read-only detail over one dict, whose values stored as
+    functools.partial are computed on first read and then kept.  Its keys
+    are every entry's from the start; every read (get, items, values,
+    dict(detail), repr) goes through __getitem__, so it sees computed
+    values only."""
+
+    def __init__(self, entries: dict):
+        self._entries = entries
 
     def __getitem__(self, key):
-        value = super().__getitem__(key)
+        value = self._entries[key]
         if isinstance(value, partial):
-            value = value()
-            super().__setitem__(key, value)
+            value = self._entries[key] = value()
         return value
 
-    def __iter__(self):  # so dict(detail) and update() read through __getitem__
-        return super().__iter__()
+    def __iter__(self):
+        return iter(self._entries)
 
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-    def items(self):
-        return [(key, self[key]) for key in self]
-
-    def values(self):
-        return [self[key] for key in self]
-
-    def copy(self) -> dict:
-        return dict(self.items())
+    def __len__(self) -> int:
+        return len(self._entries)
 
     def __repr__(self) -> str:
-        return repr(self.copy())
+        return repr(dict(self.items()))
 
 
 class _GfpEvent(NamedTuple):
@@ -593,7 +588,7 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     _keep_recent(model.memo, key, descent)
     atoms = _orbit_atoms(tab, event.included())
     value, lv = _event_value(m * tab.log_k[atoms] + model.law.log_probs[atoms])
-    detail = _DetailOnRead(orbit_atoms=len(tab.orbit_rep))
+    detail = {"orbit_atoms": len(tab.orbit_rep)}
     if descent.search is None:
         detail["optimizer"] = "greedy-bracket"
         detail["value_brackets"] = partial(event.greedy_brackets, needed, value)
@@ -605,7 +600,8 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     detail["excluded"] = partial(event.excluded)
     detail["excluded_mass"] = partial(event.excluded_mass)
     method = "exact-sum" if detail["optimizer"] == "branch-and-bound-exact" else "exact-sum(greedy-bracket)"
-    return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method, detail)
+    return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method,
+                           _DetailOnRead(detail))
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from fpsq.laws import (NAME, OBJECT, REAL, REALS, WHOLE, Levels, OverlapLaw, Statistic, atoms_law,
-                       build_descriptor, equality_law, hypergeometric_law, make_law, pair_counts_law,
-                       rademacher_mean_law, read_descriptor)
+from fpsq.laws import (NAME, OBJECT, REAL, REALS, WHOLE, Levels, OverlapLaw, SphereLaw, Statistic,
+                       atoms_law, build_descriptor, equality_law, hypergeometric_law, make_law,
+                       pair_counts_law, rademacher_mean_law, read_descriptor)
 from fpsq.numerics import (
     exact_sum,
     hermite_matrix,
@@ -174,16 +174,14 @@ class GroupSpec:
         """Distinct statistic values in the orbit of t."""
         return [t] if self.kind == "trivial" or t == -t else [t, -t]
 
-    def preserves(self, law: OverlapLaw) -> bool:
+    def preserves(self, law: OverlapLaw | SphereLaw) -> bool:
         """Pushforward-equality check of the law under the action."""
-        if self.kind == "trivial":
+        if self.kind == "trivial" or isinstance(law, SphereLaw):  # the sphere law is symmetric about 0
             return True
         if law.statistic != "scalar":
             return False
-        if law.kind == "discrete":  # the mass at -t (0 where no atom sits there) against that at t
-            mirror, lone = law.mirror
-            return bool(np.all(np.abs(np.where(lone, 0.0, law.probs[mirror]) - law.probs) <= _PRESERVE_TOL))
-        return True  # OverlapLaw refuses an asymmetric support and takes cdf(t > 0) as 1 - cdf(-t)
+        mirror, lone = law.mirror  # the mass at -t (0 where no atom sits there) against that at t
+        return bool(np.all(np.abs(np.where(lone, 0.0, law.probs[mirror]) - law.probs) <= _PRESERVE_TOL))
 
 
 def rho_g(kernel: Kernel, group: GroupSpec, t: Statistic) -> float:
@@ -614,7 +612,8 @@ class AtomTable:
     representative (lower) atom and the mass, whose log GFP reads; and
     the Levels of |<u,v>| (None where the statistic does not determine
     it), rho_G and |K - 1|, each discrete event a cut in one of them
-    (Levels.cut)."""
+    (Levels.cut).  Under the trivial group K - 1 at -t is dev itself and
+    rho_G's Levels are |K - 1|'s."""
 
     log_k: np.ndarray
     dev: np.ndarray
@@ -642,13 +641,15 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     law, kernel = model.law, model.kernel
     values, p = law.values, law.probs
     log_k, dev = model.kernel_table
+    abs_dev = Levels.of(np.abs(dev), p)
     if model.group.order == 2:
         mirror, lone = law.mirror
-    else:  # the trivial group: every atom is its own mirror
-        mirror, lone = np.arange(len(p)), np.zeros(len(p), dtype=bool)
-    mirror_dev = dev[mirror]
-    if lone.any():  # no atom at -t (a mass within GroupSpec.preserves' slack)
-        mirror_dev[lone] = kernel.minus_one(-values[lone])
+        mirror_dev = dev[mirror]
+        if lone.any():  # no atom at -t (a mass within GroupSpec.preserves' slack)
+            mirror_dev[lone] = kernel.minus_one(-values[lone])
+        rho = Levels.of(np.maximum(np.abs(dev), np.abs(mirror_dev)), p)
+    else:  # the trivial group: every atom is its own mirror, and rho_G is |K - 1|
+        mirror, mirror_dev, rho = np.arange(len(p)), dev, abs_dev
     # orbits in order of first appearance, which GFP's tie order follows: the
     # representatives are the atoms that come before their mirror (mirror is an involution)
     atoms = np.arange(len(values))
@@ -657,10 +658,8 @@ def _atom_table(model: ModelSpec) -> AtomTable:
     rep, orbit = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[first]
     overlap = (Levels.of(np.abs(values[:, 2] if law.statistic == "pair_counts" else values), p)
                if model.euclid_overlap else None)
-    return AtomTable(
-        log_k, dev, mirror, mirror_dev, orbit, rep, np.bincount(orbit, weights=p), overlap,
-        Levels.of(np.maximum(np.abs(dev), np.abs(mirror_dev)), p), Levels.of(np.abs(dev), p),
-    )
+    return AtomTable(log_k, dev, mirror, mirror_dev, orbit, rep, np.bincount(orbit, weights=p), overlap, rho,
+                     abs_dev)
 
 
 @dataclass(frozen=True)
@@ -686,7 +685,7 @@ class ModelSpec:
     name: str
     params: dict
     kernel: Kernel
-    law: OverlapLaw
+    law: OverlapLaw | SphereLaw
     group: GroupSpec
     euclid_overlap: bool = False
 
@@ -701,7 +700,7 @@ class ModelSpec:
 
     @property
     def is_discrete(self) -> bool:
-        return self.law.kind == "discrete"
+        return isinstance(self.law, OverlapLaw)
 
     @cached_property
     def atom_table(self) -> AtomTable:

@@ -6,7 +6,7 @@ overlap <u, v>, a support-intersection count |u n v|, or the coordinate
 agreement triple (a, b, c).  This module represents the pushforward of
 pi^{x2} through that statistic:
 
-- a discrete law is numpy arrays, built by one constructor
+- a discrete law (OverlapLaw) is numpy arrays, built by one constructor
   (_discrete_law): its sorted values and each atom mass as p = f 2^e (f
   in [0.5, 1), e an integer), so no mass underflows; probs and
   log_probs are arrays computed from f and e.  Every combinatorial mass
@@ -21,20 +21,16 @@ pi^{x2} through that statistic:
   exact Horner recurrence on Python ints; they and the equality law's
   integers are each rounded once over their denominator (_round_ratio).
   No discrete law may have more than MAX_ATOMS atoms, and no
-  signed_sparse law may take more than MAX_SIGNED_SPARSE_WORK
-  (ResourceLimitError);
-- the single continuous law (sphere overlap) is represented by its exact
-  Beta density and distribution function (an in-house incomplete Beta
-  continued fraction, _beta_cf), never by a discretization.
+  signed_sparse law may take more than MAX_SIGNED_SPARSE_WORK, nor any
+  equality law have n above MAX_EQUALITY_N (ResourceLimitError);
+- the single continuous law, the sphere overlap (SphereLaw), is its
+  exact Beta density, distribution function (an in-house incomplete Beta
+  continued fraction, _beta_cf) and quantile, never a discretization.
 
-On top of the laws sit the quantile objects used by the hardness
-criteria: survival functions P(T >= r) and the generalized-inverse
-thresholds
-
-    threshold_sup(mass) = sup { r : P(T >= r) >= mass },
-
-whose boundary-atom behaviour (achieved mass, exactness flag) the
-criteria need to expose.  On a discrete law every threshold of a level
+On top of the laws sit the level objects the hardness criteria read: the
+sup-threshold sup { c : P(g(T) >= c) >= mass } of a level function g,
+with its boundary-atom behaviour (achieved mass, exactness flag), and
+the event it cuts.  On a discrete law every threshold of a level
 function g(T) (|<u,v>|, rho_G, |K - 1|) reads one Levels object: the
 distinct levels of g(T) with correctly rounded tail masses, searched by
 bisection, and every event is a cut in those levels (Levels.cut, with the
@@ -58,6 +54,9 @@ e^-60 of that peak by composite Gauss-Legendre panels
 Priors, like the models, NGCA marginals and single-index links of
 fpsq.kernels, come as JSON descriptors, each level read by read_descriptor
 against its one table (PRIOR_KINDS here) before the kind's builder runs.
+
+survival, threshold_sup and expect (on T itself) serve no criterion: they
+are the entry points the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ REL_TOL = 1e-12
 
 _ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
 _LEVEL_TOL = 2.0**-46  # |log P(h >= c) - log mass| at which LevelSets.threshold's search stops
-_GRID = 257  # evenly spaced points of OverlapLaw.grid, which is symmetric about 0
+_GRID = 257  # evenly spaced points of SphereLaw.grid, which is symmetric about 0
 # Relative tolerance of every continuous-law integral: the two Gauss-Legendre
 # orders of all panels together disagree by at most this times the integral
 # of |f|.  Where rounding the exponent log|f| + log pdf alone perturbs the
@@ -100,6 +99,9 @@ MAX_ATOMS = 2_000_000
 # the largest law it admits (n near 2k, the dearest shape per unit) builds in
 # about 10 s on a 2-core x86 machine, (10^5, 1000) in about 0.15 s
 MAX_SIGNED_SPARSE_WORK = 3.5e11
+# The largest n the equality law admits: C(n, 9n/10), of about 0.47 n bits,
+# takes math.comb about 9 s there on a 2-core x86 machine (0.7 s at n = 10^6)
+MAX_EQUALITY_N = 4_000_000
 _SPLITTER = 134217729.0  # 2^27 + 1, which splits a double into two 26-bit halves
 _BLOCK = 8  # rows of the grid _dd_cumprod scans
 _SHORT = 64  # _dd_cumprod multiplies this many factors or fewer one by one
@@ -126,33 +128,19 @@ class ThresholdResult:
 
 @dataclass(frozen=True, eq=False)
 class OverlapLaw:
-    """Distribution of the overlap statistic under pi x pi.
+    """A discrete law of the overlap statistic under pi x pi.
 
-    kind: "discrete" (values + masses) or "continuous" (log density,
-    log CDF and quantile; the law must be symmetric about 0, which the |t|
-    closed forms use).  statistic: "scalar" or "pair_counts" (integer triples).
-    A discrete law's sorted values are a float array, or an (N, 3) integer
-    array of pair counts; atom i has mass p = f[i] 2^e[i], f in [0.5, 1)
-    (0 for a zero mass).  _discrete_law builds and checks one.
+    statistic: "scalar" or "pair_counts" (integer triples).  Its sorted
+    values are a float array, or an (N, 3) integer array of pair counts;
+    atom i has mass p = f[i] 2^e[i], f in [0.5, 1) (0 for a zero mass).
+    _discrete_law builds and checks one.
     """
 
-    kind: str
     statistic: str
     descriptor: dict
-    values: np.ndarray = field(default_factory=lambda: np.empty(0))  # none on a continuous law
-    f: np.ndarray | None = None
-    e: np.ndarray | None = None
-    _log_pdf: Callable[[np.ndarray], np.ndarray] | None = None
-    _log_cdf: Callable[[float], float] | None = None
-    _ppf: Callable[[float], float] | None = None
-    support: tuple[float, float] = (0.0, 0.0)
-    scale: float = 1.0  # a continuous law's spread about 0 (the standard deviation of T)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("discrete", "continuous"):
-            raise ValueError(f"unknown law kind {self.kind!r}")
-        if self.kind == "continuous" and self.support[0] != -self.support[1]:
-            raise ValueError("continuous laws must be symmetric about 0")
+    values: np.ndarray
+    f: np.ndarray
+    e: np.ndarray
 
     @cached_property
     def log_probs(self) -> np.ndarray:
@@ -167,27 +155,8 @@ class OverlapLaw:
 
     @cached_property
     def mirror(self) -> tuple[np.ndarray, np.ndarray]:
-        """mirror_index of a scalar discrete law's atoms, once per law."""
+        """mirror_index of a scalar law's atoms, once per law."""
         return mirror_index(self.values)
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        """The continuous support's one grid, sorted: _GRID even points,
-        1 - 2^-k to each end, and +-scale 2^(j/2) for j = -12..20, so a law
-        concentrated far inside the even spacing still has points across
-        its bulk."""
-        lo, hi = self.support
-        edge = hi * (1.0 - 2.0 ** -np.arange(1.0, 53.0))
-        bulk = self.scale * 2.0 ** (np.arange(-12.0, 21.0) / 2.0)
-        bulk = bulk[bulk < hi]
-        # a set, not np.unique, whose first call imports numpy.ma (about 15 ms)
-        return np.array(sorted(set(np.concatenate([np.linspace(lo, hi, _GRID), edge, -edge, bulk,
-                                                   -bulk]).tolist())))
-
-    @cached_property
-    def grid_log_pdf(self) -> np.ndarray:
-        """The log density at each point of grid."""
-        return self.log_pdf(self.grid)
 
     def atom_values(self, index=slice(None)) -> list[Statistic]:
         """The atoms at index (a slice, index array or mask) as Python
@@ -198,39 +167,7 @@ class OverlapLaw:
     @property
     def atoms(self) -> list[tuple[Statistic, float]]:
         """(value, mass) of each atom as Python values, one pair per atom."""
-        if self.kind != "discrete":
-            raise ValueError("atoms are only defined for discrete laws")
         return list(zip(self.atom_values(), self.probs.tolist()))
-
-    def log_pdf(self, t):
-        """The log density at t, a float or an array of points."""
-        if self._log_pdf is None:
-            raise ValueError("law has no density")
-        return self._log_pdf(t)
-
-    def log_cdf(self, t: float) -> float:
-        """log P(T <= t)."""
-        if self._log_cdf is None:
-            raise ValueError("law has no cdf")
-        return self._log_cdf(t)
-
-    def cdf(self, t: float) -> float:
-        """P(T <= t); above 0 as 1 - P(T <= -t) (the law is symmetric)."""
-        return math.exp(self.log_cdf(t)) if t <= 0.0 else -math.expm1(self.log_cdf(-t))
-
-    @cached_property
-    def quantiles(self) -> dict:
-        """Each quantile ppf has found, by p: the FP, rho_G-FP, GFP and SQ
-        thresholds at one q ask for the same one."""
-        return {}
-
-    def ppf(self, p: float) -> float:
-        """inf { t : P(T <= t) >= p }, found once per p and law."""
-        if self._ppf is None:
-            raise ValueError("law has no quantile function")
-        if p not in self.quantiles:
-            self.quantiles[p] = self._ppf(p)
-        return self.quantiles[p]
 
 
 def mirror_index(values) -> tuple[np.ndarray, np.ndarray]:
@@ -404,7 +341,7 @@ def _discrete_law(descriptor: dict, statistic: str, values, f, e, exact: bool) -
     if abs(total - 1.0) > (2.0**-51 if exact else 1e-12):
         error = AssertionError if exact else ValueError
         raise error(f"the atom masses of {descriptor} sum to {total}, not 1")
-    return OverlapLaw(kind="discrete", statistic=statistic, descriptor=descriptor, values=values, f=f, e=e)
+    return OverlapLaw(statistic=statistic, descriptor=descriptor, values=values, f=f, e=e)
 
 
 def hypergeometric_law(n: int, k: int) -> OverlapLaw:
@@ -516,9 +453,13 @@ def pair_counts_law(n: int, rho_p: float) -> OverlapLaw:
 
 def equality_law(n: int) -> OverlapLaw:
     """Equality indicator 1(u = v) for a uniform prior on the slice of
-    {-1,1}^n with 9n/10 positive coordinates (n divisible by 10)."""
+    {-1,1}^n with 9n/10 positive coordinates (n divisible by 10).
+    ResourceLimitError past MAX_EQUALITY_N."""
     if n <= 0 or n % 10 != 0:
         raise ValueError(f"need n positive and divisible by 10, got {n}")
+    if n > MAX_EQUALITY_N:
+        raise ResourceLimitError(f"the equality law at n={n} would take C(n, 9n/10) past the "
+                                 f"largest n, {MAX_EQUALITY_N}, it admits")
     size = math.comb(n, 9 * n // 10)
     return _discrete_law({"kind": "equality", "n": n}, "scalar", [0.0, 1.0],
                          *zip(_round_ratio(size - 1, size), _round_ratio(1, size)), exact=True)
@@ -595,34 +536,66 @@ def _beta_cf(p: float, q: float, x: float) -> float:
                              f"did not converge in {_CF_TERMS} steps")
 
 
-def sphere_law(n: int) -> OverlapLaw:
-    """<u, v> for u, v uniform on the unit sphere in R^n.
+@dataclass(frozen=True, eq=False)
+class SphereLaw:
+    """<u, v> for u, v uniform on the unit sphere in R^n: the first coordinate
+    of a uniform sphere point, T = 2X - 1 with X ~ Beta(a, a), a = (n - 1)/2,
+    density proportional to (1 - t^2)^{(n-3)/2} on [-1, 1], symmetric about
+    0 (which the |t| closed forms use)."""
 
-    Equal in law to the first coordinate of a uniform sphere point:
-    T = 2X - 1 with X ~ Beta((n-1)/2, (n-1)/2), density proportional to
-    (1 - t^2)^{(n-3)/2} on [-1, 1].
-    """
-    if n < 2:
-        raise ValueError(f"sphere law needs n >= 2, got {n}")
-    if n >= 2**53:
-        raise ValueError(f"sphere law needs n below 2^53, where (n - 1)/2 is an exact float, got n={n}")
-    a = 0.5 * (n - 1)
-    # 1 / (2^{n-2} B(a, a)) = Gamma(a + 1/2) / (Gamma(a) sqrt(pi)), the density's normalizer
-    log_norm = _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
-    log_tail_norm = log_norm - math.log(2.0 * a)
+    n: int
+    a: float = field(init=False)
+    log_norm: float = field(init=False)  # log of the density's normalizer
+    log_tail_norm: float = field(init=False)  # log_norm - log(2a), log_cdf's prefactor
+    scale: float = field(init=False)  # the spread about 0, the standard deviation of T
+    # each quantile ppf has found, by p (the FP, rho_G-FP, GFP and SQ cells at one q share one)
+    quantiles: dict = field(init=False, default_factory=dict, repr=False)
+    statistic = "scalar"
+    support = (-1.0, 1.0)
+    values = np.empty(0)  # no atoms: len(law.values) counts any law's atoms
 
-    def log_pdf(t):
+    def __post_init__(self) -> None:
+        if not 2 <= self.n < 2**53:  # below 2^53, (n - 1)/2 is an exact float
+            raise ValueError(f"sphere law needs 2 <= n < 2^53, got n={self.n}")
+        a = 0.5 * (self.n - 1)
+        # 1 / (2^{n-2} B(a, a)) = Gamma(a + 1/2) / (Gamma(a) sqrt(pi)), the density's normalizer
+        log_norm = _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
+        for key, value in (("a", a), ("log_norm", log_norm), ("log_tail_norm", log_norm - math.log(2.0 * a)),
+                           ("scale", self.n**-0.5)):
+            object.__setattr__(self, key, value)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """The support's one grid, sorted: _GRID even points, 1 - 2^-k to
+        each end, and +-scale 2^(j/2) for j = -12..20, so a law
+        concentrated far inside the even spacing still has points across
+        its bulk."""
+        edge = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
+        bulk = self.scale * 2.0 ** (np.arange(-12.0, 21.0) / 2.0)
+        bulk = bulk[bulk < 1.0]
+        # a set, not np.unique, whose first call imports numpy.ma (about 15 ms)
+        return np.array(sorted(set(np.concatenate([np.linspace(-1.0, 1.0, _GRID), edge, -edge, bulk,
+                                                   -bulk]).tolist())))
+
+    @cached_property
+    def grid_log_pdf(self) -> np.ndarray:
+        """The log density at each point of grid."""
+        return self.log_pdf(self.grid)
+
+    def log_pdf(self, t):
+        """The log density at t, a float or an array of points."""
+        a = self.a
         s = np.abs(np.asarray(t, dtype=float))
         with np.errstate(divide="ignore", invalid="ignore"):
             # log(1 - t^2) to a few ulp: log1p(-t^2) near 0, the factored form near |t| = 1
             log_s = np.where(s < 0.5, np.log1p(-s * s), np.log((1.0 - s) * (1.0 + s)))
-            out = (a - 1.0) * log_s + log_norm if a != 1.0 else np.full_like(s, log_norm)
+            out = (a - 1.0) * log_s + self.log_norm if a != 1.0 else np.full_like(s, self.log_norm)
         return np.where(s > 1.0, -np.inf, out)[()]
 
-    def log_cdf(t: float) -> float:
+    def log_cdf(self, t: float) -> float:
         """log P(T <= t), for t > 0 from 1 - P(T <= -t).  For t <= 0,
         P = I_x(a, a) at x = (1 + t)/2 is a prefactor, whose log is
-        a log(1 - t^2) + log_norm - log(2a), times J, in one of three forms:
+        a log(1 - t^2) + log_tail_norm, times J, in one of three forms:
         - central, (a + 5/2) t^2 < _CF_CENTER: P = 1/2 - I_{t^2}(1/2, a)/2
           instead (T^2 ~ Beta(1/2, a)), by _beta_cf;
         - a < _LAGUERRE_FROM: J = _beta_cf(a, a, x);
@@ -631,62 +604,59 @@ def sphere_law(n: int) -> OverlapLaw:
           Gauss-Laguerre.  It reads t itself, where the continued fraction
           reads the rounded x and loses about 2^-53/|t| relative."""
         if t > 0.0:
-            return math.log1p(-math.exp(log_cdf(-t)))
+            return math.log1p(-math.exp(self.log_cdf(-t)))
         if t <= -1.0:
             return -math.inf
-        w = t * t
+        a, w = self.a, t * t
         if (a + 2.5) * w < _CF_CENTER:
-            return math.log(0.5 + t * math.exp(a * math.log1p(-w) + log_norm) * _beta_cf(0.5, a, w))
+            return math.log(0.5 + t * math.exp(a * math.log1p(-w) + self.log_norm) * _beta_cf(0.5, a, w))
         if a < _LAGUERRE_FROM:
             tail = _beta_cf(a, a, 0.5 + 0.5 * t)
         else:
             v, weights = _LAGUERRE
             tail = float(weights @ (w + (1.0 - w) * -np.expm1(v / -a)) ** -0.5)
         log_s = math.log1p(-w) if t > -0.5 else math.log((1.0 - t) * (1.0 + t))
-        return a * log_s + log_tail_norm + math.log(tail)
+        return a * log_s + self.log_tail_norm + math.log(tail)
 
-    def ppf(p: float) -> float:
-        """inf { t : P(T <= t) >= p }: find_root on log P - log p, bracketed
-        from a Student-t guess (sqrt(n - 1) T / sqrt(1 - T^2) is Student t
-        with n - 1 degrees of freedom) by doubling or halving log(1 - t^2)."""
+    def cdf(self, t: float) -> float:
+        """P(T <= t); above 0 as 1 - P(T <= -t) (the law is symmetric)."""
+        return math.exp(self.log_cdf(t)) if t <= 0.0 else -math.expm1(self.log_cdf(-t))
+
+    def ppf(self, p: float) -> float:
+        """inf { t : P(T <= t) >= p }, found once per p and law below 1/2:
+        find_root on log P - log p, bracketed from a Student-t guess
+        (sqrt(n - 1) T / sqrt(1 - T^2) is Student t with n - 1 degrees of
+        freedom) by doubling or halving log(1 - t^2)."""
         if p > 0.5:
-            return -ppf(1.0 - p)  # exact for p > 1/2
-        if p == 0.5:
-            return 0.0
-        if not p > 0.0:
-            return -1.0
+            return -self.ppf(1.0 - p)  # exact for p > 1/2
+        if not 0.0 < p < 0.5:
+            return 0.0 if p == 0.5 else -1.0
+        if p in self.quantiles:
+            return self.quantiles[p]
         log_p = math.log(p)
-        f = lambda t: log_cdf(t) - log_p
+        f = lambda t: self.log_cdf(t) - log_p
 
         def at(u: float) -> tuple[float, float]:
             t = max(-math.sqrt(-math.expm1(u)), _ABOVE_MINUS_ONE)
             return t, f(t)
 
         z2 = normal_quantile(p) ** 2
-        u = math.log1p(-z2 / (z2 + 2.0 * a))  # log(1 - t^2) of the guess
+        u = math.log1p(-z2 / (z2 + 2.0 * self.a))  # log(1 - t^2) of the guess
         t, ft = at(u)
         scale = 0.5 if ft < 0.0 else 2.0  # toward 0 while f < 0, toward -1 while f >= 0
         while True:
             u *= scale
             s, fs = at(u)
-            if (fs < 0.0) != (ft < 0.0):
+            if (fs < 0.0) != (ft < 0.0) or s == _ABOVE_MINUS_ONE:
                 break
-            if s == _ABOVE_MINUS_ONE:  # f >= 0 even next to -1
-                return -1.0
             t, ft = s, fs
         (lo, f_lo), (hi, f_hi) = sorted(((t, ft), (s, fs)), key=lambda pair: pair[1])
-        return find_root(f, lo, hi, f_lo, f_hi)[1]
+        # -1 where f >= 0 even next to -1, so no step changed its sign
+        self.quantiles[p] = find_root(f, lo, hi, f_lo, f_hi)[1] if (fs < 0.0) != (ft < 0.0) else -1.0
+        return self.quantiles[p]
 
-    return OverlapLaw(
-        kind="continuous",
-        statistic="scalar",
-        descriptor={"kind": "sphere", "n": n},
-        _log_pdf=log_pdf,
-        _log_cdf=log_cdf,
-        _ppf=ppf,
-        support=(-1.0, 1.0),
-        scale=n**-0.5,
-    )
+
+sphere_law = SphereLaw  # the sphere prior's builder, named like the other laws'
 
 
 def _whole(value) -> int | None:
@@ -766,8 +736,8 @@ PRIOR_KINDS = {  # kind: ({field: (type[, default])}, builder of the law)
 }
 
 
-def make_law(spec: dict) -> OverlapLaw:
-    """Build an OverlapLaw from a prior descriptor (see PRIOR_KINDS)."""
+def make_law(spec: dict) -> OverlapLaw | SphereLaw:
+    """Build the law of a prior descriptor (see PRIOR_KINDS)."""
     return build_descriptor(spec, PRIOR_KINDS)
 
 
@@ -776,11 +746,11 @@ def make_law(spec: dict) -> OverlapLaw:
 # ---------------------------------------------------------------------------
 
 
-def survival(law: OverlapLaw, r: float) -> float:
+def survival(law: OverlapLaw | SphereLaw, r: float) -> float:
     """P(T >= r) of a scalar statistic."""
-    if law.kind == "discrete":
-        return exact_sum(law.probs[law.values >= r])
-    return law.cdf(-r)  # symmetric law: no cancellation in the upper tail
+    if isinstance(law, SphereLaw):
+        return law.cdf(-r)  # symmetric law: no cancellation in the upper tail
+    return exact_sum(law.probs[law.values >= r])
 
 
 @dataclass(frozen=True)
@@ -926,7 +896,7 @@ def check_mass(mass: float) -> None:
         raise ValueError(f"mass must lie in (0, 1], got {mass}")
 
 
-def _log_between(law: OverlapLaw, a: float, b: float) -> float:
+def _log_between(law: SphereLaw, a: float, b: float) -> float:
     """log P(a <= T <= b) on the symmetric continuous law, from the log CDF
     at a and b on the side where their tails do not cancel."""
     if a < 0.0 < b:
@@ -942,7 +912,7 @@ class LevelSets:
     arrays, and is taken as monotone between adjacent grid points, so a
     cell whose ends straddle a level holds one crossing."""
 
-    def __init__(self, law: OverlapLaw, table, h: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, law: SphereLaw, table, h: Callable[[np.ndarray], np.ndarray]):
         self.law, self.h, self.table = law, h, np.asarray(table, dtype=float)
         self.xs, self.hv = law.grid, self.table  # the grid and h on it, refined by the level search
 
@@ -1013,7 +983,7 @@ class LevelSets:
         return ThresholdResult(level, achieved, math.isclose(achieved, mass, rel_tol=REL_TOL)), intervals
 
 
-def threshold_sup(law: OverlapLaw, mass: float) -> ThresholdResult:
+def threshold_sup(law: OverlapLaw | SphereLaw, mass: float) -> ThresholdResult:
     """sup { r : P(T >= r) >= mass }, the generalized inverse of the
     survival function of a scalar statistic.
 
@@ -1023,9 +993,9 @@ def threshold_sup(law: OverlapLaw, mass: float) -> ThresholdResult:
     of a level function of T is its Levels (discrete) or LevelSets level.
     """
     check_mass(mass)
-    if law.kind == "discrete":
-        return Levels.of(law.values, law.probs).threshold(mass)
-    return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)
+    if isinstance(law, SphereLaw):
+        return ThresholdResult(-law.ppf(min(mass, 1.0)), min(mass, 1.0), mass <= 1.0)
+    return Levels.of(law.values, law.probs).threshold(mass)
 
 
 class AtomEvaluationError(ValueError):
@@ -1038,14 +1008,14 @@ class AtomEvaluationError(ValueError):
 
 
 def expect(
-    law: OverlapLaw,
+    law: OverlapLaw | SphereLaw,
     f: Callable[[Statistic], float],
     interval: tuple[float, float] | None = None,
 ) -> float:
     """E[f(T)]: exact weighted sum for discrete laws, integral (relative
     tolerance QUAD_REL_TOL) for continuous ones; there `interval` = (lo, hi)
     restricts the integral to E[f(T) 1(lo <= T <= hi)]."""
-    if law.kind == "discrete":
+    if isinstance(law, OverlapLaw):
         if interval is not None:
             raise ValueError("expect: interval applies to continuous laws only")
         ys = []
@@ -1073,7 +1043,7 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def integral(law: OverlapLaw, log_f: Callable[[np.ndarray], tuple], grid_log_f: np.ndarray,
+def integral(law: SphereLaw, log_f: Callable[[np.ndarray], tuple], grid_log_f: np.ndarray,
              lo: float, hi: float) -> tuple[float, float]:
     """(value, log |value|) of E[f(T) 1(lo <= T <= hi)] on the continuous law,
     with f in log form: log_f(ts) gives (log |f|, sign f) at an array of

@@ -4,6 +4,8 @@ enumeration) for masses below the float range, kernel powers beyond it,
 and the GFP optimizer's node budget."""
 
 import bisect
+import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -539,6 +541,16 @@ class TestGfpDetailOnRead:
             assert rep.detail["excluded"].size == atoms  # built on read
 
 
+def test_gfp_detail_is_read_only():
+    # on a fresh report pop, setdefault and popitem returned the stored
+    # functools.partial in place of the value it computes
+    model = build_model(BUILTIN_MODEL_DESCRIPTORS["slab-desk"])
+    detail = gfp_value(model, 3.0, 2).detail
+    for mutator in ("pop", "popitem", "setdefault", "update", "clear", "__setitem__", "__delitem__"):
+        assert not hasattr(detail, mutator), mutator
+    assert not any(isinstance(value, functools.partial) for value in detail.values())
+
+
 def exact_suffix_sums(masses) -> list[float]:
     """sum(masses[i:]) for each i, exactly in integers (every float is a whole
     multiple of 2^-1074) and rounded once by Python's correctly rounded
@@ -580,6 +592,20 @@ class TestAtomTableForms:
                 if 0.0 < mass <= 1.0:
                     i = bisect.bisect_left(tails, True, key=lambda t: t < mass - 1e-12 * max(abs(t), mass))
                     assert levels.threshold(mass) == levels.tail(max(i - 1, 0), mass), mass
+
+    def test_the_trivial_group_reads_rho_from_abs_dev(self, model):
+        # rho_G = max(|K(t) - 1|, |K(-t) - 1|) is |K - 1| where each atom is its
+        # own mirror: the trivial group shares abs_dev's Levels (and dev) instead
+        # of sorting them again, and the sign flip builds its own
+        tab = model.atom_table
+        if model.group.order == 1:
+            assert tab.rho is tab.abs_dev and tab.mirror_dev is tab.dev
+        else:
+            assert tab.rho is not tab.abs_dev
+        want = laws.Levels.of(np.maximum(np.abs(tab.dev), np.abs(tab.mirror_dev)), model.law.probs)
+        for field in dataclasses.fields(want):
+            got, ref = getattr(tab.rho, field.name), getattr(want, field.name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), field.name
 
     def test_orbits_match_the_sorted_unique_form(self, model):
         tab = model.atom_table

@@ -27,6 +27,7 @@ from fpsq.cli import (
     main,
     parse_grid,
 )
+from fpsq.laws import MAX_EQUALITY_N
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
 
 
@@ -74,7 +75,7 @@ class TestConfigHash:
         assert a == b
 
     def test_sensitive_to_semantic_change(self):
-        base = {"model": "mslr-desk", "q": [10.0], "m": [3], "seed": 0}
+        base = {"model": "mslr-desk", "q": [10.0], "m": [3]}
         changed = dict(base, q=[11.0])
         assert config_hash(base) != config_hash(changed)
 
@@ -114,7 +115,7 @@ class TestCriterionCommand:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["sweep", "--model", "mslr-desk", "--criterion", "fp,rho_fp,chi2",
-                "--q", "log:4:64:3", "--m", "1,3", "--seed", "11"]
+                "--q", "log:4:64:3", "--m", "1,3"]
         run(argv + ["--out", str(a)])
         run(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
@@ -241,6 +242,18 @@ class TestCriterionCommand:
         err = capsys.readouterr().err
         assert err.startswith("resource error: the signed_sparse law at n=1000000000, k=100000") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", [MAX_EQUALITY_N + 10, 10**15])
+    def test_an_equality_law_past_its_budget_exits_at_once(self, n, tmp_path, capsys):
+        # math.comb(n, 9n/10) ran unpriced: 0.9 s at n = 10^6, 3.6 s at 2 10^6, and longer with n
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {"huge": {"model": "dirac", "n": n}}}))
+        start = time.process_time()
+        assert run(["criterion", "--config", str(cfg), "--model", "huge", "--criterion", "chi2",
+                    "--m", "1"]) == EXIT_RESOURCE
+        assert time.process_time() - start < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith(f"resource error: the equality law at n={n}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("prior, field", [
         ({"kind": "signed_sparse", "n": 40.9, "k": 6.5}, "n"),
         ({"kind": "signed_sparse", "n": 40, "k": True}, "k"),
@@ -334,10 +347,14 @@ class TestKernelCommand:
         ["kernel", "--model", "mslr-oracle", "--seed", "1"],
         ["kernel", "--model", "mslr-oracle", "--format", "json"],
         ["check", "--model", "gam-sphere", "--format", "csv"],
+        ["criterion", "--model", "gam-rademacher", "--criterion", "chi2", "--seed", "11"],
+        ["sweep", "--model", "gam-rademacher", "--criterion", "chi2", "--m", "1,2", "--seed", "11"],
     ])
     def test_a_flag_the_command_does_not_read_is_refused(self, argv, capsys):
         # --samples and --seed fed the Monte Carlo oracle; kernel printed CSV
-        # under --format json and check printed JSON under --format csv
+        # under --format json and check printed JSON under --format csv;
+        # criterion and sweep, in which nothing is random, wrote their seed
+        # only into the metadata line and the config hash
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == EXIT_CONFIG
@@ -493,15 +510,15 @@ class TestCheckCommand:
         assert captured.out == ""
 
 
-def run_config(cfg: dict, argv=("--criterion", "chi2", "--m", "1")) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of an in-process `fpsq criterion --config`."""
+def run_config(cfg: dict, argv=("--criterion", "chi2", "--m", "1"), command="criterion") -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of an in-process `fpsq <command> --config`."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)  # inf and nan as Infinity and NaN
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["criterion", "--config", path, *argv])
+            code = main([command, "--config", path, *argv])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -547,18 +564,19 @@ class TestDescriptorSchema:
         assert_one_config_error(code, out, err)
         assert err.startswith(f"config error: {message}")
 
-    @pytest.mark.parametrize("cfg, argv, message", [
-        ({"seed": [1]}, ("--criterion", "chi2"), "'seed' must be a whole number, got [1]"),
-        ({"seed": 1.5}, ("--criterion", "chi2"), "'seed' must be a whole number, got 1.5"),
-        ({"epsilon": "0.1"}, ("--criterion", "chi2"), "'epsilon' must be a finite real, got '0.1'"),
-        ({"criteria": 5}, (), "'criteria' must be a comma list or a list of names, got 5"),
-        ({"criteria": ["chi2", 5]}, (), "'criteria' must be a comma list or a list of names"),
-        ({"models": [1]}, ("--criterion", "chi2"), "'models' must be an object, got [1]"),
-        ({"models": {"a": 5}, "model": "a"}, ("--criterion", "chi2"), "a descriptor must be an object"),
+    @pytest.mark.parametrize("cfg, argv, message", [  # argv: the command, then its flags
+        # check's randomized suite is the one reader of a config seed
+        ({"seed": [1]}, ("check", "--seeds", "1"), "'seed' must be a whole number, got [1]"),
+        ({"seed": 1.5}, ("check", "--seeds", "1"), "'seed' must be a whole number, got 1.5"),
+        ({"epsilon": "0.1"}, ("criterion", "--criterion", "chi2"), "'epsilon' must be a finite real, got '0.1'"),
+        ({"criteria": 5}, ("criterion",), "'criteria' must be a comma list or a list of names, got 5"),
+        ({"criteria": ["chi2", 5]}, ("criterion",), "'criteria' must be a comma list or a list of names"),
+        ({"models": [1]}, ("criterion", "--criterion", "chi2"), "'models' must be an object, got [1]"),
+        ({"models": {"a": 5}, "model": "a"}, ("criterion", "--criterion", "chi2"), "a descriptor must be an object"),
     ])
     def test_a_malformed_config_field_is_one_config_error(self, cfg, argv, message):
         # each ended in a TypeError traceback, exit 1, or ran with the field ignored
-        code, out, err = run_config({"model": "gam-rademacher", **cfg}, argv)
+        code, out, err = run_config({"model": "gam-rademacher", **cfg}, argv[1:], command=argv[0])
         assert_one_config_error(code, out, err)
         assert err.startswith(f"config error: {message}")
 

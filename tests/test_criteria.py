@@ -3,6 +3,7 @@ cross-criterion inequality chains."""
 
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -544,8 +545,8 @@ def same_bits(a, b) -> bool:
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     if isinstance(a, float):
         return isinstance(b, float) and a.hex() == b.hex()
-    if isinstance(a, dict):
-        return isinstance(b, dict) and a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, Mapping):  # a dict, or GFP's read-only detail
+        return isinstance(b, Mapping) and a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
     if isinstance(a, (tuple, list)):
         return type(a) is type(b) and len(a) == len(b) and all(map(same_bits, a, b))
     if hasattr(a, "__dataclass_fields__"):

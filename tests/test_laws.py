@@ -220,6 +220,14 @@ class TestAtomBudget:
         assert law.values.tolist() == [j / 1000 for j in range(-1000, 1001)]
         assert law.probs[1000] == law.probs.max()
 
+    def test_an_equality_law_within_its_budget_is_built(self):
+        # the mass 1 / C(n, 9n/10) of the diagonal underflows as a float, not as f 2^e
+        n = 10**6
+        law = make_law({"kind": "equality", "n": n})
+        want = math.lgamma(n + 1) - math.lgamma(9 * n // 10 + 1) - math.lgamma(n // 10 + 1)
+        assert law.values.tolist() == [0.0, 1.0] and law.probs.tolist() == [1.0, 0.0]
+        assert law.log_probs[1] == pytest.approx(-want, rel=1e-12)
+
     @pytest.mark.parametrize("n", [2, 40, 1000, 10**5, 2**40 - 1, 2**40, 2**53 + 1, 10**30])
     def test_the_work_estimate_reads_the_binomial_size(self, n):
         # lgamma, and s log n - log s! from 2^40 on, against the exact bit length

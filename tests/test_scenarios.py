@@ -2,6 +2,7 @@
 
 import pytest
 
+from fpsq.laws import OverlapLaw, SphereLaw
 from fpsq.scenarios import SCENARIOS, random_assumption_model, run_scenario
 from helpers import builtin_models
 
@@ -23,7 +24,7 @@ def test_builtin_registry_builds():
     models = builtin_models()
     assert len(models) >= 12
     for name, model in models.items():
-        assert model.law.kind in ("discrete", "continuous"), name
+        assert isinstance(model.law, (OverlapLaw, SphereLaw)), name
 
 
 def test_harness_models_satisfy_their_premises():

@@ -307,7 +307,7 @@ def test_find_root_serves_the_quantile_and_the_level_sets_alone():
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
                 visit(ast.parse(fh.read(), name), [name[:-3]], None)
-    assert callers == {"laws.sphere_law.ppf", "laws.LevelSets.threshold"}
+    assert callers == {"laws.SphereLaw.ppf", "laws.LevelSets.threshold"}
     assert nested == []
 
 
