@@ -46,15 +46,18 @@ from fpsq.criteria import (
     usq_hard,
     usq_moment,
 )
-from fpsq.oracles import (
-    OracleEstimate,
-    bvn_rectangle,
-    enum_kernel_counterexample,
-    gauss_kernel_mslr,
-    quad_kernel_ngca,
-)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The oracles' exports, from fpsq.oracles on first use (PEP 562)."""
+    if name in __all__:
+        from fpsq import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module 'fpsq' has no attribute {name!r}")
+
 
 __all__ = [
     "HermiteSeries",

@@ -54,13 +54,8 @@ from fpsq.criteria import (
 )
 from fpsq.kernels import ModelSpec, build_model
 from fpsq.laws import NAME, OBJECT, QUAD_REL_TOL, REAL, REALS, WHOLE, ResourceLimitError, read_field
-from fpsq.scenarios import (
-    BUILTIN_MODEL_DESCRIPTORS,
-    SCENARIOS,
-    equivalence_suite,
-    kernel_table,
-    run_scenario,
-)
+
+# fpsq.scenarios is imported where a command reads it, so startup skips it
 
 CSV_COLUMNS = [
     "model", "criterion", "q", "m", "epsilon", "threshold", "achieved_mass",
@@ -146,6 +141,8 @@ def resolve_descriptor(name_or_desc, cfg: dict) -> tuple[str, dict]:
     table = read_field(cfg, "models", OBJECT, {})
     if name in table:
         return name, table[name]
+    from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
+
     if name in BUILTIN_MODEL_DESCRIPTORS:
         return name, BUILTIN_MODEL_DESCRIPTORS[name]
     known = sorted(set(table) | set(BUILTIN_MODEL_DESCRIPTORS))
@@ -325,6 +322,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    from fpsq.scenarios import kernel_table
+
     cfg = load_config(args)
     model_name, desc = resolve_descriptor(args.model or cfg.get("model"), cfg)
     rows = kernel_table(desc)
@@ -344,6 +343,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    from fpsq.scenarios import run_scenario
+
     result = run_scenario(args.scenario)
     lines = [f"scenario {result.scenario}: {'PASS' if result.passed else 'FAIL'}"]
     for key, val in sorted(result.params.items(), key=lambda kv: kv[0]):
@@ -397,6 +398,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         seeds = 100 if args.seeds is None else args.seeds
         if seeds < 1:
             raise ConfigError(f"--seeds must be a positive integer, got {seeds}")
+        from fpsq.scenarios import equivalence_suite
+
         suite = equivalence_suite(num_models=seeds, base_seed=seed)
         results["randomized_equivalence_suite"] = suite
         ok = ok and suite["violations"] == 0
@@ -443,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=factory)
 
     sp = sub.add_parser("reproduce", help="run a named desk-scale scenario")
-    sp.add_argument("scenario", help=f"one of: {', '.join(sorted(SCENARIOS))}")
+    sp.add_argument("scenario", help="the scenario's name (an unknown name exits 2 with the list)")
     sp.add_argument("--out", help="also write the report to this path")
     sp.set_defaults(func=cmd_reproduce)
 

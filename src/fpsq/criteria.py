@@ -23,8 +23,8 @@ model's atom table (ModelSpec.atom_table): a threshold is a bisection in
 its levels, an event a cut in them (laws.Levels.cut), the event value a
 log-sum-exp of m log K + log p over the kept atoms.  On the continuous
 law every event is a level set (laws.LevelSets) of |t| (FP), rho_G
-(rho_G-FP), the orbit-averaged log K^m (GFP) or |K - 1| (SQ), and its
-value one laws.integral per interval, both read from the kernel table.
+(rho_G-FP), the orbit-averaged log K^m (GFP) or |K - 1| (SQ), read from
+the kernel table, and its value one laws.integral, read from the node table.
 FP and rho_G-FP share one body: only h and the boundary side differ.
 USQ and LD (every d) share one moment function; the correlation check
 reads K - 1 at t and -t from the same tables.  Every report records the
@@ -154,22 +154,15 @@ def _event_value(log_terms: np.ndarray) -> tuple[float, float]:
 
 def _event_integral(model: ModelSpec, form: Callable, intervals: np.ndarray) -> tuple[float, float]:
     """(value, log |value|) of E[f(T) 1(T in the intervals)] on the continuous
-    law for f = form(log K) in log form (log |f|, sign f): laws.integral,
-    fed the kernel table on the grid, once per interval (rows [a, b]).  A
-    single interval's result is returned as is; several are summed, which
-    needs f nonnegative."""
-    parts = [integral(model.law, lambda ts: form(model.log_k(ts)), form(model.kernel_table[0])[0], a, b)
-             for a, b in intervals.tolist()]
-    if len(parts) < 2:
-        return parts[0] if parts else (0.0, -math.inf)
-    lv = log_sum_exp([p[1] for p in parts])
-    return (math.fsum(p[0] for p in parts) if lv < 700.0 else exp_or_inf(lv)), lv
+    law for f = form(log K) in log form (log |f|, sign f): one laws.integral
+    over the intervals (rows [a, b]), fed the node table."""
+    return integral(model.law, lambda ts: form(model.log_k(ts)), intervals, form(model.node_table))
 
 
 def _power_sum(model: ModelSpec, m: int, kept=None) -> tuple[float, float]:
     """(value, log value) of E[K^m 1(kept)]: a log-sum-exp of m log K + log p
-    over the kept atoms (an index array) of a discrete law, or one integral per
-    kept interval (rows [a, b]) on the continuous law, once per m and
+    over the kept atoms (an index array) of a discrete law, or one integral over
+    the kept intervals (rows [a, b]) on the continuous law, once per m and
     intervals (the memo's ("power", (m, bytes of the rows)) entries, which FP,
     rho_G-FP and GFP share where their events are equal); None keeps the
     whole support."""
@@ -211,7 +204,7 @@ def _expm1_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _power_log(form: tuple[np.ndarray, np.ndarray], t: int) -> tuple[np.ndarray, np.ndarray]:
     """The log form (log |b^t|, sign b^t) of b^t from that of b."""
     log_abs, sign = form
-    return (t * log_abs, sign**t) if t else (np.zeros_like(log_abs), 1.0)
+    return t * log_abs, sign**t
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +647,10 @@ def _deviation_moments(model: ModelSpec, ts: Sequence[int], d: float = math.inf)
 
 
 def _compute_moments(model: ModelSpec, ts: Sequence[int], d: float) -> list[float]:
-    """E[(K_d - 1)^t] for each t in ts: exact sums (AtomEvaluationError at a
-    non-finite term) or laws.integral, from K_d - 1 read once per call at each
-    atom or grid point: the table's K - 1 at d = inf (in log form from log K
-    on the continuous law), else one Kernel.truncated_minus_one call."""
+    """E[(K_d - 1)^t] for each t in ts: 1 at t = 0, else exact sums
+    (AtomEvaluationError at a non-finite term) or laws.integral, from K_d - 1
+    read once per call at each atom or stored node: a table's K - 1 at d = inf
+    (from log K on the continuous law), else one truncated_minus_one call."""
     law, kernel = model.law, model.kernel
     truncated = lambda points: kernel.truncated_minus_one(np.asarray(points, dtype=float), int(d))
     if model.is_discrete:
@@ -667,7 +660,7 @@ def _compute_moments(model: ModelSpec, ts: Sequence[int], d: float) -> list[floa
         bad = np.argwhere(~np.isfinite(ys))  # the first t, then the first atom
         if bad.size:
             raise AtomEvaluationError(law.atom_values([bad[0, 1]])[0], float(ys[tuple(bad[0])]))
-        return [exact_sum(y * law.probs) for y in ys]
+        return [exact_sum(y * law.probs) if t else 1.0 for t, y in zip(ts, ys)]
 
     def form(points) -> tuple[np.ndarray, np.ndarray]:
         """K_d - 1 at each point, in log form."""
@@ -677,9 +670,9 @@ def _compute_moments(model: ModelSpec, ts: Sequence[int], d: float) -> list[floa
             b = truncated(points)
             return np.log(np.abs(b)), np.sign(b)
 
-    on_grid = _expm1_log(model.kernel_table[0]) if d == math.inf else form(law.grid)
-    return [integral(law, lambda xs: _power_log(form(xs), t), _power_log(on_grid, t)[0],
-                     *law.support)[0] for t in ts]
+    on_nodes = _expm1_log(model.node_table) if d == math.inf else form(law.nodes[0])
+    return [integral(law, lambda xs: _power_log(form(xs), t), [law.support], _power_log(on_nodes, t))[0] if t
+            else 1.0 for t in ts]
 
 
 def usq_moment(model: ModelSpec, t: int) -> float:

@@ -672,8 +672,10 @@ class ModelSpec:
     law's values (FP needs it; the equality indicator of dirac lacks it).
 
     The per-model work that no (q, m) changes is cached on first use:
-    the kernel table and the atom table of a discrete law (with GFP's
-    per-orbit masses, their logs and representative atoms).  What the
+    the kernel table, the node table of the sphere law (log K at its
+    stored panels' nodes, which every integral reads) and the atom table
+    of a discrete law (with GFP's per-orbit masses, their logs and
+    representative atoms).  What the
     criteria compute from one coordinate of a sweep lives in ``memo``,
     keyed by (what, coordinate): per q the FP and rho_G-FP thresholds and
     SQ's threshold and value, per m chi^2, log E[K^m] and GFP's greedy
@@ -715,6 +717,12 @@ class ModelSpec:
     def log_k(self, points) -> np.ndarray:
         """log K at each point (-inf at exact zeros), one Kernel.log_eval call."""
         return self.kernel.log_eval(np.asarray(points))
+
+    @cached_property
+    def node_table(self) -> np.ndarray:
+        """log K (-inf at exact zeros) at each node of the sphere law's stored
+        panels (SphereLaw.nodes), from one kernel call on first use."""
+        return self.log_k(self.law.nodes[0])
 
     @cached_property
     def kernel_table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -44,11 +44,13 @@ and law.  That quantile and the level search share one bracketing
 root-finder, find_root.
 
 Every expectation on the continuous law is one log-domain integral,
-integral: f comes in log form (log |f| and its sign), the integrand
-sign f exp(log |f| + log pdf - M) is scaled by its peak M over law.grid
-and the interval's ends, and it is integrated over the stretches within
-e^-60 of that peak by composite Gauss-Legendre panels
-(gauss_legendre_panels), which refuse past a panel budget
+integral, in the angle asin T, whose density is smooth up to the ends at
+every n: f comes in log form (log |f| and its sign), the integrand
+sign f exp(log |f| + log density - M) is scaled by its peak M over the
+nodes, and it is summed over the law's stored Gauss-Legendre panels
+(the caller gives f at their nodes from a cached table) and at most two
+partial panels per interval by gauss_legendre_panels, which
+halves the panels its error test fails and refuses past a panel budget
 (ResourceLimitError) rather than return a partial sum.
 
 Priors, like the models, NGCA marginals and single-index links of
@@ -85,7 +87,6 @@ _GRID = 257  # evenly spaced points of SphereLaw.grid, which is symmetric about 
 # integrand by more (|exponent| above about 1e5, so only on overflow-log
 # rows), that rounding level replaces it.
 QUAD_REL_TOL = 1e-10
-_LOG_DROP = 60.0  # integral integrates where the grid is within e^-this of its peak
 _PANEL_BUDGET = 500  # panels one integral may split into; then ResourceLimitError
 _LN2 = math.log(2.0)
 _CF_TERMS = 500  # continued-fraction steps one incomplete Beta may take; then ResourceLimitError
@@ -541,7 +542,8 @@ class SphereLaw:
     """<u, v> for u, v uniform on the unit sphere in R^n: the first coordinate
     of a uniform sphere point, T = 2X - 1 with X ~ Beta(a, a), a = (n - 1)/2,
     density proportional to (1 - t^2)^{(n-3)/2} on [-1, 1], symmetric about
-    0 (which the |t| closed forms use)."""
+    0 (which the |t| closed forms use).  It caches on first use the level
+    sets' grid and the integrals' panels in the angle asin T (edges, nodes)."""
 
     n: int
     a: float = field(init=False)
@@ -578,9 +580,19 @@ class SphereLaw:
                                                    -bulk]).tolist())))
 
     @cached_property
-    def grid_log_pdf(self) -> np.ndarray:
-        """The log density at each point of grid."""
-        return self.log_pdf(self.grid)
+    def edges(self) -> np.ndarray:
+        """The stored panels' edges in the angle theta = asin t, from -pi/2 to
+        pi/2: +-scale 2^(k/2) (k = 0, 1, ...) below 1.25, so a law
+        concentrated at its scale passes the 20/40 test without splitting."""
+        up = self.scale * 2.0 ** (0.5 * np.arange(56))  # past 1.25 for every n below 2^53
+        up = up[up < 1.25]  # each end panel is over 0.32 wide
+        return np.concatenate(([-0.5 * math.pi], -up[::-1], up, [0.5 * math.pi]))
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """t and the log density of the angle (_angle_terms) at every node, one
+        row per stored panel: its 20 then its 40 Gauss-Legendre nodes."""
+        return _angle_terms(self, _panel_nodes(np.column_stack((self.edges[:-1], self.edges[1:]))))
 
     def log_pdf(self, t):
         """The log density at t, a float or an array of points."""
@@ -1027,12 +1039,11 @@ def expect(
         return exact_sum(np.multiply(ys, law.probs))
 
     def log_f(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = np.array([f(t) for t in ts.tolist()], dtype=float)
+        y = np.array([f(t) for t in ts.ravel().tolist()], dtype=float).reshape(ts.shape)
         with np.errstate(divide="ignore"):
             return np.log(np.abs(y)), np.sign(y)
 
-    inner = log_f(law.grid[1:-1])[0]  # integral never reads the support's ends
-    return integral(law, log_f, np.concatenate(([-np.inf], inner, [-np.inf])), *(interval or law.support))[0]
+    return integral(law, log_f, [interval or law.support])[0]
 
 
 def exp_or_inf(x: float) -> float:
@@ -1043,52 +1054,71 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def integral(law: SphereLaw, log_f: Callable[[np.ndarray], tuple], grid_log_f: np.ndarray,
-             lo: float, hi: float) -> tuple[float, float]:
-    """(value, log |value|) of E[f(T) 1(lo <= T <= hi)] on the continuous law,
-    with f in log form: log_f(ts) gives (log |f|, sign f) at an array of
-    points, and grid_log_f is log |f| at law.grid (read from a cached table).
+def _panel_nodes(panels: np.ndarray) -> np.ndarray:
+    """The nodes of each panel (rows [a, b]), one row per panel: its 20 then
+    its 40 Gauss-Legendre nodes."""
+    return 0.5 * (panels[:, :1] + panels[:, 1:]) + 0.5 * (panels[:, 1:] - panels[:, :1]) * _NODES
 
-    M is the peak of x = log |f| + log pdf over lo, hi and the grid points
-    between; sign f exp(x - M) is integrated by gauss_legendre_panels over
-    the stretches of those points within e^-_LOG_DROP of M, each widened by
-    one point (so a narrow peak is found), and the log value is M + log of
-    that.  f is never evaluated at the support's ends.  ValueError if the
-    integrand is not finite or the density is infinite at lo or hi,
+
+def _angle_terms(law: SphereLaw, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t = sin theta and the log density of the angle asin T, proportional
+    to cos^(n-2) theta and so smooth up to the ends at every n: log pdf(t) +
+    log cos theta below |theta| = pi/4, beyond it (n - 2) log cos theta +
+    log_norm, as cos theta keeps digits of 1 - t^2 that rounding t drops."""
+    t, log_cos = np.sin(theta), np.log(np.cos(theta))
+    inner = np.abs(theta) < 0.25 * math.pi
+    return t, np.where(inner, law.log_pdf(t) + log_cos, (law.n - 2) * log_cos + law.log_norm)
+
+
+def integral(law: SphereLaw, log_f: Callable[[np.ndarray], tuple], intervals: np.ndarray,
+             on_nodes: tuple | None = None) -> tuple[float, float]:
+    """(value, log |value|) of E[f(T) 1(T in the intervals)] on the continuous
+    law, the intervals disjoint rows [lo, hi], with f in log form: log_f(ts)
+    gives (log |f|, sign f) at an array of points of any shape, on_nodes (if
+    given, from a cached table) at law.nodes.
+
+    In the angle theta = asin T, the stored panels inside the intervals read
+    their nodes' values; the rest is at most two partial panels an interval,
+    whose nodes are evaluated in one call.  M is the peak of x = log |f| +
+    log density over these nodes; gauss_legendre_panels sums sign f
+    exp(x - M), halving (and evaluating) the panels its 20/40 test fails;
+    the log value is M + log of the sum.  f is never evaluated at the
+    support's ends.  ValueError if the integrand is not finite,
     ResourceLimitError past the panel budget."""
-    lo, hi = max(lo, law.support[0]), min(hi, law.support[1])
-    if not lo < hi:
+    ends = np.arcsin(np.clip(intervals, -1.0, 1.0))
+    a, b = ends[ends[:, 0] < ends[:, 1]].T
+    if not len(a):
         return 0.0, -math.inf
-    grid = law.grid
-    i, j = np.searchsorted(grid, lo, side="right"), np.searchsorted(grid, hi, side="left")
-    ends = np.array([lo, hi])
-    end_pdf = law.log_pdf(ends)
-    if np.isposinf(end_pdf).any():  # the sphere law at n = 2
-        raise ValueError("the density is infinite at an end of the integral, which the "
-                         "Gauss-Legendre panels cannot integrate")
-    end_x = np.full(2, -math.inf)
-    inside = np.abs(ends) < law.support[1]
-    if inside.any():
-        end_x[inside] = log_f(ends[inside])[0] + end_pdf[inside]
-    xs = np.concatenate((ends[:1], grid[i:j], ends[1:]))  # grid[i:j] lies in (lo, hi)
-    vals = np.concatenate((end_x[:1], grid_log_f[i:j] + law.grid_log_pdf[i:j], end_x[1:]))
-    shift = float(vals.max())
+    edges = law.edges
+    i = np.searchsorted(edges, a)
+    j = np.maximum(i, np.searchsorted(edges, b, side="right") - 1)  # the stored panels i..j-1 lie in [a, b]
+    fresh = np.array([a, np.minimum(edges[i], b), np.maximum(edges[j], a), b]).T.reshape(-1, 2)
+    fresh = fresh[fresh[:, 0] < fresh[:, 1]]
+    kept = np.flatnonzero(((edges[:-1, None] >= a) & (edges[1:, None] <= b)).any(axis=1))
+    t, pdf = law.nodes
+    log_abs, sign = log_f(t[kept]) if on_nodes is None else (
+        on_nodes[0][kept], on_nodes[1] if np.ndim(on_nodes[1]) == 0 else on_nodes[1][kept])
+    x, panels = log_abs + pdf[kept], np.array([edges[kept], edges[kept + 1]]).T
+    if len(fresh):
+        fresh_t, fresh_pdf = _angle_terms(law, _panel_nodes(fresh))
+        fresh_abs, fresh_sign = log_f(fresh_t)
+        sign = np.concatenate((np.broadcast_to(fresh_sign, fresh_t.shape), np.broadcast_to(sign, x.shape)))
+        x, panels = np.concatenate((fresh_abs + fresh_pdf, x)), np.concatenate((fresh, panels))
+    shift = float(x.max())
     if shift == -math.inf:
         return 0.0, -math.inf
     if not math.isfinite(shift):
         raise ValueError(f"the integrand is not finite (log |f| + log pdf = {shift})")
-    near = np.flatnonzero(vals >= shift - _LOG_DROP)
-    gap = np.flatnonzero(np.diff(near) > 2)  # runs of near points, widened by a point each side
-    first, last = near[np.concatenate(([0], gap + 1))], near[np.append(gap, -1)]
-    runs = np.clip(np.column_stack((first - 1, last + 1)), 0, len(xs) - 1)
 
-    def shifted(ts: np.ndarray) -> np.ndarray:
+    def shifted(theta: np.ndarray) -> np.ndarray:
+        ts, log_pdf = _angle_terms(law, theta)
         log_abs, sign = log_f(ts)
         with np.errstate(over="ignore"):
-            return sign * np.exp(log_abs + law.log_pdf(ts) - shift)
+            return sign * np.exp(log_abs + log_pdf - shift)
 
     # rounding an exponent near M alone perturbs the integrand by about 2^-52 |M|
-    total = gauss_legendre_panels(shifted, xs[runs], max(QUAD_REL_TOL, 2.0**-50 * abs(shift)))
+    total = gauss_legendre_panels(shifted, panels, max(QUAD_REL_TOL, 2.0**-50 * abs(shift)),
+                                  sign * np.exp(x - shift))
     if total == 0.0:
         return 0.0, -math.inf
     lv = math.log(abs(total)) + shift
@@ -1168,28 +1198,24 @@ _NODES = np.concatenate((_LEGENDRE_20[0], _LEGENDRE_40[0]))  # every panel's nod
 
 
 def gauss_legendre_panels(g: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
-                          rel_tol: float) -> float:
+                          rel_tol: float, y: np.ndarray) -> float:
     """Integral of a vectorized g over disjoint panels [a, b] (rows of panels).
 
     Each panel is integrated by the Gauss-Legendre rules of orders 20 and 40;
     their difference bounds the error of the higher one, whose value is kept.
-    While the differences of all panels sum to more than rel_tol times the
-    integral of |g|, every panel above its equal share of that allowance is
-    halved.  ResourceLimitError once more than _PANEL_BUDGET panels would be
-    needed, ValueError where g is not finite; never a partial sum."""
+    y is g at their nodes (_panel_nodes).  While the differences of all
+    panels sum to more than rel_tol times the integral of |g|, every panel
+    above its equal share of that allowance is halved, g called at its nodes.
+    ResourceLimitError once halving would pass _PANEL_BUDGET panels,
+    ValueError where g is not finite; never a partial sum."""
     (_, w_lo), (_, w_hi) = _LEGENDRE_20, _LEGENDRE_40
     k = len(w_lo)
     todo = np.asarray(panels, dtype=float)
     done = np.empty((0, 5))  # per panel: a, b, value, error, integral of |g|
     while True:
-        if len(done) + len(todo) > _PANEL_BUDGET:
-            raise ResourceLimitError(
-                f"the integral did not converge to relative {rel_tol:.1e} within {_PANEL_BUDGET} panels")
-        half = 0.5 * (todo[:, 1] - todo[:, 0])
-        mid = 0.5 * (todo[:, 0] + todo[:, 1])
-        y = g((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(len(todo), -1)
         if not np.isfinite(y).all():
             raise ValueError("the integrand is not finite at a quadrature node")
+        half = 0.5 * (todo[:, 1] - todo[:, 0])
         low, high = half * (y[:, :k] @ w_lo), half * (y[:, k:] @ w_hi)
         done = np.concatenate((done, np.column_stack((todo, high, np.abs(high - low),
                                                       half * (np.abs(y[:, k:]) @ w_hi)))))
@@ -1201,4 +1227,7 @@ def gauss_legendre_panels(g: Callable[[np.ndarray], np.ndarray], panels: np.ndar
         mid = 0.5 * (a + b)
         todo = np.concatenate((np.column_stack((a, mid)), np.column_stack((mid, b))))
         done = done[~split]
-
+        if len(done) + len(todo) > _PANEL_BUDGET:
+            raise ResourceLimitError(
+                f"the integral did not converge to relative {rel_tol:.1e} within {_PANEL_BUDGET} panels")
+        y = g(_panel_nodes(todo).ravel()).reshape(len(todo), -1)

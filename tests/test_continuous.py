@@ -472,21 +472,43 @@ def test_event_rows_beyond_float_range_vs_mpmath(capsys):
 
 
 def test_gfp_cell_calls_the_kernel_only_in_its_integral(monkeypatch):
-    # the orbit-averaged power is checked on the cached kernel table
+    # the orbit-averaged power is checked on the cached kernel table, and the
+    # integral sums the stored panels from the node table: once both exist,
+    # an FP or GFP cell calls the kernel only at the nodes of the interval's
+    # two partial end panels and of the panels the 20/40 test halves
     base = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
     calls, evals = [], []
-    kernel = Kernel("counted", "scalar", lambda t: calls.extend(np.ravel(t)) or base.kernel.log_eval(t))
+    kernel = Kernel("counted", "scalar", lambda t: calls.append(np.size(t)) or base.kernel.log_eval(t))
     model = ModelSpec("counted", {}, kernel, base.law, base.group, euclid_overlap=True)
     assert not calls
-    assert len(model.kernel_table[0]) == len(calls) == len(base.law.grid)  # once per model
+    assert len(model.kernel_table[0]) == sum(calls) == len(base.law.grid)  # once per model
+    calls.clear()
+    assert model.node_table.size == sum(calls) == base.law.nodes[0].size and len(calls) == 1  # once per model
     panels = laws.gauss_legendre_panels
-    monkeypatch.setattr(laws, "gauss_legendre_panels", lambda g, edges, tol: panels(
-        lambda ts: evals.extend(ts) or g(ts), edges, tol))
+    monkeypatch.setattr(laws, "gauss_legendre_panels", lambda g, edges, tol, y: panels(
+        lambda ts: evals.extend(ts) or g(ts), edges, tol, y))
     for q, m in [(20.0, 2), (1000.0, 2000)]:
-        calls.clear()
-        evals.clear()
-        gfp_value(model, q, m)
-        assert len(calls) == len(evals) + 2  # the quadrature and the interval's two ends
+        for cell in (gfp_value, fp_value):
+            model.memo.clear()  # FP and GFP share the integral over one interval
+            calls.clear()
+            evals.clear()
+            cell(model, q, m)
+            assert sum(calls) == 2 * len(laws._NODES) + len(evals)  # the end panels, then the halves
+            assert bool(evals) == (m == 2000)  # e^2000t peaks near the end, where panels are halved
+
+
+def test_moments_make_no_kernel_call_once_the_node_table_exists():
+    # chi2, USQ and LD integrate over the whole support: every panel is a
+    # stored one, read from the node table
+    base = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
+    calls = []
+    kernel = Kernel("counted", "scalar", lambda t: calls.append(np.size(t)) or base.kernel.log_eval(t))
+    model = ModelSpec("counted", {}, kernel, base.law, base.group, euclid_overlap=True)
+    model.node_table
+    calls.clear()
+    cells = lambda model: (chi_squared(model, 2), usq_hard(model, 2, 2).value, ld_samplewise(model, 2, math.inf, 1))
+    assert cells(model) == cells(base)
+    assert calls == []
 
 
 def test_truncated_series_kernel_at_the_support_ends(tmp_path):
@@ -599,17 +621,75 @@ def test_integral_refuses_past_its_panel_budget(monkeypatch):
     assert main(["criterion", "--model", "gam-sphere", "--criterion", "chi2", "--m", "1"]) == EXIT_RESOURCE
 
 
-def test_circle_law_refuses_integrals_that_reach_its_infinite_density():
-    # n = 2: the density 1 / (pi sqrt(1 - t^2)) is infinite at +-1; an event
-    # inside (-1, 1) still integrates, a moment over the support refuses
+def test_circle_law_integrates_up_to_its_infinite_density():
+    # n = 2: the density 1 / (pi sqrt(1 - t^2)) is infinite at +-1, and the
+    # angle's is 1/pi; an event inside (-1, 1) and a moment over the support
+    # both integrate, chi2 = I_0(lambda^2 m) - 1 (E[e^sT] = I_0(s))
     model = gam_sphere(2)
     rep = fp_value(model, 10.0, 2)
     h = rep.threshold.threshold
     with mp.workdps(30):
         want = mp.quad(lambda t: mp.exp(2 * t) / (mp.pi * mp.sqrt(1 - t * t)), [-h, 0, h])
     assert rep.value == pytest.approx(float(want), rel=1e-10)
-    with pytest.raises(ValueError, match="infinite"):
-        chi_squared(model, 2)
+    lam = 1.3
+    model = build_model({"model": "gam", "lambda": lam, "prior": {"kind": "sphere", "n": 2}})
+    for m in (1, 2):
+        with mp.workdps(50):
+            want = float(mp.besseli(0, lam * lam * m) - 1)
+        assert abs(chi_squared(model, m) - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_small_n_sphere_criteria_vs_mpmath(n):
+    # chi2, USQ and LD from E[e^sT], and SQ's event {|e^T - 1| >= c} =
+    # {T >= log1p(c)} u {T <= log1p(-c)} (empty for c >= 1) integrated by
+    # mpmath at the level c the code reports; the density reaches +-1
+    # (infinite there at n = 2)
+    model, m, q = gam_sphere(n), 3, 1.5  # c < 1: both tails
+    with mp.workdps(50):
+        mom = lambda s: mp_sphere_moment(n, s)
+        chi2 = mom(m) - 1
+        usq = mom(2) - 2 * mom(1) + 1
+        ld = 1 + m * (mom(1) - 1) + math.comb(m, 2) * usq
+    assert chi_squared(model, m) == pytest.approx(float(chi2), rel=1e-10)
+    assert usq_hard(model, m, 2).value == pytest.approx(float(usq), rel=1e-10)
+    assert ld_samplewise(model, m, math.inf, 2) == pytest.approx(float(ld), rel=1e-10)
+    rep = sq_value(model, q)
+    c = rep.threshold.threshold
+    with mp.workdps(50):
+        a = mp.mpf(n - 1) / 2
+        norm = mp.exp(mp.loggamma(a + mp.mpf(1) / 2) - mp.loggamma(a)) / mp.sqrt(mp.pi)
+        pdf = lambda t: norm * (1 - t * t) ** (a - 1)
+        hi, lo = mp.log1p(mp.mpf(c)), mp.log1p(-mp.mpf(c)) if c < 1 else mp.mpf(-1)
+        mass = mp.quad(pdf, [hi, 1]) + mp.quad(pdf, [-1, lo])
+        tail = mp.quad(lambda t: mp.expm1(t) * pdf(t), [hi, 1]) - mp.quad(lambda t: mp.expm1(t) * pdf(t), [-1, lo])
+    assert float(mass) == pytest.approx(q**-2, rel=1e-10)
+    assert rep.value == pytest.approx(float(tail / mass), rel=1e-10)
+
+
+def test_sharp_peak_splits_panels_vs_mpmath(monkeypatch):
+    # lambda = 2, m = 200: K^m = e^800t against (1 - t^2)^23.5 peaks near
+    # t = 0.97 with width about 0.006, and FP's e^800t rises steeply to the
+    # event's end; the stored panels do not resolve either, so the 20/40
+    # test halves some of them
+    model, m, evals = build_model({"model": "gam", "lambda": 2.0, "prior": {"kind": "sphere", "n": 50}}), 200, []
+    panels = laws.gauss_legendre_panels
+    monkeypatch.setattr(laws, "gauss_legendre_panels", lambda g, edges, tol, y: panels(
+        lambda ts: evals.extend(ts) or g(ts), edges, tol, y))
+    with mp.workdps(50):
+        want = float(mp.log(mp_sphere_moment(50, 4 * m)))
+    assert log_moment(model, m) == pytest.approx(want, rel=1e-10)
+    assert evals
+    evals.clear()
+    rep = fp_value(model, 100.0, m)
+    h = rep.threshold.threshold
+    with mp.workdps(50):
+        a = mp.mpf(49) / 2
+        norm = mp.exp(mp.loggamma(a + mp.mpf(1) / 2) - mp.loggamma(a)) / mp.sqrt(mp.pi)
+        f = lambda t: mp.exp(4 * m * (t - h)) * norm * (1 - t * t) ** (a - 1)
+        want = float(4 * m * h + mp.log(mp.quad(f, [-h, 0, h - mp.mpf("0.05"), h - mp.mpf("0.01"), h])))
+    assert rep.log_value == pytest.approx(want, rel=1e-10)
+    assert evals
 
 
 def test_peak_between_grid_points():

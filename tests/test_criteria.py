@@ -718,6 +718,11 @@ class TestLdSamplewise:
         model = random_model(2)
         assert ld_samplewise(model, m=7, d=math.inf, k_deg=0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name", ["si-sign-sphere", "gam-rademacher"])
+    def test_the_zeroth_moment_is_exactly_one(self, name):
+        # E[(K - 1)^0] = 1 on either law, not a sum or an integral of the masses
+        assert ld_samplewise(build_model(BUILTIN_MODEL_DESCRIPTORS[name]), 200, math.inf, 0) == 1.0
+
     def test_single_sample_identity(self):
         for name, model in builtin_models().items():
             for m in (1, 10, 100):

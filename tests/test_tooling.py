@@ -68,6 +68,16 @@ def test_every_export_resolves():
     subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "src")], check=True, cwd=ROOT, timeout=120)
 
 
+def test_cli_import_leaves_scenarios_and_oracles_unloaded():
+    # startup cost guard: only the preset lookup, kernel, reproduce and check
+    # import fpsq.scenarios, and fpsq exports the oracles lazily
+    code = ("import sys; sys.path[:0] = [sys.argv[1]]; import fpsq.cli; "
+            "print(sorted(m for m in sys.modules if m in ('fpsq.scenarios', 'fpsq.oracles')))")
+    out = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "src")], capture_output=True, text=True,
+                         check=True, cwd=ROOT, timeout=120).stdout
+    assert out == "[]\n"
+
+
 def test_sweep_values_dumps_every_benchmark_cell():
     # tests/sweep_values.py prints each workload's cells as exact reprs,
     # for diffing two checkouts
