@@ -738,12 +738,16 @@ def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
 
         sum_{t=0}^{k_deg} C(m, t) E[(K_d - 1)^t],
 
-    K_d the degree-d truncation of the kernel series (d = inf keeps K, else d >= 0 is an integer).
+    K_d the degree-d truncation of the kernel series (d = inf keeps K, else d >= 0 is an integer,
+    at most the model's max_degree, the last degree its series stores).
     """
     if m < 1 or k_deg < 0:
         raise ValueError(f"need m >= 1 and k_deg >= 0, got m={m}, k_deg={k_deg}")
     if d != math.inf and not (d >= 0 and float(d).is_integer()):
         raise ValueError(f"the per-sample degree d must be a nonnegative integer or inf, got {d}")
+    if math.inf > d > model.params.get("max_degree", math.inf):
+        raise ValueError(f"the per-sample degree d={int(d)} exceeds the model's max_degree "
+                         f"{model.params['max_degree']}, the last degree its series stores")
     ts = range(0, min(k_deg, m) + 1)
     total = 0.0
     for t, moment in zip(ts, _deviation_moments(model, ts, d)):

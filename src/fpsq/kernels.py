@@ -34,8 +34,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from fpsq.laws import (NAME, OBJECT, REAL, REALS, WHOLE, Levels, OverlapLaw, SphereLaw, Statistic,
-                       atoms_law, build_descriptor, equality_law, hypergeometric_law, make_law,
+from fpsq.laws import (NAME, OBJECT, REAL, REALS, WHOLE, Levels, OverlapLaw, ResourceLimitError, SphereLaw,
+                       Statistic, atoms_law, build_descriptor, equality_law, hypergeometric_law, make_law,
                        pair_counts_law, rademacher_mean_law, read_descriptor)
 from fpsq.numerics import (
     exact_sum,
@@ -53,6 +53,12 @@ _LN_2, _PHI_0 = math.log(2.0), normal_pdf(0.0)  # log 2 and phi(0), in every odd
 # each) at any size, its float loop 2n N float operations (about 0.03 us
 # each) on N points: they break even near N = 16 to 30.
 _FEW_POINTS = 16
+# The largest max_degree a model may have.  At 10^6 on a 2-core x86 machine
+# the dearest constructor, ngca on atoms (hermite_matrix), takes 3.0 s and
+# 0.2 GB, and its first kernel table on a sphere law at n = 50 1.1 s (si on
+# the identity link 1.1 s, gam's series loop 0.3 s); every cost is linear
+# in the degree.
+MAX_DEGREE = 1_000_000
 
 
 class SingularityError(ValueError):
@@ -672,10 +678,10 @@ class ModelSpec:
     law's values (FP needs it; the equality indicator of dirac lacks it).
 
     The per-model work that no (q, m) changes is cached on first use:
-    the kernel table, the node table of the sphere law (log K at its
-    stored panels' nodes, which every integral reads) and the atom table
-    of a discrete law (with GFP's per-orbit masses, their logs and
-    representative atoms).  What the
+    the kernel table (one kernel call), the sphere law's node table
+    gathered from it (log K at the nodes every integral reads) and the
+    atom table of a discrete law (with GFP's per-orbit masses, their logs
+    and representative atoms).  What the
     criteria compute from one coordinate of a sweep lives in ``memo``,
     keyed by (what, coordinate): per q the FP and rho_G-FP thresholds and
     SQ's threshold and value, per m chi^2, log E[K^m] and GFP's greedy
@@ -721,8 +727,8 @@ class ModelSpec:
     @cached_property
     def node_table(self) -> np.ndarray:
         """log K (-inf at exact zeros) at each node of the sphere law's stored
-        panels (SphereLaw.nodes), from one kernel call on first use."""
-        return self.log_k(self.law.nodes[0])
+        panels (SphereLaw.nodes), gathered from the kernel table on law.grid."""
+        return self.kernel_table[0][np.searchsorted(self.law.grid, self.law.nodes[0])]
 
     @cached_property
     def kernel_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -768,8 +774,11 @@ MODEL_KINDS = {  # model: ({field: (type[, default])}, builder of the kernel, th
 def build_model(desc: dict) -> ModelSpec:
     """The ModelSpec of a model descriptor (MODEL_KINDS; params holds its
     fields as read).  The group defaults to the sign flip for gam, ngca and
-    si where it preserves the law, else trivial."""
+    si where it preserves the law, else trivial.  ResourceLimitError where
+    max_degree is above MAX_DEGREE, before any work."""
     name, params = read_descriptor(desc, MODEL_KINDS, tag="model")
+    if params.get("max_degree", 0) > MAX_DEGREE:
+        raise ResourceLimitError(f"max_degree {params['max_degree']} is above the {MAX_DEGREE} a model may have")
     kernel, law = MODEL_KINDS[name][1](params)
     group = params["group"]
     if group is None:

@@ -80,7 +80,6 @@ REL_TOL = 1e-12
 
 _ROOT_STEPS = 100  # find_root's step budget; ITP needs at most about 54
 _LEVEL_TOL = 2.0**-46  # |log P(h >= c) - log mass| at which LevelSets.threshold's search stops
-_GRID = 257  # evenly spaced points of SphereLaw.grid, which is symmetric about 0
 # Relative tolerance of every continuous-law integral: the two Gauss-Legendre
 # orders of all panels together disagree by at most this times the integral
 # of |f|.  Where rounding the exponent log|f| + log pdf alone perturbs the
@@ -542,8 +541,8 @@ class SphereLaw:
     """<u, v> for u, v uniform on the unit sphere in R^n: the first coordinate
     of a uniform sphere point, T = 2X - 1 with X ~ Beta(a, a), a = (n - 1)/2,
     density proportional to (1 - t^2)^{(n-3)/2} on [-1, 1], symmetric about
-    0 (which the |t| closed forms use).  It caches on first use the level
-    sets' grid and the integrals' panels in the angle asin T (edges, nodes)."""
+    0 (which the |t| closed forms use).  It caches on first use the
+    integrals' panels in the angle asin T (edges, nodes) and their grid."""
 
     n: int
     a: float = field(init=False)
@@ -568,16 +567,11 @@ class SphereLaw:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        """The support's one grid, sorted: _GRID even points, 1 - 2^-k to
-        each end, and +-scale 2^(j/2) for j = -12..20, so a law
-        concentrated far inside the even spacing still has points across
-        its bulk."""
-        edge = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
-        bulk = self.scale * 2.0 ** (np.arange(-12.0, 21.0) / 2.0)
-        bulk = bulk[bulk < 1.0]
-        # a set, not np.unique, whose first call imports numpy.ma (about 15 ms)
-        return np.array(sorted(set(np.concatenate([np.linspace(-1.0, 1.0, _GRID), edge, -edge, bulk,
-                                                   -bulk]).tolist())))
+        """The support's one grid, sorted: the t of every stored node (nodes)
+        and -1, 0 and 1.  The nodes mirror about 0 bit for bit (the panels
+        and Gauss rules do, and sin is odd), so the grid is symmetric, of
+        odd length, with 0 at its middle."""
+        return np.sort(np.concatenate((self.nodes[0].ravel(), (-1.0, 0.0, 1.0))))
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -928,6 +922,27 @@ class LevelSets:
         self.law, self.h, self.table = law, h, np.asarray(table, dtype=float)
         self.xs, self.hv = law.grid, self.table  # the grid and h on it, refined by the level search
 
+    def _join(self, x: np.ndarray) -> np.ndarray:
+        """h at the points x (one call), which join the grid and h on it."""
+        y = self.h(x)
+        xs = np.concatenate([self.xs, x])
+        order = np.argsort(xs, kind="stable")
+        self.xs, self.hv = xs[order], np.concatenate([self.hv, y])[order]
+        return y
+
+    def _flat_start(self, c: float) -> None:
+        """Where h holds its top level c on positive mass: bisect each cell
+        that straddles c with its end above exactly at c, to the float
+        resolution of its ends (one h call a halving), so a flat top that
+        starts inside a cell starts there, not at the cell's end."""
+        a, b, _, fb, _ = self._cells(c)
+        lo, hi = a[fb == 0.0], b[fb == 0.0]
+        tol = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        while (np.abs(hi - lo) > tol).any():
+            mid = 0.5 * (lo + hi)
+            up = self._join(mid) >= c
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+
     def _cells(self, c: float) -> tuple[np.ndarray, ...]:
         """The grid cells that straddle c, in order: the end below c, the end above,
         h - c at both, and the crossing linear in each (midway at an infinite end)."""
@@ -966,7 +981,8 @@ class LevelSets:
         log mass - log P(h(T) >= c), from the lowest finite level to the
         highest, until the two agree to _LEVEL_TOL; each step joins h at
         the crossings of c (one call) to the grid and interpolates again.
-        Where h is flat at c on positive mass, exact is False."""
+        Where h is flat at c on positive mass, exact is False; at h's top
+        the flat part's starts are bisected (_flat_start)."""
         check_mass(mass)
         tails = self.two_tails(mass)
         if tails is not None:
@@ -977,9 +993,7 @@ class LevelSets:
         log_mass = math.log(mass)
 
         def excess(c: float) -> float:
-            x = np.concatenate([self.xs, self._cells(c)[4]])
-            order = np.argsort(x, kind="stable")
-            self.xs, self.hv = x[order], np.concatenate([self.hv, self.h(x[len(self.hv):])])[order]
+            self._join(self._cells(c)[4])
             return log_mass - self._event(c, self._cells(c)[4])[1]
 
         # the search runs on u = sign(c) log(1 + |c|), so a top level far above
@@ -988,8 +1002,11 @@ class LevelSets:
         finite = self.table[np.isfinite(self.table)]
         top, e_top = float(finite.max()), excess(float(finite.max()))
         lo, hi = (math.copysign(math.log1p(abs(c)), c) for c in (float(finite.min()), top))
-        level = top if e_top < 0.0 else at(find_root(lambda u: excess(at(u)), lo, hi, excess(at(lo)), e_top,
-                                                     _LEVEL_TOL)[0])
+        if e_top < 0.0:  # h holds its top on more than mass
+            self._flat_start(top)
+            level = top
+        else:
+            level = at(find_root(lambda u: excess(at(u)), lo, hi, excess(at(lo)), e_top, _LEVEL_TOL)[0])
         intervals, log_f = self._event(level, self._cells(level)[4])
         achieved = math.exp(log_f)
         return ThresholdResult(level, achieved, math.isclose(achieved, mass, rel_tol=REL_TOL)), intervals

@@ -160,12 +160,13 @@ class TestCriterionCommand:
                     "--q", "5", "--m", "1"])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("d", ["2.5", "-1"])
+    @pytest.mark.parametrize("d", ["2.5", "-1", "41"])
     def test_ld_refuses_a_degree_that_is_not_a_nonnegative_integer(self, d, capsys):
+        # nor one past the preset's max_degree of 40, where its series stops
         code = run(["criterion", "--model", "si-sign-sparse", "--criterion", "ld", "--m", "3",
                     "--d", d, "--k-deg", "2"])
         assert code == EXIT_CONFIG
-        assert "nonnegative integer" in capsys.readouterr().err
+        assert ("max_degree 40" if d == "41" else "nonnegative integer") in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", ["0", "-2"])
     def test_usq_refuses_m_below_one(self, m, capsys):
@@ -253,6 +254,18 @@ class TestCriterionCommand:
         assert time.process_time() - start < 0.1
         err = capsys.readouterr().err
         assert err.startswith(f"resource error: the equality law at n={n}") and err.count("\n") == 1
+
+    def test_a_max_degree_past_its_budget_exits_at_once(self, tmp_path, capsys):
+        # gam_kernel's loop alone ran unpriced: 0.43 s and 100 MB per 10^6 degrees
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {"huge": {"model": "gam", "lambda": 1.0, "prior": SPHERE,
+                                                        "max_degree": 10**9}}}))
+        start = time.process_time()
+        assert run(["criterion", "--config", str(cfg), "--model", "huge", "--criterion", "chi2",
+                    "--m", "1"]) == EXIT_RESOURCE
+        assert time.process_time() - start < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: max_degree 1000000000 is above") and err.count("\n") == 1
 
     @pytest.mark.parametrize("prior, field", [
         ({"kind": "signed_sparse", "n": 40.9, "k": 6.5}, "n"),

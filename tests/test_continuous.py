@@ -23,6 +23,7 @@ from fpsq import cli, laws
 from fpsq.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_RESOURCE, main
 from fpsq.criteria import (
     UnsupportedCriterionError,
+    assumption_holds,
     chi_squared,
     fp_value,
     gfp_value,
@@ -225,28 +226,31 @@ class TestAnyShape:
         assert rep.threshold.threshold == 0.0 and rep.value == 0.0
         assert gfp_value(model, 5.0, 2).value == pytest.approx(0.96, rel=1e-12)
 
-    def test_gfp_keeps_what_the_mass_allows_of_a_flat_top(self):
-        # log K = min(t, 0.1): h = 4 log K is flat at its top on {T >= 0.1},
-        # whose mass is above q^-2, so GFP drops q^-2 of it and keeps the rest
+    @pytest.mark.parametrize("kink", [0.1, 0.123])
+    def test_gfp_keeps_what_the_mass_allows_of_a_flat_top(self, kink):
+        # log K = min(t, kink): h = 4 log K is flat at its top on {T >= kink},
+        # whose mass is above q^-2, so GFP drops q^-2 of it and keeps the
+        # rest; the flat top starts inside a grid cell at 0.123
         q, m = 5.0, 4
-        rep = gfp_value(hand_model(lambda t: np.minimum(t, 0.1)), q, m)
+        rep = gfp_value(hand_model(lambda t: np.minimum(t, kink)), q, m)
         with mp.workdps(50):
-            top = interval_mass(50, mp.mpf("0.1"), 1)
-            kept = expectation(lambda t: mp.exp(m * t), 50, [(mp.mpf(-1), mp.mpf("0.1"))])
-            want = kept + (top - mp.mpf(1) / 25) * mp.exp(m * mp.mpf("0.1"))
+            top = interval_mass(50, mp.mpf(str(kink)), 1)
+            kept = expectation(lambda t: mp.exp(m * t), 50, [(mp.mpf(-1), mp.mpf(str(kink)))])
+            want = kept + (top - mp.mpf(1) / 25) * mp.exp(m * mp.mpf(str(kink)))
         level = rep.detail["level"]
-        assert level.threshold == 0.4 and not level.exact
+        assert level.threshold == m * kink and not level.exact
         assert level.achieved_mass == pytest.approx(float(top), rel=1e-12)
         assert rep.value == pytest.approx(float(want), rel=1e-9)
 
-    def test_threshold_of_a_transform_flat_at_its_level(self):
-        # min(|t|, 0.1) is even and nondecreasing in |t| but flat at its
-        # level: the achieved mass is all of {|T| >= 0.1}, not the 0.04 asked
+    @pytest.mark.parametrize("kink", [0.1, 0.123])
+    def test_threshold_of_a_transform_flat_at_its_level(self, kink):
+        # min(|t|, kink) is even and nondecreasing in |t| but flat at its
+        # level: the achieved mass is all of {|T| >= kink}, not the 0.04 asked
         law = sphere_law(50)
-        h = lambda t: np.minimum(np.abs(t), 0.1)
+        h = lambda t: np.minimum(np.abs(t), kink)
         res = LevelSets(law, h(law.grid), h).threshold(0.04)[0]
-        assert res.threshold == 0.1 and not res.exact
-        assert res.achieved_mass == pytest.approx(2.0 * law.cdf(-0.1), rel=1e-12)
+        assert res.threshold == kink and not res.exact
+        assert res.achieved_mass == pytest.approx(2.0 * law.cdf(-kink), rel=1e-12)
 
     def test_level_search_resolves_below_a_far_top_level(self):
         # gam with lambda = 3 under the trivial group at n = 400: |K - 1|
@@ -472,29 +476,46 @@ def test_event_rows_beyond_float_range_vs_mpmath(capsys):
 
 
 def test_gfp_cell_calls_the_kernel_only_in_its_integral(monkeypatch):
-    # the orbit-averaged power is checked on the cached kernel table, and the
-    # integral sums the stored panels from the node table: once both exist,
-    # an FP or GFP cell calls the kernel only at the nodes of the interval's
-    # two partial end panels and of the panels the 20/40 test halves
+    # one kernel call per sphere model, on the law's grid, serves the kernel
+    # table, the node table (gathered from it), the assumption check and the
+    # tables every level set starts from; after it an FP or GFP cell calls
+    # the kernel only at the nodes of the interval's two partial end panels
+    # and of the panels the 20/40 test halves
     base = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
-    calls, evals = [], []
+    calls, evals, starts = [], [], []
     kernel = Kernel("counted", "scalar", lambda t: calls.append(np.size(t)) or base.kernel.log_eval(t))
     model = ModelSpec("counted", {}, kernel, base.law, base.group, euclid_overlap=True)
     assert not calls
-    assert len(model.kernel_table[0]) == sum(calls) == len(base.law.grid)  # once per model
-    calls.clear()
-    assert model.node_table.size == sum(calls) == base.law.nodes[0].size and len(calls) == 1  # once per model
-    panels = laws.gauss_legendre_panels
+    assert model.node_table.tolist() == base.kernel.log_eval(base.law.nodes[0]).tolist()
+    assert assumption_holds(model) == assumption_holds(base)
+    assert calls == [len(base.law.grid)]  # once per model
+    init, panels = laws.LevelSets.__init__, laws.gauss_legendre_panels
+    monkeypatch.setattr(laws.LevelSets, "__init__", lambda self, *args: starts.append(len(calls)) or init(self, *args))
     monkeypatch.setattr(laws, "gauss_legendre_panels", lambda g, edges, tol, y: panels(
         lambda ts: evals.extend(ts) or g(ts), edges, tol, y))
     for q, m in [(20.0, 2), (1000.0, 2000)]:
-        for cell in (gfp_value, fp_value):
+        for cell in (gfp_value, fp_value, rho_fp_value, sq_value):
             model.memo.clear()  # FP and GFP share the integral over one interval
             calls.clear()
             evals.clear()
+            starts.clear()
             cell(model, q, m)
-            assert sum(calls) == 2 * len(laws._NODES) + len(evals)  # the end panels, then the halves
-            assert bool(evals) == (m == 2000)  # e^2000t peaks near the end, where panels are halved
+            assert starts == [0]  # the cell's level sets start with no kernel call
+            if cell in (gfp_value, fp_value):
+                assert sum(calls) == 2 * len(laws._NODES) + len(evals)  # the end panels, then the halves
+                assert bool(evals) == (m == 2000)  # e^2000t peaks near the end, where panels are halved
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 10**6])
+def test_grid_is_the_stored_nodes_with_the_ends_and_zero(n):
+    # the level sets read the grid as sorted and symmetric with 0 at its
+    # middle, and the node table gathers from the kernel table on it
+    law = sphere_law(n)
+    grid, t = law.grid, law.nodes[0]
+    assert len(grid) % 2 == 1 and (np.diff(grid) > 0).all()
+    assert np.array_equal(grid, -grid[::-1]) and grid[len(grid) // 2] == 0.0
+    assert grid[0] == -1.0 and grid[-1] == 1.0
+    assert (grid[np.searchsorted(grid, t)] == t).all() and len(grid) == t.size + 3
 
 
 def test_moments_make_no_kernel_call_once_the_node_table_exists():

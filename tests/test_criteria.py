@@ -802,6 +802,17 @@ class TestLdSamplewise:
         with pytest.raises(UnsupportedCriterionError):
             ld_samplewise(model, 3, 2, 2)
 
+    def test_finite_degree_stops_at_max_degree(self):
+        # the series stores degrees up to max_degree: past it K_d - 1 would
+        # silently read K_{max_degree} - 1 (1.0816e52 at d = 100, where the
+        # series to degree 200 gives 3.7965e52)
+        desc = {"model": "gam", "lambda": 8.0, "prior": {"kind": "rademacher_mean", "n": 10}}
+        model, longer = build_model(desc), build_model({**desc, "max_degree": 200})
+        assert ld_samplewise(model, 2, 64, 2) == ld_samplewise(longer, 2, 64, 2)
+        with pytest.raises(ValueError, match="exceeds the model's max_degree 64"):
+            ld_samplewise(model, 2, 65, 2)
+        assert ld_samplewise(longer, 2, 100, 2) == pytest.approx(3.7965e52, rel=1e-4)
+
 
 class TestAssumptionHolds:
     def test_nonneg_kernel_families_pass(self):
