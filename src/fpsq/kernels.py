@@ -28,7 +28,7 @@ orbits behind rho_G and the correlation-inequality averages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -122,7 +122,6 @@ class Kernel:
     log_fn: Callable
     series: tuple[tuple[int, float], ...] | None = None
     series_total: float | None = None
-    extras: dict = field(default_factory=dict)
     minus_one_fn: Callable | None = None
 
     def log_eval(self, t):
@@ -257,18 +256,18 @@ def mslr_kernel(k: int, sigma2: float) -> Kernel:
     )
 
 
-def _series_kernel(
-    name: str,
-    coeffs_sq: Sequence[float],
-    s_star: int | None,
-    total: float | None,
-    extras: dict,
-) -> Kernel:
-    """Kernel 1 + sum_{i >= s*} c_i t^i from squared coefficients c_i."""
-    series = tuple(
-        (i, c) for i, c in enumerate(coeffs_sq) if i >= 1 and c > 0.0 and (s_star is None or i >= s_star)
-    )
-
+def _series_kernel(name: str, coeffs: Sequence[float], total: float | None) -> Kernel:
+    """Kernel 1 + sum_{i >= s*} c_i^2 t^i from the coefficients c_0, ..., c_d
+    (nu_i or lambda_i), s* their generative exponent (_find_s_star; without
+    one every degree with c_i^2 > 0).  ValueError at the first degree whose
+    c_i^2 is not finite."""
+    squares = [c * c for c in coeffs]
+    bad = next((i for i, c in enumerate(squares) if not math.isfinite(c)), None)
+    if bad is not None:
+        raise ValueError(f"{name} series coefficient of degree {bad} squares to {squares[bad]}; "
+                         "a lower max_degree keeps the series finite")
+    s_star = _find_s_star(coeffs)
+    series = tuple((i, c) for i, c in enumerate(squares) if i >= 1 and c > 0.0 and (s_star is None or i >= s_star))
     coeffs = _dense(series)
 
     def minus_one_fn(t):
@@ -278,7 +277,7 @@ def _series_kernel(
         return acc
 
     return Kernel(name=name, domain="scalar", log_fn=lambda t: np.log1p(minus_one_fn(t)),
-                  series=series, series_total=total, extras=extras, minus_one_fn=minus_one_fn)
+                  series=series, series_total=total, minus_one_fn=minus_one_fn)
 
 
 def _gaussian_he_moments(mean: float, var: float, max_degree: int) -> list[float]:
@@ -399,6 +398,8 @@ def ngca_density_ratio(mu_spec: dict) -> Callable[[np.ndarray], np.ndarray] | No
 
 
 def _find_s_star(coeffs: Sequence[float]) -> int | None:
+    """The generative exponent: the first i >= 1 with |c_i| > COEFF_TOL, None
+    when every coefficient vanishes (a Gaussian marginal to this depth)."""
     for i, c in enumerate(coeffs):
         if i >= 1 and abs(c) > COEFF_TOL:
             return i
@@ -406,28 +407,11 @@ def _find_s_star(coeffs: Sequence[float]) -> int | None:
 
 
 def ngca_kernel(mu_spec: dict, max_degree: int) -> Kernel:
-    """Non-Gaussian component analysis kernel 1 + sum_{i>=s*} nu_i^2 t^i.
-
-    extras carry the nu coefficients, the generative exponent s* (first
-    i >= 1 with |nu_i| > COEFF_TOL; None when the leading coefficients all
-    vanish, i.e. the planted marginal is Gaussian to this depth).
-    """
+    """Non-Gaussian component analysis kernel 1 + sum_{i>=s*} nu_i^2 t^i."""
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
     nu_of, _, chi2 = build_descriptor(mu_spec, MU_KINDS)
-    nu = nu_of(max_degree)
-    s_star = _find_s_star(nu)
-    return _series_kernel(
-        "ngca",
-        [c * c for c in nu],
-        s_star,
-        chi2,
-        extras={
-            "nu": tuple(nu),
-            "s_star": s_star,
-            "degenerate": s_star is None,
-        },
-    )
+    return _series_kernel("ngca", nu_of(max_degree), chi2)
 
 
 def _sign_lambda(i: int) -> float:
@@ -454,10 +438,18 @@ LINK_KINDS = {  # kind: ({field: (type[, default])}, builder of (i -> lambda_i, 
 }
 
 
+def _link_lambdas(joint_spec: dict, max_degree: int) -> tuple[list[float], float | None]:
+    """lambda_0..lambda_d of a link descriptor (LINK_KINDS) and sum_{i>=1} lambda_i^2 (None if unknown)."""
+    if max_degree < 1:
+        raise ValueError("max_degree must be positive")
+    lam, total = build_descriptor(joint_spec, LINK_KINDS)
+    return [1.0, *map(lam, range(1, max_degree + 1))], total
+
+
 def si_lambda_coeffs(joint_spec: dict, max_degree: int) -> tuple[list[float], int | None]:
-    """lambda_0..lambda_d and the generative exponent s* that si_kernel carries."""
-    extras = si_kernel(joint_spec, max_degree).extras
-    return list(extras["lambda"]), extras["s_star"]
+    """lambda_0..lambda_d of a link and their generative exponent s*."""
+    lambdas = _link_lambdas(joint_spec, max_degree)[0]
+    return lambdas, _find_s_star(lambdas)
 
 
 def si_kernel(joint_spec: dict, max_degree: int) -> Kernel:
@@ -469,22 +461,7 @@ def si_kernel(joint_spec: dict, max_degree: int) -> Kernel:
     conditional expectations; the noisy link uses the closed posterior
     contraction E[h_i(z) | y] = (1+tau2)^{-i/2} h_i(y / sqrt(1+tau2)).
     """
-    if max_degree < 1:
-        raise ValueError("max_degree must be positive")
-    lam, total = build_descriptor(joint_spec, LINK_KINDS)
-    lambdas = [1.0, *map(lam, range(1, max_degree + 1))]
-    s_star = _find_s_star(lambdas)
-    return _series_kernel(
-        "si",
-        [c * c for c in lambdas],
-        s_star,
-        total,
-        extras={
-            "lambda": tuple(lambdas),
-            "s_star": s_star,
-            "degenerate": s_star is None,
-        },
-    )
+    return _series_kernel("si", *_link_lambdas(joint_spec, max_degree))
 
 
 def slab_kernel(alpha: float, max_degree: int) -> Kernel:
@@ -515,8 +492,7 @@ def slab_kernel(alpha: float, max_degree: int) -> Kernel:
         return np.where(np.abs(x - 1.0) <= 1e-15, total, _series_sum(coeffs, t))
 
     return Kernel(name="slab", domain="scalar", log_fn=lambda t: np.log1p(minus_one_fn(t)),
-                  series=series, series_total=total, minus_one_fn=minus_one_fn,
-                  extras={"alpha": alpha, "kappa": kappa, "f_coeffs": f.coefficients})
+                  series=series, series_total=total, minus_one_fn=minus_one_fn)
 
 
 def counterexample_kernel(n: int, r: float, alpha_c: float) -> Kernel:

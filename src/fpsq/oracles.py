@@ -1,4 +1,5 @@
-"""Independent validators for the closed-form kernels.
+"""Independent validators for the closed-form kernels, and the rows of
+``fpsq kernel`` per model kind.
 
 Two oracle families, none of which share code paths with the kernels
 they check:
@@ -6,7 +7,7 @@ they check:
 - exact evaluation (mSLR: the Gaussian integral of the two-branch
   likelihood-ratio product under the null, from two 3x3 determinants;
   the +-1 product model: a sum over all 2^{n+1} sign vectors with
-  uniform weights);
+  uniform weights, up to n + 1 = 15 coordinates);
 - deterministic quadrature (NGCA: tensor Gauss-Hermite integration of
   the density-ratio product on a correlated Gaussian pair; slab: 1D
   adaptive integration of the bivariate-normal rectangle probability).
@@ -16,6 +17,13 @@ relative for the mSLR determinants, and for quadrature twice the gap
 between the half-size and the full Gauss-Hermite rule (NGCA) or ten
 times scipy's error estimate (slab).  The criterion sums are checked in
 the tests, by a Monte Carlo average over atom draws.
+
+KERNEL_ORACLES gives, per model kind, the (statistic, oracle value,
+bound) rows that ``fpsq kernel`` checks.  Only mslr, counterexample, ngca
+and slab are checked independently: gam, dense_clique and dirac restate
+their closed forms, and the ngca and slab rows take a bound of at least
+1e-6.  The si and synthetic kinds have no entry, and the NGCA quadrature
+refuses a mu without a density ratio (atoms, hermite_moments).
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from fpsq.kernels import ngca_density_ratio
 from fpsq.laws import ResourceLimitError
-from fpsq.numerics import normal_cdf
+from fpsq.numerics import normal_cdf, normal_quantile
 
 @dataclass(frozen=True)
 class OracleEstimate:
@@ -178,3 +186,78 @@ def bvn_rectangle(kappa: float, rho: float) -> OracleEstimate:
     value, abserr = integrate.quad(integrand, -kappa, kappa, epsabs=1e-13, epsrel=1e-12, limit=300)
     return OracleEstimate(float(value), max(10.0 * abserr, 1e-12), "quadrature")
 
+
+# ---------------------------------------------------------------------------
+# Kernel tables: per model kind, (statistic, oracle value, bound) rows
+# ---------------------------------------------------------------------------
+
+
+def _mslr_rows(f: dict):
+    n, k = f["n"], f["k"]
+    for ell in range(k + 1):
+        u, v = np.zeros(n), np.zeros(n)
+        u[:k] = v[k - ell : 2 * k - ell] = 1.0
+        est = gauss_kernel_mslr(k, f["sigma2"], u, v)
+        yield ell, est.value, est.error_bound
+
+
+def _ngca_rows(f: dict):
+    for rho in np.linspace(-0.9, 0.9, 21).tolist():
+        est = quad_kernel_ngca(f["mu"], rho, num_nodes=400)
+        yield rho, est.value, max(est.error_bound, 1e-6)
+
+
+def _slab_rows(f: dict):
+    kappa, scale = normal_quantile(1.0 - f["alpha"] / 2.0), (1.0 - f["alpha"]) ** 2
+    for rho in np.linspace(-1.0, 1.0, 21).tolist():
+        est = bvn_rectangle(kappa, rho)
+        yield rho, est.value / scale, max(est.error_bound / scale, 1e-6)
+
+
+# (both, u only, v only) shares of the n + 1 coordinates in the counterexample
+# table's pairs beyond its three corners; each of a, b and c varies
+_COUNTEREXAMPLE_SHARES = (
+    (0.5, 0.0, 0.0), (0.25, 0.25, 0.25), (0.0, 0.5, 0.5), (0.75, 0.25, 0.0),
+    (0.0, 0.25, 0.0), (0.5, 0.0, 0.5), (0.25, 0.5, 0.25),
+)
+
+
+def _counterexample_rows(f: dict):
+    n = f["n"]
+    corners = [(1, 0, 0), (0, 1, n), (n, 0, 0)]  # u = v of weight 1 or n; weights 1 and n disjoint
+    for c, bu, bv in corners + [tuple(int(share * (n + 1)) for share in shares) for shares in _COUNTEREXAMPLE_SHARES]:
+        u, v = np.zeros(n + 1), np.zeros(n + 1)
+        u[: c + bu] = v[:c] = v[c + bu : c + bu + bv] = 1.0
+        est = enum_kernel_counterexample(n, f["r"], f["alpha_c"], u, v)
+        yield (n + 1 - c - bu - bv, bu + bv, c), est.value, 1e-12
+
+
+def _gam_rows(f: dict):  # restates exp(lambda^2 t)
+    for t in np.linspace(-1.0, 1.0, 11).tolist():
+        yield t, math.exp(f["lambda"] * f["lambda"] * t), 1e-12
+
+
+def _dense_clique_rows(f: dict):  # restates p^{-C(ell, 2)}
+    for ell in range(f["k"] + 1):
+        oracle = f["p"] ** -math.comb(ell, 2)
+        yield ell, oracle, 1e-12 * max(1.0, oracle)
+
+
+def _dirac_rows(f: dict):  # restates 2^n on the diagonal, 0 off it
+    try:
+        diag = 2.0 ** f["n"]
+    except OverflowError:
+        raise ValueError(f"the dirac kernel 2^{f['n']} is past the float range") from None
+    for t, oracle in ((0.0, 0.0), (1.0, diag)):
+        yield t, oracle, 1e-12 * max(1.0, oracle)
+
+
+KERNEL_ORACLES = {  # model kind: the rows of its kernel table from the model's fields
+    "gam": _gam_rows,
+    "mslr": _mslr_rows,
+    "ngca": _ngca_rows,
+    "slab": _slab_rows,
+    "counterexample": _counterexample_rows,
+    "dense_clique": _dense_clique_rows,
+    "dirac": _dirac_rows,
+}

@@ -42,12 +42,7 @@ from fpsq.criteria import (
     sq_value,
 )
 from fpsq.kernels import ModelSpec, build_model
-from fpsq.oracles import (
-    bvn_rectangle,
-    enum_kernel_counterexample,
-    gauss_kernel_mslr,
-    quad_kernel_ngca,
-)
+from fpsq.oracles import KERNEL_ORACLES
 
 
 @dataclass(frozen=True)
@@ -151,77 +146,20 @@ class KernelRow:
 
     @property
     def passed(self) -> bool:
-        return self.diff <= self.bound or (self.bound == 0.0 and self.diff <= 1e-12)
-
-
-# (both, u only, v only) shares of the n + 1 coordinates in the counterexample
-# table's pairs beyond its three corners; each of a, b and c varies
-_COUNTEREXAMPLE_SHARES = (
-    (0.5, 0.0, 0.0), (0.25, 0.25, 0.25), (0.0, 0.5, 0.5), (0.75, 0.25, 0.0),
-    (0.0, 0.25, 0.0), (0.5, 0.0, 0.5), (0.25, 0.5, 0.25),
-)
-
-
-def _mslr_vectors(n: int, k: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    u = np.zeros(n)
-    v = np.zeros(n)
-    u[:k] = 1.0
-    v[k - ell : 2 * k - ell] = 1.0
-    return u, v
+        return self.diff <= self.bound
 
 
 def kernel_table(desc: dict) -> list[KernelRow]:
-    """Closed-form kernel vs its independent oracle on a model grid."""
+    """Closed-form kernel vs its independent oracle on the rows that
+    oracles.KERNEL_ORACLES gives the model's kind, one kernel call on all
+    their statistics."""
     model = build_model(desc)
-    name, f, kernel = model.name, model.params, model.kernel  # params: the fields as read
-    rows: list[KernelRow] = []
-    if name == "mslr":
-        for ell in range(0, f["k"] + 1):
-            u, v = _mslr_vectors(f["n"], f["k"], ell)
-            kv = kernel.eval(float(ell))
-            est = gauss_kernel_mslr(f["k"], f["sigma2"], u, v)
-            rows.append(KernelRow(ell, kv, est.value, abs(kv - est.value), est.error_bound))
-    elif name == "ngca":
-        for rho in np.linspace(-0.9, 0.9, 21):
-            est = quad_kernel_ngca(f["mu"], float(rho), num_nodes=400)
-            kv = kernel.eval(float(rho))
-            bound = max(est.error_bound, 1e-6)
-            rows.append(KernelRow(float(rho), kv, est.value, abs(kv - est.value), bound))
-    elif name == "slab":
-        scale = (1.0 - f["alpha"]) ** 2
-        for rho in np.linspace(-1.0, 1.0, 21):
-            est = bvn_rectangle(kernel.extras["kappa"], float(rho))
-            kv = kernel.eval(float(rho))
-            oracle = est.value / scale
-            rows.append(KernelRow(float(rho), kv, oracle, abs(kv - oracle), max(est.error_bound / scale, 1e-6)))
-    elif name == "counterexample":
-        n = f["n"]
-        corners = [(1, 0, 0), (0, 1, n), (n, 0, 0)]  # u = v of weight 1 or n; weights 1 and n disjoint
-        for c, bu, bv in corners + [tuple(int(share * (n + 1)) for share in shares)
-                                    for shares in _COUNTEREXAMPLE_SHARES]:
-            u, v = np.zeros(n + 1), np.zeros(n + 1)
-            u[: c + bu] = v[:c] = v[c + bu : c + bu + bv] = 1.0
-            a, b = n + 1 - c - bu - bv, bu + bv
-            est = enum_kernel_counterexample(n, f["r"], f["alpha_c"], u, v)
-            kv = kernel.eval((a, b, c))
-            rows.append(KernelRow((a, b, c), kv, est.value, abs(kv - est.value), 1e-12))
-    elif name == "gam":
-        for t in np.linspace(-1.0, 1.0, 11):
-            kv = kernel.eval(float(t))
-            oracle = math.exp(f["lambda"] * f["lambda"] * float(t))
-            rows.append(KernelRow(float(t), kv, oracle, abs(kv - oracle), 1e-12))
-    elif name == "dense_clique":  # one-line combinatorial identity: p^{-C(ell,2)}
-        for ell in range(0, f["k"] + 1):
-            kv = kernel.eval(float(ell))
-            oracle = f["p"] ** -math.comb(ell, 2)
-            rows.append(KernelRow(ell, kv, oracle, abs(kv - oracle), 1e-12 * max(1.0, oracle)))
-    elif name == "dirac":
-        for t, oracle in ((0.0, 0.0), (1.0, 2.0 ** f["n"])):
-            kv = kernel.eval(t)
-            rows.append(KernelRow(t, kv, oracle, abs(kv - oracle), 0.0))
-    else:
-        raise ValueError(f"no oracle-backed kernel table for model {name!r}")
-    return rows
+    if model.name not in KERNEL_ORACLES:
+        raise ValueError(f"no oracle-backed kernel table for model {model.name!r}")
+    rows = list(KERNEL_ORACLES[model.name](model.params))
+    values = model.kernel.eval(np.array([stat for stat, _, _ in rows], dtype=float))
+    return [KernelRow(stat, kv, oracle, abs(kv - oracle), bound)
+            for (stat, oracle, bound), kv in zip(rows, values.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fpsq.criteria import (
     sq_value,
 )
 from fpsq.kernels import build_model, slab_kernel
-from fpsq.numerics import normal_quantile, symmetric_indicator_tail
+from fpsq.numerics import normal_quantile, symmetric_indicator_coeffs, symmetric_indicator_tail
 from fpsq.oracles import bvn_rectangle, enum_kernel_counterexample, quad_kernel_ngca
 from fpsq.scenarios import equivalence_suite, kernel_table
 from helpers import builtin_models
@@ -67,7 +67,7 @@ class TestCriterion01KernelOracleAgreement:
 
     def test_slab_series_vs_rectangle_quadrature(self):
         kernel = slab_kernel(0.1, 160)
-        kappa = kernel.extras["kappa"]
+        kappa = normal_quantile(1 - 0.1 / 2)
         worst = 0.0
         for rho in np.linspace(-1.0, 1.0, 21):
             est = bvn_rectangle(kappa, float(rho))
@@ -135,9 +135,9 @@ class TestCriterion03SlabParseval:
         ok = True
         details = []
         for alpha in (0.05, 0.1, 0.3):
-            kernel = slab_kernel(alpha, 100)
-            partial = math.fsum(c * c for c in kernel.extras["f_coeffs"][1:])
-            declared_tail = symmetric_indicator_tail(kernel.extras["kappa"], 100)
+            kappa = normal_quantile(1.0 - alpha / 2.0)
+            partial = math.fsum(c * c for c in symmetric_indicator_coeffs(kappa, 100).coefficients[1:])
+            declared_tail = symmetric_indicator_tail(kappa, 100)
             gap = abs(partial - alpha * (1.0 - alpha))
             ok = ok and gap <= 1e-6 + declared_tail
             details.append(f"alpha={alpha}: gap {gap:.2e} vs tail {declared_tail:.2e}")

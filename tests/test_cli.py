@@ -390,6 +390,26 @@ class TestKernelCommand:
         }}))
         assert run(["kernel", "--config", str(cfg), "--model", "big"]) == EXIT_RESOURCE
 
+    def test_every_preset_prints_its_recorded_table(self):
+        # tests/kernel_rows.py: the CSV of the covered presets and the exit
+        # code and message of the refused ones
+        from kernel_rows import DATA_PATH, kernel_outputs
+
+        with open(DATA_PATH) as fh:
+            assert kernel_outputs() == json.load(fh)
+
+    @pytest.mark.parametrize("n, code, err", [
+        (30, EXIT_PASS, ""),
+        (1100, EXIT_CONFIG, "config error: the dirac kernel 2^1100 is past the float range\n"),
+    ])
+    def test_dirac_beyond_n_20(self, n, code, err, tmp_path, capsys):
+        # an absolute bound of 0 failed n = 30 on K = 1073741823.999999 against
+        # 2^30, and 2.0 ** 1100 raised an OverflowError traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {"d": {"model": "dirac", "n": n}}}))
+        assert run(["kernel", "--config", str(cfg), "--model", "d"]) == code
+        assert capsys.readouterr().err == err
+
 
 class TestReproduceCommand:
     def test_unknown_scenario_lists_names(self, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fpsq import kernels
 from fpsq.criteria import assumption_holds
 from fpsq.kernels import (
+    MU_KINDS,
     GroupSpec,
     ModelSpec,
     SingularityError,
@@ -27,9 +28,14 @@ from fpsq.kernels import (
     slab_kernel,
     synthetic_kernel,
 )
-from fpsq.laws import make_law, mirror_index
+from fpsq.laws import build_descriptor, make_law, mirror_index
 from fpsq.scenarios import kernel_table
 from hermite_ref import normal_rule
+
+
+def mu_nu(mu_spec, max_degree):
+    """nu_0..nu_d of an NGCA marginal, from its MU_KINDS builder."""
+    return build_descriptor(mu_spec, MU_KINDS)[0](max_degree)
 
 
 def orbit_model(kernel, group, points):
@@ -105,24 +111,24 @@ class TestMslrKernel:
 class TestNgcaKernel:
     def test_gaussian_null_marginal_degenerates(self):
         k = ngca_kernel({"kind": "gaussian", "mean": 0.0, "var": 1.0}, max_degree=30)
-        assert k.extras["s_star"] is None
-        assert k.extras["degenerate"]
+        assert k.series == ()  # no generative exponent: every nu_i vanishes
         for t in np.linspace(-1, 1, 9):
             assert k.eval(float(t)) == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_shift_second_coefficient(self):
         var = 1.7
         k = ngca_kernel({"kind": "gaussian", "mean": 0.0, "var": var}, max_degree=20)
-        assert k.extras["s_star"] == 2
-        assert k.extras["nu"][2] == pytest.approx((var - 1.0) / math.sqrt(2.0), rel=1e-12)
+        assert k.series[0][0] == 2
+        assert mu_nu({"kind": "gaussian", "mean": 0.0, "var": var}, 20)[2] == pytest.approx(
+            (var - 1.0) / math.sqrt(2.0), rel=1e-12)
 
     def test_rademacher_marginal_exponent_four(self):
-        k = ngca_kernel({"kind": "atoms", "values": [-1.0, 1.0], "probs": [0.5, 0.5]}, max_degree=20)
-        nu = k.extras["nu"]
+        mu = {"kind": "atoms", "values": [-1.0, 1.0], "probs": [0.5, 0.5]}
+        k, nu = ngca_kernel(mu, max_degree=20), mu_nu(mu, 20)
         assert abs(nu[1]) < 1e-12 and abs(nu[2]) < 1e-12 and abs(nu[3]) < 1e-12
         # recurrence oracle: unnormalized degree-4 value at +-1 is 1 - 6 + 3
         assert nu[4] == pytest.approx(-2.0 / math.sqrt(24.0), rel=1e-12)
-        assert k.extras["s_star"] == 4
+        assert k.series[0][0] == 4
 
     @pytest.mark.parametrize("values, probs", [
         ([-1.0, math.nan], [0.5, 0.5]),
@@ -136,11 +142,11 @@ class TestNgcaKernel:
 
     def test_uniform_marginal_unit_variance(self):
         w = math.sqrt(3.0)
-        k = ngca_kernel({"kind": "uniform_symmetric", "half_width": w}, max_degree=16)
-        nu = k.extras["nu"]
+        mu = {"kind": "uniform_symmetric", "half_width": w}
+        k, nu = ngca_kernel(mu, max_degree=16), mu_nu(mu, 16)
         assert abs(nu[2]) < 1e-12  # variance matches the null
         assert nu[4] == pytest.approx((9.0 / 5.0 - 6.0 + 3.0) / math.sqrt(24.0), rel=1e-10)
-        assert k.extras["s_star"] == 4
+        assert k.series[0][0] == 4
 
     def test_series_total_matches_closed_form(self):
         # chi^2(N(0, v) || N(0,1)) = 1/sqrt(v (2 - v)) - 1 for v < 2
@@ -152,6 +158,15 @@ class TestNgcaKernel:
     def test_diverging_total_is_flagged_unknown(self):
         k = ngca_kernel({"kind": "gaussian", "mean": 0.0, "var": 2.0}, max_degree=40)
         assert k.series_total is None
+
+    def test_non_finite_coefficients_are_refused(self):
+        # the Stein recurrence of a variance-2 marginal passes the float range
+        # at degree 302: K(0) - 1 read nan and K(0.5) - 1 inf at max_degree 400
+        mu = {"kind": "gaussian", "mean": 0.0, "var": 2.0}
+        with pytest.raises(ValueError, match="^ngca series coefficient of degree 302 squares to "):
+            ngca_kernel(mu, max_degree=400)
+        k = ngca_kernel(mu, max_degree=200)
+        assert (k.minus_one(0.0), k.minus_one(0.5), len(k.series)) == (0.0, 0.1547005383792516, 100)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mixture_total_matches_mpmath_quadrature(self, seed):
@@ -189,7 +204,7 @@ class TestNgcaKernel:
     def test_gaussian_is_the_one_component_mixture(self):
         gauss = {"kind": "gaussian", "mean": 0.4, "var": 1.3}
         mixture = {"kind": "gaussian_mixture", "weights": [1.0], "means": [0.4], "vars": [1.3]}
-        assert ngca_kernel(gauss, 40).extras["nu"] == ngca_kernel(mixture, 40).extras["nu"]
+        assert mu_nu(gauss, 40) == mu_nu(mixture, 40)
         z, _ = normal_rule(200)
         assert ngca_density_ratio(gauss)(z).tolist() == ngca_density_ratio(mixture)(z).tolist()
         assert ngca_kernel(gauss, 40).series_total == ngca_kernel(mixture, 40).series_total
@@ -198,7 +213,7 @@ class TestNgcaKernel:
 class TestSiKernel:
     def test_independent_link_unit_kernel(self):
         k = si_kernel({"kind": "independent"}, max_degree=12)
-        assert k.extras["s_star"] is None
+        assert k.series == ()  # no generative exponent: every lambda_i vanishes
         for t in np.linspace(-1, 1, 7):
             assert k.eval(float(t)) == pytest.approx(1.0, abs=1e-12)
 
@@ -248,7 +263,7 @@ class TestSiKernel:
 
     def test_abs_link_even_only(self):
         k = si_kernel({"kind": "abs"}, max_degree=10)
-        assert k.extras["s_star"] == 2
+        assert k.series[0][0] == 2
         # closed form 1 + t^2/(1 - t^2)
         for t in (0.2, 0.5, -0.6):
             want = 1.0 + t * t / (1.0 - t * t)
@@ -412,7 +427,7 @@ class TestGroups:
     def test_ngca_sign_flip_average_keeps_even_terms(self):
         kernel = ngca_kernel({"kind": "gaussian", "mean": 0.4, "var": 1.3}, 40)
         g = GroupSpec("sign_flip")
-        nu = kernel.extras["nu"]
+        nu = mu_nu({"kind": "gaussian", "mean": 0.4, "var": 1.3}, 40)
         for t in (0.35, -0.6):
             want = math.fsum(nu[i] ** 2 * t**i for i in range(2, 41, 2) )
             # odd terms cancel in the orbit average at k = 1

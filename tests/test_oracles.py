@@ -147,7 +147,7 @@ class TestBvnRectangle:
     def test_slab_kernel_crosscheck(self):
         alpha = 0.1
         kernel = slab_kernel(alpha, 160)
-        kappa = kernel.extras["kappa"]
+        kappa = normal_quantile(1 - alpha / 2)
         for rho in np.linspace(-0.9, 0.9, 13):
             est = bvn_rectangle(kappa, float(rho))
             assert abs(est.value - kernel.eval(float(rho)) * (1 - alpha) ** 2) <= 1e-6

@@ -9,8 +9,9 @@ check's min_value, no module evaluates a kernel point by point
 or walks a law atom by atom, one root-finder serves the quantile and the level sets
 without nesting, and building the discrete models imports no
 exact-arithmetic or scipy module, no function, method or class of
-the package is reached only from tests, and no subcommand registers a
-flag that its command never reads."""
+the package is reached only from tests, every kernel oracle table
+belongs to a model kind, and no subcommand registers a flag that its
+command never reads."""
 
 import ast
 import contextlib
@@ -335,6 +336,26 @@ def test_discrete_models_build_without_exact_arithmetic_modules():
                           os.path.join(ROOT, "perfbench")], capture_output=True, text=True,
                          check=True, cwd=ROOT, timeout=120).stdout
     assert out == "[]\n"
+
+
+def test_kernel_oracles_cover_model_kinds_and_the_rest_are_refused():
+    # every oracle table belongs to a model kind, and kernel_table refuses
+    # each kind that has none
+    import pytest
+
+    from fpsq.kernels import MODEL_KINDS
+    from fpsq.oracles import KERNEL_ORACLES
+    from fpsq.scenarios import kernel_table
+
+    assert set(KERNEL_ORACLES) <= set(MODEL_KINDS)
+    without = {
+        "si": {"model": "si", "link": {"kind": "sign"}, "prior": {"kind": "sphere", "n": 10}, "max_degree": 8},
+        "synthetic": {"model": "synthetic", "values": [0.0], "probs": [1.0], "kernel_values": [1.0]},
+    }
+    assert set(MODEL_KINDS) - set(KERNEL_ORACLES) == set(without)
+    for kind, desc in without.items():
+        with pytest.raises(ValueError, match=f"^no oracle-backed kernel table for model '{kind}'$"):
+            kernel_table(desc)
 
 
 def test_every_definition_is_referenced_in_the_package():
