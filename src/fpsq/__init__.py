@@ -4,9 +4,10 @@ The package evaluates, for pluggable "P versus Q" detection models, the
 overlap-integral hardness functionals used to map computational phase
 diagrams: the Franz-Parisi (FP) value, its event-optimized generalization
 (GFP), the rho_G-FP variant, statistical-query (SQ) and unconditional-SQ
-moments, samplewise low-degree norms, and chi-squared divergences.  Every
-closed-form likelihood-ratio kernel ships with an independent oracle
-(exact enumeration, a closed-form Gaussian integral, or quadrature).
+moments, samplewise low-degree norms, and chi-squared divergences.
+fpsq.oracles checks the mslr, counterexample, ngca and slab kernels
+independently (a Gaussian integral, enumeration or quadrature); the gam,
+dense_clique and dirac tables restate their closed forms; si has none.
 """
 
 from fpsq.numerics import (

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,11 +54,11 @@ _LN_2, _PHI_0 = math.log(2.0), normal_pdf(0.0)  # log 2 and phi(0), in every odd
 # each) at any size, its float loop 2n N float operations (about 0.03 us
 # each) on N points: they break even near N = 16 to 30.
 _FEW_POINTS = 16
-# The largest max_degree a model may have.  At 10^6 on a 2-core x86 machine
-# the dearest constructor, ngca on atoms (hermite_matrix), takes 3.0 s and
-# 0.2 GB, and its first kernel table on a sphere law at n = 50 1.1 s (si on
-# the identity link 1.1 s, gam's series loop 0.3 s); every cost is linear
-# in the degree.
+# The largest degree of a kernel series: a model's max_degree, or the d LD asks
+# of gam.  At 10^6 on a 2-core x86 machine the dearest constructor, ngca on
+# atoms (hermite_matrix), takes 3.0 s and 0.2 GB, and its first kernel table
+# on a sphere law at n = 50 1.1 s (si on the identity link 1.1 s, gam's series
+# 0.16 s); every cost is linear in the degree.
 MAX_DEGREE = 1_000_000
 
 
@@ -65,14 +66,8 @@ class SingularityError(ValueError):
     """Kernel evaluated at a statistic value outside its finite domain."""
 
 
-def _dense(series: Iterable[tuple[int, float]], d: float = math.inf) -> list[float]:
-    """c_1, ..., c_n from the (i, c_i) pairs of series with i <= d, 0 in the gaps."""
-    c = dict(series)
-    return [c.get(i, 0.0) for i in range(1, int(min(d, max(c, default=0))) + 1)]
-
-
 def _series_sum(coeffs: list[float], x):
-    """sum c_i x^i over coeffs = _dense(series) at a float or an array x, by
+    """sum c_i x^i over coeffs = [c_1, ..., c_n] at a float or an array x, by
     Horner's rule in place: within gamma_2n sum |c_i| |x|^i, n the top degree,
     gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability, 2002, 5.1).
     An array of at most _FEW_POINTS points is summed point by point on Python
@@ -111,16 +106,18 @@ class Kernel:
     to K - 1 (a series kernel's sum, log_fn its log1p), else K - 1 is
     expm1(log K).  The methods give a single value back as a float.
 
-    series lists (degree, coefficient) pairs with nonnegative
-    coefficients such that K(t) = 1 + sum c_i t^i (+ tail) on the
-    kernel's domain; series_total, when known, is the full sum of the
-    coefficients (used for truncation-tail bounds at |t| < 1).
+    series maps a degree d to c_1, ..., c_d, where K(t) = 1 + sum c_i t^i
+    (+ tail) with c_i >= 0 on the kernel's domain: a series kernel serves
+    the degrees it stores, to its max_degree (ValueError beyond), and gam
+    computes them, to MAX_DEGREE (ResourceLimitError beyond, before any
+    work).  series_total, when known, is the full sum of the coefficients
+    (used for truncation-tail bounds at |t| < 1).
     """
 
     name: str
     domain: str  # "scalar" or "pair_counts"
     log_fn: Callable
-    series: tuple[tuple[int, float], ...] | None = None
+    series: Callable[[int], list[float]] | None = None
     series_total: float | None = None
     minus_one_fn: Callable | None = None
 
@@ -141,24 +138,19 @@ class Kernel:
         """K_d(t) - 1 = sum_{degree <= d} c_i t^i (series kernels only)."""
         if self.series is None:
             raise ValueError(f"kernel {self.name!r} carries no series; d < inf unsupported")
-        return _plain(_series_sum(_dense(self.series, d), t))
+        return _plain(_series_sum(self.series(d), t))
 
-    def tail_bound(self, t: float) -> float | None:
-        """Bound on the series remainder beyond the stored degrees.
+    def tail_bound(self, t: float, d: int) -> float | None:
+        """Bound on the series remainder beyond degree d.
 
-        Uses sum_{i > D} c_i <= series_total - partial and the geometric
-        envelope |t|^{D+1} / (1 - |t|); None when the total coefficient
-        mass is unknown or |t| >= 1.
+        Uses sum_{i > d} c_i <= series_total - sum_{i <= d} c_i and the
+        geometric envelope |t|^{d+1} / (1 - |t|); None when the total
+        coefficient mass is unknown or |t| >= 1.
         """
-        if self.series is None or self.series_total is None:
+        if self.series_total is None or abs(t) >= 1.0:
             return None
-        at = abs(t)
-        if at >= 1.0:
-            return None
-        partial = math.fsum(c for _, c in self.series)
-        remaining = max(self.series_total - partial, 0.0)
-        top = max((i for i, _ in self.series), default=0)
-        return remaining * at ** (top + 1) / (1.0 - at)
+        remaining = max(self.series_total - math.fsum(self.series(d)), 0.0)
+        return remaining * abs(t) ** (d + 1) / (1.0 - abs(t))
 
 
 @dataclass(frozen=True)
@@ -203,26 +195,27 @@ def rho_g(kernel: Kernel, group: GroupSpec, t: Statistic) -> float:
 # ---------------------------------------------------------------------------
 
 
-def gam_kernel(lam: float, max_degree: int = 64) -> Kernel:
+def gam_kernel(lam: float) -> Kernel:
     """Gaussian additive model: K(t) = exp(lambda^2 t).
 
-    Series coefficients lambda^{2i} / i!; their total mass is
-    exp(lambda^2) - 1.
+    Series coefficients lambda^{2i} / i!, computed to the degree asked;
+    their total mass is exp(lambda^2) - 1.
     """
     l2 = lam * lam
     if not (lam >= 0.0 and math.isfinite(l2)):
         raise ValueError(f"lambda must be nonnegative with a finite square, got {lam}")
-    series = []
-    if l2 > 0.0:
-        log_c, log_l2 = 0.0, math.log(l2)
-        for i in range(1, max_degree + 1):
-            log_c += log_l2 - math.log(i)
-            series.append((i, math.exp(log_c)))
+
+    def series(d: int) -> list[float]:
+        if d > MAX_DEGREE:
+            raise ResourceLimitError(f"the degree d={d} is above the {MAX_DEGREE} a kernel series may have")
+        log_l2 = math.log(l2) if l2 > 0.0 else -math.inf
+        return [math.exp(log_c) for log_c in accumulate(log_l2 - math.log(i) for i in range(1, d + 1))]
+
     return Kernel(
         name="gam",
         domain="scalar",
         log_fn=lambda t: l2 * t,
-        series=tuple(series),
+        series=series,
         series_total=math.expm1(l2),
     )
 
@@ -256,19 +249,30 @@ def mslr_kernel(k: int, sigma2: float) -> Kernel:
     )
 
 
+def _stored(coeffs: list[float]) -> Callable[[int], list[float]]:
+    """The Kernel.series of the stored c_1, ..., c_n, n the max_degree:
+    c_1, ..., c_d for d <= n, ValueError beyond."""
+    def series(d: int) -> list[float]:
+        if d > len(coeffs):
+            raise ValueError(f"the per-sample degree d={d} exceeds the model's max_degree {len(coeffs)}, "
+                             "the last degree its series stores")
+        return coeffs[:d]
+
+    return series
+
+
 def _series_kernel(name: str, coeffs: Sequence[float], total: float | None) -> Kernel:
     """Kernel 1 + sum_{i >= s*} c_i^2 t^i from the coefficients c_0, ..., c_d
     (nu_i or lambda_i), s* their generative exponent (_find_s_star; without
-    one every degree with c_i^2 > 0).  ValueError at the first degree whose
-    c_i^2 is not finite."""
+    one every degree i >= 1).  ValueError at the first degree whose c_i^2 is
+    not finite."""
     squares = [c * c for c in coeffs]
     bad = next((i for i, c in enumerate(squares) if not math.isfinite(c)), None)
     if bad is not None:
         raise ValueError(f"{name} series coefficient of degree {bad} squares to {squares[bad]}; "
                          "a lower max_degree keeps the series finite")
-    s_star = _find_s_star(coeffs)
-    series = tuple((i, c) for i, c in enumerate(squares) if i >= 1 and c > 0.0 and (s_star is None or i >= s_star))
-    coeffs = _dense(series)
+    s_star = _find_s_star(coeffs) or 1
+    coeffs = [0.0] * (s_star - 1) + squares[s_star:]
 
     def minus_one_fn(t):
         acc = _series_sum(coeffs, t)
@@ -277,20 +281,7 @@ def _series_kernel(name: str, coeffs: Sequence[float], total: float | None) -> K
         return acc
 
     return Kernel(name=name, domain="scalar", log_fn=lambda t: np.log1p(minus_one_fn(t)),
-                  series=series, series_total=total, minus_one_fn=minus_one_fn)
-
-
-def _gaussian_he_moments(mean: float, var: float, max_degree: int) -> list[float]:
-    """E[He_i(z)] for z ~ N(mean, var) via the Stein recurrence
-    m_i = mean m_{i-1} + (i - 1)(var - 1) m_{i-2}."""
-    out = [1.0, mean]
-    for i in range(2, max_degree + 1):
-        out.append(mean * out[i - 1] + (i - 1) * (var - 1.0) * out[i - 2])
-    return out[: max_degree + 1]
-
-
-def _log_factorial_half(i: int) -> float:
-    return 0.5 * math.lgamma(i + 1)
+                  series=_stored(coeffs), series_total=total, minus_one_fn=minus_one_fn)
 
 
 def _gaussian_mixture(weights: list[float], means: list[float], variances: list[float]) -> tuple:
@@ -305,10 +296,14 @@ def _gaussian_mixture(weights: list[float], means: list[float], variances: list[
     parts = list(zip(weights, means, variances))
 
     def nu(max_degree: int) -> list[float]:
+        # the Stein recurrence E[He_i] = mean E[He_{i-1}] + (i - 1)(var - 1) E[He_{i-2}]
+        # divided through by sqrt(i!), so no term overflows before its nu_i does
         nus = np.zeros(max_degree + 1)
         for w, mean, var in parts:
-            moments = _gaussian_he_moments(mean, var, max_degree)
-            nus += w * np.array([m * math.exp(-_log_factorial_half(i)) for i, m in enumerate(moments)])
+            part = [1.0, mean]
+            for i in range(2, max_degree + 1):
+                part.append((mean * part[i - 1] + math.sqrt(i - 1) * (var - 1.0) * part[i - 2]) / math.sqrt(i))
+            nus += w * np.array(part[: max_degree + 1])
         return nus.tolist()
 
     def ratio(z: np.ndarray) -> np.ndarray:
@@ -377,7 +372,7 @@ def _hermite_marginal(values: list[float]) -> tuple:
 
     def nu(max_degree: int) -> list[float]:
         vals = values[: max_degree + 1] + [0.0] * max(0, max_degree + 1 - len(values))
-        return [m * math.exp(-_log_factorial_half(i)) for i, m in enumerate(vals)]
+        return [m * math.exp(-0.5 * math.lgamma(i + 1)) for i, m in enumerate(vals)]
 
     return nu, None, None
 
@@ -480,10 +475,7 @@ def slab_kernel(alpha: float, max_degree: int) -> Kernel:
     kappa = normal_quantile(1.0 - alpha / 2.0)
     f = symmetric_indicator_coeffs(kappa, max_degree)
     scale = (1.0 - alpha) ** -2
-    series = tuple(
-        (i, scale * c * c) for i, c in enumerate(f.coefficients) if i >= 2 and i % 2 == 0
-    )
-    total, coeffs = alpha / (1.0 - alpha), _dense(series)
+    coeffs, total = [scale * c * c for c in f.coefficients[1:]], alpha / (1.0 - alpha)  # the odd f_i are 0.0
 
     def minus_one_fn(t):
         x = np.abs(t)
@@ -492,7 +484,7 @@ def slab_kernel(alpha: float, max_degree: int) -> Kernel:
         return np.where(np.abs(x - 1.0) <= 1e-15, total, _series_sum(coeffs, t))
 
     return Kernel(name="slab", domain="scalar", log_fn=lambda t: np.log1p(minus_one_fn(t)),
-                  series=series, series_total=total, minus_one_fn=minus_one_fn)
+                  series=_stored(coeffs), series_total=total, minus_one_fn=minus_one_fn)
 
 
 def counterexample_kernel(n: int, r: float, alpha_c: float) -> Kernel:
@@ -722,26 +714,26 @@ class ModelSpec:
             return np.log1p(dev), dev
 
 
-_GROUP = (NAME, None)  # every model's optional group: "trivial" or "sign_flip"
+_GROUP, _TRIVIAL = (NAME, None), (NAME, "trivial")  # a model's group; build_model picks one left out
 
 MODEL_KINDS = {  # model: ({field: (type[, default])}, builder of the kernel, then the dearer law)
-    "gam": ({"lambda": (REAL,), "prior": (OBJECT,), "max_degree": (WHOLE, 64), "group": _GROUP},
-            lambda f: (gam_kernel(f["lambda"], f["max_degree"]), make_law(f["prior"]))),
-    "mslr": ({"n": (WHOLE,), "k": (WHOLE,), "sigma2": (REAL,), "group": _GROUP},
+    "gam": ({"lambda": (REAL,), "prior": (OBJECT,), "group": _GROUP},
+            lambda f: (gam_kernel(f["lambda"]), make_law(f["prior"]))),
+    "mslr": ({"n": (WHOLE,), "k": (WHOLE,), "sigma2": (REAL,), "group": _TRIVIAL},
              lambda f: (mslr_kernel(f["k"], f["sigma2"]), hypergeometric_law(f["n"], f["k"]))),
     "ngca": ({"mu": (OBJECT,), "prior": (OBJECT,), "max_degree": (WHOLE, 64), "group": _GROUP},
              lambda f: (ngca_kernel(f["mu"], f["max_degree"]), make_law(f["prior"]))),
     "si": ({"link": (OBJECT,), "prior": (OBJECT,), "max_degree": (WHOLE, 64), "group": _GROUP},
            lambda f: (si_kernel(f["link"], f["max_degree"]), make_law(f["prior"]))),
-    "slab": ({"alpha": (REAL,), "d": (WHOLE,), "max_degree": (WHOLE, 100), "group": _GROUP},
+    "slab": ({"alpha": (REAL,), "d": (WHOLE,), "max_degree": (WHOLE, 100), "group": _TRIVIAL},
              lambda f: (slab_kernel(f["alpha"], f["max_degree"]), rademacher_mean_law(f["d"]))),
-    "counterexample": ({"n": (WHOLE,), "r": (REAL,), "alpha_c": (REAL,), "rho_p": (REAL,), "group": _GROUP},
+    "counterexample": ({"n": (WHOLE,), "r": (REAL,), "alpha_c": (REAL,), "rho_p": (REAL,), "group": _TRIVIAL},
                        lambda f: (counterexample_kernel(f["n"], f["r"], f["alpha_c"]),
                                   pair_counts_law(f["n"], f["rho_p"]))),
-    "dense_clique": ({"n": (WHOLE,), "k": (WHOLE,), "p": (REAL,), "group": _GROUP},
+    "dense_clique": ({"n": (WHOLE,), "k": (WHOLE,), "p": (REAL,), "group": _TRIVIAL},
                      lambda f: (dense_clique_kernel(f["n"], f["p"]), hypergeometric_law(f["n"], f["k"]))),
-    "dirac": ({"n": (WHOLE,), "group": _GROUP}, lambda f: (dirac_kernel(f["n"]), equality_law(f["n"]))),
-    "synthetic": ({"values": (REALS,), "probs": (REALS,), "kernel_values": (REALS,), "group": _GROUP},
+    "dirac": ({"n": (WHOLE,), "group": _TRIVIAL}, lambda f: (dirac_kernel(f["n"]), equality_law(f["n"]))),
+    "synthetic": ({"values": (REALS,), "probs": (REALS,), "kernel_values": (REALS,), "group": _TRIVIAL},
                   lambda f: (synthetic_kernel(f["values"], f["kernel_values"]),
                              atoms_law(f["values"], f["probs"]))),
 }
@@ -749,8 +741,8 @@ MODEL_KINDS = {  # model: ({field: (type[, default])}, builder of the kernel, th
 
 def build_model(desc: dict) -> ModelSpec:
     """The ModelSpec of a model descriptor (MODEL_KINDS; params holds its
-    fields as read).  The group defaults to the sign flip for gam, ngca and
-    si where it preserves the law, else trivial.  ResourceLimitError where
+    fields as read).  A group left out (gam, ngca and si) is the sign flip
+    where it preserves the law, else trivial.  ResourceLimitError where
     max_degree is above MAX_DEGREE, before any work."""
     name, params = read_descriptor(desc, MODEL_KINDS, tag="model")
     if params.get("max_degree", 0) > MAX_DEGREE:
@@ -758,6 +750,5 @@ def build_model(desc: dict) -> ModelSpec:
     kernel, law = MODEL_KINDS[name][1](params)
     group = params["group"]
     if group is None:
-        sign_flip = name in ("gam", "ngca", "si") and GroupSpec("sign_flip").preserves(law)
-        group = "sign_flip" if sign_flip else "trivial"
+        group = "sign_flip" if GroupSpec("sign_flip").preserves(law) else "trivial"
     return ModelSpec(name, params, kernel, law, GroupSpec(group), euclid_overlap=name != "dirac")

@@ -168,6 +168,30 @@ class TestCriterionCommand:
         assert code == EXIT_CONFIG
         assert ("max_degree 40" if d == "41" else "nonnegative integer") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, t", [
+        # C(1100, t) passed the float range: an OverflowError traceback, exit 1
+        (["--model", "gam-sphere", "--m", "1100", "--k-deg", "1100"], 292),
+        # C(m, 3) E[(K - 1)^3] passed it: value inf under exact-sum+overflow-log, exit 0
+        (["--model", "big", "--m", "1e102", "--k-deg", "3"], 3),
+    ])
+    def test_ld_past_the_float_range_is_one_config_error(self, argv, t, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {"big": {"model": "gam", "lambda": 3.0, "prior": {
+            "kind": "rademacher_mean", "n": 4}}}}))
+        assert run(["criterion", "--config", str(cfg), "--criterion", "ld", *argv]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"config error: LD passes the float range at its t = {t} term")
+
+    def test_ld_past_the_degree_budget_exits_at_once(self, capsys):
+        # gam builds its series to the d asked, up to MAX_DEGREE
+        start = time.process_time()
+        assert run(["criterion", "--model", "gam-sphere", "--criterion", "ld", "--m", "2",
+                    "--d", "1000001"]) == EXIT_RESOURCE
+        assert time.process_time() - start < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: the degree d=1000001 is above") and err.count("\n") == 1
+
     @pytest.mark.parametrize("m", ["0", "-2"])
     def test_usq_refuses_m_below_one(self, m, capsys):
         code = run(["criterion", "--model", "mslr-desk", "--criterion", "usq", "--m", m])
@@ -256,9 +280,10 @@ class TestCriterionCommand:
         assert err.startswith(f"resource error: the equality law at n={n}") and err.count("\n") == 1
 
     def test_a_max_degree_past_its_budget_exits_at_once(self, tmp_path, capsys):
-        # gam_kernel's loop alone ran unpriced: 0.43 s and 100 MB per 10^6 degrees
+        # the series constructors are linear in max_degree: about 0.6 s per
+        # 10^6 degrees for the sign link's lambda_i
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"models": {"huge": {"model": "gam", "lambda": 1.0, "prior": SPHERE,
+        cfg.write_text(json.dumps({"models": {"huge": {"model": "si", "link": {"kind": "sign"}, "prior": SPHERE,
                                                         "max_degree": 10**9}}}))
         start = time.process_time()
         assert run(["criterion", "--config", str(cfg), "--model", "huge", "--criterion", "chi2",
@@ -591,6 +616,9 @@ class TestDescriptorSchema:
         ({"model": "gam", "lambda": 10**400, "prior": RADEMACHER}, "'lambda' must be a finite real, got 1000"),
         ({"model": "nope"}, "'model' must be one of 'gam', "),
         ({"model": "gam", "lambda": 1.0, "prior": {"kind": "nope"}}, "'kind' must be one of 'hypergeometric', "),
+        # gam builds its series to the degree LD asks and stores none
+        ({"model": "gam", "lambda": 1.0, "prior": RADEMACHER, "max_degree": 64},
+         "unknown field 'max_degree' for model 'gam'"),
     ])
     def test_a_malformed_descriptor_is_one_config_error(self, desc, message):
         code, out, err = run_config({"models": {"bad": desc}, "model": "bad"})

@@ -26,7 +26,8 @@ from fpsq.criteria import (
     usq_hard,
     usq_moment,
 )
-from fpsq.kernels import ModelSpec, build_model, rho_g
+from fpsq.kernels import MAX_DEGREE, ModelSpec, build_model, rho_g
+from fpsq.laws import ResourceLimitError
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS, random_assumption_model
 from helpers import builtin_models
 
@@ -741,8 +742,7 @@ class TestLdSamplewise:
                 assert got == pytest.approx(want, rel=1e-9), (name, m)
 
     def test_truncated_kernel_matches_direct_quadrature(self):
-        model = build_model({"model": "gam", "lambda": 0.5,
-                             "prior": {"kind": "sphere", "n": 50}, "max_degree": 16})
+        model = build_model({"model": "gam", "lambda": 0.5, "prior": {"kind": "sphere", "n": 50}})
         m = 4
         got = ld_samplewise(model, m, 2, 2)
         from scipy import integrate
@@ -803,15 +803,36 @@ class TestLdSamplewise:
             ld_samplewise(model, 3, 2, 2)
 
     def test_finite_degree_stops_at_max_degree(self):
-        # the series stores degrees up to max_degree: past it K_d - 1 would
-        # silently read K_{max_degree} - 1 (1.0816e52 at d = 100, where the
-        # series to degree 200 gives 3.7965e52)
-        desc = {"model": "gam", "lambda": 8.0, "prior": {"kind": "rademacher_mean", "n": 10}}
-        model, longer = build_model(desc), build_model({**desc, "max_degree": 200})
-        assert ld_samplewise(model, 2, 64, 2) == ld_samplewise(longer, 2, 64, 2)
-        with pytest.raises(ValueError, match="exceeds the model's max_degree 64"):
-            ld_samplewise(model, 2, 65, 2)
-        assert ld_samplewise(longer, 2, 100, 2) == pytest.approx(3.7965e52, rel=1e-4)
+        # a stored series ends at max_degree: past it K_d - 1 would silently
+        # read K_{max_degree} - 1
+        desc = {"model": "ngca", "mu": {"kind": "gaussian", "mean": 0.0, "var": 1.5},
+                "prior": {"kind": "rademacher_mean", "n": 10}, "max_degree": 20}
+        model, longer = build_model(desc), build_model({**desc, "max_degree": 40})
+        assert ld_samplewise(model, 2, 20, 2) == ld_samplewise(longer, 2, 20, 2)
+        with pytest.raises(ValueError, match="exceeds the model's max_degree 20"):
+            ld_samplewise(model, 2, 21, 2)
+
+    def test_a_zero_moment_adds_nothing_however_large_its_binomial(self):
+        # K_0 - 1 = 0, so LD at d = 0 is 1; C(1100, 550) * 0.0 raised OverflowError
+        model = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-rademacher"])
+        assert ld_samplewise(model, 1100, 0, 1100) == 1.0
+
+    def test_gam_series_reaches_the_degree_asked(self):
+        # gam builds its series to d when LD asks: at d = 100 its former 64
+        # stored degrees read K_64 - 1 (LD 1.0816e52); the sum to degree 100,
+        # at 50 digits, gives 3.7965e52
+        import mpmath
+
+        lam, n, m, d = 8.0, 10, 2, 100
+        model = build_model({"model": "gam", "lambda": lam, "prior": {"kind": "rademacher_mean", "n": n}})
+        with mpmath.workdps(50):
+            l2 = mpmath.mpf(lam) ** 2
+            atoms = [(mpmath.fsum((l2 * (2 * b - n) / n) ** i / mpmath.factorial(i) for i in range(1, d + 1)),
+                      mpmath.mpf(math.comb(n, b)) / 2**n) for b in range(n + 1)]
+            want = mpmath.fsum(math.comb(m, t) * p * y**t for y, p in atoms for t in range(3))
+        assert ld_samplewise(model, m, d, 2) == pytest.approx(float(want), rel=1e-13)
+        with pytest.raises(ResourceLimitError, match=f"^the degree d={MAX_DEGREE + 1} is above"):
+            ld_samplewise(model, m, MAX_DEGREE + 1, 2)
 
 
 class TestAssumptionHolds:

@@ -10,8 +10,8 @@ or walks a law atom by atom, one root-finder serves the quantile and the level s
 without nesting, and building the discrete models imports no
 exact-arithmetic or scipy module, no function, method or class of
 the package is reached only from tests, every kernel oracle table
-belongs to a model kind, and no subcommand registers a flag that its
-command never reads."""
+belongs to a model kind, no subcommand registers a flag that its
+command never reads, and the criteria read no descriptor field."""
 
 import ast
 import contextlib
@@ -418,3 +418,12 @@ def test_every_flag_is_read_by_its_command():
                     for action in sp._actions
                     if action.dest != "help" and action.dest not in read_by(sp.get_default("func").__name__))
     assert unread == []
+
+
+def test_criteria_read_no_descriptor_field():
+    # only the kernels know what a model's descriptor holds, such as how many
+    # degrees its series stores: criteria.py reads no ModelSpec.params
+    with open(os.path.join(ROOT, "src", "fpsq", "criteria.py")) as fh:
+        tree = ast.parse(fh.read(), "criteria.py")
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "params"]
+    assert reads == []
