@@ -39,21 +39,15 @@ from typing import Sequence
 
 from fpsq import __version__
 from fpsq.criteria import (
+    CRITERIA,
+    Cell,
     CriterionReport,
     UnsupportedCriterionError,
     assumption_holds,
     check_equivalence_bounds,
-    chi_squared,
-    fp_value,
-    gfp_value,
-    ld_samplewise,
-    log_moment,
-    rho_fp_value,
-    sq_value,
-    usq_hard,
 )
 from fpsq.kernels import ModelSpec, build_model
-from fpsq.laws import NAME, OBJECT, QUAD_REL_TOL, REAL, REALS, WHOLE, ResourceLimitError, read_field
+from fpsq.laws import NAME, OBJECT, REAL, REALS, WHOLE, ResourceLimitError, read_field
 
 # fpsq.scenarios is imported where a command reads it, so startup skips it
 
@@ -167,14 +161,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def report_row(model_name: str, report: CriterionReport, rel_error: float) -> dict:
-    """The CSV row of a report; error_bound is rel_error times max(1, |the
-    emitted value|), which is the log value on overflow-log rows."""
-    value = report.value
-    method = report.method
-    if report.overflowed or (math.isinf(value) and report.log_value is not None):
-        value = report.log_value
-        method = f"{method}+overflow-log"
+def report_row(model_name: str, report: CriterionReport) -> dict:
+    """The CSV row of a report: its log value, tagged overflow-log, where it overflowed."""
+    value, method = report.value, report.method
+    if report.overflowed:
+        value, method = report.log_value, f"{method}+overflow-log"
     thr = report.threshold
     return {
         "model": model_name,
@@ -187,7 +178,7 @@ def report_row(model_name: str, report: CriterionReport, rel_error: float) -> di
         "value": value,
         "verdict": report.verdict or "",
         "method": method,
-        "error_bound": rel_error * max(1.0, abs(value)) if rel_error else 0.0,
+        "error_bound": report.error_bound,
     }
 
 
@@ -220,48 +211,6 @@ def _whole(m) -> int:
     return round(m)
 
 
-def _eval_cell(model_name: str, model: ModelSpec, crit: str, q, m, epsilon: float,
-               t: int, d, k_deg: int) -> dict:
-    if crit in ("fp", "rho_fp", "gfp", "sq") and q is None:
-        raise ConfigError(f"criterion {crit!r} requires a q grid")
-    if crit != "sq" and m is None:
-        raise ConfigError(f"criterion {crit!r} requires an m grid")
-    q = None if q is None else read_field({"q": q}, "q", REAL)
-    m = None if m is None else _whole(m)
-    if crit == "fp":
-        rep = fp_value(model, q, m, epsilon)
-    elif crit == "rho_fp":
-        rep = rho_fp_value(model, q, m, epsilon)
-    elif crit == "gfp":
-        rep = gfp_value(model, q, m, epsilon)
-    elif crit == "sq":
-        rep = sq_value(model, q, m)
-    elif crit == "usq":
-        rep = usq_hard(model, m, t)
-        rep = CriterionReport(f"USQ[t={t}]", {"q": q, "m": m, "epsilon": epsilon},
-                              None, rep.value, rep.log_value, rep.verdict, rep.method)
-    elif crit == "chi2":
-        value = chi_squared(model, m)
-        verdict = None if epsilon <= 0.0 else ("hard" if value <= epsilon else "not-hard")
-        # log E[K^m] stays finite where the linear value overflows
-        lv = log_moment(model, m) if math.isinf(value) else (
-            math.log1p(value) if value > -1.0 else None)
-        rep = CriterionReport("CHI2", {"q": q, "m": m, "epsilon": epsilon}, None,
-                              value, lv, verdict,
-                              "exact-sum" if model.is_discrete else "quadrature")
-    elif crit == "ld":
-        value = ld_samplewise(model, m, d, k_deg)
-        d_tag = "inf" if d == math.inf else int(d)
-        rep = CriterionReport(f"LD[d={d_tag},k={k_deg}]",
-                              {"q": q, "m": m, "epsilon": epsilon}, None, value,
-                              math.log(value) if value > 0 else None,
-                              "hard" if value <= 1.0 + epsilon else "not-hard",
-                              "exact-sum" if model.is_discrete else "quadrature")
-    else:
-        raise ConfigError(f"unknown criterion {crit!r}; known: fp, rho_fp, gfp, sq, usq, chi2, ld")
-    return report_row(model_name, rep, 0.0 if rep.method.startswith("exact-sum") else QUAD_REL_TOL)
-
-
 def cmd_criterion(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     fmt = args.format or read_field(cfg, "format", NAME, "csv")
@@ -277,6 +226,15 @@ def cmd_criterion(args: argparse.Namespace) -> int:
     ms = parse_grid(args.m) or config_grid(cfg, "m") or [1]
     if not isinstance(qs, list) or not isinstance(ms, list) or not qs or not ms:
         raise ConfigError("q and m grids must be nonempty lists")
+    for crit in criteria:
+        if crit not in CRITERIA:
+            raise ConfigError(f"unknown criterion {crit!r}; known: {', '.join(CRITERIA)}")
+        if CRITERIA[crit].reads_q and qs == [None]:
+            raise ConfigError(f"criterion {crit!r} requires a q grid")
+    try:
+        d = math.inf if args.d in (None, "inf") else float(args.d)
+    except ValueError:
+        raise ConfigError(f"--d must be a nonnegative integer or 'inf', got {args.d!r}") from None
     model_ref = args.model or cfg.get("model")
     model_name, model = resolve_model(model_ref, cfg)
 
@@ -286,13 +244,13 @@ def cmd_criterion(args: argparse.Namespace) -> int:
         "t": args.t, "d": args.d, "k_deg": args.k_deg,
     }
     metadata = {"version": __version__, "config_hash": config_hash(semantic)}
-    d = math.inf if args.d in (None, "inf") else float(args.d)
     rows = []
     for crit in criteria:
         for q in qs:
             for m in ms:
-                rows.append(_eval_cell(model_name, model, crit, q, m, epsilon,
-                                       args.t, d, args.k_deg))
+                cell = Cell(None if q is None else read_field({"q": q}, "q", REAL), _whole(m), epsilon,
+                            args.t, d, args.k_deg)
+                rows.append(report_row(model_name, CRITERIA[crit].report(model, cell)))
     _emit(args.out, lambda out: write_rows(rows, metadata, fmt, out))
     return EXIT_PASS
 
@@ -434,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, factory in (("criterion", cmd_criterion), ("sweep", cmd_sweep)):
         sp = sub.add_parser(name, help=f"{name} evaluation")
         common(sp)
-        sp.add_argument("--criterion", help="comma list: fp,rho_fp,gfp,sq,usq,chi2,ld")
+        sp.add_argument("--criterion", help=f"comma list: {','.join(CRITERIA)}")
         sp.add_argument("--q", help="grid: 'a,b,c' | 'lin:lo:hi:n' | 'log:lo:hi:n'")
         sp.add_argument("--m", help="grid, same syntax as --q")
         sp.add_argument("--epsilon", type=float, default=None)

@@ -28,8 +28,10 @@ the kernel table, and its value one laws.integral, read from the node table.
 FP and rho_G-FP share one body: only h and the boundary side differ.
 USQ and LD (every d) share one moment function; the correlation check
 reads K - 1 at t and -t from the same tables.  Every report records the
-threshold object, the computation method, and a hard/not-hard verdict
-against the caller-supplied epsilon (or 1/m for SQ).
+threshold object, the computation method, the bound on its error, and a
+hard/not-hard verdict against the caller-supplied epsilon (or 1/m for SQ).
+CRITERIA maps each `--criterion` name to the function that gives a sweep
+cell's finished report, as the CLI prints it, and says whether it reads q.
 
 A sweep reuses what depends on one coordinate through the model's memo
 (ModelSpec.memo), keyed by (what, coordinate):
@@ -60,7 +62,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
@@ -69,6 +71,7 @@ import numpy as np
 
 from fpsq.kernels import AtomTable, ModelSpec
 from fpsq.laws import (
+    QUAD_REL_TOL,
     REL_TOL,
     AtomEvaluationError,
     LevelSets,
@@ -97,7 +100,8 @@ class CriterionReport:
 
     value may be math.inf when the linear value overflows; log_value
     (natural log, -inf for value 0) stays finite in that case and is
-    what the CLI emits with an overflow tag.
+    what the CLI emits with an overflow tag (overflowed).  error_bound
+    bounds the error of the emitted value.
     """
 
     criterion: str
@@ -107,11 +111,27 @@ class CriterionReport:
     log_value: float | None
     verdict: str | None
     method: str
-    detail: Mapping = field(default_factory=dict)
+    error_bound: float
+    overflowed: bool
+    detail: Mapping
 
-    @property
-    def overflowed(self) -> bool:
-        return self.log_value is not None and self.log_value > 700.0
+
+def _report(model: ModelSpec, name: str, inputs: dict, thr: ThresholdResult | None, value: float,
+            lv: float | None, verdict: str | None, detail: Mapping | None = None,
+            lower: float | None = None) -> CriterionReport:
+    """A value's report: exact-sum on a discrete law, with error_bound 0
+    (correctly rounded), or quadrature, with QUAD_REL_TOL relative to the
+    emitted value (absolute below 1); (greedy-bracket) where the value tops
+    a bracket from e^lower, whose width is then error_bound.  The emitted
+    value is log_value, in log units, past e^700 or where value overflowed."""
+    logged = lv is not None and (lv > 700.0 or math.isinf(value))
+    method = "exact-sum" if model.is_discrete else "quadrature"
+    if lower is not None:
+        method, bound = f"{method}(greedy-bracket)", max(lv - lower if logged else value - exp_or_inf(lower), 0.0)
+    else:
+        bound = 0.0 if model.is_discrete else QUAD_REL_TOL * max(1.0, abs(lv if logged else value))
+    return CriterionReport(name, inputs, thr, value, lv, verdict, method, bound, logged,
+                           {} if detail is None else detail)
 
 
 def _hard(value: float, bound: float) -> str:
@@ -250,8 +270,7 @@ def _kept_below(model: ModelSpec, name: str, q: float, m: int, epsilon: float, m
 
     thr, kept = _memo(model, (name.lower(), q), event)
     value, lv = _power_sum(model, m, kept if h is None else h.order[:h.starts[kept]])
-    return CriterionReport(name, {"q": q, "m": m, "epsilon": epsilon}, thr, value, lv,
-                           _hard(value, 1.0 + epsilon), "exact-sum" if model.is_discrete else "quadrature")
+    return _report(model, name, {"q": q, "m": m, "epsilon": epsilon}, thr, value, lv, _hard(value, 1.0 + epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +441,12 @@ def _greedy_lower(descent: GreedyDescent, v: np.ndarray, weights: np.ndarray, ne
     the missing part of order[k - 1]; -inf where the free items cover."""
     if not k:
         return -math.inf
-    part = (needed - descent.reached[k - 1]) / weights[descent.order[k - 1]]
-    return log_sum_exp(np.append(v[:k - 1], v[k - 1] + math.log(min(part, 1.0))))
+    return log_sum_exp(np.append(v[:k - 1], v[k - 1] + math.log(_break_part(descent, weights, needed, k))))
+
+
+def _break_part(descent: GreedyDescent, weights: np.ndarray, needed: float, k: int) -> float:
+    """The part of order[k - 1], the cover's last item, that the fractional fill takes."""
+    return min(float((needed - descent.reached[k - 1]) / weights[descent.order[k - 1]]), 1.0)
 
 
 def _orbit_log_values(log_terms: np.ndarray, tab: AtomTable) -> np.ndarray:
@@ -520,6 +543,20 @@ class _GfpEvent(NamedTuple):
         v = _orbit_log_values(self.m * tab.log_k + self.model.law.log_probs, tab)[d.order[:self.k]]
         return exp_or_inf(_greedy_lower(d, v, tab.orbit_mass, needed, self.k)), upper
 
+    def greedy_lower(self, needed: float, lv: float) -> float:
+        """The log of the lower bracket, lv the cover's log value, less the part
+        of the break orbit the fractional fill leaves out, (1 - part) e^v: so
+        only that orbit's log value v is computed."""
+        if not self.k:
+            return lv
+        tab, d = self.model.atom_table, self.descent
+        term = lambda i: self.m * float(tab.log_k[i]) + float(self.model.law.log_probs[i])
+        a = int(tab.orbit_rep[d.order[self.k - 1]])
+        b = int(tab.mirror[a])  # a itself where the orbit is one atom
+        v = term(a) if a == b else _log_add(term(a), term(b))
+        share = (1.0 - _break_part(d, tab.orbit_mass, needed, self.k)) * math.exp(v - lv)
+        return lv + math.log1p(-share) if share < 1.0 else -math.inf
+
 
 def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> CriterionReport:
     """inf over G^2-invariant events A with pi^2(A) >= 1 - q^{-2} of
@@ -558,8 +595,7 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
             lv = log_sum_exp([lv, math.log(thr.achieved_mass - mass) + thr.threshold])
             value = exp_or_inf(lv)
         detail = {"optimizer": "superlevel-set"} if tails else {"optimizer": "superlevel-set", "level": thr}
-        return CriterionReport("GFP", inputs, thr if tails else None, value, lv,
-                               _hard(value, 1.0 + epsilon), "quadrature", detail)
+        return _report(model, "GFP", inputs, thr if tails else None, value, lv, _hard(value, 1.0 + epsilon), detail)
 
     tab = model.atom_table
     key = ("gfp", m)
@@ -585,6 +621,7 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
     if descent.search is None:
         detail["optimizer"] = "greedy-bracket"
         detail["value_brackets"] = partial(event.greedy_brackets, needed, value)
+        lower = event.greedy_lower(needed, lv)
     elif lower is None:
         detail["optimizer"] = "branch-and-bound-exact"
     else:
@@ -592,9 +629,7 @@ def gfp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Crite
         detail["value_brackets"] = (exp_or_inf(lower), value)
     detail["excluded"] = partial(event.excluded)
     detail["excluded_mass"] = partial(event.excluded_mass)
-    method = "exact-sum" if detail["optimizer"] == "branch-and-bound-exact" else "exact-sum(greedy-bracket)"
-    return CriterionReport("GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), method,
-                           _DetailOnRead(detail))
+    return _report(model, "GFP", inputs, None, value, lv, _hard(value, 1.0 + epsilon), _DetailOnRead(detail), lower)
 
 
 # ---------------------------------------------------------------------------
@@ -613,24 +648,24 @@ def sq_value(model: ModelSpec, q: float, m: int | None = None) -> CriterionRepor
     (laws.LevelSets).  With m supplied the verdict compares against 1/m.
     """
     mass = _require_q(q, 1.0, "SQ", m)
-    thr, value, lv, method = _memo(model, ("sq", q), lambda: _sq(model, mass))
+    thr, value, lv = _memo(model, ("sq", q), lambda: _sq(model, mass))
     verdict = None if m is None else _hard(value, 1.0 / m)
-    return CriterionReport("SQ", {"q": q, "m": m}, thr, value, lv, verdict, method)
+    return _report(model, "SQ", {"q": q, "m": m}, thr, value, lv, verdict)
 
 
-def _sq(model: ModelSpec, mass: float) -> tuple[ThresholdResult, float, float, str]:
-    """SQ's (threshold, value, log value, method) at tail mass `mass`."""
+def _sq(model: ModelSpec, mass: float) -> tuple[ThresholdResult, float, float]:
+    """SQ's (threshold, value, log value) at tail mass `mass`."""
     if model.is_discrete:
         dev = model.atom_table.abs_dev
         j = dev.cut(dev.threshold(mass).threshold, strict=True)  # the levels from j on are kept
         thr = dev.tail(j, mass)
         top_sum = exact_sum(dev.levels[j:] * dev.mass[j:])  # E[|K - 1| 1(levels j..)]
         value = top_sum / thr.achieved_mass if thr.achieved_mass > 0.0 else 0.0
-        return thr, value, math.log(value) if value > 0.0 else -math.inf, "exact-sum"
+        return thr, value, math.log(value) if value > 0.0 else -math.inf
     thr, above = LevelSets(model.law, *_deviation(model)).threshold(mass)
     total, lv = _event_integral(model, lambda lk: (_expm1_log(lk)[0], 1.0), above)
     # lv stays finite past 1e308
-    return thr, total / thr.achieved_mass, lv - math.log(thr.achieved_mass), "quadrature"
+    return thr, total / thr.achieved_mass, lv - math.log(thr.achieved_mass)
 
 
 def _deviation_moments(model: ModelSpec, ts: Sequence[int], d: float = math.inf) -> list[float]:
@@ -647,20 +682,24 @@ def _deviation_moments(model: ModelSpec, ts: Sequence[int], d: float = math.inf)
 
 
 def _compute_moments(model: ModelSpec, ts: Sequence[int], d: float) -> list[float]:
-    """E[(K_d - 1)^t] for each t in ts: 1 at t = 0, else exact sums
-    (AtomEvaluationError at a non-finite term) or laws.integral, from K_d - 1
-    read once per call at each atom or stored node: a table's K - 1 at d = inf
-    (from log K on the continuous law), else one truncated_minus_one call."""
+    """E[(K_d - 1)^t] for each t in ts: 1 at t = 0, else exact sums, one t at
+    a time (AtomEvaluationError at a non-finite term) or laws.integral, from
+    K_d - 1 read once per call at each atom or stored node: a table's K - 1 at
+    d = inf (from log K on the continuous law), else one truncated_minus_one call."""
     law, kernel = model.law, model.kernel
     truncated = lambda points: kernel.truncated_minus_one(np.asarray(points, dtype=float), int(d))
     if model.is_discrete:
         dev = model.atom_table.dev if d == math.inf else truncated(law.values)
-        with np.errstate(over="ignore"):
-            ys = np.array([dev**t for t in ts])
-        bad = np.argwhere(~np.isfinite(ys))  # the first t, then the first atom
-        if bad.size:
-            raise AtomEvaluationError(law.atom_values([bad[0, 1]])[0], float(ys[tuple(bad[0])]))
-        return [exact_sum(y * law.probs) if t else 1.0 for t, y in zip(ts, ys)]
+
+        def moment(t: int) -> float:
+            with np.errstate(over="ignore"):
+                y = dev**t
+            bad = np.flatnonzero(~np.isfinite(y))
+            if bad.size:
+                raise AtomEvaluationError(law.atom_values(bad[:1])[0], float(y[bad[0]]))
+            return exact_sum(y * law.probs)
+
+        return [moment(t) if t else 1.0 for t in ts]  # t by t, so the first t raises
 
     def form(points) -> tuple[np.ndarray, np.ndarray]:
         """K_d - 1 at each point, in log form."""
@@ -686,12 +725,8 @@ def usq_hard(model: ModelSpec, m: int, t: int) -> CriterionReport:
     """E[(K - 1)^t] against the bound m^{-t}."""
     _require_m(m)
     value = usq_moment(model, t)
-    bound = float(m) ** (-t)
     lv = math.log(value) if value > 0.0 else -math.inf
-    return CriterionReport(
-        "USQ", {"m": m, "t": t}, None, value, lv, _hard(value, bound),
-        "exact-sum" if model.is_discrete else "quadrature",
-    )
+    return _report(model, "USQ", {"m": m, "t": t}, None, value, lv, _hard(value, float(m) ** (-t)))
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +791,55 @@ def ld_samplewise(model: ModelSpec, m: int, d: float, k_deg: int) -> float:
         if not math.isfinite(total):
             raise ValueError(f"LD passes the float range at its t = {t} term C(m, t) E[(K_d - 1)^t]")
     return total
+
+
+# ---------------------------------------------------------------------------
+# The criterion table: one finished report per --criterion name
+# ---------------------------------------------------------------------------
+
+
+class Cell(NamedTuple):
+    """A sweep cell: (q, m), q None without a q grid, then `fpsq sweep`'s
+    epsilon, USQ order t, LD degree d and LD sample degree k_deg."""
+
+    q: float | None
+    m: int
+    epsilon: float = 0.0
+    t: int = 2
+    d: float = math.inf
+    k_deg: int = 1
+
+
+def _chi2_report(model: ModelSpec, c: Cell) -> CriterionReport:
+    value = chi_squared(model, c.m)
+    # log E[K^m] stays finite where the linear value overflows
+    lv = log_moment(model, c.m) if math.isinf(value) else math.log1p(value) if value > -1.0 else None
+    return _report(model, "CHI2", c._asdict(), None, value, lv, None if c.epsilon <= 0.0 else _hard(value, c.epsilon))
+
+
+def _ld_report(model: ModelSpec, c: Cell) -> CriterionReport:
+    value = ld_samplewise(model, c.m, c.d, c.k_deg)
+    return _report(model, f"LD[d={'inf' if c.d == math.inf else int(c.d)},k={c.k_deg}]", c._asdict(), None, value,
+                   math.log(value) if value > 0 else None, _hard(value, 1.0 + c.epsilon))
+
+
+class Criterion(NamedTuple):
+    """report(model, cell) is a cell's finished report; reads_q, whether it needs q."""
+
+    report: Callable[[ModelSpec, Cell], CriterionReport]
+    reads_q: bool
+
+
+CRITERIA = {  # the --criterion names, in the order the CLI lists them
+    "fp": Criterion(lambda model, c: fp_value(model, c.q, c.m, c.epsilon), True),
+    "rho_fp": Criterion(lambda model, c: rho_fp_value(model, c.q, c.m, c.epsilon), True),
+    "gfp": Criterion(lambda model, c: gfp_value(model, c.q, c.m, c.epsilon), True),
+    "sq": Criterion(lambda model, c: sq_value(model, c.q, c.m), True),
+    "usq": Criterion(lambda model, c: replace(usq_hard(model, c.m, c.t), criterion=f"USQ[t={c.t}]",
+                                              inputs=c._asdict()), False),
+    "chi2": Criterion(_chi2_report, False),
+    "ld": Criterion(_ld_report, False),
+}
 
 
 # ---------------------------------------------------------------------------

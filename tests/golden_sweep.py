@@ -1,10 +1,10 @@
 """Golden sweep over the discrete built-in presets.
 
 Every discrete preset of ``BUILTIN_MODEL_DESCRIPTORS`` x all seven
-criteria x a fixed (q, m) grid, evaluated through the CLI's cell
-function, so each entry is what a ``fpsq sweep`` row reports.  The
-recorded file ``tests/data/golden_discrete.json`` pins those rows;
-``tests/test_golden.py`` compares against it.  Regenerate with
+criteria x a fixed (q, m) grid, evaluated through the criterion table
+and the CLI's row function, so each entry is what a ``fpsq sweep`` row
+reports.  The recorded file ``tests/data/golden_discrete.json`` pins
+those rows; ``tests/test_golden.py`` compares against it.  Regenerate with
 
     PYTHONPATH=src python3 tests/golden_sweep.py > tests/data/golden_discrete.json
 """
@@ -12,7 +12,6 @@ recorded file ``tests/data/golden_discrete.json`` pins those rows;
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 
@@ -42,7 +41,8 @@ def cell_key(name: str, crit: str, q, m) -> str:
 
 def sweep_rows() -> dict:
     """cell key -> the row's FIELDS, or the name of the exception raised."""
-    from fpsq.cli import _eval_cell
+    from fpsq.cli import report_row
+    from fpsq.criteria import CRITERIA, Cell
     from fpsq.kernels import build_model
     from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
 
@@ -53,7 +53,7 @@ def sweep_rows() -> dict:
             continue
         for crit, q, m in cells():
             try:
-                row = _eval_cell(name, model, crit, q, m, 0.0, 2, math.inf, 1)
+                row = report_row(name, CRITERIA[crit].report(model, Cell(q, m)))
             except Exception as exc:  # the refusal is part of the record
                 out[cell_key(name, crit, q, m)] = type(exc).__name__
                 continue

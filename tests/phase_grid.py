@@ -4,8 +4,9 @@
 
 Builds gam (lambda = 1) on the ``rademacher_mean`` law of n = N signs, then
 evaluates all seven criteria over 16 q (log-spaced from 2 to 1000) x 16 m
-(log-spaced whole numbers from 1 to 1024) through the CLI's cell function,
-criterion by criterion as ``fpsq sweep`` loops them, on the one model.
+(log-spaced whole numbers from 1 to 1024) through the criterion table and
+the CLI's row function, criterion by criterion as ``fpsq sweep`` loops them,
+on the one model.
 Prints one JSON object: the CPU seconds of ``build_model`` plus the atom
 table (``build_s``), of each criterion's 256 cells (``criteria_s``) and of
 all of them (``sweep_s``), the cell count, the process's peak RSS in MB,
@@ -16,14 +17,12 @@ and the MB the model's memo holds in its GFP entries at the end
 from __future__ import annotations
 
 import json
-import math
 import resource
 import sys
 import time
 
 import numpy as np
 
-CRITERIA = ("fp", "rho_fp", "gfp", "sq", "usq", "chi2", "ld")
 QS = tuple(2.0 * 500.0 ** (i / 15) for i in range(16))
 MS = tuple(round(2.0 ** (10 * i / 15)) for i in range(16))
 
@@ -42,7 +41,8 @@ def held_bytes(obj) -> int:
 
 
 def phase_grid(n: int) -> dict:
-    from fpsq.cli import _eval_cell
+    from fpsq.cli import report_row
+    from fpsq.criteria import CRITERIA, Cell
     from fpsq.kernels import build_model
 
     t0 = time.process_time()
@@ -54,7 +54,7 @@ def phase_grid(n: int) -> dict:
         t0 = time.process_time()
         for q in QS:
             for m in MS:
-                _eval_cell("phase-grid", model, crit, q, m, 0.0, 2, math.inf, 1)
+                report_row("phase-grid", CRITERIA[crit].report(model, Cell(q, m)))
         criteria_s[crit] = time.process_time() - t0
     return {
         "n": n,

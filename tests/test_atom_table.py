@@ -503,6 +503,10 @@ class TestGfpDetailOnRead:
             assert bits(rep.value) == bits(value) and bits(rep.log_value) == bits(lv), (q, m)
             assert list(rep.detail) == ["orbit_atoms", "optimizer", *detail], (q, m)
             assert {key: bits(rep.detail[key]) for key in detail} == {key: bits(v) for key, v in detail.items()}
+            # error_bound is the brackets' width, 0 where the optimum is proved
+            lower, upper = detail.get("value_brackets", (value, value))
+            assert not rep.overflowed
+            assert abs(rep.error_bound - (upper - lower)) <= 1e-13 * upper, (q, m)
             if orbits > criteria._MAX_EXACT_ORBITS:
                 assert rep.detail["optimizer"] == "greedy-bracket"
             elif budget is None:
@@ -515,6 +519,17 @@ class TestGfpDetailOnRead:
         assert gfp_value(small, 3.0, 3).detail["optimizer"] == "branch-and-bound-exact"
         monkeypatch.setattr(criteria, "_BNB_NODES", 3)
         assert gfp_value(small, 3.0, 3).detail["optimizer"] == "branch-and-bound-budget"
+
+    def test_an_overflow_log_row_bounds_the_log_value(self):
+        # past e^700 the row emits log E[K^m 1(A)], so error_bound is the
+        # brackets' width in log units: log upper - log lower
+        model = build_model({"model": "gam", "lambda": 3.0, "prior": {"kind": "rademacher_mean", "n": 400}})
+        tab, needed = model.atom_table, 1.0 - 3.0**-2 * (1.0 + 1e-12)
+        rep = gfp_value(model, 3.0, 1000)
+        assert rep.overflowed and rep.detail["optimizer"] == "greedy-bracket"
+        values = criteria._orbit_log_values(1000 * tab.log_k + model.law.log_probs, tab)
+        fill = greedy_fill(values.tolist(), tab.orbit_mass.tolist(), tab.log_orbit_mass.tolist(), needed)
+        assert 0.0 < rep.error_bound == pytest.approx(rep.log_value - fill, rel=1e-12, abs=1e-12 * rep.log_value)
 
     def test_the_memo_holds_12_bytes_per_orbit(self):
         from phase_grid import held_bytes

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cli_rows import read_rows
+from fpsq import cli
 from fpsq.cli import (
     CSV_COLUMNS,
     EXIT_ASSERTION,
@@ -27,6 +28,8 @@ from fpsq.cli import (
     main,
     parse_grid,
 )
+from fpsq.criteria import gfp_value
+from fpsq.kernels import build_model
 from fpsq.laws import MAX_EQUALITY_N
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
 
@@ -150,6 +153,33 @@ class TestCriterionCommand:
         (row,) = read_rows(str(out))
         assert "overflow-log" in row["method"]
         assert float(row["value"]) == pytest.approx(4 * math.log(1e300) + math.log(0.001), rel=1e-9)
+
+    def test_a_greedy_gfp_row_bounds_its_value_by_the_brackets(self, tmp_path):
+        # beyond 64 orbits GFP is the greedy cover, whose value_brackets were
+        # (0.999666, 1.000316) under an error_bound of 0.0
+        out = tmp_path / "rows.csv"
+        assert run(["sweep", "--model", "slab-desk", "--criterion", "gfp", "--q", "20", "--m", "4",
+                    "--out", str(out)]) == EXIT_PASS
+        (row,) = read_rows(str(out))
+        rep = gfp_value(build_model(BUILTIN_MODEL_DESCRIPTORS["slab-desk"]), 20.0, 4)
+        lower, upper = rep.detail["value_brackets"]
+        assert row["method"] == "exact-sum(greedy-bracket)" and float(row["value"]) == upper
+        assert float(row["error_bound"]) == pytest.approx(upper - lower, rel=1e-10)
+        assert 6e-4 < upper - lower < 7e-4
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--criterion", "fp,bogus", "--q", "4"],
+         "unknown criterion 'bogus'; known: fp, rho_fp, gfp, sq, usq, chi2, ld"),
+        (["--criterion", "chi2,gfp"], "criterion 'gfp' requires a q grid"),
+        (["--criterion", "ld", "--d", "abc"], "--d must be a nonnegative integer or 'inf', got 'abc'"),
+    ])
+    def test_argument_errors_refuse_before_the_model_is_built(self, argv, message, monkeypatch, capsys):
+        # --criterion fp,bogus evaluated every fp cell before it refused bogus,
+        # and --d abc said only "could not convert string to float: 'abc'"
+        monkeypatch.setattr(cli, "build_model", lambda desc: pytest.fail("the model was built"))
+        for command in ("criterion", "sweep"):
+            assert run([command, "--model", "gam-rademacher", "--m", "1", *argv]) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
 
     def test_unknown_model_exits_config_error(self, capsys):
         assert run(["criterion", "--model", "nope", "--m", "1"]) == EXIT_CONFIG

@@ -22,6 +22,8 @@ from scipy import integrate, stats
 from fpsq import cli, laws
 from fpsq.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_RESOURCE, main
 from fpsq.criteria import (
+    CRITERIA,
+    Cell,
     UnsupportedCriterionError,
     assumption_holds,
     chi_squared,
@@ -378,25 +380,17 @@ GOLDEN = {
 }
 
 
-def _evaluate(model, crit: str, q: float, m: int):
-    if crit == "chi2":
-        return chi_squared(model, m), None
-    if crit == "ld":
-        return ld_samplewise(model, m, math.inf, 1), None
-    if crit == "ld3":
-        return ld_samplewise(model, m, 3, 2), None
-    if crit == "usq2":
-        return usq_hard(model, m, 2).value, None
-    func = {"fp": fp_value, "rho_fp": rho_fp_value, "gfp": gfp_value}.get(crit)
-    rep = sq_value(model, q, m) if func is None else func(model, q, m)
-    return rep.value, rep.threshold.threshold
+# GOLDEN's names beyond the criterion table's: USQ at t = 2 and LD at d = 3, k = 2
+GOLDEN_CELLS = {"usq2": ("usq", {}), "ld3": ("ld", {"d": 3, "k_deg": 2})}
 
 
 @pytest.mark.parametrize("name, q, m", sorted(GOLDEN))
 def test_golden_values(name, q, m):
     model = build_model(BUILTIN_MODEL_DESCRIPTORS[name])
     for crit, (want, want_thr) in GOLDEN[(name, q, m)].items():
-        value, thr = _evaluate(model, crit, q, m)
+        table_name, params = GOLDEN_CELLS.get(crit, (crit, {}))
+        rep = CRITERIA[table_name].report(model, Cell(q, m, **params))
+        value, thr = rep.value, None if rep.threshold is None else rep.threshold.threshold
         # thresholds moved by up to 3e-13 relative where the old
         # bisection lost digits; values follow them to ~1e-13
         assert abs(value - want) <= max(1e-12 * abs(want), 1e-15), (crit, value, want)

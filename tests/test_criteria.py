@@ -3,6 +3,7 @@ cross-criterion inequality chains."""
 
 import itertools
 import math
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from fpsq import criteria
 from fpsq.criteria import (
+    CRITERIA,
+    Cell,
     UnsupportedCriterionError,
     assumption_holds,
     check_equivalence_bounds,
@@ -27,7 +30,8 @@ from fpsq.criteria import (
     usq_moment,
 )
 from fpsq.kernels import MAX_DEGREE, ModelSpec, build_model, rho_g
-from fpsq.laws import ResourceLimitError
+from fpsq.laws import AtomEvaluationError, ResourceLimitError
+from fpsq.numerics import exact_sum
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS, random_assumption_model
 from helpers import builtin_models
 
@@ -487,6 +491,29 @@ class TestUsq:
 class TestMomentCache:
     # USQ and LD read E[(K_d - 1)^t] from the model, computed once per (d, t)
 
+    def test_moments_hold_a_few_law_sized_arrays(self):
+        # each t's terms are summed as they are made: the 100 moments of a
+        # 10,001-atom law peak at a few arrays of its length (202 before)
+        model = build_model({"model": "gam", "lambda": 0.5, "prior": {"kind": "rademacher_mean", "n": 10_000}})
+        dev, probs = model.atom_table.dev, model.law.probs
+        tracemalloc.start()
+        try:
+            moments = criteria._compute_moments(model, range(101), math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * dev.nbytes
+        assert moments == [1.0] + [exact_sum(dev**t * probs) for t in range(1, 101)]
+
+    def test_a_non_finite_term_names_the_first_atom_of_the_first_t(self):
+        # K - 1 is 1e120 at atom 1.0 (past the float range from t = 3) and
+        # 1e200 at atom 2.0 (from t = 2)
+        model = synthetic([0.0, 1.0, 2.0], [0.5, 0.25, 0.25], [1.0, 1e120, 1e200])
+        with pytest.raises(AtomEvaluationError) as err:
+            ld_samplewise(model, 5, math.inf, 4)
+        assert err.value.atom == 2.0 and err.value.value == math.inf
+        assert model.memo == {}
+
     @pytest.mark.parametrize("desc", [
         {"model": "gam", "lambda": 0.9, "prior": {"kind": "rademacher_mean", "n": 200}},
         {"model": "gam", "lambda": 0.9, "prior": {"kind": "sphere", "n": 50}},
@@ -517,25 +544,13 @@ class TestMomentCache:
 
 MEMO_PRESETS = [name for name, model in builtin_models().items() if model.is_discrete] + [
     "gam-sphere", "si-sign-sphere"]
-GRID_CRITERIA = ("fp", "rho_fp", "gfp", "sq", "usq", "chi2", "ld")
 
 
 def grid_cell(model, crit, q, m):
-    """What one sweep cell computes, or the type of what it raised."""
+    """What one sweep cell computes, with log E[K^m] beside it, or the type
+    of what it raised."""
     try:
-        if crit == "fp":
-            return fp_value(model, q, m)
-        if crit == "rho_fp":
-            return rho_fp_value(model, q, m)
-        if crit == "gfp":
-            return gfp_value(model, q, m)
-        if crit == "sq":
-            return sq_value(model, q, m)
-        if crit == "usq":
-            return usq_hard(model, m, 2)
-        if crit == "chi2":
-            return chi_squared(model, m), criteria.log_moment(model, m)
-        return ld_samplewise(model, m, math.inf, 1)
+        return CRITERIA[crit].report(model, Cell(q, m)), criteria.log_moment(model, m)
     except (ValueError, ArithmeticError) as exc:
         return type(exc)
 
@@ -564,7 +579,7 @@ class TestSweepMemo:
     def test_a_shared_model_gives_each_cell_of_a_fresh_one(self, name):
         desc = BUILTIN_MODEL_DESCRIPTORS[name]
         qs, ms = (1.5, 3.0, 20.0, 1000.0), (1, 3, 20)
-        cells = list(itertools.product(GRID_CRITERIA, qs, ms)) * 2
+        cells = list(itertools.product(CRITERIA, qs, ms)) * 2
         np.random.default_rng(7).shuffle(cells)
         shared, fresh = build_model(desc), {}
         for crit, q, m in cells:
@@ -622,7 +637,7 @@ class TestSweepMemo:
 
     def test_argument_checks_run_on_a_memo_hit(self):
         model = build_model({"model": "gam", "lambda": 0.9, "prior": {"kind": "rademacher_mean", "n": 40}})
-        for crit in GRID_CRITERIA:
+        for crit in CRITERIA:
             grid_cell(model, crit, 3.0, 2)
         keys = list(model.memo)
         for call in (lambda: fp_value(model, 3.0, 0), lambda: rho_fp_value(model, 3.0, 0),

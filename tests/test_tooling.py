@@ -11,10 +11,12 @@ without nesting, and building the discrete models imports no
 exact-arithmetic or scipy module, no function, method or class of
 the package is reached only from tests, every kernel oracle table
 belongs to a model kind, no subcommand registers a flag that its
-command never reads, and the criteria read no descriptor field."""
+command never reads, the criteria read no descriptor field, and one
+table names the criteria for the CLI and the benchmark."""
 
 import ast
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -418,6 +420,30 @@ def test_every_flag_is_read_by_its_command():
                     for action in sp._actions
                     if action.dest != "help" and action.dest not in read_by(sp.get_default("func").__name__))
     assert unread == []
+
+
+def test_the_criterion_table_names_every_criterion():
+    # fpsq.criteria.CRITERIA is the one list of --criterion names: the
+    # benchmark traces the same criteria, and the CLI's help and refusal read
+    # the table, so cli.py neither lists the names nor branches on one
+    from fpsq.cli import build_parser
+    from fpsq.criteria import CRITERIA
+
+    spec = importlib.util.spec_from_file_location("spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert list(CRITERIA) == list(spans.CRITERIA_FUNCS)
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    for command in ("criterion", "sweep"):
+        (flag,) = [a for a in subparsers.choices[command]._actions if a.dest == "criterion"]
+        assert flag.help == f"comma list: {','.join(CRITERIA)}"
+    with open(os.path.join(ROOT, "src", "fpsq", "cli.py")) as fh:
+        tree = ast.parse(fh.read(), "cli.py")
+    lists = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and len(set(re.findall(r"\w+", node.value)) & set(CRITERIA)) > 1]
+    branches = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(c, ast.Constant) and c.value in CRITERIA for c in [node.left, *node.comparators])]
+    assert lists == [] and branches == []
 
 
 def test_criteria_read_no_descriptor_field():
