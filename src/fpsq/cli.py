@@ -235,6 +235,8 @@ def cmd_criterion(args: argparse.Namespace) -> int:
         d = math.inf if args.d in (None, "inf") else float(args.d)
     except ValueError:
         raise ConfigError(f"--d must be a nonnegative integer or 'inf', got {args.d!r}") from None
+    cells = [Cell(None if q is None else read_field({"q": q}, "q", REAL), _whole(m), epsilon, args.t, d, args.k_deg)
+             for q in qs for m in ms]
     model_ref = args.model or cfg.get("model")
     model_name, model = resolve_model(model_ref, cfg)
 
@@ -244,13 +246,7 @@ def cmd_criterion(args: argparse.Namespace) -> int:
         "t": args.t, "d": args.d, "k_deg": args.k_deg,
     }
     metadata = {"version": __version__, "config_hash": config_hash(semantic)}
-    rows = []
-    for crit in criteria:
-        for q in qs:
-            for m in ms:
-                cell = Cell(None if q is None else read_field({"q": q}, "q", REAL), _whole(m), epsilon,
-                            args.t, d, args.k_deg)
-                rows.append(report_row(model_name, CRITERIA[crit].report(model, cell)))
+    rows = [report_row(model_name, CRITERIA[crit].report(model, cell)) for crit in criteria for cell in cells]
     _emit(args.out, lambda out: write_rows(rows, metadata, fmt, out))
     return EXIT_PASS
 

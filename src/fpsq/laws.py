@@ -64,8 +64,10 @@ are the entry points the benchmark's tracer wraps.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -912,55 +914,95 @@ def _log_between(law: SphereLaw, a: float, b: float) -> float:
     return hi + math.log(-math.expm1(lo - hi)) if lo < hi else -math.inf
 
 
+def _inserted(v: np.ndarray, at: list[int], new: list[tuple]) -> np.ndarray:
+    """The rows of v with the row new[j] put before v[at[j]], at
+    nondecreasing: np.insert's result, copied into place slice by slice."""
+    out = np.empty((len(v) + len(at), v.shape[1]))
+    start = 0
+    for j, stop in enumerate(at):
+        out[start + j:stop + j], out[stop + j] = v[start:stop], new[j]
+        start = stop
+    out[start + len(at):] = v[start:]
+    return out
+
+
 class LevelSets:
     """The level sets of h on the continuous support, behind every
     continuous event: h comes as table (on law.grid) and as a map of point
     arrays, and is taken as monotone between adjacent grid points, so a
-    cell whose ends straddle a level holds one crossing."""
+    cell whose ends straddle a level holds one crossing.  The level search
+    refines the grid with h at the crossings it interpolates."""
 
     def __init__(self, law: SphereLaw, table, h: Callable[[np.ndarray], np.ndarray]):
         self.law, self.h, self.table = law, h, np.asarray(table, dtype=float)
-        self.xs, self.hv = law.grid, self.table  # the grid and h on it, refined by the level search
+        self.pts = None  # rows (t, h(t)) of the grid, refined by the level search, set when one starts
+        self.measured = None  # (c, intervals, log mass) of the last evaluation, until a point joins the grid
 
-    def _join(self, x: np.ndarray) -> np.ndarray:
-        """h at the points x (one call), which join the grid and h on it."""
-        y = self.h(x)
-        xs = np.concatenate([self.xs, x])
-        order = np.argsort(xs, kind="stable")
-        self.xs, self.hv = xs[order], np.concatenate([self.hv, y])[order]
-        return y
+    def _straddles(self, c: float) -> list[int]:
+        """The grid cells whose ends straddle c, by the index of their left
+        end, in order: one scan of the grid."""
+        above = self.pts[:, 1] >= c
+        return (above[:-1] != above[1:]).nonzero()[0].tolist()
+
+    def _crossings(self, c: float, cells: list[int]) -> list[tuple[float, float, float, float]]:
+        """(a, b, h(b) - c, x) of each of the given grid cells that straddles
+        c, in order, as Python floats: the end a below c, the end b above and
+        the crossing x linear in the cell (midway at an infinite end)."""
+        out = []
+        for i in cells:
+            (x0, h0), (x1, h1) = self.pts[i:i + 2].tolist()
+            if (h0 >= c) != (h1 >= c):
+                a, b, fa, fb = (x0, x1, h0 - c, h1 - c) if h1 >= c else (x1, x0, h1 - c, h0 - c)
+                frac = fa / (fa - fb)  # fa < 0 <= fb: the divisor is never 0
+                out.append((a, b, fb, a + (0.5 if math.isnan(frac) else frac) * (b - a)))
+        return out
+
+    def _join(self, x: list[float]) -> tuple[np.ndarray, list[int]]:
+        """h at the points x (one call), which join the grid where a stable
+        sort would put them (after equal grid points, equal points in the
+        order given), and their positions in the grid before the join
+        (np.insert's), in that sorted order."""
+        y = self.h(np.array(x, dtype=float))
+        if not x:
+            return y, []
+        new = sorted(zip(x, y.tolist()), key=itemgetter(0))
+        at = self.pts[:, 0].searchsorted([t for t, _ in new], side="right").tolist()
+        self.pts, self.measured = _inserted(self.pts, at, new), None
+        return y, at
+
+    def _event(self, c: float, cells: list[int]) -> tuple[np.ndarray, float]:
+        """The intervals [a, b] (rows) of {h >= c}, which the crossings in
+        the given cells (every straddling cell among others) open and close
+        in turn, and log P(h(T) >= c) from the log CDF at the ends."""
+        (first, h_first), (last, h_last) = self.pts[0].tolist(), self.pts[-1].tolist()
+        ends = [first] * (h_first >= c) + [x for *_, x in self._crossings(c, cells)] + [last] * (h_last >= c)
+        logs = [_log_between(self.law, a, b) for a, b in zip(ends[::2], ends[1::2])]
+        return np.array(ends, dtype=float).reshape(-1, 2), log_sum_exp(logs) if logs else -math.inf
+
+    def _measure(self, c: float) -> float:
+        """log P(h(T) >= c) after h joins the grid at the crossings of c: one
+        scan for the straddling cells, one h call, and the refined grid's
+        crossings from the split cells alone, as joining a point inside one
+        cell changes no other cell.  Kept in measured with the intervals."""
+        cells = self._straddles(c)
+        _, at = self._join([x for *_, x in self._crossings(c, cells)])
+        # the cells about each joined point, and the straddling cells no point split
+        near = {*(i + bisect_right(at, i) for i in cells), *(p + j + d for j, p in enumerate(at) for d in (-1, 0))}
+        self.measured = (c, *self._event(c, sorted(i for i in near if 0 <= i < len(self.pts) - 1)))
+        return self.measured[2]
 
     def _flat_start(self, c: float) -> None:
         """Where h holds its top level c on positive mass: bisect each cell
         that straddles c with its end above exactly at c, to the float
         resolution of its ends (one h call a halving), so a flat top that
         starts inside a cell starts there, not at the cell's end."""
-        a, b, _, fb, _ = self._cells(c)
-        lo, hi = a[fb == 0.0], b[fb == 0.0]
+        flat = [(a, b) for a, b, fb, _ in self._crossings(c, self._straddles(c)) if fb == 0.0]
+        lo, hi = np.array(flat, dtype=float).reshape(-1, 2).T
         tol = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
         while (np.abs(hi - lo) > tol).any():
             mid = 0.5 * (lo + hi)
-            up = self._join(mid) >= c
+            up = self._join(mid.tolist())[0] >= c
             lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-
-    def _cells(self, c: float) -> tuple[np.ndarray, ...]:
-        """The grid cells that straddle c, in order: the end below c, the end above,
-        h - c at both, and the crossing linear in each (midway at an infinite end)."""
-        above = self.hv >= c
-        cells = np.flatnonzero(above[:-1] != above[1:])
-        below, over = cells + ~above[cells + 1], cells + above[cells + 1]  # where h rises, cells + 1 is above
-        a, b, fa, fb = self.xs[below], self.xs[over], self.hv[below] - c, self.hv[over] - c
-        with np.errstate(invalid="ignore"):
-            frac = fa / (fa - fb)
-        return a, b, fa, fb, a + np.where(np.isnan(frac), 0.5, frac) * (b - a)
-
-    def _event(self, c: float, cross: np.ndarray) -> tuple[np.ndarray, float]:
-        """The intervals [a, b] (rows) of {h >= c}, which its crossings open
-        and close in turn, and log P(h(T) >= c) from the log CDF at the ends."""
-        xs, hv = self.xs, self.hv
-        ends = np.concatenate([xs[:1][hv[:1] >= c], cross, xs[-1:][hv[-1:] >= c]]).reshape(-1, 2)
-        logs = [_log_between(self.law, a, b) for a, b in ends.tolist()]
-        return ends, log_sum_exp(logs) if logs else -math.inf
 
     def two_tails(self, mass: float) -> tuple[ThresholdResult, np.ndarray] | None:
         """tau with P(|T| >= tau) = mass and the tails {|T| >= tau} where the
@@ -979,10 +1021,15 @@ class LevelSets:
         mass, and the intervals of {h >= c}: two_tails' where the table
         rises over the cell holding tau, c = h(tau).  Else one find_root on
         log mass - log P(h(T) >= c), from the lowest finite level to the
-        highest, until the two agree to _LEVEL_TOL; each step joins h at
-        the crossings of c (one call) to the grid and interpolates again.
-        Where h is flat at c on positive mass, exact is False; at h's top
-        the flat part's starts are bisected (_flat_start)."""
+        highest, until the two agree to _LEVEL_TOL.  Each evaluation
+        (_measure) is one scan of the grid, one h call at the crossings of
+        c, which join the grid in place, and O(crossings) float work: the
+        refined crossings and the log CDF at the interval ends.  Where
+        find_root returns the level its last evaluation measured and no
+        point has joined the grid since, that evaluation's intervals and
+        mass are the answer; else one more scan reads them.  Where h is
+        flat at c on positive mass, exact is False; at h's top the flat
+        part's starts are bisected (_flat_start)."""
         check_mass(mass)
         tails = self.two_tails(mass)
         if tails is not None:
@@ -991,10 +1038,9 @@ class LevelSets:
             if tau.threshold == 0.0 or self.table[i - 1] < self.table[i]:  # else h may be flat at h(tau)
                 return replace(tau, threshold=float(self.h(np.array([tau.threshold]))[0])), intervals
         log_mass = math.log(mass)
-
-        def excess(c: float) -> float:
-            self._join(self._cells(c)[4])
-            return log_mass - self._event(c, self._cells(c)[4])[1]
+        excess = lambda c: log_mass - self._measure(c)
+        if self.pts is None:
+            self.pts = np.column_stack((self.law.grid, self.table))
 
         # the search runs on u = sign(c) log(1 + |c|), so a top level far above
         # the answer (|K - 1| near t = 1, say) does not coarsen its resolution
@@ -1007,7 +1053,10 @@ class LevelSets:
             level = top
         else:
             level = at(find_root(lambda u: excess(at(u)), lo, hi, excess(at(lo)), e_top, _LEVEL_TOL)[0])
-        intervals, log_f = self._event(level, self._cells(level)[4])
+        if self.measured is not None and self.measured[0] == level:  # no point joined since
+            intervals, log_f = self.measured[1:]
+        else:
+            intervals, log_f = self._event(level, self._straddles(level))
         achieved = math.exp(log_f)
         return ThresholdResult(level, achieved, math.isclose(achieved, mass, rel_tol=REL_TOL)), intervals
 

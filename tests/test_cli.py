@@ -181,6 +181,17 @@ class TestCriterionCommand:
             assert run([command, "--model", "gam-rademacher", "--m", "1", *argv]) == EXIT_CONFIG
             assert capsys.readouterr() == ("", f"config error: {message}\n")
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--q", "3,20", "--m", "1,4,2.5"], "m must be a whole number, got 2.5"),
+        (["--q", "3,nan", "--m", "1,4"], "'q' must be a finite real, got nan"),
+    ])
+    def test_a_malformed_grid_point_refuses_before_the_model_is_built(self, grid, message, monkeypatch, capsys):
+        # a bad point late in a grid was refused only after the model was built
+        # and every earlier cell evaluated
+        monkeypatch.setattr(cli, "build_model", lambda desc: pytest.fail("the model was built"))
+        assert run(["sweep", "--model", "slab-desk", "--criterion", "gfp", *grid]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
     def test_unknown_model_exits_config_error(self, capsys):
         assert run(["criterion", "--model", "nope", "--m", "1"]) == EXIT_CONFIG
         assert "unknown model" in capsys.readouterr().err

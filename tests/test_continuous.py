@@ -38,6 +38,7 @@ from fpsq.criteria import (
 from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model
 from fpsq.laws import LevelSets, ResourceLimitError, find_root, sphere_law, survival
 from fpsq.scenarios import BUILTIN_MODEL_DESCRIPTORS
+from level_pins import DATA_PATH, MIXTURE, level_pins
 from levelset_ref import complement, expectation, interval_mass, level_set, ngca_mixture_deviation
 
 
@@ -149,11 +150,6 @@ class TestRefusals:
 def gam_trivial_sphere() -> ModelSpec:
     return build_model({"model": "gam", "lambda": 1.0, "group": "trivial",
                         "prior": {"kind": "sphere", "n": 50}})
-
-
-MIXTURE = {"model": "ngca", "prior": {"kind": "sphere", "n": 50},
-           "mu": {"kind": "gaussian_mixture", "weights": [0.3, 0.7], "means": [-1.4, 0.6],
-                  "vars": [0.5, 0.5]}}
 
 
 @functools.cache
@@ -818,3 +814,33 @@ def test_sq_level_search_steps(monkeypatch, name, q):
     sq_value(build_model(BUILTIN_MODEL_DESCRIPTORS[name]), q)
     assert len(counts) == 1 and counts[0] <= 15, counts
     assert len(h_calls) == (1 if name == "si-sign-sphere" else counts[0]), (h_calls, counts)
+
+
+def test_level_sets_pinned_bit_for_bit():
+    # the level searches of SQ, rho_G-FP and GFP on the sphere law, their
+    # threshold, achieved mass, exact flag and value as recorded
+    with open(DATA_PATH) as fh:
+        assert level_pins() == json.load(fh)
+
+
+def test_sq_level_search_sorts_nothing_and_runs_h_once_a_step(monkeypatch):
+    # once the kernel table exists, a gam-sphere SQ cell's general level
+    # search runs h once per evaluation (its two ends too) and sorts nothing:
+    # each evaluation inserts its crossings into the refined grid in place
+    model = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
+    assert model.kernel_table is not None and model.law.grid is not None
+    evals, h_calls, sorts = [], [], []
+    inner, init = laws.find_root, laws.LevelSets.__init__
+
+    def counting(f, a, b, fa, fb, *f_tol):
+        evals.append(2)
+        return inner(lambda x: evals.append(1) or f(x), a, b, fa, fb, *f_tol)
+
+    monkeypatch.setattr(laws, "find_root", counting)
+    monkeypatch.setattr(laws.LevelSets, "__init__",
+                        lambda self, law, table, h: init(self, law, table, lambda ts: h_calls.append(1) or h(ts)))
+    for name in ("argsort", "sort"):
+        monkeypatch.setattr(np, name, functools.partial(lambda name, *a, **k: sorts.append(name), name))
+    rep = sq_value(model, 20.0)
+    assert rep.threshold.exact and sorts == []
+    assert len(h_calls) == sum(evals) > 2

@@ -96,6 +96,31 @@ def test_sweep_values_dumps_every_benchmark_cell():
     assert len(gfp) == 135 and all(isinstance(v, list) and len(v) == 3 for v in gfp)
 
 
+def test_sweep_values_compares_two_outputs(tmp_path):
+    # --compare prints each cell that moved, went missing or changed kind,
+    # with the relative change of its value, and exits 1 if any did
+    old = {"w": {"0": {"a": [1.0, 0.0, False], "b": [2.0, 0.5, False], "c": [3.0, 1.0, False],
+                       "d": "ValueError: no"}}}
+    new = {"w": {"0": {"a": [1.0, 0.0, False], "b": [2.0 * (1 + 2**-50), 0.5, False],
+                       "d": [4.0, 1.5, False]}}}
+    paths = []
+    for name, payload in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(payload))
+    script = os.path.join(ROOT, "tests", "sweep_values.py")
+    run = lambda a, b: subprocess.run([sys.executable, script, "--compare", str(a), str(b)],
+                                      capture_output=True, text=True, timeout=60)
+    moved = run(*paths)
+    assert moved.returncode == 1 and moved.stdout.splitlines() == [
+        "w 0 b: [2.0, 0.5, false] -> [2.0000000000000018, 0.5, false]  (relative +8.882e-16)",
+        "w 0 c: [3.0, 1.0, false] -> missing",
+        'w 0 d: "ValueError: no" -> [4.0, 1.5, false]',
+        "3 of 4 cells moved",
+    ]
+    same = run(paths[0], paths[0])
+    assert same.returncode == 0 and same.stdout == "0 of 4 cells moved\n"
+
+
 def test_phase_grid_times_every_criterion():
     # tests/phase_grid.py times a 16 q x 16 m sweep of all seven criteria
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
