@@ -19,12 +19,13 @@ proxy-runtime parameter q (tail mass q^{-2}):
 
 All m-th powers run through exp(m log K); an exact kernel zero has
 log K = -inf and adds an exact 0.  On a discrete law every criterion reads the
-model's atom table (ModelSpec.atom_table): a threshold is a bisection in
-its levels, an event a cut in them (laws.Levels.cut), the event value a
-log-sum-exp of m log K + log p over the kept atoms.  On the continuous
-law every event is a level set (laws.LevelSets) of |t| (FP), rho_G
-(rho_G-FP), the orbit-averaged log K^m (GFP) or |K - 1| (SQ), read from
-the kernel table, and its value one laws.integral, read from the node table.
+model's atom table (ModelSpec.atom_table), built part by part as read: a
+threshold is a bisection in its levels, an event a cut in them
+(laws.Levels.cut), the event value a log-sum-exp of m log K + log p over the
+kept atoms.  On the continuous law every event is a level set
+(laws.LevelSets) of |t| (FP), rho_G (rho_G-FP), the orbit-averaged log K^m
+(GFP) or |K - 1| (SQ), read from the kernel table, and its value one
+laws.integral, read from the node table.
 FP and rho_G-FP share one body: only h and the boundary side differ.
 USQ and LD (every d) share one moment function; the correlation check
 reads K - 1 at t and -t from the same tables.  Every report records the
@@ -74,6 +75,7 @@ from fpsq.laws import (
     QUAD_REL_TOL,
     REL_TOL,
     AtomEvaluationError,
+    Levels,
     LevelSets,
     ThresholdResult,
     check_mass,
@@ -242,24 +244,24 @@ def fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> Criter
         raise UnsupportedCriterionError(
             f"model {model.name!r} does not expose a Euclidean overlap; FP undefined"
         )
-    return _kept_below(model, "FP", q, m, epsilon, mass, "overlap", False,  # continuous: |<u,v>| = |t|
+    return _kept_below(model, "FP", q, m, epsilon, mass, lambda tab: tab.overlap, False,  # continuous: |<u,v>| = |t|
                        lambda: LevelSets(model.law, np.abs(model.law.grid), np.abs))
 
 
 def rho_fp_value(model: ModelSpec, q: float, m: int, epsilon: float = 0.0) -> CriterionReport:
     """E[K^m 1(rho_G < r(q))], strict boundary per the definition."""
     mass = _require_q(q, 2.0, "rho_G-FP", m)
-    return _kept_below(model, "RHO_FP", q, m, epsilon, mass, "rho", True,
+    return _kept_below(model, "RHO_FP", q, m, epsilon, mass, lambda tab: tab.rho, True,
                        lambda: _orbit_sets(model, *_deviation(model), np.maximum))
 
 
 def _kept_below(model: ModelSpec, name: str, q: float, m: int, epsilon: float, mass: float,
-                levels: str, strict: bool, sets: Callable[[], LevelSets]) -> CriterionReport:
+                levels: Callable[[AtomTable], Levels], strict: bool, sets: Callable[[], LevelSets]) -> CriterionReport:
     """E[K^m 1(h(T) below r)], r the sup-threshold of h at tail mass `mass`:
-    the cut at r in the atom table's Levels `levels`, closed or strict, or
+    the cut at r in the atom table's Levels levels(table), closed or strict, or
     the support less {h >= r} in the LevelSets from sets().  The memo keeps
     (threshold, cut) or (threshold, intervals) per q."""
-    h = getattr(model.atom_table, levels) if model.is_discrete else None
+    h = levels(model.atom_table) if model.is_discrete else None
 
     def event() -> tuple[ThresholdResult, int | np.ndarray]:
         if h is not None:

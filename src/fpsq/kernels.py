@@ -576,64 +576,75 @@ def synthetic_kernel(values: Sequence[float], kernel_values: Sequence[float]) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AtomTable:
-    """What the discrete criteria read besides the law's own arrays (its
-    values, probs and log_probs), one entry per atom: log K (-inf at exact
-    zeros), K - 1 (as Kernel.minus_one), the mirror (OverlapLaw.mirror;
-    each atom its own under the trivial group), K - 1 at -t and the orbit
-    index; one entry per orbit (an atom and its mirror): the
-    representative (lower) atom and the mass, whose log GFP reads; and
-    the Levels of |<u,v>| (None where the statistic does not determine
-    it), rho_G and |K - 1|, each discrete event a cut in one of them
-    (Levels.cut).  Under the trivial group K - 1 at -t is dev itself and
-    rho_G's Levels are |K - 1|'s."""
+    """What the discrete criteria read besides the law's own arrays, each
+    part built on its first read, then a plain attribute.  Per atom: log K
+    (-inf at exact zeros) and K - 1 (Kernel.minus_one), from the kernel
+    table; the mirror (OverlapLaw.mirror, each atom its own under the
+    trivial group) with K - 1 at -t; the orbit index, with per orbit (an
+    atom and its mirror) the representative (lower) atom and the mass.  The
+    Levels of |<u,v>| (FP's; None where the statistic does not determine
+    it), rho_G (rho_G-FP's) and |K - 1| (SQ's), each event a cut in one.
+    Under the trivial group K - 1 at -t is dev and rho_G's Levels |K - 1|'s.
+    A part whose build raises keeps nothing and raises again when read."""
 
-    log_k: np.ndarray
-    dev: np.ndarray
-    mirror: np.ndarray
-    mirror_dev: np.ndarray
-    orbit: np.ndarray
-    orbit_rep: np.ndarray
-    orbit_mass: np.ndarray
-    overlap: Levels | None
-    rho: Levels
-    abs_dev: Levels
+    def __init__(self, model: ModelSpec) -> None:
+        self.law, self.kernel, self.group = model.law, model.kernel, model.group
+        self.euclid_overlap, (self.log_k, self.dev) = model.euclid_overlap, model.kernel_table
+
+    def _mirrors(self) -> dict:
+        """mirror and mirror_dev, built together into the table."""
+        if self.group.order == 1:  # every atom is its own mirror
+            mirror, mirror_dev = np.arange(len(self.dev)), self.dev
+        else:
+            mirror, lone = self.law.mirror
+            mirror_dev = self.dev[mirror]
+            if lone.any():  # no atom at -t (a mass within GroupSpec.preserves' slack)
+                mirror_dev[lone] = self.kernel.minus_one(-self.law.values[lone])
+        vars(self).update(parts := {"mirror": mirror, "mirror_dev": mirror_dev})
+        return parts
+
+    mirror = cached_property(lambda self: self._mirrors()["mirror"])
+    mirror_dev = cached_property(lambda self: self._mirrors()["mirror_dev"])
+
+    def _orbits(self) -> dict:
+        """orbit, orbit_rep and orbit_mass, built together into the table, in order of first
+        appearance, which GFP's tie order follows: each orbit's first atom represents it."""
+        atoms = np.arange(len(self.dev))
+        first = np.minimum(atoms, self.mirror)
+        is_rep = first == atoms
+        orbit = (np.cumsum(is_rep) - 1)[first]
+        vars(self).update(parts := {"orbit": orbit, "orbit_rep": np.flatnonzero(is_rep),
+                                    "orbit_mass": np.bincount(orbit, weights=self.law.probs)})
+        return parts
+
+    orbit = cached_property(lambda self: self._orbits()["orbit"])
+    orbit_rep = cached_property(lambda self: self._orbits()["orbit_rep"])
+    orbit_mass = cached_property(lambda self: self._orbits()["orbit_mass"])
 
     @cached_property
     def log_orbit_mass(self) -> np.ndarray:
         """math.log of each orbit mass (-inf at 0), on first use: GFP's
         density order ties as math.log rounds (np.log's last bit differs
-        on some inputs)."""
-        return np.array([math.log(w) if w > 0.0 else -math.inf for w in self.orbit_mass.tolist()])
+        on some inputs), called only where the mass is positive."""
+        out, positive = np.full(len(self.orbit_mass), -math.inf), self.orbit_mass > 0.0
+        out[positive] = list(map(math.log, self.orbit_mass[positive].tolist()))
+        return out
 
+    @cached_property
+    def overlap(self) -> Levels | None:
+        """|<u,v>|'s Levels: the statistic itself, or the agreement count c of pair counts."""
+        overlap = self.law.values[:, 2] if self.law.statistic == "pair_counts" else self.law.values
+        return Levels.of(np.abs(overlap), self.law.probs) if self.euclid_overlap else None
 
-def _atom_table(model: ModelSpec) -> AtomTable:
-    """The atom table from the law's arrays, copying none of them; where
-    the statistic determines <u,v>, |<u,v>| is the statistic itself, or the
-    agreement count c of pair counts."""
-    law, kernel = model.law, model.kernel
-    values, p = law.values, law.probs
-    log_k, dev = model.kernel_table
-    abs_dev = Levels.of(np.abs(dev), p)
-    if model.group.order == 2:
-        mirror, lone = law.mirror
-        mirror_dev = dev[mirror]
-        if lone.any():  # no atom at -t (a mass within GroupSpec.preserves' slack)
-            mirror_dev[lone] = kernel.minus_one(-values[lone])
-        rho = Levels.of(np.maximum(np.abs(dev), np.abs(mirror_dev)), p)
-    else:  # the trivial group: every atom is its own mirror, and rho_G is |K - 1|
-        mirror, mirror_dev, rho = np.arange(len(p)), dev, abs_dev
-    # orbits in order of first appearance, which GFP's tie order follows: the
-    # representatives are the atoms that come before their mirror (mirror is an involution)
-    atoms = np.arange(len(values))
-    first = np.minimum(atoms, mirror)
-    is_rep = first == atoms
-    rep, orbit = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[first]
-    overlap = (Levels.of(np.abs(values[:, 2] if law.statistic == "pair_counts" else values), p)
-               if model.euclid_overlap else None)
-    return AtomTable(log_k, dev, mirror, mirror_dev, orbit, rep, np.bincount(orbit, weights=p), overlap, rho,
-                     abs_dev)
+    @cached_property
+    def rho(self) -> Levels:
+        return self.abs_dev if self.group.order == 1 else Levels.of(
+            np.maximum(np.abs(self.dev), np.abs(self.mirror_dev)), self.law.probs)
+
+    @cached_property
+    def abs_dev(self) -> Levels:
+        return Levels.of(np.abs(self.dev), self.law.probs)
 
 
 @dataclass(frozen=True)
@@ -648,8 +659,8 @@ class ModelSpec:
     The per-model work that no (q, m) changes is cached on first use:
     the kernel table (one kernel call), the sphere law's node table
     gathered from it (log K at the nodes every integral reads) and the
-    atom table of a discrete law (with GFP's per-orbit masses, their logs
-    and representative atoms).  What the
+    atom table of a discrete law, each of whose parts (levels, mirror,
+    orbits) is built when a criterion first reads it.  What the
     criteria compute from one coordinate of a sweep lives in ``memo``,
     keyed by (what, coordinate): per q the FP and rho_G-FP thresholds and
     SQ's threshold and value, per m chi^2, log E[K^m] and GFP's greedy
@@ -680,7 +691,7 @@ class ModelSpec:
 
     @cached_property
     def atom_table(self) -> AtomTable:
-        return _atom_table(self)
+        return AtomTable(self)
 
     @cached_property
     def memo(self) -> dict:

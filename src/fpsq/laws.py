@@ -961,10 +961,10 @@ class LevelSets:
         """h at the points x (one call), which join the grid where a stable
         sort would put them (after equal grid points, equal points in the
         order given), and their positions in the grid before the join
-        (np.insert's), in that sorted order."""
-        y = self.h(np.array(x, dtype=float))
+        (np.insert's), in that sorted order.  No h call where x is empty."""
         if not x:
-            return y, []
+            return np.empty(0), []
+        y = self.h(np.array(x, dtype=float))
         new = sorted(zip(x, y.tolist()), key=itemgetter(0))
         at = self.pts[:, 0].searchsorted([t for t, _ in new], side="right").tolist()
         self.pts, self.measured = _inserted(self.pts, at, new), None

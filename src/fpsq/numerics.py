@@ -291,9 +291,11 @@ def log_sum_exp(log_terms: Sequence[float]) -> float:
     """log(sum_i exp(log_terms[i])), stable against overflow.
 
     Terms of -inf are allowed (exact zeros); an empty input is an error
-    rather than -inf since every caller expects a nonempty sum.  The
-    shifted exponentials are summed exactly (exact_sum).
-    """
+    rather than -inf since every caller expects a nonempty sum.  The shifted
+    exponentials are summed exactly (exact_sum); one term is x + 0.0, bit
+    for bit what that sum gives (0.0 at -0.0), without numpy."""
+    if len(log_terms) == 1:
+        return float(log_terms[0]) + 0.0
     x = np.asarray(log_terms, dtype=float)
     if x.size == 0:
         raise ValueError("log_sum_exp requires at least one term")

@@ -8,7 +8,9 @@ evaluates all seven criteria over 16 q (log-spaced from 2 to 1000) x 16 m
 the CLI's row function, criterion by criterion as ``fpsq sweep`` loops them,
 on the one model.
 Prints one JSON object: the CPU seconds of ``build_model`` plus the atom
-table (``build_s``), of each criterion's 256 cells (``criteria_s``) and of
+table's kernel table (``build_s``; each other part of the table is built
+when a criterion first reads it, so it falls into that criterion's time),
+of each criterion's 256 cells (``criteria_s``) and of
 all of them (``sweep_s``), the cell count, the process's peak RSS in MB,
 and the MB the model's memo holds in its GFP entries at the end
 (``gfp_memo_mb``, by ``held_bytes``).

@@ -27,7 +27,7 @@ from fpsq.cli import EXIT_PASS, main
 from fpsq import criteria
 from fpsq.criteria import (assumption_holds, chi_squared, gfp_value, log_moment, rho_fp_value,
                            solve_min_inclusion, usq_moment)
-from fpsq.kernels import GroupSpec, Kernel, ModelSpec, build_model, gam_kernel, rho_g
+from fpsq.kernels import AtomTable, GroupSpec, Kernel, ModelSpec, build_model, gam_kernel, rho_g
 from fpsq import laws
 from fpsq.laws import AtomEvaluationError, make_law
 from fpsq.numerics import log_sum_exp
@@ -139,8 +139,8 @@ class TestMirror:
         group = GroupSpec("sign_flip")
         model = ModelSpec("lone", {}, kernel, law, group, euclid_overlap=True)
         tab = model.atom_table
-        assert calls == [-0.5, 0.5, 0.7, -0.7]
-        assert tab.mirror.tolist() == [1, 0, 2]
+        assert calls == [-0.5, 0.5, 0.7]  # the kernel table; K - 1 at -t waits for its first read
+        assert tab.mirror.tolist() == [1, 0, 2] and calls == [-0.5, 0.5, 0.7, -0.7]
         assert tab.orbit.tolist() == [0, 0, 1]  # the lone atom keeps its own orbit
         assert tab.mirror_dev.tolist() == [math.expm1(0.5), math.expm1(-0.5), math.expm1(-0.7)]
         assert atom_levels(tab.rho).tolist() == [rho_g(gam, group, t) for t in law.values]
@@ -148,6 +148,7 @@ class TestMirror:
         rep = assumption_holds(model)
         want = min(math.fsum([math.expm1(t), math.expm1(-t)]) / 2 for t in law.values)
         assert rep.min_value == want and rep.passed
+        assert calls == [-0.5, 0.5, 0.7, -0.7]
 
     def test_mirror_is_computed_once_per_law(self, monkeypatch):
         # the default group's check, the model's check and the atom table
@@ -622,11 +623,69 @@ class TestAtomTableForms:
             got, ref = getattr(tab.rho, field.name), getattr(want, field.name)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), field.name
 
+    def test_log_orbit_mass_is_math_log_of_each_mass(self, model):
+        # the loop over every orbit as the reference: math.log where the mass is positive, else -inf
+        tab = model.atom_table
+        want = np.array([math.log(w) if w > 0.0 else -math.inf for w in tab.orbit_mass.tolist()])
+        assert tab.log_orbit_mass.tobytes() == want.tobytes()
+
     def test_orbits_match_the_sorted_unique_form(self, model):
         tab = model.atom_table
         rep, orbit = np.unique(np.minimum(np.arange(len(tab.mirror)), tab.mirror), return_inverse=True)
         assert tab.orbit_rep.dtype == rep.dtype and np.array_equal(tab.orbit_rep, rep)
         assert tab.orbit.dtype == orbit.dtype and np.array_equal(tab.orbit, orbit)
+
+
+# ---------------------------------------------------------------------------
+# Each part of the atom table built on its first read
+# ---------------------------------------------------------------------------
+
+# the parts built on first read (log K and K - 1 come with the table)
+PARTS = tuple(name for name, attr in vars(AtomTable).items() if isinstance(attr, functools.cached_property))
+
+
+def parts_read(model, criterion: str) -> set:
+    """The parts a criterion's cell reads: FP the overlap's Levels, rho_G-FP
+    rho_G's (|K - 1|'s under the trivial group, else from the mirror), SQ
+    |K - 1|'s, GFP the orbits (from the mirror); the rest log K or K - 1."""
+    mirror = {"mirror", "mirror_dev"}
+    return {"fp": {"overlap"}, "rho_fp": {"rho"} | (mirror if model.group.order == 2 else {"abs_dev"}),
+            "sq": {"abs_dev"}, "gfp": mirror | {"orbit", "orbit_rep", "orbit_mass", "log_orbit_mass"}
+            }.get(criterion, set())
+
+
+@pytest.mark.parametrize("criterion", sorted(criteria.CRITERIA))
+@pytest.mark.parametrize("name", sorted(TABLE_DESCS))
+def test_a_cell_builds_only_the_parts_its_criterion_reads(name, criterion):
+    model = build_model(TABLE_DESCS[name])
+    try:
+        criteria.CRITERIA[criterion].report(model, criteria.Cell(20.0, 4))
+        answered = True
+    except ValueError:  # refused (FP without an overlap, say): it may have read less
+        answered = False
+    built = {part for part in PARTS if part in vars(model.atom_table)}
+    assert built == parts_read(model, criterion) if answered else built <= parts_read(model, criterion)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DESCS))
+def test_criteria_in_either_order_report_the_same_bits(name):
+    def reports(order) -> dict:
+        model, out = build_model(TABLE_DESCS[name]), {}
+        for criterion in order:
+            for cell in (criteria.Cell(20.0, 4), criteria.Cell(3.0, 17)):
+                try:
+                    rep = criteria.CRITERIA[criterion].report(model, cell)
+                except ValueError as exc:
+                    out[criterion, cell] = repr(exc)
+                    continue
+                thr = rep.threshold
+                out[criterion, cell] = (bits(rep.value), None if rep.log_value is None else bits(rep.log_value),
+                                        None if thr is None else (bits(thr.threshold), bits(thr.achieved_mass),
+                                                                  thr.exact),
+                                        rep.method, bits(rep.error_bound))
+        return out
+
+    assert reports(list(criteria.CRITERIA)) == reports(list(criteria.CRITERIA)[::-1])
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_DESCS))

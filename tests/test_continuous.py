@@ -791,9 +791,10 @@ def test_sq_level_search_steps(monkeypatch, name, q):
     # one find_root call per cell, of at most 15 evaluations with its two
     # ends: on si-sign-sphere, whose |K - 1| is even, the Beta quantile's,
     # and h runs once, at tau; on gam-sphere the level search's, in which
-    # each evaluation, the ends too, runs h once, and h runs nowhere else
-    counts, h_calls = [], []
-    inner, init = laws.find_root, laws.LevelSets.__init__
+    # each evaluation with crossings runs h once (every one but the lowest
+    # level's, where no cell straddles), and h runs nowhere else
+    counts, h_calls, crossed = [], [], []
+    inner, init, measure = laws.find_root, laws.LevelSets.__init__, laws.LevelSets._measure
 
     def counting(f, a, b, fa, fb, *f_tol):
         calls = [2]
@@ -811,9 +812,15 @@ def test_sq_level_search_steps(monkeypatch, name, q):
 
     monkeypatch.setattr(laws, "find_root", counting)
     monkeypatch.setattr(laws.LevelSets, "__init__", counted_h)
+    monkeypatch.setattr(laws.LevelSets, "_measure", lambda self, c: crossed.append(bool(self._straddles(c)))
+                        or measure(self, c))
     sq_value(build_model(BUILTIN_MODEL_DESCRIPTORS[name]), q)
     assert len(counts) == 1 and counts[0] <= 15, counts
-    assert len(h_calls) == (1 if name == "si-sign-sphere" else counts[0]), (h_calls, counts)
+    if name == "si-sign-sphere":
+        assert len(h_calls) == 1 and crossed == [], (h_calls, crossed)
+    else:
+        assert len(crossed) == counts[0] and crossed.count(False) == 1, (crossed, counts)
+        assert len(h_calls) == crossed.count(True) == counts[0] - 1, (h_calls, counts)
 
 
 def test_level_sets_pinned_bit_for_bit():
@@ -825,12 +832,13 @@ def test_level_sets_pinned_bit_for_bit():
 
 def test_sq_level_search_sorts_nothing_and_runs_h_once_a_step(monkeypatch):
     # once the kernel table exists, a gam-sphere SQ cell's general level
-    # search runs h once per evaluation (its two ends too) and sorts nothing:
-    # each evaluation inserts its crossings into the refined grid in place
+    # search runs h once per evaluation with crossings (its top end too, not
+    # the lowest level, where no cell straddles) and sorts nothing: each
+    # evaluation inserts its crossings into the refined grid in place
     model = build_model(BUILTIN_MODEL_DESCRIPTORS["gam-sphere"])
     assert model.kernel_table is not None and model.law.grid is not None
-    evals, h_calls, sorts = [], [], []
-    inner, init = laws.find_root, laws.LevelSets.__init__
+    evals, h_calls, sorts, crossed = [], [], [], []
+    inner, init, measure = laws.find_root, laws.LevelSets.__init__, laws.LevelSets._measure
 
     def counting(f, a, b, fa, fb, *f_tol):
         evals.append(2)
@@ -839,8 +847,11 @@ def test_sq_level_search_sorts_nothing_and_runs_h_once_a_step(monkeypatch):
     monkeypatch.setattr(laws, "find_root", counting)
     monkeypatch.setattr(laws.LevelSets, "__init__",
                         lambda self, law, table, h: init(self, law, table, lambda ts: h_calls.append(1) or h(ts)))
+    monkeypatch.setattr(laws.LevelSets, "_measure", lambda self, c: crossed.append(bool(self._straddles(c)))
+                        or measure(self, c))
     for name in ("argsort", "sort"):
         monkeypatch.setattr(np, name, functools.partial(lambda name, *a, **k: sorts.append(name), name))
     rep = sq_value(model, 20.0)
     assert rep.threshold.exact and sorts == []
-    assert len(h_calls) == sum(evals) > 2
+    assert len(crossed) == sum(evals) and crossed.count(False) == 1
+    assert len(h_calls) == crossed.count(True) == sum(evals) - 1 > 2

@@ -1,11 +1,12 @@
 """Hermite basis, normal CDF and quantile, and log-domain accumulators."""
 
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fpsq import numerics
@@ -160,6 +161,28 @@ class TestLogAccumulation:
     def test_log_sum_exp_empty_is_error(self):
         with pytest.raises(ValueError):
             log_sum_exp([])
+
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+           | st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]))
+    @example(-0.0)
+    @example(0.0)
+    @example(5e-324)
+    @example(-2.2250738585072004e-308)
+    @example(math.nan)
+    @example(-math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    def test_log_sum_exp_of_one_term_is_the_shifted_sum_bit_for_bit(self, x):
+        # one term skips numpy; the result is the general path's m + log(exact_sum(exp(x - m)))
+        def shifted(terms):
+            with np.errstate(all="ignore"):
+                v = np.asarray(terms, dtype=float)
+                m = float(v.max())
+                return m if math.isinf(m) else m + math.log(exact_sum(np.exp(v - m)))
+
+        want = struct.pack("<d", shifted([x]))
+        assert struct.pack("<d", log_sum_exp([x])) == want
+        assert struct.pack("<d", log_sum_exp(np.array([x]))) == want
 
     # E[K^m] on a discrete law is a log-sum-exp over the atom table;
     # these cases pin it through chi_squared = E[K^m] - 1 and log_moment

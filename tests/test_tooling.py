@@ -1,5 +1,6 @@
 """The README's library example, the package's exports, the benchmark's
-hooks, the value dump and the phase-grid timer stay runnable, the README's
+hooks, the value dump, the phase-grid timer and the law-build timer (over
+every atom-table part) stay runnable, the README's
 descriptor reference lists the descriptor tables, every array
 sum in the engine takes one code path, no engine module builds an array
 with np.r_ or np.c_, no engine module calls laws.expect
@@ -158,6 +159,18 @@ def test_law_build_times_every_law():
                and entry["build_s"] >= 0.0 and entry["atom_table_s"] >= 0.0
                for entry in payload["laws"])
     assert payload["peak_rss_mb"] > 0.0
+
+
+def test_law_build_reads_every_part_of_the_atom_table():
+    # atom_table_s times the whole table: every part the table builds on first
+    # read, but log_orbit_mass, which GFP alone reads and was never in it
+    from functools import cached_property
+
+    import law_build
+    from fpsq.kernels import AtomTable
+
+    parts = {name for name, attr in vars(AtomTable).items() if isinstance(attr, cached_property)}
+    assert set(law_build.PARTS) == parts - {"log_orbit_mass"}
 
 
 def test_array_sums_go_through_exact_sum():
